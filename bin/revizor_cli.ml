@@ -54,8 +54,7 @@ let inputs_arg =
 (* --- fuzz ----------------------------------------------------------- *)
 
 (* The live dashboard and the closing stats line read the process-wide
-   metrics registry rather than the per-campaign [Fuzzer.stats]: with
-   [-j N] the registry carries the totals across every domain. *)
+   metrics registry rather than the per-campaign [Fuzzer.stats]. *)
 
 let counter_of snap name =
   Option.value (List.assoc_opt name snap.Metrics.counters) ~default:0
@@ -211,10 +210,10 @@ let write_metrics_json path ~elapsed ~(stats : Fuzzer.stats option) =
   in
   Revizor_obs.Atomic_file.write path (Json.to_string_pretty doc ^ "\n")
 
-let do_fuzz contract target seed budget inputs minimize save_dir jobs
-    executor_domains pipeline_depth metrics_out trace_out progress checkpoint
-    checkpoint_every resume watchdog_steps watchdog_ms fault_inject fault_seed
-    monitor_sock heartbeat_every no_ucoverage stats_out =
+let do_fuzz contract target seed budget inputs minimize save_dir
+    executor_domains metrics_out trace_out progress checkpoint checkpoint_every
+    resume watchdog_steps watchdog_ms fault_inject fault_seed monitor_sock
+    heartbeat_every no_ucoverage stats_out =
   (* Flag validation up front, before anything touches the terminal or
      the filesystem. *)
   let usage_error msg =
@@ -222,16 +221,8 @@ let do_fuzz contract target seed budget inputs minimize save_dir jobs
     Some 2
   in
   let validation =
-    if checkpoint <> None && jobs > 1 then
-      usage_error
-        "--checkpoint requires -j 1: parallel campaigns run independent \
-         seeds and have no single resumable state"
-    else if resume && checkpoint = None then
+    if resume && checkpoint = None then
       usage_error "--resume requires --checkpoint FILE"
-    else if monitor_sock <> None && jobs > 1 then
-      usage_error
-        "--monitor requires -j 1: parallel campaigns have no single \
-         campaign state to report"
     else
       match fault_inject with
       | None -> None
@@ -246,11 +237,8 @@ let do_fuzz contract target seed budget inputs minimize save_dir jobs
   | Some rc -> rc
   | None ->
   Ucoverage.set_enabled (not no_ucoverage);
-  (* Caller-owned atlas so it can be saved after the campaign. Parallel
-     campaigns (-j > 1) run independent seeds with no single atlas. *)
-  let ucov =
-    if jobs = 1 && not no_ucoverage then Some (Ucoverage.create ()) else None
-  in
+  (* Caller-owned atlas so it can be saved after the campaign. *)
+  let ucov = if no_ucoverage then None else Some (Ucoverage.create ()) in
   (match trace_out with Some path -> Telemetry.enable_file path | None -> ());
   let monitor =
     Option.map
@@ -271,7 +259,6 @@ let do_fuzz contract target seed budget inputs minimize save_dir jobs
     {
       cfg with
       Fuzzer.executor_domains = max 1 executor_domains;
-      pipeline_depth = max 0 pipeline_depth;
       Fuzzer.watchdog =
         {
           Watchdog.max_model_steps =
@@ -320,25 +307,12 @@ let do_fuzz contract target seed budget inputs minimize save_dir jobs
     Option.map (fun path snap -> Campaign.save ~path cfg snap) checkpoint
   in
   let run () =
-    if jobs > 1 then begin
-      let outcome, per_domain =
-        Fuzzer.fuzz_parallel ~domains:jobs cfg ~budget:(Fuzzer.Test_cases budget)
-      in
-      let total =
-        List.fold_left (fun acc (s : Fuzzer.stats) -> acc + s.Fuzzer.test_cases) 0 per_domain
-      in
-      if progress <> `Quiet then
-        Printf.printf "(%d domains, %d test cases total)\n%!" jobs total;
-      (outcome, List.hd per_domain)
-    end
-    else begin
-      if progress = `Live then enter_live ();
-      Fuzzer.fuzz ~on_progress
-        ~should_stop:(fun () -> Atomic.get stop_requested)
-        ?resume:resume_snapshot ~checkpoint_every ?on_checkpoint ?monitor
-        ~heartbeat_every ?ucoverage:ucov cfg
-        ~budget:(Fuzzer.Test_cases budget)
-    end
+    if progress = `Live then enter_live ();
+    Fuzzer.fuzz ~on_progress
+      ~should_stop:(fun () -> Atomic.get stop_requested)
+      ?resume:resume_snapshot ~checkpoint_every ?on_checkpoint ?monitor
+      ~heartbeat_every ?ucoverage:ucov cfg
+      ~budget:(Fuzzer.Test_cases budget)
   in
   let finish outcome (stats : Fuzzer.stats) =
     (* Leave the alternate screen before printing anything meant to
@@ -423,35 +397,19 @@ let fuzz_cmd =
       & info [ "save" ] ~docv:"DIR"
           ~doc:"Save the counterexample (asm + input seeds + report) to DIR.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Run N parallel fuzzing campaigns on separate domains.")
-  in
   let executor_domains =
     Arg.(
       value & opt int 1
       & info [ "executor-domains" ] ~docv:"N"
           ~doc:
-            "Size of the whole-pipeline domain pool: generate+compile stay \
-             on the main domain while N domains run the \
-             materialize/model/execute/analyze stages of different test \
-             cases concurrently. Results, statistics and checkpoints are \
+            "Size of the campaign's domain pool: generation stays on the \
+             main domain while N domains check different test cases \
+             (compile, materialize, model, execute, analyze) \
+             concurrently. Results, statistics and checkpoints are \
              bit-identical for every N (noise and fault-injection draws \
              are keyed per test case), so checkpoints written under any \
-             value resume under any other. Unlike $(b,-j), this \
-             parallelizes a single campaign.")
-  in
-  let pipeline_depth =
-    Arg.(
-      value & opt int 1
-      & info [ "pipeline-depth" ] ~docv:"N"
-          ~doc:
-            "Extra test cases generated ahead of the executor pool (with \
-             $(b,--executor-domains) > 1): overlaps test-case N+1's \
-             generate+compile with test-case N's execution. 0 disables \
-             the overlap. No effect on results.")
+             value resume under any other. To run independent seeds in \
+             parallel, use $(b,revizor fleet run).")
   in
   let metrics_out =
     Arg.(
@@ -489,7 +447,7 @@ let fuzz_cmd =
           ~doc:
             "Write campaign checkpoints (PRNG state, coverage, statistics) \
              to FILE, atomically, every $(b,--checkpoint-every) test cases \
-             and at shutdown. Requires $(b,-j) 1.")
+             and at shutdown.")
   in
   let checkpoint_every =
     Arg.(
@@ -533,7 +491,7 @@ let fuzz_cmd =
           ~doc:
             "Arm deterministic fault injection: comma-separated \
              $(i,name:rate) with optional $(i,@after) and $(i,#max), e.g. \
-             $(b,pool.worker:0.05,writer.io:1.0@10#2). Off by default.")
+             $(b,model.ctrace:0.05,writer.io:1.0@10#2). Off by default.")
   in
   let fault_seed =
     Arg.(
@@ -552,7 +510,7 @@ let fuzz_cmd =
              requests plus a one-shot $(b,prom) Prometheus text \
              exposition (query with $(b,revizor monitor)). Served \
              non-blockingly at test-case boundaries; fuzzing results are \
-             bit-identical with or without it. Requires $(b,-j) 1.")
+             bit-identical with or without it.")
   in
   let heartbeat_every =
     Arg.(
@@ -587,11 +545,10 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc:"Fuzz a target against a contract (Fig. 2 pipeline).")
     Term.(
       const do_fuzz $ contract_arg $ target_arg $ seed_arg $ budget_arg
-      $ inputs_arg $ minimize $ save_dir $ jobs $ executor_domains
-      $ pipeline_depth $ metrics_out $ trace_out $ progress $ checkpoint
-      $ checkpoint_every $ resume $ watchdog_steps $ watchdog_ms
-      $ fault_inject $ fault_seed $ monitor_sock $ heartbeat_every
-      $ no_ucoverage $ stats_out)
+      $ inputs_arg $ minimize $ save_dir $ executor_domains $ metrics_out
+      $ trace_out $ progress $ checkpoint $ checkpoint_every $ resume
+      $ watchdog_steps $ watchdog_ms $ fault_inject $ fault_seed
+      $ monitor_sock $ heartbeat_every $ no_ucoverage $ stats_out)
 
 (* --- check: re-verify a saved counterexample -------------------------- *)
 

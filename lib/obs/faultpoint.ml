@@ -1,7 +1,7 @@
 (* Deterministic, seeded fault injection (DESIGN.md §8).
 
    A fault point is a named site in the pipeline (model stage, executor
-   measurement loop, pool workers, artifact writers) that can be armed to
+   measurement loop, artifact writers, fleet workers) that can be armed to
    fail on a seeded schedule. The firing decision for the k-th hit of a
    point is a pure function of (campaign fault seed, point name, k): a
    splitmix64 hash of the triple compared against the configured rate.

@@ -1,8 +1,8 @@
 (** Deterministic, seeded fault injection (DESIGN.md §8 "Robustness").
 
     Named fault points are threaded into the pipeline's failure-prone
-    sites (model stage, executor measurement loop, pool workers, artifact
-    writers). Arming them with {!enable} makes each point fail on a
+    sites (model stage, executor measurement loop, artifact writers,
+    fleet workers). Arming them with {!enable} makes each point fail on a
     schedule that is a pure function of (fault seed, point name, hit
     index) — reproducible under a seed, independent of domain
     interleaving across points.
@@ -65,4 +65,4 @@ val hits : point -> int
 val parse_spec : string -> ((string * cfg) list, string) result
 (** Parse a CLI spec: comma-separated [name:rate], with optional
     [@after] (skip the first N hits) and [#max] (cap the fire count),
-    e.g. ["pool.worker:0.05,writer.io:1.0@10#2"]. *)
+    e.g. ["model.ctrace:0.05,writer.io:1.0@10#2"]. *)

@@ -20,14 +20,13 @@ let subset_names subsets =
   String.concat "+" (List.map Revizor_isa.Catalog.subset_to_string subsets)
 
 (* Canonical rendering of every config field that shapes the result
-   stream. [model_domains], [executor_domains] and [pipeline_depth] are
-   deliberately absent: pool scheduling is deterministic-by-index and the
-   pipelined loop commits in generation order with per-test-case keyed
-   noise/fault draws, so results are identical for every pool size and
-   overlap depth (asserted by the test suite) and a checkpoint taken with
-   [--executor-domains 4] may be resumed with [-j 1] on a smaller
-   machine. The noise seed, by contrast, is rendered: keyed draws make it
-   part of the deterministic result stream. *)
+   stream. [executor_domains] is deliberately absent: the campaign loop
+   commits in generation order with per-test-case keyed noise/fault
+   draws, so results are identical for every pool size (asserted by the
+   test suite) and a checkpoint taken with [--executor-domains 4] may be
+   resumed with one domain on a smaller machine. The noise seed, by
+   contrast, is rendered: keyed draws make it part of the deterministic
+   result stream. *)
 let canonical (c : Fuzzer.config) =
   let e = c.Fuzzer.executor in
   let g = c.Fuzzer.gen_cfg in

@@ -103,9 +103,9 @@ type throughput = {
 val throughput :
   ?seconds:float -> ?seed:int64 -> ?executor_domains:int -> unit -> throughput
 (** Fuzz a non-detecting configuration (Target 1 × CT-SEQ) and report the
-    processing rate. [executor_domains] (default 1, the sequential loop)
-    selects the pipelined whole-pipeline pool; results are bit-identical
-    for every value, so the knob only moves the rate. *)
+    processing rate. [executor_domains] (default 1) sizes the campaign's
+    domain pool; results are bit-identical for every value, so the knob
+    only moves the rate. *)
 
 (** {1 Port-contention channel (extension, §7 future work)} *)
 

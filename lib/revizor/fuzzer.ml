@@ -5,6 +5,7 @@ module Probe = Revizor_obs.Probe
 module Telemetry = Revizor_obs.Telemetry
 module Json = Revizor_obs.Json
 module Monitor = Revizor_obs.Monitor
+module Faultpoint = Revizor_obs.Faultpoint
 
 (* Per-stage probes (§"Observability", DESIGN.md §7): each names a
    [stage.<name>.*] metric triple and emits a JSONL span when the
@@ -21,13 +22,11 @@ let sp_analyze = Probe.create "analyze"
 let sp_swap_check = Probe.create "swap_check"
 let sp_nesting = Probe.create "nesting_recheck"
 
-(* The sequential loop's inter-stage residual: per-iteration wall time
-   not covered by any stage span above (input-list generation, stats and
-   coverage bookkeeping, GC pauses landing between stages). Attributed
-   via [Probe.add_ns] so the stage breakdown accounts for ≥95% of the
-   campaign's wall time by construction. Not recorded by the pipelined
-   loop, whose stage spans overlap across domains (their sum is
-   cross-domain work, not main-thread wall time). *)
+(* The loop's inter-stage residual: per-iteration wall time not covered
+   by any stage span above (input-list generation, stats and coverage
+   bookkeeping, GC pauses landing between stages). Attributed via
+   [Probe.add_ns] so the stage breakdown accounts for ≥95% of the
+   campaign's wall time by construction. *)
 let sp_loop_other = Probe.create "loop.other"
 
 let stage_probes =
@@ -39,8 +38,9 @@ let stage_probes =
 let stages_total_ns () =
   List.fold_left (fun acc p -> acc + Probe.time_ns p) 0 stage_probes
 
-(* Registry mirrors of [stats]: same totals, but process-wide (parallel
-   campaigns sum into them) and snapshotable mid-run by dashboards. *)
+(* Registry mirrors of [stats]: same totals, but process-wide (campaigns
+   run in one process sum into them) and snapshotable mid-run by
+   dashboards. *)
 let m_test_cases = Metrics.counter "fuzzer.test_cases"
 let m_inputs_tested = Metrics.counter "fuzzer.inputs_tested"
 let m_effective = Metrics.counter "fuzzer.effective_inputs"
@@ -95,15 +95,13 @@ type config = {
   entropy : int;
   round_length : int;
   seed : int64;
-  model_domains : int;
   executor_domains : int;
-  pipeline_depth : int;
   engine : engine;
   watchdog : Watchdog.t;
 }
 
-let default_config ?(seed = 1L) ?(model_domains = 1) ?(executor_domains = 1)
-    ?(pipeline_depth = 1) contract uarch executor =
+let default_config ?(seed = 1L) ?(executor_domains = 1) contract uarch
+    executor =
   {
     contract;
     uarch;
@@ -113,9 +111,7 @@ let default_config ?(seed = 1L) ?(model_domains = 1) ?(executor_domains = 1)
     entropy = 2;
     round_length = 25;
     seed;
-    model_domains;
     executor_domains;
-    pipeline_depth;
     engine = Compiled;
     watchdog = Watchdog.default;
   }
@@ -182,25 +178,18 @@ type snapshot = {
   sn_ucoverage : Ucoverage.t;
 }
 
-(* Contract traces, fanned out over the model pool when one is given. A
-   missing pool (or a pool of size 1) is the exact sequential path. *)
-let model_ctraces ?pool ?watchdog ?templates ?stream contract prog inputs =
-  match pool with
-  | Some p -> Model.ctraces_par ?watchdog ?templates ?stream p contract prog inputs
-  | None -> Model.ctraces ?watchdog ?templates ?stream contract prog inputs
-
 (* The nesting re-check (§5.4): recompute contract traces with nested
    speculation enabled; the violating pair must still share a class and
    still diverge. *)
-let nesting_recheck ?pool ?templates config prog inputs measurements
+let nesting_recheck ?templates config prog inputs measurements
     (cand : Analyzer.candidate) =
   if config.contract.Contract.nesting then true
   else begin
     let nested = Contract.with_nesting config.contract in
     let results =
       Probe.with_span sp_nesting (fun () ->
-          model_ctraces ?pool ~watchdog:config.watchdog ?templates
-            ~stream:`First nested prog inputs)
+          Model.ctraces ~watchdog:config.watchdog ?templates ~stream:`First
+            nested prog inputs)
     in
     if List.exists (fun (r : Model.result) -> r.Model.faulted) results then false
     else
@@ -237,13 +226,21 @@ type checked = {
   dismissed_nesting : bool;
 }
 
-(* The per-test-case pipeline after the front-end: materialize, model,
-   analyze, measure, hunt. Takes the already-compiled program so the
-   pipelined loop can compile on the coordinating domain (keeping the
-   main PRNG there) while this runs on a worker. *)
-let check_compiled ?pool ?arena config executor program prog inputs :
+(* The per-test-case pipeline after generation: compile, materialize,
+   model, analyze, measure, hunt. *)
+let check_test_case_full ?arena config executor program inputs :
     (checked, string) result =
-  (
+  match Program.flatten program with
+  | Error msg -> Error msg
+  | Ok flat ->
+      (* Compile the program exactly once per test case: the model passes
+         (including the nesting re-check), every executor warm-up round,
+         measurement repetition and swap-check re-measurement all reuse
+         the same decoded descriptors, raw closures and fused
+         superinstruction blocks. *)
+      let prog =
+        Probe.with_span sp_compile (fun () -> compile_with config.engine flat)
+      in
       (* Materialize each input's architectural state exactly once per
          test case; the model passes, the executor's warm-up/measurement
          repetitions and the swap-check re-measurements all blit-restore
@@ -263,8 +260,8 @@ let check_compiled ?pool ?arena config executor program prog inputs :
       in
       let results =
         Probe.with_span sp_model (fun () ->
-            model_ctraces ?pool ~watchdog:config.watchdog ~templates
-              ~stream:`First config.contract prog inputs)
+            Model.ctraces ~watchdog:config.watchdog ~templates ~stream:`First
+              config.contract prog inputs)
       in
       if List.exists (fun (r : Model.result) -> r.Model.faulted) results then
         Error "architectural fault"
@@ -341,7 +338,7 @@ let check_compiled ?pool ?arena config executor program prog inputs :
                     hunt (pair :: excluding) (attempts - 1) ~swapped:true ~nested
                   else if
                     not
-                      (nesting_recheck ?pool ~templates config prog inputs
+                      (nesting_recheck ~templates config prog inputs
                          measurements cand)
                   then
                     hunt (pair :: excluding) (attempts - 1) ~swapped ~nested:true
@@ -399,30 +396,15 @@ let check_compiled ?pool ?arena config executor program prog inputs :
                     dismissed_nesting = false;
                   }
           in
-          hunt [] 5 ~swapped:false ~nested:false)
+          hunt [] 5 ~swapped:false ~nested:false
 
-let check_test_case_full ?pool ?arena config executor program inputs :
-    (checked, string) result =
-  match Program.flatten program with
-  | Error msg -> Error msg
-  | Ok flat ->
-      (* Compile the program exactly once per test case: the model passes
-         (including the nesting re-check), every executor warm-up round,
-         measurement repetition and swap-check re-measurement all reuse
-         the same decoded descriptors, raw closures and fused
-         superinstruction blocks. *)
-      let prog =
-        Probe.with_span sp_compile (fun () -> compile_with config.engine flat)
-      in
-      check_compiled ?pool ?arena config executor program prog inputs
-
-let check_test_case ?pool config executor program inputs =
+let check_test_case config executor program inputs =
   Result.map (fun c -> c.violation)
-    (check_test_case_full ?pool config executor program inputs)
+    (check_test_case_full config executor program inputs)
 
 (* Everything a test case can come back as. Folding the two absorbable
-   exceptions into a value lets the pipelined loop ship outcomes across
-   domains as data and lets both loops share one commit path. *)
+   exceptions into a value lets a pooled check ship its outcome across
+   domains as data, and gives the loop a single commit path. *)
 type tc_outcome =
   | O_ok of checked
   | O_error of string
@@ -434,19 +416,19 @@ let classify f =
   | Ok checked -> O_ok checked
   | Error msg -> O_error msg
   | exception Watchdog.Pathological reason -> O_pathological reason
-  | exception Revizor_obs.Faultpoint.Injected point -> O_injected point
+  | exception Faultpoint.Injected point -> O_injected point
 
-(* A generated-but-not-yet-committed test case in the pipelined loop.
-   [p_prng] is the main PRNG's state right after this test case was
-   generated: committing in generation order and snapshotting that state
-   makes checkpoints bit-identical to the sequential loop's. *)
-type tc_job = Job_ready of tc_outcome | Job_fut of tc_outcome Pool.future
-
+(* A generated-but-not-yet-committed test case. [p_prng] is the main
+   PRNG's state right after this test case was generated: committing in
+   generation order and snapshotting that state keeps checkpoints
+   independent of how far generation has run ahead. [p_outcome] yields
+   the checked outcome — the inline check itself at one domain, the
+   await of its pool future otherwise. *)
 type tc_pending = {
   p_tc : int;
   p_prng : int64;
   p_inputs : int;
-  p_job : tc_job;
+  p_outcome : unit -> tc_outcome;
 }
 
 let set_gen_gauges (cfg : Generator.cfg) ~n_inputs =
@@ -483,15 +465,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
      {!Arena}). *)
   let arena = Arena.create () in
   let exec_domains = max 1 config.executor_domains in
-  (* The two pools are alternatives, not layers: with a whole-pipeline
-     executor pool each test case runs single-threaded on its domain, so
-     an inner model pool would only oversubscribe. *)
-  let pool =
-    if exec_domains < 2 && config.model_domains > 1 then
-      Some (Pool.create config.model_domains)
-    else None
-  in
-  let epool = if exec_domains > 1 then Some (Pool.create exec_domains) else None in
+  let pool = if exec_domains > 1 then Some (Pool.create exec_domains) else None in
   let stats =
     match resume with
     | Some s -> copy_stats s.sn_stats
@@ -517,9 +491,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     ref (match resume with Some s -> s.sn_n_inputs | None -> config.n_inputs)
   in
   set_gen_gauges !gen_cfg ~n_inputs:!n_inputs;
-  Metrics.set_gauge g_domain_count
-    (float_of_int
-       (if exec_domains > 1 then exec_domains else max 1 config.model_domains));
+  Metrics.set_gauge g_domain_count (float_of_int exec_domains);
   sample_runtime ();
   if Telemetry.enabled () then
     Telemetry.event "fuzz.start"
@@ -528,9 +500,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
         ("contract", Json.String (Contract.name config.contract));
         ("uarch", Json.String config.uarch.Uarch_config.name);
         ("n_inputs", Json.Int config.n_inputs);
-        ("model_domains", Json.Int config.model_domains);
         ("executor_domains", Json.Int exec_domains);
-        ("pipeline_depth", Json.Int (max 0 config.pipeline_depth));
       ];
   let combos_at_round_start =
     ref (match resume with Some s -> s.sn_combos_at_round_start | None -> 0)
@@ -549,12 +519,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
      without synchronization. *)
   let campaign_state = ref "running" in
   let last_checkpoint = ref None in
-  let pool_health () =
-    let info p = (Pool.is_degraded p, Pool.failures p) in
-    match (epool, pool) with
-    | Some p, _ | None, Some p -> info p
-    | None, None -> (false, 0)
-  in
   (match monitor with
   | None -> ()
   | Some mon ->
@@ -598,13 +562,10 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
                 | Json.Obj kvs -> Json.Obj (base @ kvs)
                 | j -> j)
           | "health" ->
-              let degraded, failures = pool_health () in
               Some
                 (Json.Obj
                    (base
                    @ [
-                       ("pool_degraded", Json.Bool degraded);
-                       ("pool_failures", Json.Int failures);
                        ( "watchdog_trips",
                          Json.Int (Metrics.value Watchdog.m_skipped) );
                        ( "faulted_test_cases",
@@ -618,18 +579,9 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
                              Json.Float (Unix.gettimeofday () -. t) );
                      ]))
           | _ -> None));
-  let exhausted () =
-    should_stop ()
-    ||
-    match budget with
-    | Test_cases n -> stats.test_cases >= n
-    | Seconds s -> base_elapsed +. (Unix.gettimeofday () -. started) >= s
-  in
   (* [prng_state] is the main PRNG as of the last committed test case's
-     generation. The sequential loop passes the live state (no draws
-     happen after generation within a test case); the pipelined loop has
-     generated ahead of the commit point, so it passes the recorded
-     per-test-case state instead. *)
+     generation: generation may have run ahead of the commit point, so
+     the loop passes the state recorded per test case. *)
   let take_snapshot ~prng_state =
     {
       sn_prng = prng_state;
@@ -656,8 +608,8 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
             last_checkpoint := Some (Unix.gettimeofday ()))
   in
   let result = ref No_violation in
-  (* Shared commit path: both loops fold a test case's outcome into the
-     stats, coverage and the campaign result in test-case order. *)
+  (* Fold a test case's outcome into the stats, coverage and the campaign
+     result, in test-case order. *)
   let commit_outcome outcome =
     match outcome with
     | O_pathological reason ->
@@ -701,9 +653,8 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
         end;
         Coverage.register coverage ~patterns:checked.patterns
           ~effective:(checked.effective > 0);
-        (* [stats.test_cases] is this test case's index in both loops:
-           the sequential loop increments it before checking, the
-           pipelined commit sets it to [p_tc] before committing. *)
+        (* [stats.test_cases] is this test case's index: the commit sets
+           it before folding the outcome in. *)
         Ucoverage.register ucov ~tc:stats.test_cases checked.ucov_features;
         (match checked.violation with
         | Some v ->
@@ -769,174 +720,133 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     (match monitor with Some m -> Monitor.poll m | None -> ());
     match on_progress with Some f -> f stats | None -> ()
   in
+  (* The campaign loop. This domain owns the campaign PRNG: it generates
+     test cases in order, up to [window] ahead of the commit point, and
+     commits their outcomes strictly in generation order. At one domain
+     the window is 1 and each test case is checked inline, on this
+     domain's CPU, executor and arena, between its generation and its
+     commit. With a pool, each check is a future on a pool domain with its
+     own CPU/executor/arena (domain-local). The executor canonicalizes all
+     carried state at the head of every measurement and noise/fault draws
+     are keyed on the test-case number, so a test case's outcome is a pure
+     function of the campaign seed and its index — the same on any domain,
+     at any domain count. *)
+  let window = if pool = None then 1 else exec_domains + 1 in
+  let pending : tc_pending Queue.t = Queue.create () in
+  (* Generation never crosses a round boundary: growth decisions depend
+     on the round's committed coverage, so it stalls at the boundary
+     until the round fully commits. *)
+  let can_generate () =
+    let ahead = Queue.length pending in
+    !result = No_violation
+    && ahead < window
+    && (ahead = 0 || !in_round + ahead < config.round_length)
+    && (not (should_stop ()))
+    &&
+    match budget with
+    | Test_cases n -> stats.test_cases + ahead < n
+    | Seconds s -> elapsed_now () < s
+  in
+  (* Scope this domain's telemetry context and fault schedule to test
+     case [tc]. *)
+  let enter_tc tc =
+    if Telemetry.enabled () then Telemetry.set_context [ ("tc", Json.Int tc) ];
+    Faultpoint.set_context ~salt:(Int64.of_int tc)
+  in
+  let check executor arena tc program inputs =
+    Executor.set_context executor ~tc;
+    classify (fun () -> check_test_case_full ~arena config executor program inputs)
+  in
+  let start_check =
+    match pool with
+    | None -> fun tc program inputs () -> check executor arena tc program inputs
+    | Some ep ->
+        let worker_state =
+          Domain.DLS.new_key (fun () ->
+              (Executor.create (Cpu.create config.uarch) config.executor,
+               Arena.create ()))
+        in
+        fun tc program inputs ->
+          let fut =
+            Pool.spawn ep (fun () ->
+                let wexec, warena = Domain.DLS.get worker_state in
+                Faultpoint.set_context ~salt:(Int64.of_int tc);
+                Fun.protect ~finally:Faultpoint.clear_context (fun () ->
+                    check wexec warena tc program inputs))
+          in
+          fun () -> Pool.await ep fut
+  in
+  let generate_one () =
+    let tc = stats.test_cases + Queue.length pending + 1 in
+    enter_tc tc;
+    let program, inputs =
+      Probe.with_span sp_generate (fun () ->
+          let program = Generator.generate prng !gen_cfg in
+          let inputs =
+            Input.generate_many prng ~entropy:config.entropy ~n:!n_inputs
+          in
+          (program, inputs))
+    in
+    Queue.add
+      {
+        p_tc = tc;
+        p_prng = Prng.state prng;
+        p_inputs = List.length inputs;
+        p_outcome = start_check tc program inputs;
+      }
+      pending
+  in
   (* PRNG state after the last committed test case's generation — what a
      final boundary snapshot must record. *)
   let last_prng = ref (Prng.state prng) in
+  let commit_front () =
+    let p = Queue.pop pending in
+    let outcome = p.p_outcome () in
+    (* With a pool, generating ahead (and helping with other checks while
+       awaiting) has moved this domain's contexts past [p]; re-enter its
+       own, so commit-time spans and fault draws (checkpoint writes) are
+       keyed exactly as at one domain. *)
+    if pool <> None then enter_tc p.p_tc;
+    stats.test_cases <- p.p_tc;
+    Metrics.incr m_test_cases;
+    in_round := !in_round + 1;
+    stats.inputs_tested <- stats.inputs_tested + p.p_inputs;
+    Metrics.add m_inputs_tested p.p_inputs;
+    last_prng := p.p_prng;
+    commit_outcome outcome;
+    round_boundary ~prng_state:p.p_prng
+  in
   Fun.protect
     ~finally:(fun () ->
       Option.iter Pool.shutdown pool;
-      Option.iter Pool.shutdown epool;
-      Revizor_obs.Faultpoint.clear_context ())
+      Faultpoint.clear_context ())
   @@ fun () ->
-  (match epool with
-  | None ->
-      (* Sequential loop: one test case at a time on the calling domain,
-         the exact PR6 pipeline. Noise draws and fault schedules are
-         nevertheless keyed per test case, so this path is bit-identical
-         to the pipelined loop below at any domain count. *)
-      while !result = No_violation && not (exhausted ()) do
-        let iter_start = Revizor_obs.Clock.now_ns () in
-        let stages_before = stages_total_ns () in
-        stats.test_cases <- stats.test_cases + 1;
-        Metrics.incr m_test_cases;
-        if Telemetry.enabled () then
-          Telemetry.set_context [ ("tc", Json.Int stats.test_cases) ];
-        Revizor_obs.Faultpoint.set_context
-          ~salt:(Int64.of_int stats.test_cases);
-        Executor.set_context executor ~tc:stats.test_cases;
-        in_round := !in_round + 1;
-        let program, inputs =
-          Probe.with_span sp_generate (fun () ->
-              let program = Generator.generate prng !gen_cfg in
-              let inputs =
-                Input.generate_many prng ~entropy:config.entropy ~n:!n_inputs
-              in
-              (program, inputs))
-        in
-        last_prng := Prng.state prng;
-        stats.inputs_tested <- stats.inputs_tested + List.length inputs;
-        Metrics.add m_inputs_tested (List.length inputs);
-        commit_outcome
-          (classify (fun () ->
-               check_test_case_full ?pool ~arena config executor program inputs));
-        round_boundary ~prng_state:!last_prng;
-        (* Attribute this iteration's wall time not covered by any stage
-           span (input-list plumbing, stats/coverage bookkeeping,
-           inter-stage GC) to the loop.other pseudo-stage, so the stage
-           breakdown accounts for the loop's full wall time. *)
-        let iter_ns = Revizor_obs.Clock.now_ns () - iter_start in
-        let stage_ns = stages_total_ns () - stages_before in
-        Probe.add_ns sp_loop_other (max 0 (iter_ns - stage_ns))
-      done
-  | Some ep ->
-      (* Pipelined loop. The coordinating domain owns the campaign PRNG:
-         it generates and compiles test cases in order (up to [window]
-         ahead), ships each compiled test case to the executor pool, and
-         commits outcomes strictly in generation order. Workers replicate
-         their own CPU/executor/arena lazily (domain-local); since the
-         executor canonicalizes all carried state at the head of every
-         measurement and noise/fault draws are keyed on the test-case
-         number, a test case's outcome is a pure function of the campaign
-         seed and its index — independent of which domain runs it. *)
-      let dls_state =
-        Domain.DLS.new_key (fun () ->
-            let cpu = Cpu.create config.uarch in
-            (Executor.create cpu config.executor, Arena.create ()))
-      in
-      let window = exec_domains + max 0 config.pipeline_depth in
-      let pending : tc_pending Queue.t = Queue.create () in
-      (* Generation runs ahead of the committed [stats.test_cases], but
-         never across a round boundary: growth decisions depend on the
-         round's committed coverage, so the generator stalls at the
-         boundary until the round fully commits (at which point [pending]
-         is provably empty). *)
-      let next_tc = ref stats.test_cases in
-      let gen_in_round = ref !in_round in
-      let can_generate () =
-        !result = No_violation
-        && !gen_in_round < config.round_length
-        && (not (should_stop ()))
-        &&
-        match budget with
-        | Test_cases n -> !next_tc < n
-        | Seconds s -> base_elapsed +. (Unix.gettimeofday () -. started) < s
-      in
-      let generate_one () =
-        let tc = !next_tc + 1 in
-        next_tc := tc;
-        gen_in_round := !gen_in_round + 1;
-        Revizor_obs.Faultpoint.set_context ~salt:(Int64.of_int tc);
-        let program, inputs =
-          Probe.with_span sp_generate (fun () ->
-              let program = Generator.generate prng !gen_cfg in
-              let inputs =
-                Input.generate_many prng ~entropy:config.entropy ~n:!n_inputs
-              in
-              (program, inputs))
-        in
-        let p_prng = Prng.state prng in
-        let compiled =
-          try
-            match Program.flatten program with
-            | Error msg -> Error (O_error msg)
-            | Ok flat ->
-                Ok
-                  (Probe.with_span sp_compile (fun () ->
-                       compile_with config.engine flat))
-          with
-          | Watchdog.Pathological reason -> Error (O_pathological reason)
-          | Revizor_obs.Faultpoint.Injected point -> Error (O_injected point)
-        in
-        Revizor_obs.Faultpoint.clear_context ();
-        let p_job =
-          match compiled with
-          | Error outcome -> Job_ready outcome
-          | Ok prog ->
-              Job_fut
-                (Pool.spawn ep (fun () ->
-                     let exec, warena = Domain.DLS.get dls_state in
-                     Executor.set_context exec ~tc;
-                     Revizor_obs.Faultpoint.set_context
-                       ~salt:(Int64.of_int tc);
-                     Fun.protect
-                       ~finally:Revizor_obs.Faultpoint.clear_context
-                     @@ fun () ->
-                     classify (fun () ->
-                         check_compiled ~arena:warena config exec program prog
-                           inputs)))
-        in
-        Queue.add
-          { p_tc = tc; p_prng; p_inputs = List.length inputs; p_job }
-          pending
-      in
-      let commit_front () =
-        let p = Queue.pop pending in
-        let outcome =
-          match p.p_job with
-          | Job_ready o -> o
-          | Job_fut f -> Pool.await ep f
-        in
-        stats.test_cases <- p.p_tc;
-        Metrics.incr m_test_cases;
-        if Telemetry.enabled () then
-          Telemetry.set_context [ ("tc", Json.Int p.p_tc) ];
-        in_round := !in_round + 1;
-        stats.inputs_tested <- stats.inputs_tested + p.p_inputs;
-        Metrics.add m_inputs_tested p.p_inputs;
-        last_prng := p.p_prng;
-        commit_outcome outcome;
-        round_boundary ~prng_state:p.p_prng;
-        if !in_round = 0 then gen_in_round := 0
-      in
-      while
-        !result = No_violation
-        && ((not (Queue.is_empty pending)) || can_generate ())
-      do
-        while Queue.length pending < window && can_generate () do
-          generate_one ()
-        done;
-        if not (Queue.is_empty pending) then commit_front ()
-      done;
-      (* A violation (or stop) leaves generated-ahead test cases in
-         flight; they are discarded — never committed, never visible in
-         stats or checkpoints — but must finish before the pool joins. *)
-      Queue.iter
-        (fun p ->
-          match p.p_job with
-          | Job_fut f -> ( try ignore (Pool.await ep f) with _ -> ())
-          | Job_ready _ -> ())
-        pending;
-      Queue.clear pending);
+  (* One iteration fills the window and commits the oldest test case. Its
+     wall time not covered by any stage span (input-list plumbing,
+     stats/coverage bookkeeping, inter-stage GC) is attributed to the
+     loop.other pseudo-stage, so at one domain the stage breakdown
+     accounts for the loop's full wall time. With a pool, worker spans
+     overlap this domain's wall time and the residual is a lower bound. *)
+  let rec loop () =
+    let iter_start = Revizor_obs.Clock.now_ns () in
+    let stages_before = stages_total_ns () in
+    while can_generate () do
+      generate_one ()
+    done;
+    if !result = No_violation && not (Queue.is_empty pending) then begin
+      commit_front ();
+      let iter_ns = Revizor_obs.Clock.now_ns () - iter_start in
+      let stage_ns = stages_total_ns () - stages_before in
+      Probe.add_ns sp_loop_other (max 0 (iter_ns - stage_ns));
+      loop ()
+    end
+  in
+  loop ();
+  (* A violation (or stop) can leave generated-ahead test cases in
+     flight. They are discarded — never committed, never visible in stats
+     or checkpoints — and the shutdown lets them finish before the
+     campaign's closing events. *)
+  Option.iter Pool.shutdown pool;
   (* A final boundary snapshot lets an interrupted (should_stop) campaign
      be resumed exactly where it left off. *)
   if !result = No_violation then emit_checkpoint ~prng_state:!last_prng;
@@ -964,38 +874,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
       ]
   end;
   (!result, stats)
-
-let fuzz_parallel ?(domains = 4) config ~budget =
-  let domains = max 1 domains in
-  let found = Atomic.make false in
-  let split_budget =
-    match budget with
-    | Test_cases n -> Test_cases (max 1 ((n + domains - 1) / domains))
-    | Seconds _ -> budget
-  in
-  let campaign i =
-    let cfg =
-      { config with seed = Int64.add config.seed (Int64.of_int (i * 6271)) }
-    in
-    let outcome, stats =
-      fuzz ~should_stop:(fun () -> Atomic.get found) cfg ~budget:split_budget
-    in
-    (match outcome with Violation _ -> Atomic.set found true | No_violation -> ());
-    (outcome, stats)
-  in
-  let workers =
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> campaign (i + 1)))
-  in
-  let first = campaign 0 in
-  let results = first :: List.map Domain.join workers in
-  let outcome =
-    match
-      List.find_opt (function Violation _, _ -> true | No_violation, _ -> false) results
-    with
-    | Some (o, _) -> o
-    | None -> No_violation
-  in
-  (outcome, List.map snd results)
 
 let stats_to_json s =
   Json.Obj

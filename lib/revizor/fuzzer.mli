@@ -24,29 +24,18 @@ type config = {
   entropy : int;  (** PRNG entropy bits for input generation *)
   round_length : int;  (** test cases per round *)
   seed : int64;
-  model_domains : int;
-      (** size of the domain pool for the model stage: the contract traces
-          of a test case's inputs are computed in parallel when [> 1].
-          The executor stage stays sequential regardless (priming makes
-          the measurement order-dependent). Results are identical for
-          every value; 1 (the default) runs the plain sequential path
-          with no pool at all. *)
   executor_domains : int;
-      (** size of the whole-pipeline domain pool: when [> 1] the loop is
-          {e pipelined} — the calling domain generates and compiles test
-          cases in order while the pool's domains run the rest of each
-          test case (materialize, model, execute, analyze) on their own
-          replicated CPU/executor/arena. Noise and fault-injection draws
-          are keyed on the test-case index and the executor canonicalizes
-          all carried state per measurement, so outcomes, traces, stats
-          and checkpoints are bit-identical for every value (including 1,
-          the plain sequential loop). Mutually exclusive with
-          [model_domains] (the model pool is only created when this
-          is [<= 1]). *)
-  pipeline_depth : int;
-      (** extra test cases generated ahead of the executor pool (beyond
-          one per domain) when [executor_domains > 1]; 0 disables the
-          generate/execute overlap. No effect on results. *)
+      (** size of the campaign's domain pool, the only parallelism
+          setting: when [> 1], the calling domain generates test cases in
+          order, keeping up to [executor_domains + 1] in flight, while
+          the pool's domains check them (compile, materialize,
+          model, execute, analyze) on their own replicated
+          CPU/executor/arena. Noise and fault-injection draws are keyed
+          on the test-case index and the executor canonicalizes all
+          carried state per measurement, so outcomes, traces, stats and
+          checkpoints are bit-identical for every value, including 1 (the
+          default), where each test case is checked inline between its
+          generation and its commit. *)
   engine : engine;
   watchdog : Watchdog.t;
       (** per-test-case step/time budgets for the model stage; the default
@@ -61,17 +50,14 @@ val compile_with : engine -> Revizor_isa.Program.flat -> Revizor_emu.Compiled.t
 
 val default_config :
   ?seed:int64 ->
-  ?model_domains:int ->
   ?executor_domains:int ->
-  ?pipeline_depth:int ->
   Contract.t ->
   Uarch_config.t ->
   Executor.config ->
   config
 (** Paper's starting point: 8 instructions / 2 blocks / 2 memory accesses,
-    2 entropy bits, 50 inputs, rounds of 25 test cases, sequential model
-    and execute stages ([model_domains = executor_domains = 1],
-    [pipeline_depth = 1]). *)
+    2 entropy bits, 50 inputs, rounds of 25 test cases, one domain
+    ([executor_domains = 1]). *)
 
 type stats = {
   mutable test_cases : int;
@@ -131,8 +117,8 @@ val fuzz :
   outcome * stats
 (** Run until a (filtered) violation is found or the budget is exhausted.
     Deterministic for a given [config.seed] under [Test_cases] budgets.
-    [should_stop] is polled between test cases (used for cooperative
-    cancellation by {!fuzz_parallel} and graceful shutdown by the CLI).
+    [should_stop] is polled between test cases (graceful shutdown by the
+    CLI).
 
     [resume] restarts the loop from a snapshot (the budget still counts
     total test cases, so a resumed [Test_cases n] campaign stops at the
@@ -144,9 +130,8 @@ val fuzz :
 
     [monitor] attaches a live {!Revizor_obs.Monitor} endpoint: the loop
     installs [status]/[health] provider closures over its campaign state
-    (round, throughput, coverage, pool degradation, watchdog trips,
-    checkpoint age) and calls {!Revizor_obs.Monitor.poll} at every
-    test-case boundary. [heartbeat_every] (default 50, 0 disables) emits
+    (round, throughput, coverage, watchdog trips, checkpoint age) and
+    calls {!Revizor_obs.Monitor.poll} at every test-case boundary. [heartbeat_every] (default 50, 0 disables) emits
     a [fuzz.heartbeat] telemetry event — test cases, rounds, throughput,
     coverage size, atlas totals — every N committed test cases. Neither
     feature draws from any PRNG or writes campaign state, so fuzzing
@@ -163,16 +148,7 @@ val fuzz :
     collection is on or off ({!Ucoverage.set_enabled}). On [resume] the
     snapshot's atlas contents overwrite the supplied one. *)
 
-val fuzz_parallel :
-  ?domains:int -> config -> budget:budget -> outcome * stats list
-(** §7: "tests in different adversarial scenarios can easily run in
-    parallel". Runs independent fuzzing campaigns (seeds
-    [config.seed + i]) on OCaml 5 domains, splitting the budget; the
-    first domain to find a violation cancels the others. Returns the
-    winning violation (if any) and the per-domain statistics. *)
-
 val check_test_case :
-  ?pool:Pool.t ->
   config ->
   Executor.t ->
   Revizor_isa.Program.t ->
@@ -180,8 +156,7 @@ val check_test_case :
   (Violation.t option, string) result
 (** The per-test-case pipeline on its own (used by the postprocessor, the
     gadget experiments of Table 5, and the tests). [Error] means the test
-    case faulted architecturally. [pool] parallelizes the model stage
-    (see {!type:config}[.model_domains]); {!fuzz} manages its own pool. *)
+    case faulted architecturally. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -19,9 +19,9 @@ let max_nesting_depth = 4
    same preallocated machinery: one scratch state reset in place from
    the input's template (a flat blit), one access buffer shared by all
    raw actions, and one snapshot buffer per speculation depth for the
-   exploration clauses. One arena per domain (via [Domain.DLS]) makes
-   the same fast path serve both the sequential and the pooled walker
-   without locking. *)
+   exploration clauses. One arena per domain (via [Domain.DLS]) lets
+   campaigns on several domains share the same fast path without
+   locking. *)
 type arena = {
   a_scratch : State.t;
   a_blank : State.t;
@@ -292,13 +292,13 @@ let reset_scratch ~arena ~templates input i =
       Input.apply ~data_hi_zero:true input scratch);
   scratch
 
-let batch ?(max_steps = 4096) ?(watchdog = Watchdog.default) ?pool
-    ?(stream = `All) contract prog =
-  (* Specialize the per-test-case closure once: contract dispatch,
-     fused-run metadata and the pool decision are resolved here, and the
-     closure is then invoked once with the full input set. *)
+let batch ?(max_steps = 4096) ?(watchdog = Watchdog.default) ?(stream = `All)
+    contract prog =
+  (* Specialize the per-test-case closure once: contract dispatch and
+     fused-run metadata are resolved here, and the closure is then
+     invoked once with the full input set. *)
   let record_stream = match stream with `All -> fun _ -> true | `First -> fun i -> i = 0 in
-  let seq ?templates inputs =
+  fun ?templates inputs ->
     let arena = Domain.DLS.get dls_arena in
     List.mapi
       (fun i input ->
@@ -306,30 +306,6 @@ let batch ?(max_steps = 4096) ?(watchdog = Watchdog.default) ?pool
         timed_trace ~arena ~idx:i ~record_stream:(record_stream i) ~max_steps
           ~watchdog contract prog scratch)
       inputs
-  in
-  match pool with
-  | Some pool when Pool.size pool > 1 ->
-      fun ?templates inputs ->
-        let arr = Array.of_list inputs in
-        let indices = Array.init (Array.length arr) Fun.id in
-        let results =
-          Pool.map_array pool
-            (fun i ->
-              (* Each worker executes on its domain-local arena;
-                 templates are shared read-only across domains, never
-                 executed on directly. *)
-              let arena = Domain.DLS.get dls_arena in
-              let scratch = reset_scratch ~arena ~templates arr.(i) i in
-              timed_trace ~arena ~idx:i ~record_stream:(record_stream i)
-                ~max_steps ~watchdog contract prog scratch)
-            indices
-        in
-        Array.to_list results
-  | _ -> seq
 
 let ctraces ?max_steps ?watchdog ?templates ?stream contract prog inputs =
   (batch ?max_steps ?watchdog ?stream contract prog) ?templates inputs
-
-let ctraces_par ?max_steps ?watchdog ?templates ?stream pool contract prog
-    inputs =
-  (batch ?max_steps ?watchdog ~pool ?stream contract prog) ?templates inputs

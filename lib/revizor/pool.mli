@@ -1,77 +1,30 @@
-(** A small reusable pool of OCaml 5 domains for intra-test-case
-    parallelism (the contract traces of a test case's N inputs are
-    independent, so the model stage fans them out across idle cores while
-    the executor stage — whose priming sequence is order-dependent — stays
-    sequential).
+(** A small futures pool of OCaml 5 domains: the whole-test-case pool of
+    the pipelined campaign loop ({!Fuzzer.config}[.executor_domains]).
 
-    A pool of size [n] spawns [n - 1] worker domains; the caller's domain
-    participates in every {!map_array}, so [create 1] spawns nothing and
-    behaves exactly like sequential execution. Pools are cheap to keep
-    around and are meant to live for a whole fuzzing campaign; call
-    {!shutdown} when done.
-
-    The pool is {e supervised} (DESIGN.md §8): a participant crashing in
-    the pool harness (exercised deterministically by the [pool.worker]
-    fault point) parks its claimed item for the submitting domain to
-    retry, so {!map_array} still returns the full, bit-identical result.
-    After [max_failures] crashes the pool permanently degrades to
-    sequential execution — surfaced as the [pool.degradations] metrics
-    counter and a [pool.degraded] telemetry event, never as a campaign
-    abort. *)
+    A pool of size [n] spawns [n - 1] worker domains; the submitting
+    domain takes part by running queued tasks while it awaits, so
+    [create 1] spawns nothing and runs every task inline. Pools are meant
+    to live for a whole campaign; call {!shutdown} when done. *)
 
 type t
 
-val create : ?max_failures:int -> int -> t
+val create : int -> t
 (** [create n] starts a pool of parallelism [n] (clamped to at least 1),
-    spawning [n - 1] worker domains. [max_failures] (default 8, clamped
-    to at least 1) bounds worker crashes before the pool degrades to
-    sequential. *)
-
-val size : t -> int
-
-val failures : t -> int
-(** Worker crashes recorded over the pool's lifetime. *)
-
-val is_degraded : t -> bool
-(** [true] once the pool has fallen back to sequential execution. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array p f arr] computes [Array.map f arr] with the elements
-    distributed over the pool's domains. Results are placed by index, so
-    the output is identical to the sequential map regardless of pool size
-    (provided [f] is pure up to its index). If [f] raises on some element,
-    the first such exception (in index order) is re-raised after all
-    elements have been attempted. Worker crashes are supervised: parked
-    items are retried on the submitting domain. Do not call concurrently
-    from multiple domains on the same pool. *)
-
-(** {1 Futures}
-
-    Whole-task parallelism for the pipelined fuzz loop: where
-    {!map_array} fans one array out and barriers, futures let the
-    submitting domain keep several independent tasks (whole test cases)
-    in flight and collect them in its own order. *)
+    spawning [n - 1] worker domains. *)
 
 type 'a future
 
 val spawn : t -> (unit -> 'a) -> 'a future
 (** Queue [task] for a pool domain and return its future. On a pool of
-    size 1 — or one degraded to sequential — the task runs inline before
-    [spawn] returns. A task exception is captured and re-raised by
-    {!await}, never killing a worker. An injected [pool.worker] crash on
-    the task is recorded (counting toward degradation) and the task then
-    runs anyway: supervised futures always complete. *)
+    size 1 the task runs inline before [spawn] returns. A task exception
+    is captured and re-raised by {!await}, never killing a worker. *)
 
 val await : t -> 'a future -> 'a
 (** Block until the future completes and return its value (re-raising
     the task's exception). While the result is pending, the awaiting
-    domain {e helps}: it drains other queued tasks instead of idling, so
-    every domain including the submitter does pipeline work. Awaiting
-    the same future twice returns the same result. *)
-
-val poll : 'a future -> bool
-(** [true] once {!await} would return without blocking. *)
+    domain {e helps}: it runs other queued tasks instead of idling.
+    Awaiting the same future twice returns the same result. *)
 
 val shutdown : t -> unit
-(** Join the worker domains. The pool must not be used afterwards;
-    idempotent. *)
+(** Let the queued tasks finish, then join the worker domains. The pool
+    must not be used afterwards; idempotent. *)

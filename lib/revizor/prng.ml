@@ -50,33 +50,35 @@ let xorshift_step s =
    multiplication by the k-th power of the 64×64 transition matrix M.
    Matrices are stored column-wise (column j = image of the j-th basis
    state, one int64 per column); applying one costs at most 64 xors, and
-   M^(2^i) for i = 0..10 is precomputed lazily by repeated squaring.
-   Sparse input fills use this to skip the PRNG over runs of data words
-   the test program provably never reads. *)
+   M^(2^i) for i = 0..10 is precomputed at module initialisation by
+   repeated squaring — eagerly, because a lazy table first forced by two
+   domains at once raises [CamlinternalLazy.Undefined]. Sparse input
+   fills use this to skip the PRNG over runs of data words the test
+   program provably never reads. *)
 let apply_mat cols s =
   let acc = ref 0L in
   for j = 0 to 63 do
-    if Int64.logand (Int64.shift_right_logical s j) 1L <> 0L then
-      acc := Int64.logxor !acc cols.(j)
+    (* Branch-free: the bits of [s] are random, so a test-and-xor would
+       mispredict on every other column. *)
+    let bit = Int64.logand (Int64.shift_right_logical s j) 1L in
+    acc := Int64.logxor !acc (Int64.logand cols.(j) (Int64.neg bit))
   done;
   !acc
 
 let jump_mats =
-  lazy
-    (let m1 = Array.init 64 (fun j -> xorshift_step (Int64.shift_left 1L j)) in
-     let square m = Array.map (fun col -> apply_mat m col) m in
-     let mats = Array.make 11 m1 in
-     for i = 1 to 10 do
-       mats.(i) <- square mats.(i - 1)
-     done;
-     mats)
+  let m1 = Array.init 64 (fun j -> xorshift_step (Int64.shift_left 1L j)) in
+  let square m = Array.map (fun col -> apply_mat m col) m in
+  let mats = Array.make 11 m1 in
+  for i = 1 to 10 do
+    mats.(i) <- square mats.(i - 1)
+  done;
+  mats
 
 let jump s ~steps =
   if steps < 0 || steps >= 2048 then invalid_arg "Prng.jump";
-  let mats = Lazy.force jump_mats in
   let s = ref s in
   for i = 0 to 10 do
-    if steps land (1 lsl i) <> 0 then s := apply_mat mats.(i) !s
+    if steps land (1 lsl i) <> 0 then s := apply_mat jump_mats.(i) !s
   done;
   !s
 

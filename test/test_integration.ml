@@ -176,59 +176,6 @@ let fuzz_tests =
         | None -> Alcotest.fail "ret2spec not detected");
   ]
 
-(* --- Parallel model stage: pool size must not change results ------------------- *)
-
-let parallel_tests =
-  [
-    tc "ctraces_par pool sizes 1/2/4 match the sequential path" `Quick (fun () ->
-        let prng = Prng.create ~seed:33L in
-        let prog = Generator.generate prng Generator.default_cfg in
-        let flat = Revizor_emu.Compiled.of_program_exn prog in
-        let inputs = Input.generate_many prng ~entropy:2 ~n:40 in
-        let templates = Input.templates inputs in
-        let reference = Model.ctraces Contract.ct_cond flat inputs in
-        let agree a b =
-          List.length a = List.length b
-          && List.for_all2
-               (fun (x : Model.result) (y : Model.result) ->
-                 Ctrace.equal x.Model.ctrace y.Model.ctrace
-                 && x.Model.faulted = y.Model.faulted)
-               a b
-        in
-        List.iter
-          (fun n ->
-            let pool = Pool.create n in
-            Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-            check bool
-              (Printf.sprintf "pool %d (per-input states)" n)
-              true
-              (agree reference (Model.ctraces_par pool Contract.ct_cond flat inputs));
-            check bool
-              (Printf.sprintf "pool %d (cached templates)" n)
-              true
-              (agree reference
-                 (Model.ctraces_par ~templates pool Contract.ct_cond flat inputs)))
-          [ 1; 2; 4 ]);
-    tc "fuzz outcome is identical for model_domains 1/2/4" `Slow (fun () ->
-        let run domains =
-          let cfg =
-            {
-              (Target.fuzzer_config ~seed:4L Contract.ct_seq Target.target5) with
-              Fuzzer.model_domains = domains;
-            }
-          in
-          match Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 80) with
-          | Fuzzer.Violation v, stats ->
-              (Some v.Violation.label, stats.Fuzzer.test_cases,
-               stats.Fuzzer.candidates)
-          | Fuzzer.No_violation, stats ->
-              (None, stats.Fuzzer.test_cases, stats.Fuzzer.candidates)
-        in
-        let reference = run 1 in
-        check bool "model_domains 2" true (run 2 = reference);
-        check bool "model_domains 4" true (run 4 = reference));
-  ]
-
 (* --- Postprocessor ------------------------------------------------------------- *)
 
 let postprocessor_tests =
@@ -328,7 +275,6 @@ let () =
       ("table3_shape", table3_shape_tests);
       ("assumptions", assumption_tests);
       ("fuzzing", fuzz_tests);
-      ("parallel_model", parallel_tests);
       ("postprocessor", postprocessor_tests);
       ("filters", filter_tests);
     ]

@@ -60,9 +60,9 @@ let test_histogram_summary () =
 
 (* --- snapshot determinism ------------------------------------------- *)
 
-(* Time metrics (suffix "ns"), per-domain pool counters (prefix "pool.")
+(* Time metrics (suffix "ns"), pool scheduling counters (prefix "pool.")
    and gauges are nondeterministic by design; everything else must be a
-   pure function of the seed, whatever the model-pool size. *)
+   pure function of the seed, whatever the executor-pool size. *)
 let deterministic_counters (s : Metrics.summary) =
   List.filter
     (fun (name, _) ->
@@ -70,27 +70,27 @@ let deterministic_counters (s : Metrics.summary) =
       && not (String.starts_with ~prefix:"pool." name))
     s.Metrics.counters
 
-let fuzz_counters ~model_domains ~seed ~budget =
+let fuzz_counters ~executor_domains ~seed ~budget =
   Metrics.reset ();
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target1 in
-  let cfg = { cfg with Fuzzer.model_domains } in
+  let cfg = { cfg with Fuzzer.executor_domains } in
   let _ = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases budget) in
   deterministic_counters (Metrics.snapshot ())
 
 let counters_t = Alcotest.(list (pair string int))
 
 let test_snapshot_determinism () =
-  let base = fuzz_counters ~model_domains:1 ~seed:3L ~budget:30 in
+  let base = fuzz_counters ~executor_domains:1 ~seed:3L ~budget:30 in
   check bool "some deterministic counters" true (List.length base > 10);
   check counters_t "same seed, same counters"
     base
-    (fuzz_counters ~model_domains:1 ~seed:3L ~budget:30);
+    (fuzz_counters ~executor_domains:1 ~seed:3L ~budget:30);
   List.iter
     (fun d ->
       check counters_t
-        (Printf.sprintf "model_domains=%d matches serial" d)
+        (Printf.sprintf "executor_domains=%d matches serial" d)
         base
-        (fuzz_counters ~model_domains:d ~seed:3L ~budget:30))
+        (fuzz_counters ~executor_domains:d ~seed:3L ~budget:30))
     [ 2; 4 ]
 
 (* --- telemetry on/off leaves outcomes bit-identical ------------------ *)

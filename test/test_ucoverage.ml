@@ -188,15 +188,15 @@ let test_collection_switch () =
 (* target5 vs CT-COND: branch mispredictions fire constantly but the
    contract exposes them, so short campaigns stay compliant — a
    non-empty atlas with no violation. *)
-let campaign_cfg ?(domains = 1) ?(depth = 1) ~seed () =
+let campaign_cfg ?(domains = 1) ~seed () =
   let cfg = Target.fuzzer_config ~seed Contract.ct_cond Target.target5 in
-  { cfg with Fuzzer.executor_domains = domains; pipeline_depth = depth }
+  { cfg with Fuzzer.executor_domains = domains }
 
-let run_with_atlas ?domains ?depth ~seed ~total () =
+let run_with_atlas ?domains ~seed ~total () =
   let u = Ucoverage.create () in
   let o, s =
     Fuzzer.fuzz ~ucoverage:u
-      (campaign_cfg ?domains ?depth ~seed ())
+      (campaign_cfg ?domains ~seed ())
       ~budget:(Fuzzer.Test_cases total)
   in
   (outcome_summary o, stats_fingerprint s, u)
@@ -218,14 +218,14 @@ let test_atlas_nonempty () =
 let test_atlas_domains_invariant () =
   let base = run_with_atlas ~seed:3L ~total:40 () in
   List.iter
-    (fun (domains, depth) ->
-      let o, s, u = run_with_atlas ~domains ~depth ~seed:3L ~total:40 () in
-      let l = Printf.sprintf "domains=%d depth=%d" domains depth in
+    (fun domains ->
+      let o, s, u = run_with_atlas ~domains ~seed:3L ~total:40 () in
+      let l = Printf.sprintf "domains=%d" domains in
       let bo, bs, bu = base in
       check string (l ^ ": outcome") bo o;
       check string (l ^ ": stats") bs s;
       check string (l ^ ": atlas") (atlas_fingerprint bu) (atlas_fingerprint u))
-    [ (2, 0); (2, 2); (4, 1) ]
+    [ 2; 4 ]
 
 let test_atlas_kill_and_resume () =
   let cfg = campaign_cfg ~seed:5L () in
