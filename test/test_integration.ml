@@ -1,6 +1,7 @@
 (* End-to-end tests: the full MRT pipeline against the paper's expected
    outcomes — gadget × contract × target (Table 3 shape), §6.4, §6.6,
-   fuzzing detection, the false-positive filters and the postprocessor. *)
+   fuzzing detection, verdicts on pool domains, the false-positive filters
+   and the postprocessor. *)
 
 open Revizor_isa
 open Revizor_uarch
@@ -176,6 +177,54 @@ let fuzz_tests =
         | None -> Alcotest.fail "ret2spec not detected");
   ]
 
+(* --- Parallel check stage: pool domains must not change verdicts -------------- *)
+
+(* With executor_domains > 1 every test case is checked as a Pool future
+   on whichever domain picks it up. The Table 3 gadgets cover every
+   leakage mechanism of the simulated targets; their verdicts must be the
+   same when checked concurrently on pool domains as when checked in
+   sequence. *)
+let parallel_check_tests =
+  [
+    tc "Table 3 verdicts are identical on pool domains 2/4" `Quick (fun () ->
+        let cases =
+          [
+            (Contract.ct_seq, Target.target5, Gadgets.spectre_v1, 50);
+            (Contract.ct_cond, Target.target5, Gadgets.spectre_v1, 50);
+            (Contract.ct_seq, Target.target5, Gadgets.spectre_v1_1, 50);
+            (Contract.ct_seq, Target.target2, Gadgets.spectre_v4, 50);
+            (Contract.ct_bpas, Target.target2, Gadgets.spectre_v4, 50);
+            (Contract.ct_seq, Target.target4, Gadgets.spectre_v4, 50);
+            (Contract.ct_cond, Target.target6, Gadgets.spectre_v1_var, 50);
+            (Contract.ct_bpas, Target.target3, Gadgets.spectre_v4_var, 50);
+            (Contract.ct_seq, Target.target5, Gadgets.ret2spec, 4);
+            (Contract.ct_seq, Target.target5, Gadgets.spectre_v2, 50);
+            (Contract.ct_seq, Target.target7, Gadgets.mds_lfb, 50);
+            (Contract.ct_seq, Target.target8, Gadgets.mds_sb, 50);
+            (Contract.ct_seq, Target.target8, Gadgets.lvi_null, 50);
+            (Contract.ct_seq, Target.target7, Gadgets.lvi_null, 50);
+          ]
+        in
+        let verdict (contract, target, g, n_inputs) () =
+          Option.map
+            (fun v -> v.Violation.label)
+            (pipeline ~n_inputs contract target g)
+        in
+        let reference = List.map (fun c -> verdict c ()) cases in
+        check bool "some violations" true (List.exists Option.is_some reference);
+        check bool "some compliant" true (List.exists Option.is_none reference);
+        List.iter
+          (fun n ->
+            let pool = Pool.create n in
+            Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+            let futures = List.map (fun c -> Pool.spawn pool (verdict c)) cases in
+            check
+              Alcotest.(list (option string))
+              (Printf.sprintf "pool %d" n) reference
+              (List.map (Pool.await pool) futures))
+          [ 2; 4 ]);
+  ]
+
 (* --- Postprocessor ------------------------------------------------------------- *)
 
 let postprocessor_tests =
@@ -275,6 +324,7 @@ let () =
       ("table3_shape", table3_shape_tests);
       ("assumptions", assumption_tests);
       ("fuzzing", fuzz_tests);
+      ("parallel_check", parallel_check_tests);
       ("postprocessor", postprocessor_tests);
       ("filters", filter_tests);
     ]
