@@ -75,6 +75,13 @@ let default_config ?(threat = Attack.prime_probe) () =
 let memo_enabled = ref true
 let set_memo b = memo_enabled := b
 
+type memo_entry = {
+  pre : Cpu.snapshot;
+  post : Cpu.snapshot;
+  trace : Htrace.t;
+  events : Cpu.event list;
+}
+
 type t = {
   cpu : Cpu.t;
   cfg : config;
@@ -92,29 +99,24 @@ type t = {
   mutable ctx_tc : int;
   mutable ctx_measure : int;
   mutable ctx_seq : int;
-  (* Measurement memoization (sound replay of repeated runs): a run of
-     input slot [idx] can be skipped when (a) the same physical template
-     is in that slot, (b) the predictor mark now equals the mark before
-     the recorded run, and (c) the recorded run itself left the mark
-     unchanged — together these guarantee the run would start from
-     bit-identical microarchitectural state and reproduce the recorded
-     trace exactly (the cache, fill buffer and page bits are
-     re-established canonically before every real run; predictors are the
-     only cross-run carrier, see [Cpu.mark]). Only entries whose run did
-     NOT move the mark are ever saved, so a hit also needs no state
-     installation. Valid flags are cleared at every [measure] entry:
-     entries never survive into a different measurement (arena-pooled
-     states are refilled between test cases, swap checks permute the
-     template array). Restricted to Prime+Probe / Evict+Reload, whose
-     preparation canonicalizes the whole cache; Flush+Reload only evicts
-     the monitored lines and Port+Contention leaves the cache untouched,
-     so for those the cache does carry cross-run state. *)
+  (* Measurement memo (sound replay of repeated runs): [memo.(idx)] lists
+     the real runs of input slot [idx] in the current measurement, each
+     with the contents of the program's predictor footprint before and
+     after it (see [Cpu.footprint]). A run of a slot from a state that
+     matches a recorded run's pre-state would reproduce that run's trace,
+     events and post-state bit for bit, so it is replayed instead: the
+     post-state is installed and the recorded trace and events are
+     returned. Every entry list is cleared at [measure] entry, so an entry
+     never survives into a different measurement — arena-pooled templates
+     are refilled between test cases and swap checks permute the template
+     array — and within one measurement the slot fixes the template and
+     the program. Restricted to Prime+Probe / Evict+Reload without a
+     per-input reset: their preparation canonicalizes the whole cache,
+     whereas Flush+Reload only evicts the monitored lines and
+     Port+Contention leaves the cache untouched, so for those the cache
+     does carry cross-run state. *)
   memo_ok : bool;
-  mutable memo_valid : bool array;
-  mutable memo_tpl : Revizor_emu.State.t array;
-  mutable memo_mark : Cpu.mark array;
-  mutable memo_trace : Htrace.t array;
-  mutable memo_events : Cpu.event list array;
+  mutable memo : memo_entry list array;
 }
 
 let create cpu cfg =
@@ -132,11 +134,7 @@ let create cpu cfg =
       | Attack.Prime_probe | Attack.Evict_reload -> true
       | Attack.Flush_reload | Attack.Port_contention -> false)
       && not cfg.reset_between_inputs;
-    memo_valid = [||];
-    memo_tpl = [||];
-    memo_mark = [||];
-    memo_trace = [||];
-    memo_events = [||];
+    memo = [||];
   }
 
 let cpu t = t.cpu
@@ -213,6 +211,29 @@ let last_data_word =
     (Int64.of_int
        ((Revizor_emu.Layout.data_pages * Revizor_emu.Layout.page_size) - 8))
 
+(* One real run of [template] — what the memo's soundness argument and
+   the forensic replay mean by "a run": restore the template into the
+   scratch state, load its data into the fill buffer, then simulate the
+   program under the threat model's prepare/observe pair. Returns the RAW
+   trace; [Cpu.events] holds the run's speculation episodes. *)
+let run_input t flat (template : Revizor_emu.State.t) =
+  if t.cfg.reset_between_inputs then Cpu.reset_session t.cpu;
+  Revizor_emu.State.copy_into template ~dst:t.scratch;
+  (* Loading the input into the sandbox moves the input's own data
+     through the memory system: the fill buffers hold it afterwards. *)
+  Cpu.set_fill_buffer t.cpu
+    (Revizor_emu.Memory.read template.Revizor_emu.State.mem
+       ~addr:last_data_word Revizor_isa.Width.W64);
+  Attack.observe t.cpu t.cfg.threat (fun () ->
+      Cpu.run ~max_steps:t.cfg.max_steps t.cpu flat t.scratch)
+
+(* The suffix of [entries] starting at the first entry whose pre-state
+   the footprint now matches, or []: a lookup allocates nothing. *)
+let rec memo_find cpu fp = function
+  | e :: _ as found when Cpu.matches cpu fp e.pre -> found
+  | _ :: rest -> memo_find cpu fp rest
+  | [] -> []
+
 (* One pass over the input sequence; the CPU session is NOT reset, so
    predictors carry over from input to input (priming). Each input's
    state was materialized once into [templates]; every run blit-restores
@@ -220,64 +241,42 @@ let last_data_word =
    the PRNG stream (a sequence runs many times: warm-up rounds,
    measurement repetitions and swap-check re-measurements).
 
-   When [memo] is on, a run whose preconditions provably match a recorded
-   run of the same slot is replayed from the memo instead of executed —
-   see the soundness argument on the memo fields above. The [record]
-   callback receives the RAW trace; perturbations (noise, storms) are the
-   caller's business, which keeps memoized and real runs on the same
-   path. Events are computed even for event-discarding passes on a memoed
-   miss, so a later hit can replay them. *)
-let run_sequence ?(with_events = true) ?(memo = false) t flat
+   With [memo] (the program's predictor footprint), a run whose pre-state
+   matches a recorded run of the same slot is replayed from the memo
+   instead of simulated — see the soundness argument on [t.memo]. The
+   [record] callback receives the RAW trace; perturbations (noise,
+   storms) are the caller's business, which keeps replayed and real runs
+   on the same path. Events are kept even for event-discarding passes
+   when memoizing, so a later hit can replay them. *)
+let run_sequence ?(with_events = true) ?memo t flat
     (templates : Revizor_emu.State.t array) ~record =
   Metrics.incr m_sequences;
   t.ctx_seq <- t.ctx_seq + 1;
   let hits = ref 0 in
   Array.iteri
     (fun idx template ->
-      if
-        memo
-        && t.memo_valid.(idx)
-        && t.memo_tpl.(idx) == template
-        && Cpu.mark_matches t.cpu t.memo_mark.(idx)
-      then begin
-        incr hits;
-        record idx t.memo_trace.(idx) t.memo_events.(idx)
-      end
-      else begin
-        if t.cfg.reset_between_inputs then Cpu.reset_session t.cpu;
-        Revizor_emu.State.copy_into template ~dst:t.scratch;
-        (* Loading the input into the sandbox moves the input's own data
-           through the memory system: the fill buffers hold it
-           afterwards. *)
-        Cpu.set_fill_buffer t.cpu
-          (Revizor_emu.Memory.read template.Revizor_emu.State.mem
-             ~addr:last_data_word Revizor_isa.Width.W64);
-        (* Cheap: two version ints plus the RSB list head. *)
-        let before = Cpu.mark t.cpu in
-        let trace =
-          Attack.observe t.cpu t.cfg.threat (fun () ->
-              Cpu.run ~max_steps:t.cfg.max_steps t.cpu flat t.scratch)
-        in
-        let events =
+      match memo with
+      | None ->
+          let trace = run_input t flat template in
           (* keep every episode whole — kind, origin PC, transient-load
              count, touched sets — for mechanism labelling and the
              coverage atlas; the measurement result collapses them to
              (kind, touched-set) pairs at the end. Skipped for rounds
-             whose record callback discards them (warm-up) — unless the
-             memo may need to replay them later. *)
-          if with_events || memo then Cpu.events t.cpu else []
-        in
-        (if memo then
-           if Cpu.mark_matches t.cpu before then begin
-             t.memo_valid.(idx) <- true;
-             t.memo_tpl.(idx) <- template;
-             t.memo_mark.(idx) <- before;
-             t.memo_trace.(idx) <- trace;
-             t.memo_events.(idx) <- events
-           end
-           else t.memo_valid.(idx) <- false);
-        record idx trace events
-      end)
+             whose record callback discards them (warm-up). *)
+          record idx trace (if with_events then Cpu.events t.cpu else [])
+      | Some fp -> (
+          match memo_find t.cpu fp t.memo.(idx) with
+          | e :: _ ->
+              incr hits;
+              Cpu.install t.cpu fp e.post;
+              record idx e.trace e.events
+          | [] ->
+              let pre = Cpu.snapshot t.cpu fp in
+              let trace = run_input t flat template in
+              let events = Cpu.events t.cpu in
+              let post = Cpu.snapshot t.cpu fp in
+              t.memo.(idx) <- { pre; post; trace; events } :: t.memo.(idx);
+              record idx trace events))
     templates;
   Metrics.add m_input_runs (Array.length templates - !hits);
   if !hits > 0 then Metrics.add m_memo_hits !hits
@@ -302,16 +301,9 @@ let ensure_buffers t ~n ~domain =
     t.ev_acc.(i) <- []
   done;
   if t.memo_ok then begin
-    if Array.length t.memo_valid < n then begin
-      let ncap = Array.length t.counts in
-      t.memo_valid <- Array.make ncap false;
-      t.memo_tpl <- Array.make ncap t.scratch;
-      t.memo_mark <- Array.make ncap (Cpu.mark t.cpu);
-      t.memo_trace <- Array.make ncap Htrace.empty;
-      t.memo_events <- Array.make ncap []
-    end;
+    if Array.length t.memo < n then t.memo <- Array.make (Array.length t.counts) [];
     (* No memo entry survives into a new measurement. *)
-    Array.fill t.memo_valid 0 (Array.length t.memo_valid) false
+    Array.fill t.memo 0 (Array.length t.memo) []
   end
 
 let measure ?templates t flat inputs =
@@ -325,9 +317,11 @@ let measure ?templates t flat inputs =
   Cpu.reset_session t.cpu;
   let domain = Attack.trace_domain t.cfg.threat.Attack.mode in
   ensure_buffers t ~n ~domain;
-  let memo = t.memo_ok && !memo_enabled in
+  let memo =
+    if t.memo_ok && !memo_enabled then Some (Cpu.footprint flat) else None
+  in
   for _ = 1 to t.cfg.warmup_rounds do
-    run_sequence ~with_events:false ~memo t flat templates
+    run_sequence ~with_events:false ?memo t flat templates
       ~record:(fun _ _ _ -> ())
   done;
   (* Per-input occurrence counts over the (small, dense) trace domain: a
@@ -342,7 +336,7 @@ let measure ?templates t flat inputs =
   let run_reps k =
     Metrics.add m_reps k;
     for _ = 1 to k do
-      run_sequence ~memo t flat templates ~record:(fun idx trace evs ->
+      run_sequence ?memo t flat templates ~record:(fun idx trace evs ->
           (* Perturbations apply to recorded repetitions only, after the
              memo: a warm-up trace is discarded anyway, and keyed draws
              don't need the historical draw order preserved. *)
@@ -440,15 +434,7 @@ let record_events ?templates t flat inputs =
   let run_pass record =
     Array.iteri
       (fun idx template ->
-        if t.cfg.reset_between_inputs then Cpu.reset_session t.cpu;
-        Revizor_emu.State.copy_into template ~dst:t.scratch;
-        Cpu.set_fill_buffer t.cpu
-          (Revizor_emu.Memory.read template.Revizor_emu.State.mem
-             ~addr:last_data_word Revizor_isa.Width.W64);
-        let trace =
-          Attack.observe t.cpu t.cfg.threat (fun () ->
-              Cpu.run ~max_steps:t.cfg.max_steps t.cpu flat t.scratch)
-        in
+        let trace = run_input t flat template in
         record idx trace (Cpu.events t.cpu))
       templates
   in

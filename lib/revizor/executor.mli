@@ -71,13 +71,15 @@ val set_context : t -> tc:int -> unit
     just as deterministic. *)
 
 val set_memo : bool -> unit
-(** Master switch (default on) for measurement memoization: replaying a
-    repetition from its recorded trace when the predictor mark proves the
-    run would start from bit-identical microarchitectural state (see
-    DESIGN.md §6). Memoized and non-memoized measurements are identical
-    by construction; the switch exists so differential tests can assert
-    exactly that. Process-global because fuzzing campaigns build their
-    executors internally. *)
+(** Master switch (default on) for measurement memoization: within one
+    {!measure}, a run of an input that starts from the same contents of
+    the program's predictor footprint ({!Cpu.footprint}) as an earlier
+    run of that input is replayed — its recorded trace and events
+    returned, its recorded post-run footprint installed — instead of
+    simulated (see DESIGN.md §6). Memoized and non-memoized measurements
+    are identical by construction; the switch exists so differential
+    tests can assert exactly that. Process-global because fuzzing
+    campaigns build their executors internally. *)
 
 (** Per-input measurement result. *)
 type measurement = {

@@ -80,27 +80,70 @@ let reset_session t =
   t.fill_buffer <- 0L;
   t.events <- []
 
-(* Predictor-state fingerprint. The PHT/BTB contribution is the tables'
-   effective-change version counters (equal version on the same table =>
-   bit-identical contents, see Predictors); the RSB is small enough to
-   snapshot structurally. Everything else the executor observes across
-   runs of one measurement session — cache prime state, fill buffer,
-   page accessed bits — is re-established canonically before each run by
-   Attack.observe / the executor itself, so two runs whose marks match
-   start from provably identical microarchitectural state. *)
-type mark = { mk_pht : int; mk_btb : int; mk_rsb : int list }
+(* A run's predictor footprint (soundness argument in the interface).
+   [run_transient] never touches a predictor, so only the architectural
+   Jcc, JmpInd, CALL and RET steps of [run] do, each at its own pc. The
+   RSB is taken whole: a RET may pop any depth and an overflowing CALL
+   drops the oldest entry. *)
+type footprint = { fp_jcc : int array; fp_ind : int array; fp_rsb : bool }
 
-let mark t =
-  {
-    mk_pht = Predictors.Pht.version t.pht;
-    mk_btb = Predictors.Btb.version t.btb;
-    mk_rsb = Predictors.Rsb.entries t.rsb;
-  }
+let footprint (prog : Compiled.t) =
+  let jcc = ref [] and ind = ref [] and rsb = ref false in
+  Array.iteri
+    (fun pc (d : Compiled.desc) ->
+      match d.Compiled.d_inst.Instruction.opcode with
+      | Opcode.Jcc _ -> jcc := pc :: !jcc
+      | Opcode.JmpInd -> ind := pc :: !ind
+      | Opcode.Call | Opcode.Ret -> rsb := true
+      | _ -> ())
+    prog.Compiled.descs;
+  { fp_jcc = Array.of_list !jcc; fp_ind = Array.of_list !ind; fp_rsb = !rsb }
 
-let mark_matches t m =
-  Predictors.Pht.version t.pht = m.mk_pht
-  && Predictors.Btb.version t.btb = m.mk_btb
-  && Predictors.Rsb.entries t.rsb = m.mk_rsb
+(* PHT counters at the Jcc pcs, then BTB entries at the indirect-jump
+   pcs, plus the RSB list (shared: RSB lists are immutable). *)
+type snapshot = { sn_pred : int array; sn_rsb : int list }
+
+(* Shared by every empty footprint (branch-free programs), whose runs the
+   memo replays most: no allocation per run. *)
+let empty_snapshot = { sn_pred = [||]; sn_rsb = [] }
+
+let snapshot t fp =
+  let nj = Array.length fp.fp_jcc and ni = Array.length fp.fp_ind in
+  if nj + ni = 0 && not fp.fp_rsb then empty_snapshot
+  else begin
+    let pred = Array.make (nj + ni) 0 in
+    for k = 0 to nj - 1 do
+      pred.(k) <- Predictors.Pht.get t.pht ~pc:fp.fp_jcc.(k)
+    done;
+    for k = 0 to ni - 1 do
+      pred.(nj + k) <- Predictors.Btb.get t.btb ~pc:fp.fp_ind.(k)
+    done;
+    { sn_pred = pred; sn_rsb = (if fp.fp_rsb then Predictors.Rsb.entries t.rsb else []) }
+  end
+
+let matches t fp s =
+  let nj = Array.length fp.fp_jcc and ni = Array.length fp.fp_ind in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < nj do
+    ok := Predictors.Pht.get t.pht ~pc:fp.fp_jcc.(!k) = s.sn_pred.(!k);
+    incr k
+  done;
+  k := 0;
+  while !ok && !k < ni do
+    ok := Predictors.Btb.get t.btb ~pc:fp.fp_ind.(!k) = s.sn_pred.(nj + !k);
+    incr k
+  done;
+  !ok && ((not fp.fp_rsb) || Predictors.Rsb.entries t.rsb = s.sn_rsb)
+
+let install t fp s =
+  let nj = Array.length fp.fp_jcc in
+  for k = 0 to nj - 1 do
+    Predictors.Pht.set t.pht ~pc:fp.fp_jcc.(k) s.sn_pred.(k)
+  done;
+  for k = 0 to Array.length fp.fp_ind - 1 do
+    Predictors.Btb.set t.btb ~pc:fp.fp_ind.(k) s.sn_pred.(nj + k)
+  done;
+  if fp.fp_rsb then Predictors.Rsb.restore t.rsb s.sn_rsb
 
 let events t = List.rev t.events
 let fill_buffer t = t.fill_buffer

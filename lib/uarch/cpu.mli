@@ -72,20 +72,35 @@ val run : ?max_steps:int -> t -> Compiled.t -> State.t -> unit
 
     @raise Semantics.Division_fault, Memory.Fault as the emulator does. *)
 
-type mark
-(** Fingerprint of the cross-run microarchitectural state — the predictor
-    tables (PHT/BTB version counters plus an RSB snapshot). The cache,
-    fill buffer and page bits are deliberately absent: within a
-    measurement session they are re-established canonically before every
-    run (cache priming, per-input fill-buffer load, assist-bit clearing),
-    so the predictors are the only state one run can leak into the next.
-    Used by the executor's measurement memoization: if the mark before a
-    run equals the mark before an earlier run of the same input template,
-    and that earlier run did not change the mark, the new run is
-    guaranteed to reproduce the earlier trace bit for bit. *)
+type footprint
+(** The predictor entries a program can reach: the PHT counters at its
+    Jcc pcs, the BTB entries at its indirect-jump pcs, and the whole RSB
+    if it has a CALL or RET. {!run} reads and writes predictors only on
+    its architectural path and only there. The cache, fill buffer and
+    page bits are deliberately absent: within a measurement session the
+    executor re-establishes them canonically before every run (cache
+    priming, per-input fill-buffer load, assist-bit clearing). So within
+    a session a run of a given input is a pure function of the
+    footprint's contents, and leaves every predictor entry outside the
+    footprint untouched — what the executor's measurement memo relies on
+    to replay a run instead of simulating it. *)
 
-val mark : t -> mark
-val mark_matches : t -> mark -> bool
+val footprint : Compiled.t -> footprint
+
+type snapshot
+(** The contents of a footprint at one instant. *)
+
+val snapshot : t -> footprint -> snapshot
+
+val matches : t -> footprint -> snapshot -> bool
+(** Whether the footprint's current contents equal the snapshot
+    (allocation-free, unlike comparing a fresh {!snapshot}). *)
+
+val install : t -> footprint -> snapshot -> unit
+(** Write the snapshot back into the footprint's entries. Installing the
+    snapshot taken after a run, in place of re-running it from a
+    matching pre-run state, leaves the predictors exactly as the run
+    would have. *)
 
 val events : t -> event list
 (** Speculation episodes of the most recent {!run}, in execution order. *)

@@ -1,60 +1,36 @@
 module Pht = struct
-  type t = { counters : int array; mutable version : int }
+  type t = { counters : int array }
 
-  let create ?(size = 512) () = { counters = Array.make size 1; version = 0 }
+  let create ?(size = 512) () = { counters = Array.make size 1 }
   let slot t pc = pc land (Array.length t.counters - 1)
   let predict t ~pc = t.counters.(slot t pc) >= 2
 
-  (* [version] counts {e effective} changes only: an update that rewrites
-     a counter with its current value (the common case once the table has
-     saturated under a repeated input sequence) leaves the version alone.
-     Two equal versions therefore guarantee bit-identical tables, which is
-     what lets the executor's measurement memoization detect a predictor
-     fixed point with one integer compare (see {!Cpu.mark}). *)
   let update t ~pc ~taken =
     let i = slot t pc in
     let c = t.counters.(i) in
-    let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-    if c' <> c then begin
-      t.counters.(i) <- c';
-      t.version <- t.version + 1
-    end
+    t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
 
-  let reset t =
-    Array.fill t.counters 0 (Array.length t.counters) 1;
-    (* A reset is an effective change (saturated counters go back to 1),
-       so stale fingerprints taken before it can never match. *)
-    t.version <- t.version + 1
-
-  let version t = t.version
-  let copy t = { counters = Array.copy t.counters; version = t.version }
+  let get t ~pc = t.counters.(slot t pc)
+  let set t ~pc c = t.counters.(slot t pc) <- c
+  let reset t = Array.fill t.counters 0 (Array.length t.counters) 1
+  let copy t = { counters = Array.copy t.counters }
 end
 
 module Btb = struct
-  type t = { targets : int array (* -1 = no entry *); mutable version : int }
+  type t = { targets : int array (* -1 = no entry *) }
 
-  let create ?(size = 256) () = { targets = Array.make size (-1); version = 0 }
+  let create ?(size = 256) () = { targets = Array.make size (-1) }
   let slot t pc = pc land (Array.length t.targets - 1)
 
   let predict t ~pc =
     let v = t.targets.(slot t pc) in
     if v < 0 then None else Some v
 
-  (* Same effective-change discipline as {!Pht.update}: re-recording the
-     already-predicted target does not advance the version. *)
-  let update t ~pc ~target =
-    let i = slot t pc in
-    if t.targets.(i) <> target then begin
-      t.targets.(i) <- target;
-      t.version <- t.version + 1
-    end
-
-  let reset t =
-    Array.fill t.targets 0 (Array.length t.targets) (-1);
-    t.version <- t.version + 1
-
-  let version t = t.version
-  let copy t = { targets = Array.copy t.targets; version = t.version }
+  let update t ~pc ~target = t.targets.(slot t pc) <- target
+  let get t ~pc = t.targets.(slot t pc)
+  let set t ~pc v = t.targets.(slot t pc) <- v
+  let reset t = Array.fill t.targets 0 (Array.length t.targets) (-1)
+  let copy t = { targets = Array.copy t.targets }
 end
 
 module Rsb = struct
@@ -75,11 +51,9 @@ module Rsb = struct
 
   (* The stack contents as an immutable snapshot: [push]/[pop] replace
      [entries] with a new list and never mutate the old one, so the
-     returned value stays valid. Compared structurally by {!Cpu.mark} —
-     the list is at most [depth] (16) ints, and a balanced call/return
-     program restores it exactly, so no version counter is needed. *)
+     returned value stays valid and [restore] may install it as is. *)
   let entries t = t.entries
-
+  let restore t entries = t.entries <- entries
   let reset t = t.entries <- []
   let copy t = { t with entries = t.entries }
 end

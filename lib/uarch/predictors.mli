@@ -15,15 +15,16 @@ module Pht : sig
 
   val predict : t -> pc:int -> bool
   val update : t -> pc:int -> taken:bool -> unit
+
+  val get : t -> pc:int -> int
+  (** The 2-bit counter [pc] maps to (0–1 predict not-taken, 2–3 taken). *)
+
+  val set : t -> pc:int -> int -> unit
+  (** Overwrite that counter with a value read by {!get} — how
+      {!Cpu.install} restores a recorded run's post-state. *)
+
   val reset : t -> unit
   val copy : t -> t
-
-  val version : t -> int
-  (** Monotone counter of {e effective} table changes: bumped by [reset]
-      and by any [update] that writes a value different from the one
-      already stored, and by nothing else. Equal versions on the same
-      table therefore guarantee bit-identical counters — the cheap
-      fixed-point test behind {!Cpu.mark}. *)
 end
 
 (** Branch target buffer for indirect jumps: predicts the last observed
@@ -34,11 +35,15 @@ module Btb : sig
   val create : ?size:int -> unit -> t
   val predict : t -> pc:int -> int option
   val update : t -> pc:int -> target:int -> unit
+
+  val get : t -> pc:int -> int
+  (** The raw entry [pc] maps to: the recorded target, or -1 if none. *)
+
+  val set : t -> pc:int -> int -> unit
+  (** Overwrite that entry with a value read by {!get}. *)
+
   val reset : t -> unit
   val copy : t -> t
-
-  val version : t -> int
-  (** Same effective-change counter as {!Pht.version}. *)
 end
 
 (** Return stack buffer of bounded depth. On underflow (more returns than
@@ -60,7 +65,10 @@ module Rsb : sig
   (** Current stack contents, newest first, as an immutable snapshot
       ([push]/[pop] never mutate a list they have handed out). At most
       [depth] ints, so structural comparison of two snapshots is cheap —
-      the RSB's contribution to {!Cpu.mark}. *)
+      the RSB's contribution to a {!Cpu.snapshot}. *)
+
+  val restore : t -> int list -> unit
+  (** Make a list returned by {!entries} the current contents again. *)
 
   val reset : t -> unit
   val copy : t -> t

@@ -5,6 +5,7 @@ open Revizor_isa
 open Revizor_emu
 open Revizor_uarch
 open Revizor
+module Metrics = Revizor_obs.Metrics
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -420,6 +421,180 @@ let executor_tests =
         check int "five measurements" 5 (Array.length ms));
   ]
 
+(* --- Measurement memo ---------------------------------------------------------------- *)
+
+(* The memo must be invisible: every measurement field and every swap-check
+   verdict is the same with it on and off. Each case stresses one part of
+   the predictor footprint a replayed run restores — PHT counters
+   (data-dependent Jcc), the RSB (CALL/RET) and the BTB (indirect jump) —
+   with keyed noise off and on. The memo_hits check keeps the comparison
+   from passing vacuously. *)
+let memo_differential ~uarch ~exec_cfg ~inputs cases =
+  let hits = Metrics.counter "executor.memo_hits" in
+  let hits0 = Metrics.value hits in
+  List.iter
+    (fun noise ->
+      let exec_cfg = { exec_cfg with Executor.noise } in
+      List.iteri
+        (fun p (flat, templates) ->
+          let n = Array.length templates in
+          let pairs = [ (0, 1); (1, n - 1); (n / 2, 2) ] in
+          let run memo =
+            Executor.set_memo memo;
+            Fun.protect ~finally:(fun () -> Executor.set_memo true) @@ fun () ->
+            let ex = Executor.create (Cpu.create uarch) exec_cfg in
+            let ms = Executor.measure ~templates ex flat inputs in
+            let base = Array.map (fun m -> m.Executor.htrace) ms in
+            ( ms,
+              List.map
+                (fun (a, b) ->
+                  Executor.swap_check ~templates ~base ex flat inputs a b)
+                pairs )
+          in
+          let on, swaps_on = run true and off, swaps_off = run false in
+          let what field i =
+            Printf.sprintf "case %d, noise %b, input %d: %s" p
+              (noise <> None) i field
+          in
+          Array.iteri
+            (fun i (a : Executor.measurement) ->
+              let b = off.(i) in
+              check bool (what "htrace" i) true (Htrace.equal a.htrace b.htrace);
+              check bool (what "kinds" i) true (a.kinds = b.kinds);
+              check bool (what "events" i) true (a.events = b.events);
+              check bool (what "runs" i) true (a.runs = b.runs))
+            on;
+          check (Alcotest.list bool) (what "swap checks" 0) swaps_off swaps_on)
+        cases)
+    [ None; Some { Executor.flip_probability = 0.2; seed = 7L } ];
+  check bool "memo replayed some runs" true (Metrics.value hits > hits0)
+
+let generated_flats ~seed ~n gen_cfg keep =
+  let prng = Prng.create ~seed in
+  let rec go acc k =
+    if List.length acc = n || k = 0 then List.rev acc
+    else
+      let p = Generator.generate prng gen_cfg in
+      go (if keep p then compile p :: acc else acc) (k - 1)
+  in
+  go [] 200
+
+let has_opcode f p =
+  List.exists (fun i -> f i.Instruction.opcode) (Program.instructions p)
+
+let parse_flat text =
+  match Asm_parser.parse_program text with
+  | Ok p -> compile p
+  | Error e -> Alcotest.fail e
+
+(* Templates of [inputs] with register [reg] set to [f i] in input i. *)
+let templates_with inputs reg f =
+  let templates = Input.templates inputs in
+  Array.iteri (fun i tpl -> State.set_reg tpl reg Width.W64 (f i)) templates;
+  templates
+
+let memo_tests =
+  let t5 = Target.fuzzer_config ~seed:3L Contract.ct_cond Target.target5 in
+  let uarch = t5.Fuzzer.uarch and exec_cfg = t5.Fuzzer.executor in
+  let inputs seed n =
+    Input.generate_many (Prng.create ~seed) ~entropy:t5.Fuzzer.entropy ~n
+  in
+  [
+    tc "memo on/off identical: PHT (Target 5 x CT-COND)" `Quick (fun () ->
+        let gen = Generator.grow (Generator.grow t5.Fuzzer.gen_cfg) in
+        let flats =
+          generated_flats ~seed:21L ~n:4 gen
+            (has_opcode (function Opcode.Jcc _ -> true | _ -> false))
+        in
+        check int "programs with Jcc" 4 (List.length flats);
+        let inputs = inputs 22L 12 in
+        let templates = Input.templates inputs in
+        memo_differential ~uarch ~exec_cfg ~inputs
+          (List.map (fun f -> (f, templates)) flats));
+    tc "memo on/off identical: RSB (IND, 2 functions)" `Quick (fun () ->
+        let gen =
+          {
+            t5.Fuzzer.gen_cfg with
+            Generator.subsets = t5.Fuzzer.gen_cfg.Generator.subsets @ [ Catalog.IND ];
+            n_functions = 2;
+            n_insts = 16;
+          }
+        in
+        let flats =
+          generated_flats ~seed:23L ~n:4 gen
+            (has_opcode (function Opcode.Call | Opcode.Ret -> true | _ -> false))
+        in
+        check int "programs with CALL/RET" 4 (List.length flats);
+        let inputs = inputs 24L 12 in
+        let templates = Input.templates inputs in
+        (* Generated functions always return, so their runs leave the RSB
+           as they found it. In [carrier], .d dispatches on RAX through a
+           balanced CALL/RET: RAX = 1 calls .f, which never returns (a
+           push), and RAX = 5 returns without a call (a pop), transiently
+           running .leak when the RSB holds the return site an earlier
+           push left. Its footprint is the RSB alone. Sequence A pops
+           first, then pushes, so its first pass starts from an empty RSB
+           and later passes do not; sequence B cycles from its first
+           pass, with pops that empty the RSB and pops that find it
+           empty. *)
+        let carrier =
+          parse_flat
+            ".bb0:\n  CALL .d\n.p:\n  CALL .f\n.leak:\n\
+            \  AND RBX, 0b111111000000\n  MOV RCX, qword ptr [R14 + RBX]\n\
+            \  JMP .exit\n.o:\n  SUB RSP, 8\n  MOV qword ptr [RSP], 11\n\
+            \  RET\n.d:\n  MOV qword ptr [RSP], RAX\n  RET\n.f:\n\
+            \  JMP .exit\n.exit:\n"
+        in
+        check int "the pop's RET lands on the exit" 11 (Compiled.length carrier);
+        let seq pops =
+          templates_with inputs Reg.RAX (fun i -> if pops i then 5L else 1L)
+        in
+        memo_differential ~uarch ~exec_cfg ~inputs
+          (List.map (fun f -> (f, templates)) flats
+          @ [
+              (carrier, seq (fun i -> i = 0));
+              (carrier, seq (fun i -> i mod 4 <> 1));
+            ]));
+    tc "memo on/off identical: BTB (jmp_ind gadget)" `Quick (fun () ->
+        let p = Gadgets.spectre_v2.Gadgets.program in
+        check bool "indirect jump" true
+          (has_opcode (function Opcode.JmpInd -> true | _ -> false) p);
+        (* The gadget jumps to the leak unless its first data word exceeds
+           64; the first and last inputs jump to different targets, so the
+           BTB differs between the first pass and the later ones. *)
+        let inputs = inputs 25L 12 in
+        let templates = Input.templates inputs in
+        Array.iteri
+          (fun i (tpl : State.t) ->
+            Memory.write tpl.State.mem ~addr:Layout.sandbox_base Width.W64
+              (if i mod 3 = 0 then 128L else 0L))
+          templates;
+        memo_differential ~uarch ~exec_cfg ~inputs [ (compile p, templates) ]);
+    tc "retraining input sequence is replayed" `Quick (fun () ->
+        (* JE alternates taken / not taken, so every run moves the PHT
+           counter, yet each pass starts from the counter the previous
+           pass started from: only the first pass is simulated. *)
+        let flat =
+          parse_flat
+            ".bb0:\n  CMP RAX, 0\n  JE .bb2\n.bb1:\n  ADD RBX, 1\n.bb2:\n  ADD RCX, 1\n"
+        in
+        let inputs = inputs 26L 8 in
+        let templates =
+          templates_with inputs Reg.RAX (fun i -> Int64.of_int (i mod 2))
+        in
+        let ex =
+          Executor.create
+            (Cpu.create (Uarch_config.skylake ~v4_patch:true))
+            (Executor.default_config ())
+        in
+        let runs = Metrics.counter "executor.input_runs"
+        and hits = Metrics.counter "executor.memo_hits" in
+        let runs0 = Metrics.value runs and hits0 = Metrics.value hits in
+        ignore (Executor.measure ~templates ex flat inputs);
+        check int "simulated runs" 8 (Metrics.value runs - runs0);
+        check int "replayed runs" 24 (Metrics.value hits - hits0));
+  ]
+
 (* --- Coverage -------------------------------------------------------------------- *)
 
 let coverage_tests =
@@ -596,6 +771,7 @@ let () =
       ("model", model_tests);
       ("analyzer", analyzer_tests);
       ("executor", executor_tests);
+      ("memo", memo_tests);
       ("coverage", coverage_tests);
       ("generator", generator_tests);
       ("labels", label_tests);

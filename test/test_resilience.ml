@@ -551,24 +551,39 @@ let test_parallel_fingerprint_invariant () =
 
 let test_memo_off_bit_identical () =
   (* The measurement memo must be a pure optimization: campaigns with it
-     disabled produce identical outcomes and statistics, on both a
-     branch-free and a branch-heavy (speculative) target. *)
-  let run target memo =
+     disabled produce identical outcomes and statistics, on a branch-free
+     target, branch-heavy (speculative) ones, and one with CALL/RET. *)
+  let run cfg memo =
     Executor.set_memo memo;
     Fun.protect ~finally:(fun () -> Executor.set_memo true) @@ fun () ->
-    let o, s =
-      Fuzzer.fuzz
-        (Target.fuzzer_config ~seed:4L Contract.ct_seq target)
-        ~budget:(Fuzzer.Test_cases 40)
-    in
+    let o, s = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 40) in
     (outcome_summary o, stats_fingerprint s)
   in
+  let cfg contract target = Target.fuzzer_config ~seed:4L contract target in
+  let ind =
+    let c = cfg Contract.ct_seq Target.target5 in
+    let g = c.Fuzzer.gen_cfg in
+    {
+      c with
+      Fuzzer.gen_cfg =
+        {
+          g with
+          Generator.subsets = g.Generator.subsets @ [ Revizor_isa.Catalog.IND ];
+          n_functions = 2;
+        };
+    }
+  in
   List.iter
-    (fun (name, target) ->
-      let on = run target true and off = run target false in
+    (fun (name, cfg) ->
+      let on = run cfg true and off = run cfg false in
       check string (name ^ ": outcome") (fst off) (fst on);
       check string (name ^ ": stats") (snd off) (snd on))
-    [ ("target1", Target.target1); ("target5", Target.target5) ]
+    [
+      ("target1", cfg Contract.ct_seq Target.target1);
+      ("target5", cfg Contract.ct_seq Target.target5);
+      ("target5 x CT-COND", cfg Contract.ct_cond Target.target5);
+      ("target5 + IND", ind);
+    ]
 
 (* --- telemetry tail tolerance ----------------------------------------- *)
 
