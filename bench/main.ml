@@ -371,11 +371,36 @@ let bechamel_suite () =
       (Staged.stage (fun () ->
            ignore (Model.run Contract.ct_cond compiled input)))
   in
+  (* The arena's sparse fill on its own: plan derivation, parity rows and
+     50 input fills for a generated Target 5 x CT-COND program with a
+     provable plan. The pipeline rows below fill without an arena, so
+     they only reach the full fill. *)
+  let arena_test =
+    let cfg = Target.fuzzer_config ~seed Contract.ct_cond Target.target5 in
+    let prng = Prng.create ~seed in
+    let rec provable () =
+      let flat =
+        Revizor_isa.Program.flatten_exn
+          (Generator.generate prng cfg.Fuzzer.gen_cfg)
+      in
+      if Input.fill_plan flat = None then provable () else flat
+    in
+    let flat = provable () in
+    let inputs =
+      Input.generate_many prng ~entropy:cfg.Fuzzer.entropy ~n:50
+    in
+    let arena = Arena.create () in
+    Test.make ~name:"arena: sparse fill, 50 inputs"
+      (Staged.stage (fun () ->
+           let plan = Input.fill_plan flat in
+           ignore (Arena.templates ?plan arena inputs)))
+  in
   let tests =
     Test.make_grouped ~name:"revizor"
       [
         gen_test;
         model_test;
+        arena_test;
         mk_pipeline_test "table3/4: full pipeline, spectre-v1 x CT-SEQ"
           Contract.ct_seq Target.target5 Gadgets.spectre_v1;
         mk_pipeline_test "table5: full pipeline, spectre-v4 x CT-SEQ"

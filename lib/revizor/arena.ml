@@ -22,25 +22,36 @@ open Revizor_emu
    because the plan proves they are unreachable — speculatively included
    — for the program these templates will run.
 
-   [mids_dirty] tracks whether any pooled data word may hold nonzero
-   bytes 2..3. Fills only write those bytes nonzero at entropy > 10, and
-   a full fill at entropy ≤ 10 rewrites them all to zero; while clean,
-   fills skip the mid stores the way they already skip the high half. *)
+   [dirty.(i)] bounds the entropy of the values pool state [i]'s data
+   words may still hold: an input value of entropy [e] sits in bits
+   6..e+5, so bytes 2..3 of a word can only be nonzero after a fill at
+   entropy > 10 and bytes 4..7 only after one at entropy > 26. While a
+   state's bound rules them out, its fills skip those stores. A full
+   fill rewrites every data word, so it resets the bound to its own
+   entropy; a sparse fill leaves unlisted words as they were, so it can
+   only raise it. The bound is kept per pool state and follows each
+   input's own entropy: a batch may mix entropies, and a smaller batch
+   leaves the states past its end as they were. *)
 
 type t = {
   mutable pool : State.t array;
+  mutable dirty : int array;
   mutable view : State.t array;
-  mutable mids_dirty : bool;
+  sparse : Input.sparse;
+      (* the current plan's parity rows, rebuilt in place by every
+         sparse [templates] call *)
 }
 
-let create () = { pool = [||]; view = [||]; mids_dirty = false }
+let create () =
+  { pool = [||]; dirty = [||]; view = [||]; sparse = Input.sparse () }
 
 let ensure t n =
   let cap = Array.length t.pool in
   if cap < n then begin
     let ncap = max n (max 8 (2 * cap)) in
     t.pool <-
-      Array.init ncap (fun i -> if i < cap then t.pool.(i) else State.create ())
+      Array.init ncap (fun i -> if i < cap then t.pool.(i) else State.create ());
+    t.dirty <- Array.init ncap (fun i -> if i < cap then t.dirty.(i) else 0)
   end
 
 let templates ?plan t inputs =
@@ -49,20 +60,29 @@ let templates ?plan t inputs =
   (* The cached view aliases pool entries, so it survives pool growth
      (growth preserves the existing State values by reference). *)
   if Array.length t.view <> n then t.view <- Array.sub t.pool 0 n;
-  (* [~data_hi_zero] holds inductively: pool states start as all-zero
-     [State.create] memory and are only ever rewritten by this fill,
-     which never stores a nonzero byte into the high half of a data
-     word (input values sit in bits 6..21). *)
-  let mid_zero = not t.mids_dirty in
+  let sparse =
+    Option.map
+      (fun plan ->
+        (* Rows for the widest entropy the sparse path fills; an input of
+           entropy [e] reads the first [e] rows of each word. *)
+        let bits =
+          List.fold_left
+            (fun acc { Input.entropy; _ } ->
+              if entropy <= 16 then max acc entropy else acc)
+            0 inputs
+        in
+        Input.set_plan t.sparse plan ~bits;
+        t.sparse)
+      plan
+  in
   List.iteri
-    (fun i input ->
-      Input.apply ~data_hi_zero:true ~data_mid_zero:mid_zero ?plan input
-        t.pool.(i))
+    (fun i (input : Input.t) ->
+      let d = t.dirty.(i) and e = max 0 input.Input.entropy in
+      Input.apply ~data_hi_zero:(d <= 26) ~data_mid_zero:(d <= 10) ?sparse
+        input t.pool.(i);
+      t.dirty.(i) <-
+        (match sparse with
+        | Some _ when e <= 16 -> max d e
+        | _ -> e (* a full fill; entropy > 16 always takes one *)))
     inputs;
-  (match inputs with
-  | [] -> ()
-  | { Input.entropy; _ } :: _ ->
-      if entropy > 10 then t.mids_dirty <- true
-      else if plan = None then t.mids_dirty <- false
-      (* sparse fill at low entropy: unlisted words may stay dirty *));
   t.view

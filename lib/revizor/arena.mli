@@ -24,4 +24,9 @@ val templates : ?plan:int array -> t -> Input.t list -> State.t array
     [plan] (from {!Input.fill_plan} for the program these templates will
     run) restricts the data fill to the words that program can read;
     unlisted words keep a previous test case's values, which the plan
-    proves unobservable. Omit it to fill the whole sandbox. *)
+    proves unobservable. Omit it to fill the whole sandbox. The plan's
+    parity rows ({!Input.set_plan}) are built once per call, in the
+    arena, for the widest entropy among the inputs, so a batch may mix
+    entropies.
+    @raise Invalid_argument if [plan] is not strictly ascending data
+    word indices, before any template is touched. *)

@@ -8,6 +8,8 @@ let generate prng ~entropy = { seed = Prng.next prng; entropy }
 let generate_many prng ~entropy ~n =
   List.init n (fun _ -> generate prng ~entropy)
 
+let data_words = Layout.data_pages * Layout.page_size / 8
+
 (* Values land in bits 6..11: the cache-line-index bits selected by the
    sandbox masking instrumentation. *)
 let value_of sub entropy = Int64.shift_left (Prng.bits sub entropy) 6
@@ -89,38 +91,92 @@ let fill_words_fast mem ~state ~entropy ~hi_zero ~mid_zero ~words =
     end
   done
 
-(* Sparse fill: write only the data words listed in [plan] (ascending),
-   with exactly the bytes the full fill would have given them — word [w]'s
-   value is drawn from the PRNG state advanced [w + 1] steps, so the
-   stream is positioned with {!Prng.jump} over skipped runs (sequential
-   stepping for short gaps, where the matrix application would cost more
-   than it saves). The plan is small, so boxed int64 stepping is fine. *)
-let fill_words_sparse mem ~state ~entropy ~hi_zero ~mid_zero ~plan =
+(* Sparse fill as a linear map. Word [w]'s value is drawn from the fill
+   stream's state [w + 1] steps on, and only that state's low [entropy]
+   bits reach it: the low bits of a product depend only on the low bits
+   of its factors. Each of those bits is linear over GF(2) in the
+   starting state (see {!Prng.transposed_steps}): bit [b] of word [w]'s
+   state is the parity of [s land row (w, b)], where
+   [row (w, b) = (Mᵀ)^(w+1) e_b]. The rows depend on the plan, not on
+   the input, so they are built once per test case ([bits] chains of at
+   most 1024 transposed steps), and each input's fill is then
+   [|plan| * entropy] independent masked parities plus the stores: no
+   walk and no allocation. Walking the stream to each plan word instead
+   is one serial dependency chain, bound by latency however the state is
+   represented.
+
+   The plan is copied in and validated by [set_plan], so every word the
+   fill stores to is a data word, whatever the caller does to its array
+   afterwards. *)
+type sparse = {
+  mutable words : int array;  (* plan words in [0, n), ascending *)
+  mutable n : int;
+  mutable bits : int;
+  mutable rows : int array;
+      (* row (k, b) of plan word [words.(k)] and value bit [b < bits] as
+         two 32-bit limbs: low half at [2 * (k * bits + b)], high half
+         right after it *)
+}
+
+let sparse () = { words = [||]; n = 0; bits = 0; rows = [||] }
+
+let set_plan sp plan ~bits =
+  if bits < 0 || bits > 16 then invalid_arg "Input.set_plan";
+  let n = Array.length plan in
+  for k = 0 to n - 1 do
+    let w = plan.(k) in
+    if w < 0 || w >= data_words || (k > 0 && w <= plan.(k - 1)) then
+      invalid_arg "Input.set_plan"
+  done;
+  if Array.length sp.words < n then sp.words <- Array.make n 0;
+  Array.blit plan 0 sp.words 0 n;
+  if Array.length sp.rows < 2 * n * bits then
+    sp.rows <- Array.make (2 * n * bits) 0;
+  let rows = sp.rows in
+  for b = 0 to bits - 1 do
+    let v = ref (Int64.shift_left 1L b) and pos = ref 0 in
+    for k = 0 to n - 1 do
+      let w = plan.(k) in
+      v := Prng.transposed_steps !v ~steps:(w + 1 - !pos);
+      pos := w + 1;
+      let r = 2 * ((k * bits) + b) in
+      rows.(r) <- Int64.to_int (Int64.logand !v 0xFFFF_FFFFL);
+      rows.(r + 1) <- Int64.to_int (Int64.shift_right_logical !v 32)
+    done
+  done;
+  sp.n <- n;
+  sp.bits <- bits
+
+let fill_words_sparse mem ~state ~entropy ~hi_zero ~mid_zero sp =
   let buf = Memory.raw mem in
+  if entropy > sp.bits || 8 * data_words > Bytes.length buf then
+    invalid_arg "Input.fill_words_sparse";
+  let slo = Int64.to_int (Int64.logand state 0xFFFF_FFFFL)
+  and shi = Int64.to_int (Int64.shift_right_logical state 32) in
   let mul_lo16 = 0x2545F4914F6CDD1D land 0xFFFF in
   let vmask = (1 lsl entropy) - 1 in
   let skip_mid = mid_zero && entropy <= 10 in
-  let s = ref state and pos = ref 0 in
-  Array.iter
-    (fun w ->
-      if w < !pos || 8 * w + 8 > Bytes.length buf then
-        invalid_arg "Input.fill_words_sparse";
-      let gap = w + 1 - !pos in
-      if gap >= 64 then s := Prng.jump !s ~steps:gap
-      else
-        for _ = 1 to gap do
-          s := Prng.xorshift_step !s
-        done;
-      pos := w + 1;
-      let v = Int64.to_int !s land 0xFFFF * mul_lo16 land vmask in
-      let off = w * 8 in
-      set16_le buf off ((v lsl 6) land 0xFFFF);
-      if not skip_mid then set16_le buf (off + 2) (v lsr 10);
-      if not hi_zero then begin
-        set16_le buf (off + 4) 0;
-        set16_le buf (off + 6) 0
-      end)
-    plan
+  let rows = sp.rows and words = sp.words and stride = 2 * sp.bits in
+  for k = 0 to sp.n - 1 do
+    let low = ref 0 in
+    for b = 0 to entropy - 1 do
+      let r = (k * stride) + (2 * b) in
+      let x = (rows.(r) land slo) lxor (rows.(r + 1) land shi) in
+      let x = x lxor (x lsr 16) in
+      let x = x lxor (x lsr 8) in
+      let x = x lxor (x lsr 4) in
+      (* 0x6996: bit i is the parity of the nibble i *)
+      low := !low lor (((0x6996 lsr (x land 0xF)) land 1) lsl b)
+    done;
+    let v = (!low * mul_lo16) land vmask in
+    let off = words.(k) * 8 in
+    set16_le buf off ((v lsl 6) land 0xFFFF);
+    if not skip_mid then set16_le buf (off + 2) (v lsr 10);
+    if not hi_zero then begin
+      set16_le buf (off + 4) 0;
+      set16_le buf (off + 6) 0
+    end
+  done
 
 exception Unprovable
 
@@ -149,7 +205,7 @@ exception Unprovable
 let fill_plan (flat : Program.flat) : int array option =
   let code = flat.Program.code in
   let n = Array.length code in
-  let words = Layout.data_pages * Layout.page_size / 8 in
+  let words = data_words in
   let starts = Array.make (max n 1) false in
   List.iter
     (fun (_, i) -> if i < n then starts.(i) <- true)
@@ -230,31 +286,29 @@ let fill_plan (flat : Program.flat) : int array option =
         Some plan
       end
 
-let apply ?(data_hi_zero = false) ?(data_mid_zero = false) ?plan t
+let apply ?(data_hi_zero = false) ?(data_mid_zero = false) ?sparse t
     (state : State.t) =
   let sub = Prng.create ~seed:t.seed in
   List.iter
     (fun r -> State.set_reg state r Width.W64 (value_of sub t.entropy))
     Reg.gen_pool;
   state.State.flags <- flags_of sub t.entropy;
-  let words = Layout.data_pages * Layout.page_size / 8 in
   if t.entropy >= 0 && t.entropy <= 16 then begin
-    match plan with
-    | Some p ->
+    match sparse with
+    | Some sp ->
         fill_words_sparse state.State.mem ~state:(Prng.state sub)
-          ~entropy:t.entropy ~hi_zero:data_hi_zero ~mid_zero:data_mid_zero
-          ~plan:p
+          ~entropy:t.entropy ~hi_zero:data_hi_zero ~mid_zero:data_mid_zero sp
     | None ->
         fill_words_fast state.State.mem ~state:(Prng.state sub)
           ~entropy:t.entropy ~hi_zero:data_hi_zero ~mid_zero:data_mid_zero
-          ~words
+          ~words:data_words
   end
   else
-    (* [plan] is ignored: the full fill is a safe superset and the slow
+    (* [sparse] is ignored: the full fill is a safe superset and the slow
        path is not worth a sparse variant. *)
     (* Aligned word writes by offset: this fills 8 KiB per input per test
        case, so it skips the [Memory.write] Int64 address arithmetic. *)
-    for w = 0 to words - 1 do
+    for w = 0 to data_words - 1 do
       Memory.write_data_word state.State.mem ~word:w (value_of sub t.entropy)
     done
 

@@ -15,22 +15,44 @@ type t = { seed : int64; entropy : int }
 val generate : Prng.t -> entropy:int -> t
 val generate_many : Prng.t -> entropy:int -> n:int -> t list
 
+type sparse
+(** A fill plan ({!fill_plan}) with its parity rows: for each plan word
+    [w] and value bit [b], the 64-bit mask whose parity against the
+    state an input's data fill starts from is bit [b] of the state
+    [w]'s value is drawn from. The rows depend on the plan only, so one
+    [sparse] serves every input of a test case. Mutable, so an arena
+    rebuilds it in place. *)
+
+val sparse : unit -> sparse
+(** An empty plan with no rows. *)
+
+val set_plan : sparse -> int array -> bits:int -> unit
+(** [set_plan sp plan ~bits] copies [plan] into [sp] and builds its rows
+    for value bits [0, bits), enough for inputs of entropy up to [bits]:
+    [bits] chains of at most 1024 steps of {!Prng.transposed_steps}.
+    @raise Invalid_argument unless [plan] is strictly ascending data
+    word indices (each in [\[0, 1024)]) and [0 <= bits <= 16]; [sp] is
+    then left unchanged. *)
+
 val apply :
-  ?data_hi_zero:bool -> ?data_mid_zero:bool -> ?plan:int array -> t ->
+  ?data_hi_zero:bool -> ?data_mid_zero:bool -> ?sparse:sparse -> t ->
   State.t -> unit
 (** Overwrite registers (generator pool), FLAGS and sandbox memory.
     [~data_hi_zero:true] (default [false]) asserts that bytes 4..7 of
     every data word in [state] are already zero — true for fresh states
-    and for states only ever filled by [apply] — letting the fill skip
-    the redundant zero stores (half the writes of the 8 KiB fill).
-    [~data_mid_zero:true] makes the same assertion for bytes 2..3 (the
-    fill only writes them nonzero when [entropy > 10]).
+    and for states only ever filled by [apply] at entropy [<= 26] —
+    letting the fill skip the redundant zero stores (half the writes of
+    the 8 KiB fill). [~data_mid_zero:true] makes the same assertion for
+    bytes 2..3 (the fill only writes them nonzero when [entropy > 10]).
 
-    [plan] restricts the data fill to the listed words (ascending), each
-    receiving exactly the bytes the full fill would have written — the
-    PRNG stream is jumped over the gaps, not re-keyed. Sound only for a
-    plan from {!fill_plan} covering every program that will read the
-    state: unlisted words keep whatever a previous fill left there. *)
+    [sparse] restricts the data fill to its plan's words, each
+    receiving exactly the bytes the full fill would have written, as
+    masked parities of the input's fill seed. Sound only for a plan from
+    {!fill_plan} covering every program that will read the state:
+    unlisted words keep whatever a previous fill left there. Ignored
+    (full fill) when the entropy is outside [\[0, 16]].
+    @raise Invalid_argument if the entropy is in [\[0, 16]] but exceeds
+    the [bits] the rows were built for. *)
 
 val fill_plan : Revizor_isa.Program.flat -> int array option
 (** The sorted set of data words the program can read — architecturally

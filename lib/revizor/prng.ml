@@ -37,50 +37,29 @@ let of_state s = { s = normalize s }
 let set_state t s = t.s <- normalize s
 
 (* The raw xorshift64 state transition (the three shift-xor lines of
-   [next] without the output multiply). Exposed so the input-fill fast
-   paths can advance the stream without drawing, and as the linear map
-   that [jump] exponentiates. *)
+   [next] without the output multiply): the forward map that
+   [transposed_steps] below is the transpose of. *)
 let xorshift_step s =
   let s = Int64.logxor s (Int64.shift_right_logical s 12) in
   let s = Int64.logxor s (Int64.shift_left s 25) in
   Int64.logxor s (Int64.shift_right_logical s 27)
 
-(* O(log k) stream jump. The state transition is linear over GF(2) — each
-   output bit is a xor of input bits — so advancing k steps is
-   multiplication by the k-th power of the 64×64 transition matrix M.
-   Matrices are stored column-wise (column j = image of the j-th basis
-   state, one int64 per column); applying one costs at most 64 xors, and
-   M^(2^i) for i = 0..10 is precomputed at module initialisation by
-   repeated squaring — eagerly, because a lazy table first forced by two
-   domains at once raises [CamlinternalLazy.Undefined]. Sparse input
-   fills use this to skip the PRNG over runs of data words the test
-   program provably never reads. *)
-let apply_mat cols s =
-  let acc = ref 0L in
-  for j = 0 to 63 do
-    (* Branch-free: the bits of [s] are random, so a test-and-xor would
-       mispredict on every other column. *)
-    let bit = Int64.logand (Int64.shift_right_logical s j) 1L in
-    acc := Int64.logxor !acc (Int64.logand cols.(j) (Int64.neg bit))
+(* The transition is linear over GF(2): it is M = (I + R27)(I + L25)
+   (I + R12), R/L the right/left shift matrices. Its transpose reverses
+   the factors and swaps the shift directions, since the transpose of a
+   right shift is the left shift by the same amount. Bit b of M^k s is
+   the row e_b^T M^k against s: the parity of
+   [transposed_steps (1 lsl b) ~steps:k land s]. The loop keeps [v]
+   unboxed; only the result is boxed. *)
+let transposed_steps v ~steps =
+  let v = ref v in
+  for _ = 1 to steps do
+    let x = !v in
+    let x = Int64.logxor x (Int64.shift_left x 27) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 25) in
+    v := Int64.logxor x (Int64.shift_left x 12)
   done;
-  !acc
-
-let jump_mats =
-  let m1 = Array.init 64 (fun j -> xorshift_step (Int64.shift_left 1L j)) in
-  let square m = Array.map (fun col -> apply_mat m col) m in
-  let mats = Array.make 11 m1 in
-  for i = 1 to 10 do
-    mats.(i) <- square mats.(i - 1)
-  done;
-  mats
-
-let jump s ~steps =
-  if steps < 0 || steps >= 2048 then invalid_arg "Prng.jump";
-  let s = ref s in
-  for i = 0 to 10 do
-    if steps land (1 lsl i) <> 0 then s := apply_mat jump_mats.(i) !s
-  done;
-  !s
+  !v
 
 (* Splitmix64 finalizer: a strong 64-bit bijective mixer. Used to build
    keyed streams — a draw addressed by coordinates rather than by its

@@ -38,21 +38,25 @@ val set_state : t -> int64 -> unit
 (** Restore a live generator in place (used to rewind the executor's
     noise stream on resume). *)
 
-(** {1 Stream jumps}
+(** {1 Linear structure}
 
-    The xorshift64 state transition is linear over GF(2), so a stream can
-    be advanced by [k] steps in O(log k) matrix applications instead of
-    [k] sequential steps. Used by the sparse input fill to skip over data
-    words a test program provably never reads. *)
+    The xorshift64 state transition M is linear over GF(2): every bit of
+    [M s] is a xor of bits of [s]. So bit [b] of the state [k] steps on
+    is the parity of [s] masked by the row [(Mᵀ)^k e_b], and a draw that
+    depends on a few low state bits is a handful of masked parities of
+    the starting state. The sparse input fill uses this to compute the
+    words a test program can read without walking the stream. *)
 
 val xorshift_step : int64 -> int64
 (** One raw state transition (no output multiply, no normalization):
     [state (let t = of_state s in ignore (next t); t) = xorshift_step s]
     for every nonzero [s]. *)
 
-val jump : int64 -> steps:int -> int64
-(** [jump s ~steps] is [xorshift_step] iterated [steps] times.
-    @raise Invalid_argument unless [0 <= steps < 2048]. *)
+val transposed_steps : int64 -> steps:int -> int64
+(** [transposed_steps v ~steps] applies the transposed transition Mᵀ
+    [steps] times to [v] (none if [steps <= 0]). For every [s], [k] and
+    [b], bit [b] of [xorshift_step] iterated [k] times on [s] is the
+    parity of [s land transposed_steps (1L lsl b) ~steps:k]. *)
 
 (** {1 Keyed streams}
 

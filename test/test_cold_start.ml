@@ -1,9 +1,10 @@
 (* Cold start: this suite is its own executable, so no earlier test has
    forced any process-wide table on the main domain. Its first action is
-   a pooled campaign, whose worker domains are the first to reach every
-   table the check path uses (the PRNG jump matrices of the sparse input
-   fill among them); its outcome and statistics must equal the
-   sequential run's bit for bit. *)
+   a pooled campaign, whose worker domains are the first to reach
+   anything the check path initialises on first use (a lazy value first
+   forced by two domains at once raises [CamlinternalLazy.Undefined]);
+   its outcome and statistics must equal the sequential run's bit for
+   bit. *)
 
 open Revizor
 

@@ -293,6 +293,31 @@ let arena_reuse_identical () =
 
 (* --- sparse input fill -------------------------------------------------- *)
 
+(* [None] when [got] equals [expected] in registers, flags and every
+   word of [plan]; otherwise what differs. Data words outside the plan
+   are taken from [expected] before comparing, since a sparse fill leaves
+   them as a previous fill did. *)
+let plan_mismatch ~plan ~(expected : State.t) (got : State.t) =
+  let eraw = Memory.raw expected.State.mem
+  and graw = Memory.raw got.State.mem in
+  match
+    Array.find_opt
+      (fun w -> Bytes.sub eraw (8 * w) 8 <> Bytes.sub graw (8 * w) 8)
+      plan
+  with
+  | Some w -> Some (Printf.sprintf "data word %d" w)
+  | None ->
+      let merged = State.copy got in
+      let mraw = Memory.raw merged.State.mem in
+      let in_plan = Array.make 1024 false in
+      Array.iter (fun w -> in_plan.(w) <- true) plan;
+      Array.iteri
+        (fun w listed ->
+          if not listed then Bytes.blit eraw (8 * w) mraw (8 * w) 8)
+        in_plan;
+      if State.equal_arch expected merged then None
+      else Some "registers or flags"
+
 (* The reachable-word plan must make the sparse fill observation-
    equivalent to the full fill: model ctraces and executor measurements
    over sparsely refilled, deliberately polluted arena templates agree
@@ -313,19 +338,13 @@ let sparse_fill_equivalent () =
                (List.init 16 (fun i ->
                     { Input.seed = Int64.of_int (1000 + i); entropy = 16 })));
           let pooled = Arena.templates ~plan arena inputs in
-          (* the plan words themselves carry identical bytes *)
-          List.iteri
-            (fun i (t : State.t) ->
-              let araw = Memory.raw t.State.mem
-              and braw = Memory.raw pooled.(i).State.mem in
-              Array.iter
-                (fun w ->
-                  check bool
-                    (Printf.sprintf "%s input %d word %d" label i w)
-                    true
-                    (Bytes.sub araw (8 * w) 8 = Bytes.sub braw (8 * w) 8))
-                plan)
-            (Array.to_list fresh);
+          (* registers, flags and plan words carry identical bytes *)
+          Array.iteri
+            (fun i expected ->
+              match plan_mismatch ~plan ~expected pooled.(i) with
+              | None -> ()
+              | Some d -> Alcotest.failf "%s input %d: %s differs" label i d)
+            fresh;
           List.iter
             (fun contract ->
               let a = Model.batch contract compiled ~templates:fresh inputs in
@@ -361,6 +380,113 @@ let sparse_fill_equivalent () =
                    (m'.Executor.kinds, m'.Executor.events)
                 = 0))
             ma)
+
+(* Pooled templates against [Input.to_state], on the full state without
+   a plan and on the plan's words with one. *)
+let check_templates ~what ?plan arena inputs =
+  let pooled = Arena.templates ?plan arena inputs in
+  List.iteri
+    (fun i input ->
+      let expected = Input.to_state input in
+      let here = Printf.sprintf "%s: input %d" what i in
+      match plan with
+      | None -> check bool here true (State.equal_arch expected pooled.(i))
+      | Some plan -> (
+          match plan_mismatch ~plan ~expected pooled.(i) with
+          | None -> ()
+          | Some d -> Alcotest.failf "%s: %s differs" here d))
+    inputs
+
+let inp seed entropy = { Input.seed; entropy }
+
+(* Regression: the arena's record of which pooled states may hold
+   nonzero bytes 2..3 (entropy > 10) or 4..7 (entropy > 26) must follow
+   every input of a batch, not the first, and must survive a smaller
+   batch that leaves the states past its end untouched. Each sequence
+   left stale bytes in some template when the record was one flag set
+   from the first input's entropy. *)
+let arena_mixed_entropy () =
+  let plan = Array.append (Array.init 64 (fun i -> 16 * i)) [| 1023 |] in
+  List.iter
+    (fun (mode, plan) ->
+      let arena = Arena.create () in
+      let step k inputs =
+        check_templates ~what:(Printf.sprintf "%s step %d" mode k) ?plan arena
+          inputs
+      in
+      step 1 [ inp 1L 2; inp 2L 16 ];
+      step 2 [ inp 3L 2; inp 4L 2 ];
+      step 3 (List.init 16 (fun i -> inp (Int64.of_int (100 + i)) 16));
+      step 4 (List.init 4 (fun i -> inp (Int64.of_int (200 + i)) 2));
+      step 5 (List.init 16 (fun i -> inp (Int64.of_int (300 + i)) 2));
+      (* entropy > 16 takes the full fill even with a plan *)
+      step 6 [ inp 5L 30; inp 6L 2 ];
+      step 7 [ inp 7L 2; inp 8L 2 ])
+    [ ("full", None); ("sparse", Some plan) ]
+
+(* The parity-row kernel at every entropy it serves, on hand-built plans
+   covering the edges: the last word alone (a 1024-step row chain),
+   both ends, a consecutive run, gaps of 63/64/65/511 words, every 8th
+   word and half the sandbox. Each plan runs on a fresh arena (the fill
+   skips the stores of bytes known to be zero) and on one polluted with
+   entropy-30 values in every byte of every word; the entropy sweep
+   ends by shrinking the rows again. *)
+let sparse_kernel_every_entropy () =
+  let plans =
+    [
+      ("last", [| 1023 |]);
+      ("ends", [| 0; 1023 |]);
+      ("run", Array.init 40 (fun i -> 300 + i));
+      ("gaps", [| 5; 68; 132; 197; 708; 1023 |]);
+      ("every 8th", Array.init 128 (fun i -> (8 * i) + 7));
+      ("half", Array.init 512 (fun i -> (2 * i) + 1));
+    ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun polluted ->
+          let arena = Arena.create () in
+          if polluted then
+            ignore
+              (Arena.templates arena
+                 (List.init 4 (fun i -> inp (Int64.of_int (900 + i)) 30)));
+          List.iter
+            (fun entropy ->
+              check_templates
+                ~what:
+                  (Printf.sprintf "%s%s, entropy %d" name
+                     (if polluted then " (polluted)" else "")
+                     entropy)
+                ~plan arena
+                (List.init 4 (fun i ->
+                     inp (Int64.of_int ((31 * entropy) + i + 1)) entropy)))
+            (List.init 17 Fun.id @ [ 2 ]))
+        [ false; true ])
+    plans;
+  (* a plan that is not strictly ascending data words is refused before
+     any store: the previous templates are left as they were *)
+  let arena = Arena.create () in
+  let pooled = Arena.templates arena [ inp 1L 2; inp 2L 2 ] in
+  let before = Array.map State.copy pooled in
+  List.iter
+    (fun (name, plan) ->
+      (match Arena.templates ~plan arena [ inp 3L 2; inp 4L 2 ] with
+      | _ -> Alcotest.failf "%s plan accepted" name
+      | exception Invalid_argument _ -> ());
+      Array.iteri
+        (fun i t ->
+          check bool
+            (Printf.sprintf "%s plan: template %d untouched" name i)
+            true
+            (State.equal_arch t pooled.(i)))
+        before)
+    [
+      ("descending", [| 7; 3; 1023 |]);
+      ("repeated", [| 3; 3; 1023 |]);
+      ("word 1024", [| 3; 1024 |]);
+      ("negative", [| -1; 1023 |]);
+    ]
 
 (* Programs without memory operands need only the fill-buffer seed word:
    the plan collapses to the last data word, which is what makes the
@@ -505,6 +631,9 @@ let () =
           tc "sparse fill is observation-equivalent" `Quick
             sparse_fill_equivalent;
           tc "fill plans have the expected shape" `Quick sparse_plan_shape;
+          tc "mixed-entropy arena batches" `Quick arena_mixed_entropy;
+          tc "sparse kernel at every entropy" `Quick
+            sparse_kernel_every_entropy;
           tc "executor buffer reuse is bit-identical" `Quick
             executor_reuse_identical;
           tc "executor measurements are bit-identical" `Quick

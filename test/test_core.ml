@@ -55,16 +55,37 @@ let prng_tests =
           ignore (Prng.next p);
           check int64 "transition" (Prng.state p) (Prng.xorshift_step before)
         done);
-    tc "jump matches sequential stepping" `Quick (fun () ->
-        let s0 = Prng.state (Prng.create ~seed:42L) in
+    tc "transposed rows match state bits" `Quick (fun () ->
+        let parity x =
+          let x = Int64.logxor x (Int64.shift_right_logical x 32) in
+          let x = Int64.logxor x (Int64.shift_right_logical x 16) in
+          let x = Int64.logxor x (Int64.shift_right_logical x 8) in
+          let x = Int64.logxor x (Int64.shift_right_logical x 4) in
+          let x = Int64.logxor x (Int64.shift_right_logical x 2) in
+          Int64.logand (Int64.logxor x (Int64.shift_right_logical x 1)) 1L
+        in
         List.iter
-          (fun k ->
-            let seq = ref s0 in
-            for _ = 1 to k do
-              seq := Prng.xorshift_step !seq
-            done;
-            check int64 (Printf.sprintf "k=%d" k) !seq (Prng.jump s0 ~steps:k))
-          [ 0; 1; 2; 7; 63; 64; 65; 100; 511; 1023; 1024; 2047 ]);
+          (fun seed ->
+            let s0 = Prng.state (Prng.create ~seed) in
+            List.iter
+              (fun k ->
+                let sk = ref s0 in
+                for _ = 1 to k do
+                  sk := Prng.xorshift_step !sk
+                done;
+                let sk = !sk in
+                List.iter
+                  (fun b ->
+                    let row =
+                      Prng.transposed_steps (Int64.shift_left 1L b) ~steps:k
+                    in
+                    check int64
+                      (Printf.sprintf "seed %Ld k=%d bit %d" seed k b)
+                      (Int64.logand (Int64.shift_right_logical sk b) 1L)
+                      (parity (Int64.logand s0 row)))
+                  (List.init 17 Fun.id @ [ 63 ]))
+              [ 0; 1; 2; 7; 63; 64; 65; 100; 511; 1023; 1024; 2047 ])
+          [ 42L; 7L; -1L ]);
   ]
 
 (* --- Input -------------------------------------------------------------- *)
