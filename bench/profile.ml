@@ -66,6 +66,13 @@ let () =
   time "Cpu.run compiled (after restore)" 2000 (fun () ->
       Revizor_emu.State.copy_into templates.(0) ~dst:scratch;
       Cpu.run cpu compiled scratch);
+  (* How the model and the executor run an input: on the template itself,
+     undone afterwards (the rows around it restore a scratch copy first). *)
+  let slot = Revizor_emu.State.slot () in
+  time "Cpu.run compiled (run + undo in place)" 2000 (fun () ->
+      Revizor_emu.State.save templates.(0) slot;
+      Cpu.run cpu compiled templates.(0);
+      Revizor_emu.State.undo templates.(0) slot);
   time "Cpu.run interpreted (after restore)" 2000 (fun () ->
       Revizor_emu.State.copy_into templates.(0) ~dst:scratch;
       Cpu.run cpu interp scratch);

@@ -302,12 +302,12 @@ let compile_binop ~flags (i : Instruction.t) dst src : State.t -> abuf -> unit =
         let flags = st.State.flags in
         let a = rd st ab in
         let b = rs st ab in
-        let c = if flags.Flags.cf then 1L else 0L in
+        let c = if Flags.cf flags then 1L else 0L in
         let r = Word.zext w (Int64.add (Int64.add a b) c) in
-        st.State.flags <- Flags.after_add w ~a ~b ~carry_in:flags.Flags.cf ~r;
+        st.State.flags <- Flags.after_add w ~a ~b ~carry_in:(Flags.cf flags) ~r;
         wr st ab r
       else fun st ab ->
-        let c = if st.State.flags.Flags.cf then 1L else 0L in
+        let c = if Flags.cf st.State.flags then 1L else 0L in
         let a = rd st ab in
         let b = rs st ab in
         wr st ab (Word.zext w (Int64.add (Int64.add a b) c))
@@ -327,12 +327,12 @@ let compile_binop ~flags (i : Instruction.t) dst src : State.t -> abuf -> unit =
         let flags = st.State.flags in
         let a = rd st ab in
         let b = rs st ab in
-        let c = if flags.Flags.cf then 1L else 0L in
+        let c = if Flags.cf flags then 1L else 0L in
         let r = Word.zext w (Int64.sub (Int64.sub a b) c) in
-        st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:flags.Flags.cf ~r;
+        st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:(Flags.cf flags) ~r;
         wr st ab r
       else fun st ab ->
-        let c = if st.State.flags.Flags.cf then 1L else 0L in
+        let c = if Flags.cf st.State.flags then 1L else 0L in
         let a = rd st ab in
         let b = rs st ab in
         wr st ab (Word.zext w (Int64.sub (Int64.sub a b) c))

@@ -1,46 +1,73 @@
 open Revizor_isa
 
-type t = { cf : bool; pf : bool; af : bool; zf : bool; sf : bool; o_f : bool }
+(* The flag word is the RFLAGS image itself: one immediate int, so a flag
+   write is a plain field store and the rules below build their result
+   with a few ors, allocating nothing. *)
+type t = int
 
-let empty = { cf = false; pf = false; af = false; zf = false; sf = false; o_f = false }
+let cf_bit = 0x1
+let pf_bit = 0x4
+let af_bit = 0x10
+let zf_bit = 0x40
+let sf_bit = 0x80
+let of_bit = 0x800
+let status_bits = cf_bit lor pf_bit lor af_bit lor zf_bit lor sf_bit lor of_bit
+
+let empty = 0
+let[@inline] bit b mask = if b then mask else 0
+
+let make ~cf ~pf ~af ~zf ~sf ~o_f =
+  bit cf cf_bit lor bit pf pf_bit lor bit af af_bit lor bit zf zf_bit
+  lor bit sf sf_bit lor bit o_f of_bit
+
+let[@inline] cf t = t land cf_bit <> 0
+let[@inline] pf t = t land pf_bit <> 0
+let[@inline] af t = t land af_bit <> 0
+let[@inline] zf t = t land zf_bit <> 0
+let[@inline] sf t = t land sf_bit <> 0
+let[@inline] o_f t = t land of_bit <> 0
+
+(* SF (bit 7) differs from OF (bit 11). *)
+let[@inline] sf_ne_of t = ((t lsr 7) lxor (t lsr 11)) land 1 <> 0
 
 let eval_cond t = function
-  | Cond.O -> t.o_f
-  | Cond.NO -> not t.o_f
-  | Cond.B -> t.cf
-  | Cond.AE -> not t.cf
-  | Cond.Z -> t.zf
-  | Cond.NZ -> not t.zf
-  | Cond.BE -> t.cf || t.zf
-  | Cond.A -> not (t.cf || t.zf)
-  | Cond.S -> t.sf
-  | Cond.NS -> not t.sf
-  | Cond.P -> t.pf
-  | Cond.NP -> not t.pf
-  | Cond.L -> t.sf <> t.o_f
-  | Cond.GE -> t.sf = t.o_f
-  | Cond.LE -> t.zf || t.sf <> t.o_f
-  | Cond.G -> not (t.zf || t.sf <> t.o_f)
+  | Cond.O -> o_f t
+  | Cond.NO -> not (o_f t)
+  | Cond.B -> cf t
+  | Cond.AE -> not (cf t)
+  | Cond.Z -> zf t
+  | Cond.NZ -> not (zf t)
+  | Cond.BE -> t land (cf_bit lor zf_bit) <> 0
+  | Cond.A -> t land (cf_bit lor zf_bit) = 0
+  | Cond.S -> sf t
+  | Cond.NS -> not (sf t)
+  | Cond.P -> pf t
+  | Cond.NP -> not (pf t)
+  | Cond.L -> sf_ne_of t
+  | Cond.GE -> not (sf_ne_of t)
+  | Cond.LE -> zf t || sf_ne_of t
+  | Cond.G -> not (zf t || sf_ne_of t)
 
-let bit b pos = if b then Int64.shift_left 1L pos else 0L
+let to_word t = Int64.of_int t
+let of_word w = Int64.to_int w land status_bits
 
-let to_word t =
-  List.fold_left Int64.logor 0L
-    [ bit t.cf 0; bit t.pf 2; bit t.af 4; bit t.zf 6; bit t.sf 7; bit t.o_f 11 ]
+(* PF of every low result byte: [pf_bit] when its popcount is even. *)
+let parity_table =
+  String.init 256 (fun b ->
+      if Word.parity_even (Int64.of_int b) then Char.chr pf_bit else '\000')
 
-let of_word w =
-  let b pos = Int64.logand (Int64.shift_right_logical w pos) 1L = 1L in
-  { cf = b 0; pf = b 2; af = b 4; zf = b 6; sf = b 7; o_f = b 11 }
+(* ZF, SF and PF of a result: the part every full update shares. *)
+let[@inline] result_bits w r =
+  bit (Word.zext w r = 0L) zf_bit
+  lor bit (Word.sign_set w r) sf_bit
+  lor Char.code (String.unsafe_get parity_table (Int64.to_int r land 0xFF))
 
-let result_flags w r =
-  { empty with
-    zf = Word.zext w r = 0L;
-    sf = Word.sign_set w r;
-    pf = Word.parity_even r }
+(* AF is bit 4 of [a xor b xor r], in the same position as in RFLAGS. *)
+let[@inline] af_of a b r =
+  Int64.to_int (Int64.logand (Int64.logxor (Int64.logxor a b) r) 0x10L)
 
-let after_add w ~a ~b ~carry_in ~r =
+let[@inline] after_add w ~a ~b ~carry_in ~r =
   let open Word in
-  let base = result_flags w r in
   let a = zext w a and b = zext w b and r = zext w r in
   let cf =
     match w with
@@ -55,48 +82,40 @@ let after_add w ~a ~b ~carry_in ~r =
       (Width.sign_bit w)
     <> 0L
   in
-  let af = Int64.logand (Int64.logxor (Int64.logxor a b) r) 0x10L <> 0L in
-  { base with cf; o_f; af }
+  result_bits w r lor bit cf cf_bit lor bit o_f of_bit lor af_of a b r
 
-let after_sub w ~a ~b ~borrow_in ~r =
+let[@inline] after_sub w ~a ~b ~borrow_in ~r =
   let open Word in
-  let base = result_flags w r in
-  let a = zext w a and b = zext w b in
+  let a = zext w a and b = zext w b and r = zext w r in
   let cf = if borrow_in then ule a b else ult a b in
-  let r = zext w r in
   let o_f =
     Int64.logand
       (Int64.logand (Int64.logxor a b) (Int64.logxor a r))
       (Width.sign_bit w)
     <> 0L
   in
-  let af = Int64.logand (Int64.logxor (Int64.logxor a b) r) 0x10L <> 0L in
-  { base with cf; o_f; af }
+  result_bits w r lor bit cf cf_bit lor bit o_f of_bit lor af_of a b r
 
-let after_logic w ~r = result_flags w r
+let[@inline] after_logic w ~r = result_bits w r
 
 let after_inc w t ~a ~r =
-  let f = after_add w ~a ~b:1L ~carry_in:false ~r in
-  { f with cf = t.cf }
+  after_add w ~a ~b:1L ~carry_in:false ~r land lnot cf_bit lor (t land cf_bit)
 
 let after_dec w t ~a ~r =
-  let f = after_sub w ~a ~b:1L ~borrow_in:false ~r in
-  { f with cf = t.cf }
+  after_sub w ~a ~b:1L ~borrow_in:false ~r land lnot cf_bit lor (t land cf_bit)
 
 let after_neg w ~a ~r =
-  let f = after_sub w ~a:0L ~b:a ~borrow_in:false ~r in
-  { f with cf = Word.zext w a <> 0L }
+  after_sub w ~a:0L ~b:a ~borrow_in:false ~r land lnot cf_bit
+  lor bit (Word.zext w a <> 0L) cf_bit
 
 let after_imul w ~full_overflow ~r =
-  let base = result_flags w r in
   (* x86 leaves SF defined, ZF/PF/AF undefined after IMUL; we keep the
      deterministic result-derived values. *)
-  { base with cf = full_overflow; o_f = full_overflow }
+  result_bits w r lor bit full_overflow (cf_bit lor of_bit)
 
 let after_shift w t ~op ~a ~count ~r =
   if count = 0 then t
   else
-    let base = result_flags w r in
     let bits = Width.bits w in
     let a = Word.zext w a in
     let cf =
@@ -114,24 +133,24 @@ let after_shift w t ~op ~a ~count ~r =
       | `Shr -> Word.sign_set w a
       | `Sar -> false
     in
-    { base with cf; o_f; af = false }
+    result_bits w r lor bit cf cf_bit lor bit o_f of_bit
 
 let after_rotate w t ~op ~count ~r =
   if count = 0 then t
   else
-    let bit n = Int64.logand (Int64.shift_right_logical r n) 1L = 1L in
+    let bit_of n = Int64.logand (Int64.shift_right_logical r n) 1L = 1L in
     let msb = Word.sign_set w r in
-    let cf = match op with `Rol -> bit 0 | `Ror -> msb in
+    let cf = match op with `Rol -> bit_of 0 | `Ror -> msb in
     let o_f =
       match op with
       | `Rol -> msb <> cf
-      | `Ror -> msb <> bit (Width.bits w - 2)
+      | `Ror -> msb <> bit_of (Width.bits w - 2)
     in
-    { t with cf; o_f }
+    t land lnot (cf_bit lor of_bit) lor bit cf cf_bit lor bit o_f of_bit
 
 let pp fmt t =
   let f name b = if b then name else "-" in
-  Format.fprintf fmt "[%s%s%s%s%s%s]" (f "C" t.cf) (f "P" t.pf) (f "A" t.af)
-    (f "Z" t.zf) (f "S" t.sf) (f "O" t.o_f)
+  Format.fprintf fmt "[%s%s%s%s%s%s]" (f "C" (cf t)) (f "P" (pf t)) (f "A" (af t))
+    (f "Z" (zf t)) (f "S" (sf t)) (f "O" (o_f t))
 
-let equal (a : t) (b : t) = a = b
+let equal = Int.equal

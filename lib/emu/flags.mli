@@ -5,25 +5,45 @@ open Revizor_isa
     Update rules follow the Intel SDM. Where the SDM leaves a flag
     undefined (AF after logic ops and shifts, all flags after DIV), we pick
     a fixed deterministic value so that the contract model and the hardware
-    simulator can never diverge on "undefined" state. *)
+    simulator can never diverge on "undefined" state.
 
-type t = {
-  cf : bool;  (** carry *)
-  pf : bool;  (** parity (of the low result byte) *)
-  af : bool;  (** auxiliary carry (nibble) *)
-  zf : bool;  (** zero *)
-  sf : bool;  (** sign *)
-  o_f : bool;  (** overflow ([of] is a keyword) *)
-}
+    A flag word is an immediate int in RFLAGS layout (CF = bit 0, PF = 2,
+    AF = 4, ZF = 6, SF = 7, OF = 11; every other bit 0): storing one in a
+    state allocates nothing, and the update rules build it directly. *)
+
+type t [@@immediate]
 
 val empty : t
+(** All six flags clear. *)
+
+val make : cf:bool -> pf:bool -> af:bool -> zf:bool -> sf:bool -> o_f:bool -> t
+
+val cf : t -> bool
+(** carry *)
+
+val pf : t -> bool
+(** parity (of the low result byte) *)
+
+val af : t -> bool
+(** auxiliary carry (nibble) *)
+
+val zf : t -> bool
+(** zero *)
+
+val sf : t -> bool
+(** sign *)
+
+val o_f : t -> bool
+(** overflow ([of] is a keyword) *)
 
 val eval_cond : t -> Cond.t -> bool
 
 val to_word : t -> int64
-(** Pack into RFLAGS bit positions (CF=0, PF=2, AF=4, ZF=6, SF=7, OF=11). *)
+(** The RFLAGS bits (CF=0, PF=2, AF=4, ZF=6, SF=7, OF=11). *)
 
 val of_word : int64 -> t
+(** Keeps the six status bits of an RFLAGS word; every other bit is
+    dropped. *)
 
 (** {1 Update rules}
 

@@ -2,14 +2,16 @@ open Revizor_isa
 
 type t = {
   data : bytes;
-  (* Store-undo journal: while [j_on], every {!write} first saves the
-     overwritten bytes, so a transient episode can be rolled back by
-     undoing its few stores in reverse instead of blitting the whole
-     sandbox out and back (2 × 8 KiB per speculation episode, on the
-     executor's hottest path). Entries pack [off lsl 4 lor len] in
-     [j_meta] with the old bytes at [j_old.(8k..)]. Reverse-order replay
-     makes duplicate entries for the same location harmless. *)
-  mutable j_on : bool;
+  (* Store-undo journal: while a level is open ([j_depth > 0]), every
+     {!write} first saves the overwritten bytes, so a run, a speculative
+     exploration or a transient episode is rolled back by undoing its few
+     stores in reverse instead of blitting the whole sandbox out and
+     back. Entries pack [off lsl 4 lor len] in [j_meta] with the old
+     bytes at [j_old.(8k..)]. Reverse-order replay makes duplicate
+     entries for the same location harmless. A level's mark is the entry
+     count when it opened, so undoing an inner level leaves the entries
+     of the enclosing ones in place. *)
+  mutable j_depth : int;
   mutable j_n : int;
   mutable j_meta : int array;
   mutable j_old : bytes;
@@ -20,7 +22,7 @@ exception Fault of int64
 let create () =
   {
     data = Bytes.make Layout.sandbox_size '\000';
-    j_on = false;
+    j_depth = 0;
     j_n = 0;
     j_meta = Array.make 32 0;
     j_old = Bytes.create (8 * 32);
@@ -41,19 +43,18 @@ let journal_note t off len =
   t.j_n <- t.j_n + 1
 
 let journal_begin t =
-  t.j_on <- true;
+  t.j_depth <- t.j_depth + 1;
   t.j_n
 
-let journal_rollback t ~mark =
+let journal_undo t ~mark =
+  if t.j_depth = 0 || mark < 0 || mark > t.j_n then
+    invalid_arg "Memory.journal_undo";
   for k = t.j_n - 1 downto mark do
     let e = t.j_meta.(k) in
     Bytes.blit t.j_old (8 * k) t.data (e lsr 4) (e land 0xF)
   done;
-  t.j_n <- mark
-
-let journal_end t =
-  t.j_on <- false;
-  t.j_n <- 0
+  t.j_n <- mark;
+  t.j_depth <- t.j_depth - 1
 
 let check t addr width =
   let off = Int64.sub addr Layout.sandbox_base in
@@ -81,7 +82,7 @@ let read t ~addr width =
 
 let write t ~addr width v =
   let off = check t addr width in
-  if t.j_on then journal_note t off (Width.bytes width);
+  if t.j_depth > 0 then journal_note t off (Width.bytes width);
   match width with
   | Width.W8 -> Bytes.set_uint8 t.data off (Int64.to_int v land 0xFF)
   | Width.W16 -> Bytes.set_uint16_le t.data off (Int64.to_int v land 0xFFFF)
@@ -98,9 +99,6 @@ let fill t ~f =
     Bytes.set t.data off (Char.chr v)
   done
 
-let snapshot t = Bytes.copy t.data
-let snapshot_into t buf = Bytes.blit t.data 0 buf 0 (Bytes.length t.data)
-let restore t snap = Bytes.blit snap 0 t.data 0 (Bytes.length t.data)
 let raw t = t.data
 
 let copy t =

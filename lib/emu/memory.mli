@@ -33,24 +33,21 @@ val fill : t -> f:(int -> int) -> unit
     guard tail is zeroed. *)
 
 val journal_begin : t -> int
-(** Start (or continue) recording store undo information; every
-    subsequent {!write} saves the bytes it overwrites. Returns a mark
-    for {!journal_rollback}. Cheap: a flag plus a few saved bytes per
-    store, vs. the full-sandbox blits of {!snapshot}/{!restore} — this
-    is how transient episodes roll back their stores. *)
+(** Open a journal level and return its mark. While any level is open,
+    every {!write} first saves the bytes it overwrites. Levels nest: a
+    transient episode or a speculative exploration opens one inside the
+    level of the run that contains it. Cheap: a counter plus a few saved
+    bytes per store, instead of blitting the whole sandbox out and back
+    in. Only {!write} is journaled; the input-setup writers
+    ({!write_byte}, {!write_data_word}, {!fill}, {!raw}) are not. *)
 
-val journal_rollback : t -> mark:int -> unit
+val journal_undo : t -> mark:int -> unit
 (** Undo every journaled write since [mark] (most recent first),
-    restoring the memory image at {!journal_begin}. *)
-
-val journal_end : t -> unit
-(** Stop recording and discard the journal. *)
-
-val snapshot : t -> bytes
-val restore : t -> bytes -> unit
-
-val snapshot_into : t -> bytes -> unit
-(** Refill a buffer previously returned by {!snapshot} in place. *)
+    restoring the memory image seen when the level was opened, and close
+    the level. Recording stops only when the outermost level closes; an
+    enclosing level keeps recording and can still be undone exactly.
+    @raise Invalid_argument if no level is open or [mark] is not a mark
+    of an open level. *)
 
 val raw : t -> bytes
 (** The backing byte array (offset 0 = {!Layout.sandbox_base}). Escape
@@ -61,7 +58,6 @@ val raw : t -> bytes
 val copy : t -> t
 
 val blit_into : t -> dst:t -> unit
-(** Overwrite [dst] with [src]'s contents: one flat blit, the fast-restore
-    path for cached input-state templates. *)
+(** Overwrite [dst] with [src]'s contents: one flat blit, not journaled. *)
 
 val equal : t -> t -> bool

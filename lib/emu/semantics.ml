@@ -84,9 +84,9 @@ let exec_binop ctx (i : Instruction.t) dst src =
       write_dst ctx dst r
   | Opcode.Adc ->
       let a = read_dst ctx dst and b = read_src ctx w src in
-      let c = if flags.Flags.cf then 1L else 0L in
+      let c = if Flags.cf flags then 1L else 0L in
       let r = Word.zext w (Int64.add (Int64.add a b) c) in
-      set_flags ctx (Flags.after_add w ~a ~b ~carry_in:flags.Flags.cf ~r);
+      set_flags ctx (Flags.after_add w ~a ~b ~carry_in:(Flags.cf flags) ~r);
       write_dst ctx dst r
   | Opcode.Sub ->
       let a = read_dst ctx dst and b = read_src ctx w src in
@@ -95,9 +95,9 @@ let exec_binop ctx (i : Instruction.t) dst src =
       write_dst ctx dst r
   | Opcode.Sbb ->
       let a = read_dst ctx dst and b = read_src ctx w src in
-      let c = if flags.Flags.cf then 1L else 0L in
+      let c = if Flags.cf flags then 1L else 0L in
       let r = Word.zext w (Int64.sub (Int64.sub a b) c) in
-      set_flags ctx (Flags.after_sub w ~a ~b ~borrow_in:flags.Flags.cf ~r);
+      set_flags ctx (Flags.after_sub w ~a ~b ~borrow_in:(Flags.cf flags) ~r);
       write_dst ctx dst r
   | Opcode.Cmp ->
       let a = read_dst ctx dst and b = read_src ctx w src in

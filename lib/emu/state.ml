@@ -19,34 +19,6 @@ let set_reg t r w v =
   let i = Reg.index r in
   t.regs.(i) <- Word.merge w ~old:t.regs.(i) v
 
-type snapshot = {
-  s_regs : int64 array;
-  mutable s_flags : Flags.t;
-  s_mem : bytes;
-  mutable s_pc : int;
-}
-
-let snapshot t =
-  { s_regs = Array.copy t.regs;
-    s_flags = t.flags;
-    s_mem = Memory.snapshot t.mem;
-    s_pc = t.pc }
-
-(* Refill an existing snapshot in place: the speculative-exploration hot
-   loop takes a snapshot per clause, and reusing per-depth buffers keeps
-   that allocation-free. *)
-let snapshot_into t s =
-  Array.blit t.regs 0 s.s_regs 0 16;
-  s.s_flags <- t.flags;
-  Memory.snapshot_into t.mem s.s_mem;
-  s.s_pc <- t.pc
-
-let restore t s =
-  Array.blit s.s_regs 0 t.regs 0 16;
-  t.flags <- s.s_flags;
-  Memory.restore t.mem s.s_mem;
-  t.pc <- s.s_pc
-
 let copy t =
   { regs = Array.copy t.regs; flags = t.flags; mem = Memory.copy t.mem; pc = t.pc }
 
@@ -55,6 +27,28 @@ let copy_into src ~dst =
   dst.flags <- src.flags;
   Memory.blit_into src.mem ~dst:dst.mem;
   dst.pc <- src.pc
+
+type slot = {
+  sl_regs : int64 array;
+  mutable sl_flags : Flags.t;
+  mutable sl_pc : int;
+  mutable sl_mark : int;
+}
+
+let slot () =
+  { sl_regs = Array.make 16 0L; sl_flags = Flags.empty; sl_pc = 0; sl_mark = 0 }
+
+let save t s =
+  Array.blit t.regs 0 s.sl_regs 0 16;
+  s.sl_flags <- t.flags;
+  s.sl_pc <- t.pc;
+  s.sl_mark <- Memory.journal_begin t.mem
+
+let undo t s =
+  Memory.journal_undo t.mem ~mark:s.sl_mark;
+  Array.blit s.sl_regs 0 t.regs 0 16;
+  t.flags <- s.sl_flags;
+  t.pc <- s.sl_pc
 
 let equal_arch a b =
   a.regs = b.regs && Flags.equal a.flags b.flags && Memory.equal a.mem b.mem

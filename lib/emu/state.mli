@@ -20,24 +20,39 @@ val get_reg : t -> Reg.t -> Width.t -> int64
 val set_reg : t -> Reg.t -> Width.t -> int64 -> unit
 (** x86 merge semantics (32-bit writes zero the upper half). *)
 
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-
-val snapshot_into : t -> snapshot -> unit
-(** Refill an existing snapshot in place (no allocation) — the buffer
-    reuse path for the per-depth snapshot arenas of the speculative
-    walkers. *)
-
 val copy : t -> t
 
 val copy_into : t -> dst:t -> unit
 (** Overwrite [dst] with [src] (registers, flags, memory, pc) without
-    allocating: blits into [dst]'s existing buffers. This is the
-    fast-restore path for cached input-state templates — materialize a
-    state once (e.g. from an input's PRNG stream), then restore it into a
-    scratch state before every measurement instead of re-deriving it. *)
+    allocating: blits into [dst]'s existing buffers. Not journaled: do
+    not use it on a state with an open {!save}. *)
+
+(** {1 Run and undo in place}
+
+    The model and the executor run every input directly on its template
+    state and then hand the template back unchanged; speculative
+    explorations and transient episodes inside a run roll back the same
+    way. {!save} records registers, flags and pc in a caller-owned slot
+    and opens a level of the memory's store-undo journal
+    ({!Memory.journal_begin}); {!undo} puts all of it back. Saves nest,
+    each with a slot of its own: an inner {!undo} leaves the enclosing
+    save recording. *)
+
+type slot
+(** Caller-owned save buffer: 16 registers, flags, pc and a journal
+    mark. Reused across saves, so a save allocates nothing. *)
+
+val slot : unit -> slot
+
+val save : t -> slot -> unit
+(** Save registers, flags and pc into the slot and open a journal level:
+    every later store records the bytes it overwrites. *)
+
+val undo : t -> slot -> unit
+(** Restore exactly the state seen at the matching {!save}: memory by
+    replaying the journal back to the slot's mark, registers, flags and
+    pc from the slot. Closes the level. Every {!save} needs its {!undo},
+    on the exception path too. *)
 
 val equal_arch : t -> t -> bool
 (** Equality of registers, flags and memory (pc ignored). *)

@@ -2,13 +2,13 @@ open Revizor_isa
 
 type t = int64
 
-let zext w v = Int64.logand v (Width.mask w)
+let[@inline] zext w v = Int64.logand v (Width.mask w)
 
-let sext w v =
+let[@inline] sext w v =
   let shift = 64 - Width.bits w in
   Int64.shift_right (Int64.shift_left v shift) shift
 
-let sign_set w v = Int64.logand v (Width.sign_bit w) <> 0L
+let[@inline] sign_set w v = Int64.logand v (Width.sign_bit w) <> 0L
 
 let parity_even v =
   let b = Int64.to_int (Int64.logand v 0xFFL) in
@@ -22,5 +22,5 @@ let merge w ~old v =
   | Width.W16 | Width.W8 ->
       Int64.logor (Int64.logand old (Int64.lognot (Width.mask w))) (zext w v)
 
-let ult a b = Int64.unsigned_compare a b < 0
-let ule a b = Int64.unsigned_compare a b <= 0
+let[@inline] ult a b = Int64.unsigned_compare a b < 0
+let[@inline] ule a b = Int64.unsigned_compare a b <= 0

@@ -5,16 +5,16 @@ open Revizor_emu
    [Input.templates] allocates a fresh 8 KiB [State.t] per input per test
    case; at fuzzing throughput that is hundreds of megabytes of garbage
    per minute. Template states are only ever (a) rewritten by
-   [Input.apply] and (b) read — the model and the executor copy them into
-   their own scratch states before executing — so the same pool of states
-   can be refilled for every test case.
+   [Input.apply] and (b) run on and undone by the model and the executor,
+   which hand every template back exactly as it came in — so the same
+   pool of states can be refilled for every test case.
 
    Reuse is bit-identical to fresh allocation because [Input.apply]
    rewrites everything a previous fill could have changed: all generator
    pool registers, the flag word and every data word. The remaining state
    (pc, non-pool registers, the guard/stack tail of the sandbox) keeps
-   its [State.create] values forever, since templates are never executed
-   on.
+   its [State.create] values forever, since every run on a template is
+   undone.
 
    With a sparse fill plan ([Input.fill_plan]) the invariant weakens to
    "rewrites everything the test program can read": unlisted data words

@@ -6,11 +6,11 @@ open Revizor_emu
     ({!Input.templates}); this arena refills the same pool of states
     instead, which is bit-identical to fresh allocation because
     {!Input.apply} rewrites every field a previous fill could have
-    changed and templates are never executed on (the model and executor
-    copy them into scratch states first).
+    changed and every run on a template is undone (the model and the
+    executor hand each template back exactly as it came in).
 
-    Not thread-safe: one arena per campaign loop (the parallel model
-    stage only reads the returned templates). *)
+    Not thread-safe: one arena per campaign loop, and the returned
+    templates are run on in place, so one domain at a time. *)
 
 type t
 

@@ -85,7 +85,7 @@ type memo_entry = {
 type t = {
   cpu : Cpu.t;
   cfg : config;
-  scratch : Revizor_emu.State.t;
+  slot : Revizor_emu.State.slot;  (* undo slot of the run in progress *)
   (* Per-measurement scratch reused across [measure] calls: the occurrence
      count matrix and the per-input event accumulator. Grown on demand and
      reset in place, so the steady-state measurement loop allocates
@@ -123,7 +123,7 @@ let create cpu cfg =
   {
     cpu;
     cfg;
-    scratch = Revizor_emu.State.create ();
+    slot = Revizor_emu.State.slot ();
     counts = [||];
     ev_acc = [||];
     ctx_tc = 0;
@@ -212,20 +212,31 @@ let last_data_word =
        ((Revizor_emu.Layout.data_pages * Revizor_emu.Layout.page_size) - 8))
 
 (* One real run of [template] — what the memo's soundness argument and
-   the forensic replay mean by "a run": restore the template into the
-   scratch state, load its data into the fill buffer, then simulate the
-   program under the threat model's prepare/observe pair. Returns the RAW
-   trace; [Cpu.events] holds the run's speculation episodes. *)
+   the forensic replay mean by "a run": load the template's data into the
+   fill buffer, then simulate the program on the template itself under
+   the threat model's prepare/observe pair, and undo the run (registers,
+   flags and pc from the executor's slot, memory through the store
+   journal) so the template comes back as it went in — on the exception
+   path too. Returns the RAW trace; [Cpu.events] holds the run's
+   speculation episodes. *)
 let run_input t flat (template : Revizor_emu.State.t) =
   if t.cfg.reset_between_inputs then Cpu.reset_session t.cpu;
-  Revizor_emu.State.copy_into template ~dst:t.scratch;
   (* Loading the input into the sandbox moves the input's own data
      through the memory system: the fill buffers hold it afterwards. *)
   Cpu.set_fill_buffer t.cpu
     (Revizor_emu.Memory.read template.Revizor_emu.State.mem
        ~addr:last_data_word Revizor_isa.Width.W64);
-  Attack.observe t.cpu t.cfg.threat (fun () ->
-      Cpu.run ~max_steps:t.cfg.max_steps t.cpu flat t.scratch)
+  Revizor_emu.State.save template t.slot;
+  match
+    Attack.observe t.cpu t.cfg.threat (fun () ->
+        Cpu.run ~max_steps:t.cfg.max_steps t.cpu flat template)
+  with
+  | trace ->
+      Revizor_emu.State.undo template t.slot;
+      trace
+  | exception e ->
+      Revizor_emu.State.undo template t.slot;
+      raise e
 
 (* The suffix of [entries] starting at the first entry whose pre-state
    the footprint now matches, or []: a lookup allocates nothing. *)
@@ -236,10 +247,10 @@ let rec memo_find cpu fp = function
 
 (* One pass over the input sequence; the CPU session is NOT reset, so
    predictors carry over from input to input (priming). Each input's
-   state was materialized once into [templates]; every run blit-restores
-   the template into the executor's scratch state instead of re-deriving
-   the PRNG stream (a sequence runs many times: warm-up rounds,
-   measurement repetitions and swap-check re-measurements).
+   state was materialized once into [templates]; every run executes on
+   the template and undoes itself instead of re-deriving the PRNG stream
+   (a sequence runs many times: warm-up rounds, measurement repetitions
+   and swap-check re-measurements).
 
    With [memo] (the program's predictor footprint), a run whose pre-state
    matches a recorded run of the same slot is replayed from the memo

@@ -112,10 +112,13 @@ val measure :
 
     [templates] (from {!Input.templates}, indexed like the input list)
     lets the caller materialize each input's architectural state once per
-    test case; every warm-up round and repetition then restores the
-    template with a flat blit instead of regenerating the input's PRNG
-    stream. Omitted, the templates are built internally (one state per
-    input per call). *)
+    test case; every warm-up round and repetition then runs on the
+    template itself and undoes the run ({!Revizor_emu.State.save}/
+    {!Revizor_emu.State.undo}) instead of regenerating the input's PRNG
+    stream. Every template comes back exactly as it went in, also when
+    the run raises. Omitted, the templates are built internally (one
+    state per input per call). The same holds for {!htraces},
+    {!record_events} and {!swap_check}. *)
 
 val htraces :
   ?templates:Revizor_emu.State.t array ->

@@ -313,7 +313,7 @@ let check_test_case_full ?arena config executor program inputs :
               (fun (m : Executor.measurement) -> m.Executor.htrace)
               measurements
           in
-          Analyzer.record_htraces htraces;
+          Probe.with_span sp_analyze (fun () -> Analyzer.record_htraces htraces);
           (* A dismissed pair does not clear the test case: another pair of
              the same measurement set may witness a genuine (data-caused)
              divergence, so retry a bounded number of candidates. *)
@@ -322,7 +322,10 @@ let check_test_case_full ?arena config executor program inputs :
               no_violation ~ucov_features ~candidate_seen:true
                 ~dismissed_swap:swapped ~dismissed_nesting:nested ()
             else
-              match Analyzer.find_violation ~excluding classes htraces with
+              match
+                Probe.with_span sp_analyze (fun () ->
+                    Analyzer.find_violation ~excluding classes htraces)
+              with
               | None ->
                   no_violation ~ucov_features ~candidate_seen:(excluding <> [])
                     ~dismissed_swap:swapped ~dismissed_nesting:nested ()

@@ -17,14 +17,7 @@ let value_of sub entropy = Int64.shift_left (Prng.bits sub entropy) 6
 let flags_of sub entropy =
   let raw = Prng.bits sub (min entropy 6) in
   let b n = Int64.logand (Int64.shift_right_logical raw n) 1L = 1L in
-  {
-    Flags.cf = b 0;
-    zf = b 1;
-    sf = b 2;
-    o_f = b 3;
-    pf = b 4;
-    af = b 5;
-  }
+  Flags.make ~cf:(b 0) ~zf:(b 1) ~sf:(b 2) ~o_f:(b 3) ~pf:(b 4) ~af:(b 5)
 
 (* The data-word fill dominates input materialization: 1024 words × 8
    bytes per input, ~50+ inputs per test case. Without flambda every

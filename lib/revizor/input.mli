@@ -73,10 +73,11 @@ val to_state : t -> State.t
 
 val templates : t list -> State.t array
 (** Materialize each input's state once, indexed like the list. The model
-    and executor restore these templates into scratch states with
-    {!State.copy_into} (a flat blit) instead of regenerating the PRNG
-    stream for every warm-up round, measurement repetition and swap-check
-    re-measurement. Templates must not be mutated by callers. *)
+    and executor run on these templates in place and undo every run
+    ({!State.save}/{!State.undo}) instead of regenerating the PRNG stream
+    for every warm-up round, measurement repetition and swap-check
+    re-measurement. Callers must hand a template back unchanged, as those
+    runs do. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -12,46 +12,25 @@ type result = { ctrace : Ctrace.t; stream : step_record list; faulted : bool }
 let max_nesting_depth = 4
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain scratch arenas                                           *)
+(* Per-domain arenas                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched model stage executes every input of a test case on the
-   same preallocated machinery: one scratch state reset in place from
-   the input's template (a flat blit), one access buffer shared by all
-   raw actions, and one snapshot buffer per speculation depth for the
-   exploration clauses. One arena per domain (via [Domain.DLS]) lets
-   campaigns on several domains share the same fast path without
-   locking. *)
-type arena = {
-  a_scratch : State.t;
-  a_blank : State.t;
-      (* pristine [State.create] image: resetting scratch from it before
-         [Input.apply] makes scratch reuse bit-identical to a fresh
-         state even after a previous input executed stores outside the
-         data area (stack pushes) or moved non-pool registers *)
-  a_ab : Compiled.abuf;
-  a_snaps : State.snapshot option array;  (* indexed by clause depth *)
-}
+(* The batched model stage executes every input of a test case directly
+   on its template state and undoes the run afterwards, on preallocated
+   machinery: one access buffer shared by all raw actions and one save
+   slot per level — slot 0 for the whole run, slot [d + 1] for an
+   exploration opened at depth [d]. One arena per domain (via
+   [Domain.DLS]) lets campaigns on several domains share the same fast
+   path without locking. *)
+type arena = { a_ab : Compiled.abuf; a_slots : State.slot array }
 
 let make_arena () =
   {
-    a_scratch = State.create ();
-    a_blank = State.create ();
     a_ab = Compiled.abuf_create ();
-    a_snaps = Array.make (max_nesting_depth + 2) None;
+    a_slots = Array.init (max_nesting_depth + 2) (fun _ -> State.slot ());
   }
 
 let dls_arena = Domain.DLS.new_key make_arena
-
-let snap_save snaps depth state =
-  match snaps.(depth) with
-  | Some s ->
-      State.snapshot_into state s;
-      s
-  | None ->
-      let s = State.snapshot state in
-      snaps.(depth) <- Some s;
-      s
 
 (* ------------------------------------------------------------------ *)
 (* The walker                                                          *)
@@ -99,7 +78,7 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
     | Contract.Mem -> false
   in
   let ab = arena.a_ab in
-  let snaps = arena.a_snaps in
+  let slots = arena.a_slots in
   (* Watchdog fuel: counts every walked instruction including nested
      speculative re-explorations, which is exactly the quantity that
      blows up on pathological programs while [max_steps] (per-walk) does
@@ -125,8 +104,18 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
     done
   in
   (* [walk] executes up to [budget] instructions from the current state.
-     [depth] counts nested explorations: 0 is the architectural path. *)
-  let rec walk ~depth budget =
+     [depth] counts nested explorations: 0 is the architectural path.
+     [explore] runs one exploration from the current pc and rolls the
+     state back to where [State.save] left it — on the exception path
+     too, so a watchdog trip inside nested explorations unwinds every
+     level it opened. *)
+  let rec explore ~depth slot budget =
+    match walk ~depth:(depth + 1) budget with
+    | () -> State.undo state slot
+    | exception e ->
+        State.undo state slot;
+        raise e
+  and walk ~depth budget =
     let speculative = depth > 0 in
     let budget = ref budget in
     let stop = ref false in
@@ -172,12 +161,12 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
               let inverted =
                 if actual then pc + 1 else Compiled.target prog pc
               in
-              let snap = snap_save snaps depth state in
+              let slot = slots.(depth + 1) in
+              State.save state slot;
               state.State.pc <- inverted;
               record_control inverted;
-              walk ~depth:(depth + 1)
-                (min !budget contract.Contract.speculation_window);
-              State.restore state snap
+              explore ~depth slot
+                (min !budget contract.Contract.speculation_window)
           | Some _ | None -> ());
           (* Execution clause: store bypass (the store is skipped and
              execution continues speculatively). *)
@@ -186,8 +175,9 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
              | Some mr ->
                  let addr = mr.Compiled.mr_addr state in
                  let w = mr.Compiled.mr_width in
-                 let snap = snap_save snaps depth state in
-                 (try
+                 let slot = slots.(depth + 1) in
+                 State.save state slot;
+                 (match
                     let old = Memory.read state.State.mem ~addr w in
                     Compiled.abuf_clear ab;
                     raws.(pc) state ab;
@@ -199,11 +189,16 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
                         if arch_values then
                           emit (Ctrace.Value ab.Compiled.ab_value.(k))
                       end
-                    done;
-                    walk ~depth:(depth + 1)
-                      (min !budget contract.Contract.speculation_window)
-                  with Semantics.Division_fault | Memory.Fault _ -> ());
-                 State.restore state snap
+                    done
+                  with
+                 | () ->
+                     explore ~depth slot
+                       (min !budget contract.Contract.speculation_window)
+                 | exception (Semantics.Division_fault | Memory.Fault _) ->
+                     State.undo state slot
+                 | exception e ->
+                     State.undo state slot;
+                     raise e)
              | None -> ());
           (* Architectural (or in-exploration) step. *)
           Compiled.abuf_clear ab;
@@ -261,6 +256,24 @@ let h_input_ns = Revizor_obs.Metrics.histogram "model.input_ns"
    absorb-and-record path is exercised by tests. *)
 let fp_model = Revizor_obs.Faultpoint.point "model.ctrace"
 
+(* One batched run directly on the input's template, handed back as it
+   came in: registers, flags and pc from the arena's run slot, memory
+   through the store journal — on the exception path too (a watchdog
+   trip, an injected fault). *)
+let run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state =
+  let slot = arena.a_slots.(0) in
+  State.save state slot;
+  match
+    run_state_in ~arena ~fuse:true ~record_stream ~max_steps ~watchdog contract
+      prog state
+  with
+  | r ->
+      State.undo state slot;
+      r
+  | exception e ->
+      State.undo state slot;
+      raise e
+
 let timed_trace ~arena ~idx ~record_stream ~max_steps ~watchdog contract prog
     state =
   Revizor_obs.Faultpoint.fire fp_model;
@@ -268,29 +281,14 @@ let timed_trace ~arena ~idx ~record_stream ~max_steps ~watchdog contract prog
   if idx land 15 = 0 then begin
     let t0 = Revizor_obs.Clock.now_ns () in
     let r =
-      run_state_in ~arena ~fuse:true ~record_stream ~max_steps ~watchdog
-        contract prog state
+      run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state
     in
     let dt = Revizor_obs.Clock.now_ns () - t0 in
     Revizor_obs.Metrics.add m_total_ns dt;
     Revizor_obs.Metrics.observe h_input_ns dt;
     r
   end
-  else
-    run_state_in ~arena ~fuse:true ~record_stream ~max_steps ~watchdog contract
-      prog state
-
-(* Reset the arena scratch to exactly the state [Input.to_state] would
-   build: template blit when available, else pristine blit + fill. *)
-let reset_scratch ~arena ~templates input i =
-  let scratch = arena.a_scratch in
-  (match templates with
-  | Some tpl -> State.copy_into tpl.(i) ~dst:scratch
-  | None ->
-      State.copy_into arena.a_blank ~dst:scratch;
-      (* The blank blit restored all-zero data memory. *)
-      Input.apply ~data_hi_zero:true input scratch);
-  scratch
+  else run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state
 
 let batch ?(max_steps = 4096) ?(watchdog = Watchdog.default) ?(stream = `All)
     contract prog =
@@ -299,12 +297,14 @@ let batch ?(max_steps = 4096) ?(watchdog = Watchdog.default) ?(stream = `All)
      invoked once with the full input set. *)
   let record_stream = match stream with `All -> fun _ -> true | `First -> fun i -> i = 0 in
   fun ?templates inputs ->
+    let templates =
+      match templates with Some tpl -> tpl | None -> Input.templates inputs
+    in
     let arena = Domain.DLS.get dls_arena in
     List.mapi
-      (fun i input ->
-        let scratch = reset_scratch ~arena ~templates input i in
+      (fun i _ ->
         timed_trace ~arena ~idx:i ~record_stream:(record_stream i) ~max_steps
-          ~watchdog contract prog scratch)
+          ~watchdog contract prog templates.(i))
       inputs
 
 let ctraces ?max_steps ?watchdog ?templates ?stream contract prog inputs =

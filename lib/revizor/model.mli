@@ -48,8 +48,9 @@ val run_state :
   Compiled.t ->
   State.t ->
   result
-(** Like {!run}, but on an already-materialized initial state (mutated in
-    place). [run contract prog input] is
+(** Like {!run}, but on an already-materialized initial state, which is
+    left in its final architectural state (speculative explorations are
+    undone; the architectural walk is not). [run contract prog input] is
     [run_state contract prog (Input.to_state input)]. *)
 
 val batch :
@@ -63,12 +64,17 @@ val batch :
   result list
 (** The batched model stage: specialize a per-test-case closure once
     (contract dispatch, fused straight-line-run metadata), then invoke it
-    with the full input set. Every input executes on a preallocated
-    per-domain scratch state reset in place from its template (arena
-    allocation: no per-input state, access-list or outcome allocation),
-    with basic-block superinstruction fusion and dead-flag elision on the
-    hot path. Results are bit-identical to mapping {!run_state} over the
-    inputs — same ctraces, same faults, same order.
+    with the full input set. Every input executes directly on its
+    template state, which is then undone ({!State.save}/{!State.undo}:
+    registers from a per-domain save slot, memory through the store
+    journal) — no per-input state copy, access-list or outcome
+    allocation — with basic-block superinstruction fusion and dead-flag
+    elision on the hot path. Speculative explorations roll back through
+    the same undo. Results are bit-identical to mapping {!run_state}
+    over the inputs — same ctraces, same faults, same order — and every
+    template comes back exactly as it went in, also when
+    {!Watchdog.Pathological} or an injected fault escapes mid-run.
+    Without [templates], they are built with {!Input.templates}.
 
     [stream] selects instruction-stream recording: [`All] (default)
     records every input's stream like {!run}; [`First] records only
@@ -86,6 +92,6 @@ val ctraces :
   result list
 (** Contract traces for each input in order ({!batch} applied at once).
     When [templates] (from {!Input.templates} or {!Arena.templates},
-    indexed like the list) is given, each run starts from a blit-restore
-    of the corresponding template instead of re-deriving the state from
-    the input's PRNG seed. *)
+    indexed like the list) is given, each run executes on the
+    corresponding template and undoes itself, instead of re-deriving the
+    state from the input's PRNG seed. *)

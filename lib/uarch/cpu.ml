@@ -47,7 +47,7 @@ type t = {
   tm : timing;
   ab : Compiled.abuf;  (* access buffer shared by all raw actions *)
   saved_regs : int array;  (* reg_ready rollback for transient episodes *)
-  saved_arch : int64 array;  (* architectural-register rollback buffer *)
+  episode : State.slot;  (* architectural rollback of transient episodes *)
 }
 
 let create cfg =
@@ -64,7 +64,7 @@ let create cfg =
     tm = { fetch_pos = 0; reg_ready = Array.make 16 0; flags_ready = 0 };
     ab = Compiled.abuf_create ();
     saved_regs = Array.make 16 0;
-    saved_arch = Array.make 16 0L;
+    episode = State.slot ();
   }
 
 let config t = t.cfg
@@ -254,13 +254,10 @@ let run ?(max_steps = 20000) t prog (state : State.t) =
     if start_pc >= 0 && start_pc <= code_len then begin
       (* Episode rollback buffers are reused across episodes and runs;
          episodes never nest, so one of each suffices. Architectural
-         rollback is a register blit plus a store-undo journal — a
-         transient window executes a handful of stores, so undoing them
-         in reverse beats snapshotting the whole sandbox out and back. *)
-      Array.blit state.State.regs 0 t.saved_arch 0 16;
-      let saved_aflags = state.State.flags in
-      let saved_pc = state.State.pc in
-      let mark = Memory.journal_begin state.State.mem in
+         rollback is the state's save/undo: a register blit plus the
+         store-undo journal, whose level nests inside the one the
+         executor holds open over the whole run. *)
+      State.save state t.episode;
       Array.blit tm.reg_ready 0 t.saved_regs 0 16;
       let saved_flags = tm.flags_ready in
       let saved_fetch = tm.fetch_pos in
@@ -315,13 +312,11 @@ let run ?(max_steps = 20000) t prog (state : State.t) =
            if d.Compiled.d_writes_flags then tm.flags_ready <- completion
          done
        with
-      | Exit -> ()
-      | Semantics.Division_fault | Memory.Fault _ -> ());
-      Memory.journal_rollback state.State.mem ~mark;
-      Memory.journal_end state.State.mem;
-      Array.blit t.saved_arch 0 state.State.regs 0 16;
-      state.State.flags <- saved_aflags;
-      state.State.pc <- saved_pc;
+      | Exit | Semantics.Division_fault | Memory.Fault _ -> ()
+      | e ->
+          State.undo state t.episode;
+          raise e);
+      State.undo state t.episode;
       Array.blit t.saved_regs 0 tm.reg_ready 0 16;
       tm.flags_ready <- saved_flags;
       tm.fetch_pos <- saved_fetch;

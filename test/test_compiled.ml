@@ -558,6 +558,165 @@ let executor_reuse_identical () =
         b)
     [ 20; 7; 31; 20 ]
 
+(* --- templates come back untouched ------------------------------------- *)
+
+(* The model and the executor run every input on its template and undo
+   the run. After every public call that takes templates, each template
+   must equal a copy taken before it (registers, flags, memory and pc):
+   generated programs with stores, under contracts and targets whose runs
+   explore or transiently execute those stores. *)
+let program_with_stores (cfg : Fuzzer.config) seed =
+  let prng = Prng.create ~seed in
+  let rec go () =
+    let p = Generator.generate prng cfg.Fuzzer.gen_cfg in
+    if List.exists Instruction.stores (Program.instructions p) then p else go ()
+  in
+  go ()
+
+let templates_untouched () =
+  let episodes = ref 0 in
+  List.iter
+    (fun (name, target, contract) ->
+      let cfg = Target.fuzzer_config ~seed:1L contract target in
+      List.iter
+        (fun seed ->
+          let prog = Compiled.of_program_exn (program_with_stores cfg seed) in
+          let inputs = batch_inputs 12 seed in
+          let templates =
+            Arena.templates ?plan:(Input.fill_plan prog.Compiled.flat)
+              (Arena.create ()) inputs
+          in
+          let copies = Array.map State.copy templates in
+          let untouched call =
+            Array.iteri
+              (fun i (t : State.t) ->
+                check bool
+                  (Printf.sprintf "%s, seed %Ld, %s: template %d" name seed call i)
+                  true
+                  (State.equal_arch copies.(i) t && t.State.pc = copies.(i).State.pc))
+              templates
+          in
+          ignore
+            (Model.ctraces ~watchdog:cfg.Fuzzer.watchdog ~templates contract prog
+               inputs);
+          untouched "Model.ctraces";
+          let executor =
+            Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor
+          in
+          let ms = Executor.measure ~templates executor prog inputs in
+          untouched "Executor.measure";
+          Array.iter
+            (fun (m : Executor.measurement) ->
+              if m.Executor.kinds <> [] then incr episodes)
+            ms;
+          ignore (Executor.swap_check ~templates executor prog inputs 0 1);
+          untouched "Executor.swap_check";
+          ignore (Executor.record_events ~templates executor prog inputs);
+          untouched "Executor.record_events")
+        [ 1L; 2L; 3L ])
+    [
+      ("Target 5 x CT-COND", Target.target5, Contract.ct_cond);
+      ( "Target 5 x CT-COND-BPAS, nested",
+        Target.target5,
+        Contract.with_nesting Contract.ct_cond_bpas );
+      ("Target 2 x CT-BPAS, nested", Target.target2, Contract.with_nesting Contract.ct_bpas);
+      ("Target 7 x CT-SEQ (assists)", Target.target7, Contract.ct_seq);
+    ];
+  check bool "some measured inputs had transient episodes" true (!episodes > 0)
+
+(* No journal level may stay open on a template once a call has returned
+   or raised: undoing at mark 0 then finds no level to close. *)
+let journal_closed (s : State.t) =
+  match Memory.journal_undo s.State.mem ~mark:0 with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+(* A watchdog trip deep inside nested explorations unwinds every journal
+   level it opened: the template comes back exactly, with no level left
+   open, and the next run on it traces like a fresh state. Every Jcc below targets its own
+   fall-through, so each one opens an exploration, nested up to the
+   contract's depth, and every block stores; almost all of the walk's
+   steps are at depth 2 or more. The sweep trips the budget at every
+   step of the walk. *)
+let pathological_unwinds () =
+  let open Instruction in
+  let mask = binop Opcode.And (Operand.reg Reg.RAX) (Operand.imm64 Layout.line_mask_one_page) in
+  let block k =
+    Program.block (Printf.sprintf "b%d" k)
+      ([
+         mov (Operand.sandbox ~disp:(8 * k) Reg.RAX) (Operand.imm (k + 1));
+         binop Opcode.Add (Operand.reg Reg.RBX) (Operand.imm 1);
+       ]
+      @ if k < 10 then [ jcc Cond.Z (Printf.sprintf "b%d" (k + 1)) ] else [])
+  in
+  let program =
+    Program.make
+      (Program.block "entry" [ mask ] :: List.init 11 block)
+  in
+  let prog = Compiled.of_program_exn program in
+  let contract = Contract.with_nesting Contract.ct_cond in
+  let inputs = batch_inputs 1 7L in
+  let fresh = Model.ctraces ~templates:(Input.templates inputs) contract prog inputs in
+  let watchdog n = { Watchdog.max_model_steps = n; max_input_millis = None } in
+  let trips n templates =
+    match Model.ctraces ~watchdog:(watchdog n) ~templates contract prog inputs with
+    | _ -> false
+    | exception Watchdog.Pathological _ -> true
+  in
+  (* The walk's length: the smallest budget that does not trip. *)
+  let rec steps lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if trips mid (Input.templates inputs) then steps (mid + 1) hi else steps lo mid
+  in
+  let total = steps 1 1_000_000 in
+  check bool "the walk nests deeply" true (total > 2000);
+  let templates = Input.templates inputs in
+  let copy = State.copy templates.(0) in
+  for n = 1 to total - 1 do
+    check bool (Printf.sprintf "budget %d trips" n) true (trips n templates);
+    if not (State.equal_arch copy templates.(0) && templates.(0).State.pc = copy.State.pc)
+    then Alcotest.failf "budget %d: template not restored" n;
+    if not (journal_closed templates.(0)) then
+      Alcotest.failf "budget %d: a journal level stayed open" n
+  done;
+  let again = Model.ctraces ~templates contract prog inputs in
+  check bool "next run traces like a fresh state" true
+    (List.for_all2
+       (fun (a : Model.result) (b : Model.result) -> Ctrace.equal a.Model.ctrace b.Model.ctrace)
+       fresh again)
+
+(* A fault escaping a measurement (a division by zero after a store, on
+   the architectural path) still hands the template back exactly. *)
+let fault_unwinds () =
+  let open Instruction in
+  let program =
+    Program.of_insts
+      [
+        binop Opcode.And (Operand.reg Reg.RAX) (Operand.imm64 Layout.line_mask_one_page);
+        mov (Operand.sandbox Reg.RAX) (Operand.imm 7);
+        binop Opcode.Xor (Operand.reg Reg.RBX) (Operand.reg Reg.RBX);
+        div (Operand.reg Reg.RBX);
+      ]
+  in
+  let prog = Compiled.of_program_exn program in
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
+  let executor = Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor in
+  let inputs = batch_inputs 3 5L in
+  let templates = Input.templates inputs in
+  let copies = Array.map State.copy templates in
+  check bool "the measurement faults" true
+    (match Executor.measure ~templates executor prog inputs with
+    | _ -> false
+    | exception Semantics.Division_fault -> true);
+  Array.iteri
+    (fun i (t : State.t) ->
+      check bool (Printf.sprintf "template %d restored" i) true
+        (State.equal_arch copies.(i) t && t.State.pc = copies.(i).State.pc
+        && journal_closed t))
+    templates
+
 (* --- whole fuzzer ------------------------------------------------------ *)
 
 let outcome_fingerprint = function
@@ -638,6 +797,11 @@ let () =
             executor_reuse_identical;
           tc "executor measurements are bit-identical" `Quick
             executor_identical;
+          tc "checks hand their templates back untouched" `Quick
+            templates_untouched;
+          tc "a watchdog trip unwinds nested explorations" `Quick
+            pathological_unwinds;
+          tc "a fault escaping a measurement unwinds" `Quick fault_unwinds;
           tc "fuzzer outcomes and stats are bit-identical" `Slow
             fuzzer_identical;
           tc "check_test_case agrees on spectre-v1" `Quick

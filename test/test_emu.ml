@@ -52,12 +52,12 @@ let word_tests =
 (* --- Flags ------------------------------------------------------------ *)
 
 let flag_vec name (got : Flags.t) ~cf ~zf ~sf ~o_f ~af ~pf =
-  check bool (name ^ " cf") cf got.Flags.cf;
-  check bool (name ^ " zf") zf got.Flags.zf;
-  check bool (name ^ " sf") sf got.Flags.sf;
-  check bool (name ^ " of") o_f got.Flags.o_f;
-  check bool (name ^ " af") af got.Flags.af;
-  check bool (name ^ " pf") pf got.Flags.pf
+  check bool (name ^ " cf") cf (Flags.cf got);
+  check bool (name ^ " zf") zf (Flags.zf got);
+  check bool (name ^ " sf") sf (Flags.sf got);
+  check bool (name ^ " of") o_f (Flags.o_f got);
+  check bool (name ^ " af") af (Flags.af got);
+  check bool (name ^ " pf") pf (Flags.pf got)
 
 let flags_tests =
   [
@@ -79,7 +79,7 @@ let flags_tests =
           (Flags.after_add Width.W8 ~a:0xFFL ~b:0L ~carry_in:true ~r:0L)
           ~cf:true ~zf:true ~sf:false ~o_f:false ~af:true ~pf:true;
         let f = Flags.after_add Width.W64 ~a:5L ~b:0L ~carry_in:true ~r:6L in
-        check bool "no spurious carry" false f.Flags.cf);
+        check bool "no spurious carry" false (Flags.cf f));
     tc "SUB vectors (SDM)" `Quick (fun () ->
         flag_vec "0-1"
           (Flags.after_sub Width.W8 ~a:0L ~b:1L ~borrow_in:false ~r:0xFFL)
@@ -95,46 +95,52 @@ let flags_tests =
           (Flags.after_logic Width.W8 ~r:0x80L)
           ~cf:false ~zf:false ~sf:true ~o_f:false ~af:false ~pf:false);
     tc "INC/DEC preserve CF" `Quick (fun () ->
-        let carry = { Flags.empty with Flags.cf = true } in
+        let carry =
+          Flags.make ~cf:true ~pf:false ~af:false ~zf:false ~sf:false ~o_f:false
+        in
         let f = Flags.after_inc Width.W8 carry ~a:0xFFL ~r:0L in
-        check bool "inc keeps cf" true f.Flags.cf;
-        check bool "inc zf" true f.Flags.zf;
-        check bool "inc of" false f.Flags.o_f;
+        check bool "inc keeps cf" true (Flags.cf f);
+        check bool "inc zf" true (Flags.zf f);
+        check bool "inc of" false (Flags.o_f f);
         let f = Flags.after_dec Width.W8 Flags.empty ~a:0L ~r:0xFFL in
-        check bool "dec keeps cf clear" false f.Flags.cf;
-        check bool "dec sf" true f.Flags.sf);
+        check bool "dec keeps cf clear" false (Flags.cf f);
+        check bool "dec sf" true (Flags.sf f));
     tc "NEG" `Quick (fun () ->
         let f = Flags.after_neg Width.W8 ~a:0L ~r:0L in
-        check bool "neg 0 cf" false f.Flags.cf;
-        check bool "neg 0 zf" true f.Flags.zf;
+        check bool "neg 0 cf" false (Flags.cf f);
+        check bool "neg 0 zf" true (Flags.zf f);
         let f = Flags.after_neg Width.W8 ~a:1L ~r:0xFFL in
-        check bool "neg 1 cf" true f.Flags.cf);
+        check bool "neg 1 cf" true (Flags.cf f));
     tc "IMUL overflow flag" `Quick (fun () ->
         let f = Flags.after_imul Width.W16 ~full_overflow:true ~r:0L in
-        check bool "cf" true f.Flags.cf;
-        check bool "of" true f.Flags.o_f);
+        check bool "cf" true (Flags.cf f);
+        check bool "of" true (Flags.o_f f));
     tc "shift vectors" `Quick (fun () ->
         let f =
           Flags.after_shift Width.W8 Flags.empty ~op:`Shl ~a:0x81L ~count:1 ~r:0x02L
         in
-        check bool "shl cf = bit out" true f.Flags.cf;
-        check bool "shl of" true f.Flags.o_f;
+        check bool "shl cf = bit out" true (Flags.cf f);
+        check bool "shl of" true (Flags.o_f f);
         let f =
           Flags.after_shift Width.W8 Flags.empty ~op:`Shr ~a:0x01L ~count:1 ~r:0L
         in
-        check bool "shr cf" true f.Flags.cf;
-        check bool "shr zf" true f.Flags.zf;
-        check bool "shr of = msb(a)" false f.Flags.o_f;
+        check bool "shr cf" true (Flags.cf f);
+        check bool "shr zf" true (Flags.zf f);
+        check bool "shr of = msb(a)" false (Flags.o_f f);
         let f =
           Flags.after_shift Width.W8 Flags.empty ~op:`Sar ~a:0x80L ~count:1 ~r:0xC0L
         in
-        check bool "sar cf" false f.Flags.cf;
-        check bool "sar of" false f.Flags.o_f;
-        let before = { Flags.empty with Flags.cf = true; zf = true } in
+        check bool "sar cf" false (Flags.cf f);
+        check bool "sar of" false (Flags.o_f f);
+        let before =
+          Flags.make ~cf:true ~pf:false ~af:false ~zf:true ~sf:false ~o_f:false
+        in
         let f = Flags.after_shift Width.W8 before ~op:`Shl ~a:1L ~count:0 ~r:1L in
         check bool "count 0 untouched" true (Flags.equal before f));
     tc "eval_cond coherence" `Quick (fun () ->
-        let f = { Flags.empty with Flags.zf = true; cf = true } in
+        let f =
+          Flags.make ~cf:true ~pf:false ~af:false ~zf:true ~sf:false ~o_f:false
+        in
         check bool "Z" true (Flags.eval_cond f Cond.Z);
         check bool "BE" true (Flags.eval_cond f Cond.BE);
         check bool "A" false (Flags.eval_cond f Cond.A);
@@ -144,10 +150,11 @@ let flags_tests =
               (Flags.eval_cond f c = not (Flags.eval_cond f (Cond.negate c))))
           Cond.all);
     tc "to_word/of_word roundtrip" `Quick (fun () ->
-        let f = { Flags.cf = true; pf = false; af = true; zf = false; sf = true; o_f = true } in
+        let f = Flags.make ~cf:true ~pf:false ~af:true ~zf:false ~sf:true ~o_f:true in
         check bool "roundtrip" true (Flags.equal f (Flags.of_word (Flags.to_word f)));
         check int64 "bit positions (CF=0, OF=11)" 0x801L
-          (Flags.to_word { f with Flags.af = false; sf = false }));
+          (Flags.to_word
+             (Flags.make ~cf:true ~pf:false ~af:false ~zf:false ~sf:false ~o_f:true)));
   ]
 
 let flat_of insts = Program.flatten_exn (Program.of_insts insts)
@@ -244,7 +251,7 @@ let vector_tests =
             let f = Flags.after_shift w Flags.empty ~op ~a ~count ~r in
             check bool
               (Printf.sprintf "shift cf (count %d)" count)
-              cf f.Flags.cf)
+              cf (Flags.cf f))
           rows);
     tc "division vector table" `Quick (fun () ->
         (* unsigned: (w, rdx, rax, divisor, quotient, remainder) *)
@@ -331,13 +338,33 @@ let memory_tests =
             (Int64.of_int ((Layout.data_pages * Layout.page_size) - 1 + 63))
         in
         check int64 "read ok" 0L (Memory.read m ~addr Width.W8));
-    tc "snapshot/restore" `Quick (fun () ->
+    tc "inner journal undo keeps outer recording" `Quick (fun () ->
+        (* Regression: closing an inner level used to stop recording and
+           drop every entry, so the enclosing undo silently missed the
+           stores made before and after the inner level. *)
         let m = Memory.create () in
-        Memory.write m ~addr:Layout.sandbox_base Width.W64 42L;
-        let snap = Memory.snapshot m in
-        Memory.write m ~addr:Layout.sandbox_base Width.W64 7L;
-        Memory.restore m snap;
-        check int64 "restored" 42L (Memory.read m ~addr:Layout.sandbox_base Width.W64));
+        let a = Layout.sandbox_base and b = Int64.add Layout.sandbox_base 8L in
+        Memory.write m ~addr:a Width.W64 42L;
+        let outer = Memory.journal_begin m in
+        Memory.write m ~addr:a Width.W64 1L;
+        let inner = Memory.journal_begin m in
+        Memory.write m ~addr:a Width.W64 2L;
+        Memory.write m ~addr:b Width.W32 3L;
+        Memory.journal_undo m ~mark:inner;
+        check int64 "inner undo" 1L (Memory.read m ~addr:a Width.W64);
+        check int64 "inner undo, second store" 0L (Memory.read m ~addr:b Width.W64);
+        Memory.write m ~addr:b Width.W8 4L;
+        Memory.journal_undo m ~mark:outer;
+        check int64 "outer undo" 42L (Memory.read m ~addr:a Width.W64);
+        check int64 "store after the inner level closed" 0L
+          (Memory.read m ~addr:b Width.W64);
+        (* The outermost level is closed: recording stopped. *)
+        Memory.write m ~addr:a Width.W64 5L;
+        check bool "undo without an open level" true
+          (match Memory.journal_undo m ~mark:0 with
+          | () -> false
+          | exception Invalid_argument _ -> true);
+        check int64 "unjournaled store stays" 5L (Memory.read m ~addr:a Width.W64));
     tc "fill initializes data pages only" `Quick (fun () ->
         let m = Memory.create () in
         Memory.fill m ~f:(fun off -> off);
@@ -362,18 +389,30 @@ let state_tests =
         check int64 "w8 merge" 0x1122_3344_5566_77FFL (State.get_reg s Reg.RAX Width.W64);
         State.set_reg s Reg.RAX Width.W32 1L;
         check int64 "w32 zeroes" 1L (State.get_reg s Reg.RAX Width.W64));
-    tc "snapshot/restore full state" `Quick (fun () ->
+    tc "save/undo restores the full state" `Quick (fun () ->
         let s = State.create () in
         State.set_reg s Reg.RBX Width.W64 9L;
-        s.State.flags <- { Flags.empty with Flags.zf = true };
-        let snap = State.snapshot s in
+        s.State.flags <-
+          Flags.make ~cf:false ~pf:false ~af:false ~zf:true ~sf:false ~o_f:false;
+        let before = State.copy s in
+        let outer = State.slot () and inner = State.slot () in
+        State.save s outer;
         State.set_reg s Reg.RBX Width.W64 1L;
         s.State.flags <- Flags.empty;
         s.State.pc <- 7;
         Memory.write s.State.mem ~addr:Layout.sandbox_base Width.W8 5L;
-        State.restore s snap;
+        let mid = State.copy s in
+        State.save s inner;
+        State.set_reg s Reg.RCX Width.W64 2L;
+        s.State.pc <- 9;
+        Memory.write s.State.mem ~addr:Layout.sandbox_base Width.W64 6L;
+        State.undo s inner;
+        check bool "inner undo" true (State.equal_arch s mid);
+        check int "inner pc" 7 s.State.pc;
+        State.undo s outer;
+        check bool "outer undo" true (State.equal_arch s before);
         check int64 "reg" 9L (State.get_reg s Reg.RBX Width.W64);
-        check bool "flags" true s.State.flags.Flags.zf;
+        check bool "flags" true (Flags.zf s.State.flags);
         check int "pc" 0 s.State.pc;
         check int64 "mem" 0L (Memory.read s.State.mem ~addr:Layout.sandbox_base Width.W8));
   ]
@@ -391,7 +430,7 @@ let semantics_tests =
             ]
         in
         check int64 "rax" 42L (State.get_reg s Reg.RAX Width.W64);
-        check bool "no zf" false s.State.flags.Flags.zf);
+        check bool "no zf" false (Flags.zf s.State.flags));
     tc "adc uses carry" `Quick (fun () ->
         let s, _ =
           run_insts
@@ -563,16 +602,16 @@ let semantics_tests =
             [ Instruction.binop Opcode.Rol (Operand.reg ~w:Width.W8 Reg.RAX) (imm 1) ]
         in
         check int64 "rol 0x81,1" 0x03L (State.get_reg s Reg.RAX Width.W8);
-        check bool "cf = rotated-in bit" true s.State.flags.Flags.cf;
+        check bool "cf = rotated-in bit" true (Flags.cf s.State.flags);
         let s, _ =
           run_insts
             ~before:(fun s -> State.set_reg s Reg.RAX Width.W64 0x01L)
             [ Instruction.binop Opcode.Ror (Operand.reg ~w:Width.W8 Reg.RAX) (imm 1) ]
         in
         check int64 "ror 0x01,1" 0x80L (State.get_reg s Reg.RAX Width.W8);
-        check bool "cf = msb" true s.State.flags.Flags.cf;
+        check bool "cf = msb" true (Flags.cf s.State.flags);
         (* rotates do not change ZF *)
-        check bool "zf untouched" false s.State.flags.Flags.zf);
+        check bool "zf untouched" false (Flags.zf s.State.flags));
     tc "rotate by full width is identity" `Quick (fun () ->
         let s, _ =
           run_insts
@@ -648,11 +687,530 @@ let semantics_tests =
           (State.equal_arch s (State.create ())));
   ]
 
+(* --- Golden flag vectors ------------------------------------------------ *)
+
+(* [Flags.to_word] of every update rule at all four widths on edge
+   operands: carry and overflow boundaries, zero results and parity
+   boundaries, shift and rotate counts 0, 1, width-1, width and counts
+   past the count mask (already masked, as the semantics passes them),
+   INC/DEC with CF set and clear, NEG of 0. The words were recorded from
+   the record-of-bools flag representation, before flags were packed
+   into an int; any change to a rule or to the packing shows up here.
+
+   A row is (rule, width, prior flag word, a, b or count, r, expected
+   word). The prior word matters only to the partial writers (INC/DEC
+   keep CF; shifts and rotates by 0 keep everything; rotates keep
+   PF/AF/ZF/SF); 0x8d5 is all six flags set. Rows marked SDM were checked
+   by hand against the flag definitions of the instruction pages in the
+   Intel SDM, Vol. 2 (AF after shifts, left undefined there, is 0 here). *)
+
+type golden_rule =
+  | Add of bool  (** carry in *)
+  | Sub of bool  (** borrow in *)
+  | Logic
+  | Inc
+  | Dec
+  | Neg
+  | Imul of bool  (** full product overflowed *)
+  | Shl
+  | Shr
+  | Sar
+  | Rol
+  | Ror
+
+let golden_rule_rows =
+  [
+    (Add false, Width.W8, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Add false, Width.W8, 0x0L, 0xffL, 0x1L, 0x0L, 0x55L); (* SDM *)
+    (Add false, Width.W8, 0x0L, 0x7fL, 0x1L, 0x80L, 0x890L); (* SDM *)
+    (Add false, Width.W8, 0x0L, 0x80L, 0x80L, 0x0L, 0x845L); (* SDM *)
+    (Add false, Width.W8, 0x0L, 0xffL, 0xffL, 0xfeL, 0x91L);
+    (Add false, Width.W8, 0x0L, 0xfL, 0x1L, 0x10L, 0x10L);
+    (Add false, Width.W8, 0x0L, 0x1L, 0x2L, 0x3L, 0x4L);
+    (Add true, Width.W8, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Add true, Width.W8, 0x0L, 0xffL, 0x1L, 0x1L, 0x11L); (* SDM *)
+    (Add true, Width.W8, 0x0L, 0x7fL, 0x1L, 0x81L, 0x894L);
+    (Add true, Width.W8, 0x0L, 0x80L, 0x80L, 0x1L, 0x801L);
+    (Add true, Width.W8, 0x0L, 0xffL, 0xffL, 0xffL, 0x95L);
+    (Add true, Width.W8, 0x0L, 0xfL, 0x1L, 0x11L, 0x14L);
+    (Add true, Width.W8, 0x0L, 0x1L, 0x2L, 0x4L, 0x0L);
+    (Sub false, Width.W8, 0x0L, 0x0L, 0x1L, 0xffL, 0x95L); (* SDM *)
+    (Sub false, Width.W8, 0x0L, 0x80L, 0x1L, 0x7fL, 0x810L); (* SDM *)
+    (Sub false, Width.W8, 0x0L, 0x5L, 0x5L, 0x0L, 0x44L); (* SDM *)
+    (Sub false, Width.W8, 0x0L, 0x0L, 0x80L, 0x80L, 0x881L);
+    (Sub false, Width.W8, 0x0L, 0x10L, 0x1L, 0xfL, 0x14L);
+    (Sub false, Width.W8, 0x0L, 0x0L, 0xffL, 0x1L, 0x11L);
+    (Sub false, Width.W8, 0x0L, 0x3L, 0x0L, 0x3L, 0x4L);
+    (Sub true, Width.W8, 0x0L, 0x0L, 0x1L, 0xfeL, 0x91L);
+    (Sub true, Width.W8, 0x0L, 0x80L, 0x1L, 0x7eL, 0x814L);
+    (Sub true, Width.W8, 0x0L, 0x5L, 0x5L, 0xffL, 0x95L);
+    (Sub true, Width.W8, 0x0L, 0x0L, 0x80L, 0x7fL, 0x11L);
+    (Sub true, Width.W8, 0x0L, 0x10L, 0x1L, 0xeL, 0x10L);
+    (Sub true, Width.W8, 0x0L, 0x0L, 0xffL, 0x0L, 0x55L);
+    (Sub true, Width.W8, 0x0L, 0x3L, 0x0L, 0x2L, 0x0L);
+    (Logic, Width.W8, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Logic, Width.W8, 0x0L, 0x0L, 0x0L, 0x80L, 0x80L);
+    (Logic, Width.W8, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Logic, Width.W8, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Logic, Width.W8, 0x0L, 0x0L, 0x0L, 0xffL, 0x84L);
+    (Logic, Width.W8, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Inc, Width.W8, 0x0L, 0xffL, 0x0L, 0x0L, 0x54L);
+    (Inc, Width.W8, 0x0L, 0x7fL, 0x0L, 0x80L, 0x890L);
+    (Inc, Width.W8, 0x0L, 0xfL, 0x0L, 0x10L, 0x10L);
+    (Inc, Width.W8, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Dec, Width.W8, 0x0L, 0x0L, 0x0L, 0xffL, 0x94L);
+    (Dec, Width.W8, 0x0L, 0x80L, 0x0L, 0x7fL, 0x810L); (* SDM *)
+    (Dec, Width.W8, 0x0L, 0x1L, 0x0L, 0x0L, 0x44L);
+    (Dec, Width.W8, 0x0L, 0x10L, 0x0L, 0xfL, 0x14L);
+    (Inc, Width.W8, 0x8d5L, 0xffL, 0x0L, 0x0L, 0x55L); (* SDM *)
+    (Inc, Width.W8, 0x8d5L, 0x7fL, 0x0L, 0x80L, 0x891L);
+    (Inc, Width.W8, 0x8d5L, 0xfL, 0x0L, 0x10L, 0x11L);
+    (Inc, Width.W8, 0x8d5L, 0x0L, 0x0L, 0x1L, 0x1L);
+    (Dec, Width.W8, 0x8d5L, 0x0L, 0x0L, 0xffL, 0x95L);
+    (Dec, Width.W8, 0x8d5L, 0x80L, 0x0L, 0x7fL, 0x811L);
+    (Dec, Width.W8, 0x8d5L, 0x1L, 0x0L, 0x0L, 0x45L);
+    (Dec, Width.W8, 0x8d5L, 0x10L, 0x0L, 0xfL, 0x15L);
+    (Neg, Width.W8, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L); (* SDM *)
+    (Neg, Width.W8, 0x0L, 0x1L, 0x0L, 0xffL, 0x95L);
+    (Neg, Width.W8, 0x0L, 0x80L, 0x0L, 0x80L, 0x881L); (* SDM *)
+    (Neg, Width.W8, 0x0L, 0xffL, 0x0L, 0x1L, 0x11L);
+    (Imul false, Width.W8, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Imul false, Width.W8, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Imul true, Width.W8, 0x0L, 0x0L, 0x0L, 0x80L, 0x881L); (* SDM *)
+    (Imul true, Width.W8, 0x0L, 0x0L, 0x0L, 0x0L, 0x845L);
+    (Imul false, Width.W8, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Shl, Width.W8, 0x8d5L, 0x81L, 0x0L, 0x81L, 0x8d5L); (* SDM *)
+    (Shr, Width.W8, 0x8d5L, 0x81L, 0x0L, 0x81L, 0x8d5L);
+    (Sar, Width.W8, 0x8d5L, 0x81L, 0x0L, 0x81L, 0x8d5L);
+    (Rol, Width.W8, 0x8d5L, 0x81L, 0x0L, 0x81L, 0x8d5L);
+    (Ror, Width.W8, 0x8d5L, 0x81L, 0x0L, 0x81L, 0x8d5L);
+    (Shl, Width.W8, 0x8d5L, 0x81L, 0x1L, 0x2L, 0x801L); (* SDM *)
+    (Shr, Width.W8, 0x8d5L, 0x81L, 0x1L, 0x40L, 0x801L); (* SDM *)
+    (Sar, Width.W8, 0x8d5L, 0x81L, 0x1L, 0xc0L, 0x85L); (* SDM *)
+    (Rol, Width.W8, 0x8d5L, 0x81L, 0x1L, 0x3L, 0x8d5L); (* SDM *)
+    (Ror, Width.W8, 0x8d5L, 0x81L, 0x1L, 0xc0L, 0xd5L); (* SDM *)
+    (Shl, Width.W8, 0x8d5L, 0x81L, 0x7L, 0x80L, 0x880L);
+    (Shr, Width.W8, 0x8d5L, 0x81L, 0x7L, 0x1L, 0x800L);
+    (Sar, Width.W8, 0x8d5L, 0x81L, 0x7L, 0xffL, 0x84L);
+    (Rol, Width.W8, 0x8d5L, 0x81L, 0x7L, 0xc0L, 0x8d4L);
+    (Ror, Width.W8, 0x8d5L, 0x81L, 0x7L, 0x3L, 0xd4L);
+    (Shl, Width.W8, 0x8d5L, 0x81L, 0x8L, 0x0L, 0x845L);
+    (Shr, Width.W8, 0x8d5L, 0x81L, 0x8L, 0x0L, 0x845L);
+    (Sar, Width.W8, 0x8d5L, 0x81L, 0x8L, 0xffL, 0x85L);
+    (Rol, Width.W8, 0x8d5L, 0x81L, 0x8L, 0x81L, 0xd5L);
+    (Ror, Width.W8, 0x8d5L, 0x81L, 0x8L, 0x81L, 0x8d5L);
+    (Shl, Width.W8, 0x8d5L, 0x81L, 0x9L, 0x0L, 0x44L);
+    (Shr, Width.W8, 0x8d5L, 0x81L, 0x9L, 0x0L, 0x844L);
+    (Sar, Width.W8, 0x8d5L, 0x81L, 0x9L, 0xffL, 0x85L);
+    (Rol, Width.W8, 0x8d5L, 0x81L, 0x9L, 0x3L, 0x8d5L);
+    (Ror, Width.W8, 0x8d5L, 0x81L, 0x9L, 0xc0L, 0xd5L);
+    (Shl, Width.W8, 0x8d5L, 0x81L, 0x1fL, 0x0L, 0x44L);
+    (Shr, Width.W8, 0x8d5L, 0x81L, 0x1fL, 0x0L, 0x844L);
+    (Sar, Width.W8, 0x8d5L, 0x81L, 0x1fL, 0xffL, 0x85L);
+    (Rol, Width.W8, 0x8d5L, 0x81L, 0x1fL, 0xc0L, 0x8d4L);
+    (Ror, Width.W8, 0x8d5L, 0x81L, 0x1fL, 0x3L, 0xd4L);
+    (Shl, Width.W8, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shr, Width.W8, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Sar, Width.W8, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Rol, Width.W8, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Ror, Width.W8, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shl, Width.W8, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Shr, Width.W8, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Sar, Width.W8, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Rol, Width.W8, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Ror, Width.W8, 0x0L, 0x1L, 0x1L, 0x80L, 0x801L);
+    (Shl, Width.W8, 0x0L, 0x1L, 0x7L, 0x80L, 0x880L);
+    (Shr, Width.W8, 0x0L, 0x1L, 0x7L, 0x0L, 0x44L);
+    (Sar, Width.W8, 0x0L, 0x1L, 0x7L, 0x0L, 0x44L);
+    (Rol, Width.W8, 0x0L, 0x1L, 0x7L, 0x80L, 0x800L);
+    (Ror, Width.W8, 0x0L, 0x1L, 0x7L, 0x2L, 0x0L);
+    (Shl, Width.W8, 0x0L, 0x1L, 0x8L, 0x0L, 0x845L);
+    (Shr, Width.W8, 0x0L, 0x1L, 0x8L, 0x0L, 0x44L);
+    (Sar, Width.W8, 0x0L, 0x1L, 0x8L, 0x0L, 0x44L);
+    (Rol, Width.W8, 0x0L, 0x1L, 0x8L, 0x1L, 0x801L);
+    (Ror, Width.W8, 0x0L, 0x1L, 0x8L, 0x1L, 0x0L);
+    (Shl, Width.W8, 0x0L, 0x1L, 0x9L, 0x0L, 0x44L);
+    (Shr, Width.W8, 0x0L, 0x1L, 0x9L, 0x0L, 0x44L);
+    (Sar, Width.W8, 0x0L, 0x1L, 0x9L, 0x0L, 0x44L);
+    (Rol, Width.W8, 0x0L, 0x1L, 0x9L, 0x2L, 0x0L);
+    (Ror, Width.W8, 0x0L, 0x1L, 0x9L, 0x80L, 0x801L);
+    (Shl, Width.W8, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Shr, Width.W8, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Sar, Width.W8, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Rol, Width.W8, 0x0L, 0x1L, 0x1fL, 0x80L, 0x800L);
+    (Ror, Width.W8, 0x0L, 0x1L, 0x1fL, 0x2L, 0x0L);
+    (Add false, Width.W16, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Add false, Width.W16, 0x0L, 0xffffL, 0x1L, 0x0L, 0x55L);
+    (Add false, Width.W16, 0x0L, 0x7fffL, 0x1L, 0x8000L, 0x894L);
+    (Add false, Width.W16, 0x0L, 0x8000L, 0x8000L, 0x0L, 0x845L);
+    (Add false, Width.W16, 0x0L, 0xffffL, 0xffffL, 0xfffeL, 0x91L);
+    (Add false, Width.W16, 0x0L, 0xfL, 0x1L, 0x10L, 0x10L);
+    (Add false, Width.W16, 0x0L, 0x1L, 0x2L, 0x3L, 0x4L);
+    (Add true, Width.W16, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Add true, Width.W16, 0x0L, 0xffffL, 0x1L, 0x1L, 0x11L);
+    (Add true, Width.W16, 0x0L, 0x7fffL, 0x1L, 0x8001L, 0x890L);
+    (Add true, Width.W16, 0x0L, 0x8000L, 0x8000L, 0x1L, 0x801L);
+    (Add true, Width.W16, 0x0L, 0xffffL, 0xffffL, 0xffffL, 0x95L);
+    (Add true, Width.W16, 0x0L, 0xfL, 0x1L, 0x11L, 0x14L);
+    (Add true, Width.W16, 0x0L, 0x1L, 0x2L, 0x4L, 0x0L);
+    (Sub false, Width.W16, 0x0L, 0x0L, 0x1L, 0xffffL, 0x95L);
+    (Sub false, Width.W16, 0x0L, 0x8000L, 0x1L, 0x7fffL, 0x814L);
+    (Sub false, Width.W16, 0x0L, 0x5L, 0x5L, 0x0L, 0x44L);
+    (Sub false, Width.W16, 0x0L, 0x0L, 0x8000L, 0x8000L, 0x885L);
+    (Sub false, Width.W16, 0x0L, 0x10L, 0x1L, 0xfL, 0x14L);
+    (Sub false, Width.W16, 0x0L, 0x0L, 0xffffL, 0x1L, 0x11L);
+    (Sub false, Width.W16, 0x0L, 0x3L, 0x0L, 0x3L, 0x4L);
+    (Sub true, Width.W16, 0x0L, 0x0L, 0x1L, 0xfffeL, 0x91L);
+    (Sub true, Width.W16, 0x0L, 0x8000L, 0x1L, 0x7ffeL, 0x810L);
+    (Sub true, Width.W16, 0x0L, 0x5L, 0x5L, 0xffffL, 0x95L);
+    (Sub true, Width.W16, 0x0L, 0x0L, 0x8000L, 0x7fffL, 0x15L);
+    (Sub true, Width.W16, 0x0L, 0x10L, 0x1L, 0xeL, 0x10L);
+    (Sub true, Width.W16, 0x0L, 0x0L, 0xffffL, 0x0L, 0x55L);
+    (Sub true, Width.W16, 0x0L, 0x3L, 0x0L, 0x2L, 0x0L);
+    (Logic, Width.W16, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Logic, Width.W16, 0x0L, 0x0L, 0x0L, 0x8000L, 0x84L);
+    (Logic, Width.W16, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Logic, Width.W16, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Logic, Width.W16, 0x0L, 0x0L, 0x0L, 0xffffL, 0x84L);
+    (Logic, Width.W16, 0x0L, 0x0L, 0x0L, 0x100L, 0x4L);
+    (Inc, Width.W16, 0x0L, 0xffffL, 0x0L, 0x0L, 0x54L);
+    (Inc, Width.W16, 0x0L, 0x7fffL, 0x0L, 0x8000L, 0x894L);
+    (Inc, Width.W16, 0x0L, 0xfL, 0x0L, 0x10L, 0x10L);
+    (Inc, Width.W16, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Dec, Width.W16, 0x0L, 0x0L, 0x0L, 0xffffL, 0x94L);
+    (Dec, Width.W16, 0x0L, 0x8000L, 0x0L, 0x7fffL, 0x814L);
+    (Dec, Width.W16, 0x0L, 0x1L, 0x0L, 0x0L, 0x44L);
+    (Dec, Width.W16, 0x0L, 0x10L, 0x0L, 0xfL, 0x14L);
+    (Inc, Width.W16, 0x8d5L, 0xffffL, 0x0L, 0x0L, 0x55L);
+    (Inc, Width.W16, 0x8d5L, 0x7fffL, 0x0L, 0x8000L, 0x895L);
+    (Inc, Width.W16, 0x8d5L, 0xfL, 0x0L, 0x10L, 0x11L);
+    (Inc, Width.W16, 0x8d5L, 0x0L, 0x0L, 0x1L, 0x1L);
+    (Dec, Width.W16, 0x8d5L, 0x0L, 0x0L, 0xffffL, 0x95L);
+    (Dec, Width.W16, 0x8d5L, 0x8000L, 0x0L, 0x7fffL, 0x815L);
+    (Dec, Width.W16, 0x8d5L, 0x1L, 0x0L, 0x0L, 0x45L);
+    (Dec, Width.W16, 0x8d5L, 0x10L, 0x0L, 0xfL, 0x15L);
+    (Neg, Width.W16, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Neg, Width.W16, 0x0L, 0x1L, 0x0L, 0xffffL, 0x95L);
+    (Neg, Width.W16, 0x0L, 0x8000L, 0x0L, 0x8000L, 0x885L);
+    (Neg, Width.W16, 0x0L, 0xffffL, 0x0L, 0x1L, 0x11L);
+    (Imul false, Width.W16, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Imul false, Width.W16, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Imul true, Width.W16, 0x0L, 0x0L, 0x0L, 0x8000L, 0x885L);
+    (Imul true, Width.W16, 0x0L, 0x0L, 0x0L, 0x0L, 0x845L);
+    (Imul false, Width.W16, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Shl, Width.W16, 0x8d5L, 0x8001L, 0x0L, 0x8001L, 0x8d5L);
+    (Shr, Width.W16, 0x8d5L, 0x8001L, 0x0L, 0x8001L, 0x8d5L);
+    (Sar, Width.W16, 0x8d5L, 0x8001L, 0x0L, 0x8001L, 0x8d5L);
+    (Rol, Width.W16, 0x8d5L, 0x8001L, 0x0L, 0x8001L, 0x8d5L);
+    (Ror, Width.W16, 0x8d5L, 0x8001L, 0x0L, 0x8001L, 0x8d5L);
+    (Shl, Width.W16, 0x8d5L, 0x8001L, 0x1L, 0x2L, 0x801L);
+    (Shr, Width.W16, 0x8d5L, 0x8001L, 0x1L, 0x4000L, 0x805L);
+    (Sar, Width.W16, 0x8d5L, 0x8001L, 0x1L, 0xc000L, 0x85L);
+    (Rol, Width.W16, 0x8d5L, 0x8001L, 0x1L, 0x3L, 0x8d5L);
+    (Ror, Width.W16, 0x8d5L, 0x8001L, 0x1L, 0xc000L, 0xd5L);
+    (Shl, Width.W16, 0x8d5L, 0x8001L, 0xfL, 0x8000L, 0x884L);
+    (Shr, Width.W16, 0x8d5L, 0x8001L, 0xfL, 0x1L, 0x800L);
+    (Sar, Width.W16, 0x8d5L, 0x8001L, 0xfL, 0xffffL, 0x84L);
+    (Rol, Width.W16, 0x8d5L, 0x8001L, 0xfL, 0xc000L, 0x8d4L);
+    (Ror, Width.W16, 0x8d5L, 0x8001L, 0xfL, 0x3L, 0xd4L);
+    (Shl, Width.W16, 0x8d5L, 0x8001L, 0x10L, 0x0L, 0x845L);
+    (Shr, Width.W16, 0x8d5L, 0x8001L, 0x10L, 0x0L, 0x845L);
+    (Sar, Width.W16, 0x8d5L, 0x8001L, 0x10L, 0xffffL, 0x85L);
+    (Rol, Width.W16, 0x8d5L, 0x8001L, 0x10L, 0x8001L, 0xd5L);
+    (Ror, Width.W16, 0x8d5L, 0x8001L, 0x10L, 0x8001L, 0x8d5L);
+    (Shl, Width.W16, 0x8d5L, 0x8001L, 0x11L, 0x0L, 0x44L);
+    (Shr, Width.W16, 0x8d5L, 0x8001L, 0x11L, 0x0L, 0x844L);
+    (Sar, Width.W16, 0x8d5L, 0x8001L, 0x11L, 0xffffL, 0x85L);
+    (Rol, Width.W16, 0x8d5L, 0x8001L, 0x11L, 0x3L, 0x8d5L);
+    (Ror, Width.W16, 0x8d5L, 0x8001L, 0x11L, 0xc000L, 0xd5L);
+    (Shl, Width.W16, 0x8d5L, 0x8001L, 0x1fL, 0x0L, 0x44L);
+    (Shr, Width.W16, 0x8d5L, 0x8001L, 0x1fL, 0x0L, 0x844L);
+    (Sar, Width.W16, 0x8d5L, 0x8001L, 0x1fL, 0xffffL, 0x85L);
+    (Rol, Width.W16, 0x8d5L, 0x8001L, 0x1fL, 0xc000L, 0x8d4L);
+    (Ror, Width.W16, 0x8d5L, 0x8001L, 0x1fL, 0x3L, 0xd4L);
+    (Shl, Width.W16, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shr, Width.W16, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Sar, Width.W16, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Rol, Width.W16, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Ror, Width.W16, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shl, Width.W16, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Shr, Width.W16, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Sar, Width.W16, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Rol, Width.W16, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Ror, Width.W16, 0x0L, 0x1L, 0x1L, 0x8000L, 0x801L);
+    (Shl, Width.W16, 0x0L, 0x1L, 0xfL, 0x8000L, 0x884L);
+    (Shr, Width.W16, 0x0L, 0x1L, 0xfL, 0x0L, 0x44L);
+    (Sar, Width.W16, 0x0L, 0x1L, 0xfL, 0x0L, 0x44L);
+    (Rol, Width.W16, 0x0L, 0x1L, 0xfL, 0x8000L, 0x800L);
+    (Ror, Width.W16, 0x0L, 0x1L, 0xfL, 0x2L, 0x0L);
+    (Shl, Width.W16, 0x0L, 0x1L, 0x10L, 0x0L, 0x845L);
+    (Shr, Width.W16, 0x0L, 0x1L, 0x10L, 0x0L, 0x44L);
+    (Sar, Width.W16, 0x0L, 0x1L, 0x10L, 0x0L, 0x44L);
+    (Rol, Width.W16, 0x0L, 0x1L, 0x10L, 0x1L, 0x801L);
+    (Ror, Width.W16, 0x0L, 0x1L, 0x10L, 0x1L, 0x0L);
+    (Shl, Width.W16, 0x0L, 0x1L, 0x11L, 0x0L, 0x44L);
+    (Shr, Width.W16, 0x0L, 0x1L, 0x11L, 0x0L, 0x44L);
+    (Sar, Width.W16, 0x0L, 0x1L, 0x11L, 0x0L, 0x44L);
+    (Rol, Width.W16, 0x0L, 0x1L, 0x11L, 0x2L, 0x0L);
+    (Ror, Width.W16, 0x0L, 0x1L, 0x11L, 0x8000L, 0x801L);
+    (Shl, Width.W16, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Shr, Width.W16, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Sar, Width.W16, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Rol, Width.W16, 0x0L, 0x1L, 0x1fL, 0x8000L, 0x800L);
+    (Ror, Width.W16, 0x0L, 0x1L, 0x1fL, 0x2L, 0x0L);
+    (Add false, Width.W32, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Add false, Width.W32, 0x0L, 0xffffffffL, 0x1L, 0x0L, 0x55L);
+    (Add false, Width.W32, 0x0L, 0x7fffffffL, 0x1L, 0x80000000L, 0x894L);
+    (Add false, Width.W32, 0x0L, 0x80000000L, 0x80000000L, 0x0L, 0x845L);
+    (Add false, Width.W32, 0x0L, 0xffffffffL, 0xffffffffL, 0xfffffffeL, 0x91L);
+    (Add false, Width.W32, 0x0L, 0xfL, 0x1L, 0x10L, 0x10L);
+    (Add false, Width.W32, 0x0L, 0x1L, 0x2L, 0x3L, 0x4L);
+    (Add true, Width.W32, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Add true, Width.W32, 0x0L, 0xffffffffL, 0x1L, 0x1L, 0x11L);
+    (Add true, Width.W32, 0x0L, 0x7fffffffL, 0x1L, 0x80000001L, 0x890L);
+    (Add true, Width.W32, 0x0L, 0x80000000L, 0x80000000L, 0x1L, 0x801L);
+    (Add true, Width.W32, 0x0L, 0xffffffffL, 0xffffffffL, 0xffffffffL, 0x95L);
+    (Add true, Width.W32, 0x0L, 0xfL, 0x1L, 0x11L, 0x14L);
+    (Add true, Width.W32, 0x0L, 0x1L, 0x2L, 0x4L, 0x0L);
+    (Sub false, Width.W32, 0x0L, 0x0L, 0x1L, 0xffffffffL, 0x95L);
+    (Sub false, Width.W32, 0x0L, 0x80000000L, 0x1L, 0x7fffffffL, 0x814L);
+    (Sub false, Width.W32, 0x0L, 0x5L, 0x5L, 0x0L, 0x44L);
+    (Sub false, Width.W32, 0x0L, 0x0L, 0x80000000L, 0x80000000L, 0x885L);
+    (Sub false, Width.W32, 0x0L, 0x10L, 0x1L, 0xfL, 0x14L);
+    (Sub false, Width.W32, 0x0L, 0x0L, 0xffffffffL, 0x1L, 0x11L);
+    (Sub false, Width.W32, 0x0L, 0x3L, 0x0L, 0x3L, 0x4L);
+    (Sub true, Width.W32, 0x0L, 0x0L, 0x1L, 0xfffffffeL, 0x91L);
+    (Sub true, Width.W32, 0x0L, 0x80000000L, 0x1L, 0x7ffffffeL, 0x810L);
+    (Sub true, Width.W32, 0x0L, 0x5L, 0x5L, 0xffffffffL, 0x95L);
+    (Sub true, Width.W32, 0x0L, 0x0L, 0x80000000L, 0x7fffffffL, 0x15L);
+    (Sub true, Width.W32, 0x0L, 0x10L, 0x1L, 0xeL, 0x10L);
+    (Sub true, Width.W32, 0x0L, 0x0L, 0xffffffffL, 0x0L, 0x55L);
+    (Sub true, Width.W32, 0x0L, 0x3L, 0x0L, 0x2L, 0x0L);
+    (Logic, Width.W32, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Logic, Width.W32, 0x0L, 0x0L, 0x0L, 0x80000000L, 0x84L);
+    (Logic, Width.W32, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Logic, Width.W32, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Logic, Width.W32, 0x0L, 0x0L, 0x0L, 0xffffffffL, 0x84L);
+    (Logic, Width.W32, 0x0L, 0x0L, 0x0L, 0x100L, 0x4L);
+    (Inc, Width.W32, 0x0L, 0xffffffffL, 0x0L, 0x0L, 0x54L);
+    (Inc, Width.W32, 0x0L, 0x7fffffffL, 0x0L, 0x80000000L, 0x894L);
+    (Inc, Width.W32, 0x0L, 0xfL, 0x0L, 0x10L, 0x10L);
+    (Inc, Width.W32, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Dec, Width.W32, 0x0L, 0x0L, 0x0L, 0xffffffffL, 0x94L);
+    (Dec, Width.W32, 0x0L, 0x80000000L, 0x0L, 0x7fffffffL, 0x814L);
+    (Dec, Width.W32, 0x0L, 0x1L, 0x0L, 0x0L, 0x44L);
+    (Dec, Width.W32, 0x0L, 0x10L, 0x0L, 0xfL, 0x14L);
+    (Inc, Width.W32, 0x8d5L, 0xffffffffL, 0x0L, 0x0L, 0x55L);
+    (Inc, Width.W32, 0x8d5L, 0x7fffffffL, 0x0L, 0x80000000L, 0x895L);
+    (Inc, Width.W32, 0x8d5L, 0xfL, 0x0L, 0x10L, 0x11L);
+    (Inc, Width.W32, 0x8d5L, 0x0L, 0x0L, 0x1L, 0x1L);
+    (Dec, Width.W32, 0x8d5L, 0x0L, 0x0L, 0xffffffffL, 0x95L);
+    (Dec, Width.W32, 0x8d5L, 0x80000000L, 0x0L, 0x7fffffffL, 0x815L);
+    (Dec, Width.W32, 0x8d5L, 0x1L, 0x0L, 0x0L, 0x45L);
+    (Dec, Width.W32, 0x8d5L, 0x10L, 0x0L, 0xfL, 0x15L);
+    (Neg, Width.W32, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Neg, Width.W32, 0x0L, 0x1L, 0x0L, 0xffffffffL, 0x95L);
+    (Neg, Width.W32, 0x0L, 0x80000000L, 0x0L, 0x80000000L, 0x885L);
+    (Neg, Width.W32, 0x0L, 0xffffffffL, 0x0L, 0x1L, 0x11L);
+    (Imul false, Width.W32, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Imul false, Width.W32, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Imul true, Width.W32, 0x0L, 0x0L, 0x0L, 0x80000000L, 0x885L);
+    (Imul true, Width.W32, 0x0L, 0x0L, 0x0L, 0x0L, 0x845L);
+    (Imul false, Width.W32, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Shl, Width.W32, 0x8d5L, 0x80000001L, 0x0L, 0x80000001L, 0x8d5L);
+    (Shr, Width.W32, 0x8d5L, 0x80000001L, 0x0L, 0x80000001L, 0x8d5L);
+    (Sar, Width.W32, 0x8d5L, 0x80000001L, 0x0L, 0x80000001L, 0x8d5L);
+    (Rol, Width.W32, 0x8d5L, 0x80000001L, 0x0L, 0x80000001L, 0x8d5L);
+    (Ror, Width.W32, 0x8d5L, 0x80000001L, 0x0L, 0x80000001L, 0x8d5L);
+    (Shl, Width.W32, 0x8d5L, 0x80000001L, 0x1L, 0x2L, 0x801L);
+    (Shr, Width.W32, 0x8d5L, 0x80000001L, 0x1L, 0x40000000L, 0x805L);
+    (Sar, Width.W32, 0x8d5L, 0x80000001L, 0x1L, 0xc0000000L, 0x85L);
+    (Rol, Width.W32, 0x8d5L, 0x80000001L, 0x1L, 0x3L, 0x8d5L);
+    (Ror, Width.W32, 0x8d5L, 0x80000001L, 0x1L, 0xc0000000L, 0xd5L);
+    (Shl, Width.W32, 0x8d5L, 0x80000001L, 0x1fL, 0x80000000L, 0x884L);
+    (Shr, Width.W32, 0x8d5L, 0x80000001L, 0x1fL, 0x1L, 0x800L);
+    (Sar, Width.W32, 0x8d5L, 0x80000001L, 0x1fL, 0xffffffffL, 0x84L);
+    (Rol, Width.W32, 0x8d5L, 0x80000001L, 0x1fL, 0xc0000000L, 0x8d4L);
+    (Ror, Width.W32, 0x8d5L, 0x80000001L, 0x1fL, 0x3L, 0xd4L);
+    (Shl, Width.W32, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shr, Width.W32, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Sar, Width.W32, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Rol, Width.W32, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Ror, Width.W32, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shl, Width.W32, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Shr, Width.W32, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Sar, Width.W32, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Rol, Width.W32, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Ror, Width.W32, 0x0L, 0x1L, 0x1L, 0x80000000L, 0x801L);
+    (Shl, Width.W32, 0x0L, 0x1L, 0x1fL, 0x80000000L, 0x884L);
+    (Shr, Width.W32, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Sar, Width.W32, 0x0L, 0x1L, 0x1fL, 0x0L, 0x44L);
+    (Rol, Width.W32, 0x0L, 0x1L, 0x1fL, 0x80000000L, 0x800L);
+    (Ror, Width.W32, 0x0L, 0x1L, 0x1fL, 0x2L, 0x0L);
+    (Add false, Width.W64, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Add false, Width.W64, 0x0L, 0xffffffffffffffffL, 0x1L, 0x0L, 0x55L);
+    (Add false, Width.W64, 0x0L, 0x7fffffffffffffffL, 0x1L, 0x8000000000000000L, 0x894L);
+    (Add false, Width.W64, 0x0L, 0x8000000000000000L, 0x8000000000000000L, 0x0L, 0x845L);
+    (Add false, Width.W64, 0x0L, 0xffffffffffffffffL, 0xffffffffffffffffL, 0xfffffffffffffffeL, 0x91L);
+    (Add false, Width.W64, 0x0L, 0xfL, 0x1L, 0x10L, 0x10L);
+    (Add false, Width.W64, 0x0L, 0x1L, 0x2L, 0x3L, 0x4L);
+    (Add true, Width.W64, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Add true, Width.W64, 0x0L, 0xffffffffffffffffL, 0x1L, 0x1L, 0x11L);
+    (Add true, Width.W64, 0x0L, 0x7fffffffffffffffL, 0x1L, 0x8000000000000001L, 0x890L);
+    (Add true, Width.W64, 0x0L, 0x8000000000000000L, 0x8000000000000000L, 0x1L, 0x801L);
+    (Add true, Width.W64, 0x0L, 0xffffffffffffffffL, 0xffffffffffffffffL, 0xffffffffffffffffL, 0x95L);
+    (Add true, Width.W64, 0x0L, 0xfL, 0x1L, 0x11L, 0x14L);
+    (Add true, Width.W64, 0x0L, 0x1L, 0x2L, 0x4L, 0x0L);
+    (Sub false, Width.W64, 0x0L, 0x0L, 0x1L, 0xffffffffffffffffL, 0x95L);
+    (Sub false, Width.W64, 0x0L, 0x8000000000000000L, 0x1L, 0x7fffffffffffffffL, 0x814L);
+    (Sub false, Width.W64, 0x0L, 0x5L, 0x5L, 0x0L, 0x44L);
+    (Sub false, Width.W64, 0x0L, 0x0L, 0x8000000000000000L, 0x8000000000000000L, 0x885L);
+    (Sub false, Width.W64, 0x0L, 0x10L, 0x1L, 0xfL, 0x14L);
+    (Sub false, Width.W64, 0x0L, 0x0L, 0xffffffffffffffffL, 0x1L, 0x11L);
+    (Sub false, Width.W64, 0x0L, 0x3L, 0x0L, 0x3L, 0x4L);
+    (Sub true, Width.W64, 0x0L, 0x0L, 0x1L, 0xfffffffffffffffeL, 0x91L);
+    (Sub true, Width.W64, 0x0L, 0x8000000000000000L, 0x1L, 0x7ffffffffffffffeL, 0x810L);
+    (Sub true, Width.W64, 0x0L, 0x5L, 0x5L, 0xffffffffffffffffL, 0x95L);
+    (Sub true, Width.W64, 0x0L, 0x0L, 0x8000000000000000L, 0x7fffffffffffffffL, 0x15L);
+    (Sub true, Width.W64, 0x0L, 0x10L, 0x1L, 0xeL, 0x10L);
+    (Sub true, Width.W64, 0x0L, 0x0L, 0xffffffffffffffffL, 0x0L, 0x55L);
+    (Sub true, Width.W64, 0x0L, 0x3L, 0x0L, 0x2L, 0x0L);
+    (Logic, Width.W64, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Logic, Width.W64, 0x0L, 0x0L, 0x0L, 0x8000000000000000L, 0x84L);
+    (Logic, Width.W64, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Logic, Width.W64, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Logic, Width.W64, 0x0L, 0x0L, 0x0L, 0xffffffffffffffffL, 0x84L);
+    (Logic, Width.W64, 0x0L, 0x0L, 0x0L, 0x100L, 0x4L);
+    (Inc, Width.W64, 0x0L, 0xffffffffffffffffL, 0x0L, 0x0L, 0x54L);
+    (Inc, Width.W64, 0x0L, 0x7fffffffffffffffL, 0x0L, 0x8000000000000000L, 0x894L);
+    (Inc, Width.W64, 0x0L, 0xfL, 0x0L, 0x10L, 0x10L);
+    (Inc, Width.W64, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Dec, Width.W64, 0x0L, 0x0L, 0x0L, 0xffffffffffffffffL, 0x94L);
+    (Dec, Width.W64, 0x0L, 0x8000000000000000L, 0x0L, 0x7fffffffffffffffL, 0x814L);
+    (Dec, Width.W64, 0x0L, 0x1L, 0x0L, 0x0L, 0x44L);
+    (Dec, Width.W64, 0x0L, 0x10L, 0x0L, 0xfL, 0x14L);
+    (Inc, Width.W64, 0x8d5L, 0xffffffffffffffffL, 0x0L, 0x0L, 0x55L);
+    (Inc, Width.W64, 0x8d5L, 0x7fffffffffffffffL, 0x0L, 0x8000000000000000L, 0x895L);
+    (Inc, Width.W64, 0x8d5L, 0xfL, 0x0L, 0x10L, 0x11L);
+    (Inc, Width.W64, 0x8d5L, 0x0L, 0x0L, 0x1L, 0x1L);
+    (Dec, Width.W64, 0x8d5L, 0x0L, 0x0L, 0xffffffffffffffffL, 0x95L);
+    (Dec, Width.W64, 0x8d5L, 0x8000000000000000L, 0x0L, 0x7fffffffffffffffL, 0x815L);
+    (Dec, Width.W64, 0x8d5L, 0x1L, 0x0L, 0x0L, 0x45L);
+    (Dec, Width.W64, 0x8d5L, 0x10L, 0x0L, 0xfL, 0x15L);
+    (Neg, Width.W64, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Neg, Width.W64, 0x0L, 0x1L, 0x0L, 0xffffffffffffffffL, 0x95L);
+    (Neg, Width.W64, 0x0L, 0x8000000000000000L, 0x0L, 0x8000000000000000L, 0x885L);
+    (Neg, Width.W64, 0x0L, 0xffffffffffffffffL, 0x0L, 0x1L, 0x11L);
+    (Imul false, Width.W64, 0x0L, 0x0L, 0x0L, 0x0L, 0x44L);
+    (Imul false, Width.W64, 0x0L, 0x0L, 0x0L, 0x1L, 0x0L);
+    (Imul true, Width.W64, 0x0L, 0x0L, 0x0L, 0x8000000000000000L, 0x885L);
+    (Imul true, Width.W64, 0x0L, 0x0L, 0x0L, 0x0L, 0x845L);
+    (Imul false, Width.W64, 0x0L, 0x0L, 0x0L, 0x3L, 0x4L);
+    (Shl, Width.W64, 0x8d5L, 0x8000000000000001L, 0x0L, 0x8000000000000001L, 0x8d5L);
+    (Shr, Width.W64, 0x8d5L, 0x8000000000000001L, 0x0L, 0x8000000000000001L, 0x8d5L);
+    (Sar, Width.W64, 0x8d5L, 0x8000000000000001L, 0x0L, 0x8000000000000001L, 0x8d5L);
+    (Rol, Width.W64, 0x8d5L, 0x8000000000000001L, 0x0L, 0x8000000000000001L, 0x8d5L);
+    (Ror, Width.W64, 0x8d5L, 0x8000000000000001L, 0x0L, 0x8000000000000001L, 0x8d5L);
+    (Shl, Width.W64, 0x8d5L, 0x8000000000000001L, 0x1L, 0x2L, 0x801L);
+    (Shr, Width.W64, 0x8d5L, 0x8000000000000001L, 0x1L, 0x4000000000000000L, 0x805L);
+    (Sar, Width.W64, 0x8d5L, 0x8000000000000001L, 0x1L, 0xc000000000000000L, 0x85L);
+    (Rol, Width.W64, 0x8d5L, 0x8000000000000001L, 0x1L, 0x3L, 0x8d5L);
+    (Ror, Width.W64, 0x8d5L, 0x8000000000000001L, 0x1L, 0xc000000000000000L, 0xd5L);
+    (Shl, Width.W64, 0x8d5L, 0x8000000000000001L, 0x3fL, 0x8000000000000000L, 0x884L);
+    (Shr, Width.W64, 0x8d5L, 0x8000000000000001L, 0x3fL, 0x1L, 0x800L);
+    (Sar, Width.W64, 0x8d5L, 0x8000000000000001L, 0x3fL, 0xffffffffffffffffL, 0x84L);
+    (Rol, Width.W64, 0x8d5L, 0x8000000000000001L, 0x3fL, 0xc000000000000000L, 0x8d4L);
+    (Ror, Width.W64, 0x8d5L, 0x8000000000000001L, 0x3fL, 0x3L, 0xd4L);
+    (Shl, Width.W64, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shr, Width.W64, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Sar, Width.W64, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Rol, Width.W64, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Ror, Width.W64, 0x0L, 0x1L, 0x0L, 0x1L, 0x0L);
+    (Shl, Width.W64, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Shr, Width.W64, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Sar, Width.W64, 0x0L, 0x1L, 0x1L, 0x0L, 0x45L);
+    (Rol, Width.W64, 0x0L, 0x1L, 0x1L, 0x2L, 0x0L);
+    (Ror, Width.W64, 0x0L, 0x1L, 0x1L, 0x8000000000000000L, 0x801L);
+    (Shl, Width.W64, 0x0L, 0x1L, 0x3fL, 0x8000000000000000L, 0x884L);
+    (Shr, Width.W64, 0x0L, 0x1L, 0x3fL, 0x0L, 0x44L);
+    (Sar, Width.W64, 0x0L, 0x1L, 0x3fL, 0x0L, 0x44L);
+    (Rol, Width.W64, 0x0L, 0x1L, 0x3fL, 0x8000000000000000L, 0x800L);
+    (Ror, Width.W64, 0x0L, 0x1L, 0x3fL, 0x2L, 0x0L);
+  ]
+
+(* Bit k of each mask is [eval_cond] under flag combination k: bit 0 of
+   k is CF, then PF, AF, ZF, SF, OF. *)
+let golden_cond_rows =
+  [
+    (Cond.O, 0xffffffff00000000L);
+    (Cond.NO, 0x00000000ffffffffL);
+    (Cond.B, 0xaaaaaaaaaaaaaaaaL);
+    (Cond.AE, 0x5555555555555555L);
+    (Cond.Z, 0xff00ff00ff00ff00L);
+    (Cond.NZ, 0x00ff00ff00ff00ffL);
+    (Cond.BE, 0xffaaffaaffaaffaaL); (* SDM *)
+    (Cond.A, 0x0055005500550055L);
+    (Cond.S, 0xffff0000ffff0000L);
+    (Cond.NS, 0x0000ffff0000ffffL);
+    (Cond.P, 0xccccccccccccccccL);
+    (Cond.NP, 0x3333333333333333L);
+    (Cond.L, 0x0000ffffffff0000L); (* SDM *)
+    (Cond.GE, 0xffff00000000ffffL);
+    (Cond.LE, 0xff00ffffffffff00L); (* SDM *)
+    (Cond.G, 0x00ff0000000000ffL);
+  ]
+
+let golden_word (rule, w, prior, a, b, r) =
+  let prior = Flags.of_word prior and count = Int64.to_int b in
+  Flags.to_word
+    (match rule with
+    | Add carry_in -> Flags.after_add w ~a ~b ~carry_in ~r
+    | Sub borrow_in -> Flags.after_sub w ~a ~b ~borrow_in ~r
+    | Logic -> Flags.after_logic w ~r
+    | Inc -> Flags.after_inc w prior ~a ~r
+    | Dec -> Flags.after_dec w prior ~a ~r
+    | Neg -> Flags.after_neg w ~a ~r
+    | Imul full_overflow -> Flags.after_imul w ~full_overflow ~r
+    | Shl -> Flags.after_shift w prior ~op:`Shl ~a ~count ~r
+    | Shr -> Flags.after_shift w prior ~op:`Shr ~a ~count ~r
+    | Sar -> Flags.after_shift w prior ~op:`Sar ~a ~count ~r
+    | Rol -> Flags.after_rotate w prior ~op:`Rol ~count ~r
+    | Ror -> Flags.after_rotate w prior ~op:`Ror ~count ~r)
+
+let golden_combo k =
+  let bit i pos = if (k lsr i) land 1 = 1 then Int64.shift_left 1L pos else 0L in
+  Flags.of_word
+    (List.fold_left Int64.logor 0L
+       [ bit 0 0; bit 1 2; bit 2 4; bit 3 6; bit 4 7; bit 5 11 ])
+
+let golden_tests =
+  [
+    tc "update rules match the golden words" `Quick (fun () ->
+        List.iteri
+          (fun i (rule, w, prior, a, b, r, expected) ->
+            check int64
+              (Printf.sprintf "row %d (%s)" i (Width.to_string w))
+              expected
+              (golden_word (rule, w, prior, a, b, r)))
+          golden_rule_rows);
+    tc "eval_cond matches the golden table" `Quick (fun () ->
+        List.iter
+          (fun (c, mask) ->
+            for k = 0 to 63 do
+              check bool
+                (Printf.sprintf "%s under combination %d" (Cond.suffix c) k)
+                (Int64.logand (Int64.shift_right_logical mask k) 1L = 1L)
+                (Flags.eval_cond (golden_combo k) c)
+            done)
+          golden_cond_rows);
+  ]
+
 let () =
   Alcotest.run "emu"
     [
       ("word", word_tests);
       ("flags", flags_tests);
+      ("golden", golden_tests);
       ("vectors", vector_tests);
       ("memory", memory_tests);
       ("state", state_tests);

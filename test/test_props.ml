@@ -58,22 +58,26 @@ let word_props =
         let a = Word.zext w a and b = Word.zext w b in
         let r = Word.zext w (Int64.add a b) in
         let f = Flags.after_add w ~a ~b ~carry_in:false ~r in
-        f.Flags.cf = (Int64.unsigned_compare (Int64.add a b) (Width.mask w) > 0)
-        && f.Flags.zf = (r = 0L)
-        && f.Flags.sf = Word.sign_set w r);
+        Flags.cf f = (Int64.unsigned_compare (Int64.add a b) (Width.mask w) > 0)
+        && Flags.zf f = (r = 0L)
+        && Flags.sf f = Word.sign_set w r);
     test "sub borrow matches unsigned comparison"
       QCheck.(triple width_gen full_int64_gen full_int64_gen)
       (fun (w, a, b) ->
         let a = Word.zext w a and b = Word.zext w b in
         let r = Word.zext w (Int64.sub a b) in
         let f = Flags.after_sub w ~a ~b ~borrow_in:false ~r in
-        f.Flags.cf = (Int64.unsigned_compare a b < 0)
-        && f.Flags.zf = (a = b));
+        Flags.cf f = (Int64.unsigned_compare a b < 0)
+        && Flags.zf f = (a = b));
   ]
 
 (* --- Memory -------------------------------------------------------------- *)
 
 let offset_gen = QCheck.int_range 0 (Layout.sandbox_size - 9)
+
+(* A few stores of random widths anywhere in the sandbox. *)
+let journal_writes_gen =
+  QCheck.(list_of_size (Gen.int_range 0 12) (triple offset_gen width_gen full_int64_gen))
 
 let memory_props =
   [
@@ -92,14 +96,30 @@ let memory_props =
         Memory.write m ~addr Width.W64 v;
         Memory.write m ~addr:(Int64.add addr 8L) Width.W64 (Int64.lognot v);
         Memory.read m ~addr Width.W64 = v);
-    test "snapshot/restore is exact" QCheck.(pair offset_gen full_int64_gen)
-      (fun (off, v) ->
+    test ~count:100 "nested journal undo is exact"
+      QCheck.(triple journal_writes_gen journal_writes_gen journal_writes_gen)
+      (fun (w1, w2, w3) ->
+        (* Three nested levels of random stores; each level stores before
+           and after the level inside it, and each undo must give back
+           exactly the bytes seen when its level opened. *)
         let m = Memory.create () in
-        let snap = Memory.snapshot m in
-        let addr = Int64.add Layout.sandbox_base (Int64.of_int off) in
-        Memory.write m ~addr Width.W64 v;
-        Memory.restore m snap;
-        Memory.read m ~addr Width.W64 = 0L);
+        Memory.fill m ~f:(fun off -> (off * 7) + 3);
+        let store =
+          List.iter (fun (off, w, v) ->
+              Memory.write m ~addr:(Int64.add Layout.sandbox_base (Int64.of_int off)) w v)
+        in
+        let rec level = function
+          | [] -> true
+          | ws :: inner ->
+              let seen = Bytes.copy (Memory.raw m) in
+              let mark = Memory.journal_begin m in
+              store ws;
+              let inner_ok = level inner in
+              store (List.rev ws);
+              Memory.journal_undo m ~mark;
+              inner_ok && Bytes.equal seen (Memory.raw m)
+        in
+        level [ w1; w2; w3 ]);
   ]
 
 (* --- Cache / Htrace -------------------------------------------------------- *)

@@ -283,6 +283,36 @@ let cpu_tests =
         check bool "bypass event" true (has_kind Cpu.Store_bypass cpu);
         (* the stale value mem[128] = 0x80 -> line 2 *)
         check bool "stale line touched" true (List.mem 2 (transient_sets cpu)));
+    tc "transient episodes nest inside an outer save" `Quick (fun () ->
+        (* The executor holds a save open over every run; each transient
+           episode opens and undoes a level of its own inside it. The
+           run's architectural stores must still be undone exactly by the
+           outer level afterwards. *)
+        let v1_1 = compile Revizor.Gadgets.spectre_v1_1.Revizor.Gadgets.program in
+        let outer = State.slot () in
+        let run_saved cpu flat s kind =
+          let before = State.copy s in
+          State.save s outer;
+          Cpu.run cpu flat s;
+          check bool "episode ran" true (has_kind kind cpu);
+          check bool "the run changed the state" false (State.equal_arch before s);
+          State.undo s outer;
+          check bool "outer undo exact" true (State.equal_arch before s);
+          check int "pc" before.State.pc s.State.pc
+        in
+        (* Store bypass: an architectural store, then an episode that
+           poisons memory with the stale value. *)
+        run_saved
+          (Cpu.create (Uarch_config.skylake ~v4_patch:false))
+          v4_flat
+          (make_state ~mem:(fun off -> if off = 128 then 0x80 else (off * 7) land 0xFF) ())
+          Cpu.Store_bypass;
+        (* Mispredicted branch (cold predictor, taken input) whose
+           transient path stores. *)
+        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
+        run_saved cpu v1_1
+          (make_state ~regs:[ (Reg.RAX, 128L) ] ~mem:taken_mem ())
+          Cpu.Branch_mispredict);
     tc "v4: the SSBD patch suppresses the bypass" `Quick (fun () ->
         let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
         let s = make_state ~mem:(fun off -> if off = 128 then 0x80 else 0) () in
