@@ -462,7 +462,10 @@ let run ?(max_steps = 20000) t prog (state : State.t) =
           | Some p when p <> next ->
               run_transient ~kind:Return_mispredict ~origin_pc:pc ~start_pc:p
                 ~squash_time:resolve ~poison:None
-          | Some _ | None -> ())
+          | Some _ | None -> ());
+          (* The committed stack read fills the line RET loaded from: the
+             pre-pop RSP, the same slot [stack_hit] looked up. *)
+          ignore (Cache.touch t.cache rsp)
       | Opcode.JmpInd ->
           let predicted = Predictors.Btb.predict t.btb ~pc in
           exec pc;
@@ -478,7 +481,10 @@ let run ?(max_steps = 20000) t prog (state : State.t) =
           Predictors.Btb.update t.btb ~pc ~target:next
       | Opcode.Call ->
           exec pc;
-          Predictors.Rsb.push t.rsb (pc + 1)
+          Predictors.Rsb.push t.rsb (pc + 1);
+          (* The committed stack write fills the slot CALL pushed to. *)
+          ignore
+            (Cache.touch t.cache (State.get_reg state Reg.stack_pointer Width.W64))
       | _ -> exec pc);
       (* Committed memory effects: cache fills and fill-buffer updates. *)
       let mem_lat = ref 0 in
@@ -490,12 +496,6 @@ let run ?(max_steps = 20000) t prog (state : State.t) =
           t.fill_buffer <-
             Memory.read state.State.mem ~addr:mem_addr mr.Compiled.mr_width
       | None -> ());
-      (* Implicit stack accesses of CALL/RET also fill the cache. *)
-      (match d.Compiled.d_inst.Instruction.opcode with
-      | Opcode.Call | Opcode.Ret ->
-          let rsp = State.get_reg state Reg.stack_pointer Width.W64 in
-          ignore (Cache.touch t.cache rsp)
-      | _ -> ());
       (* Register the store in the store buffer for bypass detection. *)
       (if store_pending then
          match mem with

@@ -407,6 +407,27 @@ let cpu_tests =
         Cpu.run cpu flat s;
         check bool "return mispredict" true (has_kind Cpu.Return_mispredict cpu);
         check bool "leak line" true (List.mem 2 (transient_sets cpu)));
+    tc "call/ret fill only the return-address line" `Quick (fun () ->
+        (* CALL pushes the return address to stack_top - 8 (set 63); RET
+           reads it back from there. Neither touches stack_top's own line
+           (set 0), so a data-free call/return probes as exactly {63}. *)
+        let flat =
+          compile
+            (Program.make
+               [
+                 Program.block "main" [ Instruction.call "f" ];
+                 Program.block "rest" [ Instruction.jmp "exit" ];
+                 Program.block "f" [ Instruction.ret ];
+                 Program.block "exit" [];
+               ])
+        in
+        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
+        let trace =
+          Attack.observe cpu Attack.prime_probe (fun () ->
+              Cpu.run cpu flat (make_state ()))
+        in
+        check (Alcotest.list int) "probed sets" [ 63 ] (Htrace.elements trace);
+        check bool "no return mispredict" false (has_kind Cpu.Return_mispredict cpu));
     tc "reset_session clears microarchitectural state" `Quick (fun () ->
         let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
         run_v1 cpu ~leak_line:3;
