@@ -47,10 +47,17 @@ open Revizor_isa
      is a suffix property of the straight-line run, so it holds for any
      entry pc into the run.
 
+   A third pass builds the CPU simulator's timing plan ({!plan}): for
+   every pc, the length of the maximal timing-plain run starting there
+   (no memory operand, no control flow, not serializing, not DIV/IDIV),
+   per-port µop suffix sums, and the semantic action the simulator's
+   tight loop runs at each timing-plain pc.
+
    [interpreted] builds the same descriptors but keeps the semantic
-   action as a call into {!Semantics.step}; it is the reference the
-   compiled engine is differentially tested against (the two must be
-   bit-identical: same traces, same faults, same mutated state).
+   action as a call into {!Semantics.step} and carries an empty plan; it
+   is the reference the compiled engine is differentially tested against
+   (the two must be bit-identical: same traces, same faults, same mutated
+   state).
 
    A compiled program is immutable after construction and holds no
    execution state, so one value is safely shared read-only across
@@ -97,6 +104,12 @@ type desc = {
   d_mem : mem_ref option;  (** first memory operand, pre-resolved *)
 }
 
+type plan = {
+  plain_len : int array;
+  port_sums : int array;
+  plain_steps : raw array;
+}
+
 type t = {
   flat : Program.flat;
   descs : desc array;
@@ -105,6 +118,7 @@ type t = {
   fused : raw array;
   run_len : int array;
   nostore_len : int array;
+  plan : plan;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -500,7 +514,7 @@ let compile_binop ~flags (i : Instruction.t) dst src : State.t -> abuf -> unit =
             else Int64.shift_right_logical (Word.zext w a) count
         | `Sar ->
             let sa = Word.sext w a in
-            let c = min count 63 in
+            let c = Int.min count 63 in
             Word.zext w (Int64.shift_right sa c)
       in
       if flags then
@@ -822,6 +836,61 @@ let analyze (descs : desc array) =
   (run_len, nostore_len, dead)
 
 (* ------------------------------------------------------------------ *)
+(* Timing plan                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A timing-plain step has a latency fixed per test case and touches
+   neither memory, the predictors nor the store buffer: the CPU
+   simulator can time a run of them without any per-step decision. *)
+let timing_plain (d : desc) =
+  (not (d.d_serializing || d.d_control_flow))
+  && (match d.d_mem with None -> true | Some _ -> false)
+  && match d.d_lat with Lat_div -> false | Lat_alu | Lat_mul | Lat_branch -> true
+
+(* The plan carried by [interpreted] programs: no pc starts a
+   timing-plain run, so the simulator takes its per-instruction path at
+   every step. *)
+let empty_plan = { plain_len = [||]; port_sums = [||]; plain_steps = [||] }
+
+(* One backward pass, like [analyze]. [plain_steps.(pc)] is [fused.(pc)]
+   when the flag word pc writes is overwritten by a killer before any
+   observer *inside the same timing-plain run*, and [raws.(pc)]
+   otherwise. This is [analyze]'s liveness with the timing-plain run as
+   the horizon: a subset of [dead], so [fused.(pc)] is then the elided
+   variant. A simulator that runs every timing-plain run either whole or
+   with [raws] thus leaves the loop with the exact flag word. *)
+let plan_of (descs : desc array) ~raws ~fused =
+  let n = Array.length descs in
+  let np = Ports.n_ports in
+  let plain_len = Array.make n 0 in
+  let port_sums = Array.make ((n + 1) * np) 0 in
+  let plain_steps = Array.copy raws in
+  (* flags live at entry to pc + 1 die inside its timing-plain run *)
+  let kill_ahead = ref false in
+  for pc = n - 1 downto 0 do
+    let d = descs.(pc) in
+    for p = 0 to np - 1 do
+      port_sums.((pc * np) + p) <- port_sums.(((pc + 1) * np) + p)
+    done;
+    let ports = d.d_ports in
+    for k = 0 to Array.length ports - 1 do
+      let i = (pc * np) + ports.(k) in
+      port_sums.(i) <- port_sums.(i) + 1
+    done;
+    let op = d.d_inst.Instruction.opcode in
+    if timing_plain d then begin
+      plain_len.(pc) <- (1 + if pc + 1 < n then plain_len.(pc + 1) else 0);
+      if emu_writes_flags op && !kill_ahead then plain_steps.(pc) <- fused.(pc);
+      kill_ahead :=
+        if flag_observer op then false
+        else if flag_killer op then true
+        else !kill_ahead
+    end
+    else kill_ahead := false
+  done;
+  { plain_len; port_sums; plain_steps }
+
+(* ------------------------------------------------------------------ *)
 (* Construction and execution                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -840,7 +909,8 @@ let of_flat (flat : Program.flat) : t =
   let actions =
     Array.mapi (fun pc i -> action_of_raw pc i raws.(pc)) flat.Program.code
   in
-  { flat; descs; actions; raws; fused; run_len; nostore_len }
+  let plan = plan_of descs ~raws ~fused in
+  { flat; descs; actions; raws; fused; run_len; nostore_len; plan }
 
 let interpreted (flat : Program.flat) : t =
   let descs = Array.map desc_of flat.Program.code in
@@ -865,6 +935,9 @@ let interpreted (flat : Program.flat) : t =
     fused = raws;
     run_len;
     nostore_len;
+    (* The empty plan sends the simulator down its per-instruction path
+       at every step: the reference its timing loop is tested against. *)
+    plan = empty_plan;
   }
 
 let of_program p = Result.map of_flat (Program.flatten p)

@@ -71,6 +71,27 @@ type desc = {
   d_mem : mem_ref option;  (** first memory operand, pre-resolved *)
 }
 
+type plan = private {
+  plain_len : int array;
+      (** length of the maximal timing-plain run starting at each pc: no
+          memory operand, no control flow, not serializing, not DIV/IDIV *)
+  port_sums : int array;
+      (** per-port µop suffix sums, [(length + 1) * Ports.n_ports]
+          entries: [port_sums.(pc * Ports.n_ports + p)] counts the µops on
+          port [p] of the instructions [pc .. length - 1]; the
+          instructions [a .. b - 1] issue the difference of the sums at
+          [a] and [b] *)
+  plain_steps : raw array;
+      (** the action to run at each timing-plain pc: {!fused} where the
+          elided flag write is overwritten inside the same timing-plain
+          run, {!raws} otherwise. A timing-plain run executed whole with
+          these leaves exactly the flags {!raws} would. *)
+}
+(** The CPU simulator's timing plan: what is fixed per test case about
+    timing a straight-line run that touches no memory. {!interpreted}
+    programs carry the empty plan (all three arrays empty): no pc starts
+    a timing-plain run. Immutable after construction. *)
+
 type t = private {
   flat : Program.flat;
   descs : desc array;
@@ -85,6 +106,7 @@ type t = private {
           (no control flow, no serializing instruction) *)
   nostore_len : int array;
       (** like [run_len] but 0 at stores, for store-bypass contracts *)
+  plan : plan;  (** built once here, shared by every run of the program *)
 }
 
 val abuf_create : unit -> abuf
@@ -98,8 +120,8 @@ val of_flat : Program.flat -> t
 (** Compile every instruction to a specialised closure. *)
 
 val interpreted : Program.flat -> t
-(** Same descriptors, but every action defers to {!Semantics.step} — the
-    reference engine for differential tests. *)
+(** Same descriptors, but every action defers to {!Semantics.step} and
+    the plan is empty — the reference engine for differential tests. *)
 
 val of_program : Program.t -> (t, string) result
 val of_program_exn : Program.t -> t

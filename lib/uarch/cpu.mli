@@ -63,12 +63,23 @@ val set_fill_buffer : t -> int64 -> unit
     executor calls this after materializing each input. *)
 
 val run : ?max_steps:int -> t -> Compiled.t -> State.t -> unit
-(** Execute the compiled program to completion. On return the
-    architectural state is exactly what {!Semantics.run} would produce;
-    the microarchitectural state (cache, predictors, fill buffer)
+(** Execute the compiled program to completion, or for [max_steps]
+    architectural steps (default 20000). On return the architectural
+    state is exactly what {!Semantics.run} would produce; the
+    microarchitectural state (cache, predictors, fill buffer)
     additionally reflects both the committed and the transient behaviour.
     All per-instruction metadata (register indices, ports, latency class,
     memory accessor) comes from the precomputed {!Compiled.desc}s.
+
+    Each timing-plain run of the program's {!Compiled.plan} (no memory
+    operand, no control flow, not serializing, not DIV/IDIV) executes in
+    one loop: port counts are added from the plan's suffix sums, and the
+    semantic steps are the plan's [plain_steps]. Every other step —
+    memory, branch, DIV, serializing, every transient-episode step, and
+    every step of an {!Compiled.interpreted} program, whose plan is empty
+    — takes the per-instruction path, the reference the loop is tested
+    against. Both give bit-identical traces, events, port counts and
+    states.
 
     @raise Semantics.Division_fault, Memory.Fault as the emulator does. *)
 

@@ -8,7 +8,7 @@ module Pht = struct
   let update t ~pc ~taken =
     let i = slot t pc in
     let c = t.counters.(i) in
-    t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1))
+    t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1))
 
   let get t ~pc = t.counters.(slot t pc)
   let set t ~pc c = t.counters.(slot t pc) <- c

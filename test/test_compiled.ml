@@ -18,6 +18,7 @@ let tc = Alcotest.test_case
 let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
+let int64 = Alcotest.int64
 let seeds = [ 1L; 2L; 3L; 4L; 5L ]
 
 (* Generator configurations of increasing diversity, mirroring the
@@ -53,6 +54,9 @@ let each_case f =
     levels
 
 let input_for seed = Input.generate (Prng.create ~seed) ~entropy:2
+
+let batch_inputs n seed =
+  Input.generate_many (Prng.create ~seed) ~entropy:2 ~n
 
 (* --- descriptor metadata --------------------------------------------- *)
 
@@ -156,26 +160,300 @@ let model_identical () =
 
 (* --- speculative CPU simulator ---------------------------------------- *)
 
-let run_on_cpu prog input =
-  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
-  let cpu = Cpu.create cfg.Fuzzer.uarch in
-  let state = Input.to_state input in
-  let htrace =
-    Attack.observe cpu cfg.Fuzzer.executor.Executor.threat (fun () ->
-        Cpu.run cpu prog state)
+(* [Cpu.run] executes the timing-plain runs of a compiled program's plan
+   in one loop; an interpreted program's plan is empty, so the same call
+   takes the per-instruction path at every step. Comparing the two
+   engines therefore checks the timing loop against the reference path:
+   on every target's microarchitecture and threat (Targets 1-8), plus
+   Target 5's core under Port-Contention so that port counts reach the
+   trace. *)
+let cpu_setups =
+  List.map (fun (t : Target.t) -> (t.Target.name, t)) Target.all
+  @ [
+      ( "Target 5, Port-Contention",
+        { Target.target5 with Target.threat = Attack.port_contention } );
+    ]
+
+(* The target's generator configuration grown to its cap. *)
+let capped_gen (target : Target.t) =
+  let rec go cfg =
+    let cfg' = Generator.grow cfg in
+    if cfg' = cfg then cfg else go cfg'
   in
-  (state, Cpu.events cpu, Array.copy (Cpu.port_counts cpu), htrace)
+  go (Target.fuzzer_config Contract.ct_seq target).Fuzzer.gen_cfg
+
+let last_word =
+  Int64.add Layout.sandbox_base
+    (Int64.of_int ((Layout.data_pages * Layout.page_size) - 8))
+
+(* One observed run, as the executor makes it: the input's data in the
+   fill buffer, the threat's prepare/observe pair around [Cpu.run]. A
+   raised exception is part of the outcome. *)
+let observe_run ?max_steps cpu (target : Target.t) prog template =
+  let state = State.copy template in
+  Cpu.set_fill_buffer cpu (Memory.read state.State.mem ~addr:last_word Width.W64);
+  let htrace =
+    match
+      Attack.observe cpu target.Target.threat (fun () ->
+          Cpu.run ?max_steps cpu prog state)
+    with
+    | h -> Ok h
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (state, Cpu.events cpu, Cpu.port_counts cpu, htrace, Cpu.fill_buffer cpu)
+
+(* A primed session: every template in turn on one CPU, so predictor,
+   cache and page-bit state carry from run to run. *)
+let session ?max_steps target prog templates =
+  let cpu = Cpu.create target.Target.uarch in
+  Array.map (observe_run ?max_steps cpu target prog) templates
+
+let same_run ~here (s_c, ev_c, pc_c, h_c, fb_c) (s_i, ev_i, pc_i, h_i, fb_i) =
+  check bool (here "arch state") true
+    (State.equal_arch s_c s_i && s_c.State.pc = s_i.State.pc);
+  check bool (here "speculation events") true (Stdlib.compare ev_c ev_i = 0);
+  check (Alcotest.array int) (here "port counts") pc_i pc_c;
+  check bool (here "htrace") true
+    (match (h_c, h_i) with
+    | Ok a, Ok b -> Htrace.equal a b
+    | Error a, Error b -> String.equal a b
+    | Ok _, Error _ | Error _, Ok _ -> false);
+  check int64 (here "fill buffer") fb_i fb_c
+
+let same_session ~label ?max_steps target ~compiled ~interp templates =
+  let c = session ?max_steps target compiled templates in
+  let i = session ?max_steps target interp templates in
+  Array.iteri
+    (fun k r ->
+      same_run ~here:(Printf.sprintf "%s input %d: %s" label k) r i.(k))
+    c;
+  c
+
+(* Whether a run stopped by [max_steps] at [pc] stopped inside a
+   timing-plain run, after at least one of its steps. *)
+let cut_mid_run (prog : Compiled.t) pc =
+  let len = prog.Compiled.plan.Compiled.plain_len in
+  pc > 0 && pc < Array.length len && len.(pc) > 0 && len.(pc - 1) = len.(pc) + 1
+
+(* Every [max_steps] from 1 until the run is no longer cut (or raises),
+   on a fresh CPU each; returns how many of the cuts fell inside a
+   timing-plain run. *)
+let sweep_max_steps ~label target ~compiled ~interp template =
+  let mid = ref 0 in
+  let rec go m =
+    let c = observe_run ~max_steps:m (Cpu.create target.Target.uarch) target compiled template in
+    let i = observe_run ~max_steps:m (Cpu.create target.Target.uarch) target interp template in
+    same_run ~here:(Printf.sprintf "%s max_steps %d: %s" label m) c i;
+    let s, _, _, h, _ = c in
+    let pc = s.State.pc in
+    if Result.is_ok h && pc >= 0 && pc < Compiled.length compiled then begin
+      if cut_mid_run compiled pc then incr mid;
+      go (m + 1)
+    end
+  in
+  go 1;
+  !mid
 
 let cpu_identical () =
+  let mid = ref 0 in
+  List.iter
+    (fun (name, (target : Target.t)) ->
+      let gen = capped_gen target in
+      List.iter
+        (fun seed ->
+          let flat = Program.flatten_exn (Generator.generate (Prng.create ~seed) gen) in
+          let compiled = Compiled.of_flat flat and interp = Compiled.interpreted flat in
+          let label = Printf.sprintf "%s/seed %Ld" name seed in
+          let templates = Input.templates (batch_inputs 20 (Int64.add seed 23L)) in
+          ignore (same_session ~label target ~compiled ~interp templates);
+          mid := !mid + sweep_max_steps ~label target ~compiled ~interp templates.(0))
+        seeds)
+    cpu_setups;
+  check bool "some max_steps cut a timing-plain run in the middle" true (!mid > 0)
+
+(* Hand-written edge cases of the timing loop, on every setup, each as a
+   primed session and a [max_steps] sweep:
+   - a store-bypass (Targets 1-3), an assisted-load (Targets 7, 8) and an
+     assisted-store (Target 8) episode, each starting at a load right
+     after a timing-plain run in which the plan elides a flag write, and
+     right after a flag write that [fused] elides but the plan does not
+     (its killer lies past the load);
+   - a timing-plain run entered mid-way by a taken Jcc. *)
+let mask x = Instruction.binop Opcode.And (Operand.reg x) (Operand.imm64 Layout.line_mask_one_page)
+let alu op x n = Instruction.binop op (Operand.reg x) (Operand.imm n)
+let load x m = Instruction.mov (Operand.reg x) m
+let at x = Operand.sandbox x
+let fixed disp = Operand.mem ~base:Reg.sandbox_base ~disp ()
+
+let bypass_program =
+  Program.of_insts
+    [
+      alu Opcode.Add Reg.RBX 1 (* 0: elided by the plan: 1 kills it *);
+      mask Reg.RAX (* 1: elided by [fused] only: 3 kills it *);
+      load Reg.RDI (fixed 128) (* 2: first page-0 access: assisted load *);
+      alu Opcode.And Reg.RDI 0;
+      Instruction.binop Opcode.Add (Operand.reg Reg.RDI) (Operand.reg Reg.RAX);
+      Instruction.mov (at Reg.RDI) (Operand.reg Reg.RCX) (* 5: late address *);
+      alu Opcode.Add Reg.RDX 1 (* 6: elided by the plan: 7 kills it *);
+      alu Opcode.Sub Reg.RSI 2 (* 7: elided by [fused] only: 9 kills it *);
+      load Reg.RCX (at Reg.RAX) (* 8: bypasses the store at 5 *);
+      Instruction.binop Opcode.Xor (Operand.reg Reg.RSI) (Operand.reg Reg.RSI);
+      mask Reg.RCX;
+      load Reg.RDX (at Reg.RCX) (* transmits the stale value *);
+      Instruction.cmov Cond.Z (Operand.reg Reg.RDX) (Operand.reg Reg.RCX);
+    ]
+
+let assisted_store_program =
+  Program.of_insts
+    [
+      alu Opcode.Add Reg.RBX 1 (* elided by the plan *);
+      mask Reg.RAX (* elided by [fused] only *);
+      Instruction.mov (at Reg.RAX) (Operand.reg Reg.RCX) (* assisted store *);
+      alu Opcode.Add Reg.RDX 1 (* elided by the plan *);
+      alu Opcode.Sub Reg.RSI 2 (* elided by [fused] only *);
+      load Reg.RCX (at Reg.RAX) (* forwarding fails on Coffee Lake *);
+      Instruction.binop Opcode.Xor (Operand.reg Reg.RSI) (Operand.reg Reg.RSI);
+      mask Reg.RCX;
+      load Reg.RDX (at Reg.RCX);
+      Instruction.setcc Cond.Z (Operand.reg ~w:Width.W8 Reg.RBX);
+    ]
+
+let mid_entry_program =
+  Program.make
+    [
+      Program.block "main"
+        [
+          load Reg.RCX (fixed 0);
+          Instruction.binop Opcode.Cmp (Operand.reg Reg.RCX) (Operand.imm 64);
+          Instruction.jcc Cond.BE "mid";
+        ];
+      Program.block "pre"
+        [
+          alu Opcode.Add Reg.RBX 1;
+          Instruction.binop Opcode.Imul (Operand.reg Reg.RBX) (Operand.reg Reg.RBX);
+        ];
+      Program.block "mid"
+        [
+          alu Opcode.Add Reg.RDX 1 (* elided by the plan *);
+          alu Opcode.Sub Reg.RSI 2;
+          Instruction.binop Opcode.Xor (Operand.reg Reg.RDI) (Operand.reg Reg.RDI);
+          Instruction.setcc Cond.Z (Operand.reg ~w:Width.W8 Reg.RAX);
+          Instruction.unop Opcode.Neg (Operand.reg Reg.RBX);
+          mask Reg.RBX;
+          load Reg.RDX (at Reg.RBX);
+        ];
+    ]
+
+let timing_edge_cases () =
+  let kinds = ref [] in
+  List.iter
+    (fun (pname, program) ->
+      let flat = Program.flatten_exn program in
+      let compiled = Compiled.of_flat flat and interp = Compiled.interpreted flat in
+      List.iter
+        (fun (name, (target : Target.t)) ->
+          let label = Printf.sprintf "%s on %s" pname name in
+          let templates = Input.templates (batch_inputs 20 5L) in
+          Array.iter
+            (fun (_, events, _, _, _) ->
+              List.iter (fun (e : Cpu.event) -> kinds := e.Cpu.kind :: !kinds) events)
+            (same_session ~label target ~compiled ~interp templates);
+          ignore (sweep_max_steps ~label target ~compiled ~interp templates.(0)))
+        cpu_setups)
+    [
+      ("bypass", bypass_program);
+      ("assisted store", assisted_store_program);
+      ("mid-run entry", mid_entry_program);
+    ];
+  List.iter
+    (fun kind ->
+      check bool (Cpu.kind_to_string kind ^ " episodes ran") true (List.mem kind !kinds))
+    Cpu.
+      [ Store_bypass; Assist_load_forward; Assist_store_forward; Branch_mispredict ]
+
+(* The plan itself: timing-plain runs stop at memory operands, Jcc/Jmp,
+   LFENCE and DIV; the port suffix sums count every instruction's µops;
+   the plan elides a flag write only inside its own timing-plain run; an
+   interpreted program's plan is empty. *)
+let check_plan ~label (prog : Compiled.t) =
+  let plan = prog.Compiled.plan in
+  let n = Compiled.length prog and np = Ports.n_ports in
+  check int (label ^ ": plain_len size") n (Array.length plan.Compiled.plain_len);
+  check int (label ^ ": port_sums size") ((n + 1) * np)
+    (Array.length plan.Compiled.port_sums);
+  let sum a b p = plan.Compiled.port_sums.((a * np) + p) - plan.Compiled.port_sums.((b * np) + p) in
+  for a = 0 to n do
+    for b = a to n do
+      for p = 0 to np - 1 do
+        let expected = ref 0 in
+        for pc = a to b - 1 do
+          List.iter
+            (fun q -> if q = p then incr expected)
+            (Ports.of_instruction (Compiled.code prog).(pc))
+        done;
+        if sum a b p <> !expected then
+          Alcotest.failf "%s: port %d over [%d, %d): %d, expected %d" label p a b
+            (sum a b p) !expected
+      done
+    done
+  done;
+  Array.iteri
+    (fun pc step ->
+      let raw = prog.Compiled.raws.(pc) and fused = prog.Compiled.fused.(pc) in
+      if step != raw then begin
+        check bool (Printf.sprintf "%s pc %d: elided step is fused" label pc) true
+          (step == fused);
+        check bool (Printf.sprintf "%s pc %d: elided step is timing-plain" label pc)
+          true (plan.Compiled.plain_len.(pc) > 0)
+      end)
+    plan.Compiled.plain_steps
+
+let plan_shape () =
+  let open Instruction in
+  let prog =
+    Compiled.of_program_exn
+      (Program.make
+         [
+           Program.block "main"
+             [
+               alu Opcode.Add Reg.RAX 1 (* 0 *);
+               binop Opcode.Imul (Operand.reg Reg.RBX) (Operand.reg Reg.RCX);
+               load Reg.RDX (at Reg.RAX) (* 2: memory operand *);
+               alu Opcode.Sub Reg.RAX 1;
+               jcc Cond.Z "l" (* 4 *);
+               binop Opcode.Xor (Operand.reg Reg.RBX) (Operand.reg Reg.RBX);
+               lfence (* 6 *);
+               alu Opcode.Or Reg.RCX 1;
+               div (Operand.reg Reg.RBX) (* 8 *);
+               unop Opcode.Neg (Operand.reg Reg.RDX);
+               jmp "l" (* 10 *);
+             ];
+           Program.block "l"
+             [
+               alu Opcode.And Reg.RAX 3;
+               mov (at Reg.RAX) (Operand.reg Reg.RBX) (* 12: store *);
+               unop Opcode.Not (Operand.reg Reg.RAX);
+             ];
+         ])
+  in
+  check (Alcotest.array int) "run lengths"
+    [| 2; 1; 0; 1; 0; 1; 0; 1; 0; 1; 0; 1; 0; 1 |]
+    prog.Compiled.plan.Compiled.plain_len;
+  check_plan ~label:"hand-written" prog;
+  let steps = prog.Compiled.plan.Compiled.plain_steps in
+  (* ADD at 0 dies at the IMUL in its own run; the IMUL's flags die only
+     past the load, at the SUB, so only [fused] elides them. *)
+  check bool "pc 0 elided" true (steps.(0) != prog.Compiled.raws.(0));
+  check bool "pc 1 elided by fused" true
+    (prog.Compiled.fused.(1) != prog.Compiled.raws.(1));
+  check bool "pc 1 kept by the plan" true (steps.(1) == prog.Compiled.raws.(1));
   each_case (fun ~label ~flat:_ ~compiled ~interp ->
-      let input = input_for 23L in
-      let s_c, ev_c, pc_c, h_c = run_on_cpu compiled input in
-      let s_i, ev_i, pc_i, h_i = run_on_cpu interp input in
-      check bool (label ^ ": arch state") true (State.equal_arch s_c s_i);
-      check bool (label ^ ": speculation events") true
-        (Stdlib.compare ev_c ev_i = 0);
-      check (Alcotest.array int) (label ^ ": port counts") pc_i pc_c;
-      check bool (label ^ ": htrace") true (Htrace.equal h_c h_i))
+      check_plan ~label compiled;
+      let plan = interp.Compiled.plan in
+      check bool (label ^ ": interpreted plan is empty") true
+        (Array.length plan.Compiled.plain_len = 0
+        && Array.length plan.Compiled.port_sums = 0
+        && Array.length plan.Compiled.plain_steps = 0))
 
 (* --- executor ---------------------------------------------------------- *)
 
@@ -214,9 +492,6 @@ let executor_identical () =
         (Executor.swap_check exec_c compiled inputs 0 1))
 
 (* --- batched model ----------------------------------------------------- *)
-
-let batch_inputs n seed =
-  Input.generate_many (Prng.create ~seed) ~entropy:2 ~n
 
 (* [Model.batch] — superinstruction fusion, dead-flag elision and arena
    scratch states — against per-input [Model.run]: same ctraces, faults
@@ -784,6 +1059,9 @@ let () =
           tc "bare emulation is bit-identical" `Quick emulation_identical;
           tc "contract model is bit-identical" `Quick model_identical;
           tc "CPU simulator is bit-identical" `Quick cpu_identical;
+          tc "CPU timing loop edge cases are bit-identical" `Quick
+            timing_edge_cases;
+          tc "timing plan has the expected shape" `Quick plan_shape;
           tc "batched model equals per-input runs" `Quick batch_identical;
           tc "arena templates equal fresh templates" `Quick
             arena_reuse_identical;

@@ -283,6 +283,123 @@ let cpu_tests =
         check bool "bypass event" true (has_kind Cpu.Store_bypass cpu);
         (* the stale value mem[128] = 0x80 -> line 2 *)
         check bool "stale line touched" true (List.mem 2 (transient_sets cpu)));
+    tc "v4: a load bypasses the newest unresolved store" `Quick (fun () ->
+        (* Two stores to one late-resolving address (RAX = 192, set 3),
+           then a load from it: the episode forwards the memory value from
+           before the newer store (64, written by the older one), so the
+           transmit touches set 1; the older store's stale value (0)
+           would touch set 0. *)
+        let open Instruction in
+        let rr x = Operand.reg x in
+        let flat =
+          compile
+            (Program.of_insts
+               [
+                 mov (rr Reg.RDI) (Operand.mem ~base:Reg.sandbox_base ~disp:128 ());
+                 binop Opcode.And (rr Reg.RDI) (Operand.imm 0);
+                 binop Opcode.Add (rr Reg.RDI) (rr Reg.RAX);
+                 mov (Operand.sandbox Reg.RDI) (Operand.imm 64);
+                 mov (Operand.sandbox Reg.RDI) (Operand.imm 128);
+                 mov (rr Reg.RCX) (Operand.sandbox Reg.RAX);
+                 binop Opcode.And (rr Reg.RCX) (Operand.imm64 Layout.line_mask_one_page);
+                 mov (rr Reg.RDX) (Operand.sandbox Reg.RCX);
+               ])
+        in
+        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:false) in
+        Cpu.run cpu flat (make_state ~regs:[ (Reg.RAX, 192L) ] ());
+        check (Alcotest.list string) "one bypass"
+          [ Cpu.kind_to_string Cpu.Store_bypass ]
+          (List.map (fun (e : Cpu.event) -> Cpu.kind_to_string e.Cpu.kind) (Cpu.events cpu));
+        check (Alcotest.list int) "transient sets" [ 1; 3 ] (transient_sets cpu));
+    tc "v4: pruning keeps the unresolved stores intact" `Quick (fun () ->
+        (* Three stores: S0 (to 256, over 0x80) resolves at cycle 1, S1
+           (late, to 192) at 54, S2 (to 192) at 3. The load at pc 9 is
+           fetched at cycle 2 and issues at 4: S0 is pruned, S2 is
+           resolved, so it bypasses S1 and forwards memory from before
+           S1 (0, set 0) — not S2's stale value (64, written by S1;
+           set 1) nor S0's (0x80, set 2). *)
+        let open Instruction in
+        let rr x = Operand.reg x in
+        let flat =
+          compile
+            (Program.of_insts
+               [
+                 mov (Operand.mem ~base:Reg.sandbox_base ~disp:256 ()) (rr Reg.RBX);
+                 mov (rr Reg.RDI) (Operand.mem ~base:Reg.sandbox_base ~disp:128 ());
+                 binop Opcode.And (rr Reg.RDI) (Operand.imm 0);
+                 binop Opcode.Add (rr Reg.RDI) (rr Reg.RAX);
+                 mov (Operand.sandbox Reg.RDI) (Operand.imm 64);
+                 binop Opcode.Add (rr Reg.RAX) (Operand.imm 0);
+                 mov (Operand.sandbox Reg.RAX) (Operand.imm 128);
+                 mov (rr Reg.RSI) (rr Reg.RAX);
+                 binop Opcode.Add (rr Reg.RSI) (Operand.imm 0);
+                 mov (rr Reg.RCX) (Operand.sandbox Reg.RSI);
+                 binop Opcode.And (rr Reg.RCX) (Operand.imm64 Layout.line_mask_one_page);
+                 mov (rr Reg.RDX) (Operand.sandbox Reg.RCX);
+               ])
+        in
+        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:false) in
+        Cpu.run cpu flat
+          (make_state ~regs:[ (Reg.RAX, 192L) ]
+             ~mem:(fun off -> if off = 256 then 0x80 else 0)
+             ());
+        check bool "bypass" true (has_kind Cpu.Store_bypass cpu);
+        check (Alcotest.list int) "transient sets" [ 0; 3 ] (transient_sets cpu));
+    tc "v4: the store buffer grows without losing entries" `Quick (fun () ->
+        (* Ten late-resolving stores, one per line from offset 0, then a
+           load from offset 0: it bypasses the oldest store, which the
+           buffer copied when it grew past eight entries, and forwards
+           its pre-store value (0x140, set 5). The transmitting load
+           reads offset 0 too, and bypasses the same store again. *)
+        let open Instruction in
+        let rr x = Operand.reg x in
+        let flat =
+          compile
+            (Program.of_insts
+               ([
+                  mov (rr Reg.RDI) (Operand.mem ~base:Reg.sandbox_base ~disp:1024 ());
+                  binop Opcode.And (rr Reg.RDI) (Operand.imm 0);
+                ]
+               @ List.init 10 (fun k ->
+                     mov (Operand.sandbox ~disp:(64 * k) Reg.RDI) (Operand.imm 0))
+               @ [
+                   mov (rr Reg.RCX) (Operand.mem ~base:Reg.sandbox_base ());
+                   binop Opcode.And (rr Reg.RCX) (Operand.imm64 Layout.line_mask_one_page);
+                   mov (rr Reg.RDX) (Operand.sandbox Reg.RCX);
+                 ]))
+        in
+        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:false) in
+        Cpu.run cpu flat
+          (make_state ~mem:(fun off -> if off = 1 then 0x01 else if off = 0 then 0x40 else 0) ());
+        check bool "bypass" true (has_kind Cpu.Store_bypass cpu);
+        check
+          (Alcotest.list (Alcotest.list int))
+          "sets per episode" [ [ 0; 5 ]; [ 0 ] ]
+          (List.map (fun (e : Cpu.event) -> e.Cpu.touched_sets) (Cpu.events cpu)));
+    tc "v4: a store is bypassable until its address resolves" `Quick (fun () ->
+        (* The store's address register is ready at cycle 1, so its
+           address resolves at cycle 2. With four instructions fetched per
+           cycle, a load at pc 4 issues at cycle 1 and bypasses it; a load
+           at pc 8 issues at cycle 2 and does not. *)
+        let open Instruction in
+        let rr x = Operand.reg x in
+        let bypasses load_pc =
+          let flat =
+            compile
+              (Program.of_insts
+                 ([
+                    binop Opcode.Add (rr Reg.RAX) (Operand.imm 0);
+                    mov (Operand.sandbox Reg.RAX) (rr Reg.RBX);
+                  ]
+                 @ List.init (load_pc - 2) (fun _ -> nop)
+                 @ [ mov (rr Reg.RCX) (Operand.sandbox Reg.RAX) ]))
+          in
+          let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:false) in
+          Cpu.run cpu flat (make_state ());
+          has_kind Cpu.Store_bypass cpu
+        in
+        check bool "load at pc 4" true (bypasses 4);
+        check bool "load at pc 8" false (bypasses 8));
     tc "transient episodes nest inside an outer save" `Quick (fun () ->
         (* The executor holds a save open over every run; each transient
            episode opens and undoes a level of its own inside it. The
