@@ -50,8 +50,9 @@ open Revizor_isa
    A third pass builds the CPU simulator's timing plan ({!plan}): for
    every pc, the length of the maximal timing-plain run starting there
    (no memory operand, no control flow, not serializing, not DIV/IDIV),
-   per-port µop suffix sums, and the semantic action the simulator's
-   tight loop runs at each timing-plain pc.
+   µop suffix sums for each port timing-plain instructions use, and the
+   semantic action the simulator's tight loop runs at each timing-plain
+   pc.
 
    [interpreted] builds the same descriptors but keeps the semantic
    action as a call into {!Semantics.step} and carries an empty plan; it
@@ -106,6 +107,7 @@ type desc = {
 
 type plan = {
   plain_len : int array;
+  plain_ports : int array;
   port_sums : int array;
   plain_steps : raw array;
 }
@@ -850,9 +852,14 @@ let timing_plain (d : desc) =
 (* The plan carried by [interpreted] programs: no pc starts a
    timing-plain run, so the simulator takes its per-instruction path at
    every step. *)
-let empty_plan = { plain_len = [||]; port_sums = [||]; plain_steps = [||] }
+let empty_plan =
+  { plain_len = [||]; plain_ports = [||]; port_sums = [||]; plain_steps = [||] }
 
-(* One backward pass, like [analyze]. [plain_steps.(pc)] is [fused.(pc)]
+(* One backward pass, like [analyze], after a forward one that collects
+   the ports timing-plain instructions use. Suffix sums are kept for those
+   ports only: a timing-plain run issues no µop elsewhere, and this keeps
+   the array at a few words per instruction (two ports with the current
+   port map) instead of one per port. [plain_steps.(pc)] is [fused.(pc)]
    when the flag word pc writes is overwritten by a killer before any
    observer *inside the same timing-plain run*, and [raws.(pc)]
    otherwise. This is [analyze]'s liveness with the timing-plain run as
@@ -861,7 +868,25 @@ let empty_plan = { plain_len = [||]; port_sums = [||]; plain_steps = [||] }
    with [raws] thus leaves the loop with the exact flag word. *)
 let plan_of (descs : desc array) ~raws ~fused =
   let n = Array.length descs in
-  let np = Ports.n_ports in
+  let used = Array.make Ports.n_ports false in
+  for pc = 0 to n - 1 do
+    let d = descs.(pc) in
+    if timing_plain d then
+      for k = 0 to Array.length d.d_ports - 1 do
+        used.(d.d_ports.(k)) <- true
+      done
+  done;
+  (* column of each port in [port_sums], or -1 *)
+  let column = Array.make Ports.n_ports (-1) and np = ref 0 in
+  for p = 0 to Ports.n_ports - 1 do
+    if used.(p) then begin
+      column.(p) <- !np;
+      incr np
+    end
+  done;
+  let np = !np in
+  let plain_ports = Array.make np 0 in
+  Array.iteri (fun p j -> if j >= 0 then plain_ports.(j) <- p) column;
   let plain_len = Array.make n 0 in
   let port_sums = Array.make ((n + 1) * np) 0 in
   let plain_steps = Array.copy raws in
@@ -874,8 +899,8 @@ let plan_of (descs : desc array) ~raws ~fused =
     done;
     let ports = d.d_ports in
     for k = 0 to Array.length ports - 1 do
-      let i = (pc * np) + ports.(k) in
-      port_sums.(i) <- port_sums.(i) + 1
+      let j = column.(ports.(k)) in
+      if j >= 0 then port_sums.((pc * np) + j) <- port_sums.((pc * np) + j) + 1
     done;
     let op = d.d_inst.Instruction.opcode in
     if timing_plain d then begin
@@ -888,7 +913,7 @@ let plan_of (descs : desc array) ~raws ~fused =
     end
     else kill_ahead := false
   done;
-  { plain_len; port_sums; plain_steps }
+  { plain_len; plain_ports; port_sums; plain_steps }
 
 (* ------------------------------------------------------------------ *)
 (* Construction and execution                                          *)

@@ -75,10 +75,13 @@ type plan = private {
   plain_len : int array;
       (** length of the maximal timing-plain run starting at each pc: no
           memory operand, no control flow, not serializing, not DIV/IDIV *)
+  plain_ports : int array;
+      (** the ports timing-plain instructions issue µops on, ascending *)
   port_sums : int array;
-      (** per-port µop suffix sums, [(length + 1) * Ports.n_ports]
-          entries: [port_sums.(pc * Ports.n_ports + p)] counts the µops on
-          port [p] of the instructions [pc .. length - 1]; the
+      (** per-port µop suffix sums over {!plain_ports},
+          [(length + 1) * k] entries for [k] ports:
+          [port_sums.(pc * k + j)] counts the µops on port
+          [plain_ports.(j)] of the instructions [pc .. length - 1]; the
           instructions [a .. b - 1] issue the difference of the sums at
           [a] and [b] *)
   plain_steps : raw array;
@@ -89,8 +92,8 @@ type plan = private {
 }
 (** The CPU simulator's timing plan: what is fixed per test case about
     timing a straight-line run that touches no memory. {!interpreted}
-    programs carry the empty plan (all three arrays empty): no pc starts
-    a timing-plain run. Immutable after construction. *)
+    programs carry the empty plan (all arrays empty): no pc starts a
+    timing-plain run. Immutable after construction. *)
 
 type t = private {
   flat : Program.flat;

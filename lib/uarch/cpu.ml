@@ -675,10 +675,12 @@ let run_plain t (prog : Compiled.t) (state : State.t) pc n =
   done;
   tm.fetch_pos <- tm.fetch_pos + n;
   tm.flags_ready <- !flags_ready;
-  let sums = plan.Compiled.port_sums and counts = t.port_counts in
-  let a = pc * Ports.n_ports and b = (pc + n) * Ports.n_ports in
-  for p = 0 to Ports.n_ports - 1 do
-    counts.(p) <- counts.(p) + sums.(a + p) - sums.(b + p)
+  let ports = plan.Compiled.plain_ports and sums = plan.Compiled.port_sums in
+  let np = Array.length ports in
+  let a = pc * np and b = (pc + n) * np in
+  for j = 0 to np - 1 do
+    let p = ports.(j) in
+    t.port_counts.(p) <- t.port_counts.(p) + sums.(a + j) - sums.(b + j)
   done
 
 let run ?(max_steps = 20000) t (prog : Compiled.t) (state : State.t) =

@@ -372,29 +372,43 @@ let timing_edge_cases () =
       [ Store_bypass; Assist_load_forward; Assist_store_forward; Branch_mispredict ]
 
 (* The plan itself: timing-plain runs stop at memory operands, Jcc/Jmp,
-   LFENCE and DIV; the port suffix sums count every instruction's µops;
+   LFENCE and DIV; the port suffix sums count every instruction's µops on
+   each tracked port, and every µop of a timing-plain step is tracked;
    the plan elides a flag write only inside its own timing-plain run; an
    interpreted program's plan is empty. *)
 let check_plan ~label (prog : Compiled.t) =
   let plan = prog.Compiled.plan in
-  let n = Compiled.length prog and np = Ports.n_ports in
+  let n = Compiled.length prog in
+  let ports = plan.Compiled.plain_ports in
+  let np = Array.length ports in
   check int (label ^ ": plain_len size") n (Array.length plan.Compiled.plain_len);
   check int (label ^ ": port_sums size") ((n + 1) * np)
     (Array.length plan.Compiled.port_sums);
-  let sum a b p = plan.Compiled.port_sums.((a * np) + p) - plan.Compiled.port_sums.((b * np) + p) in
+  let uops pc = Ports.of_instruction (Compiled.code prog).(pc) in
+  for pc = 0 to n - 1 do
+    if plan.Compiled.plain_len.(pc) > 0 then
+      List.iter
+        (fun p ->
+          if not (Array.mem p ports) then
+            Alcotest.failf "%s pc %d: port %d of a timing-plain step is not tracked"
+              label pc p)
+        (uops pc)
+  done;
+  let sum a b j =
+    plan.Compiled.port_sums.((a * np) + j) - plan.Compiled.port_sums.((b * np) + j)
+  in
   for a = 0 to n do
     for b = a to n do
-      for p = 0 to np - 1 do
-        let expected = ref 0 in
-        for pc = a to b - 1 do
-          List.iter
-            (fun q -> if q = p then incr expected)
-            (Ports.of_instruction (Compiled.code prog).(pc))
-        done;
-        if sum a b p <> !expected then
-          Alcotest.failf "%s: port %d over [%d, %d): %d, expected %d" label p a b
-            (sum a b p) !expected
-      done
+      Array.iteri
+        (fun j p ->
+          let expected = ref 0 in
+          for pc = a to b - 1 do
+            List.iter (fun q -> if q = p then incr expected) (uops pc)
+          done;
+          if sum a b j <> !expected then
+            Alcotest.failf "%s: port %d over [%d, %d): %d, expected %d" label p a b
+              (sum a b j) !expected)
+        ports
     done
   done;
   Array.iteri
@@ -439,6 +453,8 @@ let plan_shape () =
   check (Alcotest.array int) "run lengths"
     [| 2; 1; 0; 1; 0; 1; 0; 1; 0; 1; 0; 1; 0; 1 |]
     prog.Compiled.plan.Compiled.plain_len;
+  check (Alcotest.array int) "tracked ports: ALU and multiply" [| 0; 1 |]
+    prog.Compiled.plan.Compiled.plain_ports;
   check_plan ~label:"hand-written" prog;
   let steps = prog.Compiled.plan.Compiled.plain_steps in
   (* ADD at 0 dies at the IMUL in its own run; the IMUL's flags die only
@@ -452,6 +468,7 @@ let plan_shape () =
       let plan = interp.Compiled.plan in
       check bool (label ^ ": interpreted plan is empty") true
         (Array.length plan.Compiled.plain_len = 0
+        && Array.length plan.Compiled.plain_ports = 0
         && Array.length plan.Compiled.port_sums = 0
         && Array.length plan.Compiled.plain_steps = 0))
 
