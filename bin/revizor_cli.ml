@@ -635,20 +635,70 @@ let gadget_cmd =
 
 (* --- reproduce -------------------------------------------------------- *)
 
+(* The instruction-catalog sizes of Table 2, also printed by [revizor isa]. *)
+let isa_table () =
+  let open Revizor_isa in
+  let row name subsets =
+    Printf.sprintf "%-18s %4d unique instruction variants" name
+      (Catalog.count subsets)
+  in
+  String.concat "\n"
+    [
+      row "AR" [ Catalog.AR ];
+      row "AR+MEM" [ Catalog.AR; Catalog.MEM ];
+      row "AR+MEM+VAR" [ Catalog.AR; Catalog.MEM; Catalog.VAR ];
+      row "AR+CB" [ Catalog.AR; Catalog.CB ];
+      row "AR+MEM+CB" [ Catalog.AR; Catalog.MEM; Catalog.CB ];
+      row "AR+MEM+CB+VAR" [ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR ];
+      row "+IND (extension)"
+        [ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR; Catalog.IND ];
+    ]
+
+(* §6.3: each latency-race gadget against the contracts that permit its
+   base speculation type, and the V4 variant against the V4 patch. *)
+let variants ~seed =
+  String.concat "\n"
+    (List.map
+       (fun ((g : Gadgets.t), contract, (target : Target.t)) ->
+         Printf.sprintf "%-18s vs %-14s on %-28s %s" g.Gadgets.name
+           (Contract.name contract)
+           target.Target.uarch.Revizor_uarch.Uarch_config.name
+           (match Experiments.check_gadget ~seed contract target g with
+           | Some v -> Printf.sprintf "VIOLATION (%s)" v.Violation.label
+           | None -> "compliant"))
+       [
+         (Gadgets.spectre_v1_var, Contract.ct_cond, Target.target6);
+         (Gadgets.spectre_v1_var, Contract.ct_cond_bpas, Target.target6);
+         (Gadgets.spectre_v4_var, Contract.ct_bpas, Target.target3);
+         (Gadgets.spectre_v4_var, Contract.ct_cond_bpas, Target.target3);
+         (Gadgets.spectre_v4_var, Contract.ct_bpas, Target.target4);
+       ])
+
+let reproduce_sections =
+  [ "table2"; "table3"; "table4"; "table5"; "variants"; "store-eviction";
+    "sensitivity"; "throughput"; "ports"; "ablations"; "all" ]
+
 let do_reproduce what budget runs seed =
   let section title body =
     Printf.printf "\n=== %s ===\n%s\n%!" title body
   in
   let all = what = "all" in
+  if all || what = "table2" then
+    section "Table 2: experimental setups"
+      (String.concat "\n"
+         (List.map (Format.asprintf "%a" Target.pp) Target.all)
+      ^ "\n\n" ^ isa_table ());
   if all || what = "table3" then
     section "Table 3: contract violations per target"
       (Report.table3 (Experiments.table3 ~budget ~seed ()));
   if all || what = "table4" then
     section "Table 4: detection time"
-      (Report.table4 ~runs (Experiments.table4 ~runs ~seed ()));
+      (Report.table4 (Experiments.table4 ~runs ~seed ()));
   if all || what = "table5" then
     section "Table 5: inputs to violation on hand-written gadgets"
       (Report.table5 (Experiments.table5 ~runs:(max runs 20) ~seed ()));
+  if all || what = "variants" then
+    section "Section 6.3: novel latency-race variants" (variants ~seed);
   if all || what = "store-eviction" then
     section "Section 6.4: speculative store eviction"
       (Report.store_eviction (Experiments.store_eviction_check ~seed ()));
@@ -677,18 +727,24 @@ let do_reproduce what budget runs seed =
     section "Ablation: swap check"
       (Report.ablation (Experiments.ablation_swap_check ~seed ()));
     section "Ablation: coverage feedback"
-      (Report.ablation (Experiments.ablation_feedback ~seed ()))
+      (Report.ablation (Experiments.ablation_feedback ~seed ()));
+    section "Ablation: speculation window (V1 gadget vs CT-COND)"
+      (String.concat "\n"
+         (List.map
+            (fun (w, violated) ->
+              Printf.sprintf "window %3d: %s" w
+                (if violated then "VIOLATED" else "compliant"))
+            (Experiments.ablation_speculation_window ~seed ())))
   end;
   0
 
 let reproduce_cmd =
   let what =
     Arg.(
-      value & pos 0 string "all"
+      value
+      & pos 0 (enum (List.map (fun e -> (e, e)) reproduce_sections)) "all"
       & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "One of: table3, table4, table5, store-eviction, sensitivity, \
-             throughput, ports, ablations, all.")
+          ~doc:("One of: " ^ String.concat ", " reproduce_sections ^ "."))
   in
   let budget =
     Arg.(
@@ -1260,26 +1316,10 @@ let coverage_cmd =
 
 (* --- isa --------------------------------------------------------------- *)
 
-let do_isa () =
-  let open Revizor_isa in
-  let show name subsets =
-    Printf.printf "%-18s %4d unique instruction variants\n" name
-      (Catalog.count subsets)
-  in
-  show "AR" [ Catalog.AR ];
-  show "AR+MEM" [ Catalog.AR; Catalog.MEM ];
-  show "AR+MEM+VAR" [ Catalog.AR; Catalog.MEM; Catalog.VAR ];
-  show "AR+CB" [ Catalog.AR; Catalog.CB ];
-  show "AR+MEM+CB" [ Catalog.AR; Catalog.MEM; Catalog.CB ];
-  show "AR+MEM+CB+VAR" [ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR ];
-  show "+IND (extension)"
-    [ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR; Catalog.IND ];
-  0
-
 let isa_cmd =
   Cmd.v
     (Cmd.info "isa" ~doc:"Report the instruction-catalog sizes (cf. §6.1).")
-    Term.(const do_isa $ const ())
+    Term.(const (fun () -> print_endline (isa_table ()); 0) $ const ())
 
 (* --- fleet: multi-process campaign orchestration ----------------------- *)
 

@@ -22,9 +22,7 @@ open Revizor_isa
    The primary execution interface is the allocation-free {!raw} form:
    the action mutates the state and appends its memory accesses to a
    caller-owned reusable {!abuf} instead of consing an access list and an
-   outcome record per step. The legacy outcome-returning [actions] are a
-   thin wrapper over the raw form, kept for the differential tests and
-   ad-hoc callers.
+   outcome record per step.
 
    On top of the raw actions, [of_flat] performs two static analyses that
    enable basic-block superinstruction execution in the model:
@@ -73,7 +71,6 @@ type abuf = {
 }
 
 type raw = State.t -> abuf -> unit
-type action = State.t -> Semantics.outcome
 
 (* Latency classification mirroring [Uarch_config.inst_latency]; the
    uarch layer maps a class to cycles for its configuration once per run
@@ -115,7 +112,6 @@ type plan = {
 type t = {
   flat : Program.flat;
   descs : desc array;
-  actions : action array;
   raws : raw array;
   fused : raw array;
   run_len : int array;
@@ -161,8 +157,8 @@ let[@inline] abuf_push ab ~is_store ~addr ~width ~value =
   ab.ab_len <- n + 1
 
 (* Materialize the recorded accesses as a [Semantics.access] list, in
-   occurrence order. Only used on cold paths (legacy outcomes, contract
-   stream recording). *)
+   occurrence order. Only used on cold paths (contract stream
+   recording). *)
 let abuf_accesses ab =
   let rec go k acc =
     if k < 0 then acc
@@ -686,29 +682,6 @@ let compile_raw (flat : Program.flat) pc (i : Instruction.t) ~flags : raw =
           (Printf.sprintf "Semantics.step: unsupported %s form"
              (Opcode.mnemonic op))
 
-(* Legacy outcome-returning action, layered over the raw form. The pc
-   after the raw action is the outcome's [next] for every opcode shape
-   (straight-line actions set it to the fall-through). *)
-let action_of_raw pc (i : Instruction.t) (raw : raw) : action =
-  let cond =
-    match i.Instruction.opcode with Opcode.Jcc c -> Some c | _ -> None
-  in
-  fun st ->
-    let ab = abuf_create () in
-    let taken =
-      match cond with
-      | Some c -> Some (Flags.eval_cond st.State.flags c)
-      | None -> None
-    in
-    raw st ab;
-    {
-      Semantics.inst = i;
-      pc;
-      accesses = abuf_accesses ab;
-      taken;
-      next = st.State.pc;
-    }
-
 (* ------------------------------------------------------------------ *)
 (* Descriptors                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -931,11 +904,8 @@ let of_flat (flat : Program.flat) : t =
         if dead.(pc) then compile_raw flat pc i ~flags:false else raws.(pc))
       flat.Program.code
   in
-  let actions =
-    Array.mapi (fun pc i -> action_of_raw pc i raws.(pc)) flat.Program.code
-  in
   let plan = plan_of descs ~raws ~fused in
-  { flat; descs; actions; raws; fused; run_len; nostore_len; plan }
+  { flat; descs; raws; fused; run_len; nostore_len; plan }
 
 let interpreted (flat : Program.flat) : t =
   let descs = Array.map desc_of flat.Program.code in
@@ -953,7 +923,6 @@ let interpreted (flat : Program.flat) : t =
   {
     flat;
     descs;
-    actions = Array.map (fun _ st -> Semantics.step flat st) flat.Program.code;
     raws;
     (* The interpreted engine never elides flags; the differential suite
        exercises exactly the claim that elision is unobservable. *)
@@ -967,23 +936,6 @@ let interpreted (flat : Program.flat) : t =
 
 let of_program p = Result.map of_flat (Program.flatten p)
 let of_program_exn p = of_flat (Program.flatten_exn p)
-let length t = Array.length t.actions
+let length t = Array.length t.descs
 let code t = t.flat.Program.code
 let target t pc = t.flat.Program.target.(pc)
-
-let step (t : t) (state : State.t) : Semantics.outcome =
-  let pc = state.State.pc in
-  if pc < 0 || pc >= Array.length t.actions then
-    invalid_arg "Semantics.step: pc out of range";
-  t.actions.(pc) state
-
-let run ?(max_steps = 4096) t state =
-  let code_len = length t in
-  let rec go acc steps =
-    if state.State.pc >= code_len || state.State.pc < 0 || steps >= max_steps
-    then List.rev acc
-    else
-      let o = step t state in
-      go (o :: acc) (steps + 1)
-  in
-  go [] 0

@@ -98,9 +98,7 @@ type plan = private {
 type t = private {
   flat : Program.flat;
   descs : desc array;
-  actions : (State.t -> Semantics.outcome) array;
-      (** legacy outcome-returning actions, layered over {!raws} *)
-  raws : raw array;  (** primary allocation-free actions *)
+  raws : raw array;  (** allocation-free semantic actions, one per pc *)
   fused : raw array;
       (** {!raws} with provably-dead flag computation elided; only safe
           inside batched walks whose final flag word is never observed *)
@@ -117,7 +115,7 @@ val abuf_clear : abuf -> unit
 
 val abuf_accesses : abuf -> Semantics.access list
 (** Materialize entries [0 .. ab_len-1] as an access list, in occurrence
-    order. Cold-path only (legacy outcomes, contract stream recording). *)
+    order. Cold-path only (contract stream recording). *)
 
 val of_flat : Program.flat -> t
 (** Compile every instruction to a specialised closure. *)
@@ -132,11 +130,3 @@ val length : t -> int
 val code : t -> Instruction.t array
 val target : t -> int -> int
 (** Static branch target of the instruction at the given pc. *)
-
-val step : t -> State.t -> Semantics.outcome
-(** Execute the instruction at [state.pc]. Raises exactly what
-    {!Semantics.step} raises, at the same points, with the same partial
-    state mutation. *)
-
-val run : ?max_steps:int -> t -> State.t -> Semantics.outcome list
-(** Compiled analogue of {!Semantics.run}. *)

@@ -317,12 +317,7 @@ let shard_of_json j =
   Ok { sh_id; sh_seed; sh_state; sh_attempts; sh_not_before }
 
 let of_json ~dir j =
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "ledger: unknown schema %S" s)
-    | None -> Error "ledger: missing schema"
-  in
+  let* () = Json.check_schema ~version ~codec:"ledger" schema j in
   let* spec =
     match Json.member "spec" j with
     | Some s -> spec_of_json s

@@ -147,12 +147,7 @@ let to_json t =
     ]
 
 let of_json j =
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "merged doc: unknown schema %S" s)
-    | None -> Error "merged doc: missing schema"
-  in
+  let* () = Json.check_schema ~codec:"merged doc" schema j in
   let* m_fingerprint =
     match Option.bind (Json.member "fingerprint" j) Json.to_str with
     | Some f -> Ok f

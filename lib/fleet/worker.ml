@@ -197,12 +197,7 @@ let violation_of_json j =
   Ok { v_tc; v_label; v_summary; v_program; v_inputs }
 
 let of_json j =
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "shard result: unknown schema %S" s)
-    | None -> Error "shard result: missing schema"
-  in
+  let* () = Json.check_schema ~codec:"shard result" schema j in
   let* r_shard =
     match Option.bind (Json.member "shard" j) Json.to_int with
     | Some v -> Ok v

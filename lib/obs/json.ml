@@ -263,3 +263,16 @@ let to_int = function
 
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function String s -> Some s | _ -> None
+
+let check_schema ?version ~codec schema j =
+  match Option.bind (member "schema" j) to_str with
+  | None -> Error (codec ^ ": missing schema")
+  | Some s when s <> schema ->
+      Error (Printf.sprintf "%s: unknown schema %S" codec s)
+  | Some _ -> (
+      match (version, Option.bind (member "version" j) to_int) with
+      | None, _ -> Ok ()
+      | Some v, Some v' when v' = v -> Ok ()
+      | Some _, Some v' ->
+          Error (Printf.sprintf "%s: unsupported version %d" codec v')
+      | Some _, None -> Error (codec ^ ": missing version"))

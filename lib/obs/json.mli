@@ -37,3 +37,11 @@ val to_int : t -> int option
 
 val to_float : t -> float option
 val to_str : t -> string option
+
+val check_schema :
+  ?version:int -> codec:string -> string -> t -> (unit, string) result
+(** [check_schema ?version ~codec schema j] is the envelope check every
+    persisted document's decoder runs first: [Ok ()] when [j]'s ["schema"]
+    field is [schema] and, given [version], its ["version"] field is
+    [version]. Otherwise an [Error] starting with ["codec: "] that names
+    the missing or unexpected field. *)

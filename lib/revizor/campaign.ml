@@ -144,18 +144,7 @@ let to_json config (s : Fuzzer.snapshot) =
 
 let of_json config j =
   let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "checkpoint: unknown schema %S" s)
-    | None -> Error "checkpoint: missing schema"
-  in
-  let* () =
-    match Option.bind (Json.member "version" j) Json.to_int with
-    | Some v when v = version -> Ok ()
-    | Some v -> Error (Printf.sprintf "checkpoint: unsupported version %d" v)
-    | None -> Error "checkpoint: missing version"
-  in
+  let* () = Json.check_schema ~version ~codec:"checkpoint" schema j in
   let* () =
     match Option.bind (Json.member "fingerprint" j) Json.to_str with
     | Some fp when fp = fingerprint config -> Ok ()
@@ -189,6 +178,18 @@ let of_json config j =
     | None -> Error (Printf.sprintf "checkpoint: missing %s" k)
   in
   let* sn_n_inputs = int "n_inputs" in
+  (* Growth moves the count from the configured value toward the cap and
+     never past it; anything else would size an input list without
+     bound, or fail to. *)
+  let* () =
+    let n = config.Fuzzer.n_inputs and cap = Fuzzer.grown_inputs_cap in
+    let lo = Int.min n cap and hi = Int.max n cap in
+    if sn_n_inputs >= lo && sn_n_inputs <= hi then Ok ()
+    else
+      Error
+        (Printf.sprintf "checkpoint: n_inputs %d outside %d..%d" sn_n_inputs
+           lo hi)
+  in
   let* sn_in_round = int "in_round" in
   let* sn_combos_at_round_start = int "combos_at_round_start" in
   let* sn_stats =

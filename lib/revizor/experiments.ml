@@ -119,10 +119,8 @@ let table3 ?(budget = 400) ?(seed = 1L) () =
 type t4_cell = {
   row : string;
   column : string;
-  detected : int;
-  mean_test_cases : float;
-  mean_seconds : float;
-  cov : float;
+  budget : int;
+  test_cases : int option list;
 }
 
 let sky ~v4 subsets ~assist =
@@ -163,44 +161,35 @@ let table4_setups : (string * string * Contract.t * Target.t) option list =
     Some ("V1", "LVI", Contract.ct_cond, coffee ar_mem_cb);
   ]
 
-let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l))
-
-let coefficient_of_variation l =
-  match l with
-  | [] | [ _ ] -> 0.
-  | _ ->
-      let m = mean l in
-      if m = 0. then 0.
-      else
-        let var = mean (List.map (fun x -> (x -. m) ** 2.) l) in
-        sqrt var /. m
-
 let table4 ?(runs = 10) ?(budget = 600) ?(seed = 1L) () =
   List.map
     (Option.map (fun (row, column, contract, target) ->
-         let times = ref [] and cases = ref [] and detected = ref 0 in
-         for r = 1 to runs do
+         let run r =
            let cfg =
              Target.fuzzer_config
                ~seed:(Int64.add seed (Int64.of_int (r * 7919)))
                contract target
            in
            match Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases budget) with
-           | Fuzzer.Violation _, stats ->
-               incr detected;
-               times := stats.Fuzzer.elapsed_s :: !times;
-               cases := float_of_int stats.Fuzzer.test_cases :: !cases
-           | Fuzzer.No_violation, _ -> ()
-         done;
-         {
-           row;
-           column;
-           detected = !detected;
-           mean_test_cases = mean !cases;
-           mean_seconds = mean !times;
-           cov = coefficient_of_variation !times;
-         }))
+           | Fuzzer.Violation _, stats -> Some stats.Fuzzer.test_cases
+           | Fuzzer.No_violation, _ -> None
+         in
+         { row; column; budget; test_cases = List.init runs (fun r -> run (r + 1)) }))
     table4_setups
+
+(* A miss sorts after every detection and counts as the budget, so a
+   median that takes one in is only a lower bound. *)
+let t4_median c =
+  let sorted =
+    Array.of_list
+      (List.sort Int.compare
+         (List.map (Option.value ~default:max_int) c.test_cases))
+  in
+  let n = Array.length sorted in
+  let middle = [ sorted.((n - 1) / 2); sorted.(n / 2) ] in
+  ( float_of_int (List.fold_left (fun acc x -> acc + Int.min x c.budget) 0 middle)
+    /. 2.,
+    List.mem max_int middle )
 
 (* ------------------------------------------------------------------ *)
 (* Table 5                                                             *)
@@ -255,7 +244,8 @@ let table5 ?(runs = 50) ?(max_inputs = 32) ?(seed = 1L) () =
         gadget = g;
         runs;
         found = n;
-        mean_inputs = mean (List.map float_of_int sorted);
+        mean_inputs =
+          float_of_int (List.fold_left ( + ) 0 sorted) /. float_of_int (max 1 n);
         median_inputs = (if n = 0 then 0 else List.nth sorted (n / 2));
         min_inputs = (match sorted with [] -> 0 | x :: _ -> x);
         max_inputs = (match List.rev sorted with [] -> 0 | x :: _ -> x);
@@ -336,9 +326,8 @@ type throughput = {
   cases_per_hour : float;
 }
 
-let throughput ?(seconds = 10.) ?(seed = 5L) ?(executor_domains = 1) () =
+let throughput ?(seconds = 10.) ?(seed = 5L) () =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target1 in
-  let cfg = { cfg with Fuzzer.executor_domains } in
   let _, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Seconds seconds) in
   {
     seconds = stats.Fuzzer.elapsed_s;

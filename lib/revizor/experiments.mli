@@ -1,7 +1,7 @@
 (** Drivers for every experiment of the paper's evaluation (§6 and the
-    artifact appendix). The benchmark executable and the CLI print these
-    results; the integration tests assert their shape against the paper's
-    Table 3/4/5 expectations. All drivers are deterministic in their
+    artifact appendix). [revizor reproduce] prints these results; the
+    integration tests assert their shape against the paper's Table 3/4/5
+    expectations. All drivers are deterministic in their
     seeds. *)
 
 val check_gadget :
@@ -43,16 +43,22 @@ val table3 : ?budget:int -> ?seed:int64 -> unit -> t3_cell list
 type t4_cell = {
   row : string;  (** contract-permitted leakage: "None" / "V4" / "V1" *)
   column : string;  (** leak to detect: "V4" / "V1" / "MDS" / "LVI" *)
-  detected : int;  (** runs (out of [runs]) that found the violation *)
-  mean_test_cases : float;
-  mean_seconds : float;
-  cov : float;  (** coefficient of variation of the detection time *)
+  budget : int;  (** test cases each run may spend *)
+  test_cases : int option list;
+      (** per run, in run order: the test cases to the first violation,
+          or [None] when the run missed within [budget] *)
 }
 
 val table4 :
   ?runs:int -> ?budget:int -> ?seed:int64 -> unit -> t4_cell option list
 (** The 12 cells of Table 4 in row-major order ([None] for the two N/A
-    cells). Default 10 runs per cell, as in the paper. *)
+    cells). Default 10 runs per cell, as in the paper, and a budget of
+    600 test cases per run. *)
+
+val t4_median : t4_cell -> float * bool
+(** Median test cases to the first violation over all runs, a miss
+    counted as the budget, and whether a miss enters it: then the value
+    is only a lower bound (censored). Needs at least one run. *)
 
 (** {1 Table 5 — inputs to violation on hand-written gadgets} *)
 
@@ -100,12 +106,9 @@ type throughput = {
   cases_per_hour : float;
 }
 
-val throughput :
-  ?seconds:float -> ?seed:int64 -> ?executor_domains:int -> unit -> throughput
+val throughput : ?seconds:float -> ?seed:int64 -> unit -> throughput
 (** Fuzz a non-detecting configuration (Target 1 × CT-SEQ) and report the
-    processing rate. [executor_domains] (default 1) sizes the campaign's
-    domain pool; results are bit-identical for every value, so the knob
-    only moves the rate. *)
+    processing rate. *)
 
 (** {1 Port-contention channel (extension, §7 future work)} *)
 

@@ -2,6 +2,8 @@ open Revizor_isa
 open Revizor_uarch
 module Json = Revizor_obs.Json
 
+let schema = "revizor.forensics.v1"
+
 type event = {
   ev_kind : string;
   ev_origin_pc : int;
@@ -144,7 +146,7 @@ let timeline_json tl =
 let to_json t =
   Json.Obj
     [
-      ("schema", Json.String "revizor.forensics.v1");
+      ("schema", Json.String schema);
       ("label", Json.String t.f_label);
       ("program", Json.String t.f_program_asm);
       ("index_a", Json.Int t.f_index_a);
@@ -224,76 +226,73 @@ let timeline_of_json j =
   Ok { tl_input; tl_events }
 
 let of_json j =
-  let* schema = req "schema" Json.to_str j in
-  if schema <> "revizor.forensics.v1" then
-    Error (Printf.sprintf "forensics: unknown schema %S" schema)
-  else
-    let* f_label = req "label" Json.to_str j in
-    let* f_program_asm = req "program" Json.to_str j in
-    let* f_index_a = req "index_a" Json.to_int j in
-    let* f_index_b = req "index_b" Json.to_int j in
-    let* raw_inputs = req "inputs" to_list j in
-    let* f_inputs =
-      List.fold_left
-        (fun acc i ->
-          let* acc = acc in
-          let* input = input_of_json i in
-          Ok (input :: acc))
-        (Ok []) raw_inputs
-      |> Result.map List.rev
-    in
-    let* f_ctrace = req "ctrace" Json.to_str j in
-    let* f_htrace_a = req "htrace_a" to_ints j in
-    let* f_htrace_b = req "htrace_b" to_ints j in
-    let* f_only_a = req "only_a" to_ints j in
-    let* f_only_b = req "only_b" to_ints j in
-    let* raw_timelines = req "timelines" to_list j in
-    let* f_timelines =
-      List.fold_left
-        (fun acc t ->
-          let* acc = acc in
-          let* tl = timeline_of_json t in
-          Ok (tl :: acc))
-        (Ok []) raw_timelines
-      |> Result.map List.rev
-    in
-    let* f_fenced_asm = req "fenced_program" Json.to_str j in
-    let* f_fence_positions = req "fence_positions" to_ints j in
-    let f_leak_region =
-      match Json.member "leak_region" j with
-      | Some (Json.Obj _ as r) -> (
-          match
-            ( Option.bind (Json.member "first" r) Json.to_int,
-              Option.bind (Json.member "last" r) Json.to_int )
-          with
-          | Some first, Some last -> Some (first, last)
-          | _ -> None)
-      | _ -> None
-    in
-    (* Additive key: forensics files from before the atlas load fine. *)
-    let* f_ucoverage =
-      match Json.member "ucoverage" j with
-      | None | Some Json.Null -> Ok None
-      | Some u -> Result.map Option.some (Ucoverage.of_json u)
-    in
-    Ok
-      {
-        f_label;
-        f_program_asm;
-        f_index_a;
-        f_index_b;
-        f_inputs;
-        f_ctrace;
-        f_htrace_a;
-        f_htrace_b;
-        f_only_a;
-        f_only_b;
-        f_timelines;
-        f_fenced_asm;
-        f_fence_positions;
-        f_leak_region;
-        f_ucoverage;
-      }
+  let* () = Json.check_schema ~codec:"forensics" schema j in
+  let* f_label = req "label" Json.to_str j in
+  let* f_program_asm = req "program" Json.to_str j in
+  let* f_index_a = req "index_a" Json.to_int j in
+  let* f_index_b = req "index_b" Json.to_int j in
+  let* raw_inputs = req "inputs" to_list j in
+  let* f_inputs =
+    List.fold_left
+      (fun acc i ->
+        let* acc = acc in
+        let* input = input_of_json i in
+        Ok (input :: acc))
+      (Ok []) raw_inputs
+    |> Result.map List.rev
+  in
+  let* f_ctrace = req "ctrace" Json.to_str j in
+  let* f_htrace_a = req "htrace_a" to_ints j in
+  let* f_htrace_b = req "htrace_b" to_ints j in
+  let* f_only_a = req "only_a" to_ints j in
+  let* f_only_b = req "only_b" to_ints j in
+  let* raw_timelines = req "timelines" to_list j in
+  let* f_timelines =
+    List.fold_left
+      (fun acc t ->
+        let* acc = acc in
+        let* tl = timeline_of_json t in
+        Ok (tl :: acc))
+      (Ok []) raw_timelines
+    |> Result.map List.rev
+  in
+  let* f_fenced_asm = req "fenced_program" Json.to_str j in
+  let* f_fence_positions = req "fence_positions" to_ints j in
+  let f_leak_region =
+    match Json.member "leak_region" j with
+    | Some (Json.Obj _ as r) -> (
+        match
+          ( Option.bind (Json.member "first" r) Json.to_int,
+            Option.bind (Json.member "last" r) Json.to_int )
+        with
+        | Some first, Some last -> Some (first, last)
+        | _ -> None)
+    | _ -> None
+  in
+  (* Additive key: forensics files from before the atlas load fine. *)
+  let* f_ucoverage =
+    match Json.member "ucoverage" j with
+    | None | Some Json.Null -> Ok None
+    | Some u -> Result.map Option.some (Ucoverage.of_json u)
+  in
+  Ok
+    {
+      f_label;
+      f_program_asm;
+      f_index_a;
+      f_index_b;
+      f_inputs;
+      f_ctrace;
+      f_htrace_a;
+      f_htrace_b;
+      f_only_a;
+      f_only_b;
+      f_timelines;
+      f_fenced_asm;
+      f_fence_positions;
+      f_leak_region;
+      f_ucoverage;
+    }
 
 let file ~dir = Filename.concat dir "forensics.json"
 

@@ -10,8 +10,8 @@ module Faultpoint = Revizor_obs.Faultpoint
 (* Per-stage probes (§"Observability", DESIGN.md §7): each names a
    [stage.<name>.*] metric triple and emits a JSONL span when the
    telemetry sink is enabled. Together the stages account for the
-   pipeline's wall time, so the dashboards and the bench stage-breakdown
-   table are computed from these. *)
+   pipeline's wall time, so the dashboards and perfbench's stage
+   breakdown are computed from these. *)
 let sp_generate = Probe.create "generate"
 let sp_checkpoint = Probe.create "checkpoint"
 let sp_compile = Probe.create "compile"
@@ -156,6 +156,8 @@ let copy_stats s = { s with test_cases = s.test_cases }
 
 type outcome = Violation of Violation.t | No_violation
 type budget = Test_cases of int | Seconds of float
+
+let grown_inputs_cap = 400
 
 (* Everything the campaign loop mutates, captured at a test-case
    boundary. Restoring a snapshot and continuing reproduces the
@@ -682,7 +684,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
         stats.growths <- stats.growths + 1;
         Metrics.incr m_growths;
         gen_cfg := Generator.grow !gen_cfg;
-        n_inputs := min 400 (!n_inputs + (!n_inputs / 2));
+        n_inputs := min grown_inputs_cap (!n_inputs + (!n_inputs / 2));
         set_gen_gauges !gen_cfg ~n_inputs:!n_inputs
       end;
       combos_at_round_start := Coverage.total_combinations coverage;

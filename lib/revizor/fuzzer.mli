@@ -79,6 +79,10 @@ type outcome = Violation of Violation.t | No_violation
 
 type budget = Test_cases of int | Seconds of float
 
+val grown_inputs_cap : int
+(** 400: generator growth raises the inputs per test case by half, up to
+    this many (and lowers a larger configured count to it). *)
+
 type snapshot = {
   sn_prng : int64;  (** main campaign PRNG state *)
   sn_noise : int64 option;
@@ -88,6 +92,8 @@ type snapshot = {
           snapshots, whose stored stream position is ignored. *)
   sn_gen_cfg : Generator.cfg;
   sn_n_inputs : int;
+      (** starts at the config's [n_inputs]; each growth moves it toward
+          {!grown_inputs_cap}, never past it *)
   sn_in_round : int;
   sn_combos_at_round_start : int;
   sn_stats : stats;

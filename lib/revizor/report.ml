@@ -59,7 +59,19 @@ let table3 cells =
   in
   render_table ~header rows
 
-let table4 ~runs cells =
+let t4_cell_to_string (c : Experiments.t4_cell) =
+  let runs = List.length c.Experiments.test_cases in
+  if runs = 0 then "-"
+  else
+    let median, censored = Experiments.t4_median c in
+    Printf.sprintf "%s%s tcs [%d/%d]"
+      (if censored then ">" else "")
+      (if Float.is_integer median then Printf.sprintf "%.0f" median
+       else Printf.sprintf "%.1f" median)
+      (List.length (List.filter Option.is_some c.Experiments.test_cases))
+      runs
+
+let table4 cells =
   let rows_of = [ "None"; "V4"; "V1" ] and cols_of = [ "V4"; "V1"; "MDS"; "LVI" ] in
   let lookup row column =
     List.find_map
@@ -78,16 +90,14 @@ let table4 ~runs cells =
              (fun column ->
                match lookup row column with
                | None -> "N/A"
-               | Some c ->
-                   if c.Experiments.detected = 0 then "not found"
-                   else
-                     Printf.sprintf "%.1f tcs / %.2fs (cov %.1f) [%d/%d]"
-                       c.Experiments.mean_test_cases c.Experiments.mean_seconds
-                       c.Experiments.cov c.Experiments.detected runs)
+               | Some c -> t4_cell_to_string c)
              cols_of)
       rows_of
   in
   render_table ~header:("Contract" :: List.map (fun c -> c ^ "-type") cols_of) rows
+  ^ "\nCell: median test cases to the first violation over all runs, a miss \
+     counted as the budget\n(\">\": a miss enters the median, so it is a lower \
+     bound) [runs that detected/runs]."
 
 let table5 rows =
   render_table
@@ -137,66 +147,3 @@ let entropy_sweep rows =
     (List.map
        (fun (e, f) -> [ string_of_int e; Printf.sprintf "%.1f%%" (100. *. f) ])
        rows)
-
-(* --- telemetry renderers (DESIGN.md §7) ----------------------------- *)
-
-module Metrics = Revizor_obs.Metrics
-
-let stage_table (s : Metrics.summary) ~elapsed_s =
-  let stages = Metrics.stage_breakdown s in
-  let wall_ns = elapsed_s *. 1e9 in
-  let accounted =
-    List.fold_left (fun acc st -> acc + st.Metrics.st_total_ns) 0 stages
-  in
-  let row (st : Metrics.stage) =
-    [
-      st.Metrics.st_name;
-      string_of_int st.Metrics.st_calls;
-      Printf.sprintf "%.1f" (float_of_int st.Metrics.st_total_ns /. 1e6);
-      (if wall_ns > 0. then
-         Printf.sprintf "%.1f%%" (100. *. float_of_int st.Metrics.st_total_ns /. wall_ns)
-       else "-");
-      (if st.Metrics.st_calls > 0 then
-         Printf.sprintf "%.1f"
-           (float_of_int st.Metrics.st_total_ns
-           /. float_of_int st.Metrics.st_calls /. 1e3)
-       else "-");
-    ]
-  in
-  let footer =
-    [
-      "(accounted)";
-      "";
-      Printf.sprintf "%.1f" (float_of_int accounted /. 1e6);
-      (if wall_ns > 0. then
-         Printf.sprintf "%.1f%%" (100. *. float_of_int accounted /. wall_ns)
-       else "-");
-      "";
-    ]
-  in
-  render_table
-    ~header:[ "Stage"; "Calls"; "Total ms"; "% wall"; "Mean us" ]
-    (List.map row stages @ [ footer ])
-
-let metrics_table (s : Metrics.summary) =
-  let counter_rows =
-    List.map (fun (n, v) -> [ n; "counter"; string_of_int v ]) s.Metrics.counters
-  in
-  let gauge_rows =
-    List.map (fun (n, v) -> [ n; "gauge"; Printf.sprintf "%g" v ]) s.Metrics.gauges
-  in
-  let hist_rows =
-    List.map
-      (fun (n, (h : Metrics.hist_summary)) ->
-        [
-          n;
-          "histogram";
-          Printf.sprintf "count=%d sum=%d mean=%.1f" h.Metrics.h_count
-            h.Metrics.h_sum
-            (if h.Metrics.h_count = 0 then 0.
-             else float_of_int h.Metrics.h_sum /. float_of_int h.Metrics.h_count);
-        ])
-      s.Metrics.histograms
-  in
-  render_table ~header:[ "Metric"; "Kind"; "Value" ]
-    (counter_rows @ gauge_rows @ hist_rows)

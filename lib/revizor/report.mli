@@ -1,5 +1,5 @@
-(** Plain-text rendering of experiment results, used by the benchmark
-    harness and the CLI to print paper-style tables. *)
+(** Plain-text rendering of experiment results, used by
+    [revizor reproduce] to print paper-style tables. *)
 
 val render_table : header:string list -> string list list -> string
 (** Column-aligned ASCII table. *)
@@ -10,20 +10,14 @@ val t3_outcome_to_string : Experiments.t3_outcome -> string
 val table3 : Experiments.t3_cell list -> string
 (** Paper-vs-measured rendering of Table 3. *)
 
-val table4 : runs:int -> Experiments.t4_cell option list -> string
+val t4_cell_to_string : Experiments.t4_cell -> string
+(** "87.5 tcs [10/10]"; ">600 tcs [3/10]" when a miss enters the median
+    ({!Experiments.t4_median}). *)
+
+val table4 : Experiments.t4_cell option list -> string
 val table5 : Experiments.t5_row list -> string
 val store_eviction : Experiments.store_eviction_result list -> string
 val sensitivity : (string * string * bool) list -> string
 val throughput : Experiments.throughput -> string
 val ablation : Experiments.ablation -> string
 val entropy_sweep : (int * float) list -> string
-
-val stage_table : Revizor_obs.Metrics.summary -> elapsed_s:float -> string
-(** Per-stage time breakdown (calls, total ms, share of [elapsed_s]
-    wall time, mean call cost) from the [stage.*] metrics, plus an
-    "accounted" footer row — the ≥95% wall-time accounting check of the
-    telemetry layer reads that row. *)
-
-val metrics_table : Revizor_obs.Metrics.summary -> string
-(** Every registered counter, gauge and histogram as an aligned table
-    (histograms as count/sum/mean). *)

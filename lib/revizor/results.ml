@@ -68,10 +68,12 @@ type saved_stats = {
   ucoverage : Ucoverage.t option;
 }
 
+let stats_schema = "revizor.stats.v1"
+
 let stats_json ?stats ?ucoverage ~metrics () =
   Json.Obj
     ([
-       ("schema", Json.String "revizor.stats.v1");
+       ("schema", Json.String stats_schema);
        ( "stats",
          match stats with Some s -> Fuzzer.stats_to_json s | None -> Json.Null
        );
@@ -103,29 +105,27 @@ let save_violation ?stats ?ucoverage ?metrics ~dir (v : Violation.t) =
     ~path:(Filename.concat dir "stats.json")
     ()
 
+let stats_of_json j =
+  let ( let* ) = Result.bind in
+  let* () = Json.check_schema ~codec:"stats" stats_schema j in
+  let metrics = Option.value (Json.member "metrics" j) ~default:Json.Null in
+  (* Additive section: stats files from before the atlas existed load
+     with [None]; a malformed section is an error, not a silent [None]. *)
+  let* ucoverage =
+    match Json.member "ucoverage" j with
+    | None | Some Json.Null -> Ok None
+    | Some u -> Result.map Option.some (Ucoverage.of_json u)
+  in
+  match Json.member "stats" j with
+  | None -> Error "stats: missing stats key"
+  | Some Json.Null -> Ok { stats = None; metrics; ucoverage }
+  | Some sj ->
+      let* s = Fuzzer.stats_of_json sj in
+      Ok { stats = Some s; metrics; ucoverage }
+
 let load_stats path =
   match read_file path with
   | exception Sys_error e -> Error e
-  | contents -> (
-      match Json.parse contents with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok j -> (
-          let metrics = Option.value (Json.member "metrics" j) ~default:Json.Null in
-          let ucoverage =
-            (* Additive section: stats files from before the atlas existed
-               load with [None]; a malformed section is an error, not a
-               silent [None]. *)
-            match Json.member "ucoverage" j with
-            | None | Some Json.Null -> Ok None
-            | Some u -> Result.map Option.some (Ucoverage.of_json u)
-          in
-          match ucoverage with
-          | Error e -> Error (Printf.sprintf "%s: %s" path e)
-          | Ok ucoverage -> (
-              match Json.member "stats" j with
-              | None -> Error (Printf.sprintf "%s: missing stats key" path)
-              | Some Json.Null -> Ok { stats = None; metrics; ucoverage }
-              | Some sj -> (
-                  match Fuzzer.stats_of_json sj with
-                  | Ok s -> Ok { stats = Some s; metrics; ucoverage }
-                  | Error e -> Error (Printf.sprintf "%s: %s" path e)))))
+  | contents ->
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (Result.bind (Json.parse contents) stats_of_json)

@@ -45,8 +45,11 @@ type saved_stats = {
           files written before the atlas existed) *)
 }
 
+val stats_of_json : Revizor_obs.Json.t -> (saved_stats, string) result
+(** Decode a [revizor.stats.v1] document; any other schema is an error. *)
+
 val load_stats : string -> (saved_stats, string) result
-(** Read back a [stats.json]. *)
+(** Read back a [stats.json] ({!stats_of_json}); errors name the path. *)
 
 val load_program : string -> (Program.t, string) result
 (** Parse a saved [*.asm] file. *)

@@ -350,12 +350,7 @@ let to_json t =
 let ( let* ) = Result.bind
 
 let of_json j =
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "ucoverage: unknown schema %S" s)
-    | None -> Error "ucoverage: missing schema"
-  in
+  let* () = Json.check_schema ~version ~codec:"ucoverage" schema j in
   let* first_hit =
     match Json.member "features" j with
     | Some (Json.Obj kvs) ->

@@ -114,9 +114,37 @@ let desc_metadata () =
 
 (* --- bare emulation ---------------------------------------------------- *)
 
-(* [Compiled.run] vs [Semantics.run]: same outcome stream (instruction,
-   pc, access records in order, branch direction, next pc) and same
-   final architectural state. *)
+(* The compiled program's outcome stream, built from its raw actions the
+   way [Semantics.run] builds the reference one. *)
+let compiled_run (c : Compiled.t) state =
+  let ab = Compiled.abuf_create () in
+  let rec go acc steps =
+    let pc = state.State.pc in
+    if pc < 0 || pc >= Compiled.length c || steps >= 4096 then List.rev acc
+    else begin
+      let taken =
+        Option.map (Flags.eval_cond state.State.flags)
+          c.Compiled.descs.(pc).Compiled.d_cond
+      in
+      Compiled.abuf_clear ab;
+      c.Compiled.raws.(pc) state ab;
+      let o =
+        {
+          Semantics.inst = (Compiled.code c).(pc);
+          pc;
+          accesses = Compiled.abuf_accesses ab;
+          taken;
+          next = state.State.pc;
+        }
+      in
+      go (o :: acc) (steps + 1)
+    end
+  in
+  go [] 0
+
+(* Raw actions vs [Semantics.run]: same outcome stream (instruction, pc,
+   access records in order, branch direction, next pc) and same final
+   architectural state. *)
 let emulation_identical () =
   each_case (fun ~label ~flat ~compiled ~interp:_ ->
       List.iter
@@ -125,7 +153,7 @@ let emulation_identical () =
           let s_ref = Input.to_state input in
           let s_cmp = Input.to_state input in
           let out_ref = Semantics.run flat s_ref in
-          let out_cmp = Compiled.run compiled s_cmp in
+          let out_cmp = compiled_run compiled s_cmp in
           check bool
             (Printf.sprintf "%s input %Ld: outcome streams" label seed)
             true

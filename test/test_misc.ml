@@ -377,6 +377,32 @@ let experiment_tests =
         in
         check int "all found" 5 r2s.Experiments.found;
         check bool "tiny input counts" true (r2s.Experiments.mean_inputs <= 4.));
+    tc "table4 medians count misses at the budget" `Quick (fun () ->
+        let cell test_cases =
+          { Experiments.row = "None"; column = "V4"; budget = 600; test_cases }
+        in
+        (* Mostly misses: the two fastest runs alone would read 20. *)
+        check string "median is a miss" ">600 tcs [2/5]"
+          (Report.t4_cell_to_string (cell [ Some 10; None; Some 30; None; None ]));
+        check string "one miss among the middle two" ">310 tcs [2/4]"
+          (Report.t4_cell_to_string (cell [ None; Some 20; Some 10; None ]));
+        check string "misses above the median" "50 tcs [2/3]"
+          (Report.t4_cell_to_string (cell [ Some 50; None; Some 20 ]));
+        check string "every run detects" "15.5 tcs [4/4]"
+          (Report.t4_cell_to_string (cell [ Some 40; Some 11; Some 20; Some 2 ]));
+        let table =
+          Report.table4
+            [ Some (cell [ Some 10; None; Some 30 ]); None;
+              Some { (cell [ Some 7 ]) with Experiments.column = "MDS" } ]
+        in
+        let has sub =
+          let n = String.length sub and m = String.length table in
+          let rec go i = i + n <= m && (String.sub table i n = sub || go (i + 1)) in
+          go 0
+        in
+        check bool "table shows the cell's median" true (has "30 tcs [2/3]");
+        check bool "table shows the other cell" true (has "7 tcs [1/1]");
+        check bool "table marks missing cells N/A" true (has "N/A"));
     tc "parallel fuzzing finds the same class of violation" `Slow (fun () ->
         let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
         let cfg = { cfg with Fuzzer.executor_domains = 2 } in

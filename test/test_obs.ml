@@ -241,6 +241,125 @@ let test_stats_json_roundtrip () =
                     (List.mem_assoc "fuzzer.test_cases" counters)
               | _ -> Alcotest.fail "metrics.counters missing"))
 
+(* --- the schema envelope of every persisted document -------------------- *)
+
+(* Each decoder, given a document it wrote, with the schema replaced,
+   removed or bumped to another version (and, where the codec writes a
+   version field, that field changed): every variant must be an [Error]
+   that names the codec. *)
+let test_schema_envelope () =
+  let module Ledger = Revizor_fleet.Ledger in
+  let module Merge = Revizor_fleet.Merge in
+  let module Worker = Revizor_fleet.Worker in
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
+  let last = ref None in
+  let _, stats =
+    Fuzzer.fuzz ~on_checkpoint:(fun s -> last := Some s) cfg
+      ~budget:(Fuzzer.Test_cases 2)
+  in
+  let snap = Option.get !last in
+  let spec =
+    Ledger.default_spec ~target:"Target 1" ~contract:"CT-SEQ" ~seeds:[ 1L ]
+  in
+  let stats_doc =
+    with_tmpdir (fun dir ->
+        let path = Filename.concat dir "stats.json" in
+        Results.save_stats ~stats ~path ();
+        match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "stats.json: %s" e)
+  in
+  let forensics =
+    {
+      Forensics.f_label = "V1";
+      f_program_asm = "";
+      f_index_a = 0;
+      f_index_b = 1;
+      f_inputs = [];
+      f_ctrace = "";
+      f_htrace_a = [];
+      f_htrace_b = [];
+      f_only_a = [];
+      f_only_b = [];
+      f_timelines = [];
+      f_fenced_asm = "";
+      f_fence_positions = [];
+      f_leak_region = None;
+      f_ucoverage = None;
+    }
+  in
+  let shard_result =
+    {
+      Worker.r_shard = 0;
+      r_seed = 1L;
+      r_attempt = 1;
+      r_violation = None;
+      r_stats = stats;
+      r_atlas = Ucoverage.create ();
+    }
+  in
+  let unit_of r = Result.map ignore r in
+  (* (codec, a document it wrote, its decoder, writes a version field) *)
+  let codecs =
+    [
+      ("checkpoint", Campaign.to_json cfg snap,
+       (fun j -> unit_of (Campaign.of_json cfg j)), true);
+      ("ucoverage", Ucoverage.to_json (Ucoverage.create ()),
+       (fun j -> unit_of (Ucoverage.of_json j)), true);
+      ("ledger", Ledger.to_json (Ledger.create ~dir:"fleet" spec),
+       (fun j -> unit_of (Ledger.of_json ~dir:"fleet" j)), true);
+      ("merged doc", Merge.to_json (Merge.create ~spec),
+       (fun j -> unit_of (Merge.of_json j)), false);
+      ("shard result", Worker.to_json shard_result,
+       (fun j -> unit_of (Worker.of_json j)), false);
+      ("forensics", Forensics.to_json forensics,
+       (fun j -> unit_of (Forensics.of_json j)), false);
+      ("stats", stats_doc, (fun j -> unit_of (Results.stats_of_json j)), false);
+    ]
+  in
+  (* [edit k (Some v)] sets field [k] to [v]; [edit k None] drops it. *)
+  let edit k v = function
+    | Json.Obj kvs ->
+        Json.Obj
+          (List.filter_map
+             (fun (k', v') ->
+               if k' = k then Option.map (fun v -> (k, v)) v else Some (k', v'))
+             kvs)
+    | _ -> Alcotest.fail "document is not an object"
+  in
+  List.iter
+    (fun (codec, doc, decode, versioned) ->
+      (match decode doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: own document refused: %s" codec e);
+      let schema = Option.get (Option.bind (Json.member "schema" doc) Json.to_str) in
+      let bumped = String.sub schema 0 (String.length schema - 1) ^ "2" in
+      let variants =
+        [
+          ("wrong schema", edit "schema" (Some (Json.String "revizor.other.v1")) doc);
+          ("missing schema", edit "schema" None doc);
+          ("schema of the next version", edit "schema" (Some (Json.String bumped)) doc);
+        ]
+        @
+        if versioned then
+          [
+            ("wrong version", edit "version" (Some (Json.Int 99)) doc);
+            ("missing version", edit "version" None doc);
+          ]
+        else []
+      in
+      List.iter
+        (fun (what, j) ->
+          match decode j with
+          | Ok () -> Alcotest.failf "%s: %s accepted" codec what
+          | Error e ->
+              check bool
+                (Printf.sprintf "%s, %s: error %S names the codec" codec what e)
+                true
+                (String.starts_with ~prefix:(codec ^ ": ") e))
+        variants)
+    codecs
+
 (* --- probes record even on exceptions --------------------------------- *)
 
 let test_probe_exception () =
@@ -272,5 +391,7 @@ let () =
           tc "JSONL round-trip" `Quick test_jsonl_roundtrip;
           tc "Json value round-trip" `Quick test_json_value_roundtrip;
           tc "stats.json round-trip" `Slow test_stats_json_roundtrip;
+          tc "schema envelope of every persisted document" `Quick
+            test_schema_envelope;
         ] );
     ]

@@ -124,18 +124,37 @@ let test_checkpoint_file_roundtrip () =
       check string "file round-trip"
         (Json.to_string (Campaign.to_json cfg snap))
         (Json.to_string (Campaign.to_json cfg snap')));
-  (* A different configuration must be rejected, not silently resumed. *)
-  let other = { cfg with Fuzzer.seed = 99L } in
-  match Campaign.load ~path other with
-  | Ok _ -> Alcotest.fail "fingerprint mismatch accepted"
-  | Error e ->
-      let has_sub sub s =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      check bool "mismatch error names the fingerprint" true
-        (has_sub "fingerprint" e)
+  (* A different configuration must be rejected, not silently resumed;
+     so must an input count the campaign loop cannot reach. *)
+  let has_sub sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let with_field k v =
+    match Campaign.to_json cfg snap with
+    | Json.Obj kvs ->
+        Json.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs)
+    | _ -> Alcotest.fail "checkpoint is not an object"
+  in
+  List.iter
+    (fun (what, cfg', doc, names) ->
+      Atomic_file.write path (Json.to_string doc);
+      match Campaign.load ~path cfg' with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e ->
+          check bool (Printf.sprintf "%s: error names %s" what names) true
+            (has_sub names e))
+    [
+      ( "fingerprint mismatch", { cfg with Fuzzer.seed = 99L },
+        Campaign.to_json cfg snap, "fingerprint" );
+      ("negative n_inputs", cfg, with_field "n_inputs" (Json.Int (-1)), "n_inputs");
+      ("n_inputs below the configured count", cfg,
+        with_field "n_inputs" (Json.Int (cfg.Fuzzer.n_inputs - 1)), "n_inputs");
+      ("n_inputs past the growth cap", cfg,
+        with_field "n_inputs" (Json.Int (Fuzzer.grown_inputs_cap + 1)), "n_inputs");
+      ("huge n_inputs", cfg, with_field "n_inputs" (Json.Int max_int), "n_inputs");
+    ]
 
 let test_fingerprint_sensitivity () =
   let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
