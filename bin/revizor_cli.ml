@@ -174,42 +174,6 @@ let closing_line ~started ~outcome =
     | Fuzzer.Violation _ -> "VIOLATION"
     | Fuzzer.No_violation -> "no violation")
 
-let write_metrics_json path ~elapsed ~(stats : Fuzzer.stats option) =
-  let snap = Metrics.snapshot () in
-  let stages = Metrics.stage_breakdown snap in
-  let wall_ns = elapsed *. 1e9 in
-  let accounted =
-    List.fold_left (fun acc st -> acc + st.Metrics.st_total_ns) 0 stages
-  in
-  let stage_json (st : Metrics.stage) =
-    ( st.Metrics.st_name,
-      Json.Obj
-        [
-          ("calls", Json.Int st.Metrics.st_calls);
-          ("total_ns", Json.Int st.Metrics.st_total_ns);
-          ( "share",
-            Json.Float
-              (if wall_ns > 0. then float_of_int st.Metrics.st_total_ns /. wall_ns
-               else 0.) );
-        ] )
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String "revizor.metrics.v1");
-        ("elapsed_s", Json.Float elapsed);
-        ( "stats",
-          match stats with Some s -> Fuzzer.stats_to_json s | None -> Json.Null
-        );
-        ("stages", Json.Obj (List.map stage_json stages));
-        ( "accounted_share",
-          Json.Float (if wall_ns > 0. then float_of_int accounted /. wall_ns else 0.)
-        );
-        ("metrics", Metrics.to_json snap);
-      ]
-  in
-  Revizor_obs.Atomic_file.write path (Json.to_string_pretty doc ^ "\n")
-
 let do_fuzz contract target seed budget inputs minimize save_dir
     executor_domains metrics_out trace_out progress checkpoint checkpoint_every
     resume watchdog_steps watchdog_ms fault_inject fault_seed monitor_sock
@@ -327,9 +291,9 @@ let do_fuzz contract target seed budget inputs minimize save_dir
         | None -> "");
     (match metrics_out with
     | Some path ->
-        write_metrics_json path
+        Results.save_metrics ~stats
           ~elapsed:(Unix.gettimeofday () -. started)
-          ~stats:(Some stats);
+          ~path ();
         if progress <> `Quiet then Printf.printf "[metrics written to %s]\n%!" path
     | None -> ());
     (* The stats/atlas artifact for campaigns that never hit a violation
@@ -765,39 +729,13 @@ let reproduce_cmd =
 (* Validator for the artifacts of [--metrics-out] / [--trace-out]; CI
    runs it after the telemetry smoke fuzz. *)
 
-let read_whole path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let check_metrics_file path =
-  match Json.parse (read_whole path) with
-  | Error e -> Error (Printf.sprintf "%s: invalid JSON: %s" path e)
-  | Ok doc -> (
-      let get k = Json.member k doc in
-      match (get "schema", get "metrics", get "stages", get "accounted_share") with
-      | Some (Json.String "revizor.metrics.v1"), Some metrics, Some (Json.Obj stages), Some share
-        -> (
-          let n_counters =
-            match Json.member "counters" metrics with
-            | Some (Json.Obj kvs) -> List.length kvs
-            | _ -> 0
-          in
-          if n_counters = 0 then
-            Error (Printf.sprintf "%s: metrics.counters is empty" path)
-          else
-            match Json.to_float share with
-            | Some s ->
-                Ok
-                  (Printf.sprintf
-                     "%s: OK (%d counters, %d stages, %.1f%% of wall time accounted)"
-                     path n_counters (List.length stages) (100. *. s))
-            | None -> Error (Printf.sprintf "%s: accounted_share not a number" path))
-      | _ ->
-          Error
-            (Printf.sprintf
-               "%s: missing schema/metrics/stages/accounted_share keys" path))
+  Result.map
+    (fun (m : Results.saved_metrics) ->
+      Printf.sprintf "%s: OK (%d counters, %d stages, %.1f%% of wall time accounted)"
+        path (List.length m.Results.counters) (List.length m.Results.stages)
+        (100. *. m.Results.accounted_share))
+    (Results.load_metrics path)
 
 (* A malformed FINAL line is tolerated and reported: a campaign killed
    mid-write (SIGKILL, OOM) leaves exactly one truncated tail line, and

@@ -66,16 +66,8 @@ let canonical spec =
     (String.concat "," (List.map (Printf.sprintf "0x%Lx") spec.sp_seeds))
     spec.sp_budget spec.sp_n_inputs
 
-let fnv1a64 (s : string) =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let fingerprint spec = Printf.sprintf "%016Lx" (fnv1a64 (canonical spec))
+let fingerprint spec =
+  Printf.sprintf "%016Lx" (Revizor_obs.Hash.fnv1a (canonical spec))
 
 type state =
   | Pending
@@ -178,21 +170,19 @@ let finished t =
 
 (* --- JSON codec ------------------------------------------------------- *)
 
-let hex64 v = Json.String (Printf.sprintf "0x%Lx" v)
-
 let spec_to_json s =
   Json.Obj
     [
       ("target", Json.String s.sp_target);
       ("contract", Json.String s.sp_contract);
-      ("seeds", Json.List (List.map hex64 s.sp_seeds));
+      ("seeds", Json.List (List.map Json.hex64 s.sp_seeds));
       ("budget", Json.Int s.sp_budget);
       ("n_inputs", Json.Int s.sp_n_inputs);
       ("checkpoint_every", Json.Int s.sp_checkpoint_every);
       ("workers", Json.Int s.sp_workers);
       ("lease_s", Json.Float s.sp_lease_s);
       ("max_attempts", Json.Int s.sp_max_attempts);
-      ("fleet_seed", hex64 s.sp_fleet_seed);
+      ("fleet_seed", Json.hex64 s.sp_fleet_seed);
       ("backoff_base_ms", Json.Float s.sp_backoff.Backoff.base_ms);
       ("backoff_cap_ms", Json.Float s.sp_backoff.Backoff.cap_ms);
     ]
@@ -217,7 +207,7 @@ let shard_to_json sh =
   Json.Obj
     ([
        ("id", Json.Int sh.sh_id);
-       ("seed", hex64 sh.sh_seed);
+       ("seed", Json.hex64 sh.sh_seed);
        ("attempts", Json.Int sh.sh_attempts);
        ("not_before", Json.Float sh.sh_not_before);
      ]
@@ -235,52 +225,19 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let req_int j k =
-  match Option.bind (Json.member k j) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "ledger: missing %s" k)
-
-let req_float j k =
-  match Option.bind (Json.member k j) Json.to_float with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "ledger: missing %s" k)
-
-let req_str j k =
-  match Option.bind (Json.member k j) Json.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "ledger: missing %s" k)
-
-let req_hex64 j k =
-  let* s = req_str j k in
-  match Int64.of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "ledger: bad int64 %s" k)
-
 let spec_of_json j =
-  let* sp_target = req_str j "target" in
-  let* sp_contract = req_str j "contract" in
-  let* sp_seeds =
-    match Json.member "seeds" j with
-    | Some (Json.List ss) ->
-        List.fold_left
-          (fun acc s ->
-            let* acc = acc in
-            match Option.bind (Json.to_str s) Int64.of_string_opt with
-            | Some v -> Ok (v :: acc)
-            | None -> Error "ledger: bad seed")
-          (Ok []) ss
-        |> Result.map List.rev
-    | _ -> Error "ledger: missing seeds"
-  in
-  let* sp_budget = req_int j "budget" in
-  let* sp_n_inputs = req_int j "n_inputs" in
-  let* sp_checkpoint_every = req_int j "checkpoint_every" in
-  let* sp_workers = req_int j "workers" in
-  let* sp_lease_s = req_float j "lease_s" in
-  let* sp_max_attempts = req_int j "max_attempts" in
-  let* sp_fleet_seed = req_hex64 j "fleet_seed" in
-  let* base_ms = req_float j "backoff_base_ms" in
-  let* cap_ms = req_float j "backoff_cap_ms" in
+  let* sp_target = Json.field "target" Json.str j in
+  let* sp_contract = Json.field "contract" Json.str j in
+  let* sp_seeds = Json.field "seeds" (Json.list Json.int64) j in
+  let* sp_budget = Json.field "budget" Json.int j in
+  let* sp_n_inputs = Json.field "n_inputs" Json.int j in
+  let* sp_checkpoint_every = Json.field "checkpoint_every" Json.int j in
+  let* sp_workers = Json.field "workers" Json.int j in
+  let* sp_lease_s = Json.field "lease_s" Json.float j in
+  let* sp_max_attempts = Json.field "max_attempts" Json.int j in
+  let* sp_fleet_seed = Json.field "fleet_seed" Json.int64 j in
+  let* base_ms = Json.field "backoff_base_ms" Json.float j in
+  let* cap_ms = Json.field "backoff_cap_ms" Json.float j in
   Ok
     {
       sp_target;
@@ -297,85 +254,70 @@ let spec_of_json j =
     }
 
 let shard_of_json j =
-  let* sh_id = req_int j "id" in
-  let* sh_seed = req_hex64 j "seed" in
-  let* sh_attempts = req_int j "attempts" in
-  let* sh_not_before = req_float j "not_before" in
+  let* sh_id = Json.field "id" Json.int j in
+  let* sh_seed = Json.field "seed" Json.int64 j in
+  let* sh_attempts = Json.field "attempts" Json.int j in
+  let* sh_not_before = Json.field "not_before" Json.float j in
   let* sh_state =
-    let* st = req_str j "state" in
+    let* st = Json.field "state" Json.str j in
     match st with
     | "pending" -> Ok Pending
     | "done" -> Ok Done
     | "quarantined" -> Ok Quarantined
     | "leased" ->
-        let* pid = req_int j "pid" in
-        let* expires = req_float j "expires" in
-        let* attempt = req_int j "attempt" in
+        let* pid = Json.field "pid" Json.int j in
+        let* expires = Json.field "expires" Json.float j in
+        let* attempt = Json.field "attempt" Json.int j in
         Ok (Leased { pid; expires; attempt })
-    | s -> Error (Printf.sprintf "ledger: unknown shard state %S" s)
+    | s -> Error (Printf.sprintf "unknown shard state %S" s)
   in
   Ok { sh_id; sh_seed; sh_state; sh_attempts; sh_not_before }
 
-let of_json ~dir j =
-  let* () = Json.check_schema ~version ~codec:"ledger" schema j in
-  let* spec =
-    match Json.member "spec" j with
-    | Some s -> spec_of_json s
-    | None -> Error "ledger: missing spec"
-  in
+let decoder ~dir j =
+  let* () = Json.check_schema ~version schema j in
+  let* spec = Json.field "spec" spec_of_json j in
+  let* fp = Json.field "fingerprint" Json.str j in
   let* () =
-    match Option.bind (Json.member "fingerprint" j) Json.to_str with
-    | Some fp when fp = fingerprint spec -> Ok ()
-    | Some _ -> Error "ledger: fingerprint does not match its own spec"
-    | None -> Error "ledger: missing fingerprint"
+    if fp = fingerprint spec then Ok ()
+    else Error "fingerprint does not match its own spec"
   in
-  let* shards =
-    match Json.member "shards" j with
-    | Some (Json.List ss) ->
-        List.fold_left
-          (fun acc s ->
-            let* acc = acc in
-            let* sh = shard_of_json s in
-            Ok (sh :: acc))
-          (Ok []) ss
-        |> Result.map (fun l -> Array.of_list (List.rev l))
-    | _ -> Error "ledger: missing shards"
-  in
-  Ok { dir; spec; shards }
+  let* shards = Json.field "shards" (Json.list shard_of_json) j in
+  Ok { dir; spec; shards = Array.of_list shards }
+
+let of_json ~dir = Json.decode ~codec:"ledger" (decoder ~dir)
 
 (* --- persistence ------------------------------------------------------ *)
 
 let fp_ledger_write = Faultpoint.point "fleet.ledger_write"
 
-(* Ledger writes retry under the fleet's own (coarse) backoff: the
-   [fleet.ledger_write] fault point models a transiently failing write
-   of the control-plane file. The write itself is atomic (tmp+rename),
-   so a crash at any instant leaves the previous consistent ledger. *)
-let save t =
-  let contents = Json.to_string_pretty (to_json t) ^ "\n" in
-  let key = Int64.add t.spec.sp_fleet_seed 0x1ed5e4L in
+(* The fleet's control-plane files (ledger, merged corpus) retry their
+   atomic write under the fleet's own coarse backoff, keyed on the fleet
+   seed plus a per-file [salt]; [fault] fires once per attempt and
+   models a transiently failing write. The write itself is atomic
+   (tmp+rename), so a crash at any instant leaves the previous
+   consistent file. Raises once five retries have failed. *)
+let write_retried spec ~fault ~salt path contents =
+  let key = Int64.add spec.sp_fleet_seed salt in
   let rec go attempt =
     match
-      Faultpoint.fire fp_ledger_write;
-      Revizor_obs.Atomic_file.write (ledger_path t.dir) contents
+      Faultpoint.fire fault;
+      Revizor_obs.Atomic_file.write path contents
     with
     | () -> ()
     | exception ((Faultpoint.Injected _ | Sys_error _) as e) ->
         if attempt >= 5 then raise e
         else begin
-          Backoff.sleep_ms (Backoff.delay_ms t.spec.sp_backoff ~key ~attempt);
+          Backoff.sleep_ms (Backoff.delay_ms spec.sp_backoff ~key ~attempt);
           go (attempt + 1)
         end
   in
   go 0
 
-let load ~dir =
-  let path = ledger_path dir in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error (Printf.sprintf "ledger: %s" e)
-  | contents -> (
-      match Json.parse contents with
-      | Error e -> Error (Printf.sprintf "ledger: parse error: %s" e)
-      | Ok j -> of_json ~dir j)
+let save t =
+  write_retried t.spec ~fault:fp_ledger_write ~salt:0x1ed5e4L
+    (ledger_path t.dir)
+    (Json.to_string_pretty (to_json t) ^ "\n")
+
+let load ~dir = Json.load ~codec:"ledger" (decoder ~dir) (ledger_path dir)
 
 let exists ~dir = Sys.file_exists (ledger_path dir)

@@ -20,7 +20,6 @@
 open Revizor
 module Json = Revizor_obs.Json
 module Faultpoint = Revizor_obs.Faultpoint
-module Backoff = Revizor_obs.Backoff
 
 let schema = "revizor.merged.v1"
 
@@ -40,28 +39,12 @@ type t = {
   mutable m_atlas : Ucoverage.t;
 }
 
-let empty_stats () : Fuzzer.stats =
-  {
-    test_cases = 0;
-    inputs_tested = 0;
-    effective_inputs = 0;
-    ineffective_test_cases = 0;
-    faulted_test_cases = 0;
-    skipped_pathological = 0;
-    candidates = 0;
-    dismissed_by_swap = 0;
-    dismissed_by_nesting = 0;
-    rounds = 0;
-    growths = 0;
-    elapsed_s = 0.;
-  }
-
 let create ~(spec : Ledger.spec) =
   {
     m_fingerprint = Ledger.fingerprint spec;
     m_shards = [];
     m_violations = [];
-    m_stats = empty_stats ();
+    m_stats = Fuzzer.fresh_stats ();
     m_atlas = Ucoverage.create ();
   }
 
@@ -112,26 +95,15 @@ let violation_to_json v =
   | Json.Obj fields ->
       Json.Obj
         (("shard", Json.Int v.mv_shard)
-        :: ("seed", Json.String (Printf.sprintf "0x%Lx" v.mv_seed))
+        :: ("seed", Json.hex64 v.mv_seed)
         :: fields)
   | j -> j
 
 let ( let* ) = Result.bind
 
 let violation_of_json j =
-  let* mv_shard =
-    match Option.bind (Json.member "shard" j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error "merged doc: violation missing shard"
-  in
-  let* mv_seed =
-    match
-      Option.bind (Option.bind (Json.member "seed" j) Json.to_str)
-        Int64.of_string_opt
-    with
-    | Some v -> Ok v
-    | None -> Error "merged doc: violation missing seed"
-  in
+  let* mv_shard = Json.field "shard" Json.int j in
+  let* mv_seed = Json.field "seed" Json.int64 j in
   let* mv_entry = Worker.violation_of_json j in
   Ok { mv_shard; mv_seed; mv_entry }
 
@@ -146,94 +118,34 @@ let to_json t =
       ("ucoverage", Ucoverage.to_json t.m_atlas);
     ]
 
-let of_json j =
-  let* () = Json.check_schema ~codec:"merged doc" schema j in
-  let* m_fingerprint =
-    match Option.bind (Json.member "fingerprint" j) Json.to_str with
-    | Some f -> Ok f
-    | None -> Error "merged doc: missing fingerprint"
-  in
-  let* m_shards =
-    match Json.member "shards" j with
-    | Some (Json.List ls) ->
-        List.fold_left
-          (fun acc l ->
-            let* acc = acc in
-            match Json.to_int l with
-            | Some i -> Ok (i :: acc)
-            | None -> Error "merged doc: non-int shard id")
-          (Ok []) ls
-        |> Result.map List.rev
-    | _ -> Error "merged doc: missing shards"
-  in
-  let* m_violations =
-    match Json.member "violations" j with
-    | Some (Json.List ls) ->
-        List.fold_left
-          (fun acc l ->
-            let* acc = acc in
-            let* v = violation_of_json l in
-            Ok (v :: acc))
-          (Ok []) ls
-        |> Result.map List.rev
-    | _ -> Error "merged doc: missing violations"
-  in
-  let* stats =
-    match Json.member "stats" j with
-    | Some s -> Fuzzer.stats_of_json s
-    | None -> Error "merged doc: missing stats"
-  in
-  let* m_atlas =
-    match Json.member "ucoverage" j with
-    | Some u -> Ucoverage.of_json u
-    | None -> Error "merged doc: missing ucoverage"
-  in
-  Ok { m_fingerprint; m_shards; m_violations; m_stats = stats; m_atlas }
+let decoder j =
+  let* () = Json.check_schema schema j in
+  let* m_fingerprint = Json.field "fingerprint" Json.str j in
+  let* m_shards = Json.field "shards" (Json.list Json.int) j in
+  let* m_violations = Json.field "violations" (Json.list violation_of_json) j in
+  let* m_stats = Json.field "stats" Fuzzer.stats_of_json j in
+  let* m_atlas = Json.field "ucoverage" Ucoverage.of_json j in
+  Ok { m_fingerprint; m_shards; m_violations; m_stats; m_atlas }
 
+let of_json = Json.decode ~codec:"merged doc" decoder
 let render t = Json.to_string_pretty (to_json t) ^ "\n"
 
-(* Atomic write of the merged document, retried under the fleet backoff
-   policy; the [fleet.merge] fault point fires once per attempt. A
-   persistent failure raises — the orchestrator requeues the shard, and
-   the journal makes its eventual re-commit a no-op, so nothing is
-   counted twice. *)
+(* A persistent write failure raises: the orchestrator requeues the
+   shard, and the journal makes its eventual re-commit a no-op, so
+   nothing is counted twice. *)
 let save ~dir ~(spec : Ledger.spec) t =
-  let path = Ledger.merged_path dir in
-  let rec go n =
-    match
-      Faultpoint.fire fp_merge;
-      Revizor_obs.Atomic_file.write path (render t)
-    with
-    | () -> ()
-    | exception ((Faultpoint.Injected _ | Sys_error _) as e) ->
-        if n >= 5 then raise e
-        else begin
-          Backoff.sleep_ms
-            (Backoff.delay_ms spec.Ledger.sp_backoff
-               ~key:(Int64.add spec.Ledger.sp_fleet_seed 0x4d3e9eL)
-               ~attempt:n);
-          go (n + 1)
-        end
-  in
-  go 0
+  Ledger.write_retried spec ~fault:fp_merge ~salt:0x4d3e9eL
+    (Ledger.merged_path dir) (render t)
 
 let load ~dir ~(spec : Ledger.spec) =
   let path = Ledger.merged_path dir in
   if not (Sys.file_exists path) then Ok (create ~spec)
   else
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error e -> Error (Printf.sprintf "merged doc: %s" e)
-    | contents -> (
-        match Json.parse contents with
-        | Error e -> Error (Printf.sprintf "merged doc: parse error: %s" e)
-        | Ok j -> (
-            match of_json j with
-            | Error _ as e -> e
-            | Ok t ->
-                if t.m_fingerprint <> Ledger.fingerprint spec then
-                  Error
-                    (Printf.sprintf
-                       "merged doc: fingerprint mismatch (%s on disk, %s \
-                        expected): refusing to merge across campaign specs"
-                       t.m_fingerprint (Ledger.fingerprint spec))
-                else Ok t))
+    let* t = Json.load ~codec:"merged doc" decoder path in
+    if t.m_fingerprint <> Ledger.fingerprint spec then
+      Error
+        (Printf.sprintf
+           "merged doc: fingerprint mismatch (%s on disk, %s expected): \
+            refusing to merge across campaign specs"
+           t.m_fingerprint (Ledger.fingerprint spec))
+    else Ok t

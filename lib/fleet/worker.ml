@@ -154,7 +154,7 @@ let to_json r =
     [
       ("schema", Json.String schema);
       ("shard", Json.Int r.r_shard);
-      ("seed", Json.String (Printf.sprintf "0x%Lx" r.r_seed));
+      ("seed", Json.hex64 r.r_seed);
       ("attempt", Json.Int r.r_attempt);
       ( "violation",
         match r.r_violation with
@@ -167,71 +167,24 @@ let to_json r =
 let ( let* ) = Result.bind
 
 let violation_of_json j =
-  let int k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "shard result: missing violation %s" k)
-  in
-  let str k =
-    match Option.bind (Json.member k j) Json.to_str with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "shard result: missing violation %s" k)
-  in
-  let* v_tc = int "tc" in
-  let* v_label = str "label" in
-  let* v_summary = str "summary" in
-  let* v_program = str "program" in
-  let* v_inputs =
-    match Json.member "inputs" j with
-    | Some (Json.List ls) ->
-        List.fold_left
-          (fun acc l ->
-            let* acc = acc in
-            match Json.to_str l with
-            | Some s -> Ok (s :: acc)
-            | None -> Error "shard result: non-string input line")
-          (Ok []) ls
-        |> Result.map List.rev
-    | _ -> Error "shard result: missing violation inputs"
-  in
+  let* v_tc = Json.field "tc" Json.int j in
+  let* v_label = Json.field "label" Json.str j in
+  let* v_summary = Json.field "summary" Json.str j in
+  let* v_program = Json.field "program" Json.str j in
+  let* v_inputs = Json.field "inputs" (Json.list Json.str) j in
   Ok { v_tc; v_label; v_summary; v_program; v_inputs }
 
-let of_json j =
-  let* () = Json.check_schema ~codec:"shard result" schema j in
-  let* r_shard =
-    match Option.bind (Json.member "shard" j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error "shard result: missing shard"
-  in
-  let* r_seed =
-    match Option.bind (Json.member "seed" j) Json.to_str with
-    | Some s -> (
-        match Int64.of_string_opt s with
-        | Some v -> Ok v
-        | None -> Error "shard result: bad seed")
-    | None -> Error "shard result: missing seed"
-  in
-  let* r_attempt =
-    match Option.bind (Json.member "attempt" j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error "shard result: missing attempt"
-  in
-  let* r_violation =
-    match Json.member "violation" j with
-    | None | Some Json.Null -> Ok None
-    | Some v -> Result.map Option.some (violation_of_json v)
-  in
-  let* r_stats =
-    match Json.member "stats" j with
-    | Some s -> Fuzzer.stats_of_json s
-    | None -> Error "shard result: missing stats"
-  in
-  let* r_atlas =
-    match Json.member "ucoverage" j with
-    | Some u -> Ucoverage.of_json u
-    | None -> Error "shard result: missing ucoverage"
-  in
+let decoder j =
+  let* () = Json.check_schema schema j in
+  let* r_shard = Json.field "shard" Json.int j in
+  let* r_seed = Json.field "seed" Json.int64 j in
+  let* r_attempt = Json.field "attempt" Json.int j in
+  let* r_violation = Json.field_opt "violation" violation_of_json j in
+  let* r_stats = Json.field "stats" Fuzzer.stats_of_json j in
+  let* r_atlas = Json.field "ucoverage" Ucoverage.of_json j in
   Ok { r_shard; r_seed; r_attempt; r_violation; r_stats; r_atlas }
+
+let of_json = Json.decode ~codec:"shard result" decoder
 
 let save_result ~dir r =
   Revizor_obs.Atomic_file.write
@@ -239,13 +192,7 @@ let save_result ~dir r =
     (Json.to_string_pretty (to_json r) ^ "\n")
 
 let load_result ~dir shard_id =
-  let path = Ledger.shard_result dir shard_id in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error (Printf.sprintf "shard result: %s" e)
-  | contents -> (
-      match Json.parse contents with
-      | Error e -> Error (Printf.sprintf "shard result: parse error: %s" e)
-      | Ok j -> of_json j)
+  Json.load ~codec:"shard result" decoder (Ledger.shard_result dir shard_id)
 
 let result_exists ~dir shard_id = Sys.file_exists (Ledger.shard_result dir shard_id)
 

@@ -58,8 +58,9 @@ val to_json : result -> Revizor_obs.Json.t
 val of_json : Revizor_obs.Json.t -> (result, string) Stdlib.result
 val violation_to_json : violation_entry -> Revizor_obs.Json.t
 
-val violation_of_json :
-  Revizor_obs.Json.t -> (violation_entry, string) Stdlib.result
+val violation_of_json : violation_entry Revizor_obs.Json.decoder
+(** The entry as nested in shard results and the merged document; the
+    enclosing document's decoder prefixes its codec to the errors. *)
 
 val save_result : dir:string -> result -> unit
 (** Atomic write of the shard's [revizor.shard-result.v1] document. *)

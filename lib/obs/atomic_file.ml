@@ -35,7 +35,7 @@ let attempt path contents =
 
 let write ?(retries = 3) ?(backoff = Backoff.default) path contents =
   Metrics.incr m_writes;
-  let key = Backoff.key_of_string path in
+  let key = Hash.fnv1a path in
   let rec go n =
     match attempt path contents with
     | () -> ()

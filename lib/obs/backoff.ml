@@ -13,29 +13,6 @@ type policy = { base_ms : float; cap_ms : float }
 
 let default = { base_ms = 1.; cap_ms = 16. }
 
-(* splitmix64, same finalizer as [Faultpoint]'s schedule hash. *)
-let splitmix64 x =
-  let x = Int64.add x 0x9E3779B97F4A7C15L in
-  let x =
-    Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30)) 0xBF58476D1CE4E5B9L
-  in
-  let x =
-    Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor x (Int64.shift_right_logical x 31)
-
-let key_of_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let uniform h =
-  (* 53 high bits -> [0,1) *)
-  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
-
 let delay_ms policy ~key ~attempt =
   let attempt = max 0 attempt in
   (* 2^attempt without overflow: past the cap the ceiling saturates. *)
@@ -46,8 +23,9 @@ let delay_ms policy ~key ~attempt =
   if ceiling <= 0. then 0.
   else
     let h =
-      splitmix64 (Int64.add key (Int64.mul (Int64.of_int (attempt + 1)) 0x9E3779B97F4A7C15L))
+      Hash.splitmix64
+        (Int64.add key (Int64.mul (Int64.of_int (attempt + 1)) 0x9E3779B97F4A7C15L))
     in
-    uniform h *. ceiling
+    Hash.uniform h *. ceiling
 
 let sleep_ms ms = if ms > 0. then Unix.sleepf (ms /. 1000.)

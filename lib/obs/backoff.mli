@@ -18,9 +18,5 @@ val delay_ms : policy -> key:int64 -> attempt:int -> float
     attempt (0-based). Monotone in expectation and capped at
     [policy.cap_ms]. *)
 
-val key_of_string : string -> int64
-(** FNV-1a of a stable identifier (a file path, a shard name) — the
-    conventional way to derive a jitter key. *)
-
 val sleep_ms : float -> unit
 (** Sleep for the given delay; no-op for non-positive values. *)

@@ -82,26 +82,6 @@ let disable () =
 
 let enabled () = !active <> None
 
-(* splitmix64: the standard finalizer, good avalanche for hash-based
-   schedules. *)
-let splitmix64 x =
-  let x = Int64.add x 0x9E3779B97F4A7C15L in
-  let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-  let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27)) 0x94D049BB133111EBL in
-  Int64.logxor x (Int64.shift_right_logical x 31)
-
-let name_salt name =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    name;
-  !h
-
-let uniform h =
-  (* 53 high bits -> [0,1) *)
-  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.
-
 (* Per-domain schedule context. Without one (the pre-PR7 behavior, and
    still the behavior of every standalone tool), a point's hit index is
    its process-global atomic counter — fine sequentially, but dependent
@@ -120,7 +100,7 @@ let ctx_key : ctx option ref Domain.DLS.key =
 
 let set_context ~salt =
   Domain.DLS.get ctx_key
-  := Some { c_salt = splitmix64 salt; c_hits = Hashtbl.create 8 }
+  := Some { c_salt = Hash.splitmix64 salt; c_hits = Hashtbl.create 8 }
 
 let clear_context () = Domain.DLS.get ctx_key := None
 
@@ -128,10 +108,10 @@ let clear_context () = Domain.DLS.get ctx_key := None
    context the salt is zero and the expression reduces bit-for-bit to
    the historical hash(seed, name, k). *)
 let draw p ~salt k =
-  splitmix64
+  Hash.splitmix64
     (Int64.logxor
        (Int64.logxor (Int64.add !seed_ref (Int64.of_int k)) salt)
-       (name_salt p.name))
+       (Hash.fnv1a p.name))
 
 let decide p =
   match Atomic.get p.armed with
@@ -161,7 +141,7 @@ let decide p =
       else if cfg.max_fires > 0 && Atomic.get p.fires >= cfg.max_fires then None
       else
         let h = draw p ~salt k in
-        if uniform h < cfg.rate then begin
+        if Hash.uniform h < cfg.rate then begin
           Atomic.incr p.fires;
           Metrics.incr p.fired_total;
           Some h

@@ -258,21 +258,79 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let to_int = function
   | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
+  | Float f when Float.is_integer f && Float.abs f < 0x1p62 -> Some (int_of_float f)
   | _ -> None
 
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function String s -> Some s | _ -> None
 
-let check_schema ?version ~codec schema j =
-  match Option.bind (member "schema" j) to_str with
-  | None -> Error (codec ^ ": missing schema")
-  | Some s when s <> schema ->
-      Error (Printf.sprintf "%s: unknown schema %S" codec s)
-  | Some _ -> (
-      match (version, Option.bind (member "version" j) to_int) with
-      | None, _ -> Ok ()
-      | Some v, Some v' when v' = v -> Ok ()
-      | Some _, Some v' ->
-          Error (Printf.sprintf "%s: unsupported version %d" codec v')
-      | Some _, None -> Error (codec ^ ": missing version"))
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type 'a decoder = t -> ('a, string) result
+
+let ( let* ) = Result.bind
+let expect what = function Some v -> Ok v | None -> Error ("expected " ^ what)
+let int j = expect "an integer" (to_int j)
+let float j = expect "a number" (to_float j)
+let str j = expect "a string" (to_str j)
+let bool = function Bool b -> Ok b | _ -> Error "expected a boolean"
+
+let int64 = function
+  | String s -> (
+      match Int64.of_string_opt s with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "bad int64 %S" s))
+  | _ -> Error "expected an int64 string"
+
+let hex64 v = String (Printf.sprintf "0x%Lx" v)
+
+(* Decode each element in order; the first failure names its position
+   (or key) and stops the walk. *)
+let rec all label d acc = function
+  | [] -> Ok (List.rev acc)
+  | (at, x) :: rest -> (
+      match d at x with
+      | Ok v -> all label d (v :: acc) rest
+      | Error e -> Error (Printf.sprintf "%s: %s" (label at) e))
+
+let list d = function
+  | List items ->
+      all (Printf.sprintf "[%d]") (fun _ -> d) [] (List.mapi (fun i x -> (i, x)) items)
+  | _ -> Error "expected a list"
+
+let assoc d = function
+  | Obj kvs -> all Fun.id d [] kvs
+  | _ -> Error "expected an object"
+
+let field k d j =
+  match member k j with
+  | None -> Error ("missing " ^ k)
+  | Some v -> Result.map_error (Printf.sprintf "%s: %s" k) (d v)
+
+let field_opt k d j =
+  match member k j with
+  | None | Some Null -> Ok None
+  | Some _ -> Result.map Option.some (field k d j)
+
+let decode ~codec d j = Result.map_error (Printf.sprintf "%s: %s" codec) (d j)
+
+let load ~codec d path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error (Printf.sprintf "%s: %s" codec e)
+  | s ->
+      Result.map_error
+        (Printf.sprintf "%s: %s: %s" codec path)
+        (Result.bind (parse s) d)
+
+let check_schema ?version schema j =
+  let* s = field "schema" str j in
+  if s <> schema then Error (Printf.sprintf "unknown schema %S" s)
+  else
+    match version with
+    | None -> Ok ()
+    | Some v ->
+        let* v' = field "version" int j in
+        if v' = v then Ok ()
+        else Error (Printf.sprintf "unsupported version %d" v')

@@ -33,15 +33,57 @@ val member : string -> t -> t option
     constructors. *)
 
 val to_int : t -> int option
-(** [Int] directly, or an integral [Float]. *)
+(** [Int] directly, or an integral [Float] below 2{^62} in magnitude. *)
 
 val to_float : t -> float option
 val to_str : t -> string option
 
-val check_schema :
-  ?version:int -> codec:string -> string -> t -> (unit, string) result
-(** [check_schema ?version ~codec schema j] is the envelope check every
-    persisted document's decoder runs first: [Ok ()] when [j]'s ["schema"]
-    field is [schema] and, given [version], its ["version"] field is
-    [version]. Otherwise an [Error] starting with ["codec: "] that names
-    the missing or unexpected field. *)
+(** {1 Decoding}
+
+    Every persisted document is read through these: a decoder returns
+    [Error] on any input, never raises, and its errors say where in the
+    document it failed ([field] names the key, [list] the index). *)
+
+type 'a decoder = t -> ('a, string) result
+
+val int : int decoder
+(** As {!to_int}. *)
+
+val float : float decoder
+(** As {!to_float}. *)
+
+val str : string decoder
+val bool : bool decoder
+
+val int64 : int64 decoder
+(** A string {!Int64.of_string} reads: the ["0x…"] form {!hex64} writes. *)
+
+val hex64 : int64 -> t
+(** [String "0x…"]: JSON numbers cannot carry 64 bits. *)
+
+val list : 'a decoder -> 'a list decoder
+
+val assoc : (string -> 'a decoder) -> 'a list decoder
+(** An object's members in document order, each decoded by the decoder
+    its key selects. *)
+
+val field : string -> 'a decoder -> 'a decoder
+(** [field k d] decodes member [k] of an object with [d]; a missing key
+    is an error. *)
+
+val field_opt : string -> 'a decoder -> 'a option decoder
+(** Like {!field}, but a missing or [null] member is [None]. *)
+
+val decode : codec:string -> 'a decoder -> 'a decoder
+(** Prefix every error with ["codec: "]. *)
+
+val load : codec:string -> 'a decoder -> string -> ('a, string) result
+(** Read, parse and decode a file; every failure (unreadable file,
+    malformed JSON, decoder error) is an [Error] starting with
+    ["codec: "], and a parse or decoder error also names the path. *)
+
+val check_schema : ?version:int -> string -> unit decoder
+(** [check_schema ?version schema] is the envelope check every persisted
+    document's decoder runs first: [Ok ()] when the ["schema"] field is
+    [schema] and, given [version], the ["version"] field is [version];
+    otherwise an error naming the missing or unexpected field. *)

@@ -4,23 +4,11 @@ module Json = Revizor_obs.Json
 let schema = "revizor.checkpoint.v1"
 let version = 1
 
-(* FNV-1a over the canonical configuration rendering: cheap, stable
-   across runs (no Hashtbl.hash involvement), and any change to a field
-   that influences the deterministic result stream changes the digest. *)
-let fnv1a64 (s : string) =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
 let subset_names subsets =
   String.concat "+" (List.map Revizor_isa.Catalog.subset_to_string subsets)
 
 (* Canonical rendering of every config field that shapes the result
-   stream. [executor_domains] is deliberately absent: the campaign loop
+   stream; its FNV-1a digest is the fingerprint. [executor_domains] is deliberately absent: the campaign loop
    commits in generation order with per-test-case keyed noise/fault
    draws, so results are identical for every pool size (asserted by the
    test suite) and a checkpoint taken with [--executor-domains 4] may be
@@ -61,7 +49,7 @@ let canonical (c : Fuzzer.config) =
     | None -> "none"
     | Some ms -> string_of_int ms)
 
-let fingerprint c = Printf.sprintf "%016Lx" (fnv1a64 (canonical c))
+let fingerprint c = Printf.sprintf "%016Lx" (Revizor_obs.Hash.fnv1a (canonical c))
 
 let gen_cfg_to_json (g : Generator.cfg) =
   Json.Obj
@@ -79,31 +67,19 @@ let gen_cfg_to_json (g : Generator.cfg) =
       ("mem_pages", Json.Int g.Generator.mem_pages);
     ]
 
+let ( let* ) = Result.bind
+
 let gen_cfg_of_json j =
-  let ( let* ) = Result.bind in
-  let int k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "checkpoint gen_cfg: missing %s" k)
-  in
-  let* n_insts = int "n_insts" in
-  let* n_blocks = int "n_blocks" in
-  let* n_functions = int "n_functions" in
-  let* max_mem_accesses = int "max_mem_accesses" in
-  let* mem_pages = int "mem_pages" in
+  let* n_insts = Json.field "n_insts" Json.int j in
+  let* n_blocks = Json.field "n_blocks" Json.int j in
+  let* n_functions = Json.field "n_functions" Json.int j in
+  let* max_mem_accesses = Json.field "max_mem_accesses" Json.int j in
+  let* mem_pages = Json.field "mem_pages" Json.int j in
   let* subsets =
-    match Json.member "subsets" j with
-    | Some (Json.List ss) ->
-        List.fold_left
-          (fun acc s ->
-            let* acc = acc in
-            match Option.map Revizor_isa.Catalog.subset_of_string (Json.to_str s) with
-            | Some (Ok sub) -> Ok (sub :: acc)
-            | Some (Error e) -> Error e
-            | None -> Error "checkpoint gen_cfg: non-string subset")
-          (Ok []) ss
-        |> Result.map List.rev
-    | _ -> Error "checkpoint gen_cfg: missing subsets"
+    Json.field "subsets"
+      (Json.list (fun s ->
+           Result.bind (Json.str s) Revizor_isa.Catalog.subset_of_string))
+      j
   in
   Ok
     {
@@ -115,24 +91,13 @@ let gen_cfg_of_json j =
       mem_pages;
     }
 
-let hex64 v = Json.String (Printf.sprintf "0x%Lx" v)
-
-let parse_hex64 = function
-  | Json.String s -> (
-      match Int64.of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "checkpoint: bad int64 %S" s))
-  | _ -> Error "checkpoint: expected hex string"
-
 let to_json config (s : Fuzzer.snapshot) =
   Json.Obj
     [
       ("schema", Json.String schema);
       ("version", Json.Int version);
       ("fingerprint", Json.String (fingerprint config));
-      ("prng", hex64 s.Fuzzer.sn_prng);
-      ( "noise_prng",
-        match s.Fuzzer.sn_noise with None -> Json.Null | Some v -> hex64 v );
+      ("prng", Json.hex64 s.Fuzzer.sn_prng);
       ("gen_cfg", gen_cfg_to_json s.Fuzzer.sn_gen_cfg);
       ("n_inputs", Json.Int s.Fuzzer.sn_n_inputs);
       ("in_round", Json.Int s.Fuzzer.sn_in_round);
@@ -142,95 +107,92 @@ let to_json config (s : Fuzzer.snapshot) =
       ("ucoverage", Ucoverage.to_json s.Fuzzer.sn_ucoverage);
     ]
 
-let of_json config j =
-  let ( let* ) = Result.bind in
-  let* () = Json.check_schema ~version ~codec:"checkpoint" schema j in
+(* The loop state a checkpoint carries is a function of its test-case
+   count and growth count: rounds and the position in the round follow
+   from the test cases, at most one growth happens per round, each growth
+   applies one fixed step to the configured generator and input count,
+   and the round-start coverage is a past value of the coverage. A
+   document that breaks any of these is a state the campaign cannot
+   reach, and resuming it can crash, hang or silently change the run. *)
+let check_reachable (config : Fuzzer.config) (s : Fuzzer.snapshot) =
+  let st = s.Fuzzer.sn_stats in
+  let tc = st.Fuzzer.test_cases and rounds = st.Fuzzer.rounds in
+  let growths = st.Fuzzer.growths in
+  let round_length = Int.max 1 config.Fuzzer.round_length in
+  (* Both growth steps saturate at caps, so the replay stops at the first
+     fixed point: its length is bounded whatever [growths] says. *)
+  let rec replay n ((g, i) as acc) =
+    let next = (Generator.grow g, Fuzzer.grow_inputs i) in
+    if n = 0 || next = acc then acc else replay (n - 1) next
+  in
+  let gen_cfg, n_inputs =
+    replay growths (config.Fuzzer.gen_cfg, config.Fuzzer.n_inputs)
+  in
+  let combos = s.Fuzzer.sn_combos_at_round_start in
+  let total = Coverage.total_combinations s.Fuzzer.sn_coverage in
+  if rounds <> tc / round_length || s.Fuzzer.sn_in_round <> tc mod round_length
+  then
+    Error
+      (Printf.sprintf
+         "in_round %d and %d rounds do not match %d test cases in rounds of %d"
+         s.Fuzzer.sn_in_round rounds tc round_length)
+  else if growths > rounds then
+    Error (Printf.sprintf "%d growths in %d rounds" growths rounds)
+  else if s.Fuzzer.sn_gen_cfg <> gen_cfg then
+    Error
+      (Printf.sprintf "gen_cfg is not the configured one grown %d times" growths)
+  else if s.Fuzzer.sn_n_inputs <> n_inputs then
+    Error
+      (Printf.sprintf "n_inputs %d is not %d, the configured %d grown %d times"
+         s.Fuzzer.sn_n_inputs n_inputs config.Fuzzer.n_inputs growths)
+  else if combos < 0 || combos > total then
+    Error
+      (Printf.sprintf "combos_at_round_start %d outside 0..%d" combos total)
+  else Ok ()
+
+let decoder config j =
+  let* () = Json.check_schema ~version schema j in
+  let* fp = Json.field "fingerprint" Json.str j in
   let* () =
-    match Option.bind (Json.member "fingerprint" j) Json.to_str with
-    | Some fp when fp = fingerprint config -> Ok ()
-    | Some fp ->
-        Error
-          (Printf.sprintf
-             "checkpoint: config fingerprint mismatch (checkpoint %s, \
-              current config %s) — resume with the same configuration it \
-              was taken under"
-             fp (fingerprint config))
-    | None -> Error "checkpoint: missing fingerprint"
-  in
-  let* sn_prng =
-    match Json.member "prng" j with
-    | Some v -> parse_hex64 v
-    | None -> Error "checkpoint: missing prng"
-  in
-  let* sn_noise =
-    match Json.member "noise_prng" j with
-    | None | Some Json.Null -> Ok None
-    | Some v -> Result.map Option.some (parse_hex64 v)
-  in
-  let* sn_gen_cfg =
-    match Json.member "gen_cfg" j with
-    | Some g -> gen_cfg_of_json g
-    | None -> Error "checkpoint: missing gen_cfg"
-  in
-  let int k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "checkpoint: missing %s" k)
-  in
-  let* sn_n_inputs = int "n_inputs" in
-  (* Growth moves the count from the configured value toward the cap and
-     never past it; anything else would size an input list without
-     bound, or fail to. *)
-  let* () =
-    let n = config.Fuzzer.n_inputs and cap = Fuzzer.grown_inputs_cap in
-    let lo = Int.min n cap and hi = Int.max n cap in
-    if sn_n_inputs >= lo && sn_n_inputs <= hi then Ok ()
+    if fp = fingerprint config then Ok ()
     else
       Error
-        (Printf.sprintf "checkpoint: n_inputs %d outside %d..%d" sn_n_inputs
-           lo hi)
+        (Printf.sprintf
+           "config fingerprint mismatch (checkpoint %s, current config %s) — \
+            resume with the same configuration it was taken under"
+           fp (fingerprint config))
   in
-  let* sn_in_round = int "in_round" in
-  let* sn_combos_at_round_start = int "combos_at_round_start" in
-  let* sn_stats =
-    match Json.member "stats" j with
-    | Some s -> Fuzzer.stats_of_json s
-    | None -> Error "checkpoint: missing stats"
-  in
-  let* sn_coverage =
-    match Json.member "coverage" j with
-    | Some c -> Coverage.of_json c
-    | None -> Error "checkpoint: missing coverage"
-  in
+  let* sn_prng = Json.field "prng" Json.int64 j in
+  let* sn_gen_cfg = Json.field "gen_cfg" gen_cfg_of_json j in
+  let* sn_n_inputs = Json.field "n_inputs" Json.int j in
+  let* sn_in_round = Json.field "in_round" Json.int j in
+  let* sn_combos_at_round_start = Json.field "combos_at_round_start" Json.int j in
+  let* sn_stats = Json.field "stats" Fuzzer.stats_of_json j in
+  let* sn_coverage = Json.field "coverage" Coverage.of_json j in
   (* The atlas section is additive: checkpoints written before it existed
      still load (with an empty atlas), and the checkpoint version stays
      at 1 because the result-bearing state is unchanged. *)
-  let* sn_ucoverage =
-    match Json.member "ucoverage" j with
-    | Some u -> Ucoverage.of_json u
-    | None -> Ok (Ucoverage.create ())
-  in
-  Ok
+  let* sn_ucoverage = Json.field_opt "ucoverage" Ucoverage.of_json j in
+  let snapshot =
     {
       Fuzzer.sn_prng;
-      sn_noise;
       sn_gen_cfg;
       sn_n_inputs;
       sn_in_round;
       sn_combos_at_round_start;
       sn_stats;
       sn_coverage;
-      sn_ucoverage;
+      sn_ucoverage =
+        Option.value sn_ucoverage ~default:(Ucoverage.create ());
     }
+  in
+  let* () = check_reachable config snapshot in
+  Ok snapshot
+
+let of_json config = Json.decode ~codec:"checkpoint" (decoder config)
 
 let save ~path config snapshot =
   Revizor_obs.Atomic_file.write path
     (Json.to_string_pretty (to_json config snapshot) ^ "\n")
 
-let load ~path config =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error (Printf.sprintf "checkpoint: %s" e)
-  | contents -> (
-      match Json.parse contents with
-      | Error e -> Error (Printf.sprintf "checkpoint: parse error: %s" e)
-      | Ok j -> of_json config j)
+let load ~path config = Json.load ~codec:"checkpoint" (decoder config) path

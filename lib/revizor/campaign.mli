@@ -23,7 +23,10 @@ val fingerprint : Fuzzer.config -> string
 val to_json : Fuzzer.config -> Fuzzer.snapshot -> Revizor_obs.Json.t
 val of_json :
   Fuzzer.config -> Revizor_obs.Json.t -> (Fuzzer.snapshot, string) result
-(** Fails on schema/version/fingerprint mismatch or missing fields. *)
+(** Fails on schema/version/fingerprint mismatch, missing or malformed
+    fields, and loop state the campaign cannot reach (counters that do
+    not follow from each other, see DESIGN.md §8). Errors start with
+    ["checkpoint: "]. *)
 
 val save : path:string -> Fuzzer.config -> Fuzzer.snapshot -> unit
 (** Atomic publication (write-tmp-then-rename via

@@ -112,36 +112,15 @@ let to_json t =
     ]
 
 let of_json j =
-  let pattern_list = function
-    | Json.List items ->
-        List.fold_left
-          (fun acc item ->
-            match (acc, item) with
-            | Error _, _ -> acc
-            | Ok ps, Json.String s -> (
-                match pattern_of_string s with
-                | Some p -> Ok (ps @ [ p ])
-                | None -> Error (Printf.sprintf "unknown pattern %S" s))
-            | Ok _, _ -> Error "pattern list holds a non-string")
-          (Ok []) items
-    | _ -> Error "expected a pattern list"
+  let pattern s =
+    Result.bind (Json.str s) (fun name ->
+        Option.to_result (pattern_of_string name)
+          ~none:(Printf.sprintf "unknown pattern %S" name))
   in
-  match (Json.member "singles" j, Json.member "combos" j) with
-  | Some singles, Some (Json.List combos) -> (
-      match pattern_list singles with
-      | Error e -> Error e
-      | Ok singles ->
-          List.fold_left
-            (fun acc combo ->
-              match acc with
-              | Error _ -> acc
-              | Ok t -> (
-                  match pattern_list combo with
-                  | Error e -> Error e
-                  | Ok ps -> Ok { t with combos = PSet.add ps t.combos }))
-            (Ok { singles; combos = PSet.empty })
-            combos)
-  | _ -> Error "coverage object missing singles/combos"
+  let ( let* ) = Result.bind in
+  let* singles = Json.field "singles" (Json.list pattern) j in
+  let* combos = Json.field "combos" (Json.list (Json.list pattern)) j in
+  Ok { singles; combos = PSet.of_list combos }
 
 let g_singles = Revizor_obs.Metrics.gauge "coverage.singles"
 let g_combos = Revizor_obs.Metrics.gauge "coverage.combinations"

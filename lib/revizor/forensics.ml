@@ -123,7 +123,7 @@ let ints l = Json.List (List.map (fun i -> Json.Int i) l)
 let input_json (i : Input.t) =
   Json.Obj
     [
-      ("seed", Json.String (Printf.sprintf "0x%Lx" i.Input.seed));
+      ("seed", Json.hex64 i.Input.seed);
       ("entropy", Json.Int i.Input.entropy);
     ]
 
@@ -172,109 +172,48 @@ let to_json t =
     ]
 
 let ( let* ) = Result.bind
-
-let req name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "forensics: missing or bad %S" name)
-
-let to_ints j =
-  match j with
-  | Json.List l ->
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | x :: rest -> (
-            match Json.to_int x with
-            | Some i -> go (i :: acc) rest
-            | None -> None)
-      in
-      go [] l
-  | _ -> None
-
-let to_list j = match j with Json.List l -> Some l | _ -> None
+let int_list = Json.list Json.int
 
 let input_of_json j =
-  match
-    ( Option.bind (Json.member "seed" j) Json.to_str,
-      Option.bind (Json.member "entropy" j) Json.to_int )
-  with
-  | Some seed_s, Some entropy -> (
-      match Int64.of_string_opt seed_s with
-      | Some seed -> Ok { Input.seed; entropy }
-      | None -> Error (Printf.sprintf "forensics: bad input seed %S" seed_s))
-  | _ -> Error "forensics: malformed input"
+  let* seed = Json.field "seed" Json.int64 j in
+  let* entropy = Json.field "entropy" Json.int j in
+  Ok { Input.seed; entropy }
 
 let event_of_json j =
-  let* ev_kind = req "kind" Json.to_str j in
-  let* ev_origin_pc = req "origin_pc" Json.to_int j in
-  let* ev_transient_loads = req "transient_loads" Json.to_int j in
-  let* ev_touched_sets = req "touched_sets" to_ints j in
+  let* ev_kind = Json.field "kind" Json.str j in
+  let* ev_origin_pc = Json.field "origin_pc" Json.int j in
+  let* ev_transient_loads = Json.field "transient_loads" Json.int j in
+  let* ev_touched_sets = Json.field "touched_sets" int_list j in
   Ok { ev_kind; ev_origin_pc; ev_transient_loads; ev_touched_sets }
 
 let timeline_of_json j =
-  let* tl_input = req "input" Json.to_int j in
-  let* raw = req "events" to_list j in
-  let* tl_events =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* ev = event_of_json e in
-        Ok (ev :: acc))
-      (Ok []) raw
-    |> Result.map List.rev
-  in
+  let* tl_input = Json.field "input" Json.int j in
+  let* tl_events = Json.field "events" (Json.list event_of_json) j in
   Ok { tl_input; tl_events }
 
-let of_json j =
-  let* () = Json.check_schema ~codec:"forensics" schema j in
-  let* f_label = req "label" Json.to_str j in
-  let* f_program_asm = req "program" Json.to_str j in
-  let* f_index_a = req "index_a" Json.to_int j in
-  let* f_index_b = req "index_b" Json.to_int j in
-  let* raw_inputs = req "inputs" to_list j in
-  let* f_inputs =
-    List.fold_left
-      (fun acc i ->
-        let* acc = acc in
-        let* input = input_of_json i in
-        Ok (input :: acc))
-      (Ok []) raw_inputs
-    |> Result.map List.rev
-  in
-  let* f_ctrace = req "ctrace" Json.to_str j in
-  let* f_htrace_a = req "htrace_a" to_ints j in
-  let* f_htrace_b = req "htrace_b" to_ints j in
-  let* f_only_a = req "only_a" to_ints j in
-  let* f_only_b = req "only_b" to_ints j in
-  let* raw_timelines = req "timelines" to_list j in
-  let* f_timelines =
-    List.fold_left
-      (fun acc t ->
-        let* acc = acc in
-        let* tl = timeline_of_json t in
-        Ok (tl :: acc))
-      (Ok []) raw_timelines
-    |> Result.map List.rev
-  in
-  let* f_fenced_asm = req "fenced_program" Json.to_str j in
-  let* f_fence_positions = req "fence_positions" to_ints j in
-  let f_leak_region =
-    match Json.member "leak_region" j with
-    | Some (Json.Obj _ as r) -> (
-        match
-          ( Option.bind (Json.member "first" r) Json.to_int,
-            Option.bind (Json.member "last" r) Json.to_int )
-        with
-        | Some first, Some last -> Some (first, last)
-        | _ -> None)
-    | _ -> None
-  in
+let leak_region_of_json j =
+  let* first = Json.field "first" Json.int j in
+  let* last = Json.field "last" Json.int j in
+  Ok (first, last)
+
+let decoder j =
+  let* () = Json.check_schema schema j in
+  let* f_label = Json.field "label" Json.str j in
+  let* f_program_asm = Json.field "program" Json.str j in
+  let* f_index_a = Json.field "index_a" Json.int j in
+  let* f_index_b = Json.field "index_b" Json.int j in
+  let* f_inputs = Json.field "inputs" (Json.list input_of_json) j in
+  let* f_ctrace = Json.field "ctrace" Json.str j in
+  let* f_htrace_a = Json.field "htrace_a" int_list j in
+  let* f_htrace_b = Json.field "htrace_b" int_list j in
+  let* f_only_a = Json.field "only_a" int_list j in
+  let* f_only_b = Json.field "only_b" int_list j in
+  let* f_timelines = Json.field "timelines" (Json.list timeline_of_json) j in
+  let* f_fenced_asm = Json.field "fenced_program" Json.str j in
+  let* f_fence_positions = Json.field "fence_positions" int_list j in
+  let* f_leak_region = Json.field_opt "leak_region" leak_region_of_json j in
   (* Additive key: forensics files from before the atlas load fine. *)
-  let* f_ucoverage =
-    match Json.member "ucoverage" j with
-    | None | Some Json.Null -> Ok None
-    | Some u -> Result.map Option.some (Ucoverage.of_json u)
-  in
+  let* f_ucoverage = Json.field_opt "ucoverage" Ucoverage.of_json j in
   Ok
     {
       f_label;
@@ -294,6 +233,8 @@ let of_json j =
       f_ucoverage;
     }
 
+let of_json = Json.decode ~codec:"forensics" decoder
+
 let file ~dir = Filename.concat dir "forensics.json"
 
 let save ~dir t =
@@ -301,18 +242,7 @@ let save ~dir t =
   Revizor_obs.Atomic_file.write (file ~dir)
     (Json.to_string_pretty (to_json t) ^ "\n")
 
-let load path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> In_channel.input_all ic)
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-      match Json.parse contents with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok j -> of_json j)
+let load = Json.load ~codec:"forensics" decoder
 
 (* --- rendering -------------------------------------------------------- *)
 

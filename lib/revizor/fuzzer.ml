@@ -158,6 +158,7 @@ type outcome = Violation of Violation.t | No_violation
 type budget = Test_cases of int | Seconds of float
 
 let grown_inputs_cap = 400
+let grow_inputs n = Int.min grown_inputs_cap (n + (n / 2))
 
 (* Everything the campaign loop mutates, captured at a test-case
    boundary. Restoring a snapshot and continuing reproduces the
@@ -168,9 +169,6 @@ let grown_inputs_cap = 400
    accumulated wall time (the one field excluded from bit-identity). *)
 type snapshot = {
   sn_prng : int64;  (** main campaign PRNG *)
-  sn_noise : int64 option;
-      (** always [None] since noise went keyed (kept for checkpoint-codec
-          compatibility with pre-PR7 snapshots) *)
   sn_gen_cfg : Generator.cfg;
   sn_n_inputs : int;
   sn_in_round : int;
@@ -459,10 +457,8 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     | Some s -> Prng.of_state s.sn_prng
     | None -> Prng.create ~seed:config.seed
   in
-  (* Noise draws are keyed on (noise seed, test-case coordinates) —
-     there is no sequential noise stream to rewind on resume anymore, so
-     snapshots carry [sn_noise = None] (old checkpoints with a stored
-     stream position are still decodable; the position is ignored). *)
+  (* Noise draws are keyed on (noise seed, test-case coordinates): there
+     is no sequential noise stream to rewind on resume. *)
   let cpu = Cpu.create config.uarch in
   let executor = Executor.create cpu config.executor in
   (* One template arena per campaign: every test case refills the same
@@ -590,7 +586,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
   let take_snapshot ~prng_state =
     {
       sn_prng = prng_state;
-      sn_noise = None;
       sn_gen_cfg = !gen_cfg;
       sn_n_inputs = !n_inputs;
       sn_in_round = !in_round;
@@ -684,8 +679,15 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
         stats.growths <- stats.growths + 1;
         Metrics.incr m_growths;
         gen_cfg := Generator.grow !gen_cfg;
-        n_inputs := min grown_inputs_cap (!n_inputs + (!n_inputs / 2));
-        set_gen_gauges !gen_cfg ~n_inputs:!n_inputs
+        n_inputs := grow_inputs !n_inputs;
+        set_gen_gauges !gen_cfg ~n_inputs:!n_inputs;
+        if Telemetry.enabled () then
+          Telemetry.event "generator.grow"
+            [
+              ("n_insts", Json.Int !gen_cfg.Generator.n_insts);
+              ("n_blocks", Json.Int !gen_cfg.Generator.n_blocks);
+              ("max_mem_accesses", Json.Int !gen_cfg.Generator.max_mem_accesses);
+            ]
       end;
       combos_at_round_start := Coverage.total_combinations coverage;
       Ucoverage.note_round ucov ~round:stats.rounds;
@@ -898,29 +900,41 @@ let stats_to_json s =
     ]
 
 let stats_of_json j =
-  let geti k = Option.bind (Json.member k j) Json.to_int in
-  match geti "test_cases" with
-  | None -> Error "stats object missing test_cases"
-  | Some test_cases ->
-      let i k = Option.value (geti k) ~default:0 in
-      Ok
-        {
-          test_cases;
-          inputs_tested = i "inputs_tested";
-          effective_inputs = i "effective_inputs";
-          ineffective_test_cases = i "ineffective_test_cases";
-          faulted_test_cases = i "faulted_test_cases";
-          skipped_pathological = i "skipped_pathological";
-          candidates = i "candidates";
-          dismissed_by_swap = i "dismissed_by_swap";
-          dismissed_by_nesting = i "dismissed_by_nesting";
-          rounds = i "rounds";
-          growths = i "growths";
-          elapsed_s =
-            Option.value
-              (Option.bind (Json.member "elapsed_s" j) Json.to_float)
-              ~default:0.;
-        }
+  let ( let* ) = Result.bind in
+  (* Counters only ever grow from zero; missing ones other than
+     [test_cases] read as zero, so the format can grow fields. *)
+  let count v =
+    let* n = Json.int v in
+    if n >= 0 then Ok n else Error (Printf.sprintf "negative count %d" n)
+  in
+  let opt k = Result.map (Option.value ~default:0) (Json.field_opt k count j) in
+  let* test_cases = Json.field "test_cases" count j in
+  let* inputs_tested = opt "inputs_tested" in
+  let* effective_inputs = opt "effective_inputs" in
+  let* ineffective_test_cases = opt "ineffective_test_cases" in
+  let* faulted_test_cases = opt "faulted_test_cases" in
+  let* skipped_pathological = opt "skipped_pathological" in
+  let* candidates = opt "candidates" in
+  let* dismissed_by_swap = opt "dismissed_by_swap" in
+  let* dismissed_by_nesting = opt "dismissed_by_nesting" in
+  let* rounds = opt "rounds" in
+  let* growths = opt "growths" in
+  let* elapsed_s = Json.field_opt "elapsed_s" Json.float j in
+  Ok
+    {
+      test_cases;
+      inputs_tested;
+      effective_inputs;
+      ineffective_test_cases;
+      faulted_test_cases;
+      skipped_pathological;
+      candidates;
+      dismissed_by_swap;
+      dismissed_by_nesting;
+      rounds;
+      growths;
+      elapsed_s = Option.value elapsed_s ~default:0.;
+    }
 
 let pp_stats fmt s =
   Format.fprintf fmt

@@ -75,6 +75,9 @@ type stats = {
   mutable elapsed_s : float;
 }
 
+val fresh_stats : unit -> stats
+(** All counters zero. *)
+
 type outcome = Violation of Violation.t | No_violation
 
 type budget = Test_cases of int | Seconds of float
@@ -83,13 +86,12 @@ val grown_inputs_cap : int
 (** 400: generator growth raises the inputs per test case by half, up to
     this many (and lowers a larger configured count to it). *)
 
+val grow_inputs : int -> int
+(** One growth step of the inputs per test case, capped at
+    {!grown_inputs_cap}. *)
+
 type snapshot = {
   sn_prng : int64;  (** main campaign PRNG state *)
-  sn_noise : int64 option;
-      (** always [None]: noise draws are keyed on test-case coordinates
-          (not a sequential stream), so there is nothing to rewind. The
-          field survives for checkpoint-codec compatibility with pre-PR7
-          snapshots, whose stored stream position is ignored. *)
   sn_gen_cfg : Generator.cfg;
   sn_n_inputs : int;
       (** starts at the config's [n_inputs]; each growth moves it toward
@@ -172,4 +174,5 @@ val stats_to_json : stats -> Revizor_obs.Json.t
 
 val stats_of_json : Revizor_obs.Json.t -> (stats, string) result
 (** Inverse of {!stats_to_json}. Missing fields other than [test_cases]
-    default to zero, so the format can grow fields. *)
+    default to zero, so the format can grow fields; a negative counter is
+    an error. *)

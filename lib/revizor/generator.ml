@@ -23,22 +23,12 @@ let default_cfg =
 (* Growth is capped: unbounded growth makes late rounds of a non-detecting
    campaign arbitrarily slow without improving the speculation surface. *)
 let grow cfg =
-  let cfg' =
-    {
-      cfg with
-      n_insts = min 48 (cfg.n_insts + 8);
-      n_blocks = min 8 (cfg.n_blocks + 1);
-      max_mem_accesses = min 12 (cfg.max_mem_accesses + 2);
-    }
-  in
-  if Revizor_obs.Telemetry.enabled () then
-    Revizor_obs.Telemetry.event "generator.grow"
-      [
-        ("n_insts", Revizor_obs.Json.Int cfg'.n_insts);
-        ("n_blocks", Revizor_obs.Json.Int cfg'.n_blocks);
-        ("max_mem_accesses", Revizor_obs.Json.Int cfg'.max_mem_accesses);
-      ];
-  cfg'
+  {
+    cfg with
+    n_insts = min 48 (cfg.n_insts + 8);
+    n_blocks = min 8 (cfg.n_blocks + 1);
+    max_mem_accesses = min 12 (cfg.max_mem_accesses + 2);
+  }
 
 let has_subset cfg s = List.mem s cfg.subsets
 

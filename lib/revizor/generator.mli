@@ -30,7 +30,8 @@ val default_cfg : cfg
 
 val grow : cfg -> cfg
 (** The diversity-feedback step (§5.6): increase instructions and blocks
-    by constant factors. *)
+    by constant factors, up to fixed caps. Pure, so a checkpoint decoder
+    can replay it. *)
 
 val generate : Prng.t -> cfg -> Program.t
 (** Generate and instrument one test case. The result always passes

@@ -5,11 +5,7 @@ open Revizor_isa
    torn file where a previous good one stood. *)
 let write_file path contents = Revizor_obs.Atomic_file.write path contents
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let input_to_line (i : Input.t) =
   Printf.sprintf "seed=0x%Lx entropy=%d" i.Input.seed i.Input.entropy
@@ -105,27 +101,82 @@ let save_violation ?stats ?ucoverage ?metrics ~dir (v : Violation.t) =
     ~path:(Filename.concat dir "stats.json")
     ()
 
-let stats_of_json j =
-  let ( let* ) = Result.bind in
-  let* () = Json.check_schema ~codec:"stats" stats_schema j in
+let ( let* ) = Result.bind
+
+let stats_decoder j =
+  let* () = Json.check_schema stats_schema j in
   let metrics = Option.value (Json.member "metrics" j) ~default:Json.Null in
   (* Additive section: stats files from before the atlas existed load
      with [None]; a malformed section is an error, not a silent [None]. *)
-  let* ucoverage =
-    match Json.member "ucoverage" j with
-    | None | Some Json.Null -> Ok None
-    | Some u -> Result.map Option.some (Ucoverage.of_json u)
+  let* ucoverage = Json.field_opt "ucoverage" Ucoverage.of_json j in
+  let* stats =
+    Json.field "stats"
+      (function
+        | Json.Null -> Ok None
+        | sj -> Result.map Option.some (Fuzzer.stats_of_json sj))
+      j
   in
-  match Json.member "stats" j with
-  | None -> Error "stats: missing stats key"
-  | Some Json.Null -> Ok { stats = None; metrics; ucoverage }
-  | Some sj ->
-      let* s = Fuzzer.stats_of_json sj in
-      Ok { stats = Some s; metrics; ucoverage }
+  Ok { stats; metrics; ucoverage }
 
-let load_stats path =
-  match read_file path with
-  | exception Sys_error e -> Error e
-  | contents ->
-      Result.map_error (Printf.sprintf "%s: %s" path)
-        (Result.bind (Json.parse contents) stats_of_json)
+let stats_of_json = Json.decode ~codec:"stats" stats_decoder
+let load_stats = Json.load ~codec:"stats" stats_decoder
+
+(* --- the metrics document (fuzz --metrics-out) ------------------------ *)
+
+module Metrics = Revizor_obs.Metrics
+
+let metrics_schema = "revizor.metrics.v1"
+
+let save_metrics ?stats ~elapsed ~path () =
+  let snap = Metrics.snapshot () in
+  let stages = Metrics.stage_breakdown snap in
+  let wall_ns = elapsed *. 1e9 in
+  let share ns = if wall_ns > 0. then float_of_int ns /. wall_ns else 0. in
+  let stage_json (st : Metrics.stage) =
+    ( st.Metrics.st_name,
+      Json.Obj
+        [
+          ("calls", Json.Int st.Metrics.st_calls);
+          ("total_ns", Json.Int st.Metrics.st_total_ns);
+          ("share", Json.Float (share st.Metrics.st_total_ns));
+        ] )
+  in
+  let accounted =
+    List.fold_left (fun acc st -> acc + st.Metrics.st_total_ns) 0 stages
+  in
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.String metrics_schema);
+        ("elapsed_s", Json.Float elapsed);
+        ( "stats",
+          match stats with Some s -> Fuzzer.stats_to_json s | None -> Json.Null
+        );
+        ("stages", Json.Obj (List.map stage_json stages));
+        ("accounted_share", Json.Float (share accounted));
+        ("metrics", Metrics.to_json snap);
+      ]
+  in
+  write_file path (Json.to_string_pretty doc ^ "\n")
+
+type saved_metrics = {
+  counters : (string * int) list;
+  stages : string list;
+  accounted_share : float;
+}
+
+let metrics_decoder j =
+  let* () = Json.check_schema metrics_schema j in
+  let* counters =
+    Json.field "metrics"
+      (Json.field "counters"
+         (Json.assoc (fun k v -> Result.map (fun n -> (k, n)) (Json.int v))))
+      j
+  in
+  let* () = if counters = [] then Error "metrics.counters is empty" else Ok () in
+  let* stages = Json.field "stages" (Json.assoc (fun k _ -> Ok k)) j in
+  let* accounted_share = Json.field "accounted_share" Json.float j in
+  Ok { counters; stages; accounted_share }
+
+let metrics_of_json = Json.decode ~codec:"metrics" metrics_decoder
+let load_metrics = Json.load ~codec:"metrics" metrics_decoder

@@ -51,6 +51,28 @@ val stats_of_json : Revizor_obs.Json.t -> (saved_stats, string) result
 val load_stats : string -> (saved_stats, string) result
 (** Read back a [stats.json] ({!stats_of_json}); errors name the path. *)
 
+val save_metrics :
+  ?stats:Fuzzer.stats -> elapsed:float -> path:string -> unit -> unit
+(** Write the [revizor.metrics.v1] document ([revizor fuzz
+    --metrics-out]): a fresh {!Revizor_obs.Metrics.snapshot}, its stage
+    breakdown with each stage's share of [elapsed] wall seconds, the
+    share all stages account for, and [stats] ([null] when not given). *)
+
+type saved_metrics = {
+  counters : (string * int) list;  (** [metrics.counters], never empty *)
+  stages : string list;  (** stage names, by descending time *)
+  accounted_share : float;  (** of wall time, covered by the stages *)
+}
+
+val metrics_of_json : Revizor_obs.Json.t -> (saved_metrics, string) result
+(** Decode a [revizor.metrics.v1] document: the schema, a non-empty
+    [metrics.counters], a [stages] object and a numeric
+    [accounted_share]. *)
+
+val load_metrics : string -> (saved_metrics, string) result
+(** Read back a metrics document ({!metrics_of_json}); errors name the
+    path. *)
+
 val load_program : string -> (Program.t, string) result
 (** Parse a saved [*.asm] file. *)
 

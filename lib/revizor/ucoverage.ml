@@ -349,51 +349,41 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let of_json j =
-  let* () = Json.check_schema ~version ~codec:"ucoverage" schema j in
-  let* first_hit =
-    match Json.member "features" j with
-    | Some (Json.Obj kvs) ->
-        List.fold_left
-          (fun acc (name, v) ->
-            let* acc = acc in
-            match (feature_of_string name, Json.to_int v) with
-            | Some f, Some tc -> Ok (FMap.add f tc acc)
-            | None, _ -> Error (Printf.sprintf "ucoverage: bad feature %S" name)
-            | _, None ->
-                Error (Printf.sprintf "ucoverage: bad first-hit for %S" name))
-          (Ok FMap.empty) kvs
-    | _ -> Error "ucoverage: missing features"
+let decoder j =
+  let* () = Json.check_schema ~version schema j in
+  let* hits =
+    Json.field "features"
+      (Json.assoc (fun name v ->
+           match feature_of_string name with
+           | None -> Error "unknown feature"
+           | Some f ->
+               let* tc = Json.int v in
+               Ok (f, tc)))
+      j
   in
   let* frontier =
-    match Json.member "frontier" j with
-    | Some (Json.List pts) ->
-        List.fold_left
-          (fun acc p ->
-            let* acc = acc in
-            match p with
-            | Json.List [ a; b ] -> (
-                match (Json.to_int a, Json.to_int b) with
-                | Some tc, Some n -> Ok ((tc, n) :: acc)
-                | _ -> Error "ucoverage: bad frontier point")
-            | _ -> Error "ucoverage: bad frontier point")
-          (Ok []) pts
-    | _ -> Error "ucoverage: missing frontier"
+    Json.field "frontier"
+      (Json.list (function
+        | Json.List [ a; b ] ->
+            let* tc = Json.int a in
+            let* n = Json.int b in
+            Ok (tc, n)
+        | _ -> Error "expected a [tc, features] pair"))
+      j
   in
-  let int k ~default =
-    Option.value (Option.bind (Json.member k j) Json.to_int) ~default
-  in
+  let* last_round_distinct = Json.field "last_round_distinct" Json.int j in
+  let* barren_rounds = Json.field "barren_rounds" Json.int j in
+  let* saturation_emitted = Json.field "saturation_emitted" Json.bool j in
   Ok
     {
-      first_hit;
-      frontier;
-      last_round_distinct = int "last_round_distinct" ~default:0;
-      barren_rounds = int "barren_rounds" ~default:0;
-      saturation_emitted =
-        (match Json.member "saturation_emitted" j with
-        | Some (Json.Bool b) -> b
-        | _ -> false);
+      first_hit = FMap.of_list hits;
+      frontier = List.rev frontier;
+      last_round_distinct;
+      barren_rounds;
+      saturation_emitted;
     }
+
+let of_json = Json.decode ~codec:"ucoverage" decoder
 
 (* Compact summary for the monitor's [coverage] query and heartbeats. *)
 let summary_json t ~test_cases =

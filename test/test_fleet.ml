@@ -66,7 +66,7 @@ let mk_spec ?(seeds = [ 5L; 6L; 7L; 8L ]) ?(budget = 60) ?(inputs = 50)
 
 let test_backoff () =
   let policy = { Backoff.base_ms = 50.; cap_ms = 2000. } in
-  let key = Backoff.key_of_string "some-shard" in
+  let key = Revizor_obs.Hash.fnv1a "some-shard" in
   (* Pure function of (key, attempt). *)
   for attempt = 0 to 12 do
     let a = Backoff.delay_ms policy ~key ~attempt in
@@ -84,7 +84,7 @@ let test_backoff () =
   check bool "no overflow at huge attempts" true (huge >= 0. && huge <= 2000.);
   (* Different keys see different jitter (with overwhelming probability
      across 13 attempts). *)
-  let other = Backoff.key_of_string "other-shard" in
+  let other = Revizor_obs.Hash.fnv1a "other-shard" in
   check bool "keys decorrelate" true
     (List.exists
        (fun attempt ->

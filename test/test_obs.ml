@@ -241,13 +241,11 @@ let test_stats_json_roundtrip () =
                     (List.mem_assoc "fuzzer.test_cases" counters)
               | _ -> Alcotest.fail "metrics.counters missing"))
 
-(* --- the schema envelope of every persisted document -------------------- *)
+(* --- the persisted documents ------------------------------------------- *)
 
-(* Each decoder, given a document it wrote, with the schema replaced,
-   removed or bumped to another version (and, where the codec writes a
-   version field, that field changed): every variant must be an [Error]
-   that names the codec. *)
-let test_schema_envelope () =
+(* (codec, a document it wrote, its decoder, writes a version field) for
+   every persisted document. *)
+let persisted_documents () =
   let module Ledger = Revizor_fleet.Ledger in
   let module Merge = Revizor_fleet.Merge in
   let module Worker = Revizor_fleet.Worker in
@@ -261,13 +259,14 @@ let test_schema_envelope () =
   let spec =
     Ledger.default_spec ~target:"Target 1" ~contract:"CT-SEQ" ~seeds:[ 1L ]
   in
-  let stats_doc =
+  let written save =
     with_tmpdir (fun dir ->
-        let path = Filename.concat dir "stats.json" in
-        Results.save_stats ~stats ~path ();
+        Results.mkdir_p dir;
+        let path = Filename.concat dir "doc.json" in
+        save path;
         match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
         | Ok j -> j
-        | Error e -> Alcotest.failf "stats.json: %s" e)
+        | Error e -> Alcotest.failf "%s: %s" path e)
   in
   let forensics =
     {
@@ -299,34 +298,40 @@ let test_schema_envelope () =
     }
   in
   let unit_of r = Result.map ignore r in
-  (* (codec, a document it wrote, its decoder, writes a version field) *)
-  let codecs =
-    [
-      ("checkpoint", Campaign.to_json cfg snap,
-       (fun j -> unit_of (Campaign.of_json cfg j)), true);
-      ("ucoverage", Ucoverage.to_json (Ucoverage.create ()),
-       (fun j -> unit_of (Ucoverage.of_json j)), true);
-      ("ledger", Ledger.to_json (Ledger.create ~dir:"fleet" spec),
-       (fun j -> unit_of (Ledger.of_json ~dir:"fleet" j)), true);
-      ("merged doc", Merge.to_json (Merge.create ~spec),
-       (fun j -> unit_of (Merge.of_json j)), false);
-      ("shard result", Worker.to_json shard_result,
-       (fun j -> unit_of (Worker.of_json j)), false);
-      ("forensics", Forensics.to_json forensics,
-       (fun j -> unit_of (Forensics.of_json j)), false);
-      ("stats", stats_doc, (fun j -> unit_of (Results.stats_of_json j)), false);
-    ]
-  in
-  (* [edit k (Some v)] sets field [k] to [v]; [edit k None] drops it. *)
-  let edit k v = function
-    | Json.Obj kvs ->
-        Json.Obj
-          (List.filter_map
-             (fun (k', v') ->
-               if k' = k then Option.map (fun v -> (k, v)) v else Some (k', v'))
-             kvs)
-    | _ -> Alcotest.fail "document is not an object"
-  in
+  [
+    ("checkpoint", Campaign.to_json cfg snap,
+     (fun j -> unit_of (Campaign.of_json cfg j)), true);
+    ("ucoverage", Ucoverage.to_json (Ucoverage.create ()),
+     (fun j -> unit_of (Ucoverage.of_json j)), true);
+    ("ledger", Ledger.to_json (Ledger.create ~dir:"fleet" spec),
+     (fun j -> unit_of (Ledger.of_json ~dir:"fleet" j)), true);
+    ("merged doc", Merge.to_json (Merge.create ~spec),
+     (fun j -> unit_of (Merge.of_json j)), false);
+    ("shard result", Worker.to_json shard_result,
+     (fun j -> unit_of (Worker.of_json j)), false);
+    ("forensics", Forensics.to_json forensics,
+     (fun j -> unit_of (Forensics.of_json j)), false);
+    ("stats", written (fun path -> Results.save_stats ~stats ~path ()),
+     (fun j -> unit_of (Results.stats_of_json j)), false);
+    ("metrics", written (fun path -> Results.save_metrics ~stats ~elapsed:1. ~path ()),
+     (fun j -> unit_of (Results.metrics_of_json j)), false);
+  ]
+
+(* [edit k (Some v)] sets field [k] to [v]; [edit k None] drops it. *)
+let edit k v = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k', v') ->
+             if k' = k then Option.map (fun v -> (k, v)) v else Some (k', v'))
+           kvs)
+  | _ -> Alcotest.fail "document is not an object"
+
+(* Each decoder, given a document it wrote, with the schema replaced,
+   removed or bumped to another version (and, where the codec writes a
+   version field, that field changed): every variant must be an [Error]
+   that names the codec. *)
+let test_schema_envelope () =
   List.iter
     (fun (codec, doc, decode, versioned) ->
       (match decode doc with
@@ -358,7 +363,47 @@ let test_schema_envelope () =
                 true
                 (String.starts_with ~prefix:(codec ^ ": ") e))
         variants)
-    codecs
+    (persisted_documents ())
+
+(* Damaged copies of each document: truncated and single-byte-flipped
+   text at spread-out offsets, each top-level key dropped, and each
+   top-level value replaced by a value of every other shape. Parsing and
+   decoding must answer [Ok] or [Error]; neither may raise. *)
+let test_damaged_documents () =
+  let retyped =
+    Json.
+      [ Null; Int (-1); Int (1 lsl 40); String ""; List []; Obj []; Bool true ]
+  in
+  List.iter
+    (fun (codec, doc, decode, _) ->
+      let text = Json.to_string_pretty doc in
+      let n = String.length text in
+      let offsets = List.init 24 (fun i -> i * n / 24) in
+      let flip at mask =
+        String.mapi
+          (fun i c -> if i = at then Char.chr (Char.code c lxor mask) else c)
+          text
+      in
+      let keys = match doc with Json.Obj kvs -> List.map fst kvs | _ -> [] in
+      let damaged =
+        List.map (fun at -> String.sub text 0 at) offsets
+        @ List.concat_map (fun at -> [ flip at 0x01; flip at 0x20 ]) offsets
+        @ List.concat_map
+            (fun k ->
+              List.map Json.to_string
+                (edit k None doc
+                :: List.map (fun v -> edit k (Some v) doc) retyped))
+            keys
+      in
+      List.iter
+        (fun text ->
+          match Result.bind (Json.parse text) decode with
+          | Ok () | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "%s: decoding raised %s on %S" codec
+                (Printexc.to_string e) text)
+        damaged)
+    (persisted_documents ())
 
 (* --- probes record even on exceptions --------------------------------- *)
 
@@ -393,5 +438,6 @@ let () =
           tc "stats.json round-trip" `Slow test_stats_json_roundtrip;
           tc "schema envelope of every persisted document" `Quick
             test_schema_envelope;
+          tc "damaged documents never raise" `Quick test_damaged_documents;
         ] );
     ]

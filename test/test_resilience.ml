@@ -125,18 +125,24 @@ let test_checkpoint_file_roundtrip () =
         (Json.to_string (Campaign.to_json cfg snap))
         (Json.to_string (Campaign.to_json cfg snap')));
   (* A different configuration must be rejected, not silently resumed;
-     so must an input count the campaign loop cannot reach. *)
+     so must loop state the campaign cannot reach (each of these crashed,
+     hung or silently shortened the resumed run before the decoder
+     checked the counters against each other). *)
   let has_sub sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  let with_field k v =
-    match Campaign.to_json cfg snap with
-    | Json.Obj kvs ->
-        Json.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs)
-    | _ -> Alcotest.fail "checkpoint is not an object"
+  (* [set path v j]: [j] with the field at [path] replaced by [v]. *)
+  let rec set path v j =
+    match (path, j) with
+    | [], _ -> v
+    | k :: rest, Json.Obj kvs ->
+        Json.Obj
+          (List.map (fun (k', v') -> if k' = k then (k, set rest v v') else (k', v')) kvs)
+    | _ -> Alcotest.fail "checkpoint path is not an object"
   in
+  let with_field k v = set (String.split_on_char '.' k) v (Campaign.to_json cfg snap) in
   List.iter
     (fun (what, cfg', doc, names) ->
       Atomic_file.write path (Json.to_string doc);
@@ -154,7 +160,28 @@ let test_checkpoint_file_roundtrip () =
       ("n_inputs past the growth cap", cfg,
         with_field "n_inputs" (Json.Int (Fuzzer.grown_inputs_cap + 1)), "n_inputs");
       ("huge n_inputs", cfg, with_field "n_inputs" (Json.Int max_int), "n_inputs");
-    ]
+      ("no ISA subsets", cfg, with_field "gen_cfg.subsets" (Json.List []), "gen_cfg");
+      ("huge n_blocks", cfg, with_field "gen_cfg.n_blocks" (Json.Int (1 lsl 40)), "gen_cfg");
+      ("huge n_insts", cfg, with_field "gen_cfg.n_insts" (Json.Int (1 lsl 40)), "gen_cfg");
+      ("negative test_cases", cfg,
+        with_field "stats.test_cases" (Json.Int (-(1 lsl 40))), "test_cases");
+      ("in_round outside the round", cfg,
+        with_field "in_round" (Json.Int (-100000)), "in_round");
+    ];
+  (* Every checkpoint a real campaign writes satisfies those relations,
+     across rounds and generator growths. *)
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
+  let grown = ref 0 in
+  let _ =
+    Fuzzer.fuzz ~checkpoint_every:1
+      ~on_checkpoint:(fun s ->
+        grown := Int.max !grown s.Fuzzer.sn_stats.Fuzzer.growths;
+        match Campaign.of_json cfg (Campaign.to_json cfg s) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "own checkpoint refused: %s" e)
+      cfg ~budget:(Fuzzer.Test_cases 120)
+  in
+  check bool "the campaign grew its generator" true (!grown >= 2)
 
 let test_fingerprint_sensitivity () =
   let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
