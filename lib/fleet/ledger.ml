@@ -225,6 +225,18 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
+(* Range checks for the orchestration knobs, which the fingerprint does
+   not cover: a ledger edited to zero workers would leave `fleet resume`
+   waiting forever on shards nobody runs. *)
+let int_at_least lo j =
+  let* n = Json.int j in
+  if n >= lo then Ok n else Error (Printf.sprintf "%d is below %d" n lo)
+
+let non_negative j =
+  let* x = Json.float j in
+  if Float.is_finite x && x >= 0. then Ok x
+  else Error (Printf.sprintf "%g is not a finite non-negative number" x)
+
 let spec_of_json j =
   let* sp_target = Json.field "target" Json.str j in
   let* sp_contract = Json.field "contract" Json.str j in
@@ -232,12 +244,12 @@ let spec_of_json j =
   let* sp_budget = Json.field "budget" Json.int j in
   let* sp_n_inputs = Json.field "n_inputs" Json.int j in
   let* sp_checkpoint_every = Json.field "checkpoint_every" Json.int j in
-  let* sp_workers = Json.field "workers" Json.int j in
-  let* sp_lease_s = Json.field "lease_s" Json.float j in
-  let* sp_max_attempts = Json.field "max_attempts" Json.int j in
+  let* sp_workers = Json.field "workers" (int_at_least 1) j in
+  let* sp_lease_s = Json.field "lease_s" non_negative j in
+  let* sp_max_attempts = Json.field "max_attempts" (int_at_least 0) j in
   let* sp_fleet_seed = Json.field "fleet_seed" Json.int64 j in
-  let* base_ms = Json.field "backoff_base_ms" Json.float j in
-  let* cap_ms = Json.field "backoff_cap_ms" Json.float j in
+  let* base_ms = Json.field "backoff_base_ms" non_negative j in
+  let* cap_ms = Json.field "backoff_cap_ms" non_negative j in
   Ok
     {
       sp_target;

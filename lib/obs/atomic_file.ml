@@ -20,6 +20,7 @@ let fp_writer = Faultpoint.point "writer.io"
 
 let attempt path contents =
   Faultpoint.fire fp_writer;
+  Dir.ensure_parent path;
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   (match

@@ -10,7 +10,8 @@
     event. *)
 
 val write : ?retries:int -> ?backoff:Backoff.policy -> string -> string -> unit
-(** [write path contents] atomically replaces [path]. Retries up to
+(** [write path contents] atomically replaces [path], creating its
+    directory first if it is missing ({!Dir.ensure_parent}). Retries up to
     [retries] (default 3) times on [Sys_error] or an injected writer
     fault — sleeping a {!Backoff} delay (capped exponential,
     deterministic jitter keyed on [path]; default {!Backoff.default})

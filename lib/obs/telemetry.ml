@@ -28,6 +28,7 @@ let disable () =
 
 let enable_file path =
   disable ();
+  Dir.ensure_parent path;
   install (To_channel (open_out path))
 
 let enable_buffer buf =

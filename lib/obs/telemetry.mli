@@ -19,7 +19,8 @@
 val enabled : unit -> bool
 
 val enable_file : string -> unit
-(** Open [path] for writing (truncating) and direct all events to it.
+(** Open [path] for writing (truncating), creating its directory if it
+    is missing ({!Dir.ensure_parent}), and direct all events to it.
     Replaces any previous sink. *)
 
 val enable_buffer : Buffer.t -> unit

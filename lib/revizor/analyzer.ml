@@ -72,7 +72,13 @@ let class_is_chain cls htraces equivalence =
           let h0 = htraces.(m0) in
           List.for_all (fun i -> Htrace.equal htraces.(i) h0) ms
       | `Subset ->
-          let arr = Array.of_list (List.map (fun i -> htraces.(i)) ms) in
+          (* Built over a static value and cleared after use: a class of
+             more than 256 members puts the array in the major heap,
+             where [Array.of_list] would force a minor collection and the
+             dead array's young traces would be promoted at the next one
+             (DESIGN.md §6). *)
+          let arr = Array.make (List.length ms) Htrace.empty in
+          List.iteri (fun k i -> arr.(k) <- htraces.(i)) ms;
           Array.sort
             (fun a b -> Int.compare (Htrace.cardinal a) (Htrace.cardinal b))
             arr;
@@ -80,6 +86,7 @@ let class_is_chain cls htraces equivalence =
           for k = 0 to Array.length arr - 2 do
             if not (Htrace.subset arr.(k) arr.(k + 1)) then ok := false
           done;
+          Array.fill arr 0 (Array.length arr) Htrace.empty;
           !ok)
 
 let check_class ?(equivalence = `Subset) ?(excluding = []) cls htraces =

@@ -6,11 +6,33 @@ type obs =
   | Pc of int  (** control-flow target (CT clause) *)
   | Value of int64  (** loaded value (ARCH clause) *)
 
-type t = obs list
+type t
+(** An immutable, pointer-free packing of an [obs] sequence: two traces
+    are equal exactly when their observation lists are. *)
 
+val empty : t
+val of_list : obs list -> t
+val to_list : t -> obs list
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Covers every observation of the trace. *)
+
 val length : t -> int
+(** Number of observations. *)
+
+(** {2 Building a trace in place}
+
+    The contract model appends observations to a reusable buffer and
+    takes the trace once per input: no per-observation allocation. *)
+
+val add_addr : Buffer.t -> int64 -> unit
+val add_pc : Buffer.t -> int -> unit
+val add_value : Buffer.t -> int64 -> unit
+
+val of_buffer : Buffer.t -> t
+(** The observations appended to the buffer since it was last cleared. *)
+
 val pp_obs : Format.formatter -> obs -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

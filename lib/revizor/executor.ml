@@ -151,6 +151,10 @@ type measurement = {
   runs : Cpu.event list list;
 }
 
+(* A static measurement: what a result array is built over and what
+   [release] overwrites it with. *)
+let no_measurement = { htrace = Htrace.empty; kinds = []; events = []; runs = [] }
+
 let apply_noise t ~idx trace =
   match t.cfg.noise with
   | None -> trace
@@ -411,24 +415,50 @@ let measure ?templates t flat inputs =
         end
       done);
   let threshold = threshold_for !reps_done in
-  Array.init n (fun idx ->
-      let htrace = ref Htrace.empty in
-      Array.iteri
-        (fun o c -> if c >= threshold then htrace := Htrace.add o !htrace)
-        counts.(idx);
-      let runs = events.(idx) in
-      let evs =
-        List.sort_uniq Stdlib.compare
-          (List.concat_map
-             (List.map (fun (e : Cpu.event) ->
-                  (e.Cpu.kind, Htrace.of_list e.Cpu.touched_sets)))
-             runs)
-      in
-      let ks = List.sort_uniq Stdlib.compare (List.map fst evs) in
-      { htrace = !htrace; kinds = ks; events = evs; runs })
+  (* Built over a static value, not with [Array.init]: see [release]. *)
+  let out = Array.make n no_measurement in
+  for idx = 0 to n - 1 do
+    let htrace = ref Htrace.empty in
+    Array.iteri
+      (fun o c -> if c >= threshold then htrace := Htrace.add o !htrace)
+      counts.(idx);
+    let runs = events.(idx) in
+    let evs =
+      List.sort_uniq Stdlib.compare
+        (List.concat_map
+           (List.map (fun (e : Cpu.event) ->
+                (e.Cpu.kind, Htrace.of_list e.Cpu.touched_sets)))
+           runs)
+    in
+    let ks = List.sort_uniq Stdlib.compare (List.map fst evs) in
+    out.(idx) <- { htrace = !htrace; kinds = ks; events = evs; runs };
+    events.(idx) <- []
+  done;
+  (* The campaign-owned scratch lets go of this measurement's young
+     values at once: the memo entries die with the measurement. *)
+  if t.memo_ok then Array.fill t.memo 0 (Array.length t.memo) [];
+  out
+
+let release measurements =
+  Array.fill measurements 0 (Array.length measurements) no_measurement
+
+let htraces_of measurements =
+  let h = Array.make (Array.length measurements) Htrace.empty in
+  Array.iteri (fun i m -> h.(i) <- m.htrace) measurements;
+  h
 
 let htraces ?templates t flat inputs =
-  Array.map (fun m -> m.htrace) (measure ?templates t flat inputs)
+  let measurements = measure ?templates t flat inputs in
+  let h = htraces_of measurements in
+  release measurements;
+  h
+
+(* The trace of slot [idx] in one measurement, which dies at once. *)
+let htrace_at ~templates t flat inputs idx =
+  let measurements = measure ~templates t flat inputs in
+  let h = measurements.(idx).htrace in
+  release measurements;
+  h
 
 (* Forensic replay: one primed pass capturing the full speculation-event
    record per input. Mirrors [measure]'s structure (session reset,
@@ -473,14 +503,13 @@ let swap_check ?templates ?base t flat inputs a b =
   (* i_b measured in i_a's context slot... *)
   let seq_b_at_a = Array.copy templates in
   seq_b_at_a.(a) <- templates.(b);
-  let m1 = htraces ~templates:seq_b_at_a t flat inputs in
+  let h1 = htrace_at ~templates:seq_b_at_a t flat inputs a in
   (* ... and i_a measured in i_b's context slot. *)
   let m2_agrees () =
     let seq_a_at_b = Array.copy templates in
     seq_a_at_b.(b) <- templates.(a);
-    let m2 = htraces ~templates:seq_a_at_b t flat inputs in
-    Htrace.comparable m2.(b) base.(b)
+    Htrace.comparable (htrace_at ~templates:seq_a_at_b t flat inputs b) base.(b)
   in
   (* Artifact iff swapping contexts makes the traces agree both ways. *)
-  let artifact = Htrace.comparable m1.(a) base.(a) && m2_agrees () in
+  let artifact = Htrace.comparable h1 base.(a) && m2_agrees () in
   not artifact

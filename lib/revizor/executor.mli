@@ -120,12 +120,24 @@ val measure :
     state per input per call). The same holds for {!htraces},
     {!record_events} and {!swap_check}. *)
 
+val htraces_of : measurement array -> Htrace.t array
+(** The measurements' hardware traces, in order. *)
+
+val release : measurement array -> unit
+(** Overwrite every slot with a static empty measurement. A result array
+    of more than 256 inputs lives in the major heap, where each young
+    measurement in it stays reachable from the remembered set until the
+    next minor collection, even once the array is garbage: releasing it
+    when the check is done with it keeps that collection from promoting
+    the measurements. *)
+
 val htraces :
   ?templates:Revizor_emu.State.t array ->
   t ->
   Revizor_emu.Compiled.t ->
   Input.t list ->
   Htrace.t array
+(** {!htraces_of} a {!measure}ment, which is then {!release}d. *)
 
 val record_events :
   ?templates:Revizor_emu.State.t array ->

@@ -238,7 +238,6 @@ let of_json = Json.decode ~codec:"forensics" decoder
 let file ~dir = Filename.concat dir "forensics.json"
 
 let save ~dir t =
-  Results.mkdir_p dir;
   Revizor_obs.Atomic_file.write (file ~dir)
     (Json.to_string_pretty (to_json t) ^ "\n")
 

@@ -158,6 +158,7 @@ type outcome = Violation of Violation.t | No_violation
 type budget = Test_cases of int | Seconds of float
 
 let grown_inputs_cap = 400
+let nursery_words = 1024 * 1024
 let grow_inputs n = Int.min grown_inputs_cap (n + (n / 2))
 
 (* Everything the campaign loop mutates, captured at a test-case
@@ -178,10 +179,28 @@ type snapshot = {
   sn_ucoverage : Ucoverage.t;
 }
 
+(* Partition the inputs by contract trace. A test case's per-input
+   arrays (ctraces here, htraces below) are built with [Array.make] over
+   a static value and filled in place: [Array.of_list], [Array.map] and
+   [Array.init] hand their first element to [caml_make_vect] as the
+   initial value, and for an array above 256 words whose initial value
+   is young it runs a minor collection first — promoting the whole test
+   case in flight. Such an array lives in the major heap, so each young
+   value stored into it stays reachable from the remembered set until
+   the next minor collection: once the check is done with an array it is
+   overwritten with the static value, so a dead array promotes nothing
+   (DESIGN.md §6). *)
+let classes_of results =
+  let ctraces = Array.make (List.length results) Ctrace.empty in
+  List.iteri (fun i (r : Model.result) -> ctraces.(i) <- r.Model.ctrace) results;
+  let classes = Analyzer.input_classes ctraces in
+  Array.fill ctraces 0 (Array.length ctraces) Ctrace.empty;
+  classes
+
 (* The nesting re-check (§5.4): recompute contract traces with nested
    speculation enabled; the violating pair must still share a class and
    still diverge. *)
-let nesting_recheck ?templates config prog inputs measurements
+let nesting_recheck ?templates config prog inputs htraces
     (cand : Analyzer.candidate) =
   if config.contract.Contract.nesting then true
   else begin
@@ -193,13 +212,7 @@ let nesting_recheck ?templates config prog inputs measurements
     in
     if List.exists (fun (r : Model.result) -> r.Model.faulted) results then false
     else
-      let ctraces =
-        Array.of_list (List.map (fun (r : Model.result) -> r.Model.ctrace) results)
-      in
-      let classes = Analyzer.input_classes ctraces in
-      let htraces =
-        Array.map (fun (m : Executor.measurement) -> m.Executor.htrace) measurements
-      in
+      let classes = classes_of results in
       (* The original pair must still witness a violation under the more
          permissive (nested) contract. *)
       List.exists
@@ -266,10 +279,6 @@ let check_test_case_full ?arena config executor program inputs :
       if List.exists (fun (r : Model.result) -> r.Model.faulted) results then
         Error "architectural fault"
       else
-        let ctraces =
-          Array.of_list
-            (List.map (fun (r : Model.result) -> r.Model.ctrace) results)
-        in
         let patterns =
           match results with
           | first :: _ -> Coverage.patterns_of_stream first.Model.stream
@@ -277,7 +286,7 @@ let check_test_case_full ?arena config executor program inputs :
         in
         let classes, effective =
           Probe.with_span sp_analyze (fun () ->
-              let classes = Analyzer.input_classes ctraces in
+              let classes = classes_of results in
               (classes, Analyzer.effective_inputs classes))
         in
         let no_violation ?(ucov_features = []) ?(candidate_seen = false)
@@ -308,11 +317,7 @@ let check_test_case_full ?arena config executor program inputs :
                 ~descs:prog.Revizor_emu.Compiled.descs measurements
             else []
           in
-          let htraces =
-            Array.map
-              (fun (m : Executor.measurement) -> m.Executor.htrace)
-              measurements
-          in
+          let htraces = Executor.htraces_of measurements in
           Probe.with_span sp_analyze (fun () -> Analyzer.record_htraces htraces);
           (* A dismissed pair does not clear the test case: another pair of
              the same measurement set may witness a genuine (data-caused)
@@ -341,8 +346,8 @@ let check_test_case_full ?arena config executor program inputs :
                     hunt (pair :: excluding) (attempts - 1) ~swapped:true ~nested
                   else if
                     not
-                      (nesting_recheck ~templates config prog inputs
-                         measurements cand)
+                      (nesting_recheck ~templates config prog inputs htraces
+                         cand)
                   then
                     hunt (pair :: excluding) (attempts - 1) ~swapped ~nested:true
                   else confirm cand
@@ -399,7 +404,10 @@ let check_test_case_full ?arena config executor program inputs :
                     dismissed_nesting = false;
                   }
           in
-          hunt [] 5 ~swapped:false ~nested:false
+          let checked = hunt [] 5 ~swapped:false ~nested:false in
+          Executor.release measurements;
+          Array.fill htraces 0 (Array.length htraces) Htrace.empty;
+          checked
 
 let check_test_case config executor program inputs =
   Result.map (fun c -> c.violation)
@@ -445,13 +453,16 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     ?ucoverage config ~budget =
   (* Campaign GC tuning: the loop allocates a steady stream of short-lived
      values (model results, event lists, analyzer classes); the default
-     256 KiB minor heap forces a minor collection every few test cases and
-     promotes values that die moments later. A larger nursery lets whole
-     test cases live and die within it. Only ever grows the setting, so a
+     256k-word minor heap fills within a test case at a few hundred
+     inputs and promotes values that die moments later. 1M words (8 MB)
+     holds two to four whole test cases at the 400-input cap, so a minor
+     collection copies only the one in flight — provided nothing forces
+     collections early (see [classes_of]). A larger nursery buys nothing
+     more and costs resident memory. Only ever grows the setting, so a
      caller's own tuning wins. *)
   (let g = Gc.get () in
-   if g.Gc.minor_heap_size < 8 * 1024 * 1024 then
-     Gc.set { g with Gc.minor_heap_size = 8 * 1024 * 1024 });
+   if g.Gc.minor_heap_size < nursery_words then
+     Gc.set { g with Gc.minor_heap_size = nursery_words });
   let prng =
     match resume with
     | Some s -> Prng.of_state s.sn_prng

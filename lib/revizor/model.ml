@@ -17,16 +17,21 @@ let max_nesting_depth = 4
 
 (* The batched model stage executes every input of a test case directly
    on its template state and undoes the run afterwards, on preallocated
-   machinery: one access buffer shared by all raw actions and one save
-   slot per level — slot 0 for the whole run, slot [d + 1] for an
-   exploration opened at depth [d]. One arena per domain (via
-   [Domain.DLS]) lets campaigns on several domains share the same fast
-   path without locking. *)
-type arena = { a_ab : Compiled.abuf; a_slots : State.slot array }
+   machinery: one access buffer shared by all raw actions, one buffer the
+   contract trace is packed into, and one save slot per level — slot 0
+   for the whole run, slot [d + 1] for an exploration opened at depth
+   [d]. One arena per domain (via [Domain.DLS]) lets campaigns on several
+   domains share the same fast path without locking. *)
+type arena = {
+  a_ab : Compiled.abuf;
+  a_obs : Buffer.t;
+  a_slots : State.slot array;
+}
 
 let make_arena () =
   {
     a_ab = Compiled.abuf_create ();
+    a_obs = Buffer.create 4096;
     a_slots = Array.init (max_nesting_depth + 2) (fun _ -> State.slot ());
   }
 
@@ -84,22 +89,24 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
      blows up on pathological programs while [max_steps] (per-walk) does
      not. *)
   let fuel = Watchdog.start watchdog in
-  let obs = ref [] in
+  (* Observations are packed into the arena's buffer in walk order; the
+     trace is taken from it once, at the end. *)
+  let obs = arena.a_obs in
+  Buffer.clear obs;
   let stream = ref [] in
   let faulted = ref false in
-  let emit o = obs := o :: !obs in
-  let record_control next = if pc_obs then emit (Ctrace.Pc next) in
-  (* Flush buffer entries [0, hi) into the observation list, matching
-     the per-access record order of the reference walk. *)
+  let record_control next = if pc_obs then Ctrace.add_pc obs next in
+  (* Flush buffer entries [0, hi) into the trace, matching the
+     per-access record order of the reference walk. *)
   let record_abuf ~speculative hi =
     for k = 0 to hi - 1 do
       if ab.Compiled.ab_store.(k) then begin
         if (not speculative) || expose_stores then
-          emit (Ctrace.Addr ab.Compiled.ab_addr.(k))
+          Ctrace.add_addr obs ab.Compiled.ab_addr.(k)
       end
       else begin
-        emit (Ctrace.Addr ab.Compiled.ab_addr.(k));
-        if arch_values then emit (Ctrace.Value ab.Compiled.ab_value.(k))
+        Ctrace.add_addr obs ab.Compiled.ab_addr.(k);
+        if arch_values then Ctrace.add_value obs ab.Compiled.ab_value.(k)
       end
     done
   in
@@ -185,9 +192,9 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
                     Memory.write state.State.mem ~addr w old;
                     for k = 0 to ab.Compiled.ab_len - 1 do
                       if not ab.Compiled.ab_store.(k) then begin
-                        emit (Ctrace.Addr ab.Compiled.ab_addr.(k));
+                        Ctrace.add_addr obs ab.Compiled.ab_addr.(k);
                         if arch_values then
-                          emit (Ctrace.Value ab.Compiled.ab_value.(k))
+                          Ctrace.add_value obs ab.Compiled.ab_value.(k)
                       end
                     done
                   with
@@ -225,7 +232,11 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
     done
   in
   walk ~depth:0 max_steps;
-  { ctrace = List.rev !obs; stream = List.rev !stream; faulted = !faulted }
+  {
+    ctrace = Ctrace.of_buffer obs;
+    stream = List.rev !stream;
+    faulted = !faulted;
+  }
 
 let run_state ?(max_steps = 4096) ?(watchdog = Watchdog.default)
     (contract : Contract.t) prog (state : State.t) =

@@ -50,11 +50,7 @@ let load_program path =
   | contents -> Asm_parser.parse_program contents
   | exception Sys_error e -> Error e
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
+let mkdir_p = Revizor_obs.Dir.mkdir_p
 
 module Json = Revizor_obs.Json
 
@@ -84,12 +80,10 @@ let save_stats ?stats ?ucoverage ?metrics ~path () =
   let metrics =
     match metrics with Some m -> m | None -> Revizor_obs.Metrics.snapshot ()
   in
-  mkdir_p (Filename.dirname path);
   write_file path
     (Json.to_string_pretty (stats_json ?stats ?ucoverage ~metrics ()) ^ "\n")
 
 let save_violation ?stats ?ucoverage ?metrics ~dir (v : Violation.t) =
-  mkdir_p dir;
   write_file
     (Filename.concat dir "violation.asm")
     (Program.to_string v.Violation.program ^ "\n");

@@ -28,14 +28,15 @@ val save_stats :
   path:string ->
   unit ->
   unit
-(** Write just the [revizor.stats.v1] document to [path] (creating the
-    parent directory if needed) — what [revizor fuzz --stats-out] uses
-    so compliant campaigns, which never produce a violation directory,
-    still leave a stats/coverage artifact for [revizor coverage]. *)
+(** Write just the [revizor.stats.v1] document to [path] — what
+    [revizor fuzz --stats-out] uses so compliant campaigns, which never
+    produce a violation directory, still leave a stats/coverage artifact
+    for [revizor coverage]. *)
 
 val mkdir_p : string -> unit
-(** Recursive directory creation (shared by the artifact writers,
-    including the {!Forensics} flight recorder). *)
+(** {!Revizor_obs.Dir.mkdir_p}. Every artifact write creates its own
+    directory; this is for directories the program needs before it
+    writes into them (a fleet's campaign directory). *)
 
 type saved_stats = {
   stats : Fuzzer.stats option;

@@ -181,7 +181,7 @@ let compile p = Compiled.of_flat (Program.flatten_exn p)
 let fig1_flat = compile fig1_program
 
 let mem_addrs (ct : Ctrace.t) =
-  List.filter_map (function Ctrace.Addr a -> Some a | _ -> None) ct
+  List.filter_map (function Ctrace.Addr a -> Some a | _ -> None) (Ctrace.to_list ct)
 
 let model_tests =
   [
@@ -218,7 +218,7 @@ let model_tests =
         let mem = Model.run Contract.mem_seq fig1_flat input in
         let ct = Model.run Contract.ct_seq fig1_flat input in
         let pcs t =
-          List.filter (function Ctrace.Pc _ -> true | _ -> false) t
+          List.filter (function Ctrace.Pc _ -> true | _ -> false) (Ctrace.to_list t)
         in
         check int "mem has no pc" 0 (List.length (pcs mem.Model.ctrace));
         check bool "ct has pc" true (List.length (pcs ct.Model.ctrace) > 0));
@@ -229,7 +229,7 @@ let model_tests =
         check bool "has value obs" true
           (List.exists
              (function Ctrace.Value _ -> true | _ -> false)
-             arch.Model.ctrace));
+             (Ctrace.to_list arch.Model.ctrace)));
     tc "speculation window bounds the exploration" `Quick (fun () ->
         let tight = Contract.make ~speculation_window:1 Contract.Mem Contract.Cond in
         let prng = Prng.create ~seed:4L in
@@ -293,7 +293,7 @@ let model_tests =
         let seq = Model.run Contract.ct_seq flat input in
         let bpas = Model.run Contract.ct_bpas flat input in
         check bool "bpas records more" true
-          (List.length bpas.Model.ctrace > List.length seq.Model.ctrace));
+          (Ctrace.length bpas.Model.ctrace > Ctrace.length seq.Model.ctrace));
     tc "§6.4 contract hides speculative stores" `Quick (fun () ->
         let g = Gadgets.spec_store_eviction.Gadgets.program in
         let flat = compile g in
@@ -311,7 +311,7 @@ let model_tests =
         let full = Model.run Contract.ct_cond flat input in
         let hidden = Model.run Contract.ct_cond_no_spec_store flat input in
         check bool "fewer observations" true
-          (List.length hidden.Model.ctrace < List.length full.Model.ctrace));
+          (Ctrace.length hidden.Model.ctrace < Ctrace.length full.Model.ctrace));
     tc "model is deterministic" `Quick (fun () ->
         let input = { Input.seed = 9L; entropy = 2 } in
         let a = Model.run Contract.ct_cond_bpas fig1_flat input in
@@ -340,7 +340,7 @@ let model_tests =
 let analyzer_tests =
   [
     tc "classes group equal ctraces and drop singletons" `Quick (fun () ->
-        let ct a = [ Ctrace.Addr (Int64.of_int a) ] in
+        let ct a = Ctrace.of_list [ Ctrace.Addr (Int64.of_int a) ] in
         let ctraces = [| ct 1; ct 2; ct 1; ct 3; ct 2; ct 1 |] in
         let classes = Analyzer.input_classes ctraces in
         check int "two classes" 2 (List.length classes);
@@ -351,7 +351,7 @@ let analyzer_tests =
         | _ -> Alcotest.fail "expected two classes");
         check int "effective" 5 (Analyzer.effective_inputs classes));
     tc "subset traces are equivalent; incomparable ones violate" `Quick (fun () ->
-        let cls = { Analyzer.ctrace = []; members = [ 0; 1; 2 ] } in
+        let cls = { Analyzer.ctrace = Ctrace.empty; members = [ 0; 1; 2 ] } in
         let h = Htrace.of_list in
         check bool "chain ok" true
           (Analyzer.check_class cls [| h [ 1 ]; h [ 1; 2 ]; h [ 1; 2; 3 ] |] = None);
@@ -360,7 +360,7 @@ let analyzer_tests =
         | Some (a, b) -> Alcotest.failf "wrong pair %d %d" a b
         | None -> Alcotest.fail "missed violation"));
     tc "strict equality is stricter" `Quick (fun () ->
-        let cls = { Analyzer.ctrace = []; members = [ 0; 1 ] } in
+        let cls = { Analyzer.ctrace = Ctrace.empty; members = [ 0; 1 ] } in
         let h = Htrace.of_list in
         let traces = [| h [ 1 ]; h [ 1; 2 ] |] in
         check bool "subset fine" true
@@ -368,7 +368,7 @@ let analyzer_tests =
         check bool "equality flags" true
           (Analyzer.check_class ~equivalence:`Equal cls traces <> None));
     tc "find_violation returns the first offending class" `Quick (fun () ->
-        let ct a = [ Ctrace.Addr (Int64.of_int a) ] in
+        let ct a = Ctrace.of_list [ Ctrace.Addr (Int64.of_int a) ] in
         let ctraces = [| ct 1; ct 1; ct 2; ct 2 |] in
         let h = Htrace.of_list in
         let htraces = [| h [ 1 ]; h [ 1 ]; h [ 2 ]; h [ 3 ] |] in

@@ -130,7 +130,43 @@ let test_ledger_roundtrip () =
       check bool "failed shard gated behind backoff" true
         (t'.Ledger.shards.(2).Ledger.sh_not_before > now);
       let p, l, d, q = Ledger.counts t' in
-      check (Alcotest.list int) "counts" [ 2; 1; 1; 0 ] [ p; l; d; q ]
+      check (Alcotest.list int) "counts" [ 2; 1; 1; 0 ] [ p; l; d; q ];
+      (* Orchestration knobs the orchestrator cannot run with are refused
+         by the decoder, with an error that names the field (zero workers
+         used to leave `fleet resume` waiting forever). *)
+      let with_spec_field key v =
+        let set k x kvs = List.map (fun (k', y) -> (k', if k' = k then x else y)) kvs in
+        match Ledger.to_json t with
+        | Json.Obj kvs -> (
+            match List.assoc "spec" kvs with
+            | Json.Obj sp -> Json.Obj (set "spec" (Json.Obj (set key v sp)) kvs)
+            | _ -> Alcotest.fail "spec is not an object")
+        | _ -> Alcotest.fail "ledger is not an object"
+      in
+      let names e key =
+        let n = String.length key in
+        let rec at i = i + n <= String.length e && (String.sub e i n = key || at (i + 1)) in
+        at 0
+      in
+      List.iter
+        (fun (key, v) ->
+          match Ledger.of_json ~dir (with_spec_field key v) with
+          | Ok _ -> Alcotest.failf "%s = %s accepted" key (Json.to_string v)
+          | Error e -> check bool (Printf.sprintf "%s refused: %s" key e) true (names e key))
+        [
+          ("workers", Json.Int 0);
+          ("workers", Json.Int (-2));
+          ("max_attempts", Json.Int (-1));
+          ("lease_s", Json.Float (-1.));
+          ("lease_s", Json.Float Float.infinity);
+          ("backoff_base_ms", Json.Float (-10.));
+          ("backoff_base_ms", Json.Float Float.nan);
+          ("backoff_cap_ms", Json.Float (-1.));
+          ("backoff_cap_ms", Json.Float Float.neg_infinity);
+        ];
+      match Ledger.of_json ~dir (with_spec_field "max_attempts" (Json.Int 0)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "max_attempts = 0 refused: %s" e
 
 let test_ledger_quarantine () =
   with_tmpdir "quarantine" @@ fun dir ->

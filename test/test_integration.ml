@@ -168,6 +168,39 @@ let fuzz_tests =
         in
         let a = run () and b = run () in
         check bool "same outcome" true (a = b));
+    (* A test case lives and dies in the minor heap: a campaign promotes
+       a small share of the words it allocates. A forced minor collection
+       (an [Array.of_list] or [Array.map] of young values into an array
+       above 256 words) or a dead major-heap array still pointing at young
+       values promotes the whole test case in flight, which puts the share
+       near 0.15. *)
+    tc "campaigns stop promoting their test cases" `Slow (fun () ->
+        List.iter
+          (fun (name, contract, target) ->
+            let cfg =
+              {
+                (Target.fuzzer_config ~seed:1L contract target) with
+                Fuzzer.n_inputs = 300;
+              }
+            in
+            (* The counters advance at minor collections: one on each side
+               makes them cover exactly the campaign. *)
+            Gc.minor ();
+            let g0 = Gc.quick_stat () in
+            ignore (Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 30));
+            Gc.minor ();
+            let g1 = Gc.quick_stat () in
+            let minor = g1.Gc.minor_words -. g0.Gc.minor_words
+            and promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+            let share = promoted /. minor in
+            check bool
+              (Printf.sprintf "%s: promoted %.0f of %.0f minor words (%.3f)" name
+                 promoted minor share)
+              true (share <= 0.08))
+          [
+            ("Target 1 x CT-SEQ", Contract.ct_seq, Target.target1);
+            ("Target 5 x CT-COND", Contract.ct_cond, Target.target5);
+          ]);
     tc "minimal inputs to violation are small (Table 5 shape)" `Quick (fun () ->
         match
           Experiments.minimal_inputs ~seed:21L Contract.ct_seq Target.target5

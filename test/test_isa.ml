@@ -319,6 +319,39 @@ let parser_tests =
           | Error e -> Alcotest.failf "roundtrip: %s" e
         in
         roundtrip sample_program);
+    tc "damaged listings never raise" `Quick (fun () ->
+        (* Generated programs' listings, truncated and byte-flipped at 32
+           offsets spread over each: the parser answers [Ok] or [Error],
+           never an exception. *)
+        let module Gen = Revizor.Generator in
+        let prng = Revizor.Prng.create ~seed:5L in
+        let cfg = Gen.grow (Gen.grow Gen.default_cfg) in
+        let replace text off c =
+          String.mapi (fun i x -> if i = off then c else x) text
+        in
+        let flip text off mask =
+          replace text off (Char.chr (Char.code text.[off] lxor mask))
+        in
+        for program = 1 to 20 do
+          let text = Program.to_string (Gen.generate prng cfg) in
+          let n = String.length text in
+          for k = 0 to 31 do
+            let off = k * n / 32 in
+            let damaged =
+              String.sub text 0 off
+              :: List.map (flip text off) [ 0x01; 0x08; 0x20; 0x80; 0xff ]
+              @ List.map (replace text off) [ '\n'; ' '; ','; '['; '-'; '9'; '.' ]
+            in
+            List.iter
+              (fun d ->
+                match Asm_parser.parse_program d with
+                | Ok _ | Error _ -> ()
+                | exception e ->
+                    Alcotest.failf "program %d, offset %d: %s\n%s" program off
+                      (Printexc.to_string e) d)
+              damaged
+          done
+        done);
   ]
 
 let () =

@@ -133,7 +133,7 @@ let report_tests =
 let exclusion_tests =
   [
     tc "excluded pairs are skipped, later pairs still found" `Quick (fun () ->
-        let cls = { Analyzer.ctrace = []; members = [ 0; 1; 2 ] } in
+        let cls = { Analyzer.ctrace = Ctrace.empty; members = [ 0; 1; 2 ] } in
         let h = Htrace.of_list in
         (* 0-1 incomparable, 0-2 incomparable, 1-2 comparable (subset) *)
         let traces = [| h [ 1 ]; h [ 2 ]; h [ 2; 3 ] |] in
@@ -229,7 +229,9 @@ let arch_cond_tests =
         let cond = Model.run arch_cond flat input in
         let values t =
           List.length
-            (List.filter (function Ctrace.Value _ -> true | _ -> false) t)
+            (List.filter
+               (function Ctrace.Value _ -> true | _ -> false)
+               (Ctrace.to_list t))
         in
         (* the architectural flag load contributes one value; only the
            COND exploration adds the speculative ones *)
@@ -344,7 +346,7 @@ let nesting_tests =
             (Input.generate_many prng ~entropy:2 ~n:60)
         in
         let flat_obs contract =
-          List.length (Model.run contract flat input).Model.ctrace
+          Ctrace.length (Model.run contract flat input).Model.ctrace
         in
         let plain = flat_obs Contract.mem_cond in
         let nested = flat_obs (Contract.with_nesting Contract.mem_cond) in

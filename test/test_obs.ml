@@ -405,6 +405,42 @@ let test_damaged_documents () =
         damaged)
     (persisted_documents ())
 
+(* --- output paths in directories that do not exist yet ---------------- *)
+
+let test_writes_create_directories () =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "revizor_obs_nested_%d" (Unix.getpid ()))
+  in
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+      end
+      else Sys.remove path
+  in
+  rm_rf root;
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
+  let last = ref None in
+  let _, stats =
+    Fuzzer.fuzz ~on_checkpoint:(fun s -> last := Some s) cfg
+      ~budget:(Fuzzer.Test_cases 2)
+  in
+  let metrics = Filename.concat root "metrics/out/m.json" in
+  Results.save_metrics ~stats ~elapsed:1. ~path:metrics ();
+  check bool "metrics document in a fresh nested directory" true
+    (Result.is_ok (Results.load_metrics metrics));
+  let ckpt = Filename.concat root "ckpt/out/c.json" in
+  Campaign.save ~path:ckpt cfg (Option.get !last);
+  check bool "checkpoint in a fresh nested directory" true
+    (Result.is_ok (Campaign.load ~path:ckpt cfg));
+  let trace = Filename.concat root "trace/out/t.jsonl" in
+  Telemetry.enable_file trace;
+  Telemetry.disable ();
+  check bool "trace file in a fresh nested directory" true (Sys.file_exists trace)
+
 (* --- probes record even on exceptions --------------------------------- *)
 
 let test_probe_exception () =
@@ -439,5 +475,7 @@ let () =
           tc "schema envelope of every persisted document" `Quick
             test_schema_envelope;
           tc "damaged documents never raise" `Quick test_damaged_documents;
+          tc "output paths in missing directories" `Quick
+            test_writes_create_directories;
         ] );
     ]

@@ -174,7 +174,8 @@ let analyzer_props =
     test "classes partition the effective inputs" QCheck.(list_of_size (Gen.return 30) (int_range 0 3))
       (fun tags ->
         let ctraces =
-          Array.of_list (List.map (fun t -> [ Ctrace.Addr (Int64.of_int t) ]) tags)
+          Array.of_list
+            (List.map (fun t -> Ctrace.of_list [ Ctrace.Addr (Int64.of_int t) ]) tags)
         in
         let classes = Analyzer.input_classes ctraces in
         let all = List.concat_map (fun c -> c.Analyzer.members) classes in
@@ -186,9 +187,85 @@ let analyzer_props =
                  c.Analyzer.members)
              classes);
     test "no violation within identical traces" QCheck.(int_range 2 10) (fun n ->
-        let cls = { Analyzer.ctrace = []; members = List.init n Fun.id } in
+        let cls = { Analyzer.ctrace = Ctrace.empty; members = List.init n Fun.id } in
         let htraces = Array.make n (Htrace.of_list [ 1; 2 ]) in
         Analyzer.check_class cls htraces = None);
+  ]
+
+(* --- Packed contract traces ------------------------------------------------------ *)
+
+(* Observations over a wide range, and over a three-value alphabet where
+   equal traces (and so multi-member classes) are common. *)
+let obs_arb =
+  QCheck.(
+    oneof
+      [
+        map (fun a -> Ctrace.Addr a) full_int64_gen;
+        map (fun p -> Ctrace.Pc p) int;
+        map (fun v -> Ctrace.Value v) full_int64_gen;
+      ])
+
+let small_obs_arb =
+  QCheck.(
+    map
+      (fun (k, v) ->
+        match k with
+        | 0 -> Ctrace.Addr (Int64.of_int v)
+        | 1 -> Ctrace.Pc v
+        | _ -> Ctrace.Value (Int64.of_int v))
+      (pair (int_range 0 2) (int_range 0 2)))
+
+let small_trace_arb = QCheck.(list_of_size (Gen.int_range 0 3) small_obs_arb)
+
+(* The analyzer's partition by structural list equality: classes of two
+   or more members in order of first appearance, members ascending. *)
+let reference_classes lists =
+  let keys =
+    List.fold_left (fun ks l -> if List.mem l ks then ks else ks @ [ l ]) [] lists
+  in
+  List.filter_map
+    (fun k ->
+      match
+        List.filter_map Fun.id (List.mapi (fun i l -> if l = k then Some i else None) lists)
+      with
+      | [] | [ _ ] -> None
+      | ms -> Some (k, ms))
+    keys
+
+let ctrace_golden () =
+  let open Ctrace in
+  List.iter
+    (fun (l, s) -> Alcotest.(check string) s s (to_string (of_list l)))
+    [
+      ([], "[]");
+      ([ Addr 0x1000L ], "[A:0x1000]");
+      ([ Addr 0x1000L; Pc 3; Value 0xdeadbeefL ], "[A:0x1000; PC:3; V:0xdeadbeef]");
+      ( [ Pc 0; Value (-1L); Addr Int64.min_int; Pc max_int ],
+        "[PC:0; V:0xffffffffffffffff; A:0x8000000000000000; PC:4611686018427387903]" );
+      ( List.init 12 (fun i ->
+            if i mod 3 = 0 then Pc (i * 7)
+            else if i mod 3 = 1 then Addr (Int64.add 0x7ffff000L (Int64.of_int (i * 64)))
+            else Value (Int64.of_int (i * 0x1234567))),
+        "[PC:0; A:0x7ffff040; V:0x2468ace; PC:21; A:0x7ffff100; V:0x5b05b03; PC:42;\n\
+        \ A:0x7ffff1c0; V:0x91a2b38; PC:63; A:0x7ffff280; V:0xc83fb6d]" );
+    ]
+
+let ctrace_props =
+  [
+    test "to_list inverts of_list" QCheck.(small_list obs_arb) (fun l ->
+        Ctrace.to_list (Ctrace.of_list l) = l
+        && Ctrace.length (Ctrace.of_list l) = List.length l);
+    test "equal is list equality" QCheck.(pair small_trace_arb small_trace_arb)
+      (fun (a, b) -> Ctrace.equal (Ctrace.of_list a) (Ctrace.of_list b) = (a = b));
+    test "input_classes partition like list equality"
+      QCheck.(list_of_size (Gen.int_range 0 40) small_trace_arb)
+      (fun lists ->
+        let classes =
+          Analyzer.input_classes (Array.of_list (List.map Ctrace.of_list lists))
+        in
+        List.map (fun c -> (Ctrace.to_list c.Analyzer.ctrace, c.Analyzer.members)) classes
+        = reference_classes lists);
+    Alcotest.test_case "to_string prints the list printer's text" `Quick ctrace_golden;
   ]
 
 (* --- Generator / Parser --------------------------------------------------------- *)
@@ -469,6 +546,7 @@ let () =
       ("htrace_bitset", htrace_bitset_props);
       ("templates", template_props);
       ("analyzer", analyzer_props);
+      ("ctrace", ctrace_props);
       ("generator", generator_props);
       ("cpu_soundness", cpu_props);
       ("input", input_props);
