@@ -934,7 +934,6 @@ let interpreted (flat : Program.flat) : t =
     plan = empty_plan;
   }
 
-let of_program p = Result.map of_flat (Program.flatten p)
 let of_program_exn p = of_flat (Program.flatten_exn p)
 let length t = Array.length t.descs
 let code t = t.flat.Program.code

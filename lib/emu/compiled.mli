@@ -124,7 +124,6 @@ val interpreted : Program.flat -> t
 (** Same descriptors, but every action defers to {!Semantics.step} and
     the plan is empty — the reference engine for differential tests. *)
 
-val of_program : Program.t -> (t, string) result
 val of_program_exn : Program.t -> t
 val length : t -> int
 val code : t -> Instruction.t array

@@ -11,11 +11,6 @@ let line_mask_one_page = 0b111111000000L
 let line_mask_two_pages = 0b1111111000000L
 let page_of_offset off = off / page_size
 
-let set_of_addr addr =
-  Int64.to_int (Int64.rem (Int64.div addr (Int64.of_int cache_line))
-                  (Int64.of_int l1d_sets))
-  land (l1d_sets - 1)
-
 let in_sandbox addr =
   addr >= sandbox_base
   && Int64.compare addr (Int64.add sandbox_base (Int64.of_int sandbox_size)) < 0

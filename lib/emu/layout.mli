@@ -32,9 +32,6 @@ val line_mask_two_pages : int64
 val page_of_offset : int -> int
 (** Data page index of a sandbox offset. *)
 
-val set_of_addr : int64 -> int
-(** L1D cache set index of a virtual address. *)
-
 val in_sandbox : int64 -> bool
 (** Whether a virtual address falls inside the sandbox (incl. guard). *)
 

@@ -91,7 +91,6 @@ let write t ~addr width v =
 
 let read_byte t off = Char.code (Bytes.get t.data off)
 let write_data_word t ~word v = Bytes.set_int64_le t.data (word * 8) v
-let write_byte t off v = Bytes.set t.data off (Char.chr (v land 0xFF))
 
 let fill t ~f =
   for off = 0 to Bytes.length t.data - 1 do

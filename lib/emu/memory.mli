@@ -19,8 +19,6 @@ val write : t -> addr:int64 -> Width.t -> int64 -> unit
 val read_byte : t -> int -> int
 (** Read by sandbox offset (for input setup and inspection). *)
 
-val write_byte : t -> int -> int -> unit
-
 val write_data_word : t -> word:int -> int64 -> unit
 (** [write_data_word t ~word v] writes the [word]-th aligned 64-bit word
     of the data area — equal to
@@ -39,7 +37,7 @@ val journal_begin : t -> int
     level of the run that contains it. Cheap: a counter plus a few saved
     bytes per store, instead of blitting the whole sandbox out and back
     in. Only {!write} is journaled; the input-setup writers
-    ({!write_byte}, {!write_data_word}, {!fill}, {!raw}) are not. *)
+    ({!write_data_word}, {!fill}, {!raw}) are not. *)
 
 val journal_undo : t -> mark:int -> unit
 (** Undo every journaled write since [mark] (most recent first),

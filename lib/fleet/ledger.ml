@@ -277,7 +277,10 @@ let shard_of_json j =
     | "done" -> Ok Done
     | "quarantined" -> Ok Quarantined
     | "leased" ->
-        let* pid = Json.field "pid" Json.int j in
+        (* The orchestrator SIGKILLs a leased shard's pid: kill(2) reads
+           -1 as every process the user may signal and 0 as its own
+           process group, and pid 1 is init. *)
+        let* pid = Json.field "pid" (int_at_least 2) j in
         let* expires = Json.field "expires" Json.float j in
         let* attempt = Json.field "attempt" Json.int j in
         Ok (Leased { pid; expires; attempt })

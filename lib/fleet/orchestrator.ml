@@ -343,6 +343,7 @@ let resume_ledger ~log (ledger : Ledger.t) merged =
      usually long gone, possibly recycled); a finished worker's result
      survives and commits here. *)
   let dir = ledger.Ledger.dir in
+  let now = Unix.gettimeofday () in
   Array.iter
     (fun sh ->
       match sh.Ledger.sh_state with
@@ -351,13 +352,26 @@ let resume_ledger ~log (ledger : Ledger.t) merged =
           (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
            with Unix.Unix_error _ -> ());
           if Worker.result_exists ~dir sh.Ledger.sh_id then
-            complete_or_fail ~log ledger merged sh ~now:(Unix.gettimeofday ())
+            complete_or_fail ~log ledger merged sh ~now
           else begin
             log
               (Printf.sprintf "shard %d: revoking stale lease (pid %d)"
                  sh.Ledger.sh_id pid);
             Ledger.mark_revoked sh
           end
+      | _ -> ())
+    ledger.Ledger.shards;
+  (* A backoff gate is never further out than the policy's cap, however
+     the ledger came to say otherwise (an edited file, a clock that has
+     since stepped back): past the cap, a pending shard would wait for
+     nothing. *)
+  let backoff = ledger.Ledger.spec.Ledger.sp_backoff in
+  let latest = now +. (backoff.Revizor_obs.Backoff.cap_ms /. 1000.) in
+  Array.iter
+    (fun sh ->
+      match sh.Ledger.sh_state with
+      | Ledger.Pending when not (sh.Ledger.sh_not_before <= latest) ->
+          sh.Ledger.sh_not_before <- latest
       | _ -> ())
     ledger.Ledger.shards;
   Ledger.save ledger

@@ -34,7 +34,9 @@ type t = {
 }
 
 (* Keep the endpoint bounded: a stuck or hostile peer cannot make the
-   fuzz loop accumulate unbounded buffers. *)
+   fuzz loop accumulate unbounded buffers. A request line is at most
+   [max_request_len] bytes, and a client's next requests are read only
+   once every earlier reply is written (see [step_client]). *)
 let max_clients = 16
 let max_request_len = 4096
 
@@ -53,7 +55,6 @@ let create ~path =
 
 let path t = t.sock_path
 let set_provider t f = t.provider <- Some f
-let clear_provider t = t.provider <- None
 
 let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
@@ -110,21 +111,22 @@ let prometheus (s : Metrics.summary) =
 
 let parse_command line =
   let line = String.trim line in
-  if String.length line > 0 && line.[0] = '{' then
-    match Json.parse line with
-    | Ok j -> (
-        match Option.bind (Json.member "cmd" j) Json.to_str with
-        | Some cmd -> Ok cmd
-        | None -> Error "request object missing \"cmd\"")
-    | Error e -> Error ("bad request: " ^ e)
+  if String.length line > max_request_len then Error "request line too long"
+  else if String.length line > 0 && line.[0] = '{' then
+    Result.map_error
+      (fun e -> "bad request: " ^ e)
+      (Result.bind (Json.parse line) (Json.field "cmd" Json.str))
   else Ok line
+
+let error_line msg =
+  Json.to_string (Json.Obj [ ("error", Json.String msg) ]) ^ "\n"
 
 (* Response bytes for one request line; [`Oneshot] responses close the
    connection after the flush (Prometheus text has no line framing). *)
 let respond t line =
   Metrics.incr m_requests;
   let json j = `Line (Json.to_string j ^ "\n") in
-  let error msg = json (Json.Obj [ ("error", Json.String msg) ]) in
+  let error msg = `Line (error_line msg) in
   match parse_command line with
   | Error msg -> error msg
   | Ok "" -> error "empty command"
@@ -157,12 +159,18 @@ let respond t line =
                    ])
           | _ -> error (Printf.sprintf "unknown command %S" cmd)))
 
-(* Drain complete request lines out of the client's input buffer. *)
+(* Drain complete request lines out of the client's input buffer. A
+   partial line past the limit cannot be framed any more: it is answered
+   with an error and the connection closes once the reply is out. *)
 let serve_lines t c =
   let data = Buffer.contents c.inbuf in
   match String.rindex_opt data '\n' with
   | None ->
-      if Buffer.length c.inbuf > max_request_len then Error () else Ok ()
+      if Buffer.length c.inbuf > max_request_len then begin
+        Buffer.clear c.inbuf;
+        c.out <- c.out ^ error_line "request line too long";
+        c.close_after_flush <- true
+      end
   | Some last_nl ->
       Buffer.clear c.inbuf;
       Buffer.add_string c.inbuf
@@ -181,8 +189,7 @@ let serve_lines t c =
                 closing := true)
         lines;
       c.out <- c.out ^ Buffer.contents out;
-      if !closing then c.close_after_flush <- true;
-      Ok ()
+      if !closing then c.close_after_flush <- true
 
 (* Push pending response bytes; [Ok ()] means keep the client. *)
 let flush_out c =
@@ -209,26 +216,34 @@ let flush_out c =
         Error ()
     | exception Unix.Unix_error _ -> Error ()
 
+(* Replies go out before the next requests come in: while a client has
+   reply bytes pending, nothing more is read from it. A client that
+   writes requests and never reads therefore holds at most the replies
+   to one read, and the rest of its requests wait in the kernel's socket
+   buffers, which fill up and block the client instead. *)
 let step_client t c =
-  (* Allocated per step, not shared: polls may come from whichever
-     domain owns the campaign loop. Clients are rare; the allocation is
-     irrelevant next to the syscall. *)
-  let read_buf = Bytes.create 1024 in
-  match Unix.read c.fd read_buf 0 (Bytes.length read_buf) with
-  | 0 ->
-      (* Peer closed its write side: answer what is already buffered,
-         then drop. *)
-      ignore (serve_lines t c);
-      ignore (flush_out c);
-      Error ()
-  | n ->
-      Buffer.add_subbytes c.inbuf read_buf 0 n;
-      Result.bind (serve_lines t c) (fun () -> flush_out c)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Result.bind (serve_lines t c) (fun () -> flush_out c)
-  | exception Unix.Unix_error _ ->
-      Metrics.incr m_client_lost;
-      Error ()
+  match flush_out c with
+  | Error () -> Error ()
+  | Ok () when c.out <> "" -> Ok ()
+  | Ok () -> (
+      (* Allocated per step, not shared: polls may come from whichever
+         domain owns the campaign loop. Clients are rare; the allocation
+         is irrelevant next to the syscall. *)
+      let read_buf = Bytes.create 1024 in
+      match Unix.read c.fd read_buf 0 (Bytes.length read_buf) with
+      | 0 ->
+          (* Peer closed its write side after every reply to its
+             complete requests went out: drop it. *)
+          Error ()
+      | n ->
+          Buffer.add_subbytes c.inbuf read_buf 0 n;
+          serve_lines t c;
+          flush_out c
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Ok ()
+      | exception Unix.Unix_error _ ->
+          Metrics.incr m_client_lost;
+          Error ())
 
 let accept_pending t =
   let continue_ = ref true in

@@ -19,8 +19,13 @@
     one-shot Prometheus-style text exposition of the whole metrics
     registry: the server writes the multi-line text and closes the
     connection (the text format has no line-oriented framing of its
-    own). Unknown commands answer [{"error": ...}] and keep the
-    connection open.
+    own). Unknown commands, malformed request objects and request lines
+    over 4096 bytes answer [{"error": ...}] and keep the connection
+    open; a partial line that grows past 4096 bytes is answered the same
+    way and closes the connection, since its end can no longer be found.
+    A client's next requests are read only once every earlier reply is
+    written, so a client that never reads holds at most the replies to
+    the requests of one read in the campaign's heap.
 
     [metrics] and [prom] are served from the process-wide
     {!Metrics} registry by the monitor itself; [status] and [health]
@@ -45,8 +50,6 @@ val set_provider : t -> (string -> Json.t option) -> unit
     ([status], [health], anything future). Returning [None] yields an
     [{"error": "unknown command"}] response. Replaces any previous
     provider; the fuzz loop installs one per campaign. *)
-
-val clear_provider : t -> unit
 
 val poll : t -> unit
 (** Serve whatever is ready without blocking: accept pending

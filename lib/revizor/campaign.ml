@@ -14,28 +14,30 @@ let subset_names subsets =
    test suite) and a checkpoint taken with [--executor-domains 4] may be
    resumed with one domain on a smaller machine. The noise seed, by
    contrast, is rendered: keyed draws make it part of the deterministic
-   result stream. *)
+   result stream.
+
+   [warmup=1], [adaptive=none] and the [none] after the watchdog's step
+   budget stand for config fields that no longer exist: the executor's
+   warm-up count, its adaptive-repetition ladder and the watchdog's
+   wall-clock deadline. Each is written as the only value a campaign
+   ever gave it, so every existing checkpoint and fleet ledger keeps its
+   fingerprint. *)
 let canonical (c : Fuzzer.config) =
   let e = c.Fuzzer.executor in
   let g = c.Fuzzer.gen_cfg in
-  let w = c.Fuzzer.watchdog in
   Printf.sprintf
-    "contract=%s;uarch=%s;threat=%s;warmup=%d;reps=%d;outlier=%d;noise=%s;\
-     adaptive=%s;exec_max_steps=%d;reset_between=%b;gen=%d,%d,%d,%d,%d,%s;\
+    "contract=%s;uarch=%s;threat=%s;warmup=1;reps=%d;outlier=%d;noise=%s;\
+     adaptive=none;exec_max_steps=%d;reset_between=%b;gen=%d,%d,%d,%d,%d,%s;\
      n_inputs=%d;entropy=%d;round_length=%d;seed=0x%Lx;engine=%s;\
-     watchdog=%d,%s"
+     watchdog=%d,none"
     (Contract.name c.Fuzzer.contract)
     c.Fuzzer.uarch.Uarch_config.name
     (Attack.threat_to_string e.Executor.threat)
-    e.Executor.warmup_rounds e.Executor.measurement_reps e.Executor.outlier_min
+    e.Executor.measurement_reps e.Executor.outlier_min
     (match e.Executor.noise with
     | None -> "none"
     | Some n ->
         Printf.sprintf "%g@0x%Lx" n.Executor.flip_probability n.Executor.seed)
-    (match e.Executor.adaptive with
-    | None -> "none"
-    | Some a ->
-        Printf.sprintf "%g,%d" a.Executor.reject_ratio a.Executor.max_total_reps)
     e.Executor.max_steps e.Executor.reset_between_inputs g.Generator.n_insts
     g.Generator.n_blocks g.Generator.n_functions g.Generator.max_mem_accesses
     g.Generator.mem_pages
@@ -44,10 +46,7 @@ let canonical (c : Fuzzer.config) =
     (match c.Fuzzer.engine with
     | Fuzzer.Compiled -> "compiled"
     | Fuzzer.Interpreted -> "interpreted")
-    w.Watchdog.max_model_steps
-    (match w.Watchdog.max_input_millis with
-    | None -> "none"
-    | Some ms -> string_of_int ms)
+    c.Fuzzer.watchdog.Watchdog.max_model_steps
 
 let fingerprint c = Printf.sprintf "%016Lx" (Revizor_obs.Hash.fnv1a (canonical c))
 
@@ -148,7 +147,17 @@ let check_reachable (config : Fuzzer.config) (s : Fuzzer.snapshot) =
   else if combos < 0 || combos > total then
     Error
       (Printf.sprintf "combos_at_round_start %d outside 0..%d" combos total)
-  else Ok ()
+  else
+    (* Every atlas entry was covered by a test case the campaign ran. *)
+    match
+      List.find_opt (fun (_, hit) -> hit > tc)
+        (Ucoverage.first_hits s.Fuzzer.sn_ucoverage)
+    with
+    | Some (f, hit) ->
+        Error
+          (Printf.sprintf "ucoverage: first hit %d of %s is after %d test cases"
+             hit (Ucoverage.feature_to_string f) tc)
+    | None -> Ok ()
 
 let decoder config j =
   let* () = Json.check_schema ~version schema j in

@@ -151,7 +151,6 @@ let register t ~patterns ~effective =
   end
 
 let covered t p = List.mem p t.singles
-let all_singles_covered t = List.for_all (covered t) all_patterns
 
 let combinations_covered t ~k =
   (* Count distinct k-subsets contained in any covered combination. *)

@@ -47,7 +47,6 @@ val register : t -> patterns:pattern list -> effective:bool -> unit
     cannot form a counterexample). *)
 
 val covered : t -> pattern -> bool
-val all_singles_covered : t -> bool
 
 val combinations_covered : t -> k:int -> int
 (** Number of distinct covered pattern combinations of size [k]. *)

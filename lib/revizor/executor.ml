@@ -1,8 +1,6 @@
 open Revizor_uarch
 module Metrics = Revizor_obs.Metrics
-module Telemetry = Revizor_obs.Telemetry
 module Faultpoint = Revizor_obs.Faultpoint
-module Json = Revizor_obs.Json
 
 (* Measurement-volume and noise-filter attribution counters: how many
    hardware runs a campaign really paid for, and how often the injected
@@ -17,15 +15,10 @@ let m_memo_hits = Metrics.counter "executor.memo_hits"
 let m_swap_measures = Metrics.counter "executor.swap_measurements"
 let m_noise_added = Metrics.counter "executor.noise.added"
 let m_noise_dropped = Metrics.counter "executor.noise.dropped"
-let m_noise_storms = Metrics.counter "executor.noise.storms"
-let m_adaptive = Metrics.counter "executor.adaptive_escalations"
 
-(* Fault points (DESIGN.md §8): [executor.measure] makes a whole
-   measurement blow up (the fuzz loop absorbs it); [executor.noise_storm]
-   sprays deterministic spurious observations into individual traces so
-   the outlier filter and the adaptive-repetition ladder are exercised. *)
+(* Fault point (DESIGN.md §8): [executor.measure] makes a whole
+   measurement blow up (the fuzz loop absorbs it). *)
 let fp_measure = Faultpoint.point "executor.measure"
-let fp_storm = Faultpoint.point "executor.noise_storm"
 
 (* Keyed noise (DESIGN.md §6): instead of drawing from one sequential
    PRNG — whose draw positions would couple every measurement to every
@@ -38,21 +31,11 @@ let fp_storm = Faultpoint.point "executor.noise_storm"
    were skipped by memoization. *)
 type noise = { flip_probability : float; seed : int64 }
 
-(* Bounded adaptive retry (§5.3 spirit: the executor buys signal with
-   repetitions): when the outlier filter is rejecting more than
-   [reject_ratio] of the distinct observations, double the repetitions —
-   capped at [max_total_reps] — before settling. Off by default; with it
-   off, measurement behavior is bit-identical to the pre-adaptive
-   executor. *)
-type adaptive = { reject_ratio : float; max_total_reps : int }
-
 type config = {
   threat : Attack.threat;
-  warmup_rounds : int;
   measurement_reps : int;
   outlier_min : int;
   noise : noise option;
-  adaptive : adaptive option;
   max_steps : int;
   reset_between_inputs : bool;
 }
@@ -60,11 +43,9 @@ type config = {
 let default_config ?(threat = Attack.prime_probe) () =
   {
     threat;
-    warmup_rounds = 1;
     measurement_reps = 3;
     outlier_min = 2;
     noise = None;
-    adaptive = None;
     max_steps = 20000;
     reset_between_inputs = false;
   }
@@ -137,7 +118,6 @@ let create cpu cfg =
     memo = [||];
   }
 
-let cpu t = t.cpu
 let config t = t.cfg
 
 let set_context t ~tc =
@@ -190,33 +170,13 @@ let apply_noise t ~idx trace =
       end;
       !trace
 
-(* Synthetic noise storm: when the armed schedule fires, spray a burst of
-   spurious observations derived from the hit's own hash — deterministic
-   under the fault seed, different across repetitions, so the outlier
-   filter sees exactly the kind of transient garbage a noisy co-tenant
-   produces. *)
-let apply_storm cfg trace =
-  match Faultpoint.fire_value fp_storm with
-  | None -> trace
-  | Some bits ->
-      Metrics.incr m_noise_storms;
-      let domain = Attack.trace_domain cfg.threat.Attack.mode in
-      let t = ref trace in
-      for j = 0 to 5 do
-        let chunk =
-          Int64.to_int (Int64.logand (Int64.shift_right_logical bits (j * 10)) 0x3FFL)
-        in
-        t := Htrace.add (chunk mod domain) !t
-      done;
-      !t
-
 let last_data_word =
   Int64.add Revizor_emu.Layout.sandbox_base
     (Int64.of_int
        ((Revizor_emu.Layout.data_pages * Revizor_emu.Layout.page_size) - 8))
 
-(* One real run of [template] — what the memo's soundness argument and
-   the forensic replay mean by "a run": load the template's data into the
+(* One real run of [template] — what the memo's soundness argument
+   means by "a run": load the template's data into the
    fill buffer, then simulate the program on the template itself under
    the threat model's prepare/observe pair, and undo the run (registers,
    flags and pc from the executor's slot, memory through the store
@@ -253,16 +213,16 @@ let rec memo_find cpu fp = function
    predictors carry over from input to input (priming). Each input's
    state was materialized once into [templates]; every run executes on
    the template and undoes itself instead of re-deriving the PRNG stream
-   (a sequence runs many times: warm-up rounds, measurement repetitions
-   and swap-check re-measurements).
+   (a sequence runs many times: the priming pass, measurement
+   repetitions and swap-check re-measurements).
 
    With [memo] (the program's predictor footprint), a run whose pre-state
    matches a recorded run of the same slot is replayed from the memo
    instead of simulated — see the soundness argument on [t.memo]. The
-   [record] callback receives the RAW trace; perturbations (noise,
-   storms) are the caller's business, which keeps replayed and real runs
-   on the same path. Events are kept even for event-discarding passes
-   when memoizing, so a later hit can replay them. *)
+   [record] callback receives the RAW trace; noise is the caller's
+   business, which keeps replayed and real runs on the same path. Events
+   are kept even for event-discarding passes when memoizing, so a later
+   hit can replay them. *)
 let run_sequence ?(with_events = true) ?memo t flat
     (templates : Revizor_emu.State.t array) ~record =
   Metrics.incr m_sequences;
@@ -276,8 +236,8 @@ let run_sequence ?(with_events = true) ?memo t flat
           (* keep every episode whole — kind, origin PC, transient-load
              count, touched sets — for mechanism labelling and the
              coverage atlas; the measurement result collapses them to
-             (kind, touched-set) pairs at the end. Skipped for rounds
-             whose record callback discards them (warm-up). *)
+             (kind, touched-set) pairs at the end. Skipped for the
+             priming pass, whose record callback discards them. *)
           record idx trace (if with_events then Cpu.events t.cpu else [])
       | Some fp -> (
           match memo_find t.cpu fp t.memo.(idx) with
@@ -328,17 +288,16 @@ let measure ?templates t flat inputs =
   let templates = templates_of inputs templates in
   let n = Array.length templates in
   Metrics.incr m_measures;
-  Metrics.add m_warmups t.cfg.warmup_rounds;
+  Metrics.incr m_warmups;
   Cpu.reset_session t.cpu;
   let domain = Attack.trace_domain t.cfg.threat.Attack.mode in
   ensure_buffers t ~n ~domain;
   let memo =
     if t.memo_ok && !memo_enabled then Some (Cpu.footprint flat) else None
   in
-  for _ = 1 to t.cfg.warmup_rounds do
-    run_sequence ~with_events:false ?memo t flat templates
-      ~record:(fun _ _ _ -> ())
-  done;
+  (* One priming pass, whose traces are discarded. *)
+  run_sequence ~with_events:false ?memo t flat templates
+    ~record:(fun _ _ _ -> ());
   (* Per-input occurrence counts over the (small, dense) trace domain: a
      flat increment per observation instead of an assoc-list rebuild. *)
   let counts = t.counts in
@@ -346,75 +305,19 @@ let measure ?templates t flat inputs =
      appending with [@] here would rebuild the accumulated list on every
      repetition (quadratic in reps). *)
   let events = t.ev_acc in
-  let base_reps = max 1 t.cfg.measurement_reps in
-  let reps_done = ref 0 in
-  let run_reps k =
-    Metrics.add m_reps k;
-    for _ = 1 to k do
-      run_sequence ?memo t flat templates ~record:(fun idx trace evs ->
-          (* Perturbations apply to recorded repetitions only, after the
-             memo: a warm-up trace is discarded anyway, and keyed draws
-             don't need the historical draw order preserved. *)
-          let trace = apply_noise t ~idx trace in
-          let trace = apply_storm t.cfg trace in
-          let row = counts.(idx) in
-          Htrace.iter (fun o -> row.(o) <- row.(o) + 1) trace;
-          events.(idx) <- evs :: events.(idx))
-    done;
-    reps_done := !reps_done + k
-  in
-  run_reps base_reps;
-  (* The outlier threshold scales with the repetitions actually run, so
-     escalation raises the bar for sparse (noise-like) observations while
-     genuine signals — present every rep — sail over it. At the base rep
-     count this reduces exactly to the fixed pre-adaptive threshold. *)
-  let threshold_for r =
-    if t.cfg.measurement_reps >= 3 then
-      max t.cfg.outlier_min (r * t.cfg.outlier_min / base_reps)
-    else 1
-  in
-  (match t.cfg.adaptive with
-  | None -> ()
-  | Some a ->
-      let reject_ratio () =
-        let thr = threshold_for !reps_done in
-        let observed = ref 0 and rejected = ref 0 in
-        (* Only the first [n] rows belong to this measurement — the cached
-           matrix may be wider than the current input set. *)
-        for i = 0 to n - 1 do
-          Array.iter
-            (fun c ->
-              if c > 0 then begin
-                incr observed;
-                if c < thr then incr rejected
-              end)
-            counts.(i)
-        done;
-        if !observed = 0 then 0.
-        else float_of_int !rejected /. float_of_int !observed
-      in
-      let continue_ = ref true in
-      while
-        !continue_
-        && !reps_done < a.max_total_reps
-        && reject_ratio () > a.reject_ratio
-      do
-        (* Capped doubling: each escalation re-runs as many reps as have
-           been run so far, until the total cap. *)
-        let extra = min !reps_done (a.max_total_reps - !reps_done) in
-        if extra <= 0 then continue_ := false
-        else begin
-          Metrics.incr m_adaptive;
-          if Telemetry.enabled () then
-            Telemetry.event "executor.adaptive_reps"
-              [
-                ("reps_done", Json.Int !reps_done);
-                ("extra", Json.Int extra);
-              ];
-          run_reps extra
-        end
-      done);
-  let threshold = threshold_for !reps_done in
+  let reps = max 1 t.cfg.measurement_reps in
+  Metrics.add m_reps reps;
+  for _ = 1 to reps do
+    run_sequence ?memo t flat templates ~record:(fun idx trace evs ->
+        (* Noise applies to recorded repetitions only, after the memo:
+           a priming trace is discarded anyway, and keyed draws don't
+           need the historical draw order preserved. *)
+        let trace = apply_noise t ~idx trace in
+        let row = counts.(idx) in
+        Htrace.iter (fun o -> row.(o) <- row.(o) + 1) trace;
+        events.(idx) <- evs :: events.(idx))
+  done;
+  let threshold = if t.cfg.measurement_reps >= 3 then t.cfg.outlier_min else 1 in
   (* Built over a static value, not with [Array.init]: see [release]. *)
   let out = Array.make n no_measurement in
   for idx = 0 to n - 1 do
@@ -459,32 +362,6 @@ let htrace_at ~templates t flat inputs idx =
   let h = measurements.(idx).htrace in
   release measurements;
   h
-
-(* Forensic replay: one primed pass capturing the full speculation-event
-   record per input. Mirrors [measure]'s structure (session reset,
-   warm-up passes, then one recorded pass) but keeps [Cpu.event] whole —
-   origin PC and transient-load counts included — where the measurement
-   path collapses events to (kind, touched-set) pairs. No noise, no
-   storms, no memoization: the flight recorder wants the mechanism
-   timeline, not a faithful reproduction of the measurement pipeline,
-   and it runs on a fresh executor after the campaign has already
-   decided the verdict. *)
-let record_events ?templates t flat inputs =
-  let templates = templates_of inputs templates in
-  Cpu.reset_session t.cpu;
-  let run_pass record =
-    Array.iteri
-      (fun idx template ->
-        let trace = run_input t flat template in
-        record idx trace (Cpu.events t.cpu))
-      templates
-  in
-  for _ = 1 to t.cfg.warmup_rounds do
-    run_pass (fun _ _ _ -> ())
-  done;
-  let out = Array.make (Array.length templates) (Htrace.empty, []) in
-  run_pass (fun idx trace events -> out.(idx) <- (trace, events));
-  out
 
 let swap_check ?templates ?base t flat inputs a b =
   Metrics.incr m_swap_measures;

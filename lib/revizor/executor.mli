@@ -6,9 +6,9 @@ open Revizor_uarch
     - run the whole input sequence back-to-back on one CPU session so that
       each input primes the microarchitectural context of the next
       ({e priming});
-    - repeat the measurement after warm-up rounds, discard observations
-      seen in too few repetitions (noise outliers) and take the union of
-      the rest;
+    - repeat the measurement after one priming pass, discard
+      observations seen in too few repetitions (noise outliers) and take
+      the union of the rest;
     - on demand, re-measure with a pair of inputs swapped in the sequence
       to tell real leaks from priming artifacts (the swap check);
     - optionally inject synthetic measurement noise, so the
@@ -26,24 +26,13 @@ type noise = {
   seed : int64;  (** key of the derived per-measurement noise streams *)
 }
 
-(** Bounded adaptive retry (DESIGN.md §8): when the outlier filter is
-    rejecting more than [reject_ratio] of the distinct observations (a
-    noise storm), the executor doubles its repetitions — capped at
-    [max_total_reps] — buying signal with repetitions the way the paper's
-    executor does. The outlier threshold scales with the repetitions
-    actually run. *)
-type adaptive = { reject_ratio : float; max_total_reps : int }
-
 type config = {
   threat : Attack.threat;
-  warmup_rounds : int;  (** un-recorded passes over the input sequence *)
   measurement_reps : int;  (** recorded passes (the paper uses 50) *)
   outlier_min : int;
-      (** keep an observation only if seen in at least this many reps *)
+      (** keep an observation only if seen in at least this many reps;
+          with fewer than 3 reps every observation is kept *)
   noise : noise option;
-  adaptive : adaptive option;
-      (** [None] (the default) keeps measurement bit-identical to the
-          fixed-repetition executor *)
   max_steps : int;
   reset_between_inputs : bool;
       (** ablation switch: wipe the microarchitectural state before every
@@ -51,13 +40,11 @@ type config = {
 }
 
 val default_config : ?threat:Attack.threat -> unit -> config
-(** Prime+Probe, 1 warm-up round, 3 reps, outlier threshold 2, no noise,
-    no adaptive escalation. *)
+(** Prime+Probe, 3 reps, outlier threshold 2, no noise. *)
 
 type t
 
 val create : Cpu.t -> config -> t
-val cpu : t -> Cpu.t
 val config : t -> config
 
 val set_context : t -> tc:int -> unit
@@ -97,7 +84,8 @@ type measurement = {
           {!Cpu.event} list of that run in execution order. This is what
           the executor already collects to compute [kinds]/[events]; it
           is surfaced whole so the coverage atlas can harvest event
-          features (window lengths, squash transitions, footprints)
+          features (window lengths, squash transitions, footprints) and
+          the flight recorder can read the first repetition's timeline
           without any extra simulation runs. *)
 }
 
@@ -107,18 +95,18 @@ val measure :
   Revizor_emu.Compiled.t ->
   Input.t list ->
   measurement array
-(** Reset the CPU session, run warm-ups, then the measured reps. The
-    result is indexed like the input list.
+(** Reset the CPU session, run one priming pass over the inputs, then
+    the measured reps. The result is indexed like the input list.
 
     [templates] (from {!Input.templates}, indexed like the input list)
     lets the caller materialize each input's architectural state once per
-    test case; every warm-up round and repetition then runs on the
+    test case; the priming pass and every repetition then run on the
     template itself and undoes the run ({!Revizor_emu.State.save}/
     {!Revizor_emu.State.undo}) instead of regenerating the input's PRNG
     stream. Every template comes back exactly as it went in, also when
     the run raises. Omitted, the templates are built internally (one
-    state per input per call). The same holds for {!htraces},
-    {!record_events} and {!swap_check}. *)
+    state per input per call). The same holds for {!htraces} and
+    {!swap_check}. *)
 
 val htraces_of : measurement array -> Htrace.t array
 (** The measurements' hardware traces, in order. *)
@@ -138,22 +126,6 @@ val htraces :
   Input.t list ->
   Htrace.t array
 (** {!htraces_of} a {!measure}ment, which is then {!release}d. *)
-
-val record_events :
-  ?templates:Revizor_emu.State.t array ->
-  t ->
-  Revizor_emu.Compiled.t ->
-  Input.t list ->
-  (Htrace.t * Cpu.event list) array
-(** Forensic replay for the violation flight recorder: reset the session,
-    run the config's warm-up passes, then one recorded primed pass,
-    returning per input the raw hardware trace of that pass together
-    with the complete speculation-event record — each {!Cpu.event} with
-    its mechanism, origin PC, transient-load count and transiently
-    touched cache sets, in execution order. Unlike {!measure} there is
-    no repetition, no outlier filter and no noise injection: this is a
-    post-hoc diagnostic pass on a dedicated executor, not a measurement
-    (the campaign's verdict is already final when it runs). *)
 
 val swap_check :
   ?templates:Revizor_emu.State.t array ->

@@ -6,25 +6,22 @@ open Revizor_uarch
 (* ------------------------------------------------------------------ *)
 
 (* Gadget detection needs a violating input pair in the random sequence;
-   a single unlucky draw of 50 inputs can miss it, so sample a few input
-   seeds (deterministically derived) before concluding compliance. *)
-let run_gadget ?(seed = 42L) ?(n_inputs = 50) ?(attempts = 3) contract
-    (target : Target.t) (g : Gadgets.t) =
+   a single unlucky draw of 50 inputs can miss it, so sample three input
+   sequences (deterministically derived) before concluding compliance. *)
+let check_gadget ?(seed = 42L) contract (target : Target.t) (g : Gadgets.t) =
   let cfg = Target.fuzzer_config ~seed contract target in
   let cpu = Cpu.create cfg.Fuzzer.uarch in
   let executor = Executor.create cpu cfg.Fuzzer.executor in
   let rec try_seed k =
-    if k >= attempts then None
+    if k >= 3 then None
     else
       let prng = Prng.create ~seed:(Int64.add seed (Int64.of_int (1 + (k * 100)))) in
-      let inputs = Input.generate_many prng ~entropy:2 ~n:n_inputs in
+      let inputs = Input.generate_many prng ~entropy:2 ~n:50 in
       match Fuzzer.check_test_case cfg executor g.Gadgets.program inputs with
       | Ok (Some v) -> Some v
       | Ok None | Error _ -> try_seed (k + 1)
   in
   try_seed 0
-
-let check_gadget = run_gadget
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                             *)
@@ -96,7 +93,7 @@ let table3 ?(budget = 400) ?(seed = 1L) () =
                   in
                   match (expect_var, var_gadget_for target) with
                   | true, Some g -> (
-                      match run_gadget ~seed contract target g with
+                      match check_gadget ~seed contract target g with
                       | Some v -> Gadget_demo { label = v.Violation.label }
                       | None ->
                           Not_detected { test_cases = stats.Fuzzer.test_cases })
@@ -284,7 +281,7 @@ let store_eviction_check ?(seed = 3L) () =
   List.map
     (fun (target : Target.t) ->
       match
-        run_gadget ~seed Contract.ct_cond_no_spec_store target
+        check_gadget ~seed Contract.ct_cond_no_spec_store target
           Gadgets.spec_store_eviction
       with
       | Some v ->
@@ -310,7 +307,7 @@ let contract_sensitivity ?(seed = 4L) () =
     (fun (g : Gadgets.t) ->
       List.map
         (fun contract ->
-          let v = run_gadget ~seed contract Target.target5 g in
+          let v = check_gadget ~seed contract Target.target5 g in
           (g.Gadgets.name, Contract.name contract, v <> None))
         [ Contract.ct_seq; Contract.arch_seq ])
     [ Gadgets.stt_nonspeculative; Gadgets.stt_speculative ]
@@ -345,7 +342,7 @@ let port_channel_demo ?(seed = 12L) () =
   let with_threat threat = { Target.target5 with Target.threat } in
   List.map
     (fun ((g : Gadgets.t), threat) ->
-      let v = run_gadget ~seed Contract.ct_seq (with_threat threat) g in
+      let v = check_gadget ~seed Contract.ct_seq (with_threat threat) g in
       (g.Gadgets.name, Attack.threat_to_string threat, v <> None))
     [
       (Gadgets.spectre_v1_ports, Attack.prime_probe);
@@ -560,7 +557,7 @@ let ablation_speculation_window ?(seed = 13L) () =
       let contract =
         Contract.make ~speculation_window:window Contract.Ct Contract.Cond
       in
-      let v = run_gadget ~seed contract Target.target5 Gadgets.spectre_v1 in
+      let v = check_gadget ~seed contract Target.target5 Gadgets.spectre_v1 in
       (window, v <> None))
     [ 0; 1; 2; 4; 8; 64; 250 ]
 

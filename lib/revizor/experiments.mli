@@ -5,16 +5,10 @@
     seeds. *)
 
 val check_gadget :
-  ?seed:int64 ->
-  ?n_inputs:int ->
-  ?attempts:int ->
-  Contract.t ->
-  Target.t ->
-  Gadgets.t ->
-  Violation.t option
+  ?seed:int64 -> Contract.t -> Target.t -> Gadgets.t -> Violation.t option
 (** Run the full per-test-case pipeline on a hand-written gadget,
-    sampling up to [attempts] (default 3) deterministic input sequences
-    before concluding compliance. *)
+    sampling up to three deterministic sequences of 50 inputs before
+    concluding compliance. *)
 
 (** {1 Table 3 — contract violations per target} *)
 

@@ -77,9 +77,16 @@ let capture ?ucoverage (cfg : Fuzzer.config) (v : Violation.t) =
   let replay_cfg = { cfg.Fuzzer.executor with Executor.noise = None } in
   let cpu = Cpu.create cfg.Fuzzer.uarch in
   let exec = Executor.create cpu replay_cfg in
-  let recorded = Executor.record_events exec compiled v.Violation.inputs in
+  let measured = Executor.measure exec compiled v.Violation.inputs in
+  (* The timeline is the input's first recorded repetition, the one
+     right after the priming pass: the last of [runs], which lists the
+     newest repetition first. *)
   let timeline_of idx =
-    let _, events = recorded.(idx) in
+    let events =
+      match List.rev measured.(idx).Executor.runs with
+      | first :: _ -> first
+      | [] -> []
+    in
     { tl_input = idx; tl_events = List.map event_of_cpu events }
   in
   (* Fence localization re-runs the full per-test-case pipeline, so it

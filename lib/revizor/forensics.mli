@@ -48,11 +48,12 @@ type t = {
 }
 
 val capture : ?ucoverage:Ucoverage.t -> Fuzzer.config -> Violation.t -> t
-(** Build the artifact: compile the violation's program, replay the
-    priming sequence once on a fresh noise-free CPU/executor recording
-    the complete speculation-event log ({!Executor.record_events}),
-    and fence-localize the leak on the original listing
-    ({!Postprocessor.fence_localize}). Deterministic for a given
+(** Build the artifact: compile the violation's program, measure the
+    priming sequence on a fresh noise-free CPU/executor
+    ({!Executor.measure}), take each timeline from the input's first
+    recorded repetition (the complete speculation-event log of the run
+    right after the priming pass), and fence-localize the leak on the
+    original listing ({!Postprocessor.fence_localize}). Deterministic for a given
     violation and config. [ucoverage] embeds a copy of the campaign's
     coverage atlas in the artifact. *)
 

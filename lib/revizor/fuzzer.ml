@@ -63,7 +63,11 @@ let g_elapsed = Metrics.gauge "fuzzer.elapsed_s"
    campaign start): cheap [Gc.quick_stat] reads, so dashboards and the
    monitor endpoint can watch allocator pressure without the campaign
    paying for a full heap walk. Gauges, not counters: they mirror the
-   runtime's own cumulative numbers. *)
+   runtime's own cumulative numbers. [gc.minor_words] reads
+   [Gc.minor_words ()], whose count includes the current minor heap:
+   [Gc.quick_stat]'s only advances at minor collections, so it can miss a
+   whole nursery of allocation. It counts the sampling domain's
+   allocation, which is all of it with one executor domain. *)
 let g_gc_minor = Metrics.gauge "gc.minor_collections"
 let g_gc_major = Metrics.gauge "gc.major_collections"
 let g_gc_compactions = Metrics.gauge "gc.compactions"
@@ -77,7 +81,7 @@ let sample_runtime () =
   Metrics.set_gauge g_gc_major (float_of_int st.Gc.major_collections);
   Metrics.set_gauge g_gc_compactions (float_of_int st.Gc.compactions);
   Metrics.set_gauge g_gc_heap_words (float_of_int st.Gc.heap_words);
-  Metrics.set_gauge g_gc_minor_words st.Gc.minor_words
+  Metrics.set_gauge g_gc_minor_words (Gc.minor_words ())
 
 (* Which execution engine runs the test programs. [Compiled] is the
    decode-once closure engine; [Interpreted] routes every step through

@@ -38,7 +38,7 @@ type config = {
           generation and its commit. *)
   engine : engine;
   watchdog : Watchdog.t;
-      (** per-test-case step/time budgets for the model stage; the default
+      (** per-test-case step budget for the model stage; the default
           ceiling is far above any legitimate trace, so default results
           are unchanged (see {!Watchdog.default}) *)
 }
@@ -47,6 +47,14 @@ val compile_with : engine -> Revizor_isa.Program.flat -> Revizor_emu.Compiled.t
 (** Compile a flat program with the given engine (what
     {!check_test_case} does internally, for callers that drive
     {!Model} / {!Executor} directly). *)
+
+val sample_runtime : unit -> unit
+(** Set the runtime-health gauges ([gc.minor_collections],
+    [gc.major_collections], [gc.compactions], [gc.heap_words],
+    [gc.minor_words], [runtime.domain_count]) from the runtime now. The
+    fuzz loop samples them at campaign start, at every round boundary
+    and at the end. [gc.minor_words] is the sampling domain's
+    {!Gc.minor_words}, exact to the word. *)
 
 val default_config :
   ?seed:int64 ->

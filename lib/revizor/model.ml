@@ -11,6 +11,9 @@ type result = { ctrace : Ctrace.t; stream : step_record list; faulted : bool }
 
 let max_nesting_depth = 4
 
+(* Architectural steps per walk. *)
+let max_steps = 4096
+
 (* ------------------------------------------------------------------ *)
 (* Per-domain arenas                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -64,8 +67,8 @@ let dls_arena = Domain.DLS.new_key make_arena
    allocation-free. Architectural steps of a stream-recorded input are
    executed per-step (fusion stays on inside speculative explorations,
    whose steps are never in the stream). *)
-let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
-    (contract : Contract.t) prog (state : State.t) =
+let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
+    prog (state : State.t) =
   let code_len = Compiled.length prog in
   let descs = prog.Compiled.descs in
   let raws = prog.Compiled.raws in
@@ -238,16 +241,16 @@ let run_state_in ~arena ~fuse ~record_stream ~max_steps ~watchdog
     faulted = !faulted;
   }
 
-let run_state ?(max_steps = 4096) ?(watchdog = Watchdog.default)
-    (contract : Contract.t) prog (state : State.t) =
+let run_state ?(watchdog = Watchdog.default) (contract : Contract.t) prog
+    (state : State.t) =
   (* The public per-input walk stays unfused: its final state (including
      flags elided by the fused variants) is part of the interface. *)
   let arena = Domain.DLS.get dls_arena in
-  run_state_in ~arena ~fuse:false ~record_stream:true ~max_steps ~watchdog
-    contract prog state
+  run_state_in ~arena ~fuse:false ~record_stream:true ~watchdog contract prog
+    state
 
-let run ?max_steps ?watchdog contract prog input =
-  run_state ?max_steps ?watchdog contract prog (Input.to_state input)
+let run ?watchdog contract prog input =
+  run_state ?watchdog contract prog (Input.to_state input)
 
 (* ------------------------------------------------------------------ *)
 (* Batched execution                                                   *)
@@ -271,12 +274,11 @@ let fp_model = Revizor_obs.Faultpoint.point "model.ctrace"
    came in: registers, flags and pc from the arena's run slot, memory
    through the store journal — on the exception path too (a watchdog
    trip, an injected fault). *)
-let run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state =
+let run_in_place ~arena ~record_stream ~watchdog contract prog state =
   let slot = arena.a_slots.(0) in
   State.save state slot;
   match
-    run_state_in ~arena ~fuse:true ~record_stream ~max_steps ~watchdog contract
-      prog state
+    run_state_in ~arena ~fuse:true ~record_stream ~watchdog contract prog state
   with
   | r ->
       State.undo state slot;
@@ -285,38 +287,28 @@ let run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state 
       State.undo state slot;
       raise e
 
-let timed_trace ~arena ~idx ~record_stream ~max_steps ~watchdog contract prog
-    state =
+let timed_trace ~arena ~idx ~record_stream ~watchdog contract prog state =
   Revizor_obs.Faultpoint.fire fp_model;
   Revizor_obs.Metrics.incr m_inputs;
   if idx land 15 = 0 then begin
     let t0 = Revizor_obs.Clock.now_ns () in
-    let r =
-      run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state
-    in
+    let r = run_in_place ~arena ~record_stream ~watchdog contract prog state in
     let dt = Revizor_obs.Clock.now_ns () - t0 in
     Revizor_obs.Metrics.add m_total_ns dt;
     Revizor_obs.Metrics.observe h_input_ns dt;
     r
   end
-  else run_in_place ~arena ~record_stream ~max_steps ~watchdog contract prog state
+  else run_in_place ~arena ~record_stream ~watchdog contract prog state
 
-let batch ?(max_steps = 4096) ?(watchdog = Watchdog.default) ?(stream = `All)
-    contract prog =
-  (* Specialize the per-test-case closure once: contract dispatch and
-     fused-run metadata are resolved here, and the closure is then
-     invoked once with the full input set. *)
-  let record_stream = match stream with `All -> fun _ -> true | `First -> fun i -> i = 0 in
-  fun ?templates inputs ->
-    let templates =
-      match templates with Some tpl -> tpl | None -> Input.templates inputs
-    in
-    let arena = Domain.DLS.get dls_arena in
-    List.mapi
-      (fun i _ ->
-        timed_trace ~arena ~idx:i ~record_stream:(record_stream i) ~max_steps
-          ~watchdog contract prog templates.(i))
-      inputs
-
-let ctraces ?max_steps ?watchdog ?templates ?stream contract prog inputs =
-  (batch ?max_steps ?watchdog ?stream contract prog) ?templates inputs
+let ctraces ?(watchdog = Watchdog.default) ?templates ?(stream = `All) contract
+    prog inputs =
+  let templates =
+    match templates with Some tpl -> tpl | None -> Input.templates inputs
+  in
+  let arena = Domain.DLS.get dls_arena in
+  List.mapi
+    (fun i _ ->
+      let record_stream = match stream with `All -> true | `First -> i = 0 in
+      timed_trace ~arena ~idx:i ~record_stream ~watchdog contract prog
+        templates.(i))
+    inputs

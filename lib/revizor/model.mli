@@ -27,71 +27,46 @@ type result = {
           case must be discarded (CH1 instrumentation failed) *)
 }
 
-val run :
-  ?max_steps:int ->
-  ?watchdog:Watchdog.t ->
-  Contract.t ->
-  Compiled.t ->
-  Input.t ->
-  result
-(** Collect the contract trace of one (program, input) pair. Faults during
-    speculative exploration merely end the exploration; faults on the
-    architectural path set [faulted]. [watchdog] (default
-    {!Watchdog.default}) bounds the total walked steps — including nested
-    speculative re-explorations — and raises {!Watchdog.Pathological} on
-    exhaustion. *)
+val run : ?watchdog:Watchdog.t -> Contract.t -> Compiled.t -> Input.t -> result
+(** Collect the contract trace of one (program, input) pair, walking at
+    most 4096 architectural steps. Faults during speculative exploration
+    merely end the exploration; faults on the architectural path set
+    [faulted]. [watchdog] (default {!Watchdog.default}) bounds the total
+    walked steps — including nested speculative re-explorations — and
+    raises {!Watchdog.Pathological} on exhaustion. *)
 
 val run_state :
-  ?max_steps:int ->
-  ?watchdog:Watchdog.t ->
-  Contract.t ->
-  Compiled.t ->
-  State.t ->
-  result
+  ?watchdog:Watchdog.t -> Contract.t -> Compiled.t -> State.t -> result
 (** Like {!run}, but on an already-materialized initial state, which is
     left in its final architectural state (speculative explorations are
     undone; the architectural walk is not). [run contract prog input] is
     [run_state contract prog (Input.to_state input)]. *)
 
-val batch :
-  ?max_steps:int ->
+val ctraces :
   ?watchdog:Watchdog.t ->
+  ?templates:State.t array ->
   ?stream:[ `All | `First ] ->
   Contract.t ->
   Compiled.t ->
-  ?templates:State.t array ->
   Input.t list ->
   result list
-(** The batched model stage: specialize a per-test-case closure once
-    (contract dispatch, fused straight-line-run metadata), then invoke it
-    with the full input set. Every input executes directly on its
-    template state, which is then undone ({!State.save}/{!State.undo}:
-    registers from a per-domain save slot, memory through the store
-    journal) — no per-input state copy, access-list or outcome
-    allocation — with basic-block superinstruction fusion and dead-flag
-    elision on the hot path. Speculative explorations roll back through
-    the same undo. Results are bit-identical to mapping {!run_state}
-    over the inputs — same ctraces, same faults, same order — and every
-    template comes back exactly as it went in, also when
-    {!Watchdog.Pathological} or an injected fault escapes mid-run.
-    Without [templates], they are built with {!Input.templates}.
+(** The batched model stage: contract traces for each input in order.
+    Every input executes directly on its template state, which is then
+    undone ({!State.save}/{!State.undo}: registers from a per-domain save
+    slot, memory through the store journal) — no per-input state copy,
+    access-list or outcome allocation — with basic-block
+    superinstruction fusion and dead-flag elision on the hot path.
+    Speculative explorations roll back through the same undo. Results
+    are bit-identical to mapping {!run_state} over the inputs — same
+    ctraces, same faults, same order — and every template comes back
+    exactly as it went in, also when {!Watchdog.Pathological} or an
+    injected fault escapes mid-run.
+
+    [templates] (from {!Input.templates} or {!Arena.templates}, indexed
+    like the list) are the states the inputs run on; without them, they
+    are built with {!Input.templates}.
 
     [stream] selects instruction-stream recording: [`All] (default)
     records every input's stream like {!run}; [`First] records only
     input 0 (all the fuzzer's pattern analysis needs) and runs the rest
     allocation-free. *)
-
-val ctraces :
-  ?max_steps:int ->
-  ?watchdog:Watchdog.t ->
-  ?templates:State.t array ->
-  ?stream:[ `All | `First ] ->
-  Contract.t ->
-  Compiled.t ->
-  Input.t list ->
-  result list
-(** Contract traces for each input in order ({!batch} applied at once).
-    When [templates] (from {!Input.templates} or {!Arena.templates},
-    indexed like the list) is given, each run executes on the
-    corresponding template and undoes itself, instead of re-deriving the
-    state from the input's PRNG seed. *)

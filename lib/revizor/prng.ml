@@ -26,8 +26,6 @@ let choose t = function
   | [] -> invalid_arg "Prng.choose: empty list"
   | l -> List.nth l (int t (List.length l))
 
-let split t = create ~seed:(next t)
-
 (* Checkpoint support: the whole generator is its 64-bit state word, so a
    campaign snapshot can capture and restore the exact stream position.
    [normalize] only remaps 0, which xorshift64* never reaches from a

@@ -21,9 +21,6 @@ val bool : t -> bool
 val choose : t -> 'a list -> 'a
 (** @raise Invalid_argument on an empty list. *)
 
-val split : t -> t
-(** Derive an independent generator (for per-input streams). *)
-
 (** {1 Checkpointing}
 
     The generator's full state is one 64-bit word; capturing and
@@ -62,10 +59,10 @@ val transposed_steps : int64 -> steps:int -> int64
 
     Splitmix64-based derivation of a generator from a key plus a
     coordinate vector, e.g. [(campaign_seed, test_case, input, rep)].
-    Unlike [split], the result depends only on the coordinates — not on
-    how many draws any other stream has made — so measurement noise keyed
-    this way is bit-identical for any executor domain count and any
-    scheduling order. *)
+    The result depends only on the coordinates — not on how many draws
+    any other stream has made — so measurement noise keyed this way is
+    bit-identical for any executor domain count and any scheduling
+    order. *)
 
 val mix64 : int64 -> int64
 (** The splitmix64 finalizer (a bijective 64-bit mixer). *)

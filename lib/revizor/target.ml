@@ -61,11 +61,8 @@ let all =
 let find name =
   List.find_opt (fun t -> String.lowercase_ascii t.name = String.lowercase_ascii name) all
 
-let fuzzer_config ?seed ?(n_inputs = 50) ?(reps = 3) contract target =
-  let executor =
-    { (Executor.default_config ~threat:target.threat ()) with
-      Executor.measurement_reps = reps }
-  in
+let fuzzer_config ?seed ?(n_inputs = 50) contract target =
+  let executor = Executor.default_config ~threat:target.threat () in
   let base = Fuzzer.default_config ?seed contract target.uarch executor in
   {
     base with

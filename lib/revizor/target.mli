@@ -32,7 +32,7 @@ val all : t list
 val find : string -> t option
 
 val fuzzer_config :
-  ?seed:int64 -> ?n_inputs:int -> ?reps:int -> Contract.t -> t -> Fuzzer.config
+  ?seed:int64 -> ?n_inputs:int -> Contract.t -> t -> Fuzzer.config
 (** Assemble a fuzzing configuration for a target-contract pair with the
     paper's §6.1 generation parameters. *)
 

@@ -349,6 +349,23 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
+(* Test-case indices and counters are never negative, and the saturation
+   curve gains at least one feature at a later test case at every point:
+   a document that says otherwise is corrupt, and the decoder refuses it
+   rather than report an atlas no campaign reaches. *)
+let non_negative j =
+  let* n = Json.int j in
+  if n >= 0 then Ok n else Error (Printf.sprintf "%d is negative" n)
+
+let rec check_monotone = function
+  | (t1, n1) :: ((t2, n2) :: _ as rest) ->
+      if t1 < t2 && n1 < n2 then check_monotone rest
+      else
+        Error
+          (Printf.sprintf "frontier point (%d, %d) does not follow (%d, %d)"
+             t2 n2 t1 n1)
+  | _ -> Ok ()
+
 let decoder j =
   let* () = Json.check_schema ~version schema j in
   let* hits =
@@ -357,7 +374,7 @@ let decoder j =
            match feature_of_string name with
            | None -> Error "unknown feature"
            | Some f ->
-               let* tc = Json.int v in
+               let* tc = non_negative v in
                Ok (f, tc)))
       j
   in
@@ -365,14 +382,15 @@ let decoder j =
     Json.field "frontier"
       (Json.list (function
         | Json.List [ a; b ] ->
-            let* tc = Json.int a in
-            let* n = Json.int b in
+            let* tc = non_negative a in
+            let* n = non_negative b in
             Ok (tc, n)
         | _ -> Error "expected a [tc, features] pair"))
       j
   in
-  let* last_round_distinct = Json.field "last_round_distinct" Json.int j in
-  let* barren_rounds = Json.field "barren_rounds" Json.int j in
+  let* () = Result.map_error (( ^ ) "frontier: ") (check_monotone frontier) in
+  let* last_round_distinct = Json.field "last_round_distinct" non_negative j in
+  let* barren_rounds = Json.field "barren_rounds" non_negative j in
   let* saturation_emitted = Json.field "saturation_emitted" Json.bool j in
   Ok
     {

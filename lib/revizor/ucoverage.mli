@@ -153,7 +153,10 @@ val to_json : t -> Json.t
     checkpoints, [stats.json] and [forensics.json]. *)
 
 val of_json : Json.t -> (t, string) result
-(** Exact inverse of {!to_json} (round-trips bit-identically). *)
+(** Exact inverse of {!to_json} (round-trips bit-identically). Refuses
+    states no campaign reaches: a negative first hit, frontier point or
+    round counter, and a frontier that is not strictly increasing in
+    both coordinates. *)
 
 val summary_json : t -> test_cases:int -> Json.t
 (** Compact totals for the monitor's [coverage] query and heartbeat

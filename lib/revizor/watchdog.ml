@@ -1,17 +1,15 @@
-(* Per-test-case watchdogs (DESIGN.md §8).
+(* Per-test-case watchdog (DESIGN.md §8).
 
    A pathological generated program — e.g. a dense divider chain under a
    nested contract, whose speculative re-explorations multiply — must not
-   stall a round: the model stage runs under a step budget ("fuel") and
-   an optional wall-clock deadline, and blowing either raises
-   [Pathological], which the fuzz loop records as a skipped test case
-   instead of hanging.
+   stall a round: the model stage runs under a step budget ("fuel"), and
+   blowing it raises [Pathological], which the fuzz loop records as a
+   skipped test case instead of hanging.
 
    The step budget is deterministic (a pure function of the program and
    contract), so it is on by default with a ceiling far above anything a
-   legitimate test case reaches; the time budget depends on the host and
-   is opt-in, for operators who care more about liveness than
-   bit-reproducibility. *)
+   legitimate test case reaches, and a campaign that trips it is still
+   bit-reproducible. *)
 
 exception Pathological of string
 
@@ -19,39 +17,19 @@ type t = {
   max_model_steps : int;
       (* fuel per contract trace, counting every walked instruction
          including speculative re-explorations *)
-  max_input_millis : int option;  (* wall-clock deadline per contract trace *)
 }
 
-let default = { max_model_steps = 50_000_000; max_input_millis = None }
+let default = { max_model_steps = 50_000_000 }
 
 let m_skipped = Revizor_obs.Metrics.counter "watchdog.skipped_pathological"
 
-(* Mutable per-trace budget handed to the model's walk loop. The deadline
-   is only consulted every [check_mask + 1] steps, so the common path
-   costs one decrement and compare. *)
-type fuel = {
-  mutable steps_left : int;
-  deadline_ns : int;  (* max_int = no deadline *)
-}
+(* Mutable per-trace budget handed to the model's walk loop. *)
+type fuel = { mutable steps_left : int }
 
-let check_mask = 0xFFFF
-
-let start t =
-  {
-    steps_left = t.max_model_steps;
-    deadline_ns =
-      (match t.max_input_millis with
-      | None -> max_int
-      | Some ms -> Revizor_obs.Clock.now_ns () + (ms * 1_000_000));
-  }
+let start t = { steps_left = t.max_model_steps }
 
 let tick f =
   let left = f.steps_left - 1 in
   f.steps_left <- left;
   (* [max_model_steps = n] admits exactly [n] ticks; the (n+1)-th trips. *)
-  if left < 0 then raise (Pathological "model step budget exhausted");
-  if
-    left land check_mask = 0
-    && f.deadline_ns <> max_int
-    && Revizor_obs.Clock.now_ns () > f.deadline_ns
-  then raise (Pathological "model time budget exhausted")
+  if left < 0 then raise (Pathological "model step budget exhausted")

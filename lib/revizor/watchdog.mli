@@ -1,26 +1,22 @@
-(** Per-test-case watchdogs: step and time budgets for the model stage,
-    so a pathological generated program (worst-case nesting blowup,
-    divider chains) is skipped and recorded rather than stalling a
-    campaign round (DESIGN.md §8).
+(** Per-test-case watchdog: a step budget for the model stage, so a
+    pathological generated program (worst-case nesting blowup, divider
+    chains) is skipped and recorded rather than stalling a campaign
+    round (DESIGN.md §8).
 
-    The step budget counts every walked instruction, including nested
+    The budget counts every walked instruction, including nested
     speculative re-explorations, and is deterministic — it is on by
     default with a generous ceiling and does not perturb results below
-    it. The wall-clock budget is host-dependent and therefore opt-in;
-    enabling it trades bit-reproducibility for liveness. *)
+    it. *)
 
 exception Pathological of string
-(** Raised from inside the model walk when a budget is exhausted; the
+(** Raised from inside the model walk when the budget is exhausted; the
     fuzz loop catches it and counts the test case as
     [skipped_pathological]. *)
 
-type t = {
-  max_model_steps : int;  (** fuel per contract trace *)
-  max_input_millis : int option;  (** wall-clock deadline per trace *)
-}
+type t = { max_model_steps : int  (** fuel per contract trace *) }
 
 val default : t
-(** 50M steps per contract trace, no time budget. *)
+(** 50M steps per contract trace. *)
 
 val m_skipped : Revizor_obs.Metrics.counter
 (** The [watchdog.skipped_pathological] registry counter. *)
@@ -33,5 +29,4 @@ val start : t -> fuel
 (** Begin one contract trace's budget. *)
 
 val tick : fuel -> unit
-(** Consume one step; raises {!Pathological} on exhaustion. The deadline
-    is polled every 65536 steps, so the common path is one decrement. *)
+(** Consume one step; raises {!Pathological} on exhaustion. *)

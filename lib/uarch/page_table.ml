@@ -19,5 +19,3 @@ let access t ~page =
 
 let accessed t ~page =
   page < 0 || page >= Array.length t.bits || t.bits.(page)
-
-let copy t = { bits = Array.copy t.bits }

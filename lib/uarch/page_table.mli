@@ -17,4 +17,3 @@ val access : t -> page:int -> bool
     Accessed bit is set as a side effect (assists fire once per clearing). *)
 
 val accessed : t -> page:int -> bool
-val copy : t -> t

@@ -538,7 +538,7 @@ let executor_identical () =
 
 (* --- batched model ----------------------------------------------------- *)
 
-(* [Model.batch] — superinstruction fusion, dead-flag elision and arena
+(* [Model.ctraces] — superinstruction fusion, dead-flag elision and arena
    scratch states — against per-input [Model.run]: same ctraces, faults
    and streams for every contract, engine, template source and stream
    mode. *)
@@ -574,18 +574,17 @@ let batch_identical () =
               (List.combine batched seq)
           in
           compare_all ~what:"batch/all" ~stream_mode:`All
-            (Model.batch contract compiled inputs);
+            (Model.ctraces contract compiled inputs);
           compare_all ~what:"batch/first" ~stream_mode:`First
-            (Model.batch ~stream:`First contract compiled inputs);
+            (Model.ctraces ~stream:`First contract compiled inputs);
           (* the reference interpreter through the same batched walk *)
           compare_all ~what:"batch/interp" ~stream_mode:`All
-            (Model.batch contract interp inputs);
+            (Model.ctraces contract interp inputs);
           (* arena-pooled templates instead of per-input derivation *)
           let arena = Arena.create () in
           compare_all ~what:"batch/arena" ~stream_mode:`All
-            (Model.batch contract compiled
-               ~templates:(Arena.templates arena inputs)
-               inputs))
+            (Model.ctraces ~templates:(Arena.templates arena inputs)
+               contract compiled inputs))
         contracts)
 
 (* --- arena template pool ----------------------------------------------- *)
@@ -667,8 +666,8 @@ let sparse_fill_equivalent () =
             fresh;
           List.iter
             (fun contract ->
-              let a = Model.batch contract compiled ~templates:fresh inputs in
-              let b = Model.batch contract compiled ~templates:pooled inputs in
+              let a = Model.ctraces ~templates:fresh contract compiled inputs in
+              let b = Model.ctraces ~templates:pooled contract compiled inputs in
               List.iteri
                 (fun i ((x : Model.result), (y : Model.result)) ->
                   let here s =
@@ -930,9 +929,7 @@ let templates_untouched () =
               if m.Executor.kinds <> [] then incr episodes)
             ms;
           ignore (Executor.swap_check ~templates executor prog inputs 0 1);
-          untouched "Executor.swap_check";
-          ignore (Executor.record_events ~templates executor prog inputs);
-          untouched "Executor.record_events")
+          untouched "Executor.swap_check")
         [ 1L; 2L; 3L ])
     [
       ("Target 5 x CT-COND", Target.target5, Contract.ct_cond);
@@ -977,7 +974,7 @@ let pathological_unwinds () =
   let contract = Contract.with_nesting Contract.ct_cond in
   let inputs = batch_inputs 1 7L in
   let fresh = Model.ctraces ~templates:(Input.templates inputs) contract prog inputs in
-  let watchdog n = { Watchdog.max_model_steps = n; max_input_millis = None } in
+  let watchdog n = { Watchdog.max_model_steps = n } in
   let trips n templates =
     match Model.ctraces ~watchdog:(watchdog n) ~templates contract prog inputs with
     | _ -> false

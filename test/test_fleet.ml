@@ -29,6 +29,11 @@ let counter name =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let rec rm_rf path =
   match Unix.lstat path with
   | exception Unix.Unix_error _ -> ()
@@ -143,16 +148,11 @@ let test_ledger_roundtrip () =
             | _ -> Alcotest.fail "spec is not an object")
         | _ -> Alcotest.fail "ledger is not an object"
       in
-      let names e key =
-        let n = String.length key in
-        let rec at i = i + n <= String.length e && (String.sub e i n = key || at (i + 1)) in
-        at 0
-      in
       List.iter
         (fun (key, v) ->
           match Ledger.of_json ~dir (with_spec_field key v) with
           | Ok _ -> Alcotest.failf "%s = %s accepted" key (Json.to_string v)
-          | Error e -> check bool (Printf.sprintf "%s refused: %s" key e) true (names e key))
+          | Error e -> check bool (Printf.sprintf "%s refused: %s" key e) true (contains e key))
         [
           ("workers", Json.Int 0);
           ("workers", Json.Int (-2));
@@ -190,6 +190,30 @@ let test_ledger_quarantine () =
   check bool "revoke keeps attempts" true
     (sh1.Ledger.sh_state = Ledger.Pending && sh1.Ledger.sh_attempts = 0);
   check bool "not finished" false (Ledger.finished t)
+
+(* The orchestrator SIGKILLs a leased shard's pid on resume: a ledger
+   whose lease names pid -1 (every process the user may signal), 0 (the
+   orchestrator's own process group) or 1 (init) is refused by the
+   decoder, with an error that names the field. Decoded only: nothing
+   here resumes such a ledger. *)
+let test_ledger_refuses_low_pids () =
+  let leased pid =
+    let t = Ledger.create ~dir:"unused" (mk_spec ()) in
+    Ledger.lease t.Ledger.shards.(0) ~pid ~now:0. ~lease_s:5.;
+    Ledger.of_json ~dir:"unused" (Ledger.to_json t)
+  in
+  List.iter
+    (fun pid ->
+      match leased pid with
+      | Ok _ -> Alcotest.failf "leased pid %d accepted" pid
+      | Error e ->
+          check bool
+            (Printf.sprintf "pid %d refused naming the field: %s" pid e)
+            true (contains e "pid"))
+    [ -1; 0; 1; min_int ];
+  match leased 2 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "pid 2 refused: %s" e
 
 let test_fingerprint_guard () =
   with_tmpdir "fpguard" @@ fun dir ->
@@ -421,6 +445,35 @@ let test_interrupt_resume () =
   check string "interrupted+resumed == reference (bytes)" ref_bytes
     (read_file (Ledger.merged_path dir))
 
+(* A backoff gate past the policy's cap (here: a finished fleet's ledger
+   with one shard put back to pending behind a gate at 1e300 seconds)
+   is clamped on resume, so the shard is adopted and the fleet completes
+   with the reference's bytes instead of waiting for ever. *)
+let test_resume_clamps_far_gates () =
+  with_tmpdir "gate" @@ fun root ->
+  Unix.mkdir root 0o755;
+  let spec = mk_spec ~seeds:[ 5L; 6L ] () in
+  let dir = Filename.concat root "fleet" in
+  let ref_bytes = reference_bytes ~dir spec in
+  (match Ledger.load ~dir with
+  | Error e -> Alcotest.failf "ledger: %s" e
+  | Ok l ->
+      let sh = l.Ledger.shards.(0) in
+      sh.Ledger.sh_state <- Ledger.Pending;
+      sh.Ledger.sh_not_before <- 1e300;
+      Ledger.save l);
+  let deadline = Unix.gettimeofday () +. 30. in
+  (match
+     Orchestrator.resume ~dir
+       ~should_stop:(fun () -> Unix.gettimeofday () > deadline)
+       ()
+   with
+  | Ok Orchestrator.Completed -> ()
+  | Ok Orchestrator.Interrupted -> Alcotest.fail "still gated after 30 s"
+  | Error e -> Alcotest.failf "resume: %s" e);
+  check string "resumed fleet == reference (bytes)" ref_bytes
+    (read_file (Ledger.merged_path dir))
+
 (* Satellite 3: SIGKILL the orchestrator process mid-campaign; the
    ledger and the shard checkpoints alone must reconstruct the fleet,
    and the resumed campaign's merged corpus must be byte-identical to
@@ -519,6 +572,7 @@ let () =
             test_ledger_roundtrip;
           tc "quarantine escalation and revocation" `Quick
             test_ledger_quarantine;
+          tc "leased pids below 2 refused" `Quick test_ledger_refuses_low_pids;
           tc "spec fingerprint guards the directory" `Quick
             test_fingerprint_guard;
         ] );
@@ -538,6 +592,8 @@ let () =
           tc "poisoned shards escalate into quarantine" `Slow
             test_quarantine_escalation;
           tc "interrupt + resume == reference" `Slow test_interrupt_resume;
+          tc "resume clamps gates past the backoff cap" `Slow
+            test_resume_clamps_far_gates;
           tc "SIGKILLed orchestrator + resume == reference" `Slow
             test_sigkill_orchestrator_resume;
         ] );

@@ -243,6 +243,16 @@ let test_stats_json_roundtrip () =
 
 (* --- the persisted documents ------------------------------------------- *)
 
+(* The document [save path] writes, parsed back. *)
+let written save =
+  with_tmpdir (fun dir ->
+      Results.mkdir_p dir;
+      let path = Filename.concat dir "doc.json" in
+      save path;
+      match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "%s: %s" path e)
+
 (* (codec, a document it wrote, its decoder, writes a version field) for
    every persisted document. *)
 let persisted_documents () =
@@ -258,15 +268,6 @@ let persisted_documents () =
   let snap = Option.get !last in
   let spec =
     Ledger.default_spec ~target:"Target 1" ~contract:"CT-SEQ" ~seeds:[ 1L ]
-  in
-  let written save =
-    with_tmpdir (fun dir ->
-        Results.mkdir_p dir;
-        let path = Filename.concat dir "doc.json" in
-        save path;
-        match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "%s: %s" path e)
   in
   let forensics =
     {
@@ -365,15 +366,19 @@ let test_schema_envelope () =
         variants)
     (persisted_documents ())
 
+(* A value of every JSON shape, for replacing a member of a document. *)
+let json_shapes =
+  Json.
+    [
+      Null; Bool true; Int (-1); Int (1 lsl 40); Float 0.5; String ""; List [];
+      Obj [];
+    ]
+
 (* Damaged copies of each document: truncated and single-byte-flipped
    text at spread-out offsets, each top-level key dropped, and each
    top-level value replaced by a value of every other shape. Parsing and
    decoding must answer [Ok] or [Error]; neither may raise. *)
 let test_damaged_documents () =
-  let retyped =
-    Json.
-      [ Null; Int (-1); Int (1 lsl 40); String ""; List []; Obj []; Bool true ]
-  in
   List.iter
     (fun (codec, doc, decode, _) ->
       let text = Json.to_string_pretty doc in
@@ -392,7 +397,7 @@ let test_damaged_documents () =
             (fun k ->
               List.map Json.to_string
                 (edit k None doc
-                :: List.map (fun v -> edit k (Some v) doc) retyped))
+                :: List.map (fun v -> edit k (Some v) doc) json_shapes))
             keys
       in
       List.iter
@@ -404,6 +409,127 @@ let test_damaged_documents () =
                 (Printexc.to_string e) text)
         damaged)
     (persisted_documents ())
+
+(* Populated copies of the persisted documents, the parts an empty one
+   leaves out included: a checkpoint with pattern coverage and an atlas,
+   a ledger with leased, backed-off and finished shards, a merged
+   document and a shard result each carrying a violation, forensics with
+   timelines and an atlas, and stats with an atlas. *)
+let populated_documents () =
+  let module Ledger = Revizor_fleet.Ledger in
+  let module Merge = Revizor_fleet.Merge in
+  let module Worker = Revizor_fleet.Worker in
+  let cfg = Target.fuzzer_config ~seed:5L Contract.ct_cond Target.target5 in
+  let last = ref None in
+  let atlas = Ucoverage.create () in
+  let _, stats =
+    Fuzzer.fuzz ~ucoverage:atlas ~on_checkpoint:(fun s -> last := Some s) cfg
+      ~budget:(Fuzzer.Test_cases 10)
+  in
+  let snap = Option.get !last in
+  let spec =
+    Ledger.default_spec ~target:"Target 5" ~contract:"CT-SEQ"
+      ~seeds:[ 1L; 2L; 3L ]
+  in
+  let ledger = Ledger.create ~dir:"fleet" spec in
+  Ledger.lease ledger.Ledger.shards.(0) ~pid:4242 ~now:1000. ~lease_s:5.;
+  Ledger.mark_failed ledger ledger.Ledger.shards.(1) ~now:1000.;
+  Ledger.mark_done ledger.Ledger.shards.(2);
+  let violation =
+    match
+      Experiments.check_gadget Contract.ct_seq Target.target5 Gadgets.spectre_v1
+    with
+    | Some v -> v
+    | None -> Alcotest.fail "the V1 gadget must violate CT-SEQ"
+  in
+  let shard_result =
+    {
+      Worker.r_shard = 0;
+      r_seed = 1L;
+      r_attempt = 2;
+      r_violation =
+        Some
+          {
+            Worker.v_tc = 7;
+            v_label = violation.Violation.label;
+            v_summary = Violation.summary violation;
+            v_program = Revizor_isa.Program.to_string violation.Violation.program;
+            v_inputs = List.map Results.input_to_line violation.Violation.inputs;
+          };
+      r_stats = stats;
+      r_atlas = atlas;
+    }
+  in
+  let merged = Merge.create ~spec in
+  ignore (Merge.commit merged shard_result);
+  let forensics =
+    Forensics.capture ~ucoverage:atlas
+      (Target.fuzzer_config ~seed:42L Contract.ct_seq Target.target5)
+      violation
+  in
+  let unit_of r = Result.map ignore r in
+  [
+    ("checkpoint", Campaign.to_json cfg snap,
+     fun j -> unit_of (Campaign.of_json cfg j));
+    ("ledger", Ledger.to_json ledger,
+     fun j -> unit_of (Ledger.of_json ~dir:"fleet" j));
+    ("merged doc", Merge.to_json merged, fun j -> unit_of (Merge.of_json j));
+    ("shard result", Worker.to_json shard_result,
+     fun j -> unit_of (Worker.of_json j));
+    ("forensics", Forensics.to_json forensics,
+     fun j -> unit_of (Forensics.of_json j));
+    ("stats",
+     written (fun path -> Results.save_stats ~stats ~ucoverage:atlas ~path ()),
+     fun j -> unit_of (Results.stats_of_json j));
+  ]
+
+(* Every copy of [j] with one member or list element, at any depth,
+   dropped or replaced by a value of each JSON shape, passed to [emit]. *)
+let rec iter_damaged emit (j : Json.t) =
+  let slot x rebuild drop =
+    emit drop;
+    List.iter (fun v -> emit (rebuild v)) json_shapes;
+    iter_damaged (fun v -> emit (rebuild v)) x
+  in
+  match j with
+  | Json.Obj kvs ->
+      List.iteri
+        (fun i (k, v) ->
+          slot v
+            (fun v' ->
+              Json.Obj (List.mapi (fun i' kv -> if i' = i then (k, v') else kv) kvs))
+            (Json.Obj (List.filteri (fun i' _ -> i' <> i) kvs)))
+        kvs
+  | Json.List xs ->
+      List.iteri
+        (fun i x ->
+          slot x
+            (fun x' -> Json.List (List.mapi (fun i' y -> if i' = i then x' else y) xs))
+            (Json.List (List.filteri (fun i' _ -> i' <> i) xs)))
+        xs
+  | _ -> ()
+
+let test_nested_damage () =
+  List.iter
+    (fun (codec, doc, decode) ->
+      (match decode doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: own document refused: %s" codec e);
+      let variants = ref 0 in
+      iter_damaged
+        (fun j ->
+          incr variants;
+          match decode j with
+          | Ok () | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "%s: decoding raised %s on %s" codec
+                (Printexc.to_string e) (Json.to_string j))
+        doc;
+      check bool
+        (Printf.sprintf "%s: %d damaged variants decoded without raising"
+           codec !variants)
+        true (!variants > 100))
+    (populated_documents ())
 
 (* --- output paths in directories that do not exist yet ---------------- *)
 
@@ -475,6 +601,8 @@ let () =
           tc "schema envelope of every persisted document" `Quick
             test_schema_envelope;
           tc "damaged documents never raise" `Quick test_damaged_documents;
+          tc "nested damage of populated documents never raises" `Quick
+            test_nested_damage;
           tc "output paths in missing directories" `Quick
             test_writes_create_directories;
         ] );

@@ -393,6 +393,103 @@ let test_monitor_idle () =
         (Option.bind (Json.member "state" j) Json.to_str = Some "idle")
   | Error e -> Alcotest.fail e
 
+(* --- monitor flow control and malformed requests ------------------------ *)
+
+let live_bytes () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
+(* A client that pipelines requests and never reads must not grow the
+   campaign's heap: 100 [metrics] requests per poll for 400 polls (the
+   fuzz loop polls once per test case). Then a client that sends 200
+   [status] requests before reading anything gets all 200 replies, in
+   order: holding back reads must not lose or reorder a request. *)
+let test_monitor_slow_readers () =
+  let path = sock_path "slow" in
+  let mon = Monitor.create ~path in
+  Fun.protect ~finally:(fun () -> Monitor.close mon) @@ fun () ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.set_nonblock fd;
+  let burst = String.concat "" (List.init 100 (fun _ -> "metrics\n")) in
+  let before = live_bytes () in
+  for _ = 1 to 400 do
+    (try ignore (Unix.write_substring fd burst 0 (String.length burst))
+     with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+    Monitor.poll mon
+  done;
+  let growth = live_bytes () - before in
+  check bool
+    (Printf.sprintf "live heap grew by %d bytes, under 16 MB" growth)
+    true
+    (growth < 16 * 1024 * 1024);
+  let served = ref 0 in
+  Monitor.set_provider mon (fun cmd ->
+      if cmd = "status" then begin
+        incr served;
+        Some (Json.Obj [ ("n", Json.Int !served) ])
+      end
+      else None);
+  let done_flag = Atomic.make false in
+  let client =
+    Domain.spawn (fun () ->
+        let r = monitor_client path (List.init 200 (fun _ -> "status")) in
+        Atomic.set done_flag true;
+        r)
+  in
+  serve_until_done mon done_flag;
+  match Domain.join client with
+  | Error e -> Alcotest.fail e
+  | Ok lines ->
+      check
+        (Alcotest.list (Alcotest.option int))
+        "200 replies in request order"
+        (List.init 200 (fun i -> Some (i + 1)))
+        (List.map
+           (fun l ->
+             match Json.parse l with
+             | Ok j -> Option.bind (Json.member "n" j) Json.to_int
+             | Error _ -> None)
+           lines)
+
+(* Truncated JSON, a non-string [cmd] and an over-long line each get an
+   [{"error": ...}] reply, and the endpoint keeps answering. *)
+let test_monitor_malformed_requests () =
+  let path = sock_path "bad" in
+  let mon = Monitor.create ~path in
+  Fun.protect ~finally:(fun () -> Monitor.close mon) @@ fun () ->
+  let ask cmds =
+    let done_flag = Atomic.make false in
+    let client =
+      Domain.spawn (fun () ->
+          let r = monitor_client path cmds in
+          Atomic.set done_flag true;
+          r)
+    in
+    serve_until_done mon done_flag;
+    match Domain.join client with
+    | Ok lines -> List.map (fun l -> Result.get_ok (Json.parse l)) lines
+    | Error e -> Alcotest.fail e
+  in
+  let is_error j = Json.member "error" j <> None in
+  let is_idle j =
+    Option.bind (Json.member "state" j) Json.to_str = Some "idle"
+  in
+  (match ask [ {|{"cmd": "sta|}; {|{"cmd": 7}|}; "status" ] with
+  | [ truncated; non_string; status ] ->
+      check bool "truncated JSON errors" true (is_error truncated);
+      check bool "non-string cmd errors" true (is_error non_string);
+      check bool "same connection still answers" true (is_idle status)
+  | l -> Alcotest.failf "expected 3 replies, got %d" (List.length l));
+  (match ask [ String.make 10_000 'x' ] with
+  | [ too_long ] -> check bool "over-long line errors" true (is_error too_long)
+  | l -> Alcotest.failf "expected 1 reply, got %d" (List.length l));
+  match ask [ "status" ] with
+  | [ status ] -> check bool "endpoint still serves" true (is_idle status)
+  | l -> Alcotest.failf "expected 1 reply, got %d" (List.length l)
+
 (* --- monitor on/off bit-identity --------------------------------------- *)
 
 let stats_fingerprint (s : Fuzzer.stats) =
@@ -487,6 +584,24 @@ let test_gc_gauges () =
   check bool "domain count sampled" true
     (match gauge "runtime.domain_count" with Some v -> v >= 1. | None -> false)
 
+(* The [gc.minor_words] gauge counts allocation that has not yet been
+   through a minor collection: 10,000 cons cells are 30,000 words, and
+   the gauge moves by them (plus the few words sampling itself takes). *)
+let test_minor_words_gauge () =
+  let minor_words = Metrics.gauge "gc.minor_words" in
+  let gauge () =
+    Fuzzer.sample_runtime ();
+    Metrics.gauge_value minor_words
+  in
+  let rec cons n acc = if n = 0 then acc else cons (n - 1) (n :: acc) in
+  let before = gauge () in
+  ignore (Sys.opaque_identity (cons 10_000 []));
+  let delta = gauge () -. before in
+  check bool
+    (Printf.sprintf "minor-words delta %.0f within [30000, 31000]" delta)
+    true
+    (delta >= 30_000. && delta <= 31_000.)
+
 (* --- violation flight recorder ----------------------------------------- *)
 
 let find_violation () =
@@ -560,6 +675,99 @@ let test_forensics_deterministic () =
   let b = Json.to_string (Forensics.to_json (Forensics.capture cfg v)) in
   check string "capture is deterministic" a b
 
+(* Replay oracle for the recorder's timelines, sharing none of the
+   executor's loop: a fresh CPU, a session reset, one priming pass, then
+   one recorded pass, each run being [Cpu.run] under [Attack.observe] on
+   a freshly materialized input state after the input's last data word
+   is loaded into the fill buffer. Returns every input's event list of
+   the recorded pass. *)
+let oracle_events (cfg : Fuzzer.config) (v : Violation.t) =
+  let open Revizor_uarch in
+  let prog = Revizor_emu.Compiled.of_program_exn v.Violation.program in
+  let cpu = Cpu.create cfg.Fuzzer.uarch in
+  let threat = cfg.Fuzzer.executor.Executor.threat in
+  let last_data_word =
+    Int64.add Revizor_emu.Layout.sandbox_base
+      (Int64.of_int
+         ((Revizor_emu.Layout.data_pages * Revizor_emu.Layout.page_size) - 8))
+  in
+  let run input =
+    let state = Input.to_state input in
+    Cpu.set_fill_buffer cpu
+      (Revizor_emu.Memory.read state.Revizor_emu.State.mem ~addr:last_data_word
+         Revizor_isa.Width.W64);
+    ignore
+      (Attack.observe cpu threat (fun () ->
+           Cpu.run ~max_steps:cfg.Fuzzer.executor.Executor.max_steps cpu prog
+             state));
+    Cpu.events cpu
+  in
+  Cpu.reset_session cpu;
+  List.iter (fun input -> ignore (run input)) v.Violation.inputs;
+  List.map run v.Violation.inputs
+
+(* The recorder reads each timeline from the input's first recorded
+   repetition of a noise-free measurement. That repetition must equal the
+   oracle's recorded pass for every input of the sequence (the violating
+   pair alone sits late in the sequence, where priming has long
+   converged), and the artifact's two timelines must be the pair's. *)
+let test_forensics_timelines_match_oracle () =
+  let to_forensics (e : Revizor_uarch.Cpu.event) =
+    {
+      Forensics.ev_kind = Revizor_uarch.Cpu.kind_to_string e.Revizor_uarch.Cpu.kind;
+      ev_origin_pc = e.Revizor_uarch.Cpu.origin_pc;
+      ev_transient_loads = e.Revizor_uarch.Cpu.transient_loads;
+      ev_touched_sets = e.Revizor_uarch.Cpu.touched_sets;
+    }
+  in
+  List.iter
+    (fun (label, contract, (target : Target.t), gadget) ->
+      match Experiments.check_gadget contract target gadget with
+      | None -> Alcotest.failf "%s: expected a violation" label
+      | Some v ->
+          let cfg = Target.fuzzer_config ~seed:42L contract target in
+          let oracle = Array.of_list (oracle_events cfg v) in
+          let executor =
+            Executor.create
+              (Revizor_uarch.Cpu.create cfg.Fuzzer.uarch)
+              cfg.Fuzzer.executor
+          in
+          let measured =
+            Executor.measure executor
+              (Revizor_emu.Compiled.of_program_exn v.Violation.program)
+              v.Violation.inputs
+          in
+          Array.iteri
+            (fun i (m : Executor.measurement) ->
+              check bool
+                (Printf.sprintf "%s: input %d, first repetition" label i)
+                true
+                (List.nth m.Executor.runs (List.length m.Executor.runs - 1)
+                = oracle.(i)))
+            measured;
+          let f = Forensics.capture cfg v in
+          check int (label ^ ": two timelines") 2
+            (List.length f.Forensics.f_timelines);
+          List.iter
+            (fun (tl : Forensics.timeline) ->
+              check bool
+                (Printf.sprintf "%s: input %d timeline" label
+                   tl.Forensics.tl_input)
+                true
+                (List.map to_forensics oracle.(tl.Forensics.tl_input)
+                = tl.Forensics.tl_events))
+            f.Forensics.f_timelines;
+          check bool (label ^ ": some episode recorded") true
+            (List.exists
+               (fun (tl : Forensics.timeline) -> tl.Forensics.tl_events <> [])
+               f.Forensics.f_timelines))
+    [
+      ("V1", Contract.ct_seq, Target.target5, Gadgets.spectre_v1);
+      ("V4", Contract.ct_seq, Target.target2, Gadgets.spectre_v4);
+      ("MDS", Contract.ct_seq, Target.target7, Gadgets.mds_lfb);
+      ("LVI", Contract.ct_seq, Target.target8, Gadgets.lvi_null);
+    ]
+
 let () =
   Alcotest.run "observatory"
     [
@@ -583,15 +791,23 @@ let () =
           tc "live round-trip" `Slow test_monitor_roundtrip;
           tc "provider-less idle" `Quick test_monitor_idle;
           tc "bit-identical on/off" `Slow test_monitor_transparent;
+          tc "slow readers: bounded heap, replies in order" `Quick
+            test_monitor_slow_readers;
+          tc "malformed requests answered" `Quick
+            test_monitor_malformed_requests;
         ] );
       ( "satellites",
         [
           tc "heartbeat events" `Slow test_heartbeat_events;
           tc "gc gauges" `Slow test_gc_gauges;
+          tc "minor-words gauge counts a known allocation" `Quick
+            test_minor_words_gauge;
         ] );
       ( "forensics",
         [
           tc "artifact schema and render" `Slow test_forensics_artifact;
           tc "capture deterministic" `Slow test_forensics_deterministic;
+          tc "timelines match a replay oracle" `Quick
+            test_forensics_timelines_match_oracle;
         ] );
     ]

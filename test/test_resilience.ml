@@ -1,8 +1,8 @@
 (* Resilient campaign runtime (PR 5): checkpoint/resume bit-identity
    across seeds and pool sizes, config-fingerprint rejection, futures
    pool exception propagation, watchdog skips, deterministic fault
-   injection (model stage, executor noise storms, artifact writers), and
-   the tolerant telemetry tail scanner. *)
+   injection (model stage, artifact writers), and the tolerant telemetry
+   tail scanner. *)
 
 open Revizor
 module Json = Revizor_obs.Json
@@ -196,8 +196,74 @@ let test_fingerprint_sensitivity () =
          {
            cfg with
            Fuzzer.watchdog =
-             { Watchdog.max_model_steps = 1234; max_input_millis = None };
+             { Watchdog.max_model_steps = 1234 };
          })
+
+(* Fingerprints of every Table 2 target under every ladder contract
+   (seed 1), plus two configs with a custom seed, input count and step
+   budget, at the values checkpoints and fleet ledgers already carry:
+   retiring a config field must not orphan a saved campaign. *)
+let pinned_fingerprints =
+  [
+    ("Target 1", "CT-SEQ", "1bc96e37133ff8d0");
+    ("Target 1", "CT-BPAS", "f4f9bb25eccadb17");
+    ("Target 1", "CT-COND", "78c0b1837aebbc29");
+    ("Target 1", "CT-COND-BPAS", "1b1814c6d2706dde");
+    ("Target 2", "CT-SEQ", "3d87b275f343b576");
+    ("Target 2", "CT-BPAS", "8c011a08d1be7371");
+    ("Target 2", "CT-COND", "d39a7e4231e0177f");
+    ("Target 2", "CT-COND-BPAS", "6f576ae8c578e1a8");
+    ("Target 3", "CT-SEQ", "78497328a7a666d0");
+    ("Target 3", "CT-BPAS", "12336f56191c617f");
+    ("Target 3", "CT-COND", "e2191ba77495ebd9");
+    ("Target 3", "CT-COND-BPAS", "b4824f52c95a994e");
+    ("Target 4", "CT-SEQ", "e54b7a87ba26faa4");
+    ("Target 4", "CT-BPAS", "f64c1fda98ab7a11");
+    ("Target 4", "CT-COND", "1f034f52fc40ef9b");
+    ("Target 4", "CT-COND-BPAS", "2bcc9a7352e4f95a");
+    ("Target 5", "CT-SEQ", "0c5b5e4e877d8d90");
+    ("Target 5", "CT-BPAS", "aad154663b5d28ab");
+    ("Target 5", "CT-COND", "7ba79479cc590611");
+    ("Target 5", "CT-COND-BPAS", "e54171b8b80d793a");
+    ("Target 6", "CT-SEQ", "d87d00f3d0ffaac6");
+    ("Target 6", "CT-BPAS", "8a350c5d787b857d");
+    ("Target 6", "CT-COND", "7f4fe08c10d6d4df");
+    ("Target 6", "CT-COND-BPAS", "7e8bbc42520babdc");
+    ("Target 7", "CT-SEQ", "98b8aed7f874a457");
+    ("Target 7", "CT-BPAS", "6d7873b6c7947404");
+    ("Target 7", "CT-COND", "688a628ad04dc832");
+    ("Target 7", "CT-COND-BPAS", "7b86740bd5d8d681");
+    ("Target 8", "CT-SEQ", "0472269939f0c3f6");
+    ("Target 8", "CT-BPAS", "58b39c0be18be8fb");
+    ("Target 8", "CT-COND", "edd2ec368eccf305");
+    ("Target 8", "CT-COND-BPAS", "44c31fa61a77286c");
+  ]
+
+let test_fingerprints_pinned () =
+  check int "every target x ladder contract pinned"
+    (List.length Target.all * List.length Contract.standard_ladder)
+    (List.length pinned_fingerprints);
+  List.iter
+    (fun (target, contract, expected) ->
+      let cfg =
+        Target.fuzzer_config ~seed:1L
+          (Result.get_ok (Contract.of_name contract))
+          (Option.get (Target.find target))
+      in
+      check string
+        (Printf.sprintf "%s x %s" target contract)
+        expected (Campaign.fingerprint cfg))
+    pinned_fingerprints;
+  check string "Target 1 x CT-SEQ, seed 7" "95dec6e60908902e"
+    (Campaign.fingerprint
+       (Target.fuzzer_config ~seed:7L Contract.ct_seq Target.target1));
+  let cfg =
+    Target.fuzzer_config ~seed:3L ~n_inputs:40 Contract.ct_seq Target.target5
+  in
+  check string "Target 5 x CT-SEQ, seed 3, 40 inputs, 1234-step watchdog"
+    "878798190d4417ac"
+    (Campaign.fingerprint
+       { cfg with Fuzzer.watchdog = { Watchdog.max_model_steps = 1234 } })
 
 (* --- coverage serialization ------------------------------------------ *)
 
@@ -244,7 +310,7 @@ let test_pool_task_exception_propagates () =
 (* --- watchdog --------------------------------------------------------- *)
 
 let test_watchdog_fuel () =
-  let w = { Watchdog.max_model_steps = 5; max_input_millis = None } in
+  let w = { Watchdog.max_model_steps = 5 } in
   let fuel = Watchdog.start w in
   for _ = 1 to 5 do
     Watchdog.tick fuel
@@ -259,7 +325,7 @@ let test_watchdog_skips_pathological () =
   let cfg =
     {
       (Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5) with
-      Fuzzer.watchdog = { Watchdog.max_model_steps = 10; max_input_millis = None };
+      Fuzzer.watchdog = { Watchdog.max_model_steps = 10 };
     }
   in
   let outcome, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 15) in
@@ -277,7 +343,7 @@ let test_default_watchdog_transparent () =
     {
       base with
       Fuzzer.watchdog =
-        { Watchdog.max_model_steps = max_int; max_input_millis = None };
+        { Watchdog.max_model_steps = max_int };
     }
   in
   let o1, s1 = Fuzzer.fuzz base ~budget:(Fuzzer.Test_cases 40) in
@@ -327,78 +393,6 @@ let test_faultpoint_disabled_is_inert () =
     Faultpoint.fire p
   done;
   check int "no fires when disarmed" before (Faultpoint.fired p)
-
-(* --- fault injection: executor noise storms + adaptive reps ----------- *)
-
-let test_noise_storm_triggers_adaptive () =
-  Metrics.reset ();
-  let measure () =
-    with_faults ~seed:7L
-      [ ("executor.noise_storm", { Faultpoint.rate = 0.8; after = 0; max_fires = 0 }) ]
-    @@ fun () ->
-    let cfg = Target.fuzzer_config ~seed:3L Contract.ct_seq Target.target5 in
-    let ex_cfg =
-      {
-        cfg.Fuzzer.executor with
-        Executor.adaptive =
-          Some { Executor.reject_ratio = 0.2; max_total_reps = 24 };
-      }
-    in
-    let cpu = Revizor_uarch.Cpu.create cfg.Fuzzer.uarch in
-    let executor = Executor.create cpu ex_cfg in
-    let prng = Prng.create ~seed:3L in
-    let program = Generator.generate prng Generator.default_cfg in
-    let inputs = Input.generate_many prng ~entropy:2 ~n:10 in
-    match Revizor_isa.Program.flatten program with
-    | Error e -> Alcotest.failf "flatten: %s" e
-    | Ok flat ->
-        let prog = Revizor_emu.Compiled.of_flat flat in
-        Array.to_list
-          (Array.map Revizor_uarch.Htrace.elements
-             (Executor.htraces executor prog inputs))
-  in
-  let a = measure () in
-  let snap = Metrics.snapshot () in
-  check bool "storms observed" true
-    (Option.value
-       (List.assoc_opt "executor.noise.storms" snap.Metrics.counters)
-       ~default:0
-    > 0);
-  check bool "adaptive escalation fired" true
-    (Option.value
-       (List.assoc_opt "executor.adaptive_escalations" snap.Metrics.counters)
-       ~default:0
-    > 0);
-  (* The whole storm + escalation is a pure function of the fault seed. *)
-  let b = measure () in
-  check
-    (Alcotest.list (Alcotest.list int))
-    "deterministic under the fault seed" a b
-
-let test_adaptive_off_bit_identical () =
-  (* adaptive = None must reduce exactly to the fixed-repetition
-     executor: same htraces with and without the field. *)
-  let cfg = Target.fuzzer_config ~seed:9L Contract.ct_seq Target.target5 in
-  let run adaptive =
-    let ex_cfg = { cfg.Fuzzer.executor with Executor.adaptive } in
-    let cpu = Revizor_uarch.Cpu.create cfg.Fuzzer.uarch in
-    let executor = Executor.create cpu ex_cfg in
-    let prng = Prng.create ~seed:9L in
-    let program = Generator.generate prng Generator.default_cfg in
-    let inputs = Input.generate_many prng ~entropy:2 ~n:10 in
-    match Revizor_isa.Program.flatten program with
-    | Error e -> Alcotest.failf "flatten: %s" e
-    | Ok flat ->
-        let prog = Revizor_emu.Compiled.of_flat flat in
-        Array.to_list
-          (Array.map Revizor_uarch.Htrace.elements
-             (Executor.htraces executor prog inputs))
-  in
-  check
-    (Alcotest.list (Alcotest.list int))
-    "clean measurements identical"
-    (run None)
-    (run (Some { Executor.reject_ratio = 0.2; max_total_reps = 24 }))
 
 (* --- fault injection: artifact writers -------------------------------- *)
 
@@ -667,6 +661,7 @@ let () =
           tc "checkpoint file round-trip + rejection" `Quick
             test_checkpoint_file_roundtrip;
           tc "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
+          tc "fingerprints pinned" `Quick test_fingerprints_pinned;
           tc "coverage json round-trip" `Quick test_coverage_json_roundtrip;
         ] );
       ( "pool",
@@ -687,10 +682,6 @@ let () =
           tc "model fault absorbed" `Quick test_model_fault_absorbed;
           tc "schedule deterministic" `Quick test_fault_schedule_deterministic;
           tc "disabled points inert" `Quick test_faultpoint_disabled_is_inert;
-          tc "noise storm triggers adaptive reps" `Quick
-            test_noise_storm_triggers_adaptive;
-          tc "adaptive off is bit-identical" `Quick
-            test_adaptive_off_bit_identical;
           tc "atomic writes retry injected faults" `Quick
             test_atomic_write_retry;
         ] );

@@ -176,6 +176,41 @@ let test_register_and_roundtrip () =
   check int "copy unaffected" 3 (Ucoverage.distinct c);
   check int "original advanced" 4 (Ucoverage.distinct u)
 
+(* Atlas states no campaign reaches are refused by the decoder, which is
+   the only check [revizor coverage report] relies on. *)
+let test_unreachable_atlases_refused () =
+  let u = Ucoverage.create () in
+  Ucoverage.register u ~tc:3 [ Ucoverage.Depth 1 ];
+  Ucoverage.register u ~tc:9 [ Ucoverage.Depth 2 ];
+  let set key f =
+    match Ucoverage.to_json u with
+    | Json.Obj kvs ->
+        Json.Obj (List.map (fun (k, v) -> (k, if k = key then f v else v)) kvs)
+    | _ -> Alcotest.fail "atlas is not an object"
+  in
+  (match Ucoverage.of_json (Ucoverage.to_json u) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "own atlas refused: %s" e);
+  List.iter
+    (fun (what, j) ->
+      match Ucoverage.of_json j with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error _ -> ())
+    [
+      ( "a first hit of -1",
+        set "features" (function
+          | Json.Obj ((k, _) :: rest) -> Json.Obj ((k, Json.Int (-1)) :: rest)
+          | v -> v) );
+      ( "a frontier point (2^40, 1) before smaller test cases",
+        set "frontier" (function
+          | Json.List points ->
+              Json.List (Json.List [ Json.Int (1 lsl 40); Json.Int 1 ] :: points)
+          | v -> v) );
+      ("negative barren_rounds", set "barren_rounds" (fun _ -> Json.Int (-1)));
+      ( "negative last_round_distinct",
+        set "last_round_distinct" (fun _ -> Json.Int (-1)) );
+    ]
+
 let test_collection_switch () =
   let u = Ucoverage.create () in
   Ucoverage.set_enabled false;
@@ -301,6 +336,30 @@ let test_old_checkpoint_loads () =
         (Ucoverage.distinct s.Fuzzer.sn_ucoverage)
   | Error e -> Alcotest.fail e
 
+(* A checkpoint whose atlas has a first hit later than the checkpoint's
+   own test-case count is a state the campaign cannot reach. *)
+let test_checkpoint_future_first_hit_refused () =
+  let cfg = campaign_cfg ~seed:5L () in
+  let last = ref None in
+  let _ =
+    Fuzzer.fuzz
+      ~on_checkpoint:(fun s -> last := Some s)
+      cfg ~budget:(Fuzzer.Test_cases 10)
+  in
+  let snap = Option.get !last in
+  let tcs = snap.Fuzzer.sn_stats.Fuzzer.test_cases in
+  let u = Ucoverage.copy snap.Fuzzer.sn_ucoverage in
+  Ucoverage.register u ~tc:(tcs + 1) [ Ucoverage.Depth 99 ];
+  (match Campaign.of_json cfg (Campaign.to_json cfg snap) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "own checkpoint refused: %s" e);
+  match
+    Campaign.of_json cfg
+      (Campaign.to_json cfg { snap with Fuzzer.sn_ucoverage = u })
+  with
+  | Ok _ -> Alcotest.fail "first hit after the last test case accepted"
+  | Error _ -> ()
+
 (* --- persistence + telemetry -------------------------------------------- *)
 
 let test_stats_file_roundtrip () =
@@ -384,6 +443,8 @@ let () =
       ( "accumulator",
         [
           tc "register + json round-trip" `Quick test_register_and_roundtrip;
+          tc "unreachable atlases refused" `Quick
+            test_unreachable_atlases_refused;
           tc "collection switch" `Quick test_collection_switch;
           tc "saturation analytics" `Quick test_saturation_event;
         ] );
@@ -397,6 +458,8 @@ let () =
           tc "outcomes invariant without collection" `Slow
             test_outcomes_invariant_without_collection;
           tc "pre-atlas checkpoints load" `Quick test_old_checkpoint_loads;
+          tc "checkpoint first hit past its test cases refused" `Quick
+            test_checkpoint_future_first_hit_refused;
         ] );
       ( "persistence",
         [
