@@ -271,11 +271,19 @@ let do_fuzz contract target seed budget inputs minimize save_dir
   in
   let run () =
     if progress = `Live then enter_live ();
-    Fuzzer.fuzz ~on_progress
-      ~should_stop:(fun () -> Atomic.get stop_requested)
-      ?resume:resume_snapshot ~checkpoint_every ?on_checkpoint ?monitor
-      ~heartbeat_every ?ucoverage:ucov cfg
-      ~budget:(Fuzzer.Test_cases budget)
+    let result =
+      Fuzzer.fuzz ~on_progress
+        ~should_stop:(fun () -> Atomic.get stop_requested)
+        ?resume:resume_snapshot ~checkpoint_every ?on_checkpoint ?monitor
+        ~heartbeat_every ?ucoverage:ucov cfg
+        ~budget:(Fuzzer.Test_cases budget)
+    in
+    (* The fault schedule covers the campaign only. The flight recorder
+       and the minimizer below measure again on executors of their own;
+       a fault injected there would kill the run after its outcome is
+       known. *)
+    Revizor_obs.Faultpoint.disable ();
+    result
   in
   let finish outcome (stats : Fuzzer.stats) =
     (* Leave the alternate screen before printing anything meant to

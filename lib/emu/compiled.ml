@@ -15,9 +15,10 @@ open Revizor_isa
    instruction (a) a {!desc} of precomputed metadata — register indices
    as int arrays, classification bits as bools, the port list as an int
    array, the memory operand with its effective-address computation
-   pre-resolved to a closure — and (b) the semantic action compiled to an
-   OCaml closure (threaded-code style), so the per-step dispatch is one
-   indirect call instead of a match cascade.
+   pre-resolved to a closure — and (b) the semantic action compiled to
+   one OCaml closure over its operands resolved to data (register byte
+   offsets and masks, immediates, address recipes), so a step is one
+   indirect call on unboxed values instead of a match cascade.
 
    The primary execution interface is the allocation-free {!raw} form:
    the action mutates the state and appends its memory accesses to a
@@ -65,9 +66,9 @@ open Revizor_isa
 type abuf = {
   mutable ab_len : int;
   mutable ab_store : bool array;
-  mutable ab_addr : int64 array;
+  mutable ab_addr : Bytes.t;
   mutable ab_width : Width.t array;
-  mutable ab_value : int64 array;
+  mutable ab_value : Bytes.t;
 }
 
 type raw = State.t -> abuf -> unit
@@ -127,9 +128,9 @@ let abuf_create () =
   {
     ab_len = 0;
     ab_store = Array.make 8 false;
-    ab_addr = Array.make 8 0L;
+    ab_addr = Bytes.create (8 * 8);
     ab_width = Array.make 8 Width.W64;
-    ab_value = Array.make 8 0L;
+    ab_value = Bytes.create (8 * 8);
   }
 
 let abuf_clear ab = ab.ab_len <- 0
@@ -142,18 +143,26 @@ let abuf_grow ab =
     Array.blit a 0 a' 0 cap;
     a'
   in
+  let grow_bytes b =
+    let b' = Bytes.create (8 * ncap) in
+    Bytes.blit b 0 b' 0 (8 * cap);
+    b'
+  in
   ab.ab_store <- grow ab.ab_store false;
-  ab.ab_addr <- grow ab.ab_addr 0L;
+  ab.ab_addr <- grow_bytes ab.ab_addr;
   ab.ab_width <- grow ab.ab_width Width.W64;
-  ab.ab_value <- grow ab.ab_value 0L
+  ab.ab_value <- grow_bytes ab.ab_value
+
+let[@inline] abuf_addr ab k = Bytes.get_int64_ne ab.ab_addr (8 * k)
+let[@inline] abuf_value ab k = Bytes.get_int64_ne ab.ab_value (8 * k)
 
 let[@inline] abuf_push ab ~is_store ~addr ~width ~value =
   let n = ab.ab_len in
   if n = Array.length ab.ab_store then abuf_grow ab;
   ab.ab_store.(n) <- is_store;
-  ab.ab_addr.(n) <- addr;
+  Bytes.set_int64_ne ab.ab_addr (8 * n) addr;
   ab.ab_width.(n) <- width;
-  ab.ab_value.(n) <- value;
+  Bytes.set_int64_ne ab.ab_value (8 * n) value;
   ab.ab_len <- n + 1
 
 (* Materialize the recorded accesses as a [Semantics.access] list, in
@@ -166,113 +175,138 @@ let abuf_accesses ab =
       go (k - 1)
         ({
            Semantics.kind = (if ab.ab_store.(k) then `Store else `Load);
-           addr = ab.ab_addr.(k);
+           addr = abuf_addr ab k;
            width = ab.ab_width.(k);
-           value = ab.ab_value.(k);
+           value = abuf_value ab k;
          }
         :: acc)
   in
   go (ab.ab_len - 1) []
 
 (* ------------------------------------------------------------------ *)
-(* Operand accessors                                                   *)
+(* Operands as data                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Effective address, specialised on the operand shape present. The
-   arithmetic is kept associatively identical to [Semantics.mem_addr]:
-   (base + index*scale) + disp over wrapping Int64. *)
-let compile_addr (m : Operand.mem) : State.t -> int64 =
-  let disp = Int64.of_int m.Operand.disp in
-  match (m.Operand.base, m.Operand.index, m.Operand.scale) with
-  | Some b, Some x, 1 ->
-      let bi = Reg.index b and xi = Reg.index x in
-      fun st ->
-        Int64.add (Int64.add st.State.regs.(bi) st.State.regs.(xi)) disp
-  | Some b, Some x, s ->
-      let bi = Reg.index b and xi = Reg.index x and sc = Int64.of_int s in
-      fun st ->
-        Int64.add
-          (Int64.add st.State.regs.(bi) (Int64.mul st.State.regs.(xi) sc))
-          disp
-  | Some b, None, _ ->
-      let bi = Reg.index b in
-      fun st -> Int64.add (Int64.add st.State.regs.(bi) 0L) disp
-  | None, Some x, s ->
-      let xi = Reg.index x and sc = Int64.of_int s in
-      fun st -> Int64.add (Int64.mul st.State.regs.(xi) sc) disp
-  | None, None, _ -> fun _ -> disp
+(* Every operand is resolved once, when its instruction is compiled, to
+   the data a step needs; the step reads and writes it through the
+   inline helpers below, so its values stay unboxed from the register
+   file to the register file.
+
+   A register is its byte offset in [State.regs], the zero-extension
+   mask of a read, and the keep/take masks of an x86 merge write:
+   [(old land keep) lor (v land take)] is (0, -1) at W64, (0,
+   0xFFFF_FFFF) at W32 (which zeroes the upper half) and (lnot mask,
+   mask) at W8/W16. *)
+type reg = { r_off : int; r_mask : int64; r_keep : int64; r_take : int64 }
+
+(* A memory operand: byte offsets of its base and index registers (-1
+   when absent), scale and displacement, access width and its mask. *)
+type mem = {
+  m_base : int;
+  m_index : int;
+  m_scale : int64;
+  m_disp : int64;
+  m_width : Width.t;
+  m_mask : int64;
+}
+
+(* An immediate is its value, zero-extended at the instruction's operand
+   width, in an 8-byte buffer: it reads like a register, as a fresh
+   unboxed load. (A captured [int64] would be an already-boxed value,
+   and one such branch makes ocamlopt box the whole read.) *)
+type opnd = R of reg | I of Bytes.t | M of mem
+
+let reg_of r w =
+  let mask = Width.mask w in
+  let keep, take =
+    match w with
+    | Width.W64 -> (0L, -1L)
+    | Width.W32 -> (0L, 0xFFFF_FFFFL)
+    | Width.W8 | Width.W16 -> (Int64.lognot mask, mask)
+  in
+  { r_off = State.reg_offset r; r_mask = mask; r_keep = keep; r_take = take }
+
+let mem_of (m : Operand.mem) w =
+  let off = function Some r -> State.reg_offset r | None -> -1 in
+  {
+    m_base = off m.Operand.base;
+    m_index = off m.Operand.index;
+    m_scale = Int64.of_int m.Operand.scale;
+    m_disp = Int64.of_int m.Operand.disp;
+    m_width = w;
+    m_mask = Width.mask w;
+  }
+
+(* [w] is the instruction's operand width, used only for immediates. *)
+let opnd_of w (op : Operand.t) =
+  match op with
+  | Operand.Reg (r, w') -> R (reg_of r w')
+  | Operand.Imm v ->
+      let b = Bytes.create 8 in
+      Bytes.set_int64_ne b 0 (Word.zext w v);
+      I b
+  | Operand.Mem (m, w') -> M (mem_of m w')
+
+(* The helpers every action is written with. Without flambda, ocamlopt
+   keeps a let-bound [int64] unboxed only when every branch of its
+   definition produces a fresh number (or raises), so each helper is
+   inlined, and so are the [Memory] accessors and [Flags] rules they
+   reach. *)
+
+let[@inline] read_reg st r = Int64.logand (State.get_at st r.r_off) r.r_mask
+
+let[@inline] write_reg st r v =
+  State.set_at st r.r_off
+    (Int64.logor
+       (Int64.logand (State.get_at st r.r_off) r.r_keep)
+       (Int64.logand v r.r_take))
+
+(* Effective address, kept associatively identical to
+   [Semantics.mem_addr]: (base + index*scale) + disp over wrapping
+   Int64. *)
+let[@inline] mem_addr st m =
+  let base = if m.m_base < 0 then 0L else State.get_at st m.m_base in
+  let index =
+    if m.m_index < 0 then 0L else Int64.mul (State.get_at st m.m_index) m.m_scale
+  in
+  Int64.add (Int64.add base index) m.m_disp
 
 (* Accesses are recorded only after the memory operation succeeded, so a
    faulting access never appears in the buffer (matching the interpreter,
    whose outcome never materializes on a fault). *)
-let[@inline] load (st : State.t) ab addr width =
+let[@inline] load_mem (st : State.t) ab m =
+  let addr = mem_addr st m and width = m.m_width in
   let value = Memory.read st.State.mem ~addr width in
   abuf_push ab ~is_store:false ~addr ~width ~value;
   value
 
-let[@inline] store (st : State.t) ab addr width value =
+let[@inline] store_mem (st : State.t) ab m v =
+  let addr = mem_addr st m and width = m.m_width in
+  let value = Int64.logand v m.m_mask in
   Memory.write st.State.mem ~addr width value;
   abuf_push ab ~is_store:true ~addr ~width ~value
 
-(* Zero-extended register read at a fixed width. *)
-let compile_reg_read r w : State.t -> int64 =
-  let i = Reg.index r in
-  match w with
-  | Width.W64 -> fun st -> st.State.regs.(i)
-  | _ ->
-      let mask = Width.mask w in
-      fun st -> Int64.logand st.State.regs.(i) mask
-
-(* Register write with x86 merge semantics at a fixed width. *)
-let compile_reg_write r w : State.t -> int64 -> unit =
-  let i = Reg.index r in
-  match w with
-  | Width.W64 -> fun st v -> st.State.regs.(i) <- v
-  | Width.W32 ->
-      fun st v -> st.State.regs.(i) <- Int64.logand v 0xFFFF_FFFFL
-  | Width.W8 | Width.W16 ->
-      let mask = Width.mask w in
-      let keep = Int64.lognot mask in
-      fun st v ->
-        st.State.regs.(i) <-
-          Int64.logor (Int64.logand st.State.regs.(i) keep) (Int64.logand v mask)
-
-let bad_dst () : 'a = invalid_arg "Semantics: immediate destination"
-
-(* Source operand read (zero-extended), cf. [Semantics.read_src]. [w] is
-   the instruction's operand width, used only for immediates. *)
-let compile_read_src w (op : Operand.t) : State.t -> abuf -> int64 =
-  match op with
-  | Operand.Reg (r, w') ->
-      let f = compile_reg_read r w' in
-      fun st _ -> f st
-  | Operand.Imm v ->
-      let c = Word.zext w v in
-      fun _ _ -> c
-  | Operand.Mem (m, w') ->
-      let af = compile_addr m in
-      fun st ab -> load st ab (af st) w'
+(* Source read (zero-extended), cf. [Semantics.read_src]. *)
+let[@inline] read st ab = function
+  | R r -> read_reg st r
+  | I b -> Bytes.get_int64_ne b 0
+  | M m -> load_mem st ab m
 
 (* Destination read for read-modify-write, cf. [Semantics.read_dst]. *)
-let compile_read_dst (op : Operand.t) : State.t -> abuf -> int64 =
-  match op with
-  | Operand.Reg (r, w) ->
-      let f = compile_reg_read r w in
-      fun st _ -> f st
-  | Operand.Mem (m, w) ->
-      let af = compile_addr m in
-      fun st ab -> load st ab (af st) w
-  | Operand.Imm _ -> fun _ _ -> bad_dst ()
+let[@inline] read_dst st ab = function
+  | R r -> read_reg st r
+  | M m -> load_mem st ab m
+  | I _ -> raise (Invalid_argument "Semantics: immediate destination")
 
-let compile_write_dst (op : Operand.t) : State.t -> abuf -> int64 -> unit =
+(* A read made only for its accesses and faults: the conversion consumes
+   the value unboxed, where [ignore] would box it first. *)
+let[@inline] discard (v : int64) = ignore (Int64.to_int v)
+
+let[@inline] write st ab op v =
   match op with
-  | Operand.Reg (r, w) ->
-      let f = compile_reg_write r w in
-      fun st _ v -> f st v
-  | Operand.Mem (m, w) ->
-      let af = compile_addr m in
-      fun st ab v -> store st ab (af st) w (Word.zext w v)
-  | Operand.Imm _ -> fun _ _ _ -> bad_dst ()
+  | R r -> write_reg st r v
+  | M m -> store_mem st ab m v
+  | I _ -> raise (Invalid_argument "Semantics: immediate destination")
 
 let operand_width (i : Instruction.t) =
   match List.find_map (fun op -> Operand.width op) i.Instruction.operands with
@@ -283,132 +317,171 @@ let operand_width (i : Instruction.t) =
 (* Semantic-action compilation                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each compiled body performs the instruction's register/flag/memory
-   effects against [(state, abuf)]; the shared wrapper advances pc.
-   [~flags:false] compiles the dead-flag variant: identical register and
-   memory effects (same loads and stores, in the same order, faulting at
-   the same points) but without computing or writing the flag word. It
-   is only ever requested for positions the liveness analysis proved
-   unobservable, so eliding it cannot change any trace. *)
+(* Each instruction compiles to one closure that reads its operands,
+   computes, updates the flags, writes its destination and advances pc:
+   a step is one indirect call. [~flags:false] compiles the dead-flag
+   variant: identical register and memory effects (same loads and
+   stores, in the same order, faulting at the same points) but without
+   computing or writing the flag word. It is only ever requested for
+   positions the liveness analysis proved unobservable, so eliding it
+   cannot change any trace. *)
 
-let compile_binop ~flags (i : Instruction.t) dst src : State.t -> abuf -> unit =
+let[@inline] rotate w ~rol ~bits a eff =
+  if eff = 0 then a
+  else if rol then
+    Word.zext w
+      (Int64.logor (Int64.shift_left a eff) (Int64.shift_right_logical a (bits - eff)))
+  else
+    Word.zext w
+      (Int64.logor (Int64.shift_right_logical a eff) (Int64.shift_left a (bits - eff)))
+
+let[@inline] shift w op ~bits a count =
+  match op with
+  | `Shl ->
+      if count >= bits then 0L
+      else Word.zext w (Int64.shift_left (Word.zext w a) count)
+  | `Shr ->
+      if count >= bits then 0L else Int64.shift_right_logical (Word.zext w a) count
+  | `Sar -> Word.zext w (Int64.shift_right (Word.sext w a) (Int.min count 63))
+
+let binop_action ~flags ~fall (i : Instruction.t) (dst : Operand.t) src : raw =
   let w = operand_width i in
-  let rd = compile_read_dst dst in
-  let rs = compile_read_src w src in
-  let wr = compile_write_dst dst in
+  let mask = Width.mask w in
+  let d = opnd_of w dst and s = opnd_of w src in
   match i.Instruction.opcode with
-  | Opcode.Mov -> fun st ab -> wr st ab (rs st ab)
+  | Opcode.Mov | Opcode.Movzx ->
+      fun st ab ->
+        write st ab d (read st ab s);
+        st.State.pc <- fall
   | Opcode.Add ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.add a b) in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.add a b) mask in
         st.State.flags <- Flags.after_add w ~a ~b ~carry_in:false ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.add a b))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.add a b) mask);
+        st.State.pc <- fall
   | Opcode.Adc ->
       if flags then fun st ab ->
-        let flags = st.State.flags in
-        let a = rd st ab in
-        let b = rs st ab in
-        let c = if Flags.cf flags then 1L else 0L in
-        let r = Word.zext w (Int64.add (Int64.add a b) c) in
-        st.State.flags <- Flags.after_add w ~a ~b ~carry_in:(Flags.cf flags) ~r;
-        wr st ab r
+        let cf = Flags.cf st.State.flags in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r =
+          Int64.logand (Int64.add (Int64.add a b) (if cf then 1L else 0L)) mask
+        in
+        st.State.flags <- Flags.after_add w ~a ~b ~carry_in:cf ~r;
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
         let c = if Flags.cf st.State.flags then 1L else 0L in
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.add (Int64.add a b) c))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.add (Int64.add a b) c) mask);
+        st.State.pc <- fall
   | Opcode.Sub ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.sub a b) in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.sub a b) mask in
         st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:false ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.sub a b))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.sub a b) mask);
+        st.State.pc <- fall
   | Opcode.Sbb ->
       if flags then fun st ab ->
-        let flags = st.State.flags in
-        let a = rd st ab in
-        let b = rs st ab in
-        let c = if Flags.cf flags then 1L else 0L in
-        let r = Word.zext w (Int64.sub (Int64.sub a b) c) in
-        st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:(Flags.cf flags) ~r;
-        wr st ab r
+        let cf = Flags.cf st.State.flags in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r =
+          Int64.logand (Int64.sub (Int64.sub a b) (if cf then 1L else 0L)) mask
+        in
+        st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:cf ~r;
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
         let c = if Flags.cf st.State.flags then 1L else 0L in
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.sub (Int64.sub a b) c))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.sub (Int64.sub a b) c) mask);
+        st.State.pc <- fall
   | Opcode.Cmp ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.sub a b) in
-        st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:false ~r
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.sub a b) mask in
+        st.State.flags <- Flags.after_sub w ~a ~b ~borrow_in:false ~r;
+        st.State.pc <- fall
       else fun st ab ->
         (* Loads (and their faults) must still happen, in order. *)
-        let _ = rd st ab in
-        let _ = rs st ab in
-        ()
+        discard (read_dst st ab d);
+        discard (read st ab s);
+        st.State.pc <- fall
   | Opcode.And ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.logand a b) in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.logand a b) mask in
         st.State.flags <- Flags.after_logic w ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.logand a b))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.logand a b) mask);
+        st.State.pc <- fall
   | Opcode.Or ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.logor a b) in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.logor a b) mask in
         st.State.flags <- Flags.after_logic w ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.logor a b))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.logor a b) mask);
+        st.State.pc <- fall
   | Opcode.Xor ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.logxor a b) in
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.logxor a b) mask in
         st.State.flags <- Flags.after_logic w ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.logxor a b))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.logxor a b) mask);
+        st.State.pc <- fall
   | Opcode.Test ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        let r = Word.zext w (Int64.logand a b) in
-        st.State.flags <- Flags.after_logic w ~r
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        let r = Int64.logand (Int64.logand a b) mask in
+        st.State.flags <- Flags.after_logic w ~r;
+        st.State.pc <- fall
       else fun st ab ->
-        let _ = rd st ab in
-        let _ = rs st ab in
-        ()
+        discard (read_dst st ab d);
+        discard (read st ab s);
+        st.State.pc <- fall
   | Opcode.Imul ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
+        let a = read_dst st ab d in
+        let b = read st ab s in
         let sa = Word.sext w a and sb = Word.sext w b in
         let full = Int64.mul sa sb in
-        let r = Word.zext w full in
+        let r = Int64.logand full mask in
         let full_overflow =
           match w with
           | Width.W64 ->
@@ -417,82 +490,70 @@ let compile_binop ~flags (i : Instruction.t) dst src : State.t -> abuf -> unit =
           | Width.W8 | Width.W16 | Width.W32 -> Word.sext w full <> full
         in
         st.State.flags <- Flags.after_imul w ~full_overflow ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        let b = rs st ab in
-        wr st ab (Word.zext w (Int64.mul (Word.sext w a) (Word.sext w b)))
+        let a = read_dst st ab d in
+        let b = read st ab s in
+        write st ab d (Int64.logand (Int64.mul (Word.sext w a) (Word.sext w b)) mask);
+        st.State.pc <- fall
   | Opcode.Cmov c -> (
-      match dst with
-      | Operand.Reg (r, w') ->
-          let rold = compile_reg_read r w' in
+      match d with
+      | R r ->
+          (* x86: the destination is always written (a 32-bit CMOV zeroes
+             the upper half even when the condition is false). *)
           fun st ab ->
-            let b = rs st ab in
-            let old = rold st in
-            let v = if Flags.eval_cond st.State.flags c then b else old in
-            wr st ab v
-      | Operand.Mem _ | Operand.Imm _ ->
-          fun _ _ -> invalid_arg "CMOV destination")
-  | Opcode.Movzx -> fun st ab -> wr st ab (rs st ab)
+            let b = read st ab s in
+            let old = read_reg st r in
+            write_reg st r (if Flags.eval_cond st.State.flags c then b else old);
+            st.State.pc <- fall
+      | M _ | I _ ->
+          fun st ab ->
+            discard (read st ab s);
+            raise (Invalid_argument "CMOV destination"))
   | Opcode.Movsx ->
       let ws = match Operand.width src with Some w' -> w' | None -> w in
-      fun st ab -> wr st ab (Word.sext ws (rs st ab))
+      fun st ab ->
+        write st ab d (Word.sext ws (read st ab s));
+        st.State.pc <- fall
   | Opcode.Xchg -> (
       match (dst, src) with
       | Operand.Reg (ra, wa), Operand.Reg (rb, _) ->
-          let ra_rd = compile_reg_read ra wa
-          and rb_rd = compile_reg_read rb wa
-          and ra_wr = compile_reg_write ra wa
-          and rb_wr = compile_reg_write rb wa in
+          let ra = reg_of ra wa and rb = reg_of rb wa in
           fun st _ ->
-            let va = ra_rd st and vb = rb_rd st in
-            ra_wr st vb;
-            rb_wr st va
-      | (Operand.Mem _ as mop), Operand.Reg (r, wr')
-      | Operand.Reg (r, wr'), (Operand.Mem _ as mop) ->
-          let m_rd = compile_read_dst mop and m_wr = compile_write_dst mop in
-          let r_rd = compile_reg_read r wr' and r_wr = compile_reg_write r wr' in
+            let va = read_reg st ra and vb = read_reg st rb in
+            write_reg st ra vb;
+            write_reg st rb va;
+            st.State.pc <- fall
+      | Operand.Mem (m, wm), Operand.Reg (r, wr)
+      | Operand.Reg (r, wr), Operand.Mem (m, wm) ->
+          let m = mem_of m wm and r = reg_of r wr in
           fun st ab ->
-            let vm = m_rd st ab in
-            let vr = r_rd st in
-            m_wr st ab vr;
-            r_wr st vm
-      | _ -> fun _ _ -> invalid_arg "XCHG operands")
+            let vm = load_mem st ab m in
+            let vr = read_reg st r in
+            store_mem st ab m vr;
+            write_reg st r vm;
+            st.State.pc <- fall
+      | _ -> fun _ _ -> raise (Invalid_argument "XCHG operands"))
   | Opcode.Rol | Opcode.Ror ->
-      let op = if i.Instruction.opcode = Opcode.Rol then `Rol else `Ror in
+      let rol = i.Instruction.opcode = Opcode.Rol in
+      let op = if rol then `Rol else `Ror in
       let count_mask = if Width.equal w Width.W64 then 63L else 31L in
       let bits = Width.bits w in
-      let result a' eff =
-        if eff = 0 then a'
-        else
-          match op with
-          | `Rol ->
-              Word.zext w
-                (Int64.logor (Int64.shift_left a' eff)
-                   (Int64.shift_right_logical a' (bits - eff)))
-          | `Ror ->
-              Word.zext w
-                (Int64.logor
-                   (Int64.shift_right_logical a' eff)
-                   (Int64.shift_left a' (bits - eff)))
-      in
-      if flags then
-        (fun st ab ->
-          let flags = st.State.flags in
-          let a = rd st ab in
-          let raw_count = rs st ab in
-          let count = Int64.to_int (Int64.logand raw_count count_mask) in
-          let eff = count mod bits in
-          let a' = Word.zext w a in
-          let r = result a' eff in
-          st.State.flags <- Flags.after_rotate w flags ~op ~count ~r;
-          if count <> 0 then wr st ab r)
-      else
-        fun st ab ->
-          let a = rd st ab in
-          let raw_count = rs st ab in
-          let count = Int64.to_int (Int64.logand raw_count count_mask) in
-          if count <> 0 then wr st ab (result (Word.zext w a) (count mod bits))
+      if flags then fun st ab ->
+        let flags = st.State.flags in
+        let a = read_dst st ab d in
+        let count = Int64.to_int (Int64.logand (read st ab s) count_mask) in
+        let r = rotate w ~rol ~bits (Int64.logand a mask) (count mod bits) in
+        st.State.flags <- Flags.after_rotate w flags ~op ~count ~r;
+        if count <> 0 then write st ab d r;
+        st.State.pc <- fall
+      else fun st ab ->
+        let a = read_dst st ab d in
+        let count = Int64.to_int (Int64.logand (read st ab s) count_mask) in
+        if count <> 0 then
+          write st ab d (rotate w ~rol ~bits (Int64.logand a mask) (count mod bits));
+        st.State.pc <- fall
   | Opcode.Shl | Opcode.Shr | Opcode.Sar ->
       let op =
         match i.Instruction.opcode with
@@ -502,135 +563,119 @@ let compile_binop ~flags (i : Instruction.t) dst src : State.t -> abuf -> unit =
       in
       let count_mask = if Width.equal w Width.W64 then 63L else 31L in
       let bits = Width.bits w in
-      let result a count =
-        match op with
-        | `Shl ->
-            if count >= bits then 0L
-            else Word.zext w (Int64.shift_left (Word.zext w a) count)
-        | `Shr ->
-            if count >= bits then 0L
-            else Int64.shift_right_logical (Word.zext w a) count
-        | `Sar ->
-            let sa = Word.sext w a in
-            let c = Int.min count 63 in
-            Word.zext w (Int64.shift_right sa c)
-      in
-      if flags then
-        (fun st ab ->
-          let flags = st.State.flags in
-          let a = rd st ab in
-          let raw_count = rs st ab in
-          let count = Int64.to_int (Int64.logand raw_count count_mask) in
-          let r = if count = 0 then Word.zext w a else result a count in
-          st.State.flags <- Flags.after_shift w flags ~op ~a ~count ~r;
-          if count <> 0 then wr st ab r)
-      else
-        fun st ab ->
-          let a = rd st ab in
-          let raw_count = rs st ab in
-          let count = Int64.to_int (Int64.logand raw_count count_mask) in
-          if count <> 0 then wr st ab (result a count)
-  | _ -> fun _ _ -> invalid_arg "Semantics.exec_binop"
+      if flags then fun st ab ->
+        let flags = st.State.flags in
+        let a = read_dst st ab d in
+        let count = Int64.to_int (Int64.logand (read st ab s) count_mask) in
+        let r = if count = 0 then Int64.logand a mask else shift w op ~bits a count in
+        st.State.flags <- Flags.after_shift w flags ~op ~a ~count ~r;
+        if count <> 0 then write st ab d r;
+        st.State.pc <- fall
+      else fun st ab ->
+        let a = read_dst st ab d in
+        let count = Int64.to_int (Int64.logand (read st ab s) count_mask) in
+        if count <> 0 then write st ab d (shift w op ~bits a count);
+        st.State.pc <- fall
+  | _ -> fun _ _ -> raise (Invalid_argument "Semantics.exec_binop")
 
-let compile_unop ~flags (i : Instruction.t) dst : State.t -> abuf -> unit =
+let unop_action ~flags ~fall (i : Instruction.t) dst : raw =
   let w = operand_width i in
-  let rd = compile_read_dst dst in
-  let wr = compile_write_dst dst in
+  let mask = Width.mask w in
+  let d = opnd_of w dst in
   match i.Instruction.opcode with
   | Opcode.Inc ->
       if flags then fun st ab ->
         let flags = st.State.flags in
-        let a = rd st ab in
-        let r = Word.zext w (Int64.add a 1L) in
+        let a = read_dst st ab d in
+        let r = Int64.logand (Int64.add a 1L) mask in
         st.State.flags <- Flags.after_inc w flags ~a ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        wr st ab (Word.zext w (Int64.add a 1L))
+        write st ab d (Int64.logand (Int64.add (read_dst st ab d) 1L) mask);
+        st.State.pc <- fall
   | Opcode.Dec ->
       if flags then fun st ab ->
         let flags = st.State.flags in
-        let a = rd st ab in
-        let r = Word.zext w (Int64.sub a 1L) in
+        let a = read_dst st ab d in
+        let r = Int64.logand (Int64.sub a 1L) mask in
         st.State.flags <- Flags.after_dec w flags ~a ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        wr st ab (Word.zext w (Int64.sub a 1L))
+        write st ab d (Int64.logand (Int64.sub (read_dst st ab d) 1L) mask);
+        st.State.pc <- fall
   | Opcode.Neg ->
       if flags then fun st ab ->
-        let a = rd st ab in
-        let r = Word.zext w (Int64.neg a) in
+        let a = read_dst st ab d in
+        let r = Int64.logand (Int64.neg a) mask in
         st.State.flags <- Flags.after_neg w ~a ~r;
-        wr st ab r
+        write st ab d r;
+        st.State.pc <- fall
       else fun st ab ->
-        let a = rd st ab in
-        wr st ab (Word.zext w (Int64.neg a))
+        write st ab d (Int64.logand (Int64.neg (read_dst st ab d)) mask);
+        st.State.pc <- fall
   | Opcode.Not ->
       fun st ab ->
-        let a = rd st ab in
-        wr st ab (Word.zext w (Int64.lognot a))
+        write st ab d (Int64.logand (Int64.lognot (read_dst st ab d)) mask);
+        st.State.pc <- fall
   | Opcode.Setcc c ->
       fun st ab ->
-        wr st ab (if Flags.eval_cond st.State.flags c then 1L else 0L)
-  | _ -> fun _ _ -> invalid_arg "Semantics.exec_unop"
+        write st ab d (if Flags.eval_cond st.State.flags c then 1L else 0L);
+        st.State.pc <- fall
+  | _ -> fun _ _ -> raise (Invalid_argument "Semantics.exec_unop")
 
-let compile_div (i : Instruction.t) src : State.t -> abuf -> unit =
+(* DIV/IDIV over RDX:RAX at the operand width, cf. [Semantics.exec_div]. *)
+let div_action ~fall (i : Instruction.t) src : raw =
   let w = operand_width i in
-  let rs = compile_read_src w src in
-  let rax_rd = compile_reg_read Reg.RAX w
-  and rdx_rd = compile_reg_read Reg.RDX w
-  and rax_wr = compile_reg_write Reg.RAX w
-  and rdx_wr = compile_reg_write Reg.RDX w in
+  let s = opnd_of w src in
+  let rax = reg_of Reg.RAX w and rdx = reg_of Reg.RDX w in
+  let bits = Width.bits w and mask = Width.mask w in
   let signed = i.Instruction.opcode = Opcode.Idiv in
   fun st ab ->
-    let divisor = rs st ab in
-    let rax = rax_rd st in
-    let rdx = rdx_rd st in
-    if Word.zext w divisor = 0L then raise Semantics.Division_fault;
-    let quotient, remainder =
-      if not signed then
-        match w with
-        | Width.W64 ->
-            if rdx <> 0L then raise Semantics.Division_fault
-            else (Int64.unsigned_div rax divisor, Int64.unsigned_rem rax divisor)
-        | Width.W8 | Width.W16 | Width.W32 ->
-            let bits = Width.bits w in
-            let dividend = Int64.logor (Int64.shift_left rdx bits) rax in
-            let q = Int64.unsigned_div dividend divisor in
-            if Int64.unsigned_compare q (Width.mask w) > 0 then
-              raise Semantics.Division_fault;
-            (q, Int64.unsigned_rem dividend divisor)
-      else
-        let sd = Word.sext w divisor in
-        match w with
-        | Width.W64 ->
-            let high_ok = rdx = Int64.shift_right rax 63 in
-            if not high_ok then raise Semantics.Division_fault;
-            if rax = Int64.min_int && sd = -1L then
-              raise Semantics.Division_fault;
-            (Int64.div rax sd, Int64.rem rax sd)
-        | Width.W8 | Width.W16 | Width.W32 ->
-            let bits = Width.bits w in
-            let dividend = Int64.logor (Int64.shift_left rdx bits) rax in
-            let q = Int64.div dividend sd in
-            let half = Int64.shift_left 1L (bits - 1) in
-            if
-              Int64.compare q (Int64.neg half) < 0 || Int64.compare q half >= 0
-            then raise Semantics.Division_fault;
-            (q, Int64.rem dividend sd)
-    in
-    rax_wr st quotient;
-    rdx_wr st remainder
+    let divisor = read st ab s in
+    let a = read_reg st rax in
+    let hi = read_reg st rdx in
+    if Int64.logand divisor mask = 0L then raise Semantics.Division_fault;
+    (if not signed then
+       match w with
+       | Width.W64 ->
+           if hi <> 0L then raise Semantics.Division_fault;
+           write_reg st rax (Int64.unsigned_div a divisor);
+           write_reg st rdx (Int64.unsigned_rem a divisor)
+       | Width.W8 | Width.W16 | Width.W32 ->
+           let dividend = Int64.logor (Int64.shift_left hi bits) a in
+           let q = Int64.unsigned_div dividend divisor in
+           if Int64.unsigned_compare q mask > 0 then raise Semantics.Division_fault;
+           write_reg st rax q;
+           write_reg st rdx (Int64.unsigned_rem dividend divisor)
+     else
+       let sd = Word.sext w divisor in
+       match w with
+       | Width.W64 ->
+           if hi <> Int64.shift_right a 63 then raise Semantics.Division_fault;
+           if a = Int64.min_int && sd = -1L then raise Semantics.Division_fault;
+           write_reg st rax (Int64.div a sd);
+           write_reg st rdx (Int64.rem a sd)
+       | Width.W8 | Width.W16 | Width.W32 ->
+           let dividend = Int64.logor (Int64.shift_left hi bits) a in
+           let q = Int64.div dividend sd in
+           let half = Int64.shift_left 1L (bits - 1) in
+           if Int64.compare q (Int64.neg half) < 0 || Int64.compare q half >= 0
+           then raise Semantics.Division_fault;
+           write_reg st rax q;
+           write_reg st rdx (Int64.rem dividend sd));
+    st.State.pc <- fall
+
+(* The qword at [RSP], which CALL pushes to and RET pops from. *)
+let stack_slot =
+  mem_of
+    { Operand.base = Some Reg.stack_pointer; index = None; scale = 1; disp = 0 }
+    Width.W64
 
 let compile_raw (flat : Program.flat) pc (i : Instruction.t) ~flags : raw =
   let code_len = Array.length flat.Program.code in
   let fall = pc + 1 in
-  let seq (body : State.t -> abuf -> unit) : raw =
-   fun st ab ->
-    body st ab;
-    st.State.pc <- fall
-  in
   match (i.Instruction.opcode, i.Instruction.operands) with
   | (Opcode.Lfence | Opcode.Mfence | Opcode.Nop), _ ->
       fun st _ -> st.State.pc <- fall
@@ -643,36 +688,31 @@ let compile_raw (flat : Program.flat) pc (i : Instruction.t) ~flags : raw =
         st.State.pc <-
           (if Flags.eval_cond st.State.flags c then target else fall)
   | Opcode.JmpInd, [ Operand.Reg (r, _) ] ->
-      let rd = compile_reg_read r Width.W64 in
-      fun st _ -> st.State.pc <- Semantics.mask_code_index ~code_len (rd st)
+      let r = reg_of r Width.W64 in
+      fun st _ -> st.State.pc <- Semantics.mask_code_index ~code_len (read_reg st r)
   | Opcode.Call, _ ->
       let target = flat.Program.target.(pc) in
-      let rsp_rd = compile_reg_read Reg.stack_pointer Width.W64
-      and rsp_wr = compile_reg_write Reg.stack_pointer Width.W64 in
-      let ret_pc = Int64.of_int fall in
+      let rsp = reg_of Reg.stack_pointer Width.W64 in
       fun st ab ->
-        let rsp = Int64.sub (rsp_rd st) 8L in
-        rsp_wr st rsp;
-        store st ab rsp Width.W64 ret_pc;
+        write_reg st rsp (Int64.sub (read_reg st rsp) 8L);
+        store_mem st ab stack_slot (Int64.of_int fall);
         st.State.pc <- target
   | Opcode.Ret, _ ->
-      let rsp_rd = compile_reg_read Reg.stack_pointer Width.W64
-      and rsp_wr = compile_reg_write Reg.stack_pointer Width.W64 in
+      let rsp = reg_of Reg.stack_pointer Width.W64 in
       fun st ab ->
-        let rsp = rsp_rd st in
-        let v = load st ab rsp Width.W64 in
-        rsp_wr st (Int64.add rsp 8L);
+        let v = load_mem st ab stack_slot in
+        write_reg st rsp (Int64.add (read_reg st rsp) 8L);
         st.State.pc <- Semantics.mask_code_index ~code_len v
-  | (Opcode.Div | Opcode.Idiv), [ src ] -> seq (compile_div i src)
+  | (Opcode.Div | Opcode.Idiv), [ src ] -> div_action ~fall i src
   | ( ( Opcode.Add | Opcode.Adc | Opcode.Sub | Opcode.Sbb | Opcode.And
       | Opcode.Or | Opcode.Xor | Opcode.Cmp | Opcode.Test | Opcode.Mov
       | Opcode.Imul | Opcode.Cmov _ | Opcode.Shl | Opcode.Shr | Opcode.Sar
       | Opcode.Rol | Opcode.Ror | Opcode.Movzx | Opcode.Movsx | Opcode.Xchg ),
       [ dst; src ] ) ->
-      seq (compile_binop ~flags i dst src)
+      binop_action ~flags ~fall i dst src
   | (Opcode.Inc | Opcode.Dec | Opcode.Neg | Opcode.Not | Opcode.Setcc _), [ dst ]
     ->
-      seq (compile_unop ~flags i dst)
+      unop_action ~flags ~fall i dst
   | op, _ ->
       (* Unsupported shapes fault at execution time, like the interpreter:
          a program containing one on a never-executed path still
@@ -699,10 +739,11 @@ let desc_of (i : Instruction.t) : desc =
     match Instruction.mem_operand i with
     | None -> None
     | Some (m, w) ->
+        let data = mem_of m w in
         Some
           {
             mr_width = w;
-            mr_addr = compile_addr m;
+            mr_addr = (fun st -> mem_addr st data);
             mr_base =
               (match m.Operand.base with Some r -> Reg.index r | None -> -1);
             mr_index =

@@ -24,16 +24,18 @@ open Revizor_isa
 type abuf = {
   mutable ab_len : int;
   mutable ab_store : bool array;
-  mutable ab_addr : int64 array;
+  mutable ab_addr : Bytes.t;  (** 8 bytes per entry; read with {!abuf_addr} *)
   mutable ab_width : Width.t array;
-  mutable ab_value : int64 array;
+  mutable ab_value : Bytes.t;  (** 8 bytes per entry; read with {!abuf_value} *)
 }
 (** Reusable, caller-owned memory-access buffer. Raw actions append the
     accesses of one instruction (in occurrence order, [`Store] entries
     flagged in [ab_store]); batched walkers accumulate a whole fused
     block before consuming entries [0 .. ab_len-1]. Entries of a faulting
     instruction may be partially present — consumers must truncate to the
-    mark taken before the instruction (see {!abuf_accesses}). *)
+    mark taken before the instruction (see {!abuf_accesses}). Addresses
+    and values are kept as bytes, so recording an access stores the
+    numbers in place instead of a pointer to a fresh box. *)
 
 type raw = State.t -> abuf -> unit
 (** Allocation-free semantic action: mutates the state (including pc) and
@@ -112,6 +114,13 @@ type t = private {
 
 val abuf_create : unit -> abuf
 val abuf_clear : abuf -> unit
+
+val abuf_addr : abuf -> int -> int64
+(** [abuf_addr ab k] is the address of entry [k] ([k < ab_len]). Inlined
+    into its caller, so the value stays unboxed there. *)
+
+val abuf_value : abuf -> int -> int64
+(** [abuf_value ab k] is the value entry [k] loaded or stored. *)
 
 val abuf_accesses : abuf -> Semantics.access list
 (** Materialize entries [0 .. ab_len-1] as an access list, in occurrence

@@ -98,22 +98,22 @@ let[@inline] after_sub w ~a ~b ~borrow_in ~r =
 
 let[@inline] after_logic w ~r = result_bits w r
 
-let after_inc w t ~a ~r =
+let[@inline] after_inc w t ~a ~r =
   after_add w ~a ~b:1L ~carry_in:false ~r land lnot cf_bit lor (t land cf_bit)
 
-let after_dec w t ~a ~r =
+let[@inline] after_dec w t ~a ~r =
   after_sub w ~a ~b:1L ~borrow_in:false ~r land lnot cf_bit lor (t land cf_bit)
 
-let after_neg w ~a ~r =
+let[@inline] after_neg w ~a ~r =
   after_sub w ~a:0L ~b:a ~borrow_in:false ~r land lnot cf_bit
   lor bit (Word.zext w a <> 0L) cf_bit
 
-let after_imul w ~full_overflow ~r =
+let[@inline] after_imul w ~full_overflow ~r =
   (* x86 leaves SF defined, ZF/PF/AF undefined after IMUL; we keep the
      deterministic result-derived values. *)
   result_bits w r lor bit full_overflow (cf_bit lor of_bit)
 
-let after_shift w t ~op ~a ~count ~r =
+let[@inline] after_shift w t ~op ~a ~count ~r =
   if count = 0 then t
   else
     let bits = Width.bits w in
@@ -135,16 +135,19 @@ let after_shift w t ~op ~a ~count ~r =
     in
     result_bits w r lor bit cf cf_bit lor bit o_f of_bit
 
-let after_rotate w t ~op ~count ~r =
+let[@inline] after_rotate w t ~op ~count ~r =
   if count = 0 then t
   else
-    let bit_of n = Int64.logand (Int64.shift_right_logical r n) 1L = 1L in
+    (* No local [bit_of] helper: a closure over [r] would box it. *)
     let msb = Word.sign_set w r in
-    let cf = match op with `Rol -> bit_of 0 | `Ror -> msb in
+    let cf = match op with `Rol -> Int64.logand r 1L = 1L | `Ror -> msb in
     let o_f =
       match op with
       | `Rol -> msb <> cf
-      | `Ror -> msb <> bit_of (Width.bits w - 2)
+      | `Ror ->
+          msb
+          <> (Int64.logand (Int64.shift_right_logical r (Width.bits w - 2)) 1L
+             = 1L)
     in
     t land lnot (cf_bit lor of_bit) lor bit cf cf_bit lor bit o_f of_bit
 

@@ -56,7 +56,7 @@ let journal_undo t ~mark =
   t.j_n <- mark;
   t.j_depth <- t.j_depth - 1
 
-let check t addr width =
+let[@inline] check t addr width =
   let off = Int64.sub addr Layout.sandbox_base in
   if
     Int64.compare off 0L < 0
@@ -71,7 +71,7 @@ let check t addr width =
    instead of per-byte Int64 shifting — these run on every emulated memory
    access of both the model and the executor. *)
 
-let read t ~addr width =
+let[@inline] read t ~addr width =
   let off = check t addr width in
   match width with
   | Width.W8 -> Int64.of_int (Bytes.get_uint8 t.data off)
@@ -80,7 +80,7 @@ let read t ~addr width =
       Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.data off)) 0xFFFF_FFFFL
   | Width.W64 -> Bytes.get_int64_le t.data off
 
-let write t ~addr width v =
+let[@inline] write t ~addr width v =
   let off = check t addr width in
   if t.j_depth > 0 then journal_note t off (Width.bytes width);
   match width with

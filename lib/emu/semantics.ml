@@ -26,7 +26,7 @@ let mem_addr (state : State.t) (m : Operand.mem) =
   in
   Int64.add (Int64.add base index) (Int64.of_int m.disp)
 
-let mask_code_index ~code_len v =
+let[@inline] mask_code_index ~code_len v =
   let n = code_len + 1 in
   ((Int64.to_int v land max_int) mod n + n) mod n
 

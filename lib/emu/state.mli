@@ -4,7 +4,9 @@ open Revizor_isa
     memory and program counter (an index into the flattened program). *)
 
 type t = {
-  regs : int64 array;  (** indexed by {!Reg.index} *)
+  regs : Bytes.t;
+      (** 16 registers × 8 bytes, in {!Reg.index} order; read and written
+          only through the accessors below *)
   mutable flags : Flags.t;
   mem : Memory.t;
   mutable pc : int;
@@ -19,6 +21,25 @@ val get_reg : t -> Reg.t -> Width.t -> int64
 
 val set_reg : t -> Reg.t -> Width.t -> int64 -> unit
 (** x86 merge semantics (32-bit writes zero the upper half). *)
+
+(** {1 Registers by offset}
+
+    The compiled engine resolves each register operand to its byte
+    offset once, when it compiles the instruction, and then reads and
+    writes the full 64-bit register at that offset. Both accessors
+    inline to one unboxed load or store, so a step that keeps its
+    values in locals allocates nothing. *)
+
+val reg_offset : Reg.t -> int
+(** Byte offset of a register in [regs]. *)
+
+val get_at : t -> int -> int64
+(** [get_at t (reg_offset r)] is the full 64-bit value of [r]. Unchecked:
+    the offset must come from {!reg_offset}. *)
+
+val set_at : t -> int -> int64 -> unit
+(** [set_at t (reg_offset r) v] sets all 64 bits of [r] to [v]. Unchecked
+    like {!get_at}. *)
 
 val copy : t -> t
 
@@ -39,8 +60,8 @@ val copy_into : t -> dst:t -> unit
     save recording. *)
 
 type slot
-(** Caller-owned save buffer: 16 registers, flags, pc and a journal
-    mark. Reused across saves, so a save allocates nothing. *)
+(** Caller-owned save buffer: the 128 register bytes, flags, pc and a
+    journal mark. Reused across saves, so a save allocates nothing. *)
 
 val slot : unit -> slot
 

@@ -15,7 +15,7 @@ let parity_even v =
   let rec count n acc = if n = 0 then acc else count (n lsr 1) (acc + (n land 1)) in
   count b 0 mod 2 = 0
 
-let merge w ~old v =
+let[@inline] merge w ~old v =
   match w with
   | Width.W64 -> v
   | Width.W32 -> zext Width.W32 v

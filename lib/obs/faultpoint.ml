@@ -113,9 +113,9 @@ let draw p ~salt k =
        (Int64.logxor (Int64.add !seed_ref (Int64.of_int k)) salt)
        (Hash.fnv1a p.name))
 
-let decide p =
+let should_fire p =
   match Atomic.get p.armed with
-  | None -> None
+  | None -> false
   | Some cfg ->
       let salt, k =
         match !(Domain.DLS.get ctx_key) with
@@ -137,23 +137,14 @@ let decide p =
             incr r;
             (c.c_salt, k)
       in
-      if k < cfg.after then None
-      else if cfg.max_fires > 0 && Atomic.get p.fires >= cfg.max_fires then None
-      else
-        let h = draw p ~salt k in
-        if Hash.uniform h < cfg.rate then begin
-          Atomic.incr p.fires;
-          Metrics.incr p.fired_total;
-          Some h
-        end
-        else None
-
-let should_fire p = decide p <> None
-
-(* [fire_value] is for points that perturb data instead of raising: the
-   returned 64 bits are the hit's own hash, so the perturbation is as
-   reproducible as the schedule. *)
-let fire_value p = decide p
+      if k < cfg.after then false
+      else if cfg.max_fires > 0 && Atomic.get p.fires >= cfg.max_fires then false
+      else if Hash.uniform (draw p ~salt k) < cfg.rate then begin
+        Atomic.incr p.fires;
+        Metrics.incr p.fired_total;
+        true
+      end
+      else false
 
 let fire p = if should_fire p then raise (Injected p.name)
 

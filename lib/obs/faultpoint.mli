@@ -54,11 +54,6 @@ val should_fire : point -> bool
 val fire : point -> unit
 (** Count one hit; raise {!Injected} if the schedule fires. *)
 
-val fire_value : point -> int64 option
-(** Count one hit; [Some bits] if the schedule fires, where [bits] is the
-    hit's own deterministic hash — for points that perturb data (e.g.
-    synthetic noise storms) rather than raise. *)
-
 val fired : point -> int
 val hits : point -> int
 

@@ -19,7 +19,9 @@ let equal = String.equal
 let hash (t : t) = Hashtbl.hash t
 let length t = String.length t / record
 
-let add_addr buf a =
+(* Inlined, like [add_value], so a caller's unboxed address reaches the
+   buffer without being boxed for the call. *)
+let[@inline] add_addr buf a =
   Buffer.add_char buf tag_addr;
   Buffer.add_int64_le buf a
 
@@ -27,7 +29,7 @@ let add_pc buf p =
   Buffer.add_char buf tag_pc;
   Buffer.add_int64_le buf (Int64.of_int p)
 
-let add_value buf v =
+let[@inline] add_value buf v =
   Buffer.add_char buf tag_value;
   Buffer.add_int64_le buf v
 

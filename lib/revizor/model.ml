@@ -105,11 +105,11 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
     for k = 0 to hi - 1 do
       if ab.Compiled.ab_store.(k) then begin
         if (not speculative) || expose_stores then
-          Ctrace.add_addr obs ab.Compiled.ab_addr.(k)
+          Ctrace.add_addr obs (Compiled.abuf_addr ab k)
       end
       else begin
-        Ctrace.add_addr obs ab.Compiled.ab_addr.(k);
-        if arch_values then Ctrace.add_value obs ab.Compiled.ab_value.(k)
+        Ctrace.add_addr obs (Compiled.abuf_addr ab k);
+        if arch_values then Ctrace.add_value obs (Compiled.abuf_value ab k)
       end
     done
   in
@@ -195,9 +195,9 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
                     Memory.write state.State.mem ~addr w old;
                     for k = 0 to ab.Compiled.ab_len - 1 do
                       if not ab.Compiled.ab_store.(k) then begin
-                        Ctrace.add_addr obs ab.Compiled.ab_addr.(k);
+                        Ctrace.add_addr obs (Compiled.abuf_addr ab k);
                         if arch_values then
-                          Ctrace.add_value obs ab.Compiled.ab_value.(k)
+                          Ctrace.add_value obs (Compiled.abuf_value ab k)
                       end
                     done
                   with

@@ -385,7 +385,7 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
          exec t prog state spc;
          let mem_lat = ref 0 in
          for k = 0 to ab.Compiled.ab_len - 1 do
-           let addr = ab.Compiled.ab_addr.(k) in
+           let addr = Compiled.abuf_addr ab k in
            if start < squash_time then begin
              let hit = Cache.contains t.cache addr in
              let is_store = ab.Compiled.ab_store.(k) in
@@ -396,7 +396,7 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
                ignore (Cache.touch t.cache addr);
                let set = Cache.set_of_addr t.cache addr in
                touched.(set lsr 5) <- touched.(set lsr 5) lor (1 lsl (set land 31));
-               t.fill_buffer <- ab.Compiled.ab_value.(k)
+               t.fill_buffer <- Compiled.abuf_value ab k
              end;
              incr loads;
              if not is_store then

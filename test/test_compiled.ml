@@ -164,6 +164,342 @@ let emulation_identical () =
             (State.equal_arch s_ref s_cmp))
         seeds)
 
+(* --- every action on edge values ---------------------------------------- *)
+
+(* One step of every catalog spec (AR, MEM, VAR, CB and IND), in each
+   operand shape and width, from states that put carry and sign
+   boundaries, narrow merges over set upper bits, shift counts of 0, 1,
+   width - 1 and width, masked counts and aliased operands in front of
+   the compiled engine; against [Semantics.step]. The generated programs
+   above reach these only by chance: their inputs set bits 6-13 of each
+   register. *)
+
+let edge_values =
+  [
+    0L; 1L; 0x7FL; 0x80L; 0xFFL; 0x7FFFL; 0x8000L; 0xFFFFL; 0x7FFF_FFFFL;
+    0x8000_0000L; 0xFFFF_FFFFL; Int64.max_int; Int64.min_int; -1L;
+  ]
+
+(* 0, 1, width - 1 and width at every width, and counts the 5- or 6-bit
+   count mask wraps. *)
+let shift_counts = edge_values @ [ 7L; 8L; 15L; 16L; 31L; 32L; 33L; 63L; 64L; 65L ]
+
+let cf_words =
+  [ Flags.empty; Flags.make ~cf:true ~pf:false ~af:false ~zf:false ~sf:false ~o_f:false ]
+
+let all_flag_words =
+  List.init 64 (fun k ->
+      let b i = k land (1 lsl i) <> 0 in
+      Flags.make ~cf:(b 0) ~pf:(b 1) ~af:(b 2) ~zf:(b 3) ~sf:(b 4) ~o_f:(b 5))
+
+(* Where a value is placed before the step. Memory operands are
+   [R14 + RSI], and the value goes in the data word they address. *)
+type slot = In_reg of Reg.t | In_mem
+
+let mem_offset = 0x100
+
+(* Every register holds this unless a case says otherwise, so narrow
+   writes show whether they merge into set upper bits. *)
+let default_reg r =
+  if r = Reg.sandbox_base then Layout.sandbox_base
+  else if r = Reg.stack_pointer then Layout.stack_top
+  else if r = Reg.RSI then Int64.of_int mem_offset
+  else if r = Reg.RDX then 0L
+  else 0xFEDC_BA98_7654_3210L
+
+let prepare (st : State.t) assign flags =
+  List.iter (fun r -> State.set_reg st r Width.W64 (default_reg r)) Reg.all;
+  Memory.write_data_word st.State.mem ~word:(mem_offset / 8) 0x0123_4567_89AB_CDEFL;
+  List.iter
+    (function
+      | In_reg r, v -> State.set_reg st r Width.W64 v
+      | In_mem, v -> Memory.write_data_word st.State.mem ~word:(mem_offset / 8) v)
+    assign;
+  st.State.flags <- flags;
+  st.State.pc <- 0
+
+(* The spec's instances: an instruction (given the immediate, if its
+   shape has one), the immediates to try, and the slots whose values
+   vary with their value lists. Two-register shapes run with distinct
+   registers and aliased ([XOR RAX, RAX], [XCHG RAX, RAX],
+   [SHL CL, CL]); a register DIV divides by RBX, RAX and RDX. *)
+let instances (s : Catalog.spec) =
+  let op = s.Catalog.opcode and w = s.Catalog.width in
+  let rsp_values =
+    Layout.stack_top
+    :: Int64.add Layout.sandbox_base (Int64.of_int mem_offset)
+    :: Layout.sandbox_base :: edge_values
+  in
+  let fixed inst slots = [ ((fun _ -> inst), [], slots) ] in
+  match (op, s.Catalog.shape) with
+  | Opcode.Jcc c, _ -> fixed (Instruction.jcc c "next") []
+  | Opcode.Jmp, _ -> fixed (Instruction.jmp "next") []
+  | Opcode.Call, _ -> fixed (Instruction.call "next") [ (In_reg Reg.RSP, rsp_values) ]
+  | Opcode.Ret, _ ->
+      fixed Instruction.ret [ (In_reg Reg.RSP, rsp_values); (In_mem, edge_values) ]
+  | Opcode.JmpInd, _ -> fixed (Instruction.jmp_ind Reg.RAX) [ (In_reg Reg.RAX, edge_values) ]
+  | (Opcode.Div | Opcode.Idiv), [ kind ] ->
+      let divisors =
+        match kind with
+        | Catalog.KMem -> [ In_mem ]
+        | _ -> [ In_reg Reg.RBX; In_reg Reg.RAX; In_reg Reg.RDX ]
+      in
+      List.map
+        (fun d ->
+          let operand =
+            match d with
+            | In_reg r -> Operand.reg ~w r
+            | In_mem -> Operand.sandbox ~w Reg.RSI
+          in
+          let others =
+            [ (In_reg Reg.RAX, edge_values); (In_reg Reg.RDX, [ 0L; 1L; -1L ]) ]
+          in
+          ( (fun _ -> Instruction.make ~operands:[ operand ] op),
+            [],
+            (d, edge_values) :: List.filter (fun (sl, _) -> sl <> d) others ))
+        divisors
+  | _, shape ->
+      let counts =
+        match op with
+        | Opcode.Shl | Opcode.Shr | Opcode.Sar | Opcode.Rol | Opcode.Ror -> true
+        | _ -> false
+      in
+      let values pos = if counts && pos = 1 then shift_counts else edge_values in
+      let width_at pos =
+        match (pos, s.Catalog.src_width) with 1, Some ws -> ws | _ -> w
+      in
+      let aliasings =
+        match shape with
+        | [ Catalog.KReg; (Catalog.KReg | Catalog.KCl) ] -> [ false; true ]
+        | _ -> [ false ]
+      in
+      List.map
+        (fun aliased ->
+          let reg_at pos =
+            match (shape, aliased) with
+            | [ _; Catalog.KCl ], true -> Reg.RCX
+            | _, true -> Reg.RAX
+            | _, false -> if pos = 0 then Reg.RAX else Reg.RBX
+          in
+          let operand imm pos = function
+            | Catalog.KReg -> Operand.reg ~w:(width_at pos) (reg_at pos)
+            | Catalog.KMem -> Operand.sandbox ~w:(width_at pos) Reg.RSI
+            | Catalog.KCl -> Operand.Reg (Reg.RCX, Width.W8)
+            | Catalog.KImm -> Operand.imm64 imm
+          in
+          let slots =
+            List.fold_left
+              (fun acc (pos, kind) ->
+                let slot =
+                  match kind with
+                  | Catalog.KReg -> Some (In_reg (reg_at pos))
+                  | Catalog.KCl -> Some (In_reg Reg.RCX)
+                  | Catalog.KMem -> Some In_mem
+                  | Catalog.KImm -> None
+                in
+                match slot with
+                | Some sl when not (List.mem_assoc sl acc) -> acc @ [ (sl, values pos) ]
+                | Some _ | None -> acc)
+              []
+              (List.mapi (fun pos k -> (pos, k)) shape)
+          in
+          let imms =
+            List.concat
+              (List.mapi (fun pos k -> if k = Catalog.KImm then values pos else []) shape)
+          in
+          ( (fun imm -> Instruction.make ~operands:(List.mapi (operand imm) shape) op),
+            imms,
+            slots ))
+        aliasings
+
+(* Every combination of the slots' values. *)
+let rec grid = function
+  | [] -> [ [] ]
+  | (sl, vs) :: rest ->
+      let tails = grid rest in
+      List.concat_map (fun v -> List.map (fun t -> (sl, v) :: t) tails) vs
+
+type step_result = (Semantics.access list, string) result
+
+let step_ref flat st : step_result =
+  match Semantics.step flat st with
+  | o -> Ok o.Semantics.accesses
+  | exception e -> Error (Printexc.to_string e)
+
+let step_act (act : Compiled.raw) ab st : step_result =
+  Compiled.abuf_clear ab;
+  match act st ab with
+  | () -> Ok (Compiled.abuf_accesses ab)
+  | exception e -> Error (Printexc.to_string e)
+
+(* On a fault, the compiled buffer may hold the faulting instruction's
+   earlier accesses: consumers truncate them, so only the exception is
+   compared. *)
+let same_result (a : step_result) (b : step_result) =
+  match (a, b) with
+  | Ok x, Ok y -> Stdlib.compare x y = 0
+  | Error x, Error y -> String.equal x y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let show_case inst assign flags =
+  Format.asprintf "%s with %s, flags %a" (Instruction.to_string inst)
+    (String.concat ", "
+       (List.map
+          (fun (sl, v) ->
+            Printf.sprintf "%s=0x%Lx"
+              (match sl with In_reg r -> Reg.name r Width.W64 | In_mem -> "mem")
+              v)
+          assign))
+    Flags.pp flags
+
+let edge_steps () =
+  let s_ref = State.create () and s_raw = State.create () and s_fused = State.create () in
+  List.iter
+    (fun st ->
+      Memory.fill st.State.mem ~f:(fun off -> ((off * 37) + 11) land 0xFF))
+    [ s_ref; s_raw; s_fused ];
+  let slots = Array.init 3 (fun _ -> State.slot ()) and ab = Compiled.abuf_create () in
+  let kill = Instruction.binop Opcode.Add (Operand.reg Reg.RDI) (Operand.reg Reg.RDI) in
+  let steps = ref 0 and elided = ref 0 in
+  (* [inst] then a flag killer: [fused.(0)] is the dead-flag variant
+     when [inst] writes flags. *)
+  let compile inst =
+    let flat =
+      Program.flatten_exn
+        (Program.make
+           [ Program.block "entry" [ inst; kill ]; Program.block "next" [ Instruction.nop ] ])
+    in
+    (inst, flat, Compiled.of_flat flat)
+  in
+  let run (inst, flat, (c : Compiled.t)) assign flags =
+    let here what = Printf.sprintf "%s: %s" (show_case inst assign flags) what in
+    (* Each state is prepared, saved, stepped and undone, so every case
+       starts from the same memory image. *)
+    let start k st =
+      prepare st assign flags;
+      State.save st slots.(k)
+    in
+    start 0 s_ref;
+    start 1 s_raw;
+    let r_ref = step_ref flat s_ref in
+    let r_raw = step_act c.Compiled.raws.(0) ab s_raw in
+    incr steps;
+    if not (same_result r_ref r_raw) then Alcotest.fail (here "accesses or exception");
+    if not (State.equal_arch s_ref s_raw && s_ref.State.pc = s_raw.State.pc) then
+      Alcotest.failf "%s@.reference: %a@.compiled: %a" (here "state") State.pp s_ref
+        State.pp s_raw;
+    if c.Compiled.fused.(0) != c.Compiled.raws.(0) then begin
+      incr elided;
+      start 2 s_fused;
+      let r_fused = step_act c.Compiled.fused.(0) ab s_fused in
+      if not (same_result r_ref r_fused) then
+        Alcotest.fail (here "fused: accesses or exception");
+      if
+        not
+          (List.for_all
+             (fun r ->
+               Int64.equal
+                 (State.get_reg s_ref r Width.W64)
+                 (State.get_reg s_fused r Width.W64))
+             Reg.all
+          && Memory.equal s_ref.State.mem s_fused.State.mem
+          && s_ref.State.pc = s_fused.State.pc)
+      then Alcotest.fail (here "fused: registers, memory or pc");
+      State.undo s_fused slots.(2)
+    end;
+    State.undo s_ref slots.(0);
+    State.undo s_raw slots.(1)
+  in
+  List.iter
+    (fun (s : Catalog.spec) ->
+      let reads_flags = Opcode.reads_flags s.Catalog.opcode in
+      List.iter
+        (fun (make, imms, slots) ->
+          let imms = if imms = [] then [ 0L ] else imms in
+          List.iter
+            (fun imm ->
+              let inst = compile (make imm) in
+              List.iter
+                (fun assign -> List.iter (run inst assign) cf_words)
+                (grid slots);
+              (* One representative assignment under every flag word (for
+                 flag readers) and with its memory operand straddling the
+                 sandbox's end or outside it. *)
+              let rep =
+                List.mapi
+                  (fun k (sl, vs) -> (sl, List.nth vs ((k + 1) mod List.length vs)))
+                  slots
+              in
+              if reads_flags then List.iter (run inst rep) all_flag_words;
+              if List.mem_assoc In_mem slots then
+                List.iter
+                  (fun rsi -> run inst ((In_reg Reg.RSI, rsi) :: rep) Flags.empty)
+                  [ Int64.of_int (Layout.sandbox_size - 4); -1L; Int64.min_int ])
+            imms)
+        (instances s))
+    Catalog.(specs [ AR; MEM; VAR; CB; IND ]);
+  check bool "every spec stepped" true (!steps > 100_000);
+  check bool "dead-flag variants compared" true (!elided > 10_000)
+
+(* --- allocation --------------------------------------------------------- *)
+
+(* A straight-line program of every body spec of the given subsets, on
+   RAX..RDX and [R14 + RSI]. *)
+let spec_program subsets =
+  let inst (s : Catalog.spec) =
+    let w = s.Catalog.width in
+    let operand pos = function
+      | Catalog.KReg ->
+          let w = match (pos, s.Catalog.src_width) with 1, Some ws -> ws | _ -> w in
+          Operand.reg ~w (List.nth Reg.gen_pool (pos + 1))
+      | Catalog.KMem ->
+          let w = match (pos, s.Catalog.src_width) with 1, Some ws -> ws | _ -> w in
+          Operand.sandbox ~w Reg.RSI
+      | Catalog.KCl -> Operand.Reg (Reg.RCX, Width.W8)
+      | Catalog.KImm -> Operand.imm 0x35
+    in
+    Instruction.make ~operands:(List.mapi operand s.Catalog.shape) s.Catalog.opcode
+  in
+  Compiled.of_program_exn (Program.of_insts (List.map inst (Catalog.body_specs subsets)))
+
+(* Minor words allocated by [passes] runs of the whole program, each
+   saved and undone like a model or executor run, and the steps run. *)
+let words_allocated (c : Compiled.t) ~passes =
+  let st = State.create () in
+  State.set_reg st Reg.RSI Width.W64 (Int64.of_int mem_offset);
+  let slot = State.slot () and ab = Compiled.abuf_create () in
+  let raws = c.Compiled.raws in
+  let n = Array.length raws in
+  let pass () =
+    State.save st slot;
+    for pc = 0 to n - 1 do
+      Compiled.abuf_clear ab;
+      raws.(pc) st ab
+    done;
+    State.undo st slot
+  in
+  (* grows the journal and the access buffer to their working size *)
+  pass ();
+  let before = Gc.minor_words () in
+  for _ = 1 to passes do
+    pass ()
+  done;
+  (Gc.minor_words () -. before, passes * n)
+
+(* Register and immediate forms at all four widths, INC/DEC/NEG/IMUL,
+   shifts and rotates included: their values stay unboxed from register
+   file to register file, so not one word is allocated. *)
+let register_steps_allocate_nothing () =
+  let c = spec_program [ Catalog.AR ] in
+  let words, _ = words_allocated c ~passes:10_000 in
+  check (Alcotest.float 0.) "minor words" 0. words
+
+let memory_steps_allocate_little () =
+  let c = spec_program [ Catalog.MEM ] in
+  let words, steps = words_allocated c ~passes:1_000 in
+  let w = words /. float steps in
+  if w >= 3. then Alcotest.failf "%.2f words per memory step" w
+
 (* --- contract model ---------------------------------------------------- *)
 
 let contracts =
@@ -1126,5 +1462,13 @@ let () =
             fuzzer_identical;
           tc "check_test_case agrees on spectre-v1" `Quick
             check_test_case_identical;
+        ] );
+      ( "edges",
+        [ tc "every action matches the interpreter on edge values" `Quick edge_steps ] );
+      ( "allocation",
+        [
+          tc "register and immediate steps allocate nothing" `Quick
+            register_steps_allocate_nothing;
+          tc "memory steps allocate under 3 words" `Quick memory_steps_allocate_little;
         ] );
     ]
