@@ -237,7 +237,8 @@ let instances (s : Catalog.spec) =
   | Opcode.Call, _ -> fixed (Instruction.call "next") [ (In_reg Reg.RSP, rsp_values) ]
   | Opcode.Ret, _ ->
       fixed Instruction.ret [ (In_reg Reg.RSP, rsp_values); (In_mem, edge_values) ]
-  | Opcode.JmpInd, _ -> fixed (Instruction.jmp_ind Reg.RAX) [ (In_reg Reg.RAX, edge_values) ]
+  | Opcode.JmpInd, _ ->
+      fixed (Instruction.jmp_ind Reg.RAX) [ (In_reg Reg.RAX, edge_values) ]
   | (Opcode.Div | Opcode.Idiv), [ kind ] ->
       let divisors =
         match kind with
@@ -367,7 +368,10 @@ let edge_steps () =
     let flat =
       Program.flatten_exn
         (Program.make
-           [ Program.block "entry" [ inst; kill ]; Program.block "next" [ Instruction.nop ] ])
+           [
+             Program.block "entry" [ inst; kill ];
+             Program.block "next" [ Instruction.nop ];
+           ])
     in
     (inst, flat, Compiled.of_flat flat)
   in
