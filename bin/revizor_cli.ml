@@ -51,29 +51,41 @@ let inputs_arg =
     value & opt int 50
     & info [ "i"; "inputs" ] ~docv:"N" ~doc:"Inputs per test case.")
 
+let arm_faults fault_inject fault_seed =
+  match fault_inject with
+  | None -> Ok ()
+  | Some spec -> (
+      match Revizor_obs.Faultpoint.parse_spec spec with
+      | Ok points ->
+          Revizor_obs.Faultpoint.enable ~seed:fault_seed points;
+          Ok ()
+      | Error e -> Error (Printf.sprintf "--fault-inject: %s" e))
+
 (* --- fuzz ----------------------------------------------------------- *)
 
-(* The live dashboard and the closing stats line read the process-wide
-   metrics registry rather than the per-campaign [Fuzzer.stats]. *)
+(* The live dashboard and the closing stats line count from the
+   campaign's [Fuzzer.stats], which a resumed campaign carries over from
+   its checkpoint; the rate is over this process's own test cases
+   ([resumed_at] and on) and wall time. Generator and coverage gauges and
+   the stage shares come from the process-wide metrics registry. *)
 
-let counter_of snap name =
-  Option.value (List.assoc_opt name snap.Metrics.counters) ~default:0
+let progress_rate ~started ~resumed_at (s : Fuzzer.stats) =
+  let elapsed = Unix.gettimeofday () -. started in
+  ( elapsed,
+    if elapsed > 0. then float_of_int (s.Fuzzer.test_cases - resumed_at) /. elapsed
+    else 0. )
 
-let gauge_of snap name =
-  Option.value (List.assoc_opt name snap.Metrics.gauges) ~default:0.
-
+(* Each stage's share of the process's wall time so far. *)
 let stage_share_line snap ~elapsed =
-  let wall_ns = elapsed *. 1e9 in
-  let stages = Metrics.stage_breakdown snap in
   String.concat "  "
     (List.filter_map
        (fun (st : Metrics.stage) ->
-         if st.Metrics.st_total_ns = 0 || wall_ns <= 0. then None
+         if st.Metrics.st_total_ns = 0 || elapsed <= 0. then None
          else
            Some
              (Printf.sprintf "%s %.1f%%" st.Metrics.st_name
-                (100. *. float_of_int st.Metrics.st_total_ns /. wall_ns)))
-       stages)
+                (100. *. float_of_int st.Metrics.st_total_ns /. (elapsed *. 1e9))))
+       (Metrics.stage_breakdown snap))
 
 let live_lines_printed = ref 0
 
@@ -113,36 +125,31 @@ let install_signal_handlers () =
   Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
 
-let render_live ~started () =
+let render_live ~started ~resumed_at (s : Fuzzer.stats) =
   let snap = Metrics.snapshot () in
-  let c = counter_of snap and g = gauge_of snap in
-  let elapsed = Unix.gettimeofday () -. started in
-  let tcs = c "fuzzer.test_cases" in
-  let rate = if elapsed > 0. then float_of_int tcs /. elapsed else 0. in
-  let inputs = c "fuzzer.inputs_tested" in
+  let g name = Option.value (List.assoc_opt name snap.Metrics.gauges) ~default:0. in
+  let elapsed, rate = progress_rate ~started ~resumed_at s in
+  let inputs = s.Fuzzer.inputs_tested in
   let eff_pct =
     if inputs = 0 then 0.
-    else 100. *. float_of_int (c "fuzzer.effective_inputs") /. float_of_int inputs
+    else 100. *. float_of_int s.Fuzzer.effective_inputs /. float_of_int inputs
   in
   let lines =
     [
       Printf.sprintf "elapsed %6.1fs   test cases %7d  (%.1f tc/s)   inputs %d"
-        elapsed tcs rate inputs;
+        elapsed s.Fuzzer.test_cases rate inputs;
       Printf.sprintf
         "effective inputs %.1f%%   ineffective tcs %d   faulted %d"
-        eff_pct
-        (c "fuzzer.ineffective_test_cases")
-        (c "fuzzer.faulted_test_cases");
+        eff_pct s.Fuzzer.ineffective_test_cases s.Fuzzer.faulted_test_cases;
       Printf.sprintf
         "candidates %d   dismissed: swap %d, nesting %d   coverage combos %.0f"
-        (c "fuzzer.candidates")
-        (c "fuzzer.dismissed_by_swap")
-        (c "fuzzer.dismissed_by_nesting")
+        s.Fuzzer.candidates s.Fuzzer.dismissed_by_swap
+        s.Fuzzer.dismissed_by_nesting
         (g "coverage.combinations");
       Printf.sprintf
         "generator: insts %.0f  blocks %.0f  mem %.0f  inputs/tc %.0f   rounds %d (growths %d)"
         (g "gen.n_insts") (g "gen.n_blocks") (g "gen.max_mem_accesses")
-        (g "gen.n_inputs") (c "fuzzer.rounds") (c "fuzzer.growths");
+        (g "gen.n_inputs") s.Fuzzer.rounds s.Fuzzer.growths;
       "stages: " ^ stage_share_line snap ~elapsed;
     ]
   in
@@ -151,55 +158,36 @@ let render_live ~started () =
   live_lines_printed := List.length lines;
   flush stdout
 
-(* Satellite of the telemetry PR: the old [mod 100 = 0] progress line
-   skipped the final state entirely; every run now ends with a closing
-   stats line computed from the metrics snapshot. *)
-let closing_line ~started ~outcome =
-  let snap = Metrics.snapshot () in
-  let c = counter_of snap in
-  let elapsed = Unix.gettimeofday () -. started in
-  let tcs = c "fuzzer.test_cases" in
+(* Every run ends with one closing stats line, whatever the progress
+   mode. *)
+let closing_line ~started ~resumed_at ~outcome (s : Fuzzer.stats) =
+  let elapsed, rate = progress_rate ~started ~resumed_at s in
   Printf.printf
     "done: %d test cases in %.1fs (%.1f tc/s) | inputs %d (effective %d) | \
      candidates %d (swap-dismissed %d, nesting-dismissed %d, faulted %d) | %s\n%!"
-    tcs elapsed
-    (if elapsed > 0. then float_of_int tcs /. elapsed else 0.)
-    (c "fuzzer.inputs_tested")
-    (c "fuzzer.effective_inputs")
-    (c "fuzzer.candidates")
-    (c "fuzzer.dismissed_by_swap")
-    (c "fuzzer.dismissed_by_nesting")
-    (c "fuzzer.faulted_test_cases")
+    s.Fuzzer.test_cases elapsed rate s.Fuzzer.inputs_tested
+    s.Fuzzer.effective_inputs s.Fuzzer.candidates s.Fuzzer.dismissed_by_swap
+    s.Fuzzer.dismissed_by_nesting s.Fuzzer.faulted_test_cases
     (match outcome with
     | Fuzzer.Violation _ -> "VIOLATION"
     | Fuzzer.No_violation -> "no violation")
 
 let do_fuzz contract target seed budget inputs minimize save_dir
-    executor_domains metrics_out trace_out progress checkpoint checkpoint_every
+    executor_domains trace_out progress checkpoint checkpoint_every
     resume watchdog_steps fault_inject fault_seed monitor_sock
     heartbeat_every no_ucoverage stats_out =
   (* Flag validation up front, before anything touches the terminal or
      the filesystem. *)
-  let usage_error msg =
-    Printf.eprintf "revizor: %s\n" msg;
-    Some 2
-  in
   let validation =
     if resume && checkpoint = None then
-      usage_error "--resume requires --checkpoint FILE"
-    else
-      match fault_inject with
-      | None -> None
-      | Some spec -> (
-          match Revizor_obs.Faultpoint.parse_spec spec with
-          | Ok points ->
-              Revizor_obs.Faultpoint.enable ~seed:fault_seed points;
-              None
-          | Error e -> usage_error (Printf.sprintf "--fault-inject: %s" e))
+      Error "--resume requires --checkpoint FILE"
+    else arm_faults fault_inject fault_seed
   in
   match validation with
-  | Some rc -> rc
-  | None ->
+  | Error msg ->
+      Printf.eprintf "revizor: %s\n" msg;
+      2
+  | Ok () ->
   Ucoverage.set_enabled (not no_ucoverage);
   (* Caller-owned atlas so it can be saved after the campaign. *)
   let ucov = if no_ucoverage then None else Some (Ucoverage.create ()) in
@@ -231,6 +219,25 @@ let do_fuzz contract target seed budget inputs minimize save_dir
         };
     }
   in
+  let resume_snapshot =
+    match (resume, checkpoint) with
+    | true, Some path -> (
+        match Campaign.load ~path cfg with
+        | Ok s ->
+            if progress <> `Quiet then
+              Printf.printf "Resuming from %s (%d test cases done)\n%!" path
+                s.Fuzzer.sn_stats.Fuzzer.test_cases;
+            Some s
+        | Error e ->
+            Printf.eprintf "revizor: %s\n" e;
+            exit 2)
+    | _ -> None
+  in
+  let resumed_at =
+    match resume_snapshot with
+    | Some s -> s.Fuzzer.sn_stats.Fuzzer.test_cases
+    | None -> 0
+  in
   let started = Unix.gettimeofday () in
   let last_render = ref 0. in
   let on_progress =
@@ -245,26 +252,12 @@ let do_fuzz contract target seed budget inputs minimize save_dir
         (* Time-based refresh instead of the mod-100 counter: a slow
            configuration still updates twice a second, a fast one does
            not spam the terminal. *)
-        fun (_ : Fuzzer.stats) ->
+        fun (s : Fuzzer.stats) ->
           let now = Unix.gettimeofday () in
           if now -. !last_render >= 0.5 then begin
             last_render := now;
-            render_live ~started ()
+            render_live ~started ~resumed_at s
           end
-  in
-  let resume_snapshot =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-        match Campaign.load ~path cfg with
-        | Ok s ->
-            if progress <> `Quiet then
-              Printf.printf "Resuming from %s (%d test cases done)\n%!" path
-                s.Fuzzer.sn_stats.Fuzzer.test_cases;
-            Some s
-        | Error e ->
-            Printf.eprintf "revizor: %s\n" e;
-            exit 2)
-    | _ -> None
   in
   let on_checkpoint =
     Option.map (fun path snap -> Campaign.save ~path cfg snap) checkpoint
@@ -289,20 +282,13 @@ let do_fuzz contract target seed budget inputs minimize save_dir
     (* Leave the alternate screen before printing anything meant to
        persist in the user's scrollback. *)
     exit_live ();
-    closing_line ~started ~outcome;
+    closing_line ~started ~resumed_at ~outcome stats;
     if Atomic.get stop_requested then
       Printf.printf "interrupted after %d test cases%s\n%!"
         stats.Fuzzer.test_cases
         (match checkpoint with
         | Some path -> Printf.sprintf " — checkpoint written to %s" path
         | None -> "");
-    (match metrics_out with
-    | Some path ->
-        Results.save_metrics ~stats
-          ~elapsed:(Unix.gettimeofday () -. started)
-          ~path ();
-        if progress <> `Quiet then Printf.printf "[metrics written to %s]\n%!" path
-    | None -> ());
     (* The stats/atlas artifact for campaigns that never hit a violation
        (a compliant target leaves no --save directory): same
        revizor.stats.v1 document [revizor coverage] reads. *)
@@ -339,7 +325,7 @@ let do_fuzz contract target seed budget inputs minimize save_dir
           (* The flight recorder runs after the campaign on a dedicated
              CPU/executor, so enabling it cannot perturb the fuzzing
              outcome above. *)
-          Forensics.save ~dir (Forensics.capture ?ucoverage:ucov cfg v);
+          Forensics.save ~dir (Forensics.capture cfg v);
           Format.printf
             "@.Saved to \
              %s/{violation.asm,inputs.txt,report.txt,stats.json,forensics.json}@."
@@ -381,15 +367,6 @@ let fuzz_cmd =
              are keyed per test case), so checkpoints written under any \
              value resume under any other. To run independent seeds in \
              parallel, use $(b,revizor fleet run).")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a JSON metrics summary (per-stage time breakdown, \
-             counters, histograms) to FILE on exit.")
   in
   let trace_out =
     Arg.(
@@ -499,15 +476,16 @@ let fuzz_cmd =
       & opt (some string) None
       & info [ "stats-out" ] ~docv:"FILE"
           ~doc:
-            "Write the revizor.stats.v1 document (statistics, metrics and \
-             the coverage atlas) to FILE at campaign end — also for \
-             compliant campaigns, which never produce a --save directory. \
-             Read by $(b,revizor coverage).")
+            "Write the revizor.stats.v1 document (statistics, the metrics \
+             registry and the coverage atlas) to FILE at campaign end — \
+             also for compliant campaigns, which never produce a --save \
+             directory. Read by $(b,revizor coverage) and \
+             $(b,revizor telemetry-check).")
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Fuzz a target against a contract (Fig. 2 pipeline).")
     Term.(
       const do_fuzz $ contract_arg $ target_arg $ seed_arg $ budget_arg
-      $ inputs_arg $ minimize $ save_dir $ executor_domains $ metrics_out
+      $ inputs_arg $ minimize $ save_dir $ executor_domains
       $ trace_out $ progress $ checkpoint $ checkpoint_every $ resume
       $ watchdog_steps $ fault_inject $ fault_seed
       $ monitor_sock $ heartbeat_every $ no_ucoverage $ stats_out)
@@ -562,21 +540,15 @@ let do_gadget name list_them contract target seed =
     | Some g -> (
         Format.printf "%s (%s)@.%s@.@.%a@.@." g.Gadgets.name g.Gadgets.reference
           g.Gadgets.description Revizor_isa.Program.pp g.Gadgets.program;
-        let cfg = Target.fuzzer_config ~seed contract target in
-        let cpu = Revizor_uarch.Cpu.create cfg.Fuzzer.uarch in
-        let executor = Executor.create cpu cfg.Fuzzer.executor in
-        let prng = Prng.create ~seed in
-        let inputs = Input.generate_many prng ~entropy:2 ~n:50 in
-        match Fuzzer.check_test_case cfg executor g.Gadgets.program inputs with
+        let pair =
+          Format.asprintf "%a vs %s" Target.pp target (Contract.name contract)
+        in
+        match Experiments.check_gadget ~seed contract target g with
         | Ok (Some v) ->
-            Format.printf "%s vs %s: VIOLATION %s@."
-              (Format.asprintf "%a" Target.pp target)
-              (Contract.name contract) (Violation.summary v);
+            Format.printf "%s: VIOLATION %s@." pair (Violation.summary v);
             1
         | Ok None ->
-            Format.printf "%s vs %s: no violation@."
-              (Format.asprintf "%a" Target.pp target)
-              (Contract.name contract);
+            Format.printf "%s: no violation@." pair;
             0
         | Error e ->
             Printf.eprintf "gadget faulted: %s\n" e;
@@ -626,8 +598,8 @@ let variants ~seed =
            (Contract.name contract)
            target.Target.uarch.Revizor_uarch.Uarch_config.name
            (match Experiments.check_gadget ~seed contract target g with
-           | Some v -> Printf.sprintf "VIOLATION (%s)" v.Violation.label
-           | None -> "compliant"))
+           | Ok (Some v) -> Printf.sprintf "VIOLATION (%s)" v.Violation.label
+           | Ok None | Error _ -> "compliant"))
        [
          (Gadgets.spectre_v1_var, Contract.ct_cond, Target.target6);
          (Gadgets.spectre_v1_var, Contract.ct_cond_bpas, Target.target6);
@@ -724,16 +696,27 @@ let reproduce_cmd =
 
 (* --- telemetry-check --------------------------------------------------- *)
 
-(* Validator for the artifacts of [--metrics-out] / [--trace-out]; CI
-   runs it after the telemetry smoke fuzz. *)
+(* Validator for a campaign's stats.json (from --stats-out or --save)
+   and its --trace-out JSONL; CI runs it after the telemetry smoke fuzz. *)
 
-let check_metrics_file path =
-  Result.map
-    (fun (m : Results.saved_metrics) ->
-      Printf.sprintf "%s: OK (%d counters, %d stages, %.1f%% of wall time accounted)"
-        path (List.length m.Results.counters) (List.length m.Results.stages)
-        (100. *. m.Results.accounted_share))
-    (Results.load_metrics path)
+(* The stage table of the stats document's registry snapshot; the
+   stages must account for at least 95% of the campaign loop's time. *)
+let check_stats_file path =
+  match Result.bind (Results.load_stats path) Results.stage_table with
+  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  | Ok { Results.counters; stages; campaign_s; accounted_share } ->
+      let row (st : Metrics.stage) =
+        let ns = float_of_int st.Metrics.st_total_ns in
+        Printf.sprintf "\n  %-18s %9d calls %10.1f ms %6.1f%%" st.Metrics.st_name
+          st.Metrics.st_calls (ns /. 1e6) (100. *. ns /. (campaign_s *. 1e9))
+      in
+      let report =
+        Printf.sprintf "%d counters, %d stages, %.1f%% of %.2fs campaign time accounted"
+          counters (List.length stages) (100. *. accounted_share) campaign_s
+      in
+      let table = String.concat "" (List.map row stages) in
+      if accounted_share >= 0.95 then Ok (Printf.sprintf "%s: OK (%s)%s" path report table)
+      else Error (Printf.sprintf "%s: %s, below 95%%%s" path report table)
 
 (* A malformed FINAL line is tolerated and reported: a campaign killed
    mid-write (SIGKILL, OOM) leaves exactly one truncated tail line, and
@@ -794,13 +777,13 @@ let check_trace_file path =
                   "; truncated final line tolerated"
                 else ""))
 
-let do_telemetry_check metrics_file trace_file =
+let do_telemetry_check stats_file trace_file =
   let results =
-    (match metrics_file with Some p -> [ check_metrics_file p ] | None -> [])
+    (match stats_file with Some p -> [ check_stats_file p ] | None -> [])
     @ (match trace_file with Some p -> [ check_trace_file p ] | None -> [])
   in
   if results = [] then begin
-    Printf.eprintf "nothing to check: pass --metrics and/or --trace\n";
+    Printf.eprintf "nothing to check: pass --stats and/or --trace\n";
     2
   end
   else begin
@@ -813,11 +796,12 @@ let do_telemetry_check metrics_file trace_file =
   end
 
 let telemetry_check_cmd =
-  let metrics_file =
+  let stats_file =
     Arg.(
       value
       & opt (some file) None
-      & info [ "metrics" ] ~docv:"FILE" ~doc:"Metrics JSON from --metrics-out.")
+      & info [ "stats" ] ~docv:"FILE"
+          ~doc:"A stats.json, from fuzz --stats-out or --save.")
   in
   let trace_file =
     Arg.(
@@ -827,8 +811,11 @@ let telemetry_check_cmd =
   in
   Cmd.v
     (Cmd.info "telemetry-check"
-       ~doc:"Validate --metrics-out / --trace-out artifacts (used by CI).")
-    Term.(const do_telemetry_check $ metrics_file $ trace_file)
+       ~doc:
+         "Validate a campaign's stats.json (its stages must account for at \
+          least 95% of the campaign's time) and --trace-out JSONL (used by \
+          CI).")
+    Term.(const do_telemetry_check $ stats_file $ trace_file)
 
 (* --- monitor: query a live campaign's endpoint ------------------------- *)
 
@@ -1042,11 +1029,14 @@ let trace_cmd =
 
 (* --- forensics --------------------------------------------------------- *)
 
+(* The campaign's atlas at detection is the one in the stats.json that
+   --save writes beside forensics.json: the campaign ends at the
+   violation, and both files are written from the same atlas. *)
 let do_forensics_show path =
-  let path =
+  let dir, path =
     if Sys.file_exists path && Sys.is_directory path then
-      Forensics.file ~dir:path
-    else path
+      (path, Forensics.file ~dir:path)
+    else (Filename.dirname path, path)
   in
   match Forensics.load path with
   | Error e ->
@@ -1054,6 +1044,17 @@ let do_forensics_show path =
       2
   | Ok f ->
       print_string (Forensics.render f);
+      let stats = Filename.concat dir "stats.json" in
+      (if Sys.file_exists stats then
+         match Results.load_stats stats with
+         | Ok { Results.ucoverage = Some u; _ } ->
+             Printf.printf
+               "\n== Campaign coverage atlas at detection ==\n\
+               \  %d distinct microarchitectural features covered\n%s"
+               (Ucoverage.distinct u)
+               (Ucoverage.render_kind_table u)
+         | Ok { Results.ucoverage = None; _ } -> ()
+         | Error e -> Printf.eprintf "revizor: %s\n" e);
       0
 
 let forensics_cmd =
@@ -1070,7 +1071,8 @@ let forensics_cmd =
          ~doc:
            "Render a violation's flight-recorder artifact: program, \
             diverging traces, speculation timeline, fence-localized leak \
-            region.")
+            region, and the campaign's coverage atlas at detection when a \
+            stats.json with one sits beside it.")
       Term.(const do_forensics_show $ path)
   in
   Cmd.group
@@ -1285,16 +1287,6 @@ let fleet_summary dir =
       in
       flush stdout;
       if q > 0 then 3 else if violations > 0 then 1 else 0
-
-let arm_faults fault_inject fault_seed =
-  match fault_inject with
-  | None -> Ok ()
-  | Some spec -> (
-      match Revizor_obs.Faultpoint.parse_spec spec with
-      | Ok points ->
-          Revizor_obs.Faultpoint.enable ~seed:fault_seed points;
-          Ok ()
-      | Error e -> Error (Printf.sprintf "--fault-inject: %s" e))
 
 let do_fleet_run dir contract target shards seed budget inputs workers lease
     max_attempts checkpoint_every fleet_seed fault_inject fault_seed

@@ -383,7 +383,7 @@ let resume ~dir ?(log = null_log) ?(should_stop = fun () -> false) () =
   Ok (drive ~log ledger merged ~should_stop)
 
 let run ~dir ?(log = null_log) ?(should_stop = fun () -> false) spec =
-  Results.mkdir_p dir;
+  Revizor_obs.Dir.mkdir_p dir;
   if Ledger.exists ~dir then
     let* existing = Ledger.load ~dir in
     if Ledger.fingerprint existing.Ledger.spec <> Ledger.fingerprint spec then
@@ -407,7 +407,7 @@ let run ~dir ?(log = null_log) ?(should_stop = fun () -> false) spec =
 (* In-process sequential reference: same shards, same merge code, no
    forking, no faults — the byte-identity baseline for fleet runs. *)
 let reference ~dir ?(log = null_log) spec =
-  Results.mkdir_p dir;
+  Revizor_obs.Dir.mkdir_p dir;
   let ledger = Ledger.create ~dir spec in
   let merged = Merge.create ~spec in
   let rec go i =

@@ -1,7 +1,7 @@
 (* Crash-safe artifact writes (DESIGN.md §8).
 
    Every result artifact — violation.asm, inputs.txt, stats.json,
-   --metrics-out, campaign checkpoints — goes through this one helper: the
+   forensics.json, campaign checkpoints — goes through this one helper: the
    contents land in a sibling temp file first and only an atomic rename
    publishes them, so a SIGKILL mid-write leaves either the old file or
    the new one, never a torn hybrid.

@@ -2,7 +2,7 @@
     retry on transient I/O errors.
 
     All result artifacts (saved violations, [stats.json],
-    [--metrics-out], campaign checkpoints) go through {!write}, so a kill
+    [forensics.json], campaign checkpoints) go through {!write}, so a kill
     at any instant leaves either the previous file or the complete new
     one — never a torn write. The [writer.io] fault point is checked on
     every attempt; injected failures are retried like real ones and

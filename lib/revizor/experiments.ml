@@ -7,21 +7,36 @@ open Revizor_uarch
 
 (* Gadget detection needs a violating input pair in the random sequence;
    a single unlucky draw of 50 inputs can miss it, so sample three input
-   sequences (deterministically derived) before concluding compliance. *)
+   sequences (deterministically derived) before concluding compliance.
+   A faulting sequence does not stop the search, but a gadget that
+   violates on none of them and faults on one is reported as faulting. *)
 let check_gadget ?(seed = 42L) contract (target : Target.t) (g : Gadgets.t) =
   let cfg = Target.fuzzer_config ~seed contract target in
   let cpu = Cpu.create cfg.Fuzzer.uarch in
   let executor = Executor.create cpu cfg.Fuzzer.executor in
-  let rec try_seed k =
-    if k >= 3 then None
+  let rec try_seed k fault =
+    if k >= 3 then Option.fold ~none:(Ok None) ~some:Result.error fault
     else
       let prng = Prng.create ~seed:(Int64.add seed (Int64.of_int (1 + (k * 100)))) in
       let inputs = Input.generate_many prng ~entropy:2 ~n:50 in
       match Fuzzer.check_test_case cfg executor g.Gadgets.program inputs with
-      | Ok (Some v) -> Some v
-      | Ok None | Error _ -> try_seed (k + 1)
+      | Ok (Some v) -> Ok (Some v)
+      | Ok None -> try_seed (k + 1) fault
+      | Error e -> try_seed (k + 1) (Some e)
   in
-  try_seed 0
+  try_seed 0 None
+
+let gadget_violation ?seed contract target g =
+  match check_gadget ?seed contract target g with
+  | Ok v -> v
+  | Error _ -> None
+
+(* The inputs' contract-trace classes, as the campaign's analyze stage
+   builds them; [None] when an input faults architecturally. *)
+let model_classes contract prog inputs =
+  let results = Model.ctraces ~stream:`First contract prog inputs in
+  if List.exists (fun (r : Model.result) -> r.Model.faulted) results then None
+  else Some (Fuzzer.classes_of results)
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                             *)
@@ -93,7 +108,7 @@ let table3 ?(budget = 400) ?(seed = 1L) () =
                   in
                   match (expect_var, var_gadget_for target) with
                   | true, Some g -> (
-                      match check_gadget ~seed contract target g with
+                      match gadget_violation ~seed contract target g with
                       | Some v -> Gadget_demo { label = v.Violation.label }
                       | None ->
                           Not_detected { test_cases = stats.Fuzzer.test_cases })
@@ -281,7 +296,7 @@ let store_eviction_check ?(seed = 3L) () =
   List.map
     (fun (target : Target.t) ->
       match
-        check_gadget ~seed Contract.ct_cond_no_spec_store target
+        gadget_violation ~seed Contract.ct_cond_no_spec_store target
           Gadgets.spec_store_eviction
       with
       | Some v ->
@@ -307,7 +322,7 @@ let contract_sensitivity ?(seed = 4L) () =
     (fun (g : Gadgets.t) ->
       List.map
         (fun contract ->
-          let v = check_gadget ~seed contract Target.target5 g in
+          let v = gadget_violation ~seed contract Target.target5 g in
           (g.Gadgets.name, Contract.name contract, v <> None))
         [ Contract.ct_seq; Contract.arch_seq ])
     [ Gadgets.stt_nonspeculative; Gadgets.stt_speculative ]
@@ -342,7 +357,7 @@ let port_channel_demo ?(seed = 12L) () =
   let with_threat threat = { Target.target5 with Target.threat } in
   List.map
     (fun ((g : Gadgets.t), threat) ->
-      let v = check_gadget ~seed Contract.ct_seq (with_threat threat) g in
+      let v = gadget_violation ~seed Contract.ct_seq (with_threat threat) g in
       (g.Gadgets.name, Attack.threat_to_string threat, v <> None))
     [
       (Gadgets.spectre_v1_ports, Attack.prime_probe);
@@ -414,17 +429,11 @@ let ablation_entropy ?(seed = 7L) () =
         | Error _ -> ()
         | Ok flat ->
             let prog = Revizor_emu.Compiled.of_flat flat in
-            let results = Model.ctraces contract prog inputs in
-            if not (List.exists (fun (r : Model.result) -> r.Model.faulted) results)
-            then begin
-              let ctraces =
-                Array.of_list
-                  (List.map (fun (r : Model.result) -> r.Model.ctrace) results)
-              in
-              let classes = Analyzer.input_classes ctraces in
-              total := !total + List.length inputs;
-              effective := !effective + Analyzer.effective_inputs classes
-            end
+            Option.iter
+              (fun classes ->
+                total := !total + List.length inputs;
+                effective := !effective + Analyzer.effective_inputs classes)
+              (model_classes contract prog inputs)
       done;
       (entropy, float_of_int !effective /. float_of_int (max 1 !total)))
     [ 1; 2; 4; 8; 16 ]
@@ -445,18 +454,13 @@ let ablation_noise_filtering ?(seed = 8L) () =
       | Error _ -> ()
       | Ok flat -> (
           let prog = Revizor_emu.Compiled.of_flat flat in
-          let results = Model.ctraces Contract.ct_seq prog inputs in
-          if not (List.exists (fun (r : Model.result) -> r.Model.faulted) results)
-          then
-            let ctraces =
-              Array.of_list
-                (List.map (fun (r : Model.result) -> r.Model.ctrace) results)
-            in
-            let classes = Analyzer.input_classes ctraces in
-            let htraces = Executor.htraces executor prog inputs in
-            match Analyzer.find_violation classes htraces with
-            | Some _ -> incr divergences
-            | None -> ())
+          match model_classes Contract.ct_seq prog inputs with
+          | None -> ()
+          | Some classes -> (
+              let htraces = Executor.htraces executor prog inputs in
+              match Analyzer.find_violation classes htraces with
+              | Some _ -> incr divergences
+              | None -> ()))
     done;
     !divergences
   in
@@ -480,23 +484,23 @@ let ablation_noise_filtering ?(seed = 8L) () =
        otherwise produces spurious trace divergences on a compliant CPU";
   }
 
+(* The V1 gadget on Target 5 under CT-COND, on 50 inputs: its contract
+   classes and hardware traces, with the executor that measured them. *)
+let v1_under_ct_cond ~seed =
+  let cfg = Target.fuzzer_config ~seed Contract.ct_cond Target.target5 in
+  let executor = Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor in
+  let inputs = Input.generate_many (Prng.create ~seed) ~entropy:2 ~n:50 in
+  let prog = Revizor_emu.Compiled.of_program_exn Gadgets.spectre_v1.Gadgets.program in
+  let classes =
+    Fuzzer.classes_of (Model.ctraces ~stream:`First Contract.ct_cond prog inputs)
+  in
+  (executor, prog, inputs, classes, Executor.htraces executor prog inputs)
+
 let ablation_equivalence ?(seed = 9L) () =
   (* V1 gadget under CT-COND: speculation is contract-permitted, but it
      executes inconsistently across priming contexts. The subset relation
      absorbs that; strict equality reports a false violation. *)
-  let cfg = Target.fuzzer_config ~seed Contract.ct_cond Target.target5 in
-  let cpu = Cpu.create cfg.Fuzzer.uarch in
-  let executor = Executor.create cpu cfg.Fuzzer.executor in
-  let prng = Prng.create ~seed in
-  let inputs = Input.generate_many prng ~entropy:2 ~n:50 in
-  let g = Gadgets.spectre_v1 in
-  let prog = Revizor_emu.Compiled.of_program_exn g.Gadgets.program in
-  let results = Model.ctraces Contract.ct_cond prog inputs in
-  let ctraces =
-    Array.of_list (List.map (fun (r : Model.result) -> r.Model.ctrace) results)
-  in
-  let classes = Analyzer.input_classes ctraces in
-  let htraces = Executor.htraces executor prog inputs in
+  let _, _, _, classes, htraces = v1_under_ct_cond ~seed in
   let subset = Analyzer.find_violation ~equivalence:`Subset classes htraces in
   let equal = Analyzer.find_violation ~equivalence:`Equal classes htraces in
   {
@@ -514,19 +518,7 @@ let ablation_swap_check ?(seed = 10L) () =
   (* Manufacture a context artifact: under strict trace equality the V1
      gadget's mispredict-or-not difference between same-data inputs looks
      like a violation; the swap check recognizes it as context-caused. *)
-  let cfg = Target.fuzzer_config ~seed Contract.ct_cond Target.target5 in
-  let cpu = Cpu.create cfg.Fuzzer.uarch in
-  let executor = Executor.create cpu cfg.Fuzzer.executor in
-  let prng = Prng.create ~seed in
-  let inputs = Input.generate_many prng ~entropy:2 ~n:50 in
-  let g = Gadgets.spectre_v1 in
-  let prog = Revizor_emu.Compiled.of_program_exn g.Gadgets.program in
-  let results = Model.ctraces Contract.ct_cond prog inputs in
-  let ctraces =
-    Array.of_list (List.map (fun (r : Model.result) -> r.Model.ctrace) results)
-  in
-  let classes = Analyzer.input_classes ctraces in
-  let htraces = Executor.htraces executor prog inputs in
+  let executor, prog, inputs, classes, htraces = v1_under_ct_cond ~seed in
   match Analyzer.find_violation ~equivalence:`Equal classes htraces with
   | None ->
       {
@@ -557,7 +549,9 @@ let ablation_speculation_window ?(seed = 13L) () =
       let contract =
         Contract.make ~speculation_window:window Contract.Ct Contract.Cond
       in
-      let v = check_gadget ~seed contract Target.target5 Gadgets.spectre_v1 in
+      let v =
+        gadget_violation ~seed contract Target.target5 Gadgets.spectre_v1
+      in
       (window, v <> None))
     [ 0; 1; 2; 4; 8; 64; 250 ]
 

@@ -5,10 +5,17 @@
     seeds. *)
 
 val check_gadget :
-  ?seed:int64 -> Contract.t -> Target.t -> Gadgets.t -> Violation.t option
+  ?seed:int64 ->
+  Contract.t ->
+  Target.t ->
+  Gadgets.t ->
+  (Violation.t option, string) result
 (** Run the full per-test-case pipeline on a hand-written gadget,
     sampling up to three deterministic sequences of 50 inputs before
-    concluding compliance. *)
+    concluding compliance. The first violation found wins; [Error] (the
+    last fault) when none violates and some sequence faulted
+    architecturally. [revizor gadget] and the §6.3 table both print
+    this verdict. *)
 
 (** {1 Table 3 — contract violations per target} *)
 

@@ -28,7 +28,6 @@ type t = {
   f_fenced_asm : string;
   f_fence_positions : int list;
   f_leak_region : (int * int) option;
-  f_ucoverage : Ucoverage.t option;
 }
 
 (* Recover which original positions carry a surviving fence by walking
@@ -69,7 +68,7 @@ let event_of_cpu (e : Cpu.event) =
     ev_touched_sets = e.Cpu.touched_sets;
   }
 
-let capture ?ucoverage (cfg : Fuzzer.config) (v : Violation.t) =
+let capture (cfg : Fuzzer.config) (v : Violation.t) =
   let flat = Program.flatten_exn v.Violation.program in
   let compiled = Fuzzer.compile_with cfg.Fuzzer.engine flat in
   (* Noise-free replay: the timeline should show what the program does,
@@ -97,12 +96,7 @@ let capture ?ucoverage (cfg : Fuzzer.config) (v : Violation.t) =
       v.Violation.inputs
   in
   let fences = fence_positions ~original:v.Violation.program ~fenced in
-  let only_a =
-    Htrace.elements (Htrace.diff v.Violation.htrace_a v.Violation.htrace_b)
-  in
-  let only_b =
-    Htrace.elements (Htrace.diff v.Violation.htrace_b v.Violation.htrace_a)
-  in
+  let only x y = Htrace.elements (Htrace.diff x y) in
   {
     f_label = v.Violation.label;
     f_program_asm = Program.to_string v.Violation.program;
@@ -112,15 +106,14 @@ let capture ?ucoverage (cfg : Fuzzer.config) (v : Violation.t) =
     f_ctrace = Ctrace.to_string v.Violation.ctrace;
     f_htrace_a = Htrace.elements v.Violation.htrace_a;
     f_htrace_b = Htrace.elements v.Violation.htrace_b;
-    f_only_a = only_a;
-    f_only_b = only_b;
+    f_only_a = only v.Violation.htrace_a v.Violation.htrace_b;
+    f_only_b = only v.Violation.htrace_b v.Violation.htrace_a;
     f_timelines =
       [ timeline_of v.Violation.index_a; timeline_of v.Violation.index_b ];
     f_fenced_asm = Program.to_string fenced;
     f_fence_positions = fences;
     f_leak_region =
       leak_region ~num_insts:(Program.num_insts v.Violation.program) ~fences;
-    f_ucoverage = Option.map Ucoverage.copy ucoverage;
   }
 
 (* --- JSON codec ------------------------------------------------------ *)
@@ -172,10 +165,6 @@ let to_json t =
         | None -> Json.Null
         | Some (first, last) ->
             Json.Obj [ ("first", Json.Int first); ("last", Json.Int last) ] );
-      ( "ucoverage",
-        match t.f_ucoverage with
-        | None -> Json.Null
-        | Some u -> Ucoverage.to_json u );
     ]
 
 let ( let* ) = Result.bind
@@ -219,8 +208,8 @@ let decoder j =
   let* f_fenced_asm = Json.field "fenced_program" Json.str j in
   let* f_fence_positions = Json.field "fence_positions" int_list j in
   let* f_leak_region = Json.field_opt "leak_region" leak_region_of_json j in
-  (* Additive key: forensics files from before the atlas load fine. *)
-  let* f_ucoverage = Json.field_opt "ucoverage" Ucoverage.of_json j in
+  (* Files that still carry the campaign's atlas (a [ucoverage] member)
+     load too; the atlas is read from the [stats.json] beside them. *)
   Ok
     {
       f_label;
@@ -237,7 +226,6 @@ let decoder j =
       f_fenced_asm;
       f_fence_positions;
       f_leak_region;
-      f_ucoverage;
     }
 
 let of_json = Json.decode ~codec:"forensics" decoder
@@ -300,12 +288,4 @@ let render t =
       add "(an LFENCE anywhere in this range kills the violation)\n"
   | None -> add "  no unfenced region recovered\n");
   add "\n%s\n" (String.trim t.f_fenced_asm);
-  (match t.f_ucoverage with
-  | None -> ()
-  | Some u ->
-      add "\n";
-      section "Campaign coverage atlas at detection";
-      add "  %d distinct microarchitectural features covered\n"
-        (Ucoverage.distinct u);
-      Buffer.add_string buf (Ucoverage.render_kind_table u));
   Buffer.contents buf

@@ -41,26 +41,25 @@ type t = {
       (** instruction indices after which an LFENCE survived *)
   f_leak_region : (int * int) option;
       (** first/last unfenced instruction index — the leaking region *)
-  f_ucoverage : Ucoverage.t option;
-      (** snapshot of the campaign's microarchitectural coverage atlas at
-          detection time — how broadly the campaign had exercised the
-          CPU's speculation machinery before this violation surfaced *)
 }
 
-val capture : ?ucoverage:Ucoverage.t -> Fuzzer.config -> Violation.t -> t
+val capture : Fuzzer.config -> Violation.t -> t
 (** Build the artifact: compile the violation's program, measure the
     priming sequence on a fresh noise-free CPU/executor
     ({!Executor.measure}), take each timeline from the input's first
     recorded repetition (the complete speculation-event log of the run
     right after the priming pass), and fence-localize the leak on the
     original listing ({!Postprocessor.fence_localize}). Deterministic for a given
-    violation and config. [ucoverage] embeds a copy of the campaign's
-    coverage atlas in the artifact. *)
+    violation and config. The campaign's coverage atlas at detection is
+    not part of the artifact: it is in the [stats.json] that
+    {!Results.save_violation} writes beside it. *)
 
 val to_json : t -> Revizor_obs.Json.t
 (** Schema ["revizor.forensics.v1"]. *)
 
 val of_json : Revizor_obs.Json.t -> (t, string) result
+(** Inverse of {!to_json}. A [ucoverage] member, which older files
+    carry, is ignored. *)
 
 val save : dir:string -> t -> unit
 (** Write [dir/forensics.json] (atomically, like the other result

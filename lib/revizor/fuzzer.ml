@@ -880,9 +880,11 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
      endpoint (and the provider closures, which only read captured
      state) stay valid for the caller's own post-campaign drain. *)
   (match monitor with Some m -> Monitor.poll m | None -> ());
-  stats.elapsed_s <- base_elapsed +. (Unix.gettimeofday () -. started);
-  Metrics.set_gauge g_elapsed
-    (Metrics.gauge_value g_elapsed +. stats.elapsed_s);
+  let own_s = Unix.gettimeofday () -. started in
+  stats.elapsed_s <- base_elapsed +. own_s;
+  (* This process's loop seconds, like the stage counters it divides;
+     a resumed campaign's earlier segments count in [stats.elapsed_s]. *)
+  Metrics.set_gauge g_elapsed (Metrics.gauge_value g_elapsed +. own_s);
   if Telemetry.enabled () then begin
     Telemetry.set_context [];
     Telemetry.event "fuzz.end"

@@ -174,6 +174,11 @@ val check_test_case :
     gadget experiments of Table 5, and the tests). [Error] means the test
     case faulted architecturally. *)
 
+val classes_of : Model.result list -> Analyzer.input_class list
+(** The inputs partitioned by contract trace
+    ({!Analyzer.input_classes} over the results' ctraces, in order), the
+    way the campaign's analyze stage and nesting re-check build them. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val stats_to_json : stats -> Revizor_obs.Json.t

@@ -7,36 +7,20 @@ open Revizor_isa
     with {!Fuzzer.check_test_case}. *)
 
 val save_violation :
-  ?stats:Fuzzer.stats ->
-  ?ucoverage:Ucoverage.t ->
-  ?metrics:Revizor_obs.Metrics.summary ->
-  dir:string ->
-  Violation.t ->
-  unit
+  ?stats:Fuzzer.stats -> ?ucoverage:Ucoverage.t -> dir:string -> Violation.t -> unit
 (** Writes [dir/violation.asm], [dir/inputs.txt], [dir/report.txt] and
     [dir/stats.json] (creating [dir] if needed). [stats.json] captures
     the fuzzing statistics at detection time ([stats], omitted as [null]
     when not given), the campaign's microarchitectural coverage atlas
-    ([ucoverage], omitted entirely when not given) and a
-    metrics-registry snapshot ([metrics], defaulting to a fresh
-    {!Revizor_obs.Metrics.snapshot}). *)
+    ([ucoverage], omitted entirely when not given) and a fresh
+    {!Revizor_obs.Metrics.snapshot}. *)
 
 val save_stats :
-  ?stats:Fuzzer.stats ->
-  ?ucoverage:Ucoverage.t ->
-  ?metrics:Revizor_obs.Metrics.summary ->
-  path:string ->
-  unit ->
-  unit
+  ?stats:Fuzzer.stats -> ?ucoverage:Ucoverage.t -> path:string -> unit -> unit
 (** Write just the [revizor.stats.v1] document to [path] — what
     [revizor fuzz --stats-out] uses so compliant campaigns, which never
     produce a violation directory, still leave a stats/coverage artifact
-    for [revizor coverage]. *)
-
-val mkdir_p : string -> unit
-(** {!Revizor_obs.Dir.mkdir_p}. Every artifact write creates its own
-    directory; this is for directories the program needs before it
-    writes into them (a fleet's campaign directory). *)
+    for [revizor coverage] and [revizor telemetry-check]. *)
 
 type saved_stats = {
   stats : Fuzzer.stats option;
@@ -52,27 +36,19 @@ val stats_of_json : Revizor_obs.Json.t -> (saved_stats, string) result
 val load_stats : string -> (saved_stats, string) result
 (** Read back a [stats.json] ({!stats_of_json}); errors name the path. *)
 
-val save_metrics :
-  ?stats:Fuzzer.stats -> elapsed:float -> path:string -> unit -> unit
-(** Write the [revizor.metrics.v1] document ([revizor fuzz
-    --metrics-out]): a fresh {!Revizor_obs.Metrics.snapshot}, its stage
-    breakdown with each stage's share of [elapsed] wall seconds, the
-    share all stages account for, and [stats] ([null] when not given). *)
-
-type saved_metrics = {
-  counters : (string * int) list;  (** [metrics.counters], never empty *)
-  stages : string list;  (** stage names, by descending time *)
-  accounted_share : float;  (** of wall time, covered by the stages *)
+type stage_table = {
+  counters : int;  (** registry counters in the snapshot *)
+  stages : Revizor_obs.Metrics.stage list;  (** by descending time *)
+  campaign_s : float;  (** the registry gauge [fuzzer.elapsed_s] *)
+  accounted_share : float;  (** of [campaign_s], covered by [stages] *)
 }
 
-val metrics_of_json : Revizor_obs.Json.t -> (saved_metrics, string) result
-(** Decode a [revizor.metrics.v1] document: the schema, a non-empty
-    [metrics.counters], a [stages] object and a numeric
-    [accounted_share]. *)
-
-val load_metrics : string -> (saved_metrics, string) result
-(** Read back a metrics document ({!metrics_of_json}); errors name the
-    path. *)
+val stage_table : saved_stats -> (stage_table, string) result
+(** What [revizor telemetry-check --stats] prints: the snapshot's
+    [stage.*] counters ({!Revizor_obs.Metrics.stage_breakdown}) and the
+    share of the campaign loop's seconds they cover. Both count the
+    writing process only, so a resumed campaign's share is its own. An
+    error without counters or a positive [fuzzer.elapsed_s]. *)
 
 val load_program : string -> (Program.t, string) result
 (** Parse a saved [*.asm] file. *)

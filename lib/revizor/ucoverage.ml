@@ -166,10 +166,6 @@ let features_of_run descs (run : Cpu.event list) acc =
       in
       go (Depth (Metrics.bucket_of (List.length run)) :: acc) run
 
-let features_of_runs ~descs runs =
-  List.sort_uniq Stdlib.compare
-    (List.fold_left (fun acc run -> features_of_run descs run acc) [] runs)
-
 let features_of_measurements ~descs (ms : Executor.measurement array) =
   let acc =
     Array.fold_left

@@ -73,13 +73,6 @@ val feature_kind : feature -> Cpu.speculation_kind option
 
 (** {1 Harvesting} *)
 
-val features_of_runs :
-  descs:Revizor_emu.Compiled.desc array ->
-  Cpu.event list list ->
-  feature list
-(** Sorted distinct features of a set of per-repetition event records
-    (as in {!Executor.measurement.runs}). Pure. *)
-
 val features_of_measurements :
   descs:Revizor_emu.Compiled.desc array ->
   Executor.measurement array ->

@@ -246,7 +246,7 @@ let test_stats_json_roundtrip () =
 (* The document [save path] writes, parsed back. *)
 let written save =
   with_tmpdir (fun dir ->
-      Results.mkdir_p dir;
+      Revizor_obs.Dir.mkdir_p dir;
       let path = Filename.concat dir "doc.json" in
       save path;
       match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
@@ -285,7 +285,6 @@ let persisted_documents () =
       f_fenced_asm = "";
       f_fence_positions = [];
       f_leak_region = None;
-      f_ucoverage = None;
     }
   in
   let shard_result =
@@ -314,8 +313,6 @@ let persisted_documents () =
      (fun j -> unit_of (Forensics.of_json j)), false);
     ("stats", written (fun path -> Results.save_stats ~stats ~path ()),
      (fun j -> unit_of (Results.stats_of_json j)), false);
-    ("metrics", written (fun path -> Results.save_metrics ~stats ~elapsed:1. ~path ()),
-     (fun j -> unit_of (Results.metrics_of_json j)), false);
   ]
 
 (* [edit k (Some v)] sets field [k] to [v]; [edit k None] drops it. *)
@@ -414,7 +411,7 @@ let test_damaged_documents () =
    leaves out included: a checkpoint with pattern coverage and an atlas,
    a ledger with leased, backed-off and finished shards, a merged
    document and a shard result each carrying a violation, forensics with
-   timelines and an atlas, and stats with an atlas. *)
+   timelines, and stats with an atlas. *)
 let populated_documents () =
   let module Ledger = Revizor_fleet.Ledger in
   let module Merge = Revizor_fleet.Merge in
@@ -439,8 +436,8 @@ let populated_documents () =
     match
       Experiments.check_gadget Contract.ct_seq Target.target5 Gadgets.spectre_v1
     with
-    | Some v -> v
-    | None -> Alcotest.fail "the V1 gadget must violate CT-SEQ"
+    | Ok (Some v) -> v
+    | Ok None | Error _ -> Alcotest.fail "the V1 gadget must violate CT-SEQ"
   in
   let shard_result =
     {
@@ -463,7 +460,7 @@ let populated_documents () =
   let merged = Merge.create ~spec in
   ignore (Merge.commit merged shard_result);
   let forensics =
-    Forensics.capture ~ucoverage:atlas
+    Forensics.capture
       (Target.fuzzer_config ~seed:42L Contract.ct_seq Target.target5)
       violation
   in
@@ -554,10 +551,10 @@ let test_writes_create_directories () =
     Fuzzer.fuzz ~on_checkpoint:(fun s -> last := Some s) cfg
       ~budget:(Fuzzer.Test_cases 2)
   in
-  let metrics = Filename.concat root "metrics/out/m.json" in
-  Results.save_metrics ~stats ~elapsed:1. ~path:metrics ();
-  check bool "metrics document in a fresh nested directory" true
-    (Result.is_ok (Results.load_metrics metrics));
+  let stats_path = Filename.concat root "stats/out/s.json" in
+  Results.save_stats ~stats ~path:stats_path ();
+  check bool "stats document in a fresh nested directory" true
+    (Result.is_ok (Results.load_stats stats_path));
   let ckpt = Filename.concat root "ckpt/out/c.json" in
   Campaign.save ~path:ckpt cfg (Option.get !last);
   check bool "checkpoint in a fresh nested directory" true
@@ -566,6 +563,81 @@ let test_writes_create_directories () =
   Telemetry.enable_file trace;
   Telemetry.disable ();
   check bool "trace file in a fresh nested directory" true (Sys.file_exists trace)
+
+(* --- the stage table of a stats document ------------------------------ *)
+
+let stage_table_of counters gauges =
+  Results.stage_table
+    {
+      Results.stats = None;
+      ucoverage = None;
+      metrics = Metrics.to_json { Metrics.counters; gauges; histograms = [] };
+    }
+
+(* On a hand-built snapshot: the stage counter pairs by descending time,
+   and the share of the [fuzzer.elapsed_s] gauge they cover. *)
+let test_stage_table () =
+  let counters =
+    [
+      ("fuzzer.test_cases", 7); ("stage.a.calls", 3);
+      ("stage.a.ns", 300_000_000); ("stage.b.calls", 1);
+      ("stage.b.ns", 600_000_000);
+    ]
+  in
+  (match stage_table_of counters [ ("fuzzer.elapsed_s", 1.) ] with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      check int "counters" 5 t.Results.counters;
+      check
+        Alcotest.(list (pair string int))
+        "stages and calls, by descending time"
+        [ ("b", 1); ("a", 3) ]
+        (List.map
+           (fun (st : Metrics.stage) -> (st.Metrics.st_name, st.Metrics.st_calls))
+           t.Results.stages);
+      check (Alcotest.float 1e-9) "share of campaign time" 0.9
+        t.Results.accounted_share);
+  List.iter
+    (fun (what, counters, gauges) ->
+      check bool (what ^ " refused") true
+        (Result.is_error (stage_table_of counters gauges)))
+    [
+      ("no counters", [], [ ("fuzzer.elapsed_s", 1.) ]);
+      ("no campaign time", counters, []);
+      ("zero campaign time", counters, [ ("fuzzer.elapsed_s", 0.) ]);
+    ]
+
+(* A campaign's own stats.json: the stages cover at least 95% of its
+   loop time, also in a resumed process, whose registry counts only the
+   resumed segment while [stats.elapsed_s] carries both. *)
+let test_stage_table_of_campaign () =
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
+  let table what stats =
+    let doc = written (fun path -> Results.save_stats ~stats ~path ()) in
+    match Result.bind (Results.stats_of_json doc) Results.stage_table with
+    | Error e -> Alcotest.failf "%s: %s" what e
+    | Ok t ->
+        check bool
+          (Printf.sprintf "%s: stages cover %.3f of the campaign time" what
+             t.Results.accounted_share)
+          true
+          (t.Results.accounted_share >= 0.95);
+        t
+  in
+  Metrics.reset ();
+  let last = ref None in
+  let _, first =
+    Fuzzer.fuzz ~on_checkpoint:(fun s -> last := Some s) cfg
+      ~budget:(Fuzzer.Test_cases 40)
+  in
+  ignore (table "fresh campaign" first);
+  Metrics.reset ();
+  let _, resumed =
+    Fuzzer.fuzz ~resume:(Option.get !last) cfg ~budget:(Fuzzer.Test_cases 80)
+  in
+  let t = table "resumed campaign" resumed in
+  check bool "campaign time is the resumed segment's" true
+    (t.Results.campaign_s < resumed.Fuzzer.elapsed_s)
 
 (* --- probes record even on exceptions --------------------------------- *)
 
@@ -586,6 +658,9 @@ let () =
           tc "bucketing edges" `Quick test_bucket_edges;
           tc "histogram summary" `Quick test_histogram_summary;
           tc "probe records on exception" `Quick test_probe_exception;
+          tc "stage table of a snapshot" `Quick test_stage_table;
+          tc "stage table of a campaign, fresh and resumed" `Quick
+            test_stage_table_of_campaign;
         ] );
       ( "determinism",
         [

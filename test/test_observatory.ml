@@ -643,6 +643,19 @@ let test_forensics_artifact () =
   | Ok f' ->
       check string "codec round-trip" (Json.to_string j)
         (Json.to_string (Forensics.to_json f')));
+  (* Older files also carry the campaign's atlas; it is read from
+     stats.json now, and the member is ignored. *)
+  (match j with
+  | Json.Obj kvs -> (
+      let with_atlas =
+        Json.Obj (kvs @ [ ("ucoverage", Ucoverage.to_json (Ucoverage.create ())) ])
+      in
+      match Forensics.of_json with_atlas with
+      | Error e -> Alcotest.failf "file with an atlas refused: %s" e
+      | Ok f' ->
+          check string "atlas member ignored" (Json.to_string j)
+            (Json.to_string (Forensics.to_json f')))
+  | _ -> Alcotest.fail "forensics document is not an object");
   (* Disk round-trip via save/load. *)
   let dir = Filename.temp_file "revizor_forensics" "" in
   Sys.remove dir;
@@ -723,8 +736,8 @@ let test_forensics_timelines_match_oracle () =
   List.iter
     (fun (label, contract, (target : Target.t), gadget) ->
       match Experiments.check_gadget contract target gadget with
-      | None -> Alcotest.failf "%s: expected a violation" label
-      | Some v ->
+      | Ok None | Error _ -> Alcotest.failf "%s: expected a violation" label
+      | Ok (Some v) ->
           let cfg = Target.fuzzer_config ~seed:42L contract target in
           let oracle = Array.of_list (oracle_events cfg v) in
           let executor =

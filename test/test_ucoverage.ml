@@ -24,6 +24,17 @@ let ev ?(kind = Cpu.Branch_mispredict) ?(pc = 0) ?(loads = 0) ?(sets = [])
     touched_sets = sets;
   }
 
+(* The atlas harvests the executor's measurements; one measured input
+   per element of [runs_per_input], each repetition's event record as
+   given. *)
+let harvest ~descs runs_per_input =
+  Ucoverage.features_of_measurements ~descs
+    (Array.of_list
+       (List.map
+          (fun runs ->
+            { Executor.htrace = Htrace.empty; kinds = []; events = []; runs })
+          runs_per_input))
+
 let atlas_fingerprint u = Json.to_string (Ucoverage.to_json u)
 
 let outcome_summary = function
@@ -74,7 +85,7 @@ let test_feature_string_roundtrip () =
 
 (* --- harvesting --------------------------------------------------------- *)
 
-let test_features_of_runs () =
+let test_harvest () =
   (* With no descriptors every origin degrades to O_other. *)
   let descs = [||] in
   let run =
@@ -83,7 +94,7 @@ let test_features_of_runs () =
       ev ~kind:Cpu.Store_bypass ~loads:4 ~sets:[ 1; 2; 5 ] ();
     ]
   in
-  let fs = Ucoverage.features_of_runs ~descs [ run ] in
+  let fs = harvest ~descs [ [ run ] ] in
   let has f = List.mem f fs in
   check bool "kind-origin harvested" true
     (has (Ucoverage.Kind_origin (Cpu.Branch_mispredict, Ucoverage.O_other)));
@@ -106,10 +117,11 @@ let test_features_of_runs () =
   check bool "depth bucket" true (has (Ucoverage.Depth (Metrics.bucket_of 2)));
   (* Empty runs contribute nothing (no Depth-of-zero noise). *)
   check int "empty runs harvest nothing" 0
-    (List.length (Ucoverage.features_of_runs ~descs [ []; [] ]));
-  (* Identical runs dedupe. *)
-  check bool "sorted unique" true
-    (Ucoverage.features_of_runs ~descs [ run; run ] = fs)
+    (List.length (harvest ~descs [ [ []; [] ]; [] ]));
+  (* Identical runs dedupe, within an input and across inputs. *)
+  check bool "sorted unique" true (harvest ~descs [ [ run; run ] ] = fs);
+  check bool "unique across inputs" true
+    (harvest ~descs [ [ run ]; [ []; run ] ] = fs)
 
 let test_origin_classification () =
   let open Revizor_isa in
@@ -128,7 +140,7 @@ let test_origin_classification () =
   let descs = (Revizor_emu.Compiled.of_flat flat).Revizor_emu.Compiled.descs in
   let origin_at pc =
     let fs =
-      Ucoverage.features_of_runs ~descs [ [ ev ~pc ~loads:1 () ] ]
+      harvest ~descs [ [ [ ev ~pc ~loads:1 () ] ] ]
     in
     List.find_map
       (function Ucoverage.Kind_origin (_, o) -> Some o | _ -> None)
@@ -437,7 +449,7 @@ let () =
       ( "features",
         [
           tc "string round-trip" `Quick test_feature_string_roundtrip;
-          tc "harvest from runs" `Quick test_features_of_runs;
+          tc "harvest from runs" `Quick test_harvest;
           tc "origin classification" `Quick test_origin_classification;
         ] );
       ( "accumulator",
