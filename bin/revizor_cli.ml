@@ -32,6 +32,27 @@ let contract_arg =
     & info [ "c"; "contract" ] ~docv:"CONTRACT"
         ~doc:"Contract to test against (e.g. CT-SEQ, MEM-COND, ARCH-SEQ).")
 
+let fault_inject_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "fault-inject" ] ~docv:"SPEC"
+        ~doc:
+          "Arm deterministic fault injection: comma-separated \
+           $(i,name:rate) with optional $(i,@after) and $(i,#max), e.g. \
+           $(b,model.ctrace:0.05,writer.io:1.0@10#2). Campaign points \
+           (armed in fleet workers too): $(b,model.ctrace), \
+           $(b,executor.measure), $(b,writer.io). Fleet points: \
+           $(b,fleet.spawn), $(b,fleet.heartbeat), $(b,fleet.merge), \
+           $(b,fleet.ledger_write), $(b,fleet.worker_crash), \
+           $(b,fleet.worker_hang). Off by default.")
+
+let fault_seed_arg =
+  Arg.(
+    value & opt int64 42L
+    & info [ "fault-seed" ] ~docv:"SEED"
+        ~doc:"Seed for the fault-injection schedule (with --fault-inject).")
+
 let target_arg =
   Arg.(
     value
@@ -50,6 +71,12 @@ let inputs_arg =
   Arg.(
     value & opt int 50
     & info [ "i"; "inputs" ] ~docv:"N" ~doc:"Inputs per test case.")
+
+(* Every command reports a failure the same way: one [revizor: ] line on
+   stderr and exit status 2. *)
+let fail msg =
+  Printf.eprintf "revizor: %s\n" msg;
+  2
 
 let arm_faults fault_inject fault_seed =
   match fault_inject with
@@ -184,9 +211,7 @@ let do_fuzz contract target seed budget inputs minimize save_dir
     else arm_faults fault_inject fault_seed
   in
   match validation with
-  | Error msg ->
-      Printf.eprintf "revizor: %s\n" msg;
-      2
+  | Error msg -> fail msg
   | Ok () ->
   Ucoverage.set_enabled (not no_ucoverage);
   (* Caller-owned atlas so it can be saved after the campaign. *)
@@ -422,22 +447,6 @@ let fuzz_cmd =
              speculative exploration); pathological test cases are skipped \
              and counted. Default 50M.")
   in
-  let fault_inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-inject" ] ~docv:"SPEC"
-          ~doc:
-            "Arm deterministic fault injection: comma-separated \
-             $(i,name:rate) with optional $(i,@after) and $(i,#max), e.g. \
-             $(b,model.ctrace:0.05,writer.io:1.0@10#2). Off by default.")
-  in
-  let fault_seed =
-    Arg.(
-      value & opt int64 42L
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"Seed for the fault-injection schedule (with --fault-inject).")
-  in
   let monitor_sock =
     Arg.(
       value
@@ -456,9 +465,9 @@ let fuzz_cmd =
       value & opt int 50
       & info [ "heartbeat-every" ] ~docv:"N"
           ~doc:
-            "Emit a fuzz.heartbeat telemetry event (round, test cases, \
-             throughput, coverage size) every N test cases (with \
-             $(b,--trace-out); 0 disables).")
+            "Emit a fuzz.heartbeat telemetry event (the campaign's live \
+             status, as in the monitor's status reply) every N test cases \
+             (with $(b,--trace-out); 0 disables).")
   in
   let no_ucoverage =
     Arg.(
@@ -487,7 +496,7 @@ let fuzz_cmd =
       const do_fuzz $ contract_arg $ target_arg $ seed_arg $ budget_arg
       $ inputs_arg $ minimize $ save_dir $ executor_domains
       $ trace_out $ progress $ checkpoint $ checkpoint_every $ resume
-      $ watchdog_steps $ fault_inject $ fault_seed
+      $ watchdog_steps $ fault_inject_arg $ fault_seed_arg
       $ monitor_sock $ heartbeat_every $ no_ucoverage $ stats_out)
 
 (* --- check: re-verify a saved counterexample -------------------------- *)
@@ -700,11 +709,12 @@ let reproduce_cmd =
    and its --trace-out JSONL; CI runs it after the telemetry smoke fuzz. *)
 
 (* The stage table of the stats document's registry snapshot; the
-   stages must account for at least 95% of the campaign loop's time. *)
+   stages must account for at least 95% of a one-domain campaign loop's
+   time. *)
 let check_stats_file path =
   match Result.bind (Results.load_stats path) Results.stage_table with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok { Results.counters; stages; campaign_s; accounted_share } ->
+  | Ok ({ Results.counters; stages; campaign_s; accounted_share; _ } as t) ->
       let row (st : Metrics.stage) =
         let ns = float_of_int st.Metrics.st_total_ns in
         Printf.sprintf "\n  %-18s %9d calls %10.1f ms %6.1f%%" st.Metrics.st_name
@@ -715,8 +725,9 @@ let check_stats_file path =
           counters (List.length stages) (100. *. accounted_share) campaign_s
       in
       let table = String.concat "" (List.map row stages) in
-      if accounted_share >= 0.95 then Ok (Printf.sprintf "%s: OK (%s)%s" path report table)
-      else Error (Printf.sprintf "%s: %s, below 95%%%s" path report table)
+      match Results.check_stage_table t with
+      | Ok () -> Ok (Printf.sprintf "%s: OK (%s)%s" path report table)
+      | Error why -> Error (Printf.sprintf "%s: %s, %s%s" path report why table)
 
 (* A malformed FINAL line is tolerated and reported: a campaign killed
    mid-write (SIGKILL, OOM) leaves exactly one truncated tail line, and
@@ -735,12 +746,11 @@ let check_trace_file path =
            uncovered interval is reported so accounting holes are
            visible at a glance. *)
         let module T = Revizor_obs.Trace_analysis in
-        let groups = T.by_domain (T.spans_of_lines lines) in
+        let checks = T.check_domains (T.spans_of_lines lines) in
         let orphans =
           List.concat_map
-            (fun (dom, spans) ->
-              List.map (fun pair -> (dom, pair)) (T.check_nesting spans).T.nst_orphans)
-            groups
+            (fun (dom, n, _) -> List.map (fun pair -> (dom, pair)) n.T.nst_orphans)
+            checks
         in
         if orphans <> [] then
           let dom, (outer, inner) = List.hd orphans in
@@ -753,14 +763,12 @@ let check_trace_file path =
         else
           let gap =
             List.fold_left
-              (fun acc (dom, spans) ->
-                match T.deepest_gap spans with
-                | Some g -> (
-                    match acc with
-                    | Some (_, best) when best.T.g_dur >= g.T.g_dur -> acc
-                    | _ -> Some (dom, g))
-                | None -> acc)
-              None groups
+              (fun acc (dom, _, gap) ->
+                match (acc, gap) with
+                | Some (_, best), Some g when best.T.g_dur >= g.T.g_dur -> acc
+                | _, Some g -> Some (dom, g)
+                | _, None -> acc)
+              None checks
           in
           Ok
             (Printf.sprintf "%s: OK (%d spans, %d events, nesting valid%s%s)"
@@ -819,59 +827,15 @@ let telemetry_check_cmd =
 
 (* --- monitor: query a live campaign's endpoint ------------------------- *)
 
+(* The server answers at test-case boundaries, so a reply may be a few
+   test cases away; the wait is bounded rather than open-ended. *)
 let do_monitor sock cmd =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  match Unix.connect fd (Unix.ADDR_UNIX sock) with
-  | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "revizor: cannot connect to %s: %s\n" sock
-        (Unix.error_message e);
-      2
-  | () -> (
-      (* The server answers at test-case boundaries, so a response may be
-         a few test cases away; bound the wait rather than hanging. *)
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
-      let msg = cmd ^ "\n" in
-      let rec send off =
-        if off < String.length msg then
-          send (off + Unix.write_substring fd msg off (String.length msg - off))
-      in
-      send 0;
-      (* [prom] streams until the server closes; line commands stop at
-         the first complete line. *)
-      let oneshot =
-        match cmd with
-        | "prom" | "prometheus" | "metrics.prom" -> true
-        | _ -> false
-      in
-      let buf = Buffer.create 1024 in
-      let bytes = Bytes.create 4096 in
-      let rec recv () =
-        match Unix.read fd bytes 0 (Bytes.length bytes) with
-        | 0 -> true
-        | n ->
-            Buffer.add_subbytes buf bytes 0 n;
-            if (not oneshot) && Buffer.length buf > 0
-               && String.contains (Buffer.contents buf) '\n'
-            then true
-            else recv ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            false
-        | exception Unix.Unix_error _ -> false
-      in
-      let ok = recv () in
-      print_string (Buffer.contents buf);
-      if Buffer.length buf > 0 then begin
-        if Buffer.nth buf (Buffer.length buf - 1) <> '\n' then print_newline ()
-      end;
-      flush stdout;
-      if not ok then begin
-        Printf.eprintf "revizor: no response from %s within 30s\n" sock;
-        2
-      end
-      else 0)
+  match Revizor_obs.Monitor.request ~timeout:30. ~path:sock cmd with
+  | Ok reply ->
+      print_string reply;
+      if not (String.ends_with ~suffix:"\n" reply) then print_newline ();
+      0
+  | Error e -> fail (sock ^ ": " ^ e)
 
 let monitor_cmd =
   let sock =
@@ -899,9 +863,7 @@ module TA = Revizor_obs.Trace_analysis
 
 let load_trace path k =
   match TA.load_file path with
-  | Error e ->
-      Printf.eprintf "revizor: %s\n" e;
-      2
+  | Error e -> fail e
   | Ok (lines, scan) -> k lines scan
 
 let do_trace_report file =
@@ -943,25 +905,22 @@ let do_trace_report file =
            else 100. *. float_of_int d.TA.d_busy_ns /. float_of_int wall)
           d.TA.d_top_stage)
       (TA.domain_stats spans);
-    let ok = ref true in
+    let checks = TA.check_domains spans in
     List.iter
-      (fun (dom, group) ->
-        let n = TA.check_nesting group in
-        if n.TA.nst_orphans <> [] then begin
-          ok := false;
+      (fun (dom, n, gap) ->
+        if n.TA.nst_orphans <> [] then
           Printf.printf "\ndom %d: %d ORPHANED span pair(s)\n" dom
-            (List.length n.TA.nst_orphans)
-        end;
-        match TA.deepest_gap group with
-        | Some g when g.TA.g_dur > 0 ->
+            (List.length n.TA.nst_orphans);
+        match gap with
+        | Some g ->
             Printf.printf
               "dom %d: max depth %d, deepest gap %.2f ms (%s -> %s)\n" dom
               n.TA.nst_max_depth
               (float_of_int g.TA.g_dur /. 1e6)
               g.TA.g_after g.TA.g_before
-        | _ -> Printf.printf "dom %d: max depth %d, no gaps\n" dom n.TA.nst_max_depth)
-      (TA.by_domain spans);
-    if !ok then 0 else 1
+        | None -> Printf.printf "dom %d: max depth %d, no gaps\n" dom n.TA.nst_max_depth)
+      checks;
+    if List.for_all (fun (_, n, _) -> n.TA.nst_orphans = []) checks then 0 else 1
   end
 
 let do_trace_export file out =
@@ -1039,9 +998,7 @@ let do_forensics_show path =
     else (Filename.dirname path, path)
   in
   match Forensics.load path with
-  | Error e ->
-      Printf.eprintf "revizor: %s\n" e;
-      2
+  | Error e -> fail e
   | Ok f ->
       print_string (Forensics.render f);
       let stats = Filename.concat dir "stats.json" in
@@ -1101,9 +1058,7 @@ let load_atlas path =
 
 let with_atlas path k =
   match load_atlas path with
-  | Error e ->
-      Printf.eprintf "revizor: %s\n" e;
-      2
+  | Error e -> fail e
   | Ok (u, stats) -> k u stats
 
 let do_coverage_report path =
@@ -1256,9 +1211,7 @@ module Fleet_orch = Revizor_fleet.Orchestrator
    quarantined (results incomplete), 2 operational error. *)
 let fleet_summary dir =
   match Fleet_ledger.load ~dir with
-  | Error e ->
-      Printf.eprintf "revizor: %s\n" e;
-      2
+  | Error e -> fail e
   | Ok ledger ->
       let p, l, d, q = Fleet_ledger.counts ledger in
       Printf.printf
@@ -1292,9 +1245,7 @@ let do_fleet_run dir contract target shards seed budget inputs workers lease
     max_attempts checkpoint_every fleet_seed fault_inject fault_seed
     as_reference quiet =
   match arm_faults fault_inject fault_seed with
-  | Error e ->
-      Printf.eprintf "revizor: %s\n" e;
-      2
+  | Error e -> fail e
   | Ok () -> (
       let seeds = List.init shards (fun i -> Int64.add seed (Int64.of_int i)) in
       let spec =
@@ -1318,9 +1269,7 @@ let do_fleet_run dir contract target shards seed budget inputs workers lease
       if as_reference then begin
         match Fleet_orch.reference ~dir ~log spec with
         | Ok () -> fleet_summary dir
-        | Error e ->
-            Printf.eprintf "revizor: %s\n" e;
-            2
+        | Error e -> fail e
       end
       else begin
         install_signal_handlers ();
@@ -1341,16 +1290,12 @@ let do_fleet_run dir contract target shards seed budget inputs workers lease
             if not quiet then Printf.printf "[fleet] interrupted; resume with `revizor fleet resume --dir %s`\n%!" dir;
             ignore (fleet_summary dir);
             130
-        | Error e ->
-            Printf.eprintf "revizor: %s\n" e;
-            2
+        | Error e -> fail e
       end)
 
 let do_fleet_resume dir fault_inject fault_seed quiet =
   match arm_faults fault_inject fault_seed with
-  | Error e ->
-      Printf.eprintf "revizor: %s\n" e;
-      2
+  | Error e -> fail e
   | Ok () -> (
       install_signal_handlers ();
       let log =
@@ -1366,19 +1311,19 @@ let do_fleet_resume dir fault_inject fault_seed quiet =
       | Ok Fleet_orch.Interrupted ->
           ignore (fleet_summary dir);
           130
-      | Error e ->
-          Printf.eprintf "revizor: %s\n" e;
-          2)
+      | Error e -> fail e)
 
+(* Prefer the live orchestrator's status socket; fall back to reading the
+   ledger off disk when no orchestrator answers. *)
 let do_fleet_status dir =
-  let sock = Fleet_ledger.fleet_sock dir in
-  (* Prefer the live orchestrator's status socket; fall back to reading
-     the ledger off disk when no orchestrator is running. *)
-  if
-    Sys.file_exists sock
-    && Fleet_orch.heartbeat_alive ~sock_path:sock ~timeout:0.3
-  then do_monitor sock "status"
-  else fleet_summary dir
+  match
+    Revizor_obs.Monitor.request ~timeout:0.3 ~path:(Fleet_ledger.fleet_sock dir)
+      "status"
+  with
+  | Ok reply ->
+      print_endline reply;
+      0
+  | Error _ -> fleet_summary dir
 
 let fleet_cmd =
   let dir_arg =
@@ -1429,23 +1374,6 @@ let fleet_cmd =
       & info [ "fleet-seed" ] ~docv:"SEED"
           ~doc:"Seed for the deterministic re-adoption backoff jitter.")
   in
-  let fault_inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-inject" ] ~docv:"SPEC"
-          ~doc:
-            "Arm deterministic fault injection (fleet points: \
-             $(b,fleet.spawn), $(b,fleet.heartbeat), $(b,fleet.merge), \
-             $(b,fleet.ledger_write), $(b,fleet.worker_crash), \
-             $(b,fleet.worker_hang); plus every in-worker point).")
-  in
-  let fault_seed =
-    Arg.(
-      value & opt int64 42L
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"Seed for the fault-injection schedule (with --fault-inject).")
-  in
   let as_reference =
     Arg.(
       value & flag
@@ -1468,7 +1396,7 @@ let fleet_cmd =
       Term.(
         const do_fleet_run $ dir_arg $ contract_arg $ target_arg $ shards
         $ seed_arg $ budget_arg $ inputs_arg $ workers $ lease $ max_attempts
-        $ checkpoint_every $ fleet_seed $ fault_inject $ fault_seed
+        $ checkpoint_every $ fleet_seed $ fault_inject_arg $ fault_seed_arg
         $ as_reference $ quiet)
   in
   let resume =
@@ -1478,7 +1406,7 @@ let fleet_cmd =
            "Resume a fleet campaign after orchestrator death: the ledger \
             and shard checkpoints alone reconstruct the state; merged \
             results are byte-identical to an uninterrupted run.")
-      Term.(const do_fleet_resume $ dir_arg $ fault_inject $ fault_seed $ quiet)
+      Term.(const do_fleet_resume $ dir_arg $ fault_inject_arg $ fault_seed_arg $ quiet)
   in
   let status =
     let dir_pos =

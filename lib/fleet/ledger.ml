@@ -305,32 +305,10 @@ let of_json ~dir = Json.decode ~codec:"ledger" (decoder ~dir)
 
 let fp_ledger_write = Faultpoint.point "fleet.ledger_write"
 
-(* The fleet's control-plane files (ledger, merged corpus) retry their
-   atomic write under the fleet's own coarse backoff, keyed on the fleet
-   seed plus a per-file [salt]; [fault] fires once per attempt and
-   models a transiently failing write. The write itself is atomic
-   (tmp+rename), so a crash at any instant leaves the previous
-   consistent file. Raises once five retries have failed. *)
-let write_retried spec ~fault ~salt path contents =
-  let key = Int64.add spec.sp_fleet_seed salt in
-  let rec go attempt =
-    match
-      Faultpoint.fire fault;
-      Revizor_obs.Atomic_file.write path contents
-    with
-    | () -> ()
-    | exception ((Faultpoint.Injected _ | Sys_error _) as e) ->
-        if attempt >= 5 then raise e
-        else begin
-          Backoff.sleep_ms (Backoff.delay_ms spec.sp_backoff ~key ~attempt);
-          go (attempt + 1)
-        end
-  in
-  go 0
-
+(* [fleet.ledger_write] models a transiently failing ledger write; it
+   fires on every attempt of the atomic write's own retry loop. *)
 let save t =
-  write_retried t.spec ~fault:fp_ledger_write ~salt:0x1ed5e4L
-    (ledger_path t.dir)
+  Revizor_obs.Atomic_file.write ~fault:fp_ledger_write (ledger_path t.dir)
     (Json.to_string_pretty (to_json t) ^ "\n")
 
 let load ~dir = Json.load ~codec:"ledger" (decoder ~dir) (ledger_path dir)

@@ -93,21 +93,10 @@ val finished : t -> bool
 
 (** {1 Persistence} *)
 
-val write_retried :
-  spec ->
-  fault:Revizor_obs.Faultpoint.point ->
-  salt:int64 ->
-  string ->
-  string ->
-  unit
-(** [write_retried spec ~fault ~salt path contents]: atomic write of a
-    fleet control-plane file, retried up to five times under the spec's
-    backoff policy with jitter keyed on [sp_fleet_seed + salt]; [fault]
-    fires once per attempt. Raises when every attempt failed. *)
-
 val save : t -> unit
-(** Atomic whole-ledger write through {!write_retried}; the
-    [fleet.ledger_write] fault point fires per attempt. *)
+(** Atomic whole-ledger write ({!Revizor_obs.Atomic_file.write}, four
+    attempts); the [fleet.ledger_write] fault point fires per attempt.
+    Raises when every attempt failed. *)
 
 val load : dir:string -> (t, string) result
 val exists : dir:string -> bool

@@ -133,9 +133,8 @@ let render t = Json.to_string_pretty (to_json t) ^ "\n"
 (* A persistent write failure raises: the orchestrator requeues the
    shard, and the journal makes its eventual re-commit a no-op, so
    nothing is counted twice. *)
-let save ~dir ~(spec : Ledger.spec) t =
-  Ledger.write_retried spec ~fault:fp_merge ~salt:0x4d3e9eL
-    (Ledger.merged_path dir) (render t)
+let save ~dir ~spec:(_ : Ledger.spec) t =
+  Revizor_obs.Atomic_file.write ~fault:fp_merge (Ledger.merged_path dir) (render t)
 
 let load ~dir ~(spec : Ledger.spec) =
   let path = Ledger.merged_path dir in

@@ -38,10 +38,11 @@ val stats : t -> Revizor.Fuzzer.stats
 val atlas : t -> Revizor.Ucoverage.t
 
 val save : dir:string -> spec:Ledger.spec -> t -> unit
-(** Atomic write of [merged.json], retried under the fleet backoff
-    policy ([fleet.merge] fires per attempt); raises on persistent
-    failure — the caller requeues the shard and the journal absorbs the
-    eventual duplicate commit. *)
+(** Atomic write of [merged.json] ({!Revizor_obs.Atomic_file.write},
+    four attempts; [fleet.merge] fires per attempt); raises on
+    persistent failure — the caller requeues the shard and the journal
+    absorbs the eventual duplicate commit. [spec] is unused: the
+    document already carries its campaign's fingerprint. *)
 
 val load : dir:string -> spec:Ledger.spec -> (t, string) result
 (** Parse [merged.json] back (the empty document if the file does not

@@ -29,30 +29,6 @@ let fp_heartbeat = Faultpoint.point "fleet.heartbeat"
 
 let ( let* ) = Result.bind
 
-(* --- heartbeat client -------------------------------------------------- *)
-
-(* One-shot liveness probe over the worker's monitor socket: connect,
-   ask [health], and treat any reply bytes as proof of life. Bounded by
-   socket timeouts so a hung worker costs [timeout], not forever; every
-   failure mode (no socket yet, refused, timed out) is simply "no
-   renewal" — only lease expiry, not a missed heartbeat, revokes. *)
-let heartbeat_alive ~sock_path ~timeout =
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> false
-  | fd ->
-      let alive =
-        try
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-          Unix.connect fd (Unix.ADDR_UNIX sock_path);
-          let req = Bytes.of_string "health\n" in
-          ignore (Unix.write fd req 0 (Bytes.length req));
-          Unix.read fd (Bytes.create 256) 0 256 > 0
-        with _ -> false
-      in
-      (try Unix.close fd with _ -> ());
-      alive
-
 (* --- status socket provider ------------------------------------------- *)
 
 let state_name = function
@@ -73,55 +49,43 @@ let provider (ledger : Ledger.t) merged cmd =
       ]
   in
   match cmd with
-  | "health" ->
-      Some
-        (Json.Obj
-           [ ("schema", Json.String "revizor.monitor.v1"); ("status", Json.String "ok") ])
+  | "health" -> Some [ ("status", Json.String "ok") ]
   | "status" ->
       Some
-        (Json.Obj
-           [
-             ("schema", Json.String "revizor.monitor.v1");
-             ("role", Json.String "fleet");
-             ( "state",
-               Json.String (if Ledger.finished ledger then "finished" else "running")
-             );
-             ("fingerprint", Json.String (Ledger.fingerprint ledger.Ledger.spec));
-             ("total_shards", Json.Int (Array.length ledger.Ledger.shards));
-             ("shards", counts_json ());
-             ("violations", Json.Int (List.length (Merge.violations merged)));
-             ("merged_features", Json.Int (Ucoverage.distinct (Merge.atlas merged)));
-           ])
+        [
+          ("role", Json.String "fleet");
+          ( "state",
+            Json.String (if Ledger.finished ledger then "finished" else "running") );
+          ("fingerprint", Json.String (Ledger.fingerprint ledger.Ledger.spec));
+          ("total_shards", Json.Int (Array.length ledger.Ledger.shards));
+          ("shards", counts_json ());
+          ("violations", Json.Int (List.length (Merge.violations merged)));
+          ("merged_features", Json.Int (Ucoverage.distinct (Merge.atlas merged)));
+        ]
   | "shards" ->
       Some
-        (Json.Obj
-           [
-             ("schema", Json.String "revizor.monitor.v1");
-             ("counts", counts_json ());
-             ( "shards",
-               Json.List
-                 (Array.to_list
-                    (Array.map
-                       (fun sh ->
-                         Json.Obj
-                           ([
-                              ("id", Json.Int sh.Ledger.sh_id);
-                              ( "seed",
-                                Json.String
-                                  (Printf.sprintf "0x%Lx" sh.Ledger.sh_seed) );
-                              ("state", Json.String (state_name sh.Ledger.sh_state));
-                              ("attempts", Json.Int sh.Ledger.sh_attempts);
-                            ]
-                           @
-                           match sh.Ledger.sh_state with
-                           | Ledger.Leased { pid; expires; _ } ->
-                               [
-                                 ("pid", Json.Int pid);
-                                 ("expires", Json.Float expires);
-                               ]
-                           | _ -> []))
-                       ledger.Ledger.shards)) );
-           ])
+        [
+          ("counts", counts_json ());
+          ( "shards",
+            Json.List
+              (Array.to_list
+                 (Array.map
+                    (fun sh ->
+                      Json.Obj
+                        ([
+                           ("id", Json.Int sh.Ledger.sh_id);
+                           ( "seed",
+                             Json.String (Printf.sprintf "0x%Lx" sh.Ledger.sh_seed) );
+                           ("state", Json.String (state_name sh.Ledger.sh_state));
+                           ("attempts", Json.Int sh.Ledger.sh_attempts);
+                         ]
+                        @
+                        match sh.Ledger.sh_state with
+                        | Ledger.Leased { pid; expires; _ } ->
+                            [ ("pid", Json.Int pid); ("expires", Json.Float expires) ]
+                        | _ -> []))
+                    ledger.Ledger.shards)) );
+        ]
   | _ -> None
 
 (* --- the control loop -------------------------------------------------- *)
@@ -227,8 +191,10 @@ let drive ~log (ledger : Ledger.t) merged ~should_stop =
                   complete_or_fail ~log ledger merged sh ~now)
           | _ -> ())
         ledger.Ledger.shards;
-      (* 2. Heartbeats: any reply over the worker's monitor socket
-         renews its lease. [fleet.heartbeat] simulates a lost probe. *)
+      (* 2. Heartbeats: a complete [health] reply over the worker's
+         monitor socket renews its lease, bounded by [hb_timeout]; no
+         reply is simply no renewal (only lease expiry revokes).
+         [fleet.heartbeat] simulates a lost probe. *)
       Array.iter
         (fun sh ->
           match sh.Ledger.sh_state with
@@ -253,9 +219,9 @@ let drive ~log (ledger : Ledger.t) merged ~should_stop =
                 in
                 if
                   (not lost)
-                  && heartbeat_alive
-                       ~sock_path:(Ledger.shard_sock dir id)
-                       ~timeout:hb_timeout
+                  && Result.is_ok
+                       (Monitor.request ~timeout:hb_timeout
+                          ~path:(Ledger.shard_sock dir id) "health")
                 then begin
                   Ledger.renew sh ~now ~lease_s:spec.Ledger.sp_lease_s;
                   changed := true

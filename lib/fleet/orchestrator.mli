@@ -4,7 +4,7 @@
     crashed/hung shards from their checkpoints, and folds finished
     shards into the central merge document (DESIGN.md §9).
 
-    Also serves a pollable [revizor.monitor.v1] status endpoint on the
+    Also serves a pollable {!Revizor_obs.Monitor} status endpoint on the
     fleet directory's [fleet.sock] ([status], [shards], [health],
     [metrics], [prom]). *)
 
@@ -46,7 +46,3 @@ val reference :
 (** In-process sequential reference: the same shards through the same
     merge code with no forking and no fault points armed — the
     byte-identity baseline chaos runs are diffed against. *)
-
-(**/**)
-
-val heartbeat_alive : sock_path:string -> timeout:float -> bool

@@ -201,5 +201,3 @@ let spec_name s =
         | _ -> List.map (okind_name s.width) shape
       in
       Opcode.mnemonic s.opcode ^ "_" ^ String.concat "_" parts
-
-let pp_spec fmt s = Format.pp_print_string fmt (spec_name s)

@@ -45,5 +45,3 @@ val count : subset list -> int
 
 val spec_name : spec -> string
 (** Human-readable variant name, e.g. ["ADD_r32_m32"]. *)
-
-val pp_spec : Format.formatter -> spec -> unit

@@ -1,24 +1,28 @@
 (* Crash-safe artifact writes (DESIGN.md §8).
 
-   Every result artifact — violation.asm, inputs.txt, stats.json,
-   forensics.json, campaign checkpoints — goes through this one helper: the
+   Every durable write — violation.asm, inputs.txt, stats.json,
+   forensics.json, campaign checkpoints, the fleet's ledger, shard
+   results and merged corpus — goes through this one helper: the
    contents land in a sibling temp file first and only an atomic rename
    publishes them, so a SIGKILL mid-write leaves either the old file or
    the new one, never a torn hybrid.
 
-   Transient I/O failures (and the [writer.io] fault point, which models
-   them deterministically in tests) are retried a bounded number of
-   times — with capped exponential backoff and deterministic jitter
-   keyed on the target path ({!Backoff}, the same policy the fleet
-   orchestrator uses for shard re-adoption) — before the last exception
-   is re-raised. *)
+   Transient I/O failures (and the [writer.io] fault point, plus the
+   caller's own point, which model them deterministically in tests) are
+   retried a bounded number of times — with capped exponential backoff
+   and deterministic jitter keyed on the target path ({!Backoff}) —
+   before the last exception is re-raised. This is the only retry loop
+   for durable writes. *)
 
 let m_writes = Metrics.counter "obs.atomic_writes"
 let m_retries = Metrics.counter "obs.atomic_write_retries"
 
 let fp_writer = Faultpoint.point "writer.io"
 
-let attempt path contents =
+let retries = 3
+
+let attempt ?fault path contents =
+  Option.iter Faultpoint.fire fault;
   Faultpoint.fire fp_writer;
   Dir.ensure_parent path;
   let tmp = path ^ ".tmp" in
@@ -34,17 +38,17 @@ let attempt path contents =
       raise e);
   Sys.rename tmp path
 
-let write ?(retries = 3) ?(backoff = Backoff.default) path contents =
+let write ?fault path contents =
   Metrics.incr m_writes;
   let key = Hash.fnv1a path in
   let rec go n =
-    match attempt path contents with
+    match attempt ?fault path contents with
     | () -> ()
     | exception ((Sys_error _ | Faultpoint.Injected _) as e) ->
         if n >= retries then raise e
         else begin
           Metrics.incr m_retries;
-          let delay_ms = Backoff.delay_ms backoff ~key ~attempt:n in
+          let delay_ms = Backoff.delay_ms Backoff.default ~key ~attempt:n in
           if Telemetry.enabled () then
             Telemetry.event "writer.retry"
               [

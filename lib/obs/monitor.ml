@@ -11,7 +11,8 @@ let m_client_lost = Metrics.counter "monitor.client_lost"
    process. Ignoring the signal turns that write into an EPIPE error,
    which the per-client error handling below absorbs (the client is
    dropped and counted, nothing else happens). Forced once, on the first
-   [create] — the fleet's heartbeat client shares the same guard. *)
+   [create] or [request]: a client writing to a vanished server gets the
+   same EPIPE, which [request] turns into an [Error]. *)
 let ignore_sigpipe =
   lazy
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -29,7 +30,7 @@ type t = {
   sock : Unix.file_descr;
   sock_path : string;
   mutable clients : client list;
-  mutable provider : (string -> Json.t option) option;
+  mutable provider : (string -> (string * Json.t) list option) option;
   mutable closed : bool;
 }
 
@@ -53,7 +54,6 @@ let create ~path =
      raise e);
   { sock; sock_path = path; clients = []; provider = None; closed = false }
 
-let path t = t.sock_path
 let set_provider t f = t.provider <- Some f
 
 let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
@@ -118,45 +118,42 @@ let parse_command line =
       (Result.bind (Json.parse line) (Json.field "cmd" Json.str))
   else Ok line
 
+(* The one list of one-shot commands, on parsed commands: the server
+   closes after their reply and the client reads them to EOF. *)
+let oneshot = function "prom" | "prometheus" | "metrics.prom" -> true | _ -> false
+
 let error_line msg =
   Json.to_string (Json.Obj [ ("error", Json.String msg) ]) ^ "\n"
 
 (* Response bytes for one request line; [`Oneshot] responses close the
-   connection after the flush (Prometheus text has no line framing). *)
+   connection after the flush (Prometheus text has no line framing).
+   Every JSON reply but an error opens with the schema member. *)
 let respond t line =
   Metrics.incr m_requests;
-  let json j = `Line (Json.to_string j ^ "\n") in
+  let reply fields =
+    `Line
+      (Json.to_string
+         (Json.Obj (("schema", Json.String "revizor.monitor.v1") :: fields))
+      ^ "\n")
+  in
   let error msg = `Line (error_line msg) in
   match parse_command line with
   | Error msg -> error msg
   | Ok "" -> error "empty command"
-  | Ok "metrics" ->
-      json
-        (Json.Obj
-           [
-             ("schema", Json.String "revizor.monitor.v1");
-             ("metrics", Metrics.to_json (Metrics.snapshot ()));
-           ])
-  | Ok ("prom" | "prometheus" | "metrics.prom") ->
-      `Oneshot (prometheus (Metrics.snapshot ()))
+  | Ok cmd when oneshot cmd -> `Oneshot (prometheus (Metrics.snapshot ()))
+  | Ok "metrics" -> reply [ ("metrics", Metrics.to_json (Metrics.snapshot ())) ]
   | Ok cmd -> (
       match t.provider with
       | Some f -> (
           match f cmd with
-          | Some j -> json j
+          | Some fields -> reply fields
           | None -> error (Printf.sprintf "unknown command %S" cmd))
       | None -> (
           (* Minimal provider-less answers, so a monitor outlives the
              campaign that installed the provider and a bare endpoint is
              still probeable. *)
           match cmd with
-          | "status" | "health" ->
-              json
-                (Json.Obj
-                   [
-                     ("schema", Json.String "revizor.monitor.v1");
-                     ("state", Json.String "idle");
-                   ])
+          | "status" | "health" -> reply [ ("state", Json.String "idle") ]
           | _ -> error (Printf.sprintf "unknown command %S" cmd)))
 
 (* Drain complete request lines out of the client's input buffer. A
@@ -309,3 +306,59 @@ let close t =
     (try Unix.close t.sock with Unix.Unix_error _ -> ());
     try Unix.unlink t.sock_path with Unix.Unix_error _ -> ()
   end
+
+(* --- client ----------------------------------------------------------- *)
+
+(* One request over [fd], a fresh blocking socket, each blocking call
+   bounded by what is left of [timeout] (at least 1 ms: a zero socket
+   timeout would wait for ever). A read a signal cuts short is retried,
+   so the orchestrator's SIGCHLD handler cannot turn a live worker's
+   heartbeat into a miss. *)
+let exchange fd ~timeout ~path line =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let to_eof = match parse_command line with Ok cmd -> oneshot cmd | Error _ -> false in
+  let closed = Error "connection closed before a complete reply" in
+  let late = Error (Printf.sprintf "no reply within %gs" timeout) in
+  let bound opt =
+    Unix.setsockopt_float fd opt (Float.max 0.001 (deadline -. Unix.gettimeofday ()))
+  in
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec recv () =
+    if Unix.gettimeofday () >= deadline then late
+    else begin
+      bound Unix.SO_RCVTIMEO;
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> if to_eof && Buffer.length buf > 0 then Ok (Buffer.contents buf) else closed
+      | n -> (
+          Buffer.add_subbytes buf chunk 0 n;
+          match if to_eof then None else String.index_opt (Buffer.contents buf) '\n' with
+          | Some i -> Ok (Buffer.sub buf 0 i)
+          | None -> recv ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv ()
+    end
+  in
+  match
+    bound Unix.SO_SNDTIMEO;
+    Unix.connect fd (Unix.ADDR_UNIX path)
+  with
+  | exception Unix.Unix_error (e, _, _) -> Error ("cannot connect: " ^ Unix.error_message e)
+  | () -> (
+      let msg = line ^ "\n" in
+      let rec send off =
+        if off < String.length msg then
+          send (off + Unix.write_substring fd msg off (String.length msg - off))
+      in
+      match send 0; recv () with
+      | reply -> reply
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> late
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> closed
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+
+let request ~timeout ~path line =
+  Lazy.force ignore_sigpipe;
+  match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) -> Error ("cannot connect: " ^ Unix.error_message e)
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () -> exchange fd ~timeout ~path line)

@@ -156,7 +156,7 @@ let span name ~start_ns ~dur_ns =
   | Some s ->
       (* [dom] attributes the span to the OCaml domain that ran it: the
          trace-analytics toolkit groups spans per domain before nesting
-         them (spans from different domains of the pipelined engine
+         them (spans from different domains of a pooled campaign
          legitimately overlap in time) and computes per-domain
          utilization from the groups. *)
       emit "span" name

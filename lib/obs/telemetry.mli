@@ -46,7 +46,7 @@ val span : string -> start_ns:int -> dur_ns:int -> unit
     is translated to sink-relative time. The line carries a [dom] field
     identifying the emitting OCaml domain, so the trace-analytics
     toolkit can group spans per domain before nesting them (spans of
-    different domains legitimately overlap under the pipelined engine).
+    different domains of a pooled campaign legitimately overlap).
     No-op while disabled. *)
 
 (** {1 Parsing}

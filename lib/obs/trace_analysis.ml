@@ -195,6 +195,11 @@ let deepest_gap spans =
         sorted;
       !best
 
+let check_domains spans =
+  List.map
+    (fun (dom, group) -> (dom, check_nesting group, deepest_gap group))
+    (by_domain spans)
+
 (* --- per-stage and per-domain summaries ------------------------------ *)
 
 type stage_stat = {

@@ -80,6 +80,11 @@ val deepest_gap : span list -> gap option
     the stages missed in aggregate, but {e where} the biggest hole
     is. *)
 
+val check_domains : span list -> (int * nesting * gap option) list
+(** {!check_nesting} and {!deepest_gap} of each emitting domain's spans,
+    by ascending domain id: the one validation pass that
+    [telemetry-check --trace] and [trace report] print from. *)
+
 (** {1 Per-stage and per-domain summaries} *)
 
 type stage_stat = {
@@ -104,10 +109,11 @@ type domain_stat = {
 
 val domain_stats : span list -> domain_stat list
 (** Per-domain utilization over the whole trace's wall interval
-    ([min start, max end] across all domains): how busy each domain of
-    the pipelined engine was, and what it mostly ran. Stall time on the
-    executor domains is time spent waiting for generate/compile (or for
-    commit); stall on the coordinating domain is the converse. *)
+    ([min start, max end] across all domains): how busy the campaign
+    loop's domain and each executor-pool domain was, and what it mostly
+    ran. Stall time on a pool domain is time spent waiting for the loop
+    to generate the next test case; stall on the loop's domain is time
+    spent waiting for a pool result. *)
 
 (** {1 Chrome trace-event export} *)
 

@@ -136,8 +136,3 @@ let find_violation ?equivalence ?excluding classes htraces =
             }
       | None -> None)
     classes
-
-let pp_candidate fmt c =
-  Format.fprintf fmt
-    "@[<v>inputs #%d vs #%d@,ctrace: %a@,htrace A: %a@,htrace B: %a@]" c.index_a
-    c.index_b Ctrace.pp c.cls.ctrace Htrace.pp c.htrace_a Htrace.pp c.htrace_b

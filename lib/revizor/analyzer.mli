@@ -53,5 +53,3 @@ val find_violation :
   candidate option
 (** [excluding] skips pairs already dismissed as priming artifacts, so the
     caller can look for further independent divergences. *)
-
-val pp_candidate : Format.formatter -> candidate -> unit

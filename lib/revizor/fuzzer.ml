@@ -525,9 +525,27 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     ref (match resume with Some s -> s.sn_in_round | None -> 0)
   in
   let elapsed_now () = base_elapsed +. (Unix.gettimeofday () -. started) in
-  let throughput_per_hour () =
-    let e = elapsed_now () in
-    if e <= 0. then 0. else float_of_int stats.test_cases /. e *. 3600.
+  (* The campaign's live status: the monitor's [status] reply and the
+     [fuzz.heartbeat] event both carry exactly these fields. *)
+  let live_status () =
+    let elapsed = elapsed_now () in
+    [
+      ("test_cases", Json.Int stats.test_cases);
+      ("rounds", Json.Int stats.rounds);
+      ("inputs_tested", Json.Int stats.inputs_tested);
+      ("coverage_combinations", Json.Int (Coverage.total_combinations coverage));
+      ( "throughput_per_hour",
+        Json.Float
+          (if elapsed <= 0. then 0.
+           else float_of_int stats.test_cases /. elapsed *. 3600.) );
+      ("gen_insts", Json.Int !gen_cfg.Generator.n_insts);
+      ("gen_blocks", Json.Int !gen_cfg.Generator.n_blocks);
+      ("n_inputs", Json.Int !n_inputs);
+      ("elapsed_s", Json.Float elapsed);
+      ("ucov_features", Json.Int (Ucoverage.distinct ucov));
+      ( "ucov_per_1k_tc",
+        Json.Float (Ucoverage.rate_per_1k ucov ~test_cases:stats.test_cases) );
+    ]
   in
   (* Monitor endpoint state: the provider closures below are consulted
      from [Monitor.poll] — which only ever runs on this domain, at
@@ -539,61 +557,24 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
   | None -> ()
   | Some mon ->
       Monitor.set_provider mon (fun cmd ->
-          let base =
-            [
-              ("schema", Json.String "revizor.monitor.v1");
-              ("state", Json.String !campaign_state);
-            ]
-          in
+          let reply fields = Some (("state", Json.String !campaign_state) :: fields) in
           match cmd with
-          | "status" ->
-              Some
-                (Json.Obj
-                   (base
-                   @ [
-                       ("test_cases", Json.Int stats.test_cases);
-                       ("rounds", Json.Int stats.rounds);
-                       ("inputs_tested", Json.Int stats.inputs_tested);
-                       ( "coverage_combinations",
-                         Json.Int (Coverage.total_combinations coverage) );
-                       ( "throughput_per_hour",
-                         Json.Float (throughput_per_hour ()) );
-                       ("gen_insts", Json.Int (!gen_cfg).Generator.n_insts);
-                       ("gen_blocks", Json.Int (!gen_cfg).Generator.n_blocks);
-                       ("n_inputs", Json.Int !n_inputs);
-                       ("elapsed_s", Json.Float (elapsed_now ()));
-                       ("ucov_features", Json.Int (Ucoverage.distinct ucov));
-                       ( "ucov_per_1k_tc",
-                         Json.Float
-                           (Ucoverage.rate_per_1k ucov
-                              ~test_cases:stats.test_cases) );
-                     ]))
+          | "status" -> reply (live_status ())
           | "coverage" ->
               (* The atlas in one query: totals, per-mechanism counts and
                  first hits, saturation state. *)
-              Some
-                (match
-                   Ucoverage.summary_json ucov ~test_cases:stats.test_cases
-                 with
-                | Json.Obj kvs -> Json.Obj (base @ kvs)
-                | j -> j)
+              reply (Ucoverage.summary_fields ucov ~test_cases:stats.test_cases)
           | "health" ->
-              Some
-                (Json.Obj
-                   (base
-                   @ [
-                       ( "watchdog_trips",
-                         Json.Int (Metrics.value Watchdog.m_skipped) );
-                       ( "faulted_test_cases",
-                         Json.Int stats.faulted_test_cases );
-                       ( "skipped_pathological",
-                         Json.Int stats.skipped_pathological );
-                       ( "checkpoint_age_s",
-                         match !last_checkpoint with
-                         | None -> Json.Null
-                         | Some t ->
-                             Json.Float (Unix.gettimeofday () -. t) );
-                     ]))
+              reply
+                [
+                  ("watchdog_trips", Json.Int (Metrics.value Watchdog.m_skipped));
+                  ("faulted_test_cases", Json.Int stats.faulted_test_cases);
+                  ("skipped_pathological", Json.Int stats.skipped_pathological);
+                  ( "checkpoint_age_s",
+                    match !last_checkpoint with
+                    | None -> Json.Null
+                    | Some t -> Json.Float (Unix.gettimeofday () -. t) );
+                ]
           | _ -> None));
   (* [prng_state] is the main PRNG as of the last committed test case's
      generation: generation may have run ahead of the commit point, so
@@ -726,19 +707,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
       heartbeat_every > 0
       && Telemetry.enabled ()
       && stats.test_cases mod heartbeat_every = 0
-    then
-      Telemetry.event "fuzz.heartbeat"
-        [
-          ("test_cases", Json.Int stats.test_cases);
-          ("rounds", Json.Int stats.rounds);
-          ("throughput_per_hour", Json.Float (throughput_per_hour ()));
-          ( "coverage_combinations",
-            Json.Int (Coverage.total_combinations coverage) );
-          ("ucov_features", Json.Int (Ucoverage.distinct ucov));
-          ( "ucov_per_1k_tc",
-            Json.Float (Ucoverage.rate_per_1k ucov ~test_cases:stats.test_cases)
-          );
-        ];
+    then Telemetry.event "fuzz.heartbeat" (live_status ());
     (match monitor with Some m -> Monitor.poll m | None -> ());
     match on_progress with Some f -> f stats | None -> ()
   in

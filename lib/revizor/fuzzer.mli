@@ -145,11 +145,14 @@ val fuzz :
     boundary snapshot to resume from.
 
     [monitor] attaches a live {!Revizor_obs.Monitor} endpoint: the loop
-    installs [status]/[health] provider closures over its campaign state
-    (round, throughput, coverage, watchdog trips, checkpoint age) and
-    calls {!Revizor_obs.Monitor.poll} at every test-case boundary. [heartbeat_every] (default 50, 0 disables) emits
-    a [fuzz.heartbeat] telemetry event — test cases, rounds, throughput,
-    coverage size, atlas totals — every N committed test cases. Neither
+    installs [status]/[health]/[coverage] provider closures over its
+    campaign state (round, throughput, coverage, watchdog trips,
+    checkpoint age) and calls {!Revizor_obs.Monitor.poll} at every
+    test-case boundary. [heartbeat_every] (default 50, 0 disables) emits
+    a [fuzz.heartbeat] telemetry event every N committed test cases,
+    carrying the same live status fields as the [status] reply (test
+    cases, rounds, inputs, coverage, throughput, generator shape, inputs
+    per test case, elapsed seconds, atlas totals). Neither
     feature draws from any PRNG or writes campaign state, so fuzzing
     outcomes are bit-identical with them on or off (asserted by the
     observatory test suite). The monitor stays open when [fuzz] returns:

@@ -1,5 +1,5 @@
-(* A small futures pool of OCaml 5 domains for the pipelined campaign
-   loop (DESIGN.md §6).
+(* A small futures pool of OCaml 5 domains: the campaign loop's executor
+   domains (DESIGN.md §6).
 
    [size - 1] worker domains block on a task queue; the submitting domain
    takes part through [await], which runs queued tasks while its own

@@ -1,5 +1,5 @@
 (** A small futures pool of OCaml 5 domains: the whole-test-case pool of
-    the pipelined campaign loop ({!Fuzzer.config}[.executor_domains]).
+    the campaign loop ({!Fuzzer.config}[.executor_domains]).
 
     A pool of size [n] spawns [n - 1] worker domains; the submitting
     domain takes part by running queued tasks while it awaits, so

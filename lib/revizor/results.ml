@@ -108,6 +108,7 @@ type stage_table = {
   stages : Metrics.stage list;
   campaign_s : float;
   accounted_share : float;
+  domains : int;
 }
 
 let stage_table (saved : saved_stats) =
@@ -122,5 +123,17 @@ let stage_table (saved : saved_stats) =
       in
       let ns = List.fold_left (fun n st -> n + st.Metrics.st_total_ns) 0 stages in
       let accounted_share = float_of_int ns /. (campaign_s *. 1e9) in
-      Ok { counters = List.length counters; stages; campaign_s; accounted_share }
+      let domains =
+        Option.fold ~none:1 ~some:int_of_float (List.assoc_opt "runtime.domain_count" gauges)
+      in
+      Ok { counters = List.length counters; stages; campaign_s; accounted_share; domains }
   | _ -> Error "no campaign time (gauge fuzzer.elapsed_s)"
+
+(* Stage counters add up every executor domain's busy time and the
+   registry keeps no per-domain split: only a one-domain share is
+   checkable. *)
+let check_stage_table t =
+  if t.domains > 1 then
+    Error (Printf.sprintf "stages summed over %d domains cannot be checked" t.domains)
+  else if t.accounted_share < 0.95 then Error "below 95%"
+  else Ok ()

@@ -41,6 +41,7 @@ type stage_table = {
   stages : Revizor_obs.Metrics.stage list;  (** by descending time *)
   campaign_s : float;  (** the registry gauge [fuzzer.elapsed_s] *)
   accounted_share : float;  (** of [campaign_s], covered by [stages] *)
+  domains : int;  (** the gauge [runtime.domain_count]; 1 when missing *)
 }
 
 val stage_table : saved_stats -> (stage_table, string) result
@@ -49,6 +50,13 @@ val stage_table : saved_stats -> (stage_table, string) result
     share of the campaign loop's seconds they cover. Both count the
     writing process only, so a resumed campaign's share is its own. An
     error without counters or a positive [fuzzer.elapsed_s]. *)
+
+val check_stage_table : stage_table -> (unit, string) result
+(** The [telemetry-check --stats] gate: the stages must cover at least
+    95% of [campaign_s], and the campaign must have run on one executor
+    domain. The registry sums stage time over every domain and keeps no
+    per-domain split, so a pooled campaign's table is refused with an
+    error naming its domain count. *)
 
 val load_program : string -> (Program.t, string) result
 (** Parse a saved [*.asm] file. *)

@@ -399,31 +399,29 @@ let decoder j =
 
 let of_json = Json.decode ~codec:"ucoverage" decoder
 
-(* Compact summary for the monitor's [coverage] query and heartbeats. *)
-let summary_json t ~test_cases =
-  Json.Obj
-    [
-      ("features", Json.Int (distinct t));
-      ("features_per_1k_tc", Json.Float (rate_per_1k t ~test_cases));
-      ( "kinds",
-        Json.Obj
-          (List.filter_map
-             (fun k ->
-               match kind_first_hit t k with
-               | None -> None
-               | Some tc ->
-                   Some
-                     ( Cpu.kind_to_string k,
-                       Json.Obj
-                         [
-                           ( "features",
-                             Json.Int (List.length (kind_features t k)) );
-                           ("first_hit_tc", Json.Int tc);
-                         ] ))
-             Cpu.all_kinds) );
-      ("barren_rounds", Json.Int t.barren_rounds);
-      ("saturated", Json.Bool t.saturation_emitted);
-    ]
+(* Compact summary for the monitor's [coverage] query. *)
+let summary_fields t ~test_cases =
+  [
+    ("features", Json.Int (distinct t));
+    ("features_per_1k_tc", Json.Float (rate_per_1k t ~test_cases));
+    ( "kinds",
+      Json.Obj
+        (List.filter_map
+           (fun k ->
+             match kind_first_hit t k with
+             | None -> None
+             | Some tc ->
+                 Some
+                   ( Cpu.kind_to_string k,
+                     Json.Obj
+                       [
+                         ("features", Json.Int (List.length (kind_features t k)));
+                         ("first_hit_tc", Json.Int tc);
+                       ] ))
+           Cpu.all_kinds) );
+    ("barren_rounds", Json.Int t.barren_rounds);
+    ("saturated", Json.Bool t.saturation_emitted);
+  ]
 
 (* --- merge ------------------------------------------------------------ *)
 

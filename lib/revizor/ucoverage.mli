@@ -151,10 +151,10 @@ val of_json : Json.t -> (t, string) result
     round counter, and a frontier that is not strictly increasing in
     both coordinates. *)
 
-val summary_json : t -> test_cases:int -> Json.t
-(** Compact totals for the monitor's [coverage] query and heartbeat
-    events: distinct features, features per 1k test cases, per-mechanism
-    counts and first hits, saturation state. *)
+val summary_fields : t -> test_cases:int -> (string * Json.t) list
+(** Compact totals for the monitor's [coverage] reply: distinct
+    features, features per 1k test cases, per-mechanism counts and first
+    hits, saturation state. *)
 
 (** {1 Rendering} *)
 

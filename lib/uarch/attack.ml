@@ -53,11 +53,11 @@ let observe cpu threat run =
       Array.iteri
         (fun port count ->
           if count > 0 then
-            acc := Htrace.add (Ports.observation ~port ~count) !acc)
+            acc := Htrace.add (Revizor_isa.Ports.observation ~port ~count) !acc)
         counts;
       !acc
 
 let trace_domain = function
   | Prime_probe -> Layout.l1d_sets
   | Flush_reload | Evict_reload -> monitored_lines
-  | Port_contention -> Ports.n_ports * Ports.buckets
+  | Port_contention -> Revizor_isa.Ports.n_ports * Revizor_isa.Ports.buckets

@@ -201,11 +201,6 @@ let kind_to_string = function
 let kind_of_string s =
   List.find_opt (fun k -> kind_to_string k = s) all_kinds
 
-let pp_event fmt e =
-  Format.fprintf fmt "%s@pc=%d (transient loads: %d, sets: %s)"
-    (kind_to_string e.kind) e.origin_pc e.transient_loads
-    (String.concat "," (List.map string_of_int e.touched_sets))
-
 (* ------------------------------------------------------------------ *)
 (* Timing                                                              *)
 (* ------------------------------------------------------------------ *)

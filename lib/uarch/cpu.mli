@@ -128,5 +128,3 @@ val kind_to_string : speculation_kind -> string
 
 val kind_of_string : string -> speculation_kind option
 (** Inverse of {!kind_to_string}. *)
-
-val pp_event : Format.formatter -> event -> unit

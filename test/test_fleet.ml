@@ -109,6 +109,33 @@ let test_atomic_file_backoff () =
   check string "write survived two injected failures" "payload" (read_file path);
   check int "exactly the injected failures fired" 2 (Faultpoint.fired fp)
 
+(* A control-plane write that keeps failing gives up after the atomic
+   write's four attempts, whichever point fails it: [writer.io], or the
+   file's own fleet point, which fires first on each attempt. *)
+let test_control_plane_write_attempts () =
+  with_tmpdir "attempts" @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let spec = mk_spec () in
+  let ledger = Ledger.create ~dir spec and merged = Merge.create ~spec in
+  List.iter
+    (fun (point, save) ->
+      Faultpoint.enable ~seed:1L
+        [ (point, { Faultpoint.rate = 1.; after = 0; max_fires = 0 }) ];
+      Fun.protect ~finally:Faultpoint.disable @@ fun () ->
+      (match save () with
+      | () -> Alcotest.failf "%s: the write succeeded" point
+      | exception Faultpoint.Injected _ -> ());
+      check int
+        (Printf.sprintf "%s: four attempts" point)
+        4
+        (Faultpoint.hits (Faultpoint.point point)))
+    [
+      ("writer.io", fun () -> Ledger.save ledger);
+      ("fleet.ledger_write", fun () -> Ledger.save ledger);
+      ("fleet.merge", fun () -> Merge.save ~dir ~spec merged);
+    ];
+  check bool "no file published" false (Sys.file_exists (Ledger.ledger_path dir))
+
 (* --- ledger ------------------------------------------------------------ *)
 
 let test_ledger_roundtrip () =
@@ -565,6 +592,8 @@ let () =
           tc "deterministic capped full-jitter backoff" `Quick test_backoff;
           tc "atomic_file retries under the backoff policy" `Quick
             test_atomic_file_backoff;
+          tc "failing control-plane writes give up after four attempts"
+            `Quick test_control_plane_write_attempts;
         ] );
       ( "ledger",
         [

@@ -639,6 +639,40 @@ let test_stage_table_of_campaign () =
   check bool "campaign time is the resumed segment's" true
     (t.Results.campaign_s < resumed.Fuzzer.elapsed_s)
 
+(* The gate passes a one-domain table (the [runtime.domain_count] gauge
+   at 1, or missing, as in documents of older campaigns) that covers 95%
+   of its campaign time, and refuses a pooled campaign's table, whose
+   stages sum every domain's time, naming the domain count. *)
+let test_stage_table_domains () =
+  let counters = [ ("stage.a.calls", 1); ("stage.a.ns", 960_000_000) ] in
+  let gate gauges =
+    match stage_table_of counters (("fuzzer.elapsed_s", 1.) :: gauges) with
+    | Error e -> Alcotest.fail e
+    | Ok t -> (t.Results.domains, Results.check_stage_table t)
+  in
+  let verdict = Alcotest.(pair int (result unit string)) in
+  check verdict "no gauge reads as one domain" (1, Ok ()) (gate []);
+  check verdict "one domain" (1, Ok ()) (gate [ ("runtime.domain_count", 1.) ]);
+  let rec contains s sub i =
+    i + String.length sub <= String.length s
+    && (String.sub s i (String.length sub) = sub || contains s sub (i + 1))
+  in
+  (match gate [ ("runtime.domain_count", 2.) ] with
+  | 2, Error e ->
+      check bool ("names the domain count: " ^ e) true (contains e "2 domains" 0)
+  | d, _ -> Alcotest.failf "pooled table passed (%d domains)" d);
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
+  Metrics.reset ();
+  let _, stats =
+    Fuzzer.fuzz { cfg with Fuzzer.executor_domains = 2 } ~budget:(Fuzzer.Test_cases 40)
+  in
+  let doc = written (fun path -> Results.save_stats ~stats ~path ()) in
+  match Result.bind (Results.stats_of_json doc) Results.stage_table with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      check int "a two-domain campaign's table counts two domains" 2 t.Results.domains;
+      check bool "and is refused" true (Result.is_error (Results.check_stage_table t))
+
 (* --- probes record even on exceptions --------------------------------- *)
 
 let test_probe_exception () =
@@ -661,6 +695,8 @@ let () =
           tc "stage table of a snapshot" `Quick test_stage_table;
           tc "stage table of a campaign, fresh and resumed" `Quick
             test_stage_table_of_campaign;
+          tc "stage table of a pooled campaign refused" `Quick
+            test_stage_table_domains;
         ] );
       ( "determinism",
         [

@@ -325,6 +325,18 @@ let serve_until_done mon done_flag =
     ignore (Unix.select [] [] [] 0.005)
   done
 
+(* The campaign's live status fields, in the order the [status] reply
+   (after its schema and state) and the [fuzz.heartbeat] event carry
+   them. *)
+let live_status_keys =
+  [
+    "test_cases"; "rounds"; "inputs_tested"; "coverage_combinations";
+    "throughput_per_hour"; "gen_insts"; "gen_blocks"; "n_inputs";
+    "elapsed_s"; "ucov_features"; "ucov_per_1k_tc";
+  ]
+
+let keys = function Json.Obj kvs -> List.map fst kvs | _ -> []
+
 let test_monitor_roundtrip () =
   let path = sock_path "live" in
   let mon = Monitor.create ~path in
@@ -351,6 +363,9 @@ let test_monitor_roundtrip () =
     match Json.parse l with Ok j -> j | Error e -> Alcotest.fail e
   in
   let status = parse (List.nth lines 0) in
+  check (Alcotest.list string) "status keys, in order"
+    ("schema" :: "state" :: live_status_keys)
+    (keys status);
   check bool "status schema" true
     (Option.bind (Json.member "schema" status) Json.to_str
     = Some "revizor.monitor.v1");
@@ -361,9 +376,16 @@ let test_monitor_roundtrip () =
     | Some t -> t > 0.
     | None -> false);
   let health = parse (List.nth lines 1) in
+  check (Alcotest.list string) "health keys, in order"
+    [
+      "schema"; "state"; "watchdog_trips"; "faulted_test_cases";
+      "skipped_pathological"; "checkpoint_age_s";
+    ]
+    (keys health);
   check bool "health has watchdog_trips" true
     (Json.member "watchdog_trips" health <> None);
   let metrics = parse (List.nth lines 2) in
+  check (Alcotest.list string) "metrics keys" [ "schema"; "metrics" ] (keys metrics);
   check bool "metrics carries registry" true
     (Option.bind (Json.member "metrics" metrics) (Json.member "counters")
     <> None);
@@ -429,7 +451,7 @@ let test_monitor_slow_readers () =
   Monitor.set_provider mon (fun cmd ->
       if cmd = "status" then begin
         incr served;
-        Some (Json.Obj [ ("n", Json.Int !served) ])
+        Some [ ("n", Json.Int !served) ]
       end
       else None);
   let done_flag = Atomic.make false in
@@ -489,6 +511,137 @@ let test_monitor_malformed_requests () =
   match ask [ "status" ] with
   | [ status ] -> check bool "endpoint still serves" true (is_idle status)
   | l -> Alcotest.failf "expected 1 reply, got %d" (List.length l)
+
+(* --- the monitor's own client -------------------------------------------- *)
+
+(* Run [f] on its own domain while this one serves [mon], and return its
+   result. *)
+let served mon f =
+  let done_flag = Atomic.make false in
+  let client =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set done_flag true) f)
+  in
+  serve_until_done mon done_flag;
+  Domain.join client
+
+(* A raw endpoint that accepts one connection, reads the request and
+   closes without replying; [f path] runs as its client. *)
+let with_mute_endpoint name f =
+  let path = sock_path name in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close sock;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 1;
+  let server =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept sock in
+        ignore (Unix.read fd (Bytes.create 64) 0 64);
+        Unix.close fd)
+  in
+  let r = f path in
+  Domain.join server;
+  r
+
+let type_lines text =
+  List.length
+    (List.filter
+       (String.starts_with ~prefix:"# TYPE revizor_")
+       (String.split_on_char '\n' text))
+
+(* A line command answers one line (the newline stripped); both request
+   forms of [prom] read the whole exposition up to the server's close. *)
+let test_monitor_request () =
+  let path = sock_path "req" in
+  let mon = Monitor.create ~path in
+  Fun.protect ~finally:(fun () -> Monitor.close mon) @@ fun () ->
+  let ask line = served mon (fun () -> Monitor.request ~timeout:30. ~path line) in
+  check
+    (Alcotest.result string string)
+    "provider-less status, schema first"
+    (Ok {|{"schema":"revizor.monitor.v1","state":"idle"}|})
+    (ask "status");
+  let bare = Result.get_ok (ask "prom") in
+  let json = Result.get_ok (ask {|{"cmd": "prom"}|}) in
+  check bool "the exposition has several metrics" true (type_lines bare >= 3);
+  check int "the JSON form reads the whole exposition" (type_lines bare)
+    (type_lines json);
+  check bool "the exposition ends with its last line" true
+    (String.ends_with ~suffix:"\n" json)
+
+(* No endpoint, an endpoint that closes without replying, and one that
+   never answers are each an [Error], the last within its timeout. *)
+let test_monitor_request_errors () =
+  let is_error prefix = function
+    | Error e -> String.starts_with ~prefix e
+    | Ok r -> Alcotest.failf "unexpected reply %S" r
+  in
+  check bool "no endpoint" true
+    (is_error "cannot connect"
+       (Monitor.request ~timeout:1. ~path:(sock_path "none") "status"));
+  check bool "closed without a reply" true
+    (is_error "connection closed before a complete reply"
+       (with_mute_endpoint "mute" (fun path ->
+            Monitor.request ~timeout:5. ~path "status")));
+  let path = sock_path "deaf" in
+  let mon = Monitor.create ~path in
+  Fun.protect ~finally:(fun () -> Monitor.close mon) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  check bool "no reply in time" true
+    (is_error "no reply within" (Monitor.request ~timeout:0.2 ~path "status"));
+  check bool "bounded by the timeout" true (Unix.gettimeofday () -. t0 < 2.)
+
+(* The CLI built beside the tests (test/dune depends on it): its exit
+   status and its two output streams, while this domain serves [mon]
+   (when given). *)
+let run_cli ?mon args =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/revizor_cli.exe"
+  in
+  let out = Filename.temp_file "rvz-cli" ".out"
+  and err = Filename.temp_file "rvz-cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
+  and fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process cli (Array.of_list ("revizor" :: args)) Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let rec wait () =
+    Option.iter Monitor.poll mon;
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        ignore (Unix.select [] [] [] 0.005);
+        wait ()
+    | _, Unix.WEXITED code -> code
+    | _ -> Alcotest.fail "revizor died on a signal"
+  in
+  let code = wait () in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (code, read out, read err)
+
+let test_monitor_cli () =
+  let code, out, err =
+    with_mute_endpoint "cli" (fun path -> run_cli [ "monitor"; path; "status" ])
+  in
+  check int "exit 2 when the endpoint closes without replying" 2 code;
+  check string "nothing on stdout" "" out;
+  check bool "the error names the socket" true
+    (String.starts_with ~prefix:("revizor: " ^ sock_path "cli" ^ ": ") err);
+  let path = sock_path "cliprom" in
+  let mon = Monitor.create ~path in
+  Fun.protect ~finally:(fun () -> Monitor.close mon) @@ fun () ->
+  let code, bare, _ = run_cli ~mon [ "monitor"; path; "prom" ] in
+  check int "bare prom exits 0" 0 code;
+  let code, json, _ = run_cli ~mon [ "monitor"; path; {|{"cmd":"prom"}|} ] in
+  check int "JSON prom exits 0" 0 code;
+  check bool "bare prom prints the exposition" true (type_lines bare >= 3);
+  check int "JSON prom prints every metric" (type_lines bare) (type_lines json)
 
 (* --- monitor on/off bit-identity --------------------------------------- *)
 
@@ -562,6 +715,10 @@ let test_heartbeat_events () =
        (List.assoc_opt "test_cases" beat.Telemetry.l_fields)
        Json.to_int
     = Some 5);
+  check (Alcotest.list string)
+    "heartbeat carries the status reply's fields after its tc context"
+    live_status_keys
+    (List.map fst (List.remove_assoc "tc" beat.Telemetry.l_fields));
   check bool "heartbeat has throughput" true
     (List.mem_assoc "throughput_per_hour" beat.Telemetry.l_fields);
   check bool "heartbeat has coverage" true
@@ -808,6 +965,11 @@ let () =
             test_monitor_slow_readers;
           tc "malformed requests answered" `Quick
             test_monitor_malformed_requests;
+          tc "client: line and one-shot replies" `Quick test_monitor_request;
+          tc "client: no endpoint, no reply, closed early" `Quick
+            test_monitor_request_errors;
+          tc "revizor monitor: exit status and whole exposition" `Quick
+            test_monitor_cli;
         ] );
       ( "satellites",
         [
