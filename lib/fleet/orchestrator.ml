@@ -126,6 +126,26 @@ let kill_and_reap pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
+(* A control-plane write that fails after [Atomic_file.write]'s own
+   retries ends the run with an error naming the file and the cause: the
+   fleet can no longer record its progress. *)
+let saved path save =
+  match save () with
+  | () -> Ok ()
+  | exception e ->
+      let cause =
+        match e with
+        | Sys_error m -> m
+        | Faultpoint.Injected p -> "injected fault " ^ p
+        | e -> Printexc.to_string e
+      in
+      Error (Printf.sprintf "fleet: cannot write %s: %s" path cause)
+
+let save_ledger (ledger : Ledger.t) =
+  saved (Ledger.ledger_path ledger.Ledger.dir) (fun () -> Ledger.save ledger)
+
+exception Unwritable of string
+
 let drive ~log (ledger : Ledger.t) merged ~should_stop =
   let dir = ledger.Ledger.dir in
   let spec = ledger.Ledger.spec in
@@ -148,15 +168,8 @@ let drive ~log (ledger : Ledger.t) merged ~should_stop =
     try Some (Sys.signal Sys.sigchld (Sys.Signal_handle (fun _ -> ())))
     with Sys_error _ | Invalid_argument _ -> None
   in
-  Ledger.save ledger;
-  let finish outcome =
-    Option.iter (fun b -> Sys.set_signal Sys.sigchld b) old_sigchld;
-    Option.iter
-      (fun m ->
-        Monitor.drain ~timeout:0.1 m;
-        Monitor.close m)
-      mon;
-    outcome
+  let save () =
+    match save_ledger ledger with Ok () -> () | Error e -> raise (Unwritable e)
   in
   let rec loop () =
     if should_stop () then begin
@@ -168,10 +181,10 @@ let drive ~log (ledger : Ledger.t) merged ~should_stop =
               Ledger.mark_revoked sh
           | _ -> ())
         ledger.Ledger.shards;
-      Ledger.save ledger;
-      finish Interrupted
+      save ();
+      Interrupted
     end
-    else if Ledger.finished ledger then finish Completed
+    else if Ledger.finished ledger then Completed
     else begin
       let now = Unix.gettimeofday () in
       let changed = ref false in
@@ -286,7 +299,7 @@ let drive ~log (ledger : Ledger.t) merged ~should_stop =
                         Ledger.mark_failed ledger sh ~now))
             | _ -> ())
         ledger.Ledger.shards;
-      if !changed then Ledger.save ledger;
+      if !changed then save ();
       Option.iter Monitor.poll mon;
       (* Long tick: SIGCHLD breaks the select out early (EINTR) when a
          worker exits, so this only bounds heartbeat/expiry latency. *)
@@ -296,7 +309,29 @@ let drive ~log (ledger : Ledger.t) merged ~should_stop =
       loop ()
     end
   in
-  loop ()
+  let result =
+    match
+      save ();
+      loop ()
+    with
+    | outcome -> Ok outcome
+    | exception Unwritable e ->
+        (* No worker outlives the run it belongs to. *)
+        Array.iter
+          (fun sh ->
+            match sh.Ledger.sh_state with
+            | Ledger.Leased { pid; _ } -> kill_and_reap pid
+            | _ -> ())
+          ledger.Ledger.shards;
+        Error e
+  in
+  Option.iter (fun b -> Sys.set_signal Sys.sigchld b) old_sigchld;
+  Option.iter
+    (fun m ->
+      Monitor.drain ~timeout:0.1 m;
+      Monitor.close m)
+    mon;
+  result
 
 (* --- entry points ------------------------------------------------------ *)
 
@@ -340,13 +375,13 @@ let resume_ledger ~log (ledger : Ledger.t) merged =
           sh.Ledger.sh_not_before <- latest
       | _ -> ())
     ledger.Ledger.shards;
-  Ledger.save ledger
+  save_ledger ledger
 
 let resume ~dir ?(log = null_log) ?(should_stop = fun () -> false) () =
   let* ledger = Ledger.load ~dir in
   let* merged = Merge.load ~dir ~spec:ledger.Ledger.spec in
-  resume_ledger ~log ledger merged;
-  Ok (drive ~log ledger merged ~should_stop)
+  let* () = resume_ledger ~log ledger merged in
+  drive ~log ledger merged ~should_stop
 
 let run ~dir ?(log = null_log) ?(should_stop = fun () -> false) spec =
   Revizor_obs.Dir.mkdir_p dir;
@@ -367,7 +402,7 @@ let run ~dir ?(log = null_log) ?(should_stop = fun () -> false) spec =
   else begin
     let ledger = Ledger.create ~dir spec in
     let merged = Merge.create ~spec in
-    Ok (drive ~log ledger merged ~should_stop)
+    drive ~log ledger merged ~should_stop
   end
 
 (* In-process sequential reference: same shards, same merge code, no
@@ -386,13 +421,17 @@ let reference ~dir ?(log = null_log) spec =
       with
       | Error _ as e -> e
       | Ok r ->
-          Worker.save_result ~dir r;
+          let* () =
+            saved (Ledger.shard_result dir sh.Ledger.sh_id) (fun () ->
+                Worker.save_result ~dir r)
+          in
           ignore (Merge.commit merged r);
           Ledger.mark_done sh;
           log (Printf.sprintf "shard %d done (reference)" sh.Ledger.sh_id);
           go (i + 1)
   in
   let* () = go 0 in
-  Merge.save ~dir ~spec merged;
-  Ledger.save ledger;
-  Ok ()
+  let* () =
+    saved (Ledger.merged_path dir) (fun () -> Merge.save ~dir ~spec merged)
+  in
+  save_ledger ledger

@@ -69,6 +69,13 @@ let observe h v =
   Atomic.incr h.count;
   ignore (Atomic.fetch_and_add h.sum (max 0 v))
 
+let observe_n h v n =
+  if n > 0 then begin
+    ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) n);
+    ignore (Atomic.fetch_and_add h.count n);
+    ignore (Atomic.fetch_and_add h.sum (n * max 0 v))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)

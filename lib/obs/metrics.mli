@@ -34,6 +34,10 @@ val observe : histogram -> int -> unit
 (** Record one sample into its log2 bucket (negative samples clamp to
     bucket 0). *)
 
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v n] records [n] samples of value [v] at the cost of
+    one: the same totals as [n] {!observe} calls. *)
+
 (** {1 Bucketing}
 
     Bucket 0 holds samples [<= 0]; bucket [b >= 1] holds samples in

@@ -10,8 +10,20 @@ let m_partitions = Metrics.counter "analyzer.partitions"
 let m_classes = Metrics.counter "analyzer.classes"
 let h_htrace_density = Metrics.histogram "analyzer.htrace_density"
 
+(* One histogram update per run of equal consecutive traces: on a
+   compliant target most inputs share one trace. *)
 let record_htraces htraces =
-  Array.iter (fun h -> Metrics.observe h_htrace_density (Htrace.cardinal h)) htraces
+  let n = Array.length htraces in
+  let rec from i =
+    if i < n then begin
+      let h = htraces.(i) in
+      let rec past j = if j < n && Htrace.equal htraces.(j) h then past (j + 1) else j in
+      let j = past (i + 1) in
+      Metrics.observe_n h_htrace_density (Htrace.cardinal h) (j - i);
+      from j
+    end
+  in
+  from 0
 
 type input_class = { ctrace : Ctrace.t; members : int list }
 
@@ -23,25 +35,41 @@ type candidate = {
   htrace_b : Htrace.t;
 }
 
-(* Mutable accumulator: members are consed in reverse and the bucket is
-   never rebuilt — one hash lookup and one cons per input. *)
+(* Mutable accumulator: members are consed in reverse and the class is
+   never rebuilt — one comparison with the previous input's trace, at
+   most one lookup, and one cons per input. *)
 type acc = { a_ctrace : Ctrace.t; mutable rev_members : int list }
 
+module Classes = Hashtbl.Make (struct
+  type t = Ctrace.t
+
+  let equal = Ctrace.equal
+  let hash = Ctrace.hash
+end)
+
 let input_classes ctraces =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Classes.create 16 in
   let order = ref [] in
-  Array.iteri
-    (fun idx ct ->
-      let key = Ctrace.hash ct in
-      let bucket = try Hashtbl.find tbl key with Not_found -> [] in
-      (* Hash collisions are resolved by trace equality. *)
-      match List.find_opt (fun a -> Ctrace.equal a.a_ctrace ct) bucket with
-      | Some a -> a.rev_members <- idx :: a.rev_members
-      | None ->
-          let a = { a_ctrace = ct; rev_members = [ idx ] } in
-          Hashtbl.replace tbl key (a :: bucket);
-          order := a :: !order)
-    ctraces;
+  let class_of ct =
+    match Classes.find tbl ct with
+    | a -> a
+    | exception Not_found ->
+        let a = { a_ctrace = ct; rev_members = [] } in
+        Classes.add tbl ct a;
+        order := a :: !order;
+        a
+  in
+  (* The previous input's class is tried first: consecutive inputs
+     mostly share one, and on a compliant target every input does. *)
+  let rec from idx prev =
+    if idx < Array.length ctraces then begin
+      let ct = ctraces.(idx) in
+      let a = if Ctrace.equal prev.a_ctrace ct then prev else class_of ct in
+      a.rev_members <- idx :: a.rev_members;
+      from (idx + 1) a
+    end
+  in
+  if Array.length ctraces > 0 then from 0 (class_of ctraces.(0));
   Metrics.incr m_partitions;
   List.filter_map
     (fun a ->
@@ -62,15 +90,18 @@ let effective_inputs classes =
    incomparable pair, and a full chain makes every pair comparable by
    transitivity). On a compliant target every class passes, so the
    common case costs O(k log k) instead of the O(k^2) pair scan — with
-   low-entropy inputs one class can hold most of the input set. *)
+   low-entropy inputs one class can hold most of the input set. Most
+   often every member's trace is the same, a chain that one pass over
+   the class confirms before any sort. *)
 let class_is_chain cls htraces equivalence =
   match cls.members with
   | [] | [ _ ] -> true
   | m0 :: _ as ms -> (
+      let h0 = htraces.(m0) in
+      List.for_all (fun i -> Htrace.equal htraces.(i) h0) ms
+      ||
       match equivalence with
-      | `Equal ->
-          let h0 = htraces.(m0) in
-          List.for_all (fun i -> Htrace.equal htraces.(i) h0) ms
+      | `Equal -> false
       | `Subset ->
           (* Built over a static value and cleared after use: a class of
              more than 256 members puts the array in the major heap,

@@ -20,10 +20,6 @@ type pattern =
   | Cond_dependency
   | Uncond_dependency
 
-val all_patterns : pattern list
-val pattern_to_string : pattern -> string
-val pattern_of_string : string -> pattern option
-
 val patterns_of_stream : Model.step_record list -> pattern list
 (** Distinct patterns matched by consecutive instruction pairs. *)
 

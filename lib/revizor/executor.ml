@@ -67,11 +67,11 @@ type t = {
   cpu : Cpu.t;
   cfg : config;
   slot : Revizor_emu.State.slot;  (* undo slot of the run in progress *)
-  (* Per-measurement scratch reused across [measure] calls: the occurrence
-     count matrix and the per-input event accumulator. Grown on demand and
-     reset in place, so the steady-state measurement loop allocates
-     nothing per call. Row width is fixed by the config's threat mode. *)
-  mutable counts : int array array;
+  (* Per-measurement scratch reused across [measure] calls: the outlier
+     filter's threshold planes and the per-input run accumulator. Grown
+     on demand and reset in place. Per executor, like the CPU: a pooled
+     check measures on its own domain's executor. *)
+  planes : Htrace.Planes.t;
   mutable ev_acc : Cpu.event list list array;
   (* Measurement coordinates for keyed noise: the current test case, the
      measurement epoch within it, and the sequence pass within the
@@ -105,7 +105,7 @@ let create cpu cfg =
     cpu;
     cfg;
     slot = Revizor_emu.State.slot ();
-    counts = [||];
+    planes = Htrace.Planes.create ();
     ev_acc = [||];
     ctx_tc = 0;
     ctx_measure = 0;
@@ -260,26 +260,66 @@ let templates_of inputs = function
   | Some tpl -> tpl
   | None -> Input.templates inputs
 
-(* Make rows [0, n) of the cached measurement buffers available and
-   zeroed. Only those rows are ever read afterwards. *)
-let ensure_buffers t ~n ~domain =
-  let cap = Array.length t.counts in
-  if cap < n then begin
-    let ncap = max n (max 8 (2 * cap)) in
-    t.counts <-
-      Array.init ncap (fun i ->
-          if i < cap then t.counts.(i) else Array.make domain 0);
-    t.ev_acc <- Array.make ncap []
-  end;
-  for i = 0 to n - 1 do
-    Array.fill t.counts.(i) 0 domain 0;
-    t.ev_acc.(i) <- []
-  done;
+(* Make slots [0, n) of the cached run accumulator and memo available
+   and empty. Only those slots are ever read afterwards. *)
+let ensure_buffers t ~n =
+  let cap = Array.length t.ev_acc in
+  if cap < n then t.ev_acc <- Array.make (Int.max n (Int.max 8 (2 * cap))) []
+  else Array.fill t.ev_acc 0 n [];
   if t.memo_ok then begin
-    if Array.length t.memo < n then t.memo <- Array.make (Array.length t.counts) [];
+    if Array.length t.memo < n then t.memo <- Array.make (Array.length t.ev_acc) [];
     (* No memo entry survives into a new measurement. *)
     Array.fill t.memo 0 (Array.length t.memo) []
   end
+
+(* [List.sort_uniq Stdlib.compare]'s order on (kind, touched sets)
+   pairs, without the polymorphic compare: kinds in constructor order,
+   then [Htrace.compare], which orders the words as the polymorphic
+   compare orders the record's fields. *)
+let kind_rank : Cpu.speculation_kind -> int = function
+  | Cpu.Branch_mispredict -> 0
+  | Cpu.Return_mispredict -> 1
+  | Cpu.Indirect_mispredict -> 2
+  | Cpu.Store_bypass -> 3
+  | Cpu.Assist_load_forward -> 4
+  | Cpu.Assist_store_forward -> 5
+
+let compare_event (k, h) (k', h') =
+  match Int.compare (kind_rank k) (kind_rank k') with
+  | 0 -> Htrace.compare h h'
+  | c -> c
+
+let rec no_events = function
+  | [] -> true
+  | [] :: runs -> no_events runs
+  | _ :: _ -> false
+
+(* The sorted, distinct (kind, touched sets) pairs of every episode in
+   [runs]. A run physically equal to the run before it — a memo replay
+   returns the recorded run's own list — adds nothing new and is
+   skipped. *)
+let events_of_runs runs =
+  if no_events runs then []
+  else
+    let rec collect prev acc = function
+      | [] -> acc
+      | run :: runs when run == prev -> collect prev acc runs
+      | run :: runs ->
+          collect run
+            (List.fold_left
+               (fun acc (e : Cpu.event) ->
+                 (e.Cpu.kind, Htrace.of_list e.Cpu.touched_sets) :: acc)
+               acc run)
+            runs
+    in
+    List.sort_uniq compare_event (collect [] [] runs)
+
+(* The distinct kinds of sorted events, in order. *)
+let rec kinds_of_events = function
+  | (k, _) :: ((k', _) :: _ as evs) when kind_rank k = kind_rank k' ->
+      kinds_of_events evs
+  | (k, _) :: evs -> k :: kinds_of_events evs
+  | [] -> []
 
 let measure ?templates t flat inputs =
   Faultpoint.fire fp_measure;
@@ -290,51 +330,48 @@ let measure ?templates t flat inputs =
   Metrics.incr m_measures;
   Metrics.incr m_warmups;
   Cpu.reset_session t.cpu;
-  let domain = Attack.trace_domain t.cfg.threat.Attack.mode in
-  ensure_buffers t ~n ~domain;
+  ensure_buffers t ~n;
+  let reps = Int.max 1 t.cfg.measurement_reps in
+  let threshold = if t.cfg.measurement_reps >= 3 then t.cfg.outlier_min else 1 in
+  (* No observation is seen in more than [reps] repetitions, so a
+     threshold above [reps] keeps nothing, as [reps + 1] does with fewer
+     planes. *)
+  let planes = t.planes in
+  Htrace.Planes.reset planes ~slots:n
+    ~threshold:(if threshold > reps then reps + 1 else threshold)
+    ~domain:(Attack.trace_domain t.cfg.threat.Attack.mode);
   let memo =
     if t.memo_ok && !memo_enabled then Some (Cpu.footprint flat) else None
   in
   (* One priming pass, whose traces are discarded. *)
   run_sequence ~with_events:false ?memo t flat templates
     ~record:(fun _ _ _ -> ());
-  (* Per-input occurrence counts over the (small, dense) trace domain: a
-     flat increment per observation instead of an assoc-list rebuild. *)
-  let counts = t.counts in
-  (* Per-rep event lists are consed and concatenated once at the end;
-     appending with [@] here would rebuild the accumulated list on every
-     repetition (quadratic in reps). *)
+  (* Per-rep event lists are consed, most recent first; appending with
+     [@] would rebuild the accumulated list on every repetition. *)
   let events = t.ev_acc in
-  let reps = max 1 t.cfg.measurement_reps in
+  let record idx trace evs =
+    (* Noise applies to recorded repetitions only, after the memo: a
+       priming trace is discarded anyway, and keyed draws don't need the
+       historical draw order preserved. *)
+    Htrace.Planes.add planes idx (apply_noise t ~idx trace);
+    events.(idx) <- evs :: events.(idx)
+  in
   Metrics.add m_reps reps;
   for _ = 1 to reps do
-    run_sequence ?memo t flat templates ~record:(fun idx trace evs ->
-        (* Noise applies to recorded repetitions only, after the memo:
-           a priming trace is discarded anyway, and keyed draws don't
-           need the historical draw order preserved. *)
-        let trace = apply_noise t ~idx trace in
-        let row = counts.(idx) in
-        Htrace.iter (fun o -> row.(o) <- row.(o) + 1) trace;
-        events.(idx) <- evs :: events.(idx))
+    run_sequence ?memo t flat templates ~record
   done;
-  let threshold = if t.cfg.measurement_reps >= 3 then t.cfg.outlier_min else 1 in
   (* Built over a static value, not with [Array.init]: see [release]. *)
   let out = Array.make n no_measurement in
   for idx = 0 to n - 1 do
-    let htrace = ref Htrace.empty in
-    Array.iteri
-      (fun o c -> if c >= threshold then htrace := Htrace.add o !htrace)
-      counts.(idx);
     let runs = events.(idx) in
-    let evs =
-      List.sort_uniq Stdlib.compare
-        (List.concat_map
-           (List.map (fun (e : Cpu.event) ->
-                (e.Cpu.kind, Htrace.of_list e.Cpu.touched_sets)))
-           runs)
-    in
-    let ks = List.sort_uniq Stdlib.compare (List.map fst evs) in
-    out.(idx) <- { htrace = !htrace; kinds = ks; events = evs; runs };
+    let evs = events_of_runs runs in
+    out.(idx) <-
+      {
+        htrace = Htrace.Planes.result planes idx;
+        kinds = kinds_of_events evs;
+        events = evs;
+        runs;
+      };
     events.(idx) <- []
   done;
   (* The campaign-owned scratch lets go of this measurement's young

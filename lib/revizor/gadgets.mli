@@ -26,10 +26,6 @@ val spectre_v1_1 : t
 (** Speculative buffer overflow (Kiriansky & Waldspurger): the transient
     path contains a store whose address leaks via a subsequent load. *)
 
-val spectre_v1_masked : t
-(** V1 with the leaking load behind an additional masking AND — leaks
-    fewer address bits; still a CT-SEQ violation. *)
-
 val spectre_v2 : t
 (** Branch target injection (extension beyond the paper's evaluation):
     indirect-jump target misprediction through the BTB. *)

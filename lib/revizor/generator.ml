@@ -62,19 +62,30 @@ let instantiate prng (spec : Catalog.spec) ~offset =
 (* Raw generation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let body_instruction prng ~all ~offset ~mem_budget ~functions =
+(* The body specs of one program, drawn by index: every spec while the
+   memory budget lasts, then the specs without a memory operand (every
+   spec again if all of them have one). Built once per program; a draw
+   is the [Prng.int] that [Prng.choose] makes over the same list. *)
+type pools = { all : Catalog.spec array; no_mem : Catalog.spec array }
+
+let pools subsets =
+  let specs = Catalog.body_specs subsets in
+  let all = Array.of_list specs in
+  match List.filter (fun s -> not (spec_has_mem s)) specs with
+  | [] -> { all; no_mem = all }
+  | l -> { all; no_mem = Array.of_list l }
+
+let body_instruction prng pools ~offset ~mem_budget ~functions =
   (* A CALL to a leaf function occasionally replaces a body instruction. *)
   if functions <> [] && Prng.int prng 10 = 0 then
-    (Instruction.call (Prng.choose prng functions), false)
+    Instruction.call (Prng.choose prng functions)
   else
-    let pool =
-      if !mem_budget > 0 then all
-      else List.filter (fun s -> not (spec_has_mem s)) all
-    in
-    let pool = if pool = [] then all else pool in
-    let spec = Prng.choose prng pool in
+    let pool = if !mem_budget > 0 then pools.all else pools.no_mem in
+    if Array.length pool = 0 then
+      invalid_arg "Generator: the configured subsets have no body instructions";
+    let spec = pool.(Prng.int prng (Array.length pool)) in
     if spec_has_mem spec then decr mem_budget;
-    (instantiate prng spec ~offset, spec_has_mem spec)
+    instantiate prng spec ~offset
 
 let block_label i = Printf.sprintf "bb%d" i
 let fn_label i = Printf.sprintf "fn%d" i
@@ -93,13 +104,13 @@ let generate_raw prng cfg =
     let u = Prng.int prng n_units in
     counts.(u) <- counts.(u) + 1
   done;
-  let all = Catalog.body_specs cfg.subsets in
+  let pools = pools cfg.subsets in
   let body u =
     (* function bodies are leaves: no calls from them (keeps the static
        call graph forward-only) *)
     let callable = if u < n_blocks then functions else [] in
     List.init counts.(u) (fun _ ->
-        fst (body_instruction prng ~all ~offset ~mem_budget ~functions:callable))
+        body_instruction prng pools ~offset ~mem_budget ~functions:callable)
   in
   let needs_exit = n_functions > 0 in
   let terminator i =

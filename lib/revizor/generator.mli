@@ -39,6 +39,3 @@ val generate : Prng.t -> cfg -> Program.t
 
 val generate_raw : Prng.t -> cfg -> Program.t
 (** Without the instrumentation pass (for testing the passes). *)
-
-val instrument : cfg -> Program.t -> Program.t
-(** The fault-avoidance instrumentation pass alone. *)

@@ -35,13 +35,6 @@ val run : ?watchdog:Watchdog.t -> Contract.t -> Compiled.t -> Input.t -> result
     walked steps — including nested speculative re-explorations — and
     raises {!Watchdog.Pathological} on exhaustion. *)
 
-val run_state :
-  ?watchdog:Watchdog.t -> Contract.t -> Compiled.t -> State.t -> result
-(** Like {!run}, but on an already-materialized initial state, which is
-    left in its final architectural state (speculative explorations are
-    undone; the architectural walk is not). [run contract prog input] is
-    [run_state contract prog (Input.to_state input)]. *)
-
 val ctraces :
   ?watchdog:Watchdog.t ->
   ?templates:State.t array ->
@@ -57,7 +50,7 @@ val ctraces :
     access-list or outcome allocation — with basic-block
     superinstruction fusion and dead-flag elision on the hot path.
     Speculative explorations roll back through the same undo. Results
-    are bit-identical to mapping {!run_state} over the inputs — same
+    are bit-identical to mapping {!run} over the inputs — same
     ctraces, same faults, same order — and every template comes back
     exactly as it went in, also when {!Watchdog.Pathological} or an
     injected fault escapes mid-run.

@@ -64,9 +64,6 @@ val transposed_steps : int64 -> steps:int -> int64
     bit-identical for any executor domain count and any scheduling
     order. *)
 
-val mix64 : int64 -> int64
-(** The splitmix64 finalizer (a bijective 64-bit mixer). *)
-
 val derive : int64 -> int64 list -> t
 (** [derive key coords] is a fresh generator fully determined by
     [key] and [coords]. *)

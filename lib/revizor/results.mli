@@ -61,7 +61,6 @@ val check_stage_table : stage_table -> (unit, string) result
 val load_program : string -> (Program.t, string) result
 (** Parse a saved [*.asm] file. *)
 
-val save_inputs : string -> Input.t list -> unit
 val load_inputs : string -> (Input.t list, string) result
 
 val input_to_line : Input.t -> string

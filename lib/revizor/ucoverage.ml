@@ -166,13 +166,19 @@ let features_of_run descs (run : Cpu.event list) acc =
       in
       go (Depth (Metrics.bucket_of (List.length run)) :: acc) run
 
+(* A run physically equal to the measurement's previous run — a memo
+   replay returns the recorded run's own list — has its features in the
+   list already: it is skipped, and [sort_uniq] would drop its
+   duplicates anyway. *)
 let features_of_measurements ~descs (ms : Executor.measurement array) =
+  let rec harvest prev acc = function
+    | [] -> acc
+    | run :: runs when run == prev -> harvest prev acc runs
+    | run :: runs -> harvest run (features_of_run descs run acc) runs
+  in
   let acc =
     Array.fold_left
-      (fun acc (m : Executor.measurement) ->
-        List.fold_left
-          (fun acc run -> features_of_run descs run acc)
-          acc m.Executor.runs)
+      (fun acc (m : Executor.measurement) -> harvest [] acc m.Executor.runs)
       [] ms
   in
   List.sort_uniq Stdlib.compare acc

@@ -67,10 +67,6 @@ val feature_to_string : feature -> string
 val feature_of_string : string -> feature option
 (** Inverse of {!feature_to_string}. *)
 
-val feature_kind : feature -> Cpu.speculation_kind option
-(** The mechanism a feature belongs to ([None] for {!Depth}; a
-    {!Transition} belongs to its first mechanism). *)
-
 (** {1 Harvesting} *)
 
 val features_of_measurements :
@@ -116,7 +112,6 @@ val frontier : t -> (int * int) list
     test case that covered something new, ascending — monotone in both
     components by construction. *)
 
-val kind_features : t -> Cpu.speculation_kind -> (feature * int) list
 val kind_first_hit : t -> Cpu.speculation_kind -> int option
 
 val rate_per_1k : t -> test_cases:int -> float

@@ -35,7 +35,6 @@ val flush_reload : threat
 val evict_reload : threat
 val port_contention : threat
 
-val mode_to_string : mode -> string
 val threat_to_string : threat -> string
 
 val observe : Cpu.t -> threat -> (unit -> unit) -> Htrace.t

@@ -117,11 +117,66 @@ let nth t k =
 let max_elt_opt t =
   fold (fun i _ -> Some i) t None
 
-let pp_wide ~width fmt t =
+let pp fmt t =
+  let width = match max_elt_opt t with Some m when m >= 64 -> 128 | _ -> 64 in
   for i = 0 to width - 1 do
     Format.pp_print_char fmt (if mem i t then '1' else '0')
   done
 
-let pp fmt t =
-  let width = match max_elt_opt t with Some m when m >= 64 -> 128 | _ -> 64 in
-  pp_wide ~width fmt t
+(* The observations [0, n): word k holds the bits [63k, 63k + 63). *)
+let below n =
+  let word k =
+    let m = n - (63 * k) in
+    if m <= 0 then 0 else if m >= 63 then -1 else (1 lsl m) - 1
+  in
+  { w0 = word 0; w1 = word 1; w2 = word 2 }
+
+(* Threshold planes: per slot, plane j (1 <= j <= depth) holds the
+   observations seen in at least j of the traces added to the slot since
+   the last [reset]. Adding a trace h updates the planes from the top,
+   P_j <- P_j | (P_(j-1) & h) for j = depth down to 2, then P_1 <- P_1 | h,
+   so an observation reaches plane j at its j-th occurrence. The planes
+   are three words each in one flat int array, slot-major, updated in
+   place: an add is 3 x depth word operations whatever the trace holds,
+   and allocates nothing. *)
+module Planes = struct
+  type nonrec t = {
+    mutable words : int array;
+    mutable depth : int;
+    mutable everything : t;  (* the result when the threshold is <= 0 *)
+  }
+
+  let create () = { words = [||]; depth = 0; everything = empty }
+
+  let reset p ~slots ~threshold ~domain =
+    let depth = Int.max 0 threshold in
+    let len = slots * depth * 3 in
+    if Array.length p.words < len then
+      p.words <- Array.make (Int.max len (2 * Array.length p.words)) 0
+    else Array.fill p.words 0 len 0;
+    p.depth <- depth;
+    p.everything <- (if depth = 0 then below domain else empty)
+
+  let add p slot h =
+    let d = p.depth in
+    if d > 0 then begin
+      let w = p.words and base = slot * d * 3 in
+      for j = d - 1 downto 1 do
+        let hi = base + (3 * j) and lo = base + (3 * (j - 1)) in
+        w.(hi) <- w.(hi) lor (w.(lo) land h.w0);
+        w.(hi + 1) <- w.(hi + 1) lor (w.(lo + 1) land h.w1);
+        w.(hi + 2) <- w.(hi + 2) lor (w.(lo + 2) land h.w2)
+      done;
+      w.(base) <- w.(base) lor h.w0;
+      w.(base + 1) <- w.(base + 1) lor h.w1;
+      w.(base + 2) <- w.(base + 2) lor h.w2
+    end
+
+  let result p slot =
+    let d = p.depth in
+    if d = 0 then p.everything
+    else
+      let top = 3 * ((slot * d) + d - 1) in
+      let w0 = p.words.(top) and w1 = p.words.(top + 1) and w2 = p.words.(top + 2) in
+      if w0 lor w1 lor w2 = 0 then empty else { w0; w1; w2 }
+end

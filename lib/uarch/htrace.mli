@@ -53,4 +53,31 @@ val comparable : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Bit-string rendering over 64 positions, as in §5.3's example. *)
 
-val pp_wide : width:int -> Format.formatter -> t -> unit
+(** Occurrence thresholds over a stream of traces per slot, the
+    executor's outlier filter: which observations appeared in at least
+    [threshold] of the traces a slot was given. Kept as threshold planes
+    (plane j holds the observations seen at least j times), so adding a
+    trace costs 3 × [threshold] word operations and allocates nothing,
+    whatever the trace domain. *)
+module Planes : sig
+  type trace := t
+  type t
+
+  val create : unit -> t
+
+  val reset : t -> slots:int -> threshold:int -> domain:int -> unit
+  (** Forget every trace added so far and count afresh for slots
+      [\[0, slots)] against [threshold], over the observations
+      [\[0, domain)]. Storage grows to [slots × threshold] planes and is
+      reused. *)
+
+  val add : t -> int -> trace -> unit
+  (** [add p slot h] counts one more trace for [slot]. Its observations
+      must lie in the [domain] given to {!reset}. *)
+
+  val result : t -> int -> trace
+  (** The observations seen in at least [threshold] of the traces added
+      to [slot] since {!reset}: every observation of [\[0, domain)] when
+      [threshold <= 0], none when fewer than [threshold] traces were
+      added. *)
+end

@@ -39,8 +39,6 @@ type t = {
   lat : latencies;
 }
 
-val default_latencies : latencies
-
 val skylake : v4_patch:bool -> t
 (** Intel Core i7-6700 model: vulnerable to MDS; stores modify the cache
     only at retirement. *)

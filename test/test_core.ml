@@ -384,6 +384,11 @@ let analyzer_tests =
 let v1 = Gadgets.spectre_v1.Gadgets.program
 let v1_flat = compile v1
 
+let parse_flat text =
+  match Asm_parser.parse_program text with
+  | Ok p -> compile p
+  | Error e -> Alcotest.fail e
+
 let executor_tests =
   [
     tc "measurements are reproducible" `Quick (fun () ->
@@ -440,6 +445,33 @@ let executor_tests =
         let inputs = Input.generate_many prng ~entropy:2 ~n:5 in
         let ms = Executor.measure ex v1_flat inputs in
         check int "five measurements" 5 (Array.length ms));
+    tc "measure allocates little per input" `Quick (fun () ->
+        (* A branch-free Target 1 program: every repetition replays the
+           priming pass's run, and no run holds an event, so what
+           [measure] allocates per input is one real run and its
+           bookkeeping. The threshold planes read 37.2 words per input
+           here; the count matrix they replaced read 104.2. *)
+        let flat =
+          parse_flat
+            ".bb0:\n  ADD RAX, RBX\n  IMUL RCX, RAX\n  XOR RDX, RCX\n\
+            \  SUB RBX, 7\n  AND RAX, 255\n  OR RSI, RDX\n  SHL RDI, 3\n"
+        in
+        let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
+        let ex =
+          Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor
+        in
+        let n = 400 in
+        let inputs =
+          Input.generate_many (Prng.create ~seed:44L) ~entropy:cfg.Fuzzer.entropy ~n
+        in
+        let templates = Input.templates inputs in
+        Executor.release (Executor.measure ~templates ex flat inputs);
+        let before = Gc.minor_words () in
+        let ms = Executor.measure ~templates ex flat inputs in
+        let words = (Gc.minor_words () -. before) /. Float.of_int n in
+        Executor.release ms;
+        if words > 48. then
+          Alcotest.failf "%.1f minor words per input, above 48" words);
   ]
 
 (* --- Measurement memo ---------------------------------------------------------------- *)
@@ -502,11 +534,6 @@ let generated_flats ~seed ~n gen_cfg keep =
 
 let has_opcode f p =
   List.exists (fun i -> f i.Instruction.opcode) (Program.instructions p)
-
-let parse_flat text =
-  match Asm_parser.parse_program text with
-  | Ok p -> compile p
-  | Error e -> Alcotest.fail e
 
 (* Templates of [inputs] with register [reg] set to [f i] in input i. *)
 let templates_with inputs reg f =
@@ -616,6 +643,205 @@ let memo_tests =
         check int "replayed runs" 24 (Metrics.value hits - hits0));
   ]
 
+(* --- Golden measurement vectors ---------------------------------------------------- *)
+
+(* Every field of every measurement — the filtered trace, the kinds, the
+   (kind, touched sets) pairs and the raw per-repetition event record —
+   digested per row. A row is one setup under one (measurement_reps,
+   outlier_min) pair, measured with keyed noise off and at 0.2; one
+   executor measures the setup's sequences in turn (12, 20 and 5 inputs
+   for the generated ones), so its scratch buffers grow and are reused. The pairs cover a single
+   repetition, two (threshold 1 whatever [outlier_min] says), the
+   default, a threshold of 0 (every observation of the trace domain is
+   kept), a threshold above the repetition count (nothing is kept) and
+   long runs. The digests were recorded with the count-matrix filter the
+   threshold planes replaced. *)
+let ints l = String.concat "," (List.map string_of_int l)
+
+let render_measurement b (m : Executor.measurement) =
+  let kind = Cpu.kind_to_string in
+  Printf.bprintf b "h=%s k=%s e=%s r=%s\n"
+    (ints (Htrace.elements m.Executor.htrace))
+    (String.concat "," (List.map kind m.Executor.kinds))
+    (String.concat ";"
+       (List.map
+          (fun (k, h) -> Printf.sprintf "%s[%s]" (kind k) (ints (Htrace.elements h)))
+          m.Executor.events))
+    (String.concat "|"
+       (List.map
+          (fun run ->
+            String.concat ";"
+              (List.map
+                 (fun (e : Cpu.event) ->
+                   Printf.sprintf "%s@%d/%d[%s]" (kind e.Cpu.kind) e.Cpu.origin_pc
+                     e.Cpu.transient_loads (ints e.Cpu.touched_sets))
+                 run))
+          m.Executor.runs))
+
+let golden_setups =
+  let setup ?(threat = fun t -> t) ?(reset = false) ?entropy ~seed contract
+      target keep =
+    let cfg = Target.fuzzer_config ~seed:1L contract target in
+    let gen = Generator.grow (Generator.grow cfg.Fuzzer.gen_cfg) in
+    let exec = cfg.Fuzzer.executor in
+    let exec =
+      {
+        exec with
+        Executor.threat = threat exec.Executor.threat;
+        reset_between_inputs = reset;
+      }
+    in
+    let flats = generated_flats ~seed gen keep in
+    let inputs k n =
+      Input.generate_many
+        (Prng.create ~seed:(Int64.add seed (Int64.of_int k)))
+        ~entropy:(Option.value entropy ~default:cfg.Fuzzer.entropy)
+        ~n
+    in
+    ( cfg.Fuzzer.uarch,
+      exec,
+      match flats ~n:2 with
+      | [ p0; p1 ] ->
+          [ (p0, inputs 1 12, None); (p1, inputs 2 20, None); (p0, inputs 3 5, None) ]
+      | _ -> Alcotest.fail "two generated programs" )
+  in
+  (* Repetitions that differ: JE falls through for the first input and
+     is taken for the next two, so the PHT counter each repetition
+     starts from drifts and input 1's branch is mispredicted in the
+     first measured repetition only; the memo replays the later ones.
+     Then seven inputs alternating taken and not taken. *)
+  let retrain () =
+    let flat =
+      parse_flat
+        ".bb0:\n  CMP RAX, 0\n  JE .bb2\n.bb1:\n  AND RBX, 0b111111000000\n\
+        \  MOV RCX, qword ptr [R14 + RBX]\n.bb2:\n  ADD RCX, 1\n"
+    in
+    let sequence ~seed ~n rax =
+      let inputs = Input.generate_many (Prng.create ~seed) ~entropy:3 ~n in
+      (flat, inputs, Some (templates_with inputs Reg.RAX rax))
+    in
+    ( Uarch_config.skylake ~v4_patch:true,
+      Executor.default_config (),
+      [
+        sequence ~seed:44L ~n:3 (fun i -> if i = 0 then 1L else 0L);
+        sequence ~seed:45L ~n:7 (fun i -> Int64.of_int (i mod 2));
+      ] )
+  in
+  let jcc = has_opcode (function Opcode.Jcc _ -> true | _ -> false) in
+  let mem p =
+    List.exists
+      (fun i -> Instruction.mem_operand i <> None)
+      (Program.instructions p)
+  in
+  let t5 ?threat ?reset () =
+    setup ?threat ?reset ~seed:41L Contract.ct_cond Target.target5 jcc
+  in
+  (* Target 7 addresses two pages: with wide input values, Flush/Evict+
+     Reload lines past 62 land in the second word of a trace. *)
+  let t7 ?threat ?entropy () =
+    setup ?threat ?entropy ~seed:43L Contract.ct_seq Target.target7 mem
+  in
+  [
+    ("t5-cond", lazy (t5 ()));
+    ("t2-seq", lazy (setup ~seed:42L Contract.ct_seq Target.target2 mem));
+    ("t7-assist", lazy (t7 ()));
+    ("t7-flush", lazy (t7 ~threat:(fun _ -> Attack.flush_reload) ~entropy:7 ()));
+    ("t7-evict", lazy (t7 ~threat:(fun _ -> Attack.evict_reload) ~entropy:7 ()));
+    ("t5-ports", lazy (t5 ~threat:(fun _ -> Attack.port_contention) ()));
+    ("t5-reset", lazy (t5 ~reset:true ()));
+    ("retrain", lazy (retrain ()));
+  ]
+
+let golden_digest (uarch, exec, sequences) ~reps ~outlier_min =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun noise ->
+      let cfg =
+        { exec with Executor.measurement_reps = reps; outlier_min; noise }
+      in
+      let ex = Executor.create (Cpu.create uarch) cfg in
+      List.iteri
+        (fun tc (flat, inputs, templates) ->
+          Executor.set_context ex ~tc;
+          Array.iter (render_measurement b)
+            (Executor.measure ?templates ex flat inputs))
+        sequences)
+    [ None; Some { Executor.flip_probability = 0.2; seed = 5L } ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_measurement_rows =
+  [
+    ("t5-cond", 1, 1, "e3c94a7bb5550d3d4050e7d984411dba");
+    ("t5-cond", 2, 2, "84ae6c4e494f8e8b470febd145d269da");
+    ("t5-cond", 3, 2, "df6a6c31c5a3a81d20d4b15773ff18c0");
+    ("t5-cond", 3, 0, "7c4cf156a09fe7357e93b8a6b4f4a468");
+    ("t5-cond", 3, 5, "6242b8def88ca2b78266a331cdf386bc");
+    ("t5-cond", 7, 3, "f31bd33714a6e3e8b35a773d7a00851d");
+    ("t5-cond", 12, 4, "765642e54be5adf44b303cc7e5f84aa7");
+    ("t2-seq", 1, 1, "8de9425fa0ce2d146e12891750a25fe8");
+    ("t2-seq", 2, 2, "ae373a3ac425903be718aa96ffe1a839");
+    ("t2-seq", 3, 2, "5a2de93ad940d6c54a452dad8d57ec62");
+    ("t2-seq", 3, 0, "5be52c62137c3af97ee4519e312d91cd");
+    ("t2-seq", 3, 5, "899197cd75b68cf24046dc8ef73e1b5b");
+    ("t2-seq", 7, 3, "bc947440a0e6fb24f548d9271fe7b020");
+    ("t2-seq", 12, 4, "38c950ba4f08d9d34937789bdc473a3d");
+    ("t7-assist", 1, 1, "9363fcb459a1c418a9696558026541da");
+    ("t7-assist", 2, 2, "3513d78ddd19277e33c49f67bd204638");
+    ("t7-assist", 3, 2, "6060514c401a2c2625a586dc5983b545");
+    ("t7-assist", 3, 0, "f5c4a5984eaf1bee5a626b075123d0b5");
+    ("t7-assist", 3, 5, "e89b5811da7df314fe07a9de2194e76d");
+    ("t7-assist", 7, 3, "ae7e56476c0c5a50a3025f69ef6da7a6");
+    ("t7-assist", 12, 4, "d360b2ae8860490509f5f607043f8e39");
+    ("t7-flush", 1, 1, "2e38885b1d2f3ed07c345243c98ac634");
+    ("t7-flush", 2, 2, "54f172fffa8d49fce4acd90840f8b050");
+    ("t7-flush", 3, 2, "af73ad1f1a4c6fcf0f807445830d9336");
+    ("t7-flush", 3, 0, "119de06264cb8c95e5c074e282da1ed2");
+    ("t7-flush", 3, 5, "a82848a5b729808f8f5e8caa24a658fe");
+    ("t7-flush", 7, 3, "0ce2bf90ce1cd80e5e9e5fed4494b786");
+    ("t7-flush", 12, 4, "c8b9813c4d7d41befe7c8b426ba1a041");
+    ("t7-evict", 1, 1, "2e38885b1d2f3ed07c345243c98ac634");
+    ("t7-evict", 2, 2, "54f172fffa8d49fce4acd90840f8b050");
+    ("t7-evict", 3, 2, "af73ad1f1a4c6fcf0f807445830d9336");
+    ("t7-evict", 3, 0, "119de06264cb8c95e5c074e282da1ed2");
+    ("t7-evict", 3, 5, "a82848a5b729808f8f5e8caa24a658fe");
+    ("t7-evict", 7, 3, "0ce2bf90ce1cd80e5e9e5fed4494b786");
+    ("t7-evict", 12, 4, "c8b9813c4d7d41befe7c8b426ba1a041");
+    ("t5-ports", 1, 1, "596e4365e7d31fff75a2a24dd3054f38");
+    ("t5-ports", 2, 2, "86c6df65dfaa798822d60b7857096406");
+    ("t5-ports", 3, 2, "0e2d309e0e7020c258b2fa8e82056713");
+    ("t5-ports", 3, 0, "7c4cf156a09fe7357e93b8a6b4f4a468");
+    ("t5-ports", 3, 5, "6242b8def88ca2b78266a331cdf386bc");
+    ("t5-ports", 7, 3, "37a19ccae25fc8d9f0025de92a3291d2");
+    ("t5-ports", 12, 4, "c560628011addd47fc4513b7216d123e");
+    ("t5-reset", 1, 1, "94d02c259821afcb1778a8604ae065c1");
+    ("t5-reset", 2, 2, "44f62777341bb16e3d21b00d2788efed");
+    ("t5-reset", 3, 2, "f7a836014c2a91da42195fd45aec075a");
+    ("t5-reset", 3, 0, "dee84bd393f241aad27d42bccb79998a");
+    ("t5-reset", 3, 5, "1af6dddfd2504808eaa71a16321bea51");
+    ("t5-reset", 7, 3, "e3b997d763fb372d0daa966c17cf7920");
+    ("t5-reset", 12, 4, "632068d65f5e6a849c93cfb98c579fe2");
+    ("retrain", 1, 1, "06a05a270904699086a03313b71d41df");
+    ("retrain", 2, 2, "957e604220c5ec71be37e4ef60ebccc6");
+    ("retrain", 3, 2, "e605ff002433205b6f235b077453b283");
+    ("retrain", 3, 0, "d940c6403fb543cccd71f4a9170114bc");
+    ("retrain", 3, 5, "e8add757b800eb2c5821df4d29d69951");
+    ("retrain", 7, 3, "14b9462aebd7a0f27b86b28ef68bf3c4");
+    ("retrain", 12, 4, "9aa531ddfb26d658d90833f3e753a3bd");
+  ]
+
+let golden_tests =
+  [
+    tc "measurements match the golden digests" `Quick (fun () ->
+        List.iter
+          (fun (name, reps, outlier_min, expected) ->
+            let setup = Lazy.force (List.assoc name golden_setups) in
+            check string
+              (Printf.sprintf "%s, reps %d, outlier_min %d" name reps outlier_min)
+              expected
+              (golden_digest setup ~reps ~outlier_min))
+          golden_measurement_rows);
+  ]
+
 (* --- Coverage -------------------------------------------------------------------- *)
 
 let coverage_tests =
@@ -669,6 +895,51 @@ let coverage_tests =
   ]
 
 (* --- Generator -------------------------------------------------------------------- *)
+
+(* Digests of 30 generated listings per (subsets, growth) row, recorded
+   when the body pools were filtered lists: a change in how a spec is
+   drawn shows here draw for draw. *)
+let golden_listing_rows =
+  [
+    ([ Catalog.AR ], 0,
+      "feac85d24228d93006df48bbb9bb8f8c");
+    ([ Catalog.AR ], 6,
+      "63f3c7142003d780bbedbe05bc985ec7");
+    ([ Catalog.AR; Catalog.MEM ], 0,
+      "1a997da7c3becfafa724ed5a3b4906f4");
+    ([ Catalog.AR; Catalog.MEM ], 6,
+      "77157b1ddf092fdd1578974a84ac2d15");
+    ([ Catalog.AR; Catalog.MEM; Catalog.CB ], 0,
+      "f33a33e6435c396aeccc3a035b398edf");
+    ([ Catalog.AR; Catalog.MEM; Catalog.CB ], 6,
+      "84628155ca6e222e232660fc34b56b65");
+    ([ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR ], 0,
+      "e6944c2c9a540e4330ff35023db8f365");
+    ([ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR ], 6,
+      "18a43246d61b520f5cbdc578b4b4bf47");
+    ([ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.IND ], 0,
+      "0f78112273a3b003b15621338c053d11");
+    ([ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.IND ], 6,
+      "00202e6ebec190857485db894e0474ae");
+  ]
+
+let listings_digest subsets ~growth =
+  let cfg =
+    {
+      Generator.default_cfg with
+      Generator.subsets;
+      n_functions = (if List.mem Catalog.IND subsets then 2 else 0);
+    }
+  in
+  let rec grown k cfg = if k = 0 then cfg else grown (k - 1) (Generator.grow cfg) in
+  let cfg = grown growth cfg in
+  let prng = Prng.create ~seed:(Int64.of_int (1000 + growth)) in
+  let b = Buffer.create 4096 in
+  for _ = 1 to 30 do
+    Buffer.add_string b (Program.to_string (Generator.generate prng cfg));
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let generator_tests =
   [
@@ -753,6 +1024,22 @@ let generator_tests =
           | Error e -> Alcotest.fail e
         done;
         check bool "functions generated" true !found);
+    tc "generated listings match the golden digests" `Quick (fun () ->
+        List.iter
+          (fun (subsets, growth, expected) ->
+            check string
+              (Printf.sprintf "%s, growth %d"
+                 (String.concat "+" (List.map Catalog.subset_to_string subsets))
+                 growth)
+              expected
+              (listings_digest subsets ~growth))
+          golden_listing_rows);
+    tc "a subsets list without body specs is an error" `Quick (fun () ->
+        match Generator.generate (Prng.create ~seed:1L)
+                { Generator.default_cfg with Generator.subsets = [ Catalog.CB ] }
+        with
+        | _ -> Alcotest.fail "generated a program from no body specs"
+        | exception Invalid_argument _ -> ());
   ]
 
 (* --- Violation labels --------------------------------------------------------------- *)
@@ -793,6 +1080,7 @@ let () =
       ("analyzer", analyzer_tests);
       ("executor", executor_tests);
       ("memo", memo_tests);
+      ("golden", golden_tests);
       ("coverage", coverage_tests);
       ("generator", generator_tests);
       ("labels", label_tests);

@@ -444,6 +444,79 @@ let test_quarantine_escalation () =
             3 sh.Ledger.sh_attempts)
         l.Ledger.shards
 
+(* A ledger write that keeps failing ends the run with an [Error] naming
+   the ledger, never an exception, and leaves no worker behind: first
+   under an injected fault on every write (the first save fails, before
+   any lease), then with a shard leased — once its worker's monitor
+   socket is up, the atomic write's temp path is made a directory, which
+   no open for writing accepts, root included. Target 1 campaigns stay
+   compliant, so the leased worker is still running when the next save
+   (a heartbeat renewal) fails. Last, the in-process reference with its
+   merged document's temp path made a directory. *)
+let test_unwritable_ledger () =
+  with_tmpdir "unwritable" @@ fun root ->
+  Unix.mkdir root 0o755;
+  let names_ledger dir = function
+    | Error e -> contains e (Ledger.ledger_path dir)
+    | Ok _ -> false
+  in
+  let dir = Filename.concat root "injected" in
+  Faultpoint.enable ~seed:1L
+    [ ("fleet.ledger_write", { Faultpoint.rate = 1.; after = 0; max_fires = 0 }) ];
+  let r =
+    Fun.protect ~finally:Faultpoint.disable (fun () ->
+        Orchestrator.run ~dir (mk_spec ()))
+  in
+  check bool "injected: an error naming the ledger" true (names_ledger dir r);
+  let dir = Filename.concat root "leased" in
+  let spec =
+    {
+      (mk_spec ~seeds:[ 3L ] ~budget:100_000 ~workers:1 ~lease:2. ()) with
+      Ledger.sp_target = "Target 1";
+    }
+  in
+  let blocked = ref false in
+  let should_stop () =
+    if (not !blocked) && Sys.file_exists (Ledger.shard_sock dir 0) then begin
+      Unix.mkdir (Ledger.ledger_path dir ^ ".tmp") 0o755;
+      blocked := true
+    end;
+    false
+  in
+  let r =
+    match Orchestrator.run ~dir ~should_stop spec with
+    | r -> r
+    | exception e ->
+        (* Do not leave the worker running behind a failed test. *)
+        (match Ledger.load ~dir with
+        | Ok l ->
+            Array.iter
+              (fun sh ->
+                match sh.Ledger.sh_state with
+                | Ledger.Leased { pid; _ } -> (
+                    try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+                | _ -> ())
+              l.Ledger.shards
+        | Error _ -> ());
+        raise e
+  in
+  check bool "leased: the worker was up when writes started failing" true
+    !blocked;
+  check bool "leased: an error naming the ledger" true (names_ledger dir r);
+  (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "a child outlived the run (waitpid: %d)" pid);
+  (* The in-process reference reports an unwritable merged document the
+     same way. *)
+  let dir = Filename.concat root "reference" in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (Ledger.merged_path dir ^ ".tmp") 0o755;
+  match Orchestrator.reference ~dir (mk_spec ~seeds:[ 5L ] ~budget:5 ()) with
+  | Error e ->
+      check bool "reference: an error naming merged.json" true
+        (contains e (Ledger.merged_path dir))
+  | Ok () -> Alcotest.fail "reference: the run succeeded"
+
 (* --- interruption and resume ------------------------------------------- *)
 
 let test_interrupt_resume () =
@@ -625,6 +698,8 @@ let () =
             test_resume_clamps_far_gates;
           tc "SIGKILLed orchestrator + resume == reference" `Slow
             test_sigkill_orchestrator_resume;
+          tc "an unwritable ledger ends the run with an error" `Slow
+            test_unwritable_ledger;
         ] );
       ( "monitor",
         [

@@ -56,7 +56,16 @@ let test_histogram_summary () =
     (Alcotest.list (Alcotest.pair int int))
     "non-zero buckets, ascending"
     [ (0, 1); (1, 2); (2, 1); (1024, 1); (1 lsl 61, 1) ]
-    hs.Metrics.h_buckets
+    hs.Metrics.h_buckets;
+  (* The same samples as counted runs, a run of none included. *)
+  let hn = Metrics.histogram "test.obs.hist_n" in
+  List.iter
+    (fun (v, n) -> Metrics.observe_n hn v n)
+    [ (0, 1); (1, 2); (5, 0); (3, 1); (1024, 1); (max_int, 1) ];
+  let s = Metrics.snapshot () in
+  check bool "observe_n records what as many observe calls do" true
+    (List.assoc "test.obs.hist_n" s.Metrics.histograms
+    = List.assoc "test.obs.hist" s.Metrics.histograms)
 
 (* --- snapshot determinism ------------------------------------------- *)
 

@@ -169,6 +169,26 @@ let cache_props =
 
 (* --- Analyzer ---------------------------------------------------------------- *)
 
+(* [Analyzer.check_class] under both equivalences against the plain
+   first-pair scan it screens: the first member with a later member it
+   is not equivalent to, and that member. *)
+let agrees_with_first_pair cls htraces =
+  let first_pair equivalent =
+    let rec go = function
+      | [] -> None
+      | a :: rest -> (
+          match
+            List.find_opt (fun b -> not (equivalent htraces.(a) htraces.(b))) rest
+          with
+          | Some b -> Some (a, b)
+          | None -> go rest)
+    in
+    go cls.Analyzer.members
+  in
+  Analyzer.check_class ~equivalence:`Subset cls htraces
+  = first_pair Htrace.comparable
+  && Analyzer.check_class ~equivalence:`Equal cls htraces = first_pair Htrace.equal
+
 let analyzer_props =
   [
     test "classes partition the effective inputs" QCheck.(list_of_size (Gen.return 30) (int_range 0 3))
@@ -190,6 +210,41 @@ let analyzer_props =
         let cls = { Analyzer.ctrace = Ctrace.empty; members = List.init n Fun.id } in
         let htraces = Array.make n (Htrace.of_list [ 1; 2 ]) in
         Analyzer.check_class cls htraces = None);
+    test "check_class agrees with a first-pair scan"
+      QCheck.(triple (int_range 0 2) (int_range 2 40) int)
+      (fun (shape, k, seed) ->
+        (* All equal, a chain of prefixes, or arbitrary small sets. *)
+        let rng = Random.State.make [| seed |] in
+        let trace _ =
+          match shape with
+          | 0 -> Htrace.of_list [ 1; 5 ]
+          | 1 -> Htrace.of_list (List.init (Random.State.int rng 4) Fun.id)
+          | _ ->
+              Htrace.of_list
+                (List.filter (fun _ -> Random.State.bool rng) [ 0; 1; 2; 3 ])
+        in
+        let htraces = Array.init (k + 3) trace in
+        let members =
+          List.sort_uniq compare (List.init k (fun _ -> Random.State.int rng (k + 3)))
+        in
+        agrees_with_first_pair { Analyzer.ctrace = Ctrace.empty; members } htraces);
+    Alcotest.test_case "check_class on classes above 256 members" `Quick
+      (fun () ->
+        let k = 300 and odd = 217 in
+        let members = List.init k Fun.id in
+        let cls = { Analyzer.ctrace = Ctrace.empty; members } in
+        let base = Htrace.of_list [ 1; 2 ] in
+        List.iter
+          (fun (what, odd_trace) ->
+            let htraces = Array.make k base in
+            Option.iter (fun h -> htraces.(odd) <- h) odd_trace;
+            Alcotest.(check bool) what true (agrees_with_first_pair cls htraces))
+          [
+            ("all equal", None);
+            ("one incomparable member", Some (Htrace.of_list [ 3 ]));
+            ("one superset member", Some (Htrace.of_list [ 1; 2; 3 ]));
+            ("one subset member", Some (Htrace.of_list [ 2 ]));
+          ]);
   ]
 
 (* --- Packed contract traces ------------------------------------------------------ *)
@@ -481,6 +536,43 @@ let htrace_bitset_props =
         raises (fun () -> Htrace.singleton i)
         && raises (fun () -> Htrace.add i Htrace.empty)
         && raises (fun () -> Htrace.of_list [ 0; i ]));
+    (let planes = Htrace.Planes.create () in
+     test ~count:300 "threshold planes agree with per-observation counts"
+       QCheck.(
+         quad (oneofl [ 64; 128 ]) (int_range 0 5) (int_range 1 8)
+           (pair (int_range 1 5) int))
+       (fun (domain, threshold, reps, (slots, seed)) ->
+         (* Each slot draws its traces from a few observations of its
+            own, so counts above 1 are common; one [planes] value serves
+            every case, so [reset] must forget the previous one. *)
+         let rng = Random.State.make [| seed |] in
+         let pool =
+           Array.init slots (fun _ ->
+               Array.init 6 (fun _ -> Random.State.int rng domain))
+         in
+         let traces =
+           Array.init reps (fun _ ->
+               Array.init slots (fun s ->
+                   List.filter_map
+                     (fun o -> if Random.State.bool rng then Some o else None)
+                     (Array.to_list pool.(s))))
+         in
+         Htrace.Planes.reset planes ~slots ~threshold ~domain;
+         Array.iter
+           (Array.iteri (fun s l -> Htrace.Planes.add planes s (Htrace.of_list l)))
+           traces;
+         List.for_all
+           (fun s ->
+             let count o =
+               Array.fold_left
+                 (fun c rep -> if List.mem o rep.(s) then c + 1 else c)
+                 0 traces
+             in
+             let naive =
+               List.filter (fun o -> count o >= threshold) (List.init domain Fun.id)
+             in
+             Htrace.elements (Htrace.Planes.result planes s) = naive)
+           (List.init slots Fun.id)));
   ]
 
 (* --- Input-state templates: copy_into restores exactly ----------------------------- *)

@@ -123,6 +123,64 @@ let test_harvest () =
   check bool "unique across inputs" true
     (harvest ~descs [ [ run ]; [ []; run ] ] = fs)
 
+(* The harvest and [Executor.measure]'s [events]/[kinds] skip a run
+   physically equal to the run before it (a memo replay returns the
+   recorded run's own list). Copying every run list defeats that
+   shortcut; the features must not change, and [events] and [kinds]
+   must be what the plain polymorphic sort of every run's episodes
+   gives. Real Target 5 x CT-COND measurements, whose memo replays share
+   lists. *)
+let events_of_copied (runs : Cpu.event list list) =
+  let evs =
+    List.sort_uniq Stdlib.compare
+      (List.concat_map
+         (List.map (fun (e : Cpu.event) ->
+              (e.Cpu.kind, Htrace.of_list e.Cpu.touched_sets)))
+         runs)
+  in
+  (evs, List.sort_uniq Stdlib.compare (List.map fst evs))
+
+let test_harvest_copied_runs () =
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_cond Target.target5 in
+  let gen = Generator.grow (Generator.grow cfg.Fuzzer.gen_cfg) in
+  let prng = Prng.create ~seed:51L in
+  let ex =
+    Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor
+  in
+  let shared = ref 0 and with_events = ref 0 in
+  for _ = 1 to 12 do
+    let flat = Revizor_emu.Compiled.of_program_exn (Generator.generate prng gen) in
+    let inputs =
+      Input.generate_many prng ~entropy:cfg.Fuzzer.entropy ~n:16
+    in
+    let ms = Executor.measure ex flat inputs in
+    Array.iter
+      (fun (m : Executor.measurement) ->
+        match m.Executor.runs with
+        | (_ :: _ as r) :: r' :: _ when r == r' -> incr shared
+        | _ -> ())
+      ms;
+    let copied =
+      Array.map
+        (fun (m : Executor.measurement) ->
+          { m with Executor.runs = List.map (List.map Fun.id) m.Executor.runs })
+        ms
+    in
+    let descs = flat.Revizor_emu.Compiled.descs in
+    check bool "same features" true
+      (Ucoverage.features_of_measurements ~descs ms
+      = Ucoverage.features_of_measurements ~descs copied);
+    Array.iter
+      (fun (m : Executor.measurement) ->
+        let evs, ks = events_of_copied m.Executor.runs in
+        if evs <> [] then incr with_events;
+        check bool "same events" true (m.Executor.events = evs);
+        check bool "same kinds" true (m.Executor.kinds = ks))
+      copied
+  done;
+  check bool "some measurement repeats a non-empty run list" true (!shared > 0);
+  check bool "some measurement holds events" true (!with_events > 0)
+
 let test_origin_classification () =
   let open Revizor_isa in
   let program =
@@ -451,6 +509,8 @@ let () =
           tc "string round-trip" `Quick test_feature_string_roundtrip;
           tc "harvest from runs" `Quick test_harvest;
           tc "origin classification" `Quick test_origin_classification;
+          tc "copied run lists give the same features and events" `Quick
+            test_harvest_copied_runs;
         ] );
       ( "accumulator",
         [
