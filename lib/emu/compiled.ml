@@ -14,8 +14,8 @@ open Revizor_isa
    [of_flat] performs all of that work exactly once, producing for each
    instruction (a) a {!desc} of precomputed metadata — register indices
    as int arrays, classification bits as bools, the port list as an int
-   array, the memory operand with its effective-address computation
-   pre-resolved to a closure — and (b) the semantic action compiled to
+   array, the memory operand resolved to register offsets, scale and
+   displacement — and (b) the semantic action compiled to
    one OCaml closure over its operands resolved to data (register byte
    offsets and masks, immediates, address recipes), so a step is one
    indirect call on unboxed values instead of a match cascade.
@@ -79,11 +79,21 @@ type raw = State.t -> abuf -> unit
    operand-dependently (the dividend's magnitude) by the caller. *)
 type lat_class = Lat_alu | Lat_mul | Lat_div | Lat_branch
 
+(* A memory operand as data. The effective address ({!mem_addr}) is
+   branch-free arithmetic on it: an absent base register reads the
+   register at offset 0 under a zero mask, an absent index one under a
+   zero scale, so no branch yields a constant [0L], which would box the
+   address (see the helpers under "Operands as data"). *)
 type mem_ref = {
   mr_width : Width.t;
-  mr_addr : State.t -> int64;  (** pre-resolved effective address *)
   mr_base : int;  (** {!Reg.index} of the base register, or -1 *)
   mr_index : int;  (** {!Reg.index} of the index register, or -1 *)
+  mr_base_at : int;
+  mr_base_mask : int;
+  mr_index_at : int;
+  mr_scale : int;
+  mr_disp : int;
+  mr_mask : int64;
 }
 
 type desc = {
@@ -199,22 +209,11 @@ let abuf_accesses ab =
    mask) at W8/W16. *)
 type reg = { r_off : int; r_mask : int64; r_keep : int64; r_take : int64 }
 
-(* A memory operand: byte offsets of its base and index registers (-1
-   when absent), scale and displacement, access width and its mask. *)
-type mem = {
-  m_base : int;
-  m_index : int;
-  m_scale : int64;
-  m_disp : int64;
-  m_width : Width.t;
-  m_mask : int64;
-}
-
 (* An immediate is its value, zero-extended at the instruction's operand
    width, in an 8-byte buffer: it reads like a register, as a fresh
    unboxed load. (A captured [int64] would be an already-boxed value,
    and one such branch makes ocamlopt box the whole read.) *)
-type opnd = R of reg | I of Bytes.t | M of mem
+type opnd = R of reg | I of Bytes.t | M of mem_ref
 
 let reg_of r w =
   let mask = Width.mask w in
@@ -227,14 +226,18 @@ let reg_of r w =
   { r_off = State.reg_offset r; r_mask = mask; r_keep = keep; r_take = take }
 
 let mem_of (m : Operand.mem) w =
-  let off = function Some r -> State.reg_offset r | None -> -1 in
+  let index = function Some r -> Reg.index r | None -> -1 in
+  let at = function Some r -> State.reg_offset r | None -> 0 in
   {
-    m_base = off m.Operand.base;
-    m_index = off m.Operand.index;
-    m_scale = Int64.of_int m.Operand.scale;
-    m_disp = Int64.of_int m.Operand.disp;
-    m_width = w;
-    m_mask = Width.mask w;
+    mr_width = w;
+    mr_base = index m.Operand.base;
+    mr_index = index m.Operand.index;
+    mr_base_at = at m.Operand.base;
+    mr_base_mask = (match m.Operand.base with Some _ -> -1 | None -> 0);
+    mr_index_at = at m.Operand.index;
+    mr_scale = (match m.Operand.index with Some _ -> m.Operand.scale | None -> 0);
+    mr_disp = m.Operand.disp;
+    mr_mask = Width.mask w;
   }
 
 (* [w] is the instruction's operand width, used only for immediates. *)
@@ -263,26 +266,26 @@ let[@inline] write_reg st r v =
 
 (* Effective address, kept associatively identical to
    [Semantics.mem_addr]: (base + index*scale) + disp over wrapping
-   Int64. *)
+   Int64, where an absent register contributes 0. *)
 let[@inline] mem_addr st m =
-  let base = if m.m_base < 0 then 0L else State.get_at st m.m_base in
-  let index =
-    if m.m_index < 0 then 0L else Int64.mul (State.get_at st m.m_index) m.m_scale
-  in
-  Int64.add (Int64.add base index) m.m_disp
+  Int64.add
+    (Int64.add
+       (Int64.logand (State.get_at st m.mr_base_at) (Int64.of_int m.mr_base_mask))
+       (Int64.mul (State.get_at st m.mr_index_at) (Int64.of_int m.mr_scale)))
+    (Int64.of_int m.mr_disp)
 
 (* Accesses are recorded only after the memory operation succeeded, so a
    faulting access never appears in the buffer (matching the interpreter,
    whose outcome never materializes on a fault). *)
 let[@inline] load_mem (st : State.t) ab m =
-  let addr = mem_addr st m and width = m.m_width in
+  let addr = mem_addr st m and width = m.mr_width in
   let value = Memory.read st.State.mem ~addr width in
   abuf_push ab ~is_store:false ~addr ~width ~value;
   value
 
 let[@inline] store_mem (st : State.t) ab m v =
-  let addr = mem_addr st m and width = m.m_width in
-  let value = Int64.logand v m.m_mask in
+  let addr = mem_addr st m and width = m.mr_width in
+  let value = Int64.logand v m.mr_mask in
   Memory.write st.State.mem ~addr width value;
   abuf_push ab ~is_store:true ~addr ~width ~value
 
@@ -735,21 +738,7 @@ let lat_class_of (op : Opcode.t) =
   | _ -> Lat_alu
 
 let desc_of (i : Instruction.t) : desc =
-  let mem =
-    match Instruction.mem_operand i with
-    | None -> None
-    | Some (m, w) ->
-        let data = mem_of m w in
-        Some
-          {
-            mr_width = w;
-            mr_addr = (fun st -> mem_addr st data);
-            mr_base =
-              (match m.Operand.base with Some r -> Reg.index r | None -> -1);
-            mr_index =
-              (match m.Operand.index with Some r -> Reg.index r | None -> -1);
-          }
-  in
+  let mem = Option.map (fun (m, w) -> mem_of m w) (Instruction.mem_operand i) in
   let div_width =
     match i.Instruction.opcode with
     | Opcode.Div | Opcode.Idiv -> (

@@ -51,10 +51,25 @@ type lat_class =
 
 type mem_ref = {
   mr_width : Width.t;
-  mr_addr : State.t -> int64;  (** pre-resolved effective address *)
   mr_base : int;  (** {!Reg.index} of the base register, or -1 *)
   mr_index : int;  (** {!Reg.index} of the index register, or -1 *)
+  mr_base_at : int;
+      (** {!State.reg_offset} of the base register, or 0 without one *)
+  mr_base_mask : int;  (** -1 with a base register, 0 without *)
+  mr_index_at : int;
+      (** {!State.reg_offset} of the index register, or 0 without one *)
+  mr_scale : int;  (** the index's scale, 0 without an index register *)
+  mr_disp : int;
+  mr_mask : int64;  (** [Width.mask mr_width] *)
 }
+(** A memory operand as data: what {!mem_addr} computes the effective
+    address from, and the access width. *)
+
+val mem_addr : State.t -> mem_ref -> int64
+(** The effective address in [state]: [(base + index * scale) + disp]
+    over wrapping [int64], an absent register counting 0 — associatively
+    {!Semantics.mem_addr}. Inline and branch-free, so the result stays
+    unboxed in its caller. *)
 
 type desc = {
   d_inst : Instruction.t;

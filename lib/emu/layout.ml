@@ -11,8 +11,10 @@ let line_mask_one_page = 0b111111000000L
 let line_mask_two_pages = 0b1111111000000L
 let page_of_offset off = off / page_size
 
-let in_sandbox addr =
-  addr >= sandbox_base
+(* Inline, as [int64] arguments to calls that are not are boxed: the
+   simulator checks every memory step's address. *)
+let[@inline] in_sandbox addr =
+  Int64.compare addr sandbox_base >= 0
   && Int64.compare addr (Int64.add sandbox_base (Int64.of_int sandbox_size)) < 0
 
-let offset_of_addr addr = Int64.to_int (Int64.sub addr sandbox_base)
+let[@inline] offset_of_addr addr = Int64.to_int (Int64.sub addr sandbox_base)

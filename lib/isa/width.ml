@@ -1,8 +1,8 @@
 type t = W8 | W16 | W32 | W64
 
-let bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
-
-let bytes w = bits w / 8
+(* Inline: every emulated memory access asks for its width in bytes. *)
+let[@inline] bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
+let[@inline] bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
 
 let mask = function
   | W8 -> 0xFFL

@@ -5,9 +5,10 @@ open Revizor_emu
     A fuzzing campaign materializes tens of template states per test case
     ({!Input.templates}); this arena refills the same pool of states
     instead, which is bit-identical to fresh allocation because
-    {!Input.apply} rewrites every field a previous fill could have
-    changed and every run on a template is undone (the model and the
-    executor hand each template back exactly as it came in).
+    {!Input.apply} rewrites every register and flag a previous fill
+    could have changed and leaves every data word pending until its
+    first access (see {!Revizor_emu.Memory.defer}), and every run on a
+    template is undone.
 
     Not thread-safe: one arena per campaign loop, and the returned
     templates are run on in place, so one domain at a time. *)
@@ -19,14 +20,15 @@ val create : unit -> t
 val templates : ?plan:int array -> t -> Input.t list -> State.t array
 (** Materialize the inputs into pooled template states. The returned
     array is owned by the arena and valid until the next [templates]
-    call; callers must not mutate the states.
+    call; callers must not mutate the states. Allocates nothing per
+    input once the pool has grown to the batch's size, at entropy up to
+    16.
 
-    [plan] (from {!Input.fill_plan} for the program these templates will
-    run) restricts the data fill to the words that program can read;
-    unlisted words keep a previous test case's values, which the plan
-    proves unobservable. Omit it to fill the whole sandbox. The plan's
-    parity rows ({!Input.set_plan}) are built once per call, in the
-    arena, for the widest entropy among the inputs, so a batch may mix
-    entropies.
-    @raise Invalid_argument if [plan] is not strictly ascending data
-    word indices, before any template is touched. *)
+    [plan] is ignored: every data word is filled on its first access.
+    perfbench still passes one ({!Input.fill_plan}). *)
+
+val count_fills : State.t array -> unit
+(** Add the data words the templates filled on first access since they
+    were materialized to the registry counter [arena.words_filled]. Once
+    per test case, after its last run: one atomic add, never one per
+    word. *)

@@ -41,6 +41,12 @@ val table3 : ?budget:int -> ?seed:int64 -> unit -> t3_cell list
 
 (** {1 Table 4 — detection time} *)
 
+val table4_setups : (string * string * Contract.t * Target.t) option list
+(** The 12 cells of Table 4 in row-major order: (contract-permitted
+    leakage, leak to detect, contract, target), [None] for the two N/A
+    cells. A violation found in a cell carries the column's label, with
+    ["LVI"] found as ["LVI-Null"]. *)
+
 type t4_cell = {
   row : string;  (** contract-permitted leakage: "None" / "V4" / "V1" *)
   column : string;  (** leak to detect: "V4" / "V1" / "MDS" / "LVI" *)

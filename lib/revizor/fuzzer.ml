@@ -260,19 +260,14 @@ let check_test_case_full ?arena config executor program inputs :
       in
       (* Materialize each input's architectural state exactly once per
          test case; the model passes, the executor's warm-up/measurement
-         repetitions and the swap-check re-measurements all blit-restore
-         these templates. A campaign-owned arena refills the same pooled
-         states per test case instead of allocating fresh ones. *)
+         repetitions and the swap-check re-measurements all run on these
+         templates and undo themselves. A campaign-owned arena refills
+         the same pooled states per test case instead of allocating fresh
+         ones. Data words are filled on their first access. *)
       let templates =
         Probe.with_span sp_materialize (fun () ->
             match arena with
-            | Some a ->
-                (* Sparse fill: only the data words this program can read
-                   (plus the fill-buffer seed word) need fresh values;
-                   the rest of the pooled 8 KiB sandboxes keeps provably
-                   unobservable leftovers. *)
-                let plan = Input.fill_plan prog.Revizor_emu.Compiled.flat in
-                Arena.templates ?plan a inputs
+            | Some a -> Arena.templates a inputs
             | None -> Input.templates inputs)
       in
       let results =
@@ -280,8 +275,14 @@ let check_test_case_full ?arena config executor program inputs :
             Model.ctraces ~watchdog:config.watchdog ~templates ~stream:`First
               config.contract prog inputs)
       in
+      (* The fill count goes to the registry once the test case's last
+         run is over, on each of the returns below. *)
+      let counted r =
+        Arena.count_fills templates;
+        r
+      in
       if List.exists (fun (r : Model.result) -> r.Model.faulted) results then
-        Error "architectural fault"
+        counted (Error "architectural fault")
       else
         let patterns =
           match results with
@@ -306,7 +307,7 @@ let check_test_case_full ?arena config executor program inputs :
               dismissed_nesting;
             }
         in
-        if classes = [] then no_violation ()
+        if classes = [] then counted (no_violation ())
         else
           let measurements =
             Probe.with_span sp_execute (fun () ->
@@ -411,7 +412,7 @@ let check_test_case_full ?arena config executor program inputs :
           let checked = hunt [] 5 ~swapped:false ~nested:false in
           Executor.release measurements;
           Array.fill htraces 0 (Array.length htraces) Htrace.empty;
-          checked
+          counted checked
 
 let check_test_case config executor program inputs =
   Result.map (fun c -> c.violation)

@@ -183,7 +183,7 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
           (if has_bpas && may_nest && d.Compiled.d_stores then
              match d.Compiled.d_mem with
              | Some mr ->
-                 let addr = mr.Compiled.mr_addr state in
+                 let addr = Compiled.mem_addr state mr in
                  let w = mr.Compiled.mr_width in
                  let slot = slots.(depth + 1) in
                  State.save state slot;

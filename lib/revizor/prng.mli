@@ -41,8 +41,8 @@ val set_state : t -> int64 -> unit
     [M s] is a xor of bits of [s]. So bit [b] of the state [k] steps on
     is the parity of [s] masked by the row [(Mᵀ)^k e_b], and a draw that
     depends on a few low state bits is a handful of masked parities of
-    the starting state. The sparse input fill uses this to compute the
-    words a test program can read without walking the stream. *)
+    the starting state. The input fill uses this to compute a data word
+    on its first access without walking the stream. *)
 
 val xorshift_step : int64 -> int64
 (** One raw state transition (no output multiply, no normalization):

@@ -26,7 +26,12 @@ type t = {
 let empty_tag = min_int
 let attacker_tag way = -1 - way
 
+(* Set indices are taken with a mask ({!set_of}), which is the modulo
+   only for a power-of-two set count. *)
 let create ?(sets = Layout.l1d_sets) ?(ways = Layout.l1d_ways) () =
+  if sets <= 0 || sets land (sets - 1) <> 0 then
+    invalid_arg "Cache.create: sets must be a positive power of two";
+  if ways <= 0 then invalid_arg "Cache.create: ways must be positive";
   {
     n_sets = sets;
     ways;
@@ -51,16 +56,25 @@ let[@inline] mark_dirty t set =
     t.n_dirty <- t.n_dirty + 1
   end
 
-let line_of_addr addr = Int64.to_int addr / Layout.cache_line
+(* Addresses are native ints here: the simulator's accesses are sandbox
+   addresses, and an [int64] argument to a call that is not inlined
+   would be boxed at every access. [touch] and [contains] take the
+   [int64] of the interface and are inlined. *)
+let[@inline] line_of a = a / Layout.cache_line
+let[@inline] set_of t a = line_of a land (t.n_sets - 1)
 
-let set_of_addr t addr = line_of_addr addr mod t.n_sets land (t.n_sets - 1)
-
+(* A loop, not a local recursive function: the closure such a function
+   captures would be allocated on every lookup, and every simulated
+   access makes one. *)
 let find_way t set tag =
   let ways = t.lines.(set) in
-  let rec go w =
-    if w >= t.ways then -1 else if ways.(w) = tag then w else go (w + 1)
-  in
-  go 0
+  let w = ref 0 in
+  while !w < t.ways && ways.(!w) <> tag do
+    incr w
+  done;
+  if !w < t.ways then !w else -1
+
+let find t ~set a = find_way t set (line_of a)
 
 let promote t set way =
   let lru = t.lru.(set) in
@@ -78,28 +92,30 @@ let victim_way t set =
   done;
   !worst
 
-let touch_tag t set tag =
+let touch_found t ~set a ~way =
   mark_dirty t set;
-  match find_way t set tag with
-  | -1 ->
-      let w = victim_way t set in
-      t.lines.(set).(w) <- tag;
-      promote t set w;
-      `Miss
-  | w ->
-      promote t set w;
-      `Hit
+  if way >= 0 then promote t set way
+  else begin
+    let w = victim_way t set in
+    t.lines.(set).(w) <- line_of a;
+    promote t set w
+  end
 
-let touch t addr =
-  let tag = line_of_addr addr in
-  touch_tag t (set_of_addr t addr) tag
+let[@inline] touch t addr =
+  let a = Int64.to_int addr in
+  let set = set_of t a in
+  let way = find t ~set a in
+  touch_found t ~set a ~way;
+  if way >= 0 then `Hit else `Miss
 
-let contains t addr =
-  find_way t (set_of_addr t addr) (line_of_addr addr) >= 0
+let[@inline] contains t addr =
+  let a = Int64.to_int addr in
+  find t ~set:(set_of t a) a >= 0
 
 let flush_line t addr =
-  let set = set_of_addr t addr in
-  match find_way t set (line_of_addr addr) with
+  let a = Int64.to_int addr in
+  let set = set_of t a in
+  match find t ~set a with
   | -1 -> ()
   | w ->
       mark_dirty t set;

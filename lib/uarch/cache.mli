@@ -9,17 +9,35 @@
 type t
 
 val create : ?sets:int -> ?ways:int -> unit -> t
-(** Defaults: {!Layout.l1d_sets} × {!Layout.l1d_ways}. *)
+(** Defaults: {!Layout.l1d_sets} × {!Layout.l1d_ways}.
+    @raise Invalid_argument naming [sets] unless it is a positive power
+    of two (a line's set is its low bits), or naming [ways] unless it is
+    positive. *)
 
 val sets : t -> int
-
-val set_of_addr : t -> int64 -> int
 
 val touch : t -> int64 -> [ `Hit | `Miss ]
 (** Access the line containing the address: update LRU, fill on miss. *)
 
 val contains : t -> int64 -> bool
 (** Whether the line of this address is currently cached (no LRU update). *)
+
+(** {2 One lookup per access}
+
+    The simulator's per-access path, on addresses as native ints (an
+    [int64] passed to a call that is not inlined is boxed): look the line
+    up once, then touch it by the way found. *)
+
+val set_of : t -> int -> int
+(** The set of the line holding the address. *)
+
+val find : t -> set:int -> int -> int
+(** [find t ~set a], with [set = set_of t a], is the way of [set] that
+    holds [a]'s line, or -1: {!contains} is [find ... >= 0]. *)
+
+val touch_found : t -> set:int -> int -> way:int -> unit
+(** [touch_found t ~set a ~way] is {!touch} of [a] for [way = find t ~set
+    a], found with no cache operation since. *)
 
 val flush_line : t -> int64 -> unit
 (** CLFLUSH-like invalidation of one line. *)

@@ -44,7 +44,10 @@ type t = {
   btb : Predictors.Btb.t;
   rsb : Predictors.Rsb.t;
   pages : Page_table.t;
-  mutable fill_buffer : int64;
+  fill_buffer : Bytes.t;
+      (* the value the last committed access moved, in 8 bytes as the
+         registers are kept: a mutable [int64] field would box every
+         write *)
   mutable events : event list;
   port_counts : int array;  (** µops issued per execution port, per run *)
   (* Preallocated per-run scratch, reset in place: the executor runs the
@@ -69,7 +72,7 @@ let create cfg =
     btb = Predictors.Btb.create ~size:cfg.Uarch_config.btb_size ();
     rsb = Predictors.Rsb.create ~depth:cfg.Uarch_config.rsb_depth ();
     pages = Page_table.create ();
-    fill_buffer = 0L;
+    fill_buffer = Bytes.make 8 '\000';
     events = [];
     port_counts = Array.make Ports.n_ports 0;
     tm = { fetch_pos = 0; reg_ready = Array.make 16 0; flags_ready = 0 };
@@ -98,7 +101,7 @@ let reset_session t =
   Predictors.Btb.reset t.btb;
   Predictors.Rsb.reset t.rsb;
   Page_table.set_all t.pages;
-  t.fill_buffer <- 0L;
+  Bytes.set_int64_ne t.fill_buffer 0 0L;
   t.events <- []
 
 (* A run's predictor footprint (soundness argument in the interface).
@@ -169,8 +172,8 @@ let install t fp s =
   if fp.fp_rsb then Predictors.Rsb.restore t.rsb s.sn_rsb
 
 let events t = List.rev t.events
-let fill_buffer t = t.fill_buffer
-let set_fill_buffer t v = t.fill_buffer <- v
+let fill_buffer t = Bytes.get_int64_ne t.fill_buffer 0
+let set_fill_buffer t v = Bytes.set_int64_ne t.fill_buffer 0 v
 let port_counts t = Array.copy t.port_counts
 
 let count_ports t (d : Compiled.desc) =
@@ -258,12 +261,18 @@ let sb_grow sb =
   Bytes.blit sb.sb_old 0 old 0 (8 * n);
   sb.sb_old <- old
 
-let[@inline] sb_push sb ~addr ~width ~old ~ready ~assist =
+(* A store enters the buffer in two halves: its pre-store value, read
+   before the store executes, goes straight into the next entry's slot
+   ([sb_stage_old]); [sb_push] completes that entry once the store has
+   executed. Nothing reads or moves the buffer in between. *)
+let[@inline] sb_stage_old sb old =
   if sb.sb_len = Array.length sb.sb_ready then sb_grow sb;
+  Bytes.set_int64_le sb.sb_old (8 * sb.sb_len) old
+
+let[@inline] sb_push sb ~addr ~width ~ready ~assist =
   let n = sb.sb_len in
   sb.sb_addr.(n) <- addr;
   sb.sb_width.(n) <- width;
-  Bytes.set_int64_le sb.sb_old (8 * n) old;
   sb.sb_ready.(n) <- ready;
   sb.sb_assist.(n) <- assist;
   sb.sb_len <- n + 1
@@ -296,8 +305,9 @@ let sb_prune sb ~ft =
    issuing at [start], transiently bypasses: the newest overlapping entry
    whose address is still unresolved at [start] and whose mechanism the
    configuration leaves open; -1 if none. The search runs newest first,
-   so the load forwards from the youngest such store. *)
-let bypass_candidate t ~ft ~start addr width =
+   so the load forwards from the youngest such store. Inline, so the
+   address stays unboxed. *)
+let[@inline] bypass_candidate t ~ft ~start addr width =
   let sb = t.sb in
   sb_prune sb ~ft;
   let found = ref (-1) and k = ref (sb.sb_len - 1) in
@@ -354,7 +364,7 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
     Array.blit tm.reg_ready 0 t.saved_regs 0 16;
     let saved_flags = tm.flags_ready in
     let saved_fetch = tm.fetch_pos in
-    let saved_fill = t.fill_buffer in
+    let saved_fill = Bytes.get_int64_ne t.fill_buffer 0 in
     (match poison with
     | Some (addr, w, v) -> Memory.write state.State.mem ~addr w v
     | None -> ());
@@ -380,18 +390,20 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
          exec t prog state spc;
          let mem_lat = ref 0 in
          for k = 0 to ab.Compiled.ab_len - 1 do
-           let addr = Compiled.abuf_addr ab k in
            if start < squash_time then begin
-             let hit = Cache.contains t.cache addr in
+             (* one set computation and one lookup per access *)
+             let a = Int64.to_int (Compiled.abuf_addr ab k) in
+             let set = Cache.set_of t.cache a in
+             let way = Cache.find t.cache ~set a in
+             let hit = way >= 0 in
              let is_store = ab.Compiled.ab_store.(k) in
              let observable =
                (not is_store) || t.cfg.Uarch_config.speculative_store_eviction
              in
              if observable then begin
-               ignore (Cache.touch t.cache addr);
-               let set = Cache.set_of_addr t.cache addr in
+               Cache.touch_found t.cache ~set a ~way;
                touched.(set lsr 5) <- touched.(set lsr 5) lor (1 lsl (set land 31));
-               t.fill_buffer <- Compiled.abuf_value ab k
+               Bytes.set_int64_ne t.fill_buffer 0 (Compiled.abuf_value ab k)
              end;
              incr loads;
              if not is_store then
@@ -417,11 +429,141 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
     Array.blit t.saved_regs 0 tm.reg_ready 0 16;
     tm.flags_ready <- saved_flags;
     tm.fetch_pos <- saved_fetch;
-    t.fill_buffer <- saved_fill;
+    Bytes.set_int64_ne t.fill_buffer 0 saved_fill;
     t.events <-
       { kind; origin_pc; transient_loads = !loads; touched_sets = touched_sets t }
       :: t.events
   end
+
+(* RSP as a register-file offset: [State.get_at] is inline, so the stack
+   address stays unboxed where [State.get_reg] would return it boxed. *)
+let rsp_at = State.reg_offset Reg.stack_pointer
+
+(* The architectural step of a non-serializing instruction, with the
+   branch-prediction bookkeeping around it (the pc after [exec] is the
+   architectural branch target). Only control flow touches the cache or
+   starts an episode here: CALL's and RET's stack lines and the
+   mispredict episodes. *)
+let control t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
+  let tm = t.tm in
+  match prog.Compiled.descs.(pc).Compiled.d_inst.Instruction.opcode with
+  | Opcode.Jcc c ->
+      let actual = Flags.eval_cond state.State.flags c in
+      let predicted = Predictors.Pht.predict t.pht ~pc in
+      let resolve =
+        Int.max ft tm.flags_ready + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
+      in
+      exec t prog state pc;
+      if predicted <> actual then begin
+        let wrong_pc = if actual then pc + 1 else Compiled.target prog pc in
+        run_transient t prog state ~kind:Branch_mispredict ~origin_pc:pc
+          ~start_pc:wrong_pc ~squash_time:resolve ~poison:None
+      end;
+      Predictors.Pht.update t.pht ~pc ~taken:actual
+  | Opcode.Ret ->
+      let predicted = Predictors.Rsb.pop t.rsb in
+      let rsp = State.get_at state rsp_at in
+      let stack_hit = Cache.contains t.cache rsp in
+      exec t prog state pc;
+      let next = state.State.pc in
+      let resolve =
+        start + Uarch_config.mem_latency t.cfg ~hit:stack_hit
+        + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
+      in
+      (match predicted with
+      | Some p when p <> next ->
+          run_transient t prog state ~kind:Return_mispredict ~origin_pc:pc
+            ~start_pc:p ~squash_time:resolve ~poison:None
+      | Some _ | None -> ());
+      (* The committed stack read fills the line RET loaded from: the
+         pre-pop RSP, the same slot [stack_hit] looked up. *)
+      ignore (Cache.touch t.cache rsp)
+  | Opcode.JmpInd ->
+      let predicted = Predictors.Btb.predict t.btb ~pc in
+      exec t prog state pc;
+      let next = state.State.pc in
+      let resolve = start + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve in
+      (match predicted with
+      | Some p when p <> next ->
+          run_transient t prog state ~kind:Indirect_mispredict ~origin_pc:pc
+            ~start_pc:p ~squash_time:resolve ~poison:None
+      | Some _ | None -> ());
+      Predictors.Btb.update t.btb ~pc ~target:next
+  | Opcode.Call ->
+      exec t prog state pc;
+      Predictors.Rsb.push t.rsb (pc + 1);
+      (* The committed stack write fills the slot CALL pushed to. *)
+      ignore (Cache.touch t.cache (State.get_at state rsp_at))
+  | _ -> exec t prog state pc
+
+(* A step with a memory operand [mr], up to its completion time. The
+   effective address is computed once, from the registers before the
+   step, and stays unboxed: every call that takes it is inlined. *)
+let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
+    (mr : Compiled.mem_ref) ~ft ~start =
+  let addr = Compiled.mem_addr state mr and width = mr.Compiled.mr_width in
+  let mem_ready = addr_regs_ready t t.tm mr in
+  (* Microcode assist: first access to a page with a cleared Accessed
+     bit. Loads transiently forward stale fill-buffer data (MDS) or
+     zeros (MDS patch); stores resolve late and may be bypassed below
+     (the LVI-class forwarding failure). *)
+  let assist_fired =
+    Layout.in_sandbox addr
+    && Page_table.access t.pages
+         ~page:(Layout.page_of_offset (Layout.offset_of_addr addr))
+  in
+  let assist_resolve = start + t.cfg.Uarch_config.lat.Uarch_config.assist in
+  if assist_fired && d.Compiled.d_loads then begin
+    let tv = if t.cfg.Uarch_config.mds_patch then 0L else fill_buffer t in
+    (* The assist forwards the bogus value quickly — dependents of the
+       poisoned load must not stall on a cache miss. *)
+    ignore (Cache.touch t.cache addr);
+    run_transient t prog state ~kind:Assist_load_forward ~origin_pc:pc
+      ~start_pc:pc ~squash_time:assist_resolve ~poison:(Some (addr, width, tv))
+  end;
+  (* Speculative store bypass: a load issuing before an older store's
+     address has resolved transiently reads the stale memory value. *)
+  (if d.Compiled.d_loads then
+     let k = bypass_candidate t ~ft ~start addr width in
+     if k >= 0 then begin
+       let sb = t.sb in
+       let kind = if sb.sb_assist.(k) then Assist_store_forward else Store_bypass in
+       run_transient t prog state ~kind ~origin_pc:pc ~start_pc:pc
+         ~squash_time:sb.sb_ready.(k)
+         ~poison:
+           (Some
+              ( Int64.of_int sb.sb_addr.(k),
+                sb.sb_width.(k),
+                Bytes.get_int64_le sb.sb_old (8 * k) ))
+     end);
+  (* The pre-store value, for the store buffer. *)
+  if d.Compiled.d_stores then
+    sb_stage_old t.sb (Memory.read state.State.mem ~addr width);
+  let lat = exec_latency t state d in
+  (* One set lookup per access. Every episode of a non-control-flow step
+     has run by now, and its architectural step touches no cache line
+     (only control flow does, see [control]), so the way found here is
+     still the line's way when the access commits. A control-flow step
+     with a memory operand looks its line up again. *)
+  let a = Int64.to_int addr in
+  let set = Cache.set_of t.cache a in
+  let way = Cache.find t.cache ~set a in
+  control t prog state pc ~ft ~start;
+  (* Committed memory effects: cache fills and fill-buffer updates. *)
+  let mem_lat =
+    if d.Compiled.d_loads then Uarch_config.mem_latency t.cfg ~hit:(way >= 0) else 0
+  in
+  if d.Compiled.d_control_flow then ignore (Cache.touch t.cache addr)
+  else Cache.touch_found t.cache ~set a ~way;
+  Bytes.set_int64_ne t.fill_buffer 0 (Memory.read state.State.mem ~addr width);
+  (* Register the store in the store buffer for bypass detection. *)
+  if d.Compiled.d_stores then begin
+    let assist = assist_fired && not d.Compiled.d_loads in
+    let ready = if assist then Int.max mem_ready assist_resolve else mem_ready in
+    sb_push t.sb ~addr:a ~width ~ready ~assist
+  end;
+  start + lat + mem_lat
+  + if assist_fired then t.cfg.Uarch_config.lat.Uarch_config.assist else 0
 
 (* One step of the per-instruction path: the reference timing of every
    instruction, and the only path for memory, branch, DIV and
@@ -450,150 +592,13 @@ let step t (prog : Compiled.t) (state : State.t) pc =
   else begin
     let start = Int.max ft (src_ready tm d) in
     count_ports t d;
-    (* Memory-operand resolution, flattened into plain locals ([d_mem]
-       carries the shape; [mem_addr]/[mem_ready] are only meaningful when
-       it is [Some]). *)
-    let mem = d.Compiled.d_mem in
-    let mem_addr =
-      match mem with Some mr -> mr.Compiled.mr_addr state | None -> 0L
-    in
-    let mem_ready =
-      match mem with Some mr -> addr_regs_ready t tm mr | None -> 0
-    in
-    (* Microcode assist: first access to a page with a cleared Accessed
-       bit. Loads transiently forward stale fill-buffer data (MDS) or
-       zeros (MDS patch); stores resolve late and may be bypassed below
-       (the LVI-class forwarding failure). *)
-    let assist_fired =
-      match mem with
-      | Some _ when Layout.in_sandbox mem_addr ->
-          let page = Layout.page_of_offset (Layout.offset_of_addr mem_addr) in
-          Page_table.access t.pages ~page
-      | Some _ | None -> false
-    in
-    let assist_resolve = start + t.cfg.Uarch_config.lat.Uarch_config.assist in
-    (if assist_fired && d.Compiled.d_loads then
-       match mem with
-       | Some mr ->
-           let tv = if t.cfg.Uarch_config.mds_patch then 0L else t.fill_buffer in
-           (* The assist forwards the bogus value quickly — dependents of
-              the poisoned load must not stall on a cache miss. *)
-           ignore (Cache.touch t.cache mem_addr);
-           run_transient t prog state ~kind:Assist_load_forward ~origin_pc:pc
-             ~start_pc:pc ~squash_time:assist_resolve
-             ~poison:(Some (mem_addr, mr.Compiled.mr_width, tv))
-       | None -> ());
-    (* Speculative store bypass: a load issuing before an older store's
-       address has resolved transiently reads the stale memory value. *)
-    (if d.Compiled.d_loads then
-       match mem with
-       | Some mr ->
-           let k = bypass_candidate t ~ft ~start mem_addr mr.Compiled.mr_width in
-           if k >= 0 then begin
-             let sb = t.sb in
-             let kind =
-               if sb.sb_assist.(k) then Assist_store_forward else Store_bypass
-             in
-             run_transient t prog state ~kind ~origin_pc:pc ~start_pc:pc
-               ~squash_time:sb.sb_ready.(k)
-               ~poison:
-                 (Some
-                    ( Int64.of_int sb.sb_addr.(k),
-                      sb.sb_width.(k),
-                      Bytes.get_int64_le sb.sb_old (8 * k) ))
-           end
-       | None -> ());
-    (* Record the pre-store value for the store buffer. *)
-    let store_pending =
-      d.Compiled.d_stores && match mem with Some _ -> true | None -> false
-    in
-    let store_old =
-      if store_pending then
-        match mem with
-        | Some mr -> Memory.read state.State.mem ~addr:mem_addr mr.Compiled.mr_width
-        | None -> 0L
-      else 0L
-    in
-    let lat = exec_latency t state d in
-    let load_hit_known =
-      d.Compiled.d_loads && match mem with Some _ -> true | None -> false
-    in
-    let load_hit = load_hit_known && Cache.contains t.cache mem_addr in
-    (* Branch-prediction bookkeeping around the architectural step (the
-       pc after [exec] is the architectural branch target). *)
-    (match d.Compiled.d_inst.Instruction.opcode with
-    | Opcode.Jcc c ->
-        let actual = Flags.eval_cond state.State.flags c in
-        let predicted = Predictors.Pht.predict t.pht ~pc in
-        let resolve =
-          Int.max ft tm.flags_ready
-          + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
-        in
-        exec t prog state pc;
-        if predicted <> actual then begin
-          let wrong_pc = if actual then pc + 1 else Compiled.target prog pc in
-          run_transient t prog state ~kind:Branch_mispredict ~origin_pc:pc
-            ~start_pc:wrong_pc ~squash_time:resolve ~poison:None
-        end;
-        Predictors.Pht.update t.pht ~pc ~taken:actual
-    | Opcode.Ret ->
-        let predicted = Predictors.Rsb.pop t.rsb in
-        let rsp = State.get_reg state Reg.stack_pointer Width.W64 in
-        let stack_hit = Cache.contains t.cache rsp in
-        exec t prog state pc;
-        let next = state.State.pc in
-        let resolve =
-          start + Uarch_config.mem_latency t.cfg ~hit:stack_hit
-          + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
-        in
-        (match predicted with
-        | Some p when p <> next ->
-            run_transient t prog state ~kind:Return_mispredict ~origin_pc:pc
-              ~start_pc:p ~squash_time:resolve ~poison:None
-        | Some _ | None -> ());
-        (* The committed stack read fills the line RET loaded from: the
-           pre-pop RSP, the same slot [stack_hit] looked up. *)
-        ignore (Cache.touch t.cache rsp)
-    | Opcode.JmpInd ->
-        let predicted = Predictors.Btb.predict t.btb ~pc in
-        exec t prog state pc;
-        let next = state.State.pc in
-        let resolve = start + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve in
-        (match predicted with
-        | Some p when p <> next ->
-            run_transient t prog state ~kind:Indirect_mispredict ~origin_pc:pc
-              ~start_pc:p ~squash_time:resolve ~poison:None
-        | Some _ | None -> ());
-        Predictors.Btb.update t.btb ~pc ~target:next
-    | Opcode.Call ->
-        exec t prog state pc;
-        Predictors.Rsb.push t.rsb (pc + 1);
-        (* The committed stack write fills the slot CALL pushed to. *)
-        ignore
-          (Cache.touch t.cache (State.get_reg state Reg.stack_pointer Width.W64))
-    | _ -> exec t prog state pc);
-    (* Committed memory effects: cache fills and fill-buffer updates. *)
-    let mem_lat =
-      if load_hit_known then Uarch_config.mem_latency t.cfg ~hit:load_hit else 0
-    in
-    (match mem with
-    | Some mr ->
-        ignore (Cache.touch t.cache mem_addr);
-        t.fill_buffer <-
-          Memory.read state.State.mem ~addr:mem_addr mr.Compiled.mr_width
-    | None -> ());
-    (* Register the store in the store buffer for bypass detection. *)
-    (if store_pending then
-       match mem with
-       | Some mr ->
-           let assist = assist_fired && not d.Compiled.d_loads in
-           let ready = if assist then Int.max mem_ready assist_resolve else mem_ready in
-           sb_push t.sb ~addr:(Int64.to_int mem_addr) ~width:mr.Compiled.mr_width
-             ~old:store_old ~ready ~assist
-       | None -> ());
     let completion =
-      start + lat + mem_lat
-      + if assist_fired then t.cfg.Uarch_config.lat.Uarch_config.assist else 0
+      match d.Compiled.d_mem with
+      | Some mr -> mem_step t prog state pc d mr ~ft ~start
+      | None ->
+          let lat = exec_latency t state d in
+          control t prog state pc ~ft ~start;
+          start + lat
     in
     let dsts = d.Compiled.d_dsts in
     for k = 0 to Array.length dsts - 1 do

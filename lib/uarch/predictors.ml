@@ -1,7 +1,11 @@
 module Pht = struct
   type t = { counters : int array }
 
-  let create ?(size = 512) () = { counters = Array.make size 1 }
+  let create ?(size = 512) () =
+    if size <= 0 || size land (size - 1) <> 0 then
+      invalid_arg "Pht.create: size must be a positive power of two";
+    { counters = Array.make size 1 }
+
   let slot t pc = pc land (Array.length t.counters - 1)
   let predict t ~pc = t.counters.(slot t pc) >= 2
 
@@ -19,7 +23,11 @@ end
 module Btb = struct
   type t = { targets : int array (* -1 = no entry *) }
 
-  let create ?(size = 256) () = { targets = Array.make size (-1) }
+  let create ?(size = 256) () =
+    if size <= 0 || size land (size - 1) <> 0 then
+      invalid_arg "Btb.create: size must be a positive power of two";
+    { targets = Array.make size (-1) }
+
   let slot t pc = pc land (Array.length t.targets - 1)
 
   let predict t ~pc =

@@ -11,7 +11,10 @@ module Pht : sig
 
   val create : ?size:int -> unit -> t
   (** Default size 512 entries; counters start weakly not-taken, matching
-      static forward-branch prediction. *)
+      static forward-branch prediction. A pc's counter is chosen by its
+      low bits.
+      @raise Invalid_argument naming [size] unless it is a positive power
+      of two. *)
 
   val predict : t -> pc:int -> bool
   val update : t -> pc:int -> taken:bool -> unit
@@ -33,6 +36,10 @@ module Btb : sig
   type t
 
   val create : ?size:int -> unit -> t
+  (** Default size 256 entries, chosen by a pc's low bits.
+      @raise Invalid_argument naming [size] unless it is a positive power
+      of two. *)
+
   val predict : t -> pc:int -> int option
   val update : t -> pc:int -> target:int -> unit
 

@@ -94,22 +94,23 @@ let desc_metadata () =
             (Ports.of_instruction inst)
             (Array.to_list d.Compiled.d_ports);
           (* The interpreted engine shares the decoder: descriptors must
-             be structurally identical ([mr_addr] is a closure, so the
-             memory reference is compared field by field). *)
+             be structurally identical, memory operand included. *)
           let di = interp.Compiled.descs.(pc) in
-          check bool (here "interp desc") true
-            (Stdlib.compare
-               { d with Compiled.d_mem = None }
-               { di with Compiled.d_mem = None }
-             = 0);
-          check bool (here "interp mem ref") true
-            (match (d.Compiled.d_mem, di.Compiled.d_mem) with
-            | None, None -> true
-            | Some a, Some b ->
-                a.Compiled.mr_width = b.Compiled.mr_width
-                && a.Compiled.mr_base = b.Compiled.mr_base
-                && a.Compiled.mr_index = b.Compiled.mr_index
-            | _ -> false))
+          check bool (here "interp desc") true (Stdlib.compare d di = 0);
+          (* The operand's address is Semantics.mem_addr's. *)
+          match (d.Compiled.d_mem, Instruction.mem_operand inst) with
+          | None, None -> ()
+          | Some mr, Some (m, w) ->
+              check bool (here "mem width") true (Width.equal w mr.Compiled.mr_width);
+              let st = State.create () in
+              List.iteri
+                (fun k r ->
+                  State.set_reg st r Width.W64
+                    (Int64.add 0x7FFF_FFFF_FFFF_FF00L (Int64.of_int (977 * k))))
+                Reg.all;
+              check int64 (here "mem addr") (Semantics.mem_addr st m)
+                (Compiled.mem_addr st mr)
+          | _ -> Alcotest.failf "%s: memory operand" (here ""))
         code)
 
 (* --- bare emulation ---------------------------------------------------- *)
@@ -503,6 +504,34 @@ let memory_steps_allocate_little () =
   let words, steps = words_allocated c ~passes:1_000 in
   let w = words /. float steps in
   if w >= 3. then Alcotest.failf "%.2f words per memory step" w
+
+(* [Cpu.run] over the MEM forms (loads, stores and read-modify-writes,
+   every one a per-instruction memory step) on a patched Skylake with
+   every page accessed, so no run starts an episode: the effective
+   address, the cache lookup, the fill buffer and the store buffer all
+   stay unboxed. *)
+let cpu_memory_steps_allocate_nothing () =
+  let c = spec_program [ Catalog.MEM ] in
+  let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
+  let st = State.create () in
+  State.set_reg st Reg.RSI Width.W64 (Int64.of_int mem_offset);
+  let slot = State.slot () in
+  let pass () =
+    State.save st slot;
+    Cpu.run cpu c st;
+    State.undo st slot
+  in
+  pass ();
+  check int "no episode" 0 (List.length (Cpu.events cpu));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    pass ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.)
+    (Printf.sprintf "minor words over 1000 runs of %d memory steps"
+       (Compiled.length c))
+    0. words
 
 (* --- contract model ---------------------------------------------------- *)
 
@@ -950,207 +979,268 @@ let arena_reuse_identical () =
         fresh)
     [ 10; 4; 12; 3; 16 ]
 
-(* --- sparse input fill -------------------------------------------------- *)
-
-(* [None] when [got] equals [expected] in registers, flags and every
-   word of [plan]; otherwise what differs. Data words outside the plan
-   are taken from [expected] before comparing, since a sparse fill leaves
-   them as a previous fill did. *)
-let plan_mismatch ~plan ~(expected : State.t) (got : State.t) =
-  let eraw = Memory.raw expected.State.mem
-  and graw = Memory.raw got.State.mem in
-  match
-    Array.find_opt
-      (fun w -> Bytes.sub eraw (8 * w) 8 <> Bytes.sub graw (8 * w) 8)
-      plan
-  with
-  | Some w -> Some (Printf.sprintf "data word %d" w)
-  | None ->
-      let merged = State.copy got in
-      let mraw = Memory.raw merged.State.mem in
-      let in_plan = Array.make 1024 false in
-      Array.iter (fun w -> in_plan.(w) <- true) plan;
-      Array.iteri
-        (fun w listed ->
-          if not listed then Bytes.blit eraw (8 * w) mraw (8 * w) 8)
-        in_plan;
-      if State.equal_arch expected merged then None
-      else Some "registers or flags"
-
-(* The reachable-word plan must make the sparse fill observation-
-   equivalent to the full fill: model ctraces and executor measurements
-   over sparsely refilled, deliberately polluted arena templates agree
-   with freshly allocated fully-filled ones. Pollution uses maximum
-   entropy from unrelated seeds, so every unlisted word holds garbage
-   the plan claims is unreachable. *)
-let sparse_fill_equivalent () =
-  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
-  each_case (fun ~label ~flat ~compiled ~interp:_ ->
-      match Input.fill_plan flat with
-      | None -> () (* unprovable (e.g. a VAR memory division): full fill *)
-      | Some plan ->
-          let inputs = batch_inputs 16 9L in
-          let fresh = Input.templates inputs in
-          let arena = Arena.create () in
-          ignore
-            (Arena.templates arena
-               (List.init 16 (fun i ->
-                    { Input.seed = Int64.of_int (1000 + i); entropy = 16 })));
-          let pooled = Arena.templates ~plan arena inputs in
-          (* registers, flags and plan words carry identical bytes *)
-          Array.iteri
-            (fun i expected ->
-              match plan_mismatch ~plan ~expected pooled.(i) with
-              | None -> ()
-              | Some d -> Alcotest.failf "%s input %d: %s differs" label i d)
-            fresh;
-          List.iter
-            (fun contract ->
-              let a = Model.ctraces ~templates:fresh contract compiled inputs in
-              let b = Model.ctraces ~templates:pooled contract compiled inputs in
-              List.iteri
-                (fun i ((x : Model.result), (y : Model.result)) ->
-                  let here s =
-                    Printf.sprintf "%s %s input %d: %s" label
-                      (Contract.name contract) i s
-                  in
-                  check bool (here "ctrace") true
-                    (Ctrace.equal x.Model.ctrace y.Model.ctrace);
-                  check bool (here "faulted") x.Model.faulted y.Model.faulted;
-                  check bool (here "stream") true
-                    (Stdlib.compare x.Model.stream y.Model.stream = 0))
-                (List.combine a b))
-            [ Contract.ct_seq; Contract.ct_cond; Contract.ct_bpas ];
-          let measure templates =
-            let cpu = Cpu.create cfg.Fuzzer.uarch in
-            let executor = Executor.create cpu cfg.Fuzzer.executor in
-            Executor.measure ~templates executor compiled inputs
-          in
-          let ma = measure fresh and mb = measure pooled in
-          Array.iteri
-            (fun i (m : Executor.measurement) ->
-              let m' = mb.(i) in
-              let here s = Printf.sprintf "%s input %d: %s" label i s in
-              check bool (here "htrace") true
-                (Htrace.equal m.Executor.htrace m'.Executor.htrace);
-              check bool (here "kinds+events") true
-                (Stdlib.compare
-                   (m.Executor.kinds, m.Executor.events)
-                   (m'.Executor.kinds, m'.Executor.events)
-                = 0))
-            ma)
-
-(* Pooled templates against [Input.to_state], on the full state without
-   a plan and on the plan's words with one. *)
-let check_templates ~what ?plan arena inputs =
-  let pooled = Arena.templates ?plan arena inputs in
-  List.iteri
-    (fun i input ->
-      let expected = Input.to_state input in
-      let here = Printf.sprintf "%s: input %d" what i in
-      match plan with
-      | None -> check bool here true (State.equal_arch expected pooled.(i))
-      | Some plan -> (
-          match plan_mismatch ~plan ~expected pooled.(i) with
-          | None -> ()
-          | Some d -> Alcotest.failf "%s: %s differs" here d))
-    inputs
+(* --- on-demand input fill ----------------------------------------------- *)
 
 let inp seed entropy = { Input.seed; entropy }
 
-(* Regression: the arena's record of which pooled states may hold
-   nonzero bytes 2..3 (entropy > 10) or 4..7 (entropy > 26) must follow
-   every input of a batch, not the first, and must survive a smaller
-   batch that leaves the states past its end untouched. Each sequence
-   left stale bytes in some template when the record was one flag set
-   from the first input's entropy. *)
-let arena_mixed_entropy () =
-  let plan = Array.append (Array.init 64 (fun i -> 16 * i)) [| 1023 |] in
-  List.iter
-    (fun (mode, plan) ->
-      let arena = Arena.create () in
-      let step k inputs =
-        check_templates ~what:(Printf.sprintf "%s step %d" mode k) ?plan arena
-          inputs
-      in
-      step 1 [ inp 1L 2; inp 2L 16 ];
-      step 2 [ inp 3L 2; inp 4L 2 ];
-      step 3 (List.init 16 (fun i -> inp (Int64.of_int (100 + i)) 16));
-      step 4 (List.init 4 (fun i -> inp (Int64.of_int (200 + i)) 2));
-      step 5 (List.init 16 (fun i -> inp (Int64.of_int (300 + i)) 2));
-      (* entropy > 16 takes the full fill even with a plan *)
-      step 6 [ inp 5L 30; inp 6L 2 ];
-      step 7 [ inp 7L 2; inp 8L 2 ])
-    [ ("full", None); ("sparse", Some plan) ]
+(* The reference: registers, flags and every data word from the eager
+   [Prng] walk. *)
+let eager input =
+  let s = State.create () in
+  Input.apply_eager input s;
+  s
 
-(* The parity-row kernel at every entropy it serves, on hand-built plans
-   covering the edges: the last word alone (a 1024-step row chain),
-   both ends, a consecutive run, gaps of 63/64/65/511 words, every 8th
-   word and half the sandbox. Each plan runs on a fresh arena (the fill
-   skips the stores of bytes known to be zero) and on one polluted with
-   entropy-30 values in every byte of every word; the entropy sweep
-   ends by shrinking the rows again. *)
-let sparse_kernel_every_entropy () =
-  let plans =
-    [
-      ("last", [| 1023 |]);
-      ("ends", [| 0; 1023 |]);
-      ("run", Array.init 40 (fun i -> 300 + i));
-      ("gaps", [| 5; 68; 132; 197; 708; 1023 |]);
-      ("every 8th", Array.init 128 (fun i -> (8 * i) + 7));
-      ("half", Array.init 512 (fun i -> (2 * i) + 1));
-    ]
-  in
+let fill_entropies = List.init 17 Fun.id @ [ 17; 26; 27; 63 ]
+
+(* Templates for [inputs]: fresh, or from an arena whose states were
+   first filled at entropy 63 (eagerly), so every byte of every data
+   word holds a stale value. *)
+let fill_templates ~polluted inputs =
+  if not polluted then Input.templates inputs
+  else begin
+    let arena = Arena.create () in
+    ignore
+      (Arena.templates arena
+         (List.mapi (fun i _ -> inp (Int64.of_int (7000 + i)) 63) inputs));
+    Arena.templates arena inputs
+  end
+
+(* Byte offsets of one read pattern: every word at its start, every word
+   at a shifted start (the wider reads straddle into the next word), and
+   the eight offsets of the last data word, from which the wider reads
+   straddle into the guard tail. *)
+let read_offsets width = function
+  | `Aligned -> List.init 1024 (fun w -> 8 * w)
+  | `Unaligned ->
+      List.filter
+        (fun off -> off + Width.bytes width <= Layout.sandbox_size)
+        (List.init 1024 (fun w -> (8 * w) + 1 + (w mod 7)))
+  | `Guard -> List.init 8 (fun k -> (8 * 1023) + k)
+
+(* Every data word read through [Memory.read] equals the eager walk, at
+   every width and alignment, whichever access fills it first; registers
+   and flags too. *)
+let on_demand_reads () =
   List.iter
-    (fun (name, plan) ->
+    (fun entropy ->
+      let inputs =
+        inp 0L entropy
+        :: List.init 3 (fun i -> inp (Int64.of_int ((97 * entropy) + i)) entropy)
+      in
+      let refs = List.map eager inputs in
       List.iter
         (fun polluted ->
-          let arena = Arena.create () in
-          if polluted then
-            ignore
-              (Arena.templates arena
-                 (List.init 4 (fun i -> inp (Int64.of_int (900 + i)) 30)));
           List.iter
-            (fun entropy ->
-              check_templates
-                ~what:
-                  (Printf.sprintf "%s%s, entropy %d" name
-                     (if polluted then " (polluted)" else "")
-                     entropy)
-                ~plan arena
-                (List.init 4 (fun i ->
-                     inp (Int64.of_int ((31 * entropy) + i + 1)) entropy)))
-            (List.init 17 Fun.id @ [ 2 ]))
+            (fun width ->
+              List.iter
+                (fun (pname, pattern) ->
+                  let templates = fill_templates ~polluted inputs in
+                  List.iteri
+                    (fun i (expected : State.t) ->
+                      let got = templates.(i) in
+                      let here what =
+                        Printf.sprintf "entropy %d%s, %s %s, input %d: %s" entropy
+                          (if polluted then " (polluted)" else "")
+                          (Width.to_string width) pname i what
+                      in
+                      check bool (here "registers and flags") true
+                        (Bytes.equal got.State.regs expected.State.regs
+                        && Flags.equal got.State.flags expected.State.flags);
+                      check bool (here "equal before any read") true
+                        (State.equal_arch expected got);
+                      List.iter
+                        (fun off ->
+                          let addr = Int64.add Layout.sandbox_base (Int64.of_int off) in
+                          let want = Memory.read expected.State.mem ~addr width in
+                          let have = Memory.read got.State.mem ~addr width in
+                          if not (Int64.equal want have) then
+                            Alcotest.failf "%s" (here (Printf.sprintf "offset %d" off)))
+                        (read_offsets width pattern);
+                      check bool (here "equal after the reads") true
+                        (State.equal_arch expected got))
+                    refs)
+                [ ("aligned", `Aligned); ("unaligned", `Unaligned); ("guard", `Guard) ])
+            [ Width.W8; Width.W16; Width.W32; Width.W64 ])
         [ false; true ])
-    plans;
-  (* a plan that is not strictly ascending data words is refused before
-     any store: the previous templates are left as they were *)
-  let arena = Arena.create () in
-  let pooled = Arena.templates arena [ inp 1L 2; inp 2L 2 ] in
-  let before = Array.map State.copy pooled in
-  List.iter
-    (fun (name, plan) ->
-      (match Arena.templates ~plan arena [ inp 3L 2; inp 4L 2 ] with
-      | _ -> Alcotest.failf "%s plan accepted" name
-      | exception Invalid_argument _ -> ());
-      Array.iteri
-        (fun i t ->
-          check bool
-            (Printf.sprintf "%s plan: template %d untouched" name i)
-            true
-            (State.equal_arch t pooled.(i)))
-        before)
-    [
-      ("descending", [| 7; 3; 1023 |]);
-      ("repeated", [| 3; 3; 1023 |]);
-      ("word 1024", [| 3; 1024 |]);
-      ("negative", [| -1; 1023 |]);
-    ]
+    fill_entropies
 
-(* Programs without memory operands need only the fill-buffer seed word:
-   the plan collapses to the last data word, which is what makes the
-   AR-heavy throughput configurations O(1) per input. *)
-let sparse_plan_shape () =
+(* A store to a pending word fills it before the journal saves it, so an
+   undo, at any nesting depth, gives back the input's value, not the
+   stale bytes underneath. *)
+let on_demand_journal () =
+  List.iter
+    (fun entropy ->
+      let input = inp 11L entropy in
+      let expected = eager input in
+      let got = (fill_templates ~polluted:true [ input ]).(0) in
+      let mem = got.State.mem in
+      let addr w = Int64.add Layout.sandbox_base (Int64.of_int (8 * w)) in
+      let word s w = Memory.read s.State.mem ~addr:(addr w) Width.W64 in
+      let here what = Printf.sprintf "entropy %d: %s" entropy what in
+      let outer = Memory.journal_begin mem in
+      Memory.write mem ~addr:(addr 5) Width.W64 (-1L);
+      (* unaligned narrow store straddling words 9 and 10 *)
+      Memory.write mem ~addr:(Int64.add (addr 9) 6L) Width.W32 0x5A5A5A5AL;
+      let inner = Memory.journal_begin mem in
+      Memory.write mem ~addr:(addr 7) Width.W8 0xFFL;
+      Memory.write mem ~addr:(addr 5) Width.W16 0x1234L;
+      Memory.journal_undo mem ~mark:inner;
+      check int64 (here "inner undo: word 7") (word expected 7) (word got 7);
+      check int64 (here "inner undo: word 5 keeps the outer store") (-1L) (word got 5);
+      Memory.journal_undo mem ~mark:outer;
+      List.iter
+        (fun w ->
+          check int64 (here (Printf.sprintf "outer undo: word %d" w)) (word expected w)
+            (word got w))
+        [ 5; 7; 9; 10 ];
+      check int (here "words filled") 4 (Memory.words_filled mem);
+      check bool (here "equal to the eager state") true (State.equal_arch expected got))
+    [ 0; 2; 16 ]
+
+(* Copies of partly filled templates carry the pending words and their
+   source: a copy reads the input's values, equality compares the values
+   every access would see, and a changed word is a difference. *)
+let on_demand_copies () =
+  List.iter
+    (fun entropy ->
+      let input = inp 23L entropy in
+      let expected = eager input in
+      let here what = Printf.sprintf "entropy %d: %s" entropy what in
+      let t = (fill_templates ~polluted:true [ input ]).(0) in
+      for w = 0 to 99 do
+        ignore
+          (Memory.read t.State.mem
+             ~addr:(Int64.add Layout.sandbox_base (Int64.of_int (80 * w)))
+             Width.W16)
+      done;
+      let c = State.copy t in
+      let dst = (fill_templates ~polluted:true [ inp 99L 63 ]).(0) in
+      State.copy_into t ~dst;
+      List.iter
+        (fun (name, s) ->
+          check bool (here (name ^ " equals the eager state")) true
+            (State.equal_arch expected s);
+          check bool (here (name ^ " equals the template")) true (State.equal_arch t s))
+        [ ("copy", c); ("copy_into", dst) ];
+      List.iter
+        (fun off ->
+          let addr = Int64.add Layout.sandbox_base (Int64.of_int off) in
+          check int64
+            (here (Printf.sprintf "copy reads offset %d" off))
+            (Memory.read expected.State.mem ~addr Width.W64)
+            (Memory.read dst.State.mem ~addr Width.W64))
+        (List.init 1024 (fun w -> 8 * w));
+      (* a store that changes a still-pending word of the copy makes it
+         differ; its undo makes it equal again *)
+      let slot = State.slot () in
+      State.save c slot;
+      let addr = Int64.add Layout.sandbox_base 8184L in
+      Memory.write c.State.mem ~addr Width.W64
+        (Int64.lognot (Memory.read expected.State.mem ~addr Width.W64));
+      check bool (here "a changed word differs") false (State.equal_arch expected c);
+      State.undo c slot;
+      check bool (here "undone") true (State.equal_arch expected c))
+    [ 0; 2; 16; 30 ]
+
+(* Model ctraces and executor measurements over pooled templates, whose
+   states held maximum-entropy garbage, equal those over fresh templates
+   and over eagerly filled ones. *)
+let on_demand_observations () =
+  let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
+  each_case (fun ~label ~flat:_ ~compiled ~interp:_ ->
+      let inputs = batch_inputs 16 9L in
+      let sources =
+        [
+          ("fresh", Input.templates inputs);
+          ("pooled", fill_templates ~polluted:true inputs);
+          ("eager", Array.of_list (List.map eager inputs));
+        ]
+      in
+      let traces templates =
+        List.map
+          (fun contract ->
+            List.map
+              (fun (r : Model.result) ->
+                (Ctrace.to_string r.Model.ctrace, r.Model.faulted, r.Model.stream))
+              (Model.ctraces ~templates contract compiled inputs))
+          [ Contract.ct_seq; Contract.ct_cond; Contract.ct_bpas ]
+      in
+      let measure templates =
+        let cpu = Cpu.create cfg.Fuzzer.uarch in
+        let executor = Executor.create cpu cfg.Fuzzer.executor in
+        Array.map
+          (fun (m : Executor.measurement) ->
+            (Htrace.elements m.Executor.htrace, m.Executor.kinds, m.Executor.events))
+          (Executor.measure ~templates executor compiled inputs)
+      in
+      let ref_traces = traces (List.assoc "eager" sources) in
+      let ref_measure = measure (List.assoc "eager" sources) in
+      List.iter
+        (fun (name, templates) ->
+          check bool
+            (Printf.sprintf "%s %s: ctraces, faults and streams" label name)
+            true
+            (Stdlib.compare ref_traces (traces templates) = 0);
+          check bool
+            (Printf.sprintf "%s %s: measurements" label name)
+            true
+            (Stdlib.compare ref_measure (measure templates) = 0))
+        sources)
+
+(* Pooled templates against [Input.to_state] and the eager walk. *)
+let check_templates ~what arena inputs =
+  let pooled = Arena.templates arena inputs in
+  List.iteri
+    (fun i input ->
+      let here = Printf.sprintf "%s: input %d" what i in
+      check bool here true (State.equal_arch (Input.to_state input) pooled.(i));
+      check bool (here ^ " (eager)") true (State.equal_arch (eager input) pooled.(i)))
+    inputs
+
+(* Batches that mix entropies, shrink and grow on one arena: an eager
+   fill (entropy > 16) followed by an on-demand one on the same pooled
+   state, and states past a smaller batch's end left as they were. *)
+let arena_mixed_entropy () =
+  let arena = Arena.create () in
+  let step k inputs =
+    check_templates ~what:(Printf.sprintf "step %d" k) arena inputs
+  in
+  step 1 [ inp 1L 2; inp 2L 16 ];
+  step 2 [ inp 3L 2; inp 4L 2 ];
+  step 3 (List.init 16 (fun i -> inp (Int64.of_int (100 + i)) 16));
+  step 4 (List.init 4 (fun i -> inp (Int64.of_int (200 + i)) 2));
+  step 5 (List.init 16 (fun i -> inp (Int64.of_int (300 + i)) 2));
+  step 6 [ inp 5L 30; inp 6L 2 ];
+  step 7 [ inp 7L 2; inp 8L 30 ];
+  step 8 [ inp 9L 0; inp 10L 2 ];
+  (* an eager refill restarts the count of words filled on access *)
+  let t = (Arena.templates arena [ inp 11L 2 ]).(0) in
+  ignore (Memory.read t.State.mem ~addr:Layout.sandbox_base Width.W64);
+  check int "one word filled" 1 (Memory.words_filled t.State.mem);
+  let t = (Arena.templates arena [ inp 12L 30 ]).(0) in
+  check int "no word filled after an eager fill" 0 (Memory.words_filled t.State.mem)
+
+(* After warm-up, materializing a batch costs a pending-bit reset and
+   five chained draws per input: no minor word per input. *)
+let arena_allocates_nothing () =
+  List.iter
+    (fun entropy ->
+      let n = 400 in
+      let arena = Arena.create () in
+      let batch seed = List.init n (fun i -> inp (Int64.of_int (seed + i)) entropy) in
+      let a = batch 1 and b = batch 5000 in
+      ignore (Arena.templates arena a);
+      ignore (Arena.templates arena b);
+      let before = Gc.minor_words () in
+      ignore (Arena.templates arena a);
+      let words = Gc.minor_words () -. before in
+      if words > 8. then
+        Alcotest.failf "entropy %d: %.0f minor words for %d inputs" entropy words n)
+    [ 0; 2; 16 ]
+
+(* Programs without memory operands can read only the fill-buffer seed
+   word: the plan collapses to the last data word. *)
+let fill_plan_shape () =
   List.iter
     (fun seed ->
       let p = gen_program ~seed [ Catalog.AR ] in
@@ -1241,10 +1331,7 @@ let templates_untouched () =
         (fun seed ->
           let prog = Compiled.of_program_exn (program_with_stores cfg seed) in
           let inputs = batch_inputs 12 seed in
-          let templates =
-            Arena.templates ?plan:(Input.fill_plan prog.Compiled.flat)
-              (Arena.create ()) inputs
-          in
+          let templates = Arena.templates (Arena.create ()) inputs in
           let copies = Array.map State.copy templates in
           let untouched call =
             Array.iteri
@@ -1447,12 +1534,8 @@ let () =
           tc "batched model equals per-input runs" `Quick batch_identical;
           tc "arena templates equal fresh templates" `Quick
             arena_reuse_identical;
-          tc "sparse fill is observation-equivalent" `Quick
-            sparse_fill_equivalent;
-          tc "fill plans have the expected shape" `Quick sparse_plan_shape;
+          tc "fill plans have the expected shape" `Quick fill_plan_shape;
           tc "mixed-entropy arena batches" `Quick arena_mixed_entropy;
-          tc "sparse kernel at every entropy" `Quick
-            sparse_kernel_every_entropy;
           tc "executor buffer reuse is bit-identical" `Quick
             executor_reuse_identical;
           tc "executor measurements are bit-identical" `Quick
@@ -1467,6 +1550,16 @@ let () =
           tc "check_test_case agrees on spectre-v1" `Quick
             check_test_case_identical;
         ] );
+      ( "demand_fill",
+        [
+          tc "reads match the eager walk" `Quick on_demand_reads;
+          tc "journal undo keeps filled words" `Quick on_demand_journal;
+          tc "copies of partly filled templates" `Quick on_demand_copies;
+          tc "pooled templates observe as fresh ones" `Quick
+            on_demand_observations;
+          tc "arena templates allocate nothing per input" `Quick
+            arena_allocates_nothing;
+        ] );
       ( "edges",
         [ tc "every action matches the interpreter on edge values" `Quick edge_steps ] );
       ( "allocation",
@@ -1474,5 +1567,7 @@ let () =
           tc "register and immediate steps allocate nothing" `Quick
             register_steps_allocate_nothing;
           tc "memory steps allocate under 3 words" `Quick memory_steps_allocate_little;
+          tc "CPU memory steps allocate nothing" `Quick
+            cpu_memory_steps_allocate_nothing;
         ] );
     ]

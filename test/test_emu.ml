@@ -309,13 +309,17 @@ let vector_tests =
 
 (* --- Memory ------------------------------------------------------------ *)
 
+let byte m off =
+  let addr = Int64.add Layout.sandbox_base (Int64.of_int off) in
+  Int64.to_int (Memory.read m ~addr Width.W8)
+
 let memory_tests =
   [
     tc "little endian" `Quick (fun () ->
         let m = Memory.create () in
         Memory.write m ~addr:Layout.sandbox_base Width.W32 0x11223344L;
-        check int "byte 0" 0x44 (Memory.read_byte m 0);
-        check int "byte 3" 0x11 (Memory.read_byte m 3);
+        check int "byte 0" 0x44 (byte m 0);
+        check int "byte 3" 0x11 (byte m 3);
         check int64 "read w16" 0x3344L (Memory.read m ~addr:Layout.sandbox_base Width.W16));
     tc "faults outside sandbox" `Quick (fun () ->
         let m = Memory.create () in
@@ -368,9 +372,9 @@ let memory_tests =
     tc "fill initializes data pages only" `Quick (fun () ->
         let m = Memory.create () in
         Memory.fill m ~f:(fun off -> off);
-        check int "data byte" 255 (Memory.read_byte m 255);
+        check int "data byte" 255 (byte m 255);
         check int "guard byte" 0
-          (Memory.read_byte m (Layout.data_pages * Layout.page_size)));
+          (byte m (Layout.data_pages * Layout.page_size)));
   ]
 
 (* --- State ------------------------------------------------------------- *)

@@ -201,6 +201,44 @@ let fuzz_tests =
             ("Target 1 x CT-SEQ", Contract.ct_seq, Target.target1);
             ("Target 5 x CT-COND", Contract.ct_cond, Target.target5);
           ]);
+    (* The output check perfbench applies to detect-table4: every
+       violation a Table 4 campaign finds carries its cell's label and is
+       still one, with that label, when its test case is re-checked on a
+       fresh CPU, a fresh executor and freshly allocated (not pooled)
+       templates. Two seeds per cell, by Experiments.table4's seed rule. *)
+    tc "Table 4 violations carry their cell's label and re-verify" `Slow
+      (fun () ->
+        let found = ref 0 in
+        List.iter
+          (fun (row, column, contract, target) ->
+            let expected = if column = "LVI" then "LVI-Null" else column in
+            List.iter
+              (fun r ->
+                let seed = Int64.add 1L (Int64.of_int (r * 7919)) in
+                let here = Printf.sprintf "%s/%s seed %Ld" row column seed in
+                let cfg = Target.fuzzer_config ~seed contract target in
+                match Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 150) with
+                | Fuzzer.No_violation, _ -> ()
+                | Fuzzer.Violation v, _ -> (
+                    incr found;
+                    check string (here ^ ": label") expected v.Violation.label;
+                    let executor =
+                      Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor
+                    in
+                    match
+                      Fuzzer.check_test_case cfg executor v.Violation.program
+                        v.Violation.inputs
+                    with
+                    | Ok (Some v') ->
+                        check string (here ^ ": re-checked label") expected
+                          v'.Violation.label
+                    | Ok None -> Alcotest.failf "%s: no violation on re-check" here
+                    | Error e -> Alcotest.failf "%s: re-check failed: %s" here e))
+              [ 1; 2 ])
+          (List.filter_map Fun.id Experiments.table4_setups);
+        (* 15 of the 20 campaigns detect; the check needs violations to
+           look at *)
+        check bool (Printf.sprintf "%d campaigns detect" !found) true (!found >= 10));
     tc "minimal inputs to violation are small (Table 5 shape)" `Quick (fun () ->
         match
           Experiments.minimal_inputs ~seed:21L Contract.ct_seq Target.target5

@@ -111,13 +111,13 @@ let memory_props =
         let rec level = function
           | [] -> true
           | ws :: inner ->
-              let seen = Bytes.copy (Memory.raw m) in
+              let seen = Memory.copy m in
               let mark = Memory.journal_begin m in
               store ws;
               let inner_ok = level inner in
               store (List.rev ws);
               Memory.journal_undo m ~mark;
-              inner_ok && Bytes.equal seen (Memory.raw m)
+              inner_ok && Memory.equal seen m
         in
         level [ w1; w2; w3 ]);
   ]

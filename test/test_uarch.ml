@@ -64,6 +64,58 @@ let cache_tests =
         let c' = Cache.copy c in
         Cache.flush_all c';
         check bool "original intact" true (Cache.contains c base));
+    (* Sets, PHT counters and BTB entries are indexed by masking, which
+       is a modulo only for a power-of-two count: 48 sets reached 32 of
+       their indices and 40 reached 16, and a size-0 predictor failed at
+       its first prediction. *)
+    tc "table sizes must be powers of two" `Quick (fun () ->
+        let refused msg f =
+          Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+        in
+        List.iter
+          (fun sets ->
+            refused "Cache.create: sets must be a positive power of two" (fun () ->
+                Cache.create ~sets ()))
+          [ 48; 40; 3; 0; -64 ];
+        refused "Cache.create: ways must be positive" (fun () -> Cache.create ~ways:0 ());
+        List.iter
+          (fun size ->
+            refused "Pht.create: size must be a positive power of two" (fun () ->
+                Predictors.Pht.create ~size ());
+            refused "Btb.create: size must be a positive power of two" (fun () ->
+                Predictors.Btb.create ~size ()))
+          [ 0; 3; 500; -2 ];
+        (* Accepted sizes reach every index: line l maps to set l mod n. *)
+        List.iter
+          (fun sets ->
+            let c = Cache.create ~sets ~ways:3 () in
+            for line = 0 to (3 * sets) - 1 do
+              let a = Int64.to_int (addr_of_line line) in
+              check int "set of line"
+                ((Int64.to_int base / Layout.cache_line + line) mod sets)
+                (Cache.set_of c a)
+            done)
+          [ 1; 2; 32; 64; 128 ];
+        ignore (Predictors.Pht.create ~size:1 ());
+        ignore (Predictors.Btb.create ~size:1 ()));
+    tc "one lookup then touch equals touch" `Quick (fun () ->
+        (* The simulator's per-access path ([find], then [touch_found]
+           by the way found) leaves the cache as [touch] does. *)
+        let a = Cache.create ~sets:4 ~ways:2 () and b = Cache.create ~sets:4 ~ways:2 () in
+        let prng = Random.State.make [| 7 |] in
+        for _ = 1 to 2000 do
+          let addr = addr_of_line (Random.State.int prng 24) in
+          let expected = Cache.touch a addr in
+          let x = Int64.to_int addr in
+          let set = Cache.set_of b x in
+          let way = Cache.find b ~set x in
+          Cache.touch_found b ~set x ~way;
+          check bool "hit" (expected = `Hit) (way >= 0)
+        done;
+        for line = 0 to 23 do
+          check bool "same lines" (Cache.contains a (addr_of_line line))
+            (Cache.contains b (addr_of_line line))
+        done);
   ]
 
 (* --- Predictors --------------------------------------------------------- *)
