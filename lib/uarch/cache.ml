@@ -66,15 +66,13 @@ let[@inline] set_of t a = line_of a land (t.n_sets - 1)
 (* A loop, not a local recursive function: the closure such a function
    captures would be allocated on every lookup, and every simulated
    access makes one. *)
-let find_way t set tag =
-  let ways = t.lines.(set) in
+let find t ~set a =
+  let tag = line_of a and ways = t.lines.(set) in
   let w = ref 0 in
   while !w < t.ways && ways.(!w) <> tag do
     incr w
   done;
   if !w < t.ways then !w else -1
-
-let find t ~set a = find_way t set (line_of a)
 
 let promote t set way =
   let lru = t.lru.(set) in

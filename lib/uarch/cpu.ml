@@ -228,10 +228,14 @@ let addr_regs_ready t tm (mr : Compiled.mem_ref) =
 (* Base execution latency, including the operand-dependent division time.
    The memory latency is added separately by the caller, which knows
    whether the access hit. *)
+let rax_at = State.reg_offset Reg.RAX
+
 let exec_latency t (state : State.t) (d : Compiled.desc) =
   match d.Compiled.d_lat with
   | Compiled.Lat_div ->
-      let dividend = State.get_reg state Reg.RAX d.Compiled.d_div_width in
+      (* [State.get_at] and [Word.zext] are inline, where
+         [State.get_reg] would return the dividend boxed *)
+      let dividend = Word.zext d.Compiled.d_div_width (State.get_at state rax_at) in
       Uarch_config.div_latency t.cfg ~dividend
   | Compiled.Lat_mul -> t.cfg.Uarch_config.lat.Uarch_config.mul
   | Compiled.Lat_branch -> t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
@@ -444,7 +448,7 @@ let rsp_at = State.reg_offset Reg.stack_pointer
    architectural branch target). Only control flow touches the cache or
    starts an episode here: CALL's and RET's stack lines and the
    mispredict episodes. *)
-let control t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
+let arch_step t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
   let tm = t.tm in
   match prog.Compiled.descs.(pc).Compiled.d_inst.Instruction.opcode with
   | Opcode.Jcc c ->
@@ -542,13 +546,13 @@ let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
   let lat = exec_latency t state d in
   (* One set lookup per access. Every episode of a non-control-flow step
      has run by now, and its architectural step touches no cache line
-     (only control flow does, see [control]), so the way found here is
+     (only control flow does, see [arch_step]), so the way found here is
      still the line's way when the access commits. A control-flow step
      with a memory operand looks its line up again. *)
   let a = Int64.to_int addr in
   let set = Cache.set_of t.cache a in
   let way = Cache.find t.cache ~set a in
-  control t prog state pc ~ft ~start;
+  arch_step t prog state pc ~ft ~start;
   (* Committed memory effects: cache fills and fill-buffer updates. *)
   let mem_lat =
     if d.Compiled.d_loads then Uarch_config.mem_latency t.cfg ~hit:(way >= 0) else 0
@@ -597,7 +601,7 @@ let step t (prog : Compiled.t) (state : State.t) pc =
       | Some mr -> mem_step t prog state pc d mr ~ft ~start
       | None ->
           let lat = exec_latency t state d in
-          control t prog state pc ~ft ~start;
+          arch_step t prog state pc ~ft ~start;
           start + lat
     in
     let dsts = d.Compiled.d_dsts in

@@ -72,12 +72,23 @@ let coffee_lake =
     lat = default_latencies;
   }
 
-let significant_nibbles v =
-  let rec go v acc = if v = 0L then acc else go (Int64.shift_right_logical v 4) (acc + 1) in
-  go v 0
+let nibbles x =
+  let n = ref 0 and x = ref x in
+  while !x <> 0 do
+    x := !x lsr 4;
+    incr n
+  done;
+  !n
 
-let div_latency t ~dividend =
-  t.lat.div_base + (t.lat.div_per_nibble * significant_nibbles dividend)
+(* Counted on the dividend's 32-bit halves as native ints, and inline,
+   so a division step boxes no [int64]: a recursion over the [int64]
+   boxed it once per nibble. *)
+let[@inline] div_latency t ~dividend =
+  let hi = Int64.to_int (Int64.shift_right_logical dividend 32) in
+  let significant =
+    if hi <> 0 then 8 + nibbles hi else nibbles (Int64.to_int dividend land 0xFFFF_FFFF)
+  in
+  t.lat.div_base + (t.lat.div_per_nibble * significant)
 
 let mem_latency t ~hit = if hit then t.lat.load_hit else t.lat.load_miss
 

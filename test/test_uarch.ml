@@ -198,7 +198,19 @@ let config_tests =
         let l v = Uarch_config.div_latency cfg ~dividend:v in
         check bool "zero fastest" true (l 0L < l 0xFFL);
         check bool "monotone" true (l 0xFFL < l 0xFFFF_FFFFL);
-        check bool "wide slowest" true (l 0xFFFF_FFFFL < l (-1L)));
+        check bool "wide slowest" true (l 0xFFFF_FFFFL < l (-1L));
+        (* one step per significant nibble, across the 32-bit halves *)
+        let lat = cfg.Uarch_config.lat in
+        List.iter
+          (fun (v, nibbles) ->
+            check int (Printf.sprintf "0x%Lx" v)
+              (lat.Uarch_config.div_base + (nibbles * lat.Uarch_config.div_per_nibble))
+              (l v))
+          [
+            (0L, 0); (1L, 1); (0xFL, 1); (0x10L, 2); (0xFFFF_FFFFL, 8);
+            (0x1_0000_0000L, 9); (0x8000_0000_0000L, 12); (-1L, 16);
+            (Int64.min_int, 16);
+          ]);
     tc "presets" `Quick (fun () ->
         let sky = Uarch_config.skylake ~v4_patch:false in
         check bool "sky no v4 patch" false sky.Uarch_config.v4_patch;
