@@ -11,8 +11,8 @@ let line_mask_one_page = 0b111111000000L
 let line_mask_two_pages = 0b1111111000000L
 let page_of_offset off = off / page_size
 
-(* Inline, as [int64] arguments to calls that are not are boxed: the
-   simulator checks every memory step's address. *)
+(* Inline: an [int64] passed to a call that is not inlined is boxed,
+   and the simulator checks every memory step's address. *)
 let[@inline] in_sandbox addr =
   Int64.compare addr sandbox_base >= 0
   && Int64.compare addr (Int64.add sandbox_base (Int64.of_int sandbox_size)) < 0
