@@ -90,59 +90,9 @@ let arm_faults fault_inject fault_seed =
 
 (* --- fuzz ----------------------------------------------------------- *)
 
-(* The live dashboard and the closing stats line count from the
-   campaign's [Fuzzer.stats], which a resumed campaign carries over from
-   its checkpoint; the rate is over this process's own test cases
-   ([resumed_at] and on) and wall time. Generator and coverage gauges and
-   the stage shares come from the process-wide metrics registry. *)
-
-let progress_rate ~started ~resumed_at (s : Fuzzer.stats) =
-  let elapsed = Unix.gettimeofday () -. started in
-  ( elapsed,
-    if elapsed > 0. then float_of_int (s.Fuzzer.test_cases - resumed_at) /. elapsed
-    else 0. )
-
-(* Each stage's share of the process's wall time so far. *)
-let stage_share_line snap ~elapsed =
-  String.concat "  "
-    (List.filter_map
-       (fun (st : Metrics.stage) ->
-         if st.Metrics.st_total_ns = 0 || elapsed <= 0. then None
-         else
-           Some
-             (Printf.sprintf "%s %.1f%%" st.Metrics.st_name
-                (100. *. float_of_int st.Metrics.st_total_ns /. (elapsed *. 1e9))))
-       (Metrics.stage_breakdown snap))
-
-let live_lines_printed = ref 0
-
-(* The live dashboard runs on the terminal's alternate screen with the
-   cursor hidden. Every exit path — normal finish, SIGINT/SIGTERM
-   graceful shutdown, uncaught exception — must restore the main screen
-   and the cursor, or the user's shell is left garbled; [exit_live] is
-   idempotent and doubles as an [at_exit] guard. *)
-let live_active = ref false
-
-let enter_live () =
-  live_active := true;
-  live_lines_printed := 0;
-  print_string "\027[?1049h\027[?25l";
-  flush stdout
-
-let exit_live () =
-  if !live_active then begin
-    live_active := false;
-    live_lines_printed := 0;
-    print_string "\027[?1049l\027[?25h";
-    flush stdout
-  end
-
-let () = at_exit exit_live
-
 (* Graceful shutdown: the first SIGINT/SIGTERM requests a cooperative
    stop — the fuzz loop finishes the current test case, writes a final
-   checkpoint, flushes telemetry and restores the terminal. A second
-   SIGINT force-exits (the [at_exit] guard still fixes the screen). *)
+   checkpoint and flushes telemetry. A second SIGINT force-exits. *)
 let stop_requested = Atomic.make false
 
 let install_signal_handlers () =
@@ -152,43 +102,16 @@ let install_signal_handlers () =
   Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
 
-let render_live ~started ~resumed_at (s : Fuzzer.stats) =
-  let snap = Metrics.snapshot () in
-  let g name = Option.value (List.assoc_opt name snap.Metrics.gauges) ~default:0. in
-  let elapsed, rate = progress_rate ~started ~resumed_at s in
-  let inputs = s.Fuzzer.inputs_tested in
-  let eff_pct =
-    if inputs = 0 then 0.
-    else 100. *. float_of_int s.Fuzzer.effective_inputs /. float_of_int inputs
-  in
-  let lines =
-    [
-      Printf.sprintf "elapsed %6.1fs   test cases %7d  (%.1f tc/s)   inputs %d"
-        elapsed s.Fuzzer.test_cases rate inputs;
-      Printf.sprintf
-        "effective inputs %.1f%%   ineffective tcs %d   faulted %d"
-        eff_pct s.Fuzzer.ineffective_test_cases s.Fuzzer.faulted_test_cases;
-      Printf.sprintf
-        "candidates %d   dismissed: swap %d, nesting %d   coverage combos %.0f"
-        s.Fuzzer.candidates s.Fuzzer.dismissed_by_swap
-        s.Fuzzer.dismissed_by_nesting
-        (g "coverage.combinations");
-      Printf.sprintf
-        "generator: insts %.0f  blocks %.0f  mem %.0f  inputs/tc %.0f   rounds %d (growths %d)"
-        (g "gen.n_insts") (g "gen.n_blocks") (g "gen.max_mem_accesses")
-        (g "gen.n_inputs") s.Fuzzer.rounds s.Fuzzer.growths;
-      "stages: " ^ stage_share_line snap ~elapsed;
-    ]
-  in
-  if !live_lines_printed > 0 then Printf.printf "\027[%dA" !live_lines_printed;
-  List.iter (fun l -> Printf.printf "\027[2K%s\n" l) lines;
-  live_lines_printed := List.length lines;
-  flush stdout
-
 (* Every run ends with one closing stats line, whatever the progress
-   mode. *)
+   mode. It counts from the campaign's [Fuzzer.stats], which a resumed
+   campaign carries over from its checkpoint; the rate is over this
+   process's own test cases ([resumed_at] and on) and wall time. *)
 let closing_line ~started ~resumed_at ~outcome (s : Fuzzer.stats) =
-  let elapsed, rate = progress_rate ~started ~resumed_at s in
+  let elapsed = Unix.gettimeofday () -. started in
+  let rate =
+    if elapsed > 0. then float_of_int (s.Fuzzer.test_cases - resumed_at) /. elapsed
+    else 0.
+  in
   Printf.printf
     "done: %d test cases in %.1fs (%.1f tc/s) | inputs %d (effective %d) | \
      candidates %d (swap-dismissed %d, nesting-dismissed %d, faulted %d) | %s\n%!"
@@ -201,8 +124,7 @@ let closing_line ~started ~resumed_at ~outcome (s : Fuzzer.stats) =
 
 let do_fuzz contract target seed budget inputs minimize save_dir
     executor_domains trace_out progress checkpoint checkpoint_every
-    resume watchdog_steps fault_inject fault_seed monitor_sock
-    heartbeat_every no_ucoverage stats_out =
+    resume fault_inject fault_seed monitor_sock stats_out =
   (* Flag validation up front, before anything touches the terminal or
      the filesystem. *)
   let validation =
@@ -213,9 +135,8 @@ let do_fuzz contract target seed budget inputs minimize save_dir
   match validation with
   | Error msg -> fail msg
   | Ok () ->
-  Ucoverage.set_enabled (not no_ucoverage);
   (* Caller-owned atlas so it can be saved after the campaign. *)
-  let ucov = if no_ucoverage then None else Some (Ucoverage.create ()) in
+  let ucov = Ucoverage.create () in
   (match trace_out with Some path -> Telemetry.enable_file path | None -> ());
   let monitor =
     Option.map
@@ -232,18 +153,7 @@ let do_fuzz contract target seed budget inputs minimize save_dir
       (Format.asprintf "%a" Target.pp target)
       (Contract.name contract) seed budget;
   let cfg = Target.fuzzer_config ~seed ~n_inputs:inputs contract target in
-  let cfg =
-    {
-      cfg with
-      Fuzzer.executor_domains = max 1 executor_domains;
-      Fuzzer.watchdog =
-        {
-          Watchdog.max_model_steps =
-            Option.value watchdog_steps
-              ~default:Watchdog.default.Watchdog.max_model_steps;
-        };
-    }
-  in
+  let cfg = { cfg with Fuzzer.executor_domains = max 1 executor_domains } in
   let resume_snapshot =
     match (resume, checkpoint) with
     | true, Some path -> (
@@ -264,7 +174,6 @@ let do_fuzz contract target seed budget inputs minimize save_dir
     | None -> 0
   in
   let started = Unix.gettimeofday () in
-  let last_render = ref 0. in
   let on_progress =
     match progress with
     | `Quiet -> fun _ -> ()
@@ -273,28 +182,16 @@ let do_fuzz contract target seed budget inputs minimize save_dir
           if s.Fuzzer.test_cases mod 100 = 0 then
             Printf.printf "  ... %d test cases, %d inputs\n%!" s.Fuzzer.test_cases
               s.Fuzzer.inputs_tested
-    | `Live ->
-        (* Time-based refresh instead of the mod-100 counter: a slow
-           configuration still updates twice a second, a fast one does
-           not spam the terminal. *)
-        fun (s : Fuzzer.stats) ->
-          let now = Unix.gettimeofday () in
-          if now -. !last_render >= 0.5 then begin
-            last_render := now;
-            render_live ~started ~resumed_at s
-          end
   in
   let on_checkpoint =
     Option.map (fun path snap -> Campaign.save ~path cfg snap) checkpoint
   in
   let run () =
-    if progress = `Live then enter_live ();
     let result =
       Fuzzer.fuzz ~on_progress
         ~should_stop:(fun () -> Atomic.get stop_requested)
         ?resume:resume_snapshot ~checkpoint_every ?on_checkpoint ?monitor
-        ~heartbeat_every ?ucoverage:ucov cfg
-        ~budget:(Fuzzer.Test_cases budget)
+        ~ucoverage:ucov cfg ~budget:(Fuzzer.Test_cases budget)
     in
     (* The fault schedule covers the campaign only. The flight recorder
        and the minimizer below measure again on executors of their own;
@@ -304,9 +201,6 @@ let do_fuzz contract target seed budget inputs minimize save_dir
     result
   in
   let finish outcome (stats : Fuzzer.stats) =
-    (* Leave the alternate screen before printing anything meant to
-       persist in the user's scrollback. *)
-    exit_live ();
     closing_line ~started ~resumed_at ~outcome stats;
     if Atomic.get stop_requested then
       Printf.printf "interrupted after %d test cases%s\n%!"
@@ -319,7 +213,7 @@ let do_fuzz contract target seed budget inputs minimize save_dir
        revizor.stats.v1 document [revizor coverage] reads. *)
     (match stats_out with
     | Some path ->
-        Results.save_stats ~stats ?ucoverage:ucov ~path ();
+        Results.save_stats ~stats ~ucoverage:ucov ~path;
         if progress <> `Quiet then Printf.printf "[stats written to %s]\n%!" path
     | None -> ());
     (* Flush-then-disable so the JSONL sink ends on a complete line even
@@ -346,7 +240,7 @@ let do_fuzz contract target seed budget inputs minimize save_dir
       Format.printf "%a@.@.%a@." Violation.pp v Fuzzer.pp_stats stats;
       (match save_dir with
       | Some dir ->
-          Results.save_violation ~stats ?ucoverage:ucov ~dir v;
+          Results.save_violation ~stats ~ucoverage:ucov ~dir v;
           (* The flight recorder runs after the campaign on a dedicated
              CPU/executor, so enabling it cannot perturb the fuzzing
              outcome above. *)
@@ -400,17 +294,19 @@ let fuzz_cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Stream JSONL telemetry events (per-stage spans, coverage and \
-             growth events) to FILE during the run.")
+             growth events, and a fuzz.heartbeat status event every 50 test \
+             cases) to FILE during the run.")
   in
   let progress =
     Arg.(
       value
-      & opt (enum [ ("quiet", `Quiet); ("line", `Line); ("live", `Live) ]) `Line
+      & opt (enum [ ("quiet", `Quiet); ("line", `Line) ]) `Line
       & info [ "progress" ] ~docv:"MODE"
           ~doc:
-            "Progress reporting: $(b,quiet) (closing stats line only), \
-             $(b,line) (a line every 100 test cases), or $(b,live) (an \
-             in-place dashboard refreshed twice a second).")
+            "Progress reporting: $(b,quiet) (closing stats line only) or \
+             $(b,line) (a line every 100 test cases). For a live view of a \
+             running campaign, start it with $(b,--monitor) SOCK and query \
+             $(b,revizor monitor) SOCK $(b,status).")
   in
   let checkpoint =
     Arg.(
@@ -437,16 +333,6 @@ let fuzz_cmd =
              bit-identical to the uninterrupted one; a checkpoint taken \
              under a different configuration is rejected.")
   in
-  let watchdog_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "watchdog-steps" ] ~docv:"N"
-          ~doc:
-            "Model-stage step budget per contract trace (including nested \
-             speculative exploration); pathological test cases are skipped \
-             and counted. Default 50M.")
-  in
   let monitor_sock =
     Arg.(
       value
@@ -459,25 +345,6 @@ let fuzz_cmd =
              exposition (query with $(b,revizor monitor)). Served \
              non-blockingly at test-case boundaries; fuzzing results are \
              bit-identical with or without it.")
-  in
-  let heartbeat_every =
-    Arg.(
-      value & opt int 50
-      & info [ "heartbeat-every" ] ~docv:"N"
-          ~doc:
-            "Emit a fuzz.heartbeat telemetry event (the campaign's live \
-             status, as in the monitor's status reply) every N test cases \
-             (with $(b,--trace-out); 0 disables).")
-  in
-  let no_ucoverage =
-    Arg.(
-      value & flag
-      & info [ "no-ucoverage" ]
-          ~doc:
-            "Disable the microarchitectural coverage atlas (event-feature \
-             coverage harvested from the executor's measurements). Fuzzing \
-             outcomes are bit-identical either way; the switch exists for \
-             overhead measurements and differential tests.")
   in
   let stats_out =
     Arg.(
@@ -496,8 +363,7 @@ let fuzz_cmd =
       const do_fuzz $ contract_arg $ target_arg $ seed_arg $ budget_arg
       $ inputs_arg $ minimize $ save_dir $ executor_domains
       $ trace_out $ progress $ checkpoint $ checkpoint_every $ resume
-      $ watchdog_steps $ fault_inject_arg $ fault_seed_arg
-      $ monitor_sock $ heartbeat_every $ no_ucoverage $ stats_out)
+      $ fault_inject_arg $ fault_seed_arg $ monitor_sock $ stats_out)
 
 (* --- check: re-verify a saved counterexample -------------------------- *)
 
@@ -1051,8 +917,7 @@ let load_atlas path =
   | Ok { Results.ucoverage = None; _ } ->
       Error
         (Printf.sprintf
-           "%s: no coverage atlas (campaign ran with --no-ucoverage, or the \
-            file predates atlas collection)"
+           "%s: no coverage atlas (the file predates atlas collection)"
            stats_path)
   | Ok { Results.ucoverage = Some u; stats; _ } -> Ok (u, stats)
 

@@ -73,10 +73,11 @@ type abuf = {
 
 type raw = State.t -> abuf -> unit
 
-(* Latency classification mirroring [Uarch_config.inst_latency]; the
-   uarch layer maps a class to cycles for its configuration once per run
-   instead of re-matching the opcode per step. [Lat_div] is resolved
-   operand-dependently (the dividend's magnitude) by the caller. *)
+(* An instruction's latency class, fixed by its opcode; the uarch layer
+   ([Cpu.exec_latency]) maps a class to cycles for its configuration once
+   per run instead of re-matching the opcode per step. [Lat_div] is
+   resolved operand-dependently (the dividend's magnitude) by the
+   caller. *)
 type lat_class = Lat_alu | Lat_mul | Lat_div | Lat_branch
 
 (* A memory operand as data. The effective address ({!mem_addr}) is
@@ -628,6 +629,20 @@ let unop_action ~flags ~fall (i : Instruction.t) dst : raw =
         st.State.pc <- fall
   | _ -> fun _ _ -> raise (Invalid_argument "Semantics.exec_unop")
 
+(* Unsigned 64-bit comparison and division, Stdlib's
+   [Int64.unsigned_compare] and [Int64.unsigned_div] inlined: those are
+   out-of-line functions, so every call boxed its operands and its
+   result. A DIV step divides once and takes the remainder as
+   [n - q * d]. *)
+let[@inline] unsigned_lt a b =
+  Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+let[@inline] unsigned_div n d =
+  if d < 0L then if unsigned_lt n d then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    if unsigned_lt (Int64.sub n (Int64.mul q d)) d then q else Int64.succ q
+
 (* DIV/IDIV over RDX:RAX at the operand width, cf. [Semantics.exec_div]. *)
 let div_action ~fall (i : Instruction.t) src : raw =
   let w = operand_width i in
@@ -644,14 +659,15 @@ let div_action ~fall (i : Instruction.t) src : raw =
        match w with
        | Width.W64 ->
            if hi <> 0L then raise Semantics.Division_fault;
-           write_reg st rax (Int64.unsigned_div a divisor);
-           write_reg st rdx (Int64.unsigned_rem a divisor)
+           let q = unsigned_div a divisor in
+           write_reg st rax q;
+           write_reg st rdx (Int64.sub a (Int64.mul q divisor))
        | Width.W8 | Width.W16 | Width.W32 ->
            let dividend = Int64.logor (Int64.shift_left hi bits) a in
-           let q = Int64.unsigned_div dividend divisor in
-           if Int64.unsigned_compare q mask > 0 then raise Semantics.Division_fault;
+           let q = unsigned_div dividend divisor in
+           if unsigned_lt mask q then raise Semantics.Division_fault;
            write_reg st rax q;
-           write_reg st rdx (Int64.unsigned_rem dividend divisor)
+           write_reg st rdx (Int64.sub dividend (Int64.mul q divisor))
      else
        let sd = Word.sext w divisor in
        match w with

@@ -171,13 +171,6 @@ let combinations_covered t ~k =
 
 let total_combinations t = PSet.cardinal t.combos
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>singles: %d/%d [%s]@,combinations: %d@]"
-    (List.length t.singles)
-    (List.length all_patterns)
-    (String.concat ", " (List.map pattern_to_string t.singles))
-    (PSet.cardinal t.combos)
-
 let should_grow t ~previous_combinations ~round_length =
   let fresh = PSet.cardinal t.combos - previous_combinations in
   fresh * 5 < round_length

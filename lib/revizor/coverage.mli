@@ -50,8 +50,6 @@ val combinations_covered : t -> k:int -> int
 val total_combinations : t -> int
 (** Distinct covered combinations of any size. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Feedback decision for the fuzzer. *)
 val should_grow : t -> previous_combinations:int -> round_length:int -> bool
 (** Grow the generator when the round's yield of new covered combinations

@@ -338,9 +338,9 @@ type throughput = {
   cases_per_hour : float;
 }
 
-let throughput ?(seconds = 10.) ?(seed = 5L) () =
+let throughput ?(test_cases = 8000) ?(seed = 5L) () =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target1 in
-  let _, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Seconds seconds) in
+  let _, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases test_cases) in
   {
     seconds = stats.Fuzzer.elapsed_s;
     test_cases = stats.Fuzzer.test_cases;

@@ -113,9 +113,11 @@ type throughput = {
   cases_per_hour : float;
 }
 
-val throughput : ?seconds:float -> ?seed:int64 -> unit -> throughput
-(** Fuzz a non-detecting configuration (Target 1 × CT-SEQ) and report the
-    processing rate. *)
+val throughput : ?test_cases:int -> ?seed:int64 -> unit -> throughput
+(** Fuzz a non-detecting configuration (Target 1 × CT-SEQ) for
+    [test_cases] test cases (default 8000) and report the processing
+    rate. The counts are a function of [test_cases] and [seed]; only the
+    seconds and the rate depend on the host. *)
 
 (** {1 Port-contention channel (extension, §7 future work)} *)
 

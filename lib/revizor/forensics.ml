@@ -30,25 +30,6 @@ type t = {
   f_leak_region : (int * int) option;
 }
 
-(* Recover which original positions carry a surviving fence by walking
-   the fenced listing with a cursor into the original one: an
-   instruction matching the cursor consumes it; anything else must be an
-   inserted LFENCE, recorded against the last consumed position. *)
-let fence_positions ~original ~fenced =
-  let rec go orig idx fen acc =
-    match (orig, fen) with
-    | o :: orest, f :: frest when Instruction.equal o f ->
-        go orest (idx + 1) frest acc
-    | _, f :: frest when Instruction.equal f Instruction.lfence ->
-        go orig idx frest ((idx - 1) :: acc)
-    | _ ->
-        (* Mismatch that is not an inserted fence: the listings diverged
-           (should not happen for fence_localize output); report what was
-           recovered. *)
-        List.rev acc
-  in
-  go (Program.instructions original) 0 (Program.instructions fenced) []
-
 let leak_region ~num_insts ~fences =
   let unfenced =
     List.filter
@@ -91,11 +72,10 @@ let capture (cfg : Fuzzer.config) (v : Violation.t) =
   (* Fence localization re-runs the full per-test-case pipeline, so it
      gets its own executor under the campaign's measurement config. *)
   let fence_exec = Executor.create (Cpu.create cfg.Fuzzer.uarch) cfg.Fuzzer.executor in
-  let fenced =
+  let fenced, fences =
     Postprocessor.fence_localize cfg fence_exec v.Violation.program
       v.Violation.inputs
   in
-  let fences = fence_positions ~original:v.Violation.program ~fenced in
   let only x y = Htrace.elements (Htrace.diff x y) in
   {
     f_label = v.Violation.label;

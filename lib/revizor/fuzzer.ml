@@ -104,8 +104,7 @@ type config = {
   watchdog : Watchdog.t;
 }
 
-let default_config ?(seed = 1L) ?(executor_domains = 1) contract uarch
-    executor =
+let default_config ?(seed = 1L) contract uarch executor =
   {
     contract;
     uarch;
@@ -115,7 +114,7 @@ let default_config ?(seed = 1L) ?(executor_domains = 1) contract uarch
     entropy = 2;
     round_length = 25;
     seed;
-    executor_domains;
+    executor_domains = 1;
     engine = Compiled;
     watchdog = Watchdog.default;
   }
@@ -159,9 +158,13 @@ let fresh_stats () =
 let copy_stats s = { s with test_cases = s.test_cases }
 
 type outcome = Violation of Violation.t | No_violation
-type budget = Test_cases of int | Seconds of float
+type budget = Test_cases of int
 
 let grown_inputs_cap = 400
+
+(* Test cases between [fuzz.heartbeat] telemetry events. *)
+let heartbeat_every = 50
+
 let nursery_words = 1024 * 1024
 let grow_inputs n = Int.min grown_inputs_cap (n + (n / 2))
 
@@ -236,8 +239,7 @@ type checked = {
   ucov_features : Ucoverage.feature list;
       (* atlas features harvested from this test case's measurements — a
          pure function of the measurement, so computing it on a worker
-         domain is deterministic; [] when collection is off or nothing
-         was measured *)
+         domain is deterministic; [] when nothing was measured *)
   candidate_seen : bool;
   dismissed_swap : bool;
   dismissed_nesting : bool;
@@ -317,10 +319,8 @@ let check_test_case_full ?arena config executor program inputs :
              speculation record — bookkeeping over data the measurement
              already produced, never an extra run. *)
           let ucov_features =
-            if Ucoverage.enabled () then
-              Ucoverage.features_of_measurements
-                ~descs:prog.Revizor_emu.Compiled.descs measurements
-            else []
+            Ucoverage.features_of_measurements
+              ~descs:prog.Revizor_emu.Compiled.descs measurements
           in
           let htraces = Executor.htraces_of measurements in
           Probe.with_span sp_analyze (fun () -> Analyzer.record_htraces htraces);
@@ -454,8 +454,8 @@ let set_gen_gauges (cfg : Generator.cfg) ~n_inputs =
   Metrics.set_gauge g_n_inputs (float_of_int n_inputs)
 
 let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
-    ?(checkpoint_every = 0) ?on_checkpoint ?monitor ?(heartbeat_every = 50)
-    ?ucoverage config ~budget =
+    ?(checkpoint_every = 0) ?on_checkpoint ?monitor ?ucoverage config
+    ~budget:(Test_cases budget) =
   (* Campaign GC tuning: the loop allocates a steady stream of short-lived
      values (model results, event lists, analyzer classes); the default
      256k-word minor heap fills within a test case at a few hundred
@@ -589,7 +589,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
       sn_combos_at_round_start = !combos_at_round_start;
       sn_stats =
         (let s = copy_stats stats in
-         s.elapsed_s <- base_elapsed +. (Unix.gettimeofday () -. started);
+         s.elapsed_s <- elapsed_now ();
          s);
       sn_coverage = Coverage.copy coverage;
       sn_ucoverage = Ucoverage.copy ucov;
@@ -704,11 +704,8 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     (* Heartbeat and monitor service ride the same boundary. Neither
        draws from any PRNG nor touches campaign state, so outcomes are
        bit-identical with them on or off. *)
-    if
-      heartbeat_every > 0
-      && Telemetry.enabled ()
-      && stats.test_cases mod heartbeat_every = 0
-    then Telemetry.event "fuzz.heartbeat" (live_status ());
+    if Telemetry.enabled () && stats.test_cases mod heartbeat_every = 0 then
+      Telemetry.event "fuzz.heartbeat" (live_status ());
     (match monitor with Some m -> Monitor.poll m | None -> ());
     match on_progress with Some f -> f stats | None -> ()
   in
@@ -734,10 +731,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     && ahead < window
     && (ahead = 0 || !in_round + ahead < config.round_length)
     && (not (should_stop ()))
-    &&
-    match budget with
-    | Test_cases n -> stats.test_cases + ahead < n
-    | Seconds s -> elapsed_now () < s
+    && stats.test_cases + ahead < budget
   in
   (* Scope this domain's telemetry context and fault schedule to test
      case [tc]. *)

@@ -58,7 +58,6 @@ val sample_runtime : unit -> unit
 
 val default_config :
   ?seed:int64 ->
-  ?executor_domains:int ->
   Contract.t ->
   Uarch_config.t ->
   Executor.config ->
@@ -88,7 +87,10 @@ val fresh_stats : unit -> stats
 
 type outcome = Violation of Violation.t | No_violation
 
-type budget = Test_cases of int | Seconds of float
+type budget = Test_cases of int
+(** A campaign is bounded by its count of test cases, so its outcome and
+    statistics are a function of its configuration (a resumed campaign
+    stops where the uninterrupted one does). *)
 
 val grown_inputs_cap : int
 (** 400: generator growth raises the inputs per test case by half, up to
@@ -126,15 +128,13 @@ val fuzz :
   ?checkpoint_every:int ->
   ?on_checkpoint:(snapshot -> unit) ->
   ?monitor:Revizor_obs.Monitor.t ->
-  ?heartbeat_every:int ->
   ?ucoverage:Ucoverage.t ->
   config ->
   budget:budget ->
   outcome * stats
 (** Run until a (filtered) violation is found or the budget is exhausted.
-    Deterministic for a given [config.seed] under [Test_cases] budgets.
-    [should_stop] is polled between test cases (graceful shutdown by the
-    CLI).
+    Deterministic for a given [config.seed]. [should_stop] is polled
+    between test cases (graceful shutdown by the CLI).
 
     [resume] restarts the loop from a snapshot (the budget still counts
     total test cases, so a resumed [Test_cases n] campaign stops at the
@@ -148,24 +148,24 @@ val fuzz :
     installs [status]/[health]/[coverage] provider closures over its
     campaign state (round, throughput, coverage, watchdog trips,
     checkpoint age) and calls {!Revizor_obs.Monitor.poll} at every
-    test-case boundary. [heartbeat_every] (default 50, 0 disables) emits
-    a [fuzz.heartbeat] telemetry event every N committed test cases,
-    carrying the same live status fields as the [status] reply (test
-    cases, rounds, inputs, coverage, throughput, generator shape, inputs
-    per test case, elapsed seconds, atlas totals). Neither
-    feature draws from any PRNG or writes campaign state, so fuzzing
-    outcomes are bit-identical with them on or off (asserted by the
-    observatory test suite). The monitor stays open when [fuzz] returns:
-    the caller may keep polling it (draining late clients) and is
-    responsible for {!Revizor_obs.Monitor.close}.
+    test-case boundary. While telemetry is enabled the loop also emits a
+    [fuzz.heartbeat] event every 50 committed test cases, carrying the
+    same live status fields as the [status] reply (test cases, rounds,
+    inputs, coverage, throughput, generator shape, inputs per test case,
+    elapsed seconds, atlas totals). Neither feature draws from any PRNG
+    or writes campaign state, so fuzzing outcomes are bit-identical with
+    them on or off (asserted by the observatory test suite). The monitor
+    stays open when [fuzz] returns: the caller may keep polling it
+    (draining late clients) and is responsible for
+    {!Revizor_obs.Monitor.close}.
 
     [ucoverage] supplies a caller-owned {!Ucoverage} atlas for the
     campaign to accumulate into (so the caller can save or render it
-    afterwards); omitted, the loop keeps a private one. The atlas feeds
-    nothing back into generation or detection — outcomes, traces, stats
-    and checkpoints' result-bearing state are bit-identical whether
-    collection is on or off ({!Ucoverage.set_enabled}). On [resume] the
-    snapshot's atlas contents overwrite the supplied one. *)
+    afterwards); omitted, the loop keeps a private one. Every campaign
+    collects its atlas. The atlas feeds nothing back into generation or
+    detection, so a campaign's outcome, traces and stats do not depend on
+    the atlas it starts from. On [resume] the snapshot's atlas contents
+    overwrite the supplied one. *)
 
 val check_test_case :
   config ->

@@ -222,4 +222,3 @@ let to_state t =
 let templates inputs = Array.of_list (List.map to_state inputs)
 
 let equal (a : t) (b : t) = Int64.equal a.seed b.seed && Int.equal a.entropy b.entropy
-let pp fmt t = Format.fprintf fmt "input(seed=0x%Lx, entropy=%d)" t.seed t.entropy

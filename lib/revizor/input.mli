@@ -56,4 +56,3 @@ val templates : t list -> State.t array
     with the input's own values. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

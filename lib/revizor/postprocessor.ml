@@ -55,7 +55,11 @@ let minimize_instructions config executor program inputs =
 
 (* Stage 3: insert LFENCE after each position, last first; keep the fences
    that do not kill the violation. The unfenced region localizes the
-   leak. *)
+   leak. A fence inserted after position n leaves positions 0..n where
+   they were, so the positions kept are positions of the given program;
+   counting down, they come out ascending. The flight recorder applies
+   this stage alone to the original program, the listing its artifact
+   shows. *)
 let fence_after program n =
   let count = ref (-1) in
   Program.map_insts
@@ -64,27 +68,21 @@ let fence_after program n =
       if !count = n then [ i; Instruction.lfence ] else [ i ])
     program
 
-let add_fences config executor program inputs =
-  let rec go program n =
-    if n < 0 then program
+let fence_localize config executor program inputs =
+  let rec go program n kept =
+    if n < 0 then (program, kept)
     else
       let candidate = fence_after program n in
       if still_violates config executor candidate inputs then
         (* Fence position is harmless: keep it (it narrows the region). *)
-        go candidate (n - 1)
-      else go program (n - 1)
+        go candidate (n - 1) (n :: kept)
+      else go program (n - 1) kept
   in
-  go program (Program.num_insts program - 1)
-
-(* Fence localization without minimization: the flight recorder wants
-   the leaking region of the ORIGINAL program (the listing the forensics
-   artifact shows), not of a reduced one. *)
-let fence_localize config executor program inputs =
-  add_fences config executor program inputs
+  go program (Program.num_insts program - 1) []
 
 let minimize config executor (v : Violation.t) =
   let program = v.Violation.program in
   let inputs = minimize_inputs config executor program v.Violation.inputs in
   let program = minimize_instructions config executor program inputs in
-  let fenced = add_fences config executor program inputs in
+  let fenced, _ = fence_localize config executor program inputs in
   { program; inputs; fenced }

@@ -24,13 +24,18 @@ val still_violates :
     filters) on a candidate reduction. *)
 
 val fence_localize :
-  Fuzzer.config -> Executor.t -> Program.t -> Input.t list -> Program.t
-(** Stage 3 alone, applied to the given (unminimized) program: insert
-    LFENCEs from the end backwards and keep those that do not kill the
-    violation. The returned program is the input program with the
-    surviving fences; the fence-free stretch delimits the leaking
-    region. Used by the violation flight recorder, which reports on the
-    original listing rather than a minimized one. *)
+  Fuzzer.config ->
+  Executor.t ->
+  Program.t ->
+  Input.t list ->
+  Program.t * int list
+(** Stage 3 alone, applied to the given program: insert LFENCEs from the
+    end backwards and keep those that do not kill the violation. Returns
+    the program with the surviving fences and, in ascending order, the
+    positions (0-based, in the given program) after which they stand;
+    the fence-free stretch delimits the leaking region. {!minimize} runs
+    it on the minimized program, the violation flight recorder on the
+    original listing. *)
 
 val minimize :
   Fuzzer.config -> Executor.t -> Violation.t -> result

@@ -57,19 +57,19 @@ type saved_stats = {
 
 let stats_schema = "revizor.stats.v1"
 
-let save_stats ?stats ?ucoverage ~path () =
+let save_stats ~stats ~ucoverage ~path =
   let doc =
     Json.Obj
-      ([
-         ("schema", Json.String stats_schema);
-         ("stats", Option.fold ~none:Json.Null ~some:Fuzzer.stats_to_json stats);
-         ("metrics", Revizor_obs.Metrics.(to_json (snapshot ())));
-       ]
-      @ Option.fold ~none:[] ~some:(fun u -> [ ("ucoverage", Ucoverage.to_json u) ]) ucoverage)
+      [
+        ("schema", Json.String stats_schema);
+        ("stats", Fuzzer.stats_to_json stats);
+        ("metrics", Revizor_obs.Metrics.(to_json (snapshot ())));
+        ("ucoverage", Ucoverage.to_json ucoverage);
+      ]
   in
   write_file path (Json.to_string_pretty doc ^ "\n")
 
-let save_violation ?stats ?ucoverage ~dir (v : Violation.t) =
+let save_violation ~stats ~ucoverage ~dir (v : Violation.t) =
   write_file
     (Filename.concat dir "violation.asm")
     (Program.to_string v.Violation.program ^ "\n");
@@ -77,15 +77,16 @@ let save_violation ?stats ?ucoverage ~dir (v : Violation.t) =
   write_file
     (Filename.concat dir "report.txt")
     (Format.asprintf "%a@." Violation.pp v);
-  save_stats ?stats ?ucoverage ~path:(Filename.concat dir "stats.json") ()
+  save_stats ~stats ~ucoverage ~path:(Filename.concat dir "stats.json")
 
 let ( let* ) = Result.bind
 
 let stats_decoder j =
   let* () = Json.check_schema stats_schema j in
   let metrics = Option.value (Json.member "metrics" j) ~default:Json.Null in
-  (* Additive section: stats files from before the atlas existed load
-     with [None]; a malformed section is an error, not a silent [None]. *)
+  (* The writer always emits the stats and the atlas. Older files may
+     lack the atlas or hold [null] stats, and load either as [None]; a
+     malformed section is an error, not a silent [None]. *)
   let* ucoverage = Json.field_opt "ucoverage" Ucoverage.of_json j in
   let* stats =
     Json.field "stats"

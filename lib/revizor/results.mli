@@ -7,16 +7,15 @@ open Revizor_isa
     with {!Fuzzer.check_test_case}. *)
 
 val save_violation :
-  ?stats:Fuzzer.stats -> ?ucoverage:Ucoverage.t -> dir:string -> Violation.t -> unit
+  stats:Fuzzer.stats -> ucoverage:Ucoverage.t -> dir:string -> Violation.t -> unit
 (** Writes [dir/violation.asm], [dir/inputs.txt], [dir/report.txt] and
     [dir/stats.json] (creating [dir] if needed). [stats.json] captures
-    the fuzzing statistics at detection time ([stats], omitted as [null]
-    when not given), the campaign's microarchitectural coverage atlas
-    ([ucoverage], omitted entirely when not given) and a fresh
+    the fuzzing statistics at detection time ([stats]), the campaign's
+    microarchitectural coverage atlas ([ucoverage]) and a fresh
     {!Revizor_obs.Metrics.snapshot}. *)
 
 val save_stats :
-  ?stats:Fuzzer.stats -> ?ucoverage:Ucoverage.t -> path:string -> unit -> unit
+  stats:Fuzzer.stats -> ucoverage:Ucoverage.t -> path:string -> unit
 (** Write just the [revizor.stats.v1] document to [path] — what
     [revizor fuzz --stats-out] uses so compliant campaigns, which never
     produce a violation directory, still leave a stats/coverage artifact
@@ -24,6 +23,7 @@ val save_stats :
 
 type saved_stats = {
   stats : Fuzzer.stats option;
+      (** [None] only in older files, which could write [null] *)
   metrics : Revizor_obs.Json.t;  (** as produced by {!Revizor_obs.Metrics.to_json} *)
   ucoverage : Ucoverage.t option;
       (** the coverage atlas, when the file has one (absent in stats

@@ -11,18 +11,13 @@ module Telemetry = Revizor_obs.Telemetry
    the executor already collects during normal measurement — and buckets
    it into a bounded feature space. Collection is pure bookkeeping over
    data the measurement produced anyway: no extra simulation runs, and
-   nothing feeds back into generation, so fuzzing outcomes are
-   bit-identical with collection on or off. *)
+   nothing feeds back into generation, so fuzzing outcomes do not depend
+   on the atlas. *)
 
 let schema = "revizor.ucoverage.v1"
 let version = 1
 
-(* Process-global collection switch (mirrors [Executor.set_memo]): the
-   atlas never influences the campaign, so the switch only controls
-   whether features are harvested and recorded. *)
-let collect = ref true
-let set_enabled b = collect := b
-let enabled () = !collect
+let enabled () = true
 
 (* --- feature space --------------------------------------------------- *)
 
@@ -276,27 +271,23 @@ let set_gauges t =
     kind_gauges
 
 let register t ~tc features =
-  if !collect && features <> [] then begin
-    let fresh =
-      List.filter (fun f -> not (FMap.mem f t.first_hit)) features
-    in
-    if fresh <> [] then begin
-      List.iter (fun f -> t.first_hit <- FMap.add f tc t.first_hit) fresh;
-      t.frontier <- (tc, distinct t) :: t.frontier;
-      Metrics.add m_frontier (List.length fresh);
-      Metrics.set_gauge g_frontier_tc (float_of_int tc);
-      set_gauges t;
-      if Telemetry.enabled () then
-        List.iter
-          (fun f ->
-            Telemetry.event "coverage.frontier"
-              [
-                ("feature", Json.String (feature_to_string f));
-                ("tc", Json.Int tc);
-                ("features", Json.Int (distinct t));
-              ])
-          fresh
-    end
+  let fresh = List.filter (fun f -> not (FMap.mem f t.first_hit)) features in
+  if fresh <> [] then begin
+    List.iter (fun f -> t.first_hit <- FMap.add f tc t.first_hit) fresh;
+    t.frontier <- (tc, distinct t) :: t.frontier;
+    Metrics.add m_frontier (List.length fresh);
+    Metrics.set_gauge g_frontier_tc (float_of_int tc);
+    set_gauges t;
+    if Telemetry.enabled () then
+      List.iter
+        (fun f ->
+          Telemetry.event "coverage.frontier"
+            [
+              ("feature", Json.String (feature_to_string f));
+              ("tc", Json.Int tc);
+              ("features", Json.Int (distinct t));
+            ])
+        fresh
   end
 
 (* Round-boundary saturation analytics: count consecutive rounds that
@@ -305,26 +296,23 @@ let register t ~tc features =
 let saturation_window = 3
 
 let note_round t ~round =
-  if !collect then begin
-    let d = distinct t in
-    if d = t.last_round_distinct then
-      t.barren_rounds <- t.barren_rounds + 1
-    else begin
-      t.barren_rounds <- 0;
-      t.saturation_emitted <- false
-    end;
-    t.last_round_distinct <- d;
-    if t.barren_rounds >= saturation_window && not t.saturation_emitted then begin
-      t.saturation_emitted <- true;
-      Metrics.incr m_saturations;
-      if Telemetry.enabled () then
-        Telemetry.event "coverage.saturation"
-          [
-            ("round", Json.Int round);
-            ("barren_rounds", Json.Int t.barren_rounds);
-            ("features", Json.Int d);
-          ]
-    end
+  let d = distinct t in
+  if d = t.last_round_distinct then t.barren_rounds <- t.barren_rounds + 1
+  else begin
+    t.barren_rounds <- 0;
+    t.saturation_emitted <- false
+  end;
+  t.last_round_distinct <- d;
+  if t.barren_rounds >= saturation_window && not t.saturation_emitted then begin
+    t.saturation_emitted <- true;
+    Metrics.incr m_saturations;
+    if Telemetry.enabled () then
+      Telemetry.event "coverage.saturation"
+        [
+          ("round", Json.Int round);
+          ("barren_rounds", Json.Int t.barren_rounds);
+          ("features", Json.Int d);
+        ]
   end
 
 (* --- JSON codec ------------------------------------------------------- *)

@@ -15,22 +15,20 @@ module Json = Revizor_obs.Json
     transitions, and speculative burst depth — remembering for each
     feature the first test case that covered it.
 
-    Collection is pure bookkeeping over data the measurement produced
-    anyway: no extra simulation runs, and nothing feeds back into
-    generation or detection, so fuzzing outcomes are bit-identical with
-    collection on or off (and for any [--executor-domains] count — the
-    harvest is a pure function of the measurement). *)
+    Every campaign collects its atlas. Collection is pure bookkeeping
+    over data the measurement produced anyway: no extra simulation runs,
+    and nothing feeds back into generation or detection, so fuzzing
+    outcomes do not depend on the atlas (and are the same for any
+    [--executor-domains] count — the harvest is a pure function of the
+    measurement). *)
 
 val schema : string
 (** ["revizor.ucoverage.v1"]. *)
 
-val set_enabled : bool -> unit
-(** Master switch (default on) for collection, mirroring
-    {!Executor.set_memo}: process-global because campaigns construct
-    their atlas internally. Off, {!register} and {!note_round} are
-    no-ops; the campaign's outcome is unchanged either way. *)
-
 val enabled : unit -> bool
+(** Always [true]: every campaign collects its atlas. Kept only because
+    the benchmark's traced replay calls it; it goes with that replay
+    (ROADMAP item 1). *)
 
 (** {1 Feature space} *)
 
@@ -91,7 +89,7 @@ val register : t -> tc:int -> feature list -> unit
 (** Fold one test case's features into the atlas. First-covered features
     record [tc] as their first hit, advance the frontier curve, update
     the [ucov.*] metrics and emit a [coverage.frontier] telemetry event
-    each. No-op when collection is {!set_enabled} off. *)
+    each. *)
 
 val note_round : t -> round:int -> unit
 (** Round-boundary saturation analytics: after 3 consecutive rounds that

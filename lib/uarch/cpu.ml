@@ -91,7 +91,6 @@ let create cfg =
     touched = Array.make ((Cache.sets cache + 31) / 32) 0;
   }
 
-let config t = t.cfg
 let cache t = t.cache
 let pages t = t.pages
 

@@ -46,7 +46,6 @@ type event = {
 }
 
 val create : Uarch_config.t -> t
-val config : t -> Uarch_config.t
 val cache : t -> Cache.t
 val pages : t -> Page_table.t
 

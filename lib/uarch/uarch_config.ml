@@ -1,5 +1,3 @@
-open Revizor_isa
-
 type latencies = {
   alu : int;
   mul : int;
@@ -16,7 +14,6 @@ type t = {
   name : string;
   rob_size : int;
   fetch_width : int;
-  max_nesting : int;
   pht_size : int;
   btb_size : int;
   rsb_depth : int;
@@ -45,7 +42,6 @@ let skylake ~v4_patch =
     name = (if v4_patch then "Skylake (V4 patch on)" else "Skylake (V4 patch off)");
     rob_size = 224;
     fetch_width = 4;
-    max_nesting = 4;
     pht_size = 512;
     btb_size = 256;
     rsb_depth = 16;
@@ -61,7 +57,6 @@ let coffee_lake =
     name = "Coffee Lake (MDS patch, V4 patch on)";
     rob_size = 224;
     fetch_width = 4;
-    max_nesting = 4;
     pht_size = 512;
     btb_size = 256;
     rsb_depth = 16;
@@ -91,16 +86,3 @@ let[@inline] div_latency t ~dividend =
   t.lat.div_base + (t.lat.div_per_nibble * significant)
 
 let mem_latency t ~hit = if hit then t.lat.load_hit else t.lat.load_miss
-
-let inst_latency t (i : Instruction.t) =
-  match i.Instruction.opcode with
-  | Opcode.Imul -> t.lat.mul
-  | Opcode.Div | Opcode.Idiv -> t.lat.div_base
-  | Opcode.Jcc _ | Opcode.Jmp | Opcode.JmpInd | Opcode.Call | Opcode.Ret ->
-      t.lat.branch_resolve
-  | _ -> t.lat.alu
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%s [ROB=%d fetch=%d v4_patch=%b mds_patch=%b spec_store_evict=%b]" t.name
-    t.rob_size t.fetch_width t.v4_patch t.mds_patch t.speculative_store_eviction

@@ -1,5 +1,3 @@
-open Revizor_isa
-
 (** Microarchitecture configuration: the knobs that distinguish the CPUs of
     Table 2 and their patches, plus the latency model that drives the
     dataflow-timing engine. *)
@@ -23,7 +21,6 @@ type t = {
   name : string;
   rob_size : int;  (** bounds the transient window, in instructions *)
   fetch_width : int;  (** instructions fetched per cycle *)
-  max_nesting : int;  (** speculation-inside-speculation depth bound *)
   pht_size : int;
   btb_size : int;
   rsb_depth : int;
@@ -51,9 +48,3 @@ val div_latency : t -> dividend:int64 -> int
 (** Operand-dependent division latency. *)
 
 val mem_latency : t -> hit:bool -> int
-
-val inst_latency : t -> Instruction.t -> int
-(** Base execution latency of an instruction, excluding memory and
-    division variability. *)
-
-val pp : Format.formatter -> t -> unit

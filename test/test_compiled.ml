@@ -505,6 +505,32 @@ let memory_steps_allocate_little () =
   let w = words /. float steps in
   if w >= 3. then Alcotest.failf "%.2f words per memory step" w
 
+(* DIV and IDIV of RDX:RAX by RBX at every width, each after RDX is
+   zeroed and RAX and RBX are set: the quotient, the remainder and the
+   fault checks all stay unboxed. *)
+let division_steps_allocate_nothing () =
+  let mov r v = Instruction.make ~operands:[ Operand.reg r; Operand.imm v ] Opcode.Mov in
+  let division (s : Catalog.spec) =
+    [
+      mov Reg.RDX 0;
+      mov Reg.RAX 0x7a5c3;
+      mov Reg.RBX 7;
+      Instruction.make ~operands:[ Operand.reg ~w:s.Catalog.width Reg.RBX ]
+        s.Catalog.opcode;
+    ]
+  in
+  let specs =
+    List.filter
+      (fun (s : Catalog.spec) -> s.Catalog.shape = [ Catalog.KReg ])
+      (Catalog.body_specs [ Catalog.VAR ])
+  in
+  check int "DIV and IDIV at 16, 32 and 64 bits" 6 (List.length specs);
+  let c =
+    Compiled.of_program_exn (Program.of_insts (List.concat_map division specs))
+  in
+  let words, _ = words_allocated c ~passes:10_000 in
+  check (Alcotest.float 0.) "minor words" 0. words
+
 (* [Cpu.run] over the MEM forms (loads, stores and read-modify-writes,
    every one a per-instruction memory step) on a patched Skylake with
    every page accessed, so no run starts an episode: the effective
@@ -1463,20 +1489,8 @@ let fault_unwinds () =
 
 (* --- whole fuzzer ------------------------------------------------------ *)
 
-let outcome_fingerprint = function
-  | Fuzzer.No_violation -> "no violation"
-  | Fuzzer.Violation v ->
-      Format.asprintf "%s @ (%d,%d) ctrace %s" v.Violation.label
-        v.Violation.index_a v.Violation.index_b
-        (Ctrace.to_string v.Violation.ctrace)
-
-let stats_fingerprint (s : Fuzzer.stats) =
-  (* every counter except wall-clock time *)
-  Printf.sprintf "tc=%d in=%d eff=%d ineff=%d faulted=%d cand=%d swap=%d nest=%d rounds=%d growths=%d"
-    s.Fuzzer.test_cases s.Fuzzer.inputs_tested s.Fuzzer.effective_inputs
-    s.Fuzzer.ineffective_test_cases s.Fuzzer.faulted_test_cases
-    s.Fuzzer.candidates s.Fuzzer.dismissed_by_swap s.Fuzzer.dismissed_by_nesting
-    s.Fuzzer.rounds s.Fuzzer.growths
+let outcome_fingerprint = Support.outcome_fingerprint
+let stats_fingerprint = Support.stats_fingerprint
 
 let fuzz_with ~seed ~engine =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target5 in
@@ -1569,5 +1583,7 @@ let () =
           tc "memory steps allocate under 3 words" `Quick memory_steps_allocate_little;
           tc "CPU memory steps allocate nothing" `Quick
             cpu_memory_steps_allocate_nothing;
+          tc "division steps allocate nothing" `Quick
+            division_steps_allocate_nothing;
         ] );
     ]

@@ -34,22 +34,7 @@ let contains s sub =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-
-let with_tmpdir name f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "revizor-fleet-%s-%d" name (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_tmpdir name f = Support.with_tmpdir ("fleet-" ^ name) f
 
 (* Small, fast campaign spec. Seeds 5..8 include seeds whose campaigns
    hit a Spectre violation inside the budget (6 and 8) and seeds that

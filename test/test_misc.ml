@@ -15,21 +15,6 @@ let _ = (bool, int, string)
 
 (* --- Results persistence -------------------------------------------- *)
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "revizor_test_%d" (Unix.getpid ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
-
 let find_violation_for g contract target =
   let cfg = Target.fuzzer_config ~seed:42L contract target in
   let cpu = Cpu.create cfg.Fuzzer.uarch in
@@ -53,11 +38,12 @@ let results_tests =
         check bool "partial" true
           (Result.is_error (Results.input_of_line "seed=xx entropy=2")));
     tc "saved violations reload and still violate" `Quick (fun () ->
-        with_tmpdir (fun dir ->
+        Support.with_tmpdir "results" (fun dir ->
             let cfg, executor, v =
               find_violation_for Gadgets.spectre_v1 Contract.ct_seq Target.target5
             in
-            Results.save_violation ~dir v;
+            Results.save_violation ~stats:(Fuzzer.fresh_stats ())
+              ~ucoverage:(Ucoverage.create ()) ~dir v;
             check bool "asm exists" true
               (Sys.file_exists (Filename.concat dir "violation.asm"));
             let program =
@@ -359,9 +345,15 @@ let nesting_tests =
 let experiment_tests =
   [
     tc "throughput driver reports a steady rate" `Quick (fun () ->
-        let t = Experiments.throughput ~seconds:1.0 ~seed:2L () in
+        let t = Experiments.throughput ~test_cases:50 ~seed:2L () in
         check bool "ran some cases" true (t.Experiments.test_cases > 3);
+        check int "ran its budget" 50 t.Experiments.test_cases;
         check bool "rate positive" true (t.Experiments.cases_per_hour > 0.));
+    tc "throughput counts repeat across runs" `Slow (fun () ->
+        let run () = Experiments.throughput ~test_cases:200 () in
+        let a = run () and b = run () in
+        check int "test cases" a.Experiments.test_cases b.Experiments.test_cases;
+        check int "inputs" a.Experiments.inputs b.Experiments.inputs);
     tc "minimal_inputs finds ret2spec at 2" `Quick (fun () ->
         match
           Experiments.minimal_inputs ~seed:5L Contract.ct_seq Target.target5

@@ -104,17 +104,8 @@ let test_snapshot_determinism () =
 
 (* --- telemetry on/off leaves outcomes bit-identical ------------------ *)
 
-let stats_fingerprint (s : Fuzzer.stats) =
-  (* elapsed_s is wall-clock, everything else must match exactly. *)
-  match Fuzzer.stats_to_json s with
-  | Json.Obj fields ->
-      Json.to_string
-        (Json.Obj (List.remove_assoc "elapsed_s" fields))
-  | j -> Json.to_string j
-
-let outcome_fingerprint = function
-  | Fuzzer.No_violation -> "no-violation"
-  | Fuzzer.Violation v -> Format.asprintf "%a" Violation.pp v
+let stats_fingerprint = Support.stats_fingerprint
+let outcome_fingerprint = Support.outcome_fingerprint
 
 let run_fuzz ~seed ~budget =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target1 in
@@ -210,21 +201,6 @@ let test_json_value_roundtrip () =
 
 (* --- stats.json persistence ------------------------------------------ *)
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "revizor_obs_%d" (Unix.getpid ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun file -> Sys.remove (Filename.concat dir file))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
-
 let test_stats_json_roundtrip () =
   (* Target 5 x CT-SEQ detects quickly (spectre-v1 is in reach). *)
   let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
@@ -232,8 +208,8 @@ let test_stats_json_roundtrip () =
   match Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 500) with
   | Fuzzer.No_violation, _ -> Alcotest.fail "expected a violation on target 5"
   | Fuzzer.Violation v, stats ->
-      with_tmpdir (fun dir ->
-          Results.save_violation ~stats ~dir v;
+      Support.with_tmpdir "obs" (fun dir ->
+          Results.save_violation ~stats ~ucoverage:(Ucoverage.create ()) ~dir v;
           check bool "stats.json written" true
             (Sys.file_exists (Filename.concat dir "stats.json"));
           match Results.load_stats (Filename.concat dir "stats.json") with
@@ -254,7 +230,7 @@ let test_stats_json_roundtrip () =
 
 (* The document [save path] writes, parsed back. *)
 let written save =
-  with_tmpdir (fun dir ->
+  Support.with_tmpdir "obs" (fun dir ->
       Revizor_obs.Dir.mkdir_p dir;
       let path = Filename.concat dir "doc.json" in
       save path;
@@ -320,7 +296,7 @@ let persisted_documents () =
      (fun j -> unit_of (Worker.of_json j)), false);
     ("forensics", Forensics.to_json forensics,
      (fun j -> unit_of (Forensics.of_json j)), false);
-    ("stats", written (fun path -> Results.save_stats ~stats ~path ()),
+    ("stats", written (fun path -> Results.save_stats ~stats ~ucoverage:(Ucoverage.create ()) ~path),
      (fun j -> unit_of (Results.stats_of_json j)), false);
   ]
 
@@ -485,7 +461,7 @@ let populated_documents () =
     ("forensics", Forensics.to_json forensics,
      fun j -> unit_of (Forensics.of_json j));
     ("stats",
-     written (fun path -> Results.save_stats ~stats ~ucoverage:atlas ~path ()),
+     written (fun path -> Results.save_stats ~stats ~ucoverage:atlas ~path),
      fun j -> unit_of (Results.stats_of_json j));
   ]
 
@@ -540,20 +516,7 @@ let test_nested_damage () =
 (* --- output paths in directories that do not exist yet ---------------- *)
 
 let test_writes_create_directories () =
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "revizor_obs_nested_%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf root;
-  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  Support.with_tmpdir "obs-nested" @@ fun root ->
   let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
   let last = ref None in
   let _, stats =
@@ -561,7 +524,7 @@ let test_writes_create_directories () =
       ~budget:(Fuzzer.Test_cases 2)
   in
   let stats_path = Filename.concat root "stats/out/s.json" in
-  Results.save_stats ~stats ~path:stats_path ();
+  Results.save_stats ~stats ~ucoverage:(Ucoverage.create ()) ~path:stats_path;
   check bool "stats document in a fresh nested directory" true
     (Result.is_ok (Results.load_stats stats_path));
   let ckpt = Filename.concat root "ckpt/out/c.json" in
@@ -622,7 +585,7 @@ let test_stage_table () =
 let test_stage_table_of_campaign () =
   let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
   let table what stats =
-    let doc = written (fun path -> Results.save_stats ~stats ~path ()) in
+    let doc = written (fun path -> Results.save_stats ~stats ~ucoverage:(Ucoverage.create ()) ~path) in
     match Result.bind (Results.stats_of_json doc) Results.stage_table with
     | Error e -> Alcotest.failf "%s: %s" what e
     | Ok t ->
@@ -675,7 +638,7 @@ let test_stage_table_domains () =
   let _, stats =
     Fuzzer.fuzz { cfg with Fuzzer.executor_domains = 2 } ~budget:(Fuzzer.Test_cases 40)
   in
-  let doc = written (fun path -> Results.save_stats ~stats ~path ()) in
+  let doc = written (fun path -> Results.save_stats ~stats ~ucoverage:(Ucoverage.create ()) ~path) in
   match Result.bind (Results.stats_of_json doc) Results.stage_table with
   | Error e -> Alcotest.fail e
   | Ok t ->

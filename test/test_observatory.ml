@@ -645,15 +645,8 @@ let test_monitor_cli () =
 
 (* --- monitor on/off bit-identity --------------------------------------- *)
 
-let stats_fingerprint (s : Fuzzer.stats) =
-  match Fuzzer.stats_to_json s with
-  | Json.Obj fields ->
-      Json.to_string (Json.Obj (List.remove_assoc "elapsed_s" fields))
-  | j -> Json.to_string j
-
-let outcome_fingerprint = function
-  | Fuzzer.No_violation -> "no-violation"
-  | Fuzzer.Violation v -> Format.asprintf "%a" Violation.pp v
+let stats_fingerprint = Support.stats_fingerprint
+let outcome_fingerprint = Support.outcome_fingerprint
 
 let deterministic_counters (s : Metrics.summary) =
   List.filter
@@ -694,9 +687,7 @@ let test_heartbeat_events () =
   let buf = Buffer.create 16384 in
   Telemetry.enable_buffer buf;
   let cfg = Target.fuzzer_config ~seed:7L Contract.ct_seq Target.target1 in
-  let _ =
-    Fuzzer.fuzz ~heartbeat_every:5 cfg ~budget:(Fuzzer.Test_cases 17)
-  in
+  let _ = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 170) in
   Telemetry.disable ();
   let lines =
     String.split_on_char '\n' (Buffer.contents buf)
@@ -707,14 +698,14 @@ let test_heartbeat_events () =
   let beats =
     List.filter (fun (l : Telemetry.line) -> l.Telemetry.l_name = "fuzz.heartbeat") lines
   in
-  (* 17 test cases, every 5th: tc 5, 10, 15. *)
+  (* 170 test cases, every 50th: tc 50, 100, 150. *)
   check int "heartbeat count" 3 (List.length beats);
   let beat = List.hd beats in
   check bool "heartbeat has test_cases" true
     (Option.bind
        (List.assoc_opt "test_cases" beat.Telemetry.l_fields)
        Json.to_int
-    = Some 5);
+    = Some 50);
   check (Alcotest.list string)
     "heartbeat carries the status reply's fields after its tc context"
     live_status_keys

@@ -45,14 +45,8 @@ let test_prng_state_roundtrip () =
 
 (* --- checkpoint/resume bit-identity ---------------------------------- *)
 
-let outcome_summary = function
-  | Fuzzer.No_violation -> "none"
-  | Fuzzer.Violation v -> Violation.summary v
-
-let stats_fingerprint (s : Fuzzer.stats) =
-  (* elapsed_s is wall time, the one field excluded from bit-identity *)
-  let s = { s with Fuzzer.elapsed_s = 0. } in
-  Json.to_string (Fuzzer.stats_to_json s)
+let outcome_fingerprint = Support.outcome_fingerprint
+let stats_fingerprint = Support.stats_fingerprint
 
 (* Run the campaign uninterrupted, then as two segments joined by a
    checkpoint that round-trips through the Campaign JSON codec; every
@@ -78,7 +72,7 @@ let split_run_identical ~seed ~domains ~total ~split =
       (* The violation landed inside the first segment; the full run must
          have found the same one. *)
       check string (label ^ ": early violation matches")
-        (outcome_summary base_o) (outcome_summary seg1_o)
+        (outcome_fingerprint base_o) (outcome_fingerprint seg1_o)
   | Fuzzer.No_violation -> (
       match !last with
       | None -> Alcotest.failf "%s: no checkpoint emitted" label
@@ -90,7 +84,7 @@ let split_run_identical ~seed ~domains ~total ~split =
                 Fuzzer.fuzz ~resume:snap cfg ~budget:(Fuzzer.Test_cases total)
               in
               check string (label ^ ": outcome identical")
-                (outcome_summary base_o) (outcome_summary res_o);
+                (outcome_fingerprint base_o) (outcome_fingerprint res_o);
               check string (label ^ ": stats identical")
                 (stats_fingerprint base_s) (stats_fingerprint res_s)))
 
@@ -329,7 +323,7 @@ let test_watchdog_skips_pathological () =
     }
   in
   let outcome, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 15) in
-  check string "no violation possible" "none" (outcome_summary outcome);
+  check string "no violation possible" "no-violation" (outcome_fingerprint outcome);
   check int "budget consumed" 15 stats.Fuzzer.test_cases;
   (* a rare tiny test case can finish under even this budget *)
   check bool "most test cases skipped" true
@@ -348,7 +342,7 @@ let test_default_watchdog_transparent () =
   in
   let o1, s1 = Fuzzer.fuzz base ~budget:(Fuzzer.Test_cases 40) in
   let o2, s2 = Fuzzer.fuzz huge ~budget:(Fuzzer.Test_cases 40) in
-  check string "outcome identical" (outcome_summary o1) (outcome_summary o2);
+  check string "outcome identical" (outcome_fingerprint o1) (outcome_fingerprint o2);
   check string "stats identical" (stats_fingerprint s1) (stats_fingerprint s2);
   check int "nothing skipped" 0 s1.Fuzzer.skipped_pathological
 
@@ -434,7 +428,7 @@ let run_campaign ?(mutate = Fun.id) ~seed ~domains ~total target =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq target in
   let cfg = mutate { cfg with Fuzzer.executor_domains = domains } in
   let o, s = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases total) in
-  (outcome_summary o, stats_fingerprint s)
+  (outcome_fingerprint o, stats_fingerprint s)
 
 let assert_domains_invariant ?mutate ~label target =
   List.iter
@@ -509,7 +503,7 @@ let test_exec_domains_writer_faults () =
            (Metrics.snapshot ()).Metrics.counters)
         ~default:0
     in
-    (outcome_summary o, stats_fingerprint s, retries)
+    (outcome_fingerprint o, stats_fingerprint s, retries)
   in
   let o1, s1, r1 = run 1 in
   check bool "some checkpoint writes retried" true (r1 > 0);
@@ -543,7 +537,7 @@ let test_parallel_resume_bit_identical () =
       match seg1_o with
       | Fuzzer.Violation _ ->
           check string (label ^ ": early violation matches")
-            (outcome_summary base_o) (outcome_summary seg1_o)
+            (outcome_fingerprint base_o) (outcome_fingerprint seg1_o)
       | Fuzzer.No_violation -> (
           match !last with
           | None -> Alcotest.failf "%s: no checkpoint emitted" label
@@ -556,7 +550,7 @@ let test_parallel_resume_bit_identical () =
                       ~budget:(Fuzzer.Test_cases 80)
                   in
                   check string (label ^ ": outcome identical")
-                    (outcome_summary base_o) (outcome_summary res_o);
+                    (outcome_fingerprint base_o) (outcome_fingerprint res_o);
                   check string (label ^ ": stats identical")
                     (stats_fingerprint base_s) (stats_fingerprint res_s))))
     [ 1L; 2L; 3L ]
@@ -597,7 +591,7 @@ let test_memo_off_bit_identical () =
     Executor.set_memo memo;
     Fun.protect ~finally:(fun () -> Executor.set_memo true) @@ fun () ->
     let o, s = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 40) in
-    (outcome_summary o, stats_fingerprint s)
+    (outcome_fingerprint o, stats_fingerprint s)
   in
   let cfg contract target = Target.fuzzer_config ~seed:4L contract target in
   let ind =

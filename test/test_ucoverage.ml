@@ -1,7 +1,7 @@
 (* Microarchitectural coverage atlas (PR 9): feature codecs, harvesting
    from synthetic event records, JSON/checkpoint round-trips, atlas
    determinism across executor-pool sizes, kill-and-resume bit-identity,
-   and outcome transparency with collection on or off. *)
+   and outcomes that do not depend on the atlas a campaign starts from. *)
 
 open Revizor
 open Revizor_uarch
@@ -36,14 +36,8 @@ let harvest ~descs runs_per_input =
           runs_per_input))
 
 let atlas_fingerprint u = Json.to_string (Ucoverage.to_json u)
-
-let outcome_summary = function
-  | Fuzzer.No_violation -> "none"
-  | Fuzzer.Violation v -> Violation.summary v
-
-let stats_fingerprint (s : Fuzzer.stats) =
-  let s = { s with Fuzzer.elapsed_s = 0. } in
-  Json.to_string (Fuzzer.stats_to_json s)
+let outcome_fingerprint = Support.outcome_fingerprint
+let stats_fingerprint = Support.stats_fingerprint
 
 (* --- feature string codec ---------------------------------------------- *)
 
@@ -281,13 +275,6 @@ let test_unreachable_atlases_refused () =
         set "last_round_distinct" (fun _ -> Json.Int (-1)) );
     ]
 
-let test_collection_switch () =
-  let u = Ucoverage.create () in
-  Ucoverage.set_enabled false;
-  Fun.protect ~finally:(fun () -> Ucoverage.set_enabled true) @@ fun () ->
-  Ucoverage.register u ~tc:1 [ Ucoverage.Depth 1 ];
-  check int "register is a no-op when off" 0 (Ucoverage.distinct u)
-
 (* --- campaign integration ----------------------------------------------- *)
 
 (* target5 vs CT-COND: branch mispredictions fire constantly but the
@@ -297,18 +284,17 @@ let campaign_cfg ?(domains = 1) ~seed () =
   let cfg = Target.fuzzer_config ~seed Contract.ct_cond Target.target5 in
   { cfg with Fuzzer.executor_domains = domains }
 
-let run_with_atlas ?domains ~seed ~total () =
-  let u = Ucoverage.create () in
+let run_with_atlas ?domains ?(atlas = Ucoverage.create ()) ~seed ~total () =
   let o, s =
-    Fuzzer.fuzz ~ucoverage:u
+    Fuzzer.fuzz ~ucoverage:atlas
       (campaign_cfg ?domains ~seed ())
       ~budget:(Fuzzer.Test_cases total)
   in
-  (outcome_summary o, stats_fingerprint s, u)
+  (outcome_fingerprint o, stats_fingerprint s, atlas)
 
 let test_atlas_nonempty () =
   let o, _, u = run_with_atlas ~seed:7L ~total:40 () in
-  check string "compliant campaign" "none" o;
+  check string "compliant campaign" "no-violation" o;
   check bool "atlas covered something" true (Ucoverage.distinct u > 0);
   check bool "branch mechanism covered" true
     (Ucoverage.kind_first_hit u Cpu.Branch_mispredict <> None);
@@ -362,26 +348,28 @@ let test_atlas_kill_and_resume () =
   check string "resumed atlas bit-identical" (atlas_fingerprint base_u)
     (atlas_fingerprint u2)
 
-let test_outcomes_invariant_without_collection () =
-  let on_o, on_s, _ = run_with_atlas ~seed:9L ~total:40 () in
-  Ucoverage.set_enabled false;
-  let off_o, off_s, off_u =
-    Fun.protect
-      ~finally:(fun () -> Ucoverage.set_enabled true)
-      (fun () -> run_with_atlas ~seed:9L ~total:40 ())
-  in
-  check string "outcome identical with collection off" on_o off_o;
-  check string "stats identical with collection off" on_s off_s;
-  check int "atlas empty with collection off" 0 (Ucoverage.distinct off_u);
-  (* And across domain counts with collection off. *)
-  Ucoverage.set_enabled false;
-  let off4_o, off4_s, _ =
-    Fun.protect
-      ~finally:(fun () -> Ucoverage.set_enabled true)
-      (fun () -> run_with_atlas ~domains:4 ~seed:9L ~total:40 ())
-  in
-  check string "outcome identical off, 4 domains" on_o off4_o;
-  check string "stats identical off, 4 domains" on_s off4_s
+(* The atlas feeds nothing back: a campaign that starts from a copy of
+   another campaign's atlas ends as one that starts from an empty atlas,
+   at one domain and at four. *)
+let test_outcomes_invariant_to_starting_atlas () =
+  let _, _, donor = run_with_atlas ~seed:7L ~total:40 () in
+  check bool "donor atlas non-empty" true (Ucoverage.distinct donor > 0);
+  let base_o, base_s, _ = run_with_atlas ~seed:9L ~total:40 () in
+  List.iter
+    (fun domains ->
+      let l = Printf.sprintf "domains=%d" domains in
+      let empty_o, empty_s, _ = run_with_atlas ~domains ~seed:9L ~total:40 () in
+      let o, s, u =
+        run_with_atlas ~domains ~atlas:(Ucoverage.copy donor) ~seed:9L
+          ~total:40 ()
+      in
+      check string (l ^ ": outcome, empty atlas") base_o empty_o;
+      check string (l ^ ": stats, empty atlas") base_s empty_s;
+      check string (l ^ ": outcome, copied atlas") base_o o;
+      check string (l ^ ": stats, copied atlas") base_s s;
+      check bool (l ^ ": copied atlas kept its features") true
+        (Ucoverage.distinct u >= Ucoverage.distinct donor))
+    [ 1; 4 ]
 
 let test_old_checkpoint_loads () =
   (* A checkpoint without the atlas section (pre-PR9) still loads, with
@@ -437,22 +425,39 @@ let test_stats_file_roundtrip () =
   let path = Filename.temp_file "revizor-ucov" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  Results.save_stats ~ucoverage:u ~path ();
-  match Results.load_stats path with
+  Results.save_stats ~stats:(Fuzzer.fresh_stats ()) ~ucoverage:u ~path;
+  (match Results.load_stats path with
   | Error e -> Alcotest.fail e
   | Ok { Results.ucoverage = Some u'; _ } ->
       check string "stats.json atlas round-trip" (atlas_fingerprint u)
         (atlas_fingerprint u')
   | Ok { Results.ucoverage = None; _ } ->
-      Alcotest.fail "atlas missing from stats.json"
+      Alcotest.fail "atlas missing from stats.json");
+  (* Older writers could leave the atlas out and write [null] stats. *)
+  match
+    Result.bind
+      (Json.parse (In_channel.with_open_bin path In_channel.input_all))
+      (function
+        | Json.Obj kvs ->
+            Results.stats_of_json
+              (Json.Obj
+                 (List.filter_map
+                    (function
+                      | "ucoverage", _ -> None
+                      | "stats", _ -> Some ("stats", Json.Null)
+                      | kv -> Some kv)
+                    kvs))
+        | _ -> Error "not an object")
+  with
+  | Ok { Results.stats = None; ucoverage = None; _ } -> ()
+  | Ok _ -> Alcotest.fail "older stats.json decoded with sections it lacks"
+  | Error e -> Alcotest.failf "older stats.json refused: %s" e
 
 let test_frontier_telemetry_and_heartbeat () =
   let buf = Buffer.create 16384 in
   Telemetry.enable_buffer buf;
   let _ =
-    Fuzzer.fuzz ~heartbeat_every:10
-      (campaign_cfg ~seed:7L ())
-      ~budget:(Fuzzer.Test_cases 30)
+    Fuzzer.fuzz (campaign_cfg ~seed:7L ()) ~budget:(Fuzzer.Test_cases 50)
   in
   Telemetry.disable ();
   let lines =
@@ -517,7 +522,6 @@ let () =
           tc "register + json round-trip" `Quick test_register_and_roundtrip;
           tc "unreachable atlases refused" `Quick
             test_unreachable_atlases_refused;
-          tc "collection switch" `Quick test_collection_switch;
           tc "saturation analytics" `Quick test_saturation_event;
         ] );
       ( "campaign",
@@ -527,8 +531,8 @@ let () =
             test_atlas_domains_invariant;
           tc "kill-and-resume reproduces atlas" `Slow
             test_atlas_kill_and_resume;
-          tc "outcomes invariant without collection" `Slow
-            test_outcomes_invariant_without_collection;
+          tc "outcomes invariant to a copied atlas" `Slow
+            test_outcomes_invariant_to_starting_atlas;
           tc "pre-atlas checkpoints load" `Quick test_old_checkpoint_loads;
           tc "checkpoint first hit past its test cases refused" `Quick
             test_checkpoint_future_first_hit_refused;
