@@ -631,9 +631,8 @@ let unop_action ~flags ~fall (i : Instruction.t) dst : raw =
 
 (* Unsigned 64-bit comparison and division, Stdlib's
    [Int64.unsigned_compare] and [Int64.unsigned_div] inlined: those are
-   out-of-line functions, so every call boxed its operands and its
-   result. A DIV step divides once and takes the remainder as
-   [n - q * d]. *)
+   out-of-line functions, whose calls box their operands and results. A
+   DIV step divides once and takes the remainder as [n - q * d]. *)
 let[@inline] unsigned_lt a b =
   Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
 

@@ -27,8 +27,8 @@ val schema : string
 
 val enabled : unit -> bool
 (** Always [true]: every campaign collects its atlas. Kept only because
-    the benchmark's traced replay calls it; it goes with that replay
-    (ROADMAP item 1). *)
+    the benchmark's traced replay calls it; it goes when that replay
+    does. *)
 
 (** {1 Feature space} *)
 

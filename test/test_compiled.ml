@@ -1489,8 +1489,6 @@ let fault_unwinds () =
 
 (* --- whole fuzzer ------------------------------------------------------ *)
 
-let outcome_fingerprint = Support.outcome_fingerprint
-let stats_fingerprint = Support.stats_fingerprint
 
 let fuzz_with ~seed ~engine =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target5 in
@@ -1503,9 +1501,10 @@ let fuzzer_identical () =
       let oc, sc = fuzz_with ~seed ~engine:Fuzzer.Compiled in
       let oi, si = fuzz_with ~seed ~engine:Fuzzer.Interpreted in
       let here s = Printf.sprintf "seed %Ld: %s" seed s in
-      check string (here "outcome") (outcome_fingerprint oi)
-        (outcome_fingerprint oc);
-      check string (here "stats") (stats_fingerprint si) (stats_fingerprint sc))
+      check string (here "outcome") (Support.outcome_fingerprint oi)
+        (Support.outcome_fingerprint oc);
+      check string (here "stats") (Support.stats_fingerprint si)
+        (Support.stats_fingerprint sc))
     seeds
 
 (* check_test_case on a known-violating gadget, both engines *)
@@ -1525,7 +1524,7 @@ let check_test_case_identical () =
       let fp = function
         | Error e -> "error: " ^ e
         | Ok None -> "ok"
-        | Ok (Some v) -> outcome_fingerprint (Fuzzer.Violation v)
+        | Ok (Some v) -> Support.outcome_fingerprint (Fuzzer.Violation v)
       in
       check string
         (Printf.sprintf "seed %Ld: spectre-v1 check" seed)

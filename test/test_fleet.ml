@@ -34,8 +34,6 @@ let contains s sub =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
-let with_tmpdir name f = Support.with_tmpdir ("fleet-" ^ name) f
-
 (* Small, fast campaign spec. Seeds 5..8 include seeds whose campaigns
    hit a Spectre violation inside the budget (6 and 8) and seeds that
    stay compliant — so the merge carries both kinds of shard result. *)
@@ -83,7 +81,7 @@ let test_backoff () =
        [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
 
 let test_atomic_file_backoff () =
-  with_tmpdir "atomic" @@ fun dir ->
+  Support.with_tmpdir "atomic" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "out.json" in
   Faultpoint.enable ~seed:9L
@@ -98,7 +96,7 @@ let test_atomic_file_backoff () =
    write's four attempts, whichever point fails it: [writer.io], or the
    file's own fleet point, which fires first on each attempt. *)
 let test_control_plane_write_attempts () =
-  with_tmpdir "attempts" @@ fun dir ->
+  Support.with_tmpdir "attempts" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let spec = mk_spec () in
   let ledger = Ledger.create ~dir spec and merged = Merge.create ~spec in
@@ -124,7 +122,7 @@ let test_control_plane_write_attempts () =
 (* --- ledger ------------------------------------------------------------ *)
 
 let test_ledger_roundtrip () =
-  with_tmpdir "ledger" @@ fun dir ->
+  Support.with_tmpdir "ledger" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let spec = mk_spec () in
   let t = Ledger.create ~dir spec in
@@ -181,7 +179,7 @@ let test_ledger_roundtrip () =
       | Error e -> Alcotest.failf "max_attempts = 0 refused: %s" e
 
 let test_ledger_quarantine () =
-  with_tmpdir "quarantine" @@ fun dir ->
+  Support.with_tmpdir "quarantine" @@ fun dir ->
   let spec = mk_spec ~max_attempts:3 () in
   let t = Ledger.create ~dir spec in
   let sh = t.Ledger.shards.(0) in
@@ -228,7 +226,7 @@ let test_ledger_refuses_low_pids () =
   | Error e -> Alcotest.failf "pid 2 refused: %s" e
 
 let test_fingerprint_guard () =
-  with_tmpdir "fpguard" @@ fun dir ->
+  Support.with_tmpdir "fpguard" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let spec = mk_spec ~seeds:[ 1L ] ~budget:5 ~inputs:5 () in
   let t = Ledger.create ~dir spec in
@@ -292,7 +290,7 @@ let run_one_shard ~dir spec id =
   | Error e -> Alcotest.failf "run_shard: %s" e
 
 let test_merge_idempotent () =
-  with_tmpdir "merge" @@ fun dir ->
+  Support.with_tmpdir "merge" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let spec = mk_spec ~seeds:[ 6L ] ~budget:60 () in
   let r = run_one_shard ~dir spec 0 in
@@ -324,7 +322,7 @@ let reference_bytes ~dir spec =
   read_file (Ledger.merged_path dir)
 
 let test_fleet_matches_reference () =
-  with_tmpdir "nofault" @@ fun root ->
+  Support.with_tmpdir "nofault" @@ fun root ->
   Unix.mkdir root 0o755;
   let spec = mk_spec () in
   let ref_bytes = reference_bytes ~dir:(Filename.concat root "ref") spec in
@@ -369,7 +367,7 @@ let chaos_schedules =
   ]
 
 let test_chaos_matrix () =
-  with_tmpdir "chaos" @@ fun root ->
+  Support.with_tmpdir "chaos" @@ fun root ->
   Unix.mkdir root 0o755;
   let spec = mk_spec ~lease:0.6 ~max_attempts:12 () in
   let ref_bytes = reference_bytes ~dir:(Filename.concat root "ref") spec in
@@ -402,7 +400,7 @@ let test_chaos_matrix () =
    backoff gates into quarantine — and the fleet must still terminate
    and report it, with the sound shards merged. *)
 let test_quarantine_escalation () =
-  with_tmpdir "escalate" @@ fun root ->
+  Support.with_tmpdir "escalate" @@ fun root ->
   Unix.mkdir root 0o755;
   let spec = mk_spec ~seeds:[ 5L; 6L ] ~workers:2 ~max_attempts:3 () in
   Faultpoint.enable ~seed:3L
@@ -439,7 +437,7 @@ let test_quarantine_escalation () =
    (a heartbeat renewal) fails. Last, the in-process reference with its
    merged document's temp path made a directory. *)
 let test_unwritable_ledger () =
-  with_tmpdir "unwritable" @@ fun root ->
+  Support.with_tmpdir "unwritable" @@ fun root ->
   Unix.mkdir root 0o755;
   let names_ledger dir = function
     | Error e -> contains e (Ledger.ledger_path dir)
@@ -505,7 +503,7 @@ let test_unwritable_ledger () =
 (* --- interruption and resume ------------------------------------------- *)
 
 let test_interrupt_resume () =
-  with_tmpdir "interrupt" @@ fun root ->
+  Support.with_tmpdir "interrupt" @@ fun root ->
   Unix.mkdir root 0o755;
   let spec = mk_spec ~lease:5. () in
   let ref_bytes = reference_bytes ~dir:(Filename.concat root "ref") spec in
@@ -535,7 +533,7 @@ let test_interrupt_resume () =
    is clamped on resume, so the shard is adopted and the fleet completes
    with the reference's bytes instead of waiting for ever. *)
 let test_resume_clamps_far_gates () =
-  with_tmpdir "gate" @@ fun root ->
+  Support.with_tmpdir "gate" @@ fun root ->
   Unix.mkdir root 0o755;
   let spec = mk_spec ~seeds:[ 5L; 6L ] () in
   let dir = Filename.concat root "fleet" in
@@ -564,7 +562,7 @@ let test_resume_clamps_far_gates () =
    and the resumed campaign's merged corpus must be byte-identical to
    an uninterrupted run's. *)
 let test_sigkill_orchestrator_resume () =
-  with_tmpdir "sigkill" @@ fun root ->
+  Support.with_tmpdir "sigkill" @@ fun root ->
   Unix.mkdir root 0o755;
   (* Seeds without early violations so the campaign is still in flight
      ~0.5s in, whatever the machine speed. *)

@@ -104,13 +104,11 @@ let test_snapshot_determinism () =
 
 (* --- telemetry on/off leaves outcomes bit-identical ------------------ *)
 
-let stats_fingerprint = Support.stats_fingerprint
-let outcome_fingerprint = Support.outcome_fingerprint
 
 let run_fuzz ~seed ~budget =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target1 in
   let outcome, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases budget) in
-  (outcome_fingerprint outcome, stats_fingerprint stats)
+  (Support.outcome_fingerprint outcome, Support.stats_fingerprint stats)
 
 let test_telemetry_transparent () =
   List.iter
@@ -218,8 +216,8 @@ let test_stats_json_roundtrip () =
               (match saved.Results.stats with
               | None -> Alcotest.fail "stats missing"
               | Some s ->
-                  check string "stats round-trip" (stats_fingerprint stats)
-                    (stats_fingerprint s));
+                  check string "stats round-trip" (Support.stats_fingerprint stats)
+                    (Support.stats_fingerprint s));
               match Json.member "counters" saved.Results.metrics with
               | Some (Json.Obj counters) ->
                   check bool "metrics snapshot captured" true

@@ -645,8 +645,6 @@ let test_monitor_cli () =
 
 (* --- monitor on/off bit-identity --------------------------------------- *)
 
-let stats_fingerprint = Support.stats_fingerprint
-let outcome_fingerprint = Support.outcome_fingerprint
 
 let deterministic_counters (s : Metrics.summary) =
   List.filter
@@ -664,8 +662,8 @@ let run_campaign ?monitor ~seed ~budget () =
   let outcome, stats =
     Fuzzer.fuzz ?monitor cfg ~budget:(Fuzzer.Test_cases budget)
   in
-  ( outcome_fingerprint outcome,
-    stats_fingerprint stats,
+  ( Support.outcome_fingerprint outcome,
+    Support.stats_fingerprint stats,
     deterministic_counters (Metrics.snapshot ()) )
 
 let test_monitor_transparent () =

@@ -45,8 +45,6 @@ let test_prng_state_roundtrip () =
 
 (* --- checkpoint/resume bit-identity ---------------------------------- *)
 
-let outcome_fingerprint = Support.outcome_fingerprint
-let stats_fingerprint = Support.stats_fingerprint
 
 (* Run the campaign uninterrupted, then as two segments joined by a
    checkpoint that round-trips through the Campaign JSON codec; every
@@ -72,7 +70,7 @@ let split_run_identical ~seed ~domains ~total ~split =
       (* The violation landed inside the first segment; the full run must
          have found the same one. *)
       check string (label ^ ": early violation matches")
-        (outcome_fingerprint base_o) (outcome_fingerprint seg1_o)
+        (Support.outcome_fingerprint base_o) (Support.outcome_fingerprint seg1_o)
   | Fuzzer.No_violation -> (
       match !last with
       | None -> Alcotest.failf "%s: no checkpoint emitted" label
@@ -84,9 +82,10 @@ let split_run_identical ~seed ~domains ~total ~split =
                 Fuzzer.fuzz ~resume:snap cfg ~budget:(Fuzzer.Test_cases total)
               in
               check string (label ^ ": outcome identical")
-                (outcome_fingerprint base_o) (outcome_fingerprint res_o);
+                (Support.outcome_fingerprint base_o)
+                (Support.outcome_fingerprint res_o);
               check string (label ^ ": stats identical")
-                (stats_fingerprint base_s) (stats_fingerprint res_s)))
+                (Support.stats_fingerprint base_s) (Support.stats_fingerprint res_s)))
 
 let test_resume_bit_identical () =
   List.iter
@@ -323,7 +322,8 @@ let test_watchdog_skips_pathological () =
     }
   in
   let outcome, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 15) in
-  check string "no violation possible" "no-violation" (outcome_fingerprint outcome);
+  check string "no violation possible" "no-violation"
+    (Support.outcome_fingerprint outcome);
   check int "budget consumed" 15 stats.Fuzzer.test_cases;
   (* a rare tiny test case can finish under even this budget *)
   check bool "most test cases skipped" true
@@ -342,8 +342,10 @@ let test_default_watchdog_transparent () =
   in
   let o1, s1 = Fuzzer.fuzz base ~budget:(Fuzzer.Test_cases 40) in
   let o2, s2 = Fuzzer.fuzz huge ~budget:(Fuzzer.Test_cases 40) in
-  check string "outcome identical" (outcome_fingerprint o1) (outcome_fingerprint o2);
-  check string "stats identical" (stats_fingerprint s1) (stats_fingerprint s2);
+  check string "outcome identical" (Support.outcome_fingerprint o1)
+    (Support.outcome_fingerprint o2);
+  check string "stats identical" (Support.stats_fingerprint s1)
+    (Support.stats_fingerprint s2);
   check int "nothing skipped" 0 s1.Fuzzer.skipped_pathological
 
 (* --- fault injection: model stage ------------------------------------ *)
@@ -428,7 +430,7 @@ let run_campaign ?(mutate = Fun.id) ~seed ~domains ~total target =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq target in
   let cfg = mutate { cfg with Fuzzer.executor_domains = domains } in
   let o, s = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases total) in
-  (outcome_fingerprint o, stats_fingerprint s)
+  (Support.outcome_fingerprint o, Support.stats_fingerprint s)
 
 let assert_domains_invariant ?mutate ~label target =
   List.iter
@@ -503,7 +505,7 @@ let test_exec_domains_writer_faults () =
            (Metrics.snapshot ()).Metrics.counters)
         ~default:0
     in
-    (outcome_fingerprint o, stats_fingerprint s, retries)
+    (Support.outcome_fingerprint o, Support.stats_fingerprint s, retries)
   in
   let o1, s1, r1 = run 1 in
   check bool "some checkpoint writes retried" true (r1 > 0);
@@ -537,7 +539,7 @@ let test_parallel_resume_bit_identical () =
       match seg1_o with
       | Fuzzer.Violation _ ->
           check string (label ^ ": early violation matches")
-            (outcome_fingerprint base_o) (outcome_fingerprint seg1_o)
+            (Support.outcome_fingerprint base_o) (Support.outcome_fingerprint seg1_o)
       | Fuzzer.No_violation -> (
           match !last with
           | None -> Alcotest.failf "%s: no checkpoint emitted" label
@@ -550,9 +552,10 @@ let test_parallel_resume_bit_identical () =
                       ~budget:(Fuzzer.Test_cases 80)
                   in
                   check string (label ^ ": outcome identical")
-                    (outcome_fingerprint base_o) (outcome_fingerprint res_o);
+                    (Support.outcome_fingerprint base_o)
+                    (Support.outcome_fingerprint res_o);
                   check string (label ^ ": stats identical")
-                    (stats_fingerprint base_s) (stats_fingerprint res_s))))
+                    (Support.stats_fingerprint base_s) (Support.stats_fingerprint res_s))))
     [ 1L; 2L; 3L ]
 
 let test_parallel_fingerprint_invariant () =
@@ -591,7 +594,7 @@ let test_memo_off_bit_identical () =
     Executor.set_memo memo;
     Fun.protect ~finally:(fun () -> Executor.set_memo true) @@ fun () ->
     let o, s = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 40) in
-    (outcome_fingerprint o, stats_fingerprint s)
+    (Support.outcome_fingerprint o, Support.stats_fingerprint s)
   in
   let cfg contract target = Target.fuzzer_config ~seed:4L contract target in
   let ind =

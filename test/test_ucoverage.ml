@@ -36,8 +36,6 @@ let harvest ~descs runs_per_input =
           runs_per_input))
 
 let atlas_fingerprint u = Json.to_string (Ucoverage.to_json u)
-let outcome_fingerprint = Support.outcome_fingerprint
-let stats_fingerprint = Support.stats_fingerprint
 
 (* --- feature string codec ---------------------------------------------- *)
 
@@ -290,7 +288,7 @@ let run_with_atlas ?domains ?(atlas = Ucoverage.create ()) ~seed ~total () =
       (campaign_cfg ?domains ~seed ())
       ~budget:(Fuzzer.Test_cases total)
   in
-  (outcome_fingerprint o, stats_fingerprint s, atlas)
+  (Support.outcome_fingerprint o, Support.stats_fingerprint s, atlas)
 
 let test_atlas_nonempty () =
   let o, _, u = run_with_atlas ~seed:7L ~total:40 () in
