@@ -25,39 +25,37 @@ open Revizor_isa
    caller-owned reusable {!abuf} instead of consing an access list and an
    outcome record per step.
 
-   On top of the raw actions, [of_flat] performs two static analyses that
-   enable basic-block superinstruction execution in the model:
+   On top of the raw actions, [of_flat] runs three static analyses:
 
    - [run_len]/[nostore_len]: for every pc, the length of the maximal
      straight-line run starting there (no control flow, no serializing
      instruction; [nostore_len] additionally stops before stores, for
      contracts with store-bypass clauses). A batched walker can execute
-     such a run as one fused block without re-checking any speculation
-     clause in between.
+     such a run as one block without re-checking any speculation clause
+     in between.
 
-   - dead-flag elimination: an instruction's flag computation is elided
-     in the [fused] action array when, on every path that continues past
-     it, the flags are fully overwritten (ADD/SUB/CMP/AND/OR/XOR/TEST/
-     IMUL/NEG) before any instruction can observe them. Observers are
-     the flag readers (ADC/SBB/CMOV/SETcc/Jcc) plus the partial flag
-     writers that merge old bits (INC/DEC preserve CF; shifts and
-     rotates preserve everything when the dynamic count is zero). DIV
-     and IDIV neither read nor write flags in the emulator. The analysis
-     is a suffix property of the straight-line run, so it holds for any
-     entry pc into the run.
+   - observation liveness: a backward analysis over the whole
+     control-flow graph on the 16 registers and the flag word, with
+     memory always live. A contract trace records only addresses, control flow and
+     loaded values, and a hardware trace only the cache lines a run
+     touched, so a value no later address, branch, division or store
+     reads cannot change either. [dead_len] marks the register-only
+     instructions none of whose results is read, and [fused] elides
+     every flag write no observer reads. Liveness at a pc depends only
+     on the code after it, so it holds wherever execution enters: at a
+     speculative exploration's start, or at a transient episode's.
 
-   A third pass builds the CPU simulator's timing plan ({!plan}): for
-   every pc, the length of the maximal timing-plain run starting there
-   (no memory operand, no control flow, not serializing, not DIV/IDIV),
-   µop suffix sums for each port timing-plain instructions use, and the
-   semantic action the simulator's tight loop runs at each timing-plain
-   pc.
+   - the CPU simulator's timing plan ({!plan}): for every pc, the length
+     of the maximal timing-plain run starting there (no memory operand,
+     no control flow, not serializing, not DIV/IDIV) and µop suffix sums
+     for each port timing-plain instructions use.
 
    [interpreted] builds the same descriptors but keeps the semantic
-   action as a call into {!Semantics.step} and carries an empty plan; it
-   is the reference the compiled engine is differentially tested against
-   (the two must be bit-identical: same traces, same faults, same mutated
-   state).
+   action as a call into {!Semantics.step}, elides and skips nothing and
+   carries an empty plan; it is the reference the compiled engine is
+   differentially tested against (the two give bit-identical traces,
+   faults and memory, and [raws] also leaves every register and flag as
+   the interpreter does).
 
    A compiled program is immutable after construction and holds no
    execution state, so one value is safely shared read-only across
@@ -114,18 +112,14 @@ type desc = {
   d_mem : mem_ref option;  (** first memory operand, pre-resolved *)
 }
 
-type plan = {
-  plain_len : int array;
-  plain_ports : int array;
-  port_sums : int array;
-  plain_steps : raw array;
-}
+type plan = { plain_len : int array; plain_ports : int array; port_sums : int array }
 
 type t = {
   flat : Program.flat;
   descs : desc array;
   raws : raw array;
   fused : raw array;
+  dead_len : int array;
   run_len : int array;
   nostore_len : int array;
   plan : plan;
@@ -326,9 +320,9 @@ let operand_width (i : Instruction.t) =
    a step is one indirect call. [~flags:false] compiles the dead-flag
    variant: identical register and memory effects (same loads and
    stores, in the same order, faulting at the same points) but without
-   computing or writing the flag word. It is only ever requested for
-   positions the liveness analysis proved unobservable, so eliding it
-   cannot change any trace. *)
+   computing or writing the flag word. It is only ever requested where
+   the liveness analysis proved the flag word unobservable, so eliding
+   it cannot change any trace. *)
 
 let[@inline] rotate w ~rol ~bits a eff =
   if eff = 0 then a
@@ -783,14 +777,58 @@ let desc_of (i : Instruction.t) : desc =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Static analyses: straight-line runs and dead flags                  *)
+(* Static analyses: straight-line runs and observation liveness        *)
 (* ------------------------------------------------------------------ *)
+
+(* One backward pass computes, for every pc:
+   - [run_len]: length of the maximal straight-line (plain) run starting
+     at pc — no control flow, no serializing instruction;
+   - [nostore_len]: ditto, additionally 0 at stores (store-bypass
+     contracts need their clause checked at every store). *)
+let analyze (descs : desc array) =
+  let n = Array.length descs in
+  let run_len = Array.make n 0 in
+  let nostore_len = Array.make n 0 in
+  for pc = n - 1 downto 0 do
+    let d = descs.(pc) in
+    if not (d.d_serializing || d.d_control_flow) then begin
+      run_len.(pc) <- (1 + if pc + 1 < n then run_len.(pc + 1) else 0);
+      if not d.d_stores then
+        nostore_len.(pc) <- (1 + if pc + 1 < n then nostore_len.(pc + 1) else 0)
+    end
+  done;
+  (run_len, nostore_len)
+
+(* Liveness sets are ints: bit [Reg.index r] for each register, [flag_bit]
+   for the flag word, and [effect_bit], which every live-out set holds:
+   an instruction with an effect on memory, control flow or faults
+   "defines" it, so such an instruction is never dead. *)
+let flag_bit = 1 lsl 16
+let effect_bit = 1 lsl 17
+
+(* The shapes [compile_raw] turns into an action that touches only the
+   registers, the flag word and pc, and never raises. Everything else —
+   a memory operand, control flow, LFENCE/MFENCE, DIV/IDIV, a shape the
+   action raises on — has an effect. *)
+let register_only (i : Instruction.t) =
+  match (i.Instruction.opcode, i.Instruction.operands) with
+  | Opcode.Xchg, [ Operand.Reg _; Operand.Reg _ ] -> true
+  | ( ( Opcode.Add | Opcode.Adc | Opcode.Sub | Opcode.Sbb | Opcode.And
+      | Opcode.Or | Opcode.Xor | Opcode.Cmp | Opcode.Test | Opcode.Mov
+      | Opcode.Imul | Opcode.Cmov _ | Opcode.Shl | Opcode.Shr | Opcode.Sar
+      | Opcode.Rol | Opcode.Ror | Opcode.Movzx | Opcode.Movsx ),
+      [ Operand.Reg _; (Operand.Reg _ | Operand.Imm _) ] ) ->
+      true
+  | (Opcode.Inc | Opcode.Dec | Opcode.Neg | Opcode.Not | Opcode.Setcc _), [ Operand.Reg _ ]
+    ->
+      true
+  | Opcode.Nop, _ -> true
+  | _ -> false
 
 (* Emulator-level flag effects. These deliberately differ from the
    architectural tables in [Opcode]: DIV/IDIV are listed as flag writers
    there (architecturally they leave flags undefined) but the emulator
-   gives them no flag effect at all, and the partial writers (INC/DEC,
-   shifts, rotates) merge old flag bits so they both observe and write. *)
+   gives them no flag effect at all. *)
 let emu_writes_flags (op : Opcode.t) =
   match op with
   | Opcode.Add | Opcode.Adc | Opcode.Sub | Opcode.Sbb | Opcode.And | Opcode.Or
@@ -800,9 +838,9 @@ let emu_writes_flags (op : Opcode.t) =
       true
   | _ -> false
 
-(* Full overwrite with no flag read: executing one of these makes the
-   incoming flag word unobservable. ADC/SBB overwrite fully but read CF
-   first, so they are observers, not killers. *)
+(* Writes the whole flag word whatever its old value. ADC/SBB also write
+   it whole, but read CF first; INC/DEC keep CF, and shifts and rotates
+   keep every flag at count 0, so they merge into the old word. *)
 let flag_killer (op : Opcode.t) =
   match op with
   | Opcode.Add | Opcode.Sub | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Cmp
@@ -810,50 +848,122 @@ let flag_killer (op : Opcode.t) =
       true
   | _ -> false
 
-let flag_observer (op : Opcode.t) =
-  Opcode.reads_flags op
-  ||
-  match op with
-  | Opcode.Inc | Opcode.Dec | Opcode.Shl | Opcode.Shr | Opcode.Sar | Opcode.Rol
-  | Opcode.Ror ->
-      true
-  | _ -> false
-
-(* One backward pass computes, for every pc:
-   - [run_len]: length of the maximal straight-line (plain) run starting
-     at pc — no control flow, no serializing instruction;
-   - [nostore_len]: ditto, additionally 0 at stores (store-bypass
-     contracts need their clause checked at every store);
-   - [dead]: the instruction writes flags in the emulator and the flag
-     word it produces is overwritten by a killer before any observer can
-     read it, within the same plain run. Deadness of pc depends only on
-     the instructions after pc (a suffix property), so it is valid for
-     any entry point into the run, including mid-run entry after a
-     store-bypass clause. *)
-let analyze (descs : desc array) =
-  let n = Array.length descs in
-  let run_len = Array.make n 0 in
-  let nostore_len = Array.make n 0 in
-  let dead = Array.make n false in
-  (* kill_ahead.(pc): flags live at entry to pc die before observation. *)
-  let kill_ahead = Array.make (n + 1) false in
-  for pc = n - 1 downto 0 do
-    let d = descs.(pc) in
-    let plain = not (d.d_serializing || d.d_control_flow) in
-    if plain then begin
-      run_len.(pc) <- (1 + if pc + 1 < n then run_len.(pc + 1) else 0);
-      if not d.d_stores then
-        nostore_len.(pc) <- (1 + if pc + 1 < n then nostore_len.(pc + 1) else 0)
-    end;
-    let op = d.d_inst.Instruction.opcode in
-    kill_ahead.(pc) <-
-      plain
-      && (if flag_observer op then false
-          else if flag_killer op then true
-          else kill_ahead.(pc + 1));
-    dead.(pc) <- plain && emu_writes_flags op && kill_ahead.(pc + 1)
+let reg_set regs =
+  let m = ref 0 in
+  for k = 0 to Array.length regs - 1 do
+    m := !m lor (1 lsl regs.(k))
   done;
-  (run_len, nostore_len, dead)
+  !m
+
+(* What an instruction writes ([defs]), writes whatever the old value
+   ([kills]) and reads ([uses]). A 32/64-bit register destination is
+   replaced whole (XCHG replaces both registers); an 8/16-bit one merges
+   into the old value, and CMOV and SETcc write their old value back or
+   merge into it, so a write that does not kill reads the old value too.
+   The same holds for the flag word: ADC/SBB, INC/DEC, shifts and rotates
+   read it, and so do its other readers, CMOV, SETcc and Jcc. A memory
+   operand's base and index, JmpInd's register, CALL's and RET's RSP and
+   a division's divisor, RAX and RDX are among [d_srcs]. *)
+let defs_of (d : desc) =
+  reg_set d.d_dsts
+  lor (if emu_writes_flags d.d_inst.Instruction.opcode then flag_bit else 0)
+  lor if register_only d.d_inst then 0 else effect_bit
+
+let kills_of (d : desc) =
+  let i = d.d_inst in
+  let regs =
+    match (i.Instruction.opcode, i.Instruction.operands) with
+    | (Opcode.Cmov _ | Opcode.Setcc _), _ -> 0
+    | _, Operand.Reg (_, (Width.W32 | Width.W64)) :: _ -> reg_set d.d_dsts
+    | _, _ -> 0
+  in
+  regs lor if flag_killer i.Instruction.opcode then flag_bit else 0
+
+let uses_of (d : desc) ~defs ~kills =
+  reg_set d.d_srcs
+  lor (defs land lnot (kills lor effect_bit))
+  lor if d.d_reads_flags then flag_bit else 0
+
+(* The least fixed point of
+     live_in(pc) = live_out(pc)                             if pc is dead
+                 = uses(pc) ∪ (live_out(pc) − kills(pc))   otherwise
+   where pc is dead when it defines nothing live after it (so it has no
+   effect), and live_out(pc) is the union of its successors' live-ins:
+   the next pc, both edges of a Jcc, the target of a JMP or CALL, and
+   after JmpInd, RET and CALL (which RET returns through) every pc's,
+   since their targets are data. Nothing is live after the last pc.
+   Starting from nothing live, the sets only grow. A program whose
+   branches all go forward and that has no computed target needs one
+   backward pass: every successor's live-in is final before its
+   predecessors are visited.
+
+   A dead pc's results are read by no observation on any path from it,
+   and its inputs only by dead pcs, so an engine may skip it; where the
+   flag word is not live after a pc, the pc's flag write may be elided.
+   By induction over any execution that does so, every register and the
+   flag word hold their exact values wherever they are live: so at every
+   observation, at every fault check, and at any pc where a speculative
+   exploration or a transient episode starts — liveness at a pc depends
+   only on the code after it.
+
+   Returns [dead_len], the length of the stretch of dead pcs starting at
+   each pc (0 at a live pc), and whether each pc writes a flag word that
+   is dead after it, both from the last pass. The per-pc sets live in
+   three int arrays; nothing is allocated per pc. *)
+let liveness (flat : Program.flat) (descs : desc array) =
+  let n = Array.length descs in
+  let target = flat.Program.target in
+  let defs = Array.make n 0 and kills = Array.make n 0 and uses = Array.make n 0 in
+  let one_pass = ref true in
+  for pc = 0 to n - 1 do
+    let d = descs.(pc) in
+    let df = defs_of d and k = kills_of d in
+    defs.(pc) <- df;
+    kills.(pc) <- k;
+    uses.(pc) <- uses_of d ~defs:df ~kills:k;
+    match d.d_inst.Instruction.opcode with
+    | Opcode.Jcc _ | Opcode.Jmp -> if target.(pc) <= pc then one_pass := false
+    | Opcode.Call | Opcode.Ret | Opcode.JmpInd -> one_pass := false
+    | _ -> ()
+  done;
+  let live_in = Array.make (n + 1) 0 in
+  let at k = if k >= 0 && k <= n then live_in.(k) else 0 in
+  (* the union of every pc's live-in, from the previous pass *)
+  let anywhere = ref 0 in
+  let live_out pc =
+    effect_bit
+    lor
+    match descs.(pc).d_inst.Instruction.opcode with
+    | Opcode.Jcc _ -> live_in.(pc + 1) lor at target.(pc)
+    | Opcode.Jmp -> at target.(pc)
+    | Opcode.Call -> at target.(pc) lor !anywhere
+    | Opcode.JmpInd | Opcode.Ret -> !anywhere
+    | _ -> live_in.(pc + 1)
+  in
+  let dead_len = Array.make n 0 and dead_flags = Array.make n false in
+  let again = ref true in
+  while !again do
+    let changed = ref false and union = ref 0 in
+    for pc = n - 1 downto 0 do
+      let out = live_out pc in
+      let dead = defs.(pc) land out = 0 in
+      let li = if dead then out else uses.(pc) lor (out land lnot kills.(pc)) in
+      if li <> live_in.(pc) then begin
+        live_in.(pc) <- li;
+        changed := true
+      end;
+      union := !union lor li;
+      dead_len.(pc) <-
+        (if not dead then 0 else if pc + 1 < n then 1 + dead_len.(pc + 1) else 1);
+      dead_flags.(pc) <- defs.(pc) land flag_bit <> 0 && out land flag_bit = 0
+    done;
+    if !union <> !anywhere then begin
+      anywhere := !union;
+      changed := true
+    end;
+    again := !changed && not !one_pass
+  done;
+  (dead_len, dead_flags)
 
 (* ------------------------------------------------------------------ *)
 (* Timing plan                                                         *)
@@ -870,21 +980,14 @@ let timing_plain (d : desc) =
 (* The plan carried by [interpreted] programs: no pc starts a
    timing-plain run, so the simulator takes its per-instruction path at
    every step. *)
-let empty_plan =
-  { plain_len = [||]; plain_ports = [||]; port_sums = [||]; plain_steps = [||] }
+let empty_plan = { plain_len = [||]; plain_ports = [||]; port_sums = [||] }
 
 (* One backward pass, like [analyze], after a forward one that collects
    the ports timing-plain instructions use. Suffix sums are kept for those
    ports only: a timing-plain run issues no µop elsewhere, and this keeps
    the array at a few words per instruction (two ports with the current
-   port map) instead of one per port. [plain_steps.(pc)] is [fused.(pc)]
-   when the flag word pc writes is overwritten by a killer before any
-   observer *inside the same timing-plain run*, and [raws.(pc)]
-   otherwise. This is [analyze]'s liveness with the timing-plain run as
-   the horizon: a subset of [dead], so [fused.(pc)] is then the elided
-   variant. A simulator that runs every timing-plain run either whole or
-   with [raws] thus leaves the loop with the exact flag word. *)
-let plan_of (descs : desc array) ~raws ~fused =
+   port map) instead of one per port. *)
+let plan_of (descs : desc array) =
   let n = Array.length descs in
   let used = Array.make Ports.n_ports false in
   for pc = 0 to n - 1 do
@@ -907,9 +1010,6 @@ let plan_of (descs : desc array) ~raws ~fused =
   Array.iteri (fun p j -> if j >= 0 then plain_ports.(j) <- p) column;
   let plain_len = Array.make n 0 in
   let port_sums = Array.make ((n + 1) * np) 0 in
-  let plain_steps = Array.copy raws in
-  (* flags live at entry to pc + 1 die inside its timing-plain run *)
-  let kill_ahead = ref false in
   for pc = n - 1 downto 0 do
     let d = descs.(pc) in
     for p = 0 to np - 1 do
@@ -920,18 +1020,10 @@ let plan_of (descs : desc array) ~raws ~fused =
       let j = column.(ports.(k)) in
       if j >= 0 then port_sums.((pc * np) + j) <- port_sums.((pc * np) + j) + 1
     done;
-    let op = d.d_inst.Instruction.opcode in
-    if timing_plain d then begin
-      plain_len.(pc) <- (1 + if pc + 1 < n then plain_len.(pc + 1) else 0);
-      if emu_writes_flags op && !kill_ahead then plain_steps.(pc) <- fused.(pc);
-      kill_ahead :=
-        if flag_observer op then false
-        else if flag_killer op then true
-        else !kill_ahead
-    end
-    else kill_ahead := false
+    if timing_plain d then
+      plain_len.(pc) <- (1 + if pc + 1 < n then plain_len.(pc + 1) else 0)
   done;
-  { plain_len; plain_ports; port_sums; plain_steps }
+  { plain_len; plain_ports; port_sums }
 
 (* ------------------------------------------------------------------ *)
 (* Construction and execution                                          *)
@@ -939,22 +1031,36 @@ let plan_of (descs : desc array) ~raws ~fused =
 
 let of_flat (flat : Program.flat) : t =
   let descs = Array.map desc_of flat.Program.code in
-  let run_len, nostore_len, dead = analyze descs in
+  let run_len, nostore_len = analyze descs in
+  let dead_len, dead_flags = liveness flat descs in
   let raws =
     Array.mapi (fun pc i -> compile_raw flat pc i ~flags:true) flat.Program.code
   in
   let fused =
     Array.mapi
       (fun pc i ->
-        if dead.(pc) then compile_raw flat pc i ~flags:false else raws.(pc))
+        if dead_flags.(pc) then compile_raw flat pc i ~flags:false else raws.(pc))
       flat.Program.code
   in
-  let plan = plan_of descs ~raws ~fused in
-  { flat; descs; raws; fused; run_len; nostore_len; plan }
+  { flat; descs; raws; fused; dead_len; run_len; nostore_len; plan = plan_of descs }
+
+let of_actions (flat : Program.flat) actions =
+  let descs = Array.map desc_of flat.Program.code in
+  let run_len, nostore_len = analyze descs in
+  {
+    flat;
+    descs;
+    raws = actions;
+    fused = actions;
+    dead_len = Array.make (Array.length descs) 0;
+    run_len;
+    nostore_len;
+    (* The empty plan sends the simulator down its per-instruction path
+       at every step. *)
+    plan = empty_plan;
+  }
 
 let interpreted (flat : Program.flat) : t =
-  let descs = Array.map desc_of flat.Program.code in
-  let run_len, nostore_len, _dead = analyze descs in
   let raw : raw =
    fun st ab ->
     let o = Semantics.step flat st in
@@ -964,20 +1070,7 @@ let interpreted (flat : Program.flat) : t =
           ~width:a.Semantics.width ~value:a.Semantics.value)
       o.Semantics.accesses
   in
-  let raws = Array.map (fun _ -> raw) flat.Program.code in
-  {
-    flat;
-    descs;
-    raws;
-    (* The interpreted engine never elides flags; the differential suite
-       exercises exactly the claim that elision is unobservable. *)
-    fused = raws;
-    run_len;
-    nostore_len;
-    (* The empty plan sends the simulator down its per-instruction path
-       at every step: the reference its timing loop is tested against. *)
-    plan = empty_plan;
-  }
+  of_actions flat (Array.map (fun _ -> raw) flat.Program.code)
 
 let of_program_exn p = of_flat (Program.flatten_exn p)
 let length t = Array.length t.descs

@@ -10,12 +10,16 @@ open Revizor_isa
     metadata plus the semantic action compiled to a closure (threaded-code
     style), so a step is one indirect call instead of a match cascade.
 
-    Execution through a compiled program is bit-identical to
+    Execution through a compiled program's {!raws} is bit-identical to
     {!Semantics.step}: same state mutation, same memory-access records in
-    the same order, same faults at the same points. {!interpreted} builds
-    the same descriptors but routes the action through [Semantics.step] —
-    the reference for differential testing and for ruling the compiler
-    itself out of a result.
+    the same order, same faults at the same points. {!of_flat} also runs
+    an observation-liveness analysis: {!fused} and {!dead_len} let an
+    engine skip the values no contract trace or cache observation can
+    read, keeping memory, pc, every access, every fault and every value
+    an observation reads exact. {!interpreted} builds the same
+    descriptors but routes the action through [Semantics.step] and skips
+    nothing — the reference for differential testing and for ruling the
+    compiler itself out of a result.
 
     Values of type {!t} are immutable after construction and the action
     closures keep no shared mutable scratch, so one compiled program is
@@ -101,11 +105,6 @@ type plan = private {
           [plain_ports.(j)] of the instructions [pc .. length - 1]; the
           instructions [a .. b - 1] issue the difference of the sums at
           [a] and [b] *)
-  plain_steps : raw array;
-      (** the action to run at each timing-plain pc: {!fused} where the
-          elided flag write is overwritten inside the same timing-plain
-          run, {!raws} otherwise. A timing-plain run executed whole with
-          these leaves exactly the flags {!raws} would. *)
 }
 (** The CPU simulator's timing plan: what is fixed per test case about
     timing a straight-line run that touches no memory. {!interpreted}
@@ -115,10 +114,26 @@ type plan = private {
 type t = private {
   flat : Program.flat;
   descs : desc array;
-  raws : raw array;  (** allocation-free semantic actions, one per pc *)
+  raws : raw array;
+      (** allocation-free semantic actions, one per pc; each leaves the
+          whole state as {!Semantics.step} does *)
   fused : raw array;
-      (** {!raws} with provably-dead flag computation elided; only safe
-          inside batched walks whose final flag word is never observed *)
+      (** at each pc, {!raws}, or its variant that does not compute the
+          flag word where no observer reads the flag word the pc writes
+          (on any path from it: a flag reader, or an INC/DEC, shift or
+          rotate, which merge into it, before a full overwrite). The
+          variant's registers, memory, accesses and faults are {!raws}'s. *)
+  dead_len : int array;
+      (** the length of the stretch of dead pcs starting at each pc, 0
+          at a live one. A dead pc is register-only and cannot fault,
+          and no address, branch, division or store reads any register
+          or flag word it writes, on any path from it; so an engine
+          that skips it (pc advancing by one) computes every value an
+          observation reads exactly. Liveness after a pc depends only on
+          the code after it, so this holds wherever execution enters the
+          program: a speculative exploration, a transient episode. Both
+          arrays are the same for every entry, and {!fused} and skipping
+          compose. *)
   run_len : int array;
       (** length of the maximal straight-line run starting at each pc
           (no control flow, no serializing instruction) *)
@@ -145,8 +160,15 @@ val of_flat : Program.flat -> t
 (** Compile every instruction to a specialised closure. *)
 
 val interpreted : Program.flat -> t
-(** Same descriptors, but every action defers to {!Semantics.step} and
-    the plan is empty — the reference engine for differential tests. *)
+(** Same descriptors, but every action defers to {!Semantics.step}:
+    [of_actions] over [Semantics.step] — the reference engine for
+    differential tests. *)
+
+val of_actions : Program.flat -> raw array -> t
+(** [of_actions flat actions] runs [actions.(pc)] at each pc, in {!raws}
+    and {!fused} alike, and skips nothing ({!dead_len} all 0); the plan
+    is empty, so the CPU simulator takes its per-instruction path at
+    every step. Tests build variants of {!interpreted} with it. *)
 
 val of_program_exn : Program.t -> t
 val length : t -> int

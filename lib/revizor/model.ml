@@ -52,14 +52,16 @@ let dls_arena = Domain.DLS.new_key make_arena
    as [run_len], or [nostore_len] under store-bypass contracts, so no
    speculation clause can fire inside the run), up to [budget]
    instructions are executed back-to-back through the [fused] action
-   array — no clause re-checks, no per-step observation flush, and
-   provably-dead flag computation elided. The watchdog still ticks and
-   the budget still decrements per instruction, so fuel accounting and
-   speculation windows are bit-identical to the per-step walk. A fault
-   inside a fused block truncates the access buffer to the last
-   completed instruction (the per-step engine never records a faulting
-   instruction's accesses) and stops exactly like the per-step fault
-   clause.
+   array — no clause re-checks, no per-step observation flush, and no
+   flag write no observer reads. A stretch of dead instructions
+   ([Compiled.t]'s [dead_len]: register-only, and no observation reads
+   what they write) inside the run is passed over in one step. The
+   watchdog and the budget still count every instruction, a skipped
+   stretch by its length, so fuel accounting and speculation windows are
+   bit-identical to the per-step walk. A fault inside a fused block
+   truncates the access buffer to the last completed instruction (the
+   per-step engine never records a faulting instruction's accesses) and
+   stops exactly like the per-step fault clause.
 
    [~record_stream:false] skips materializing per-step access lists for
    the instruction stream — the fuzzer only reads the stream of the
@@ -73,6 +75,7 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
   let descs = prog.Compiled.descs in
   let raws = prog.Compiled.raws in
   let fused = prog.Compiled.fused in
+  let dead_len = prog.Compiled.dead_len in
   let has_cond = Contract.has_cond contract in
   let has_bpas = Contract.has_bpas contract in
   let fuse_len =
@@ -134,17 +137,29 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
       let fl =
         if fuse && (speculative || not record_stream) then fuse_len.(pc) else 0
       in
-      if fl >= 2 then begin
+      if fl > 0 then begin
         (* Fused straight-line block. *)
-        let n = if fl < !budget then fl else !budget in
+        let stop_at = pc + Int.min fl !budget in
         Compiled.abuf_clear ab;
         let mark = ref 0 in
+        let q = ref pc in
         match
-          for j = 0 to n - 1 do
-            decr budget;
-            Watchdog.tick fuel;
-            mark := ab.Compiled.ab_len;
-            fused.(pc + j) state ab
+          while !q < stop_at do
+            let k = dead_len.(!q) in
+            if k > 0 then begin
+              let k = Int.min k (stop_at - !q) in
+              budget := !budget - k;
+              Watchdog.tick_n fuel k;
+              q := !q + k;
+              state.State.pc <- !q
+            end
+            else begin
+              decr budget;
+              Watchdog.tick fuel;
+              mark := ab.Compiled.ab_len;
+              fused.(!q) state ab;
+              incr q
+            end
           done
         with
         | () -> record_abuf ~speculative ab.Compiled.ab_len
@@ -176,7 +191,7 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
               state.State.pc <- inverted;
               record_control inverted;
               explore ~depth slot
-                (min !budget contract.Contract.speculation_window)
+                (Int.min !budget contract.Contract.speculation_window)
           | Some _ | None -> ());
           (* Execution clause: store bypass (the store is skipped and
              execution continues speculatively). *)
@@ -203,7 +218,7 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
                   with
                  | () ->
                      explore ~depth slot
-                       (min !budget contract.Contract.speculation_window)
+                       (Int.min !budget contract.Contract.speculation_window)
                  | exception (Semantics.Division_fault | Memory.Fault _) ->
                      State.undo state slot
                  | exception e ->
@@ -244,7 +259,8 @@ let run_state_in ~arena ~fuse ~record_stream ~watchdog (contract : Contract.t)
 let run_state ?(watchdog = Watchdog.default) (contract : Contract.t) prog
     (state : State.t) =
   (* The public per-input walk stays unfused: its final state (including
-     flags elided by the fused variants) is part of the interface. *)
+     the registers and flags the fused walk skips) is part of the
+     interface. *)
   let arena = Domain.DLS.get dls_arena in
   run_state_in ~arena ~fuse:false ~record_stream:true ~watchdog contract prog
     state

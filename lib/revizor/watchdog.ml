@@ -28,8 +28,11 @@ type fuel = { mutable steps_left : int }
 
 let start t = { steps_left = t.max_model_steps }
 
-let tick f =
-  let left = f.steps_left - 1 in
+(* [max_model_steps = n] admits exactly [n] ticks; the (n+1)-th trips.
+   Both forms are inline: the model's walk ticks at every step. *)
+let[@inline] tick_n f n =
+  let left = f.steps_left - n in
   f.steps_left <- left;
-  (* [max_model_steps = n] admits exactly [n] ticks; the (n+1)-th trips. *)
   if left < 0 then raise (Pathological "model step budget exhausted")
+
+let[@inline] tick f = tick_n f 1

@@ -30,3 +30,8 @@ val start : t -> fuel
 
 val tick : fuel -> unit
 (** Consume one step; raises {!Pathological} on exhaustion. *)
+
+val tick_n : fuel -> int -> unit
+(** [tick_n f n] consumes [n] steps at once: it raises exactly when one
+    of [n] {!tick}s would, so [max_model_steps = m] still admits exactly
+    [m] steps. *)

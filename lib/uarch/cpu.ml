@@ -331,11 +331,12 @@ let[@inline] bypass_candidate t ~ft ~start addr width =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One raw step of the instruction at [pc]: architectural effects on the
-   state, memory accesses into the shared buffer. *)
+(* One step of the instruction at [pc]: architectural effects on the
+   state, memory accesses into the shared buffer. The [fused] action
+   leaves out a flag write no observer reads (see [Compiled.t]). *)
 let exec t (prog : Compiled.t) state pc =
   Compiled.abuf_clear t.ab;
-  prog.Compiled.raws.(pc) state t.ab
+  prog.Compiled.fused.(pc) state t.ab
 
 (* The cache sets the current episode touched, in increasing order. *)
 let touched_sets t =
@@ -352,12 +353,15 @@ let touched_sets t =
    of accesses whose issue time beats the squash remain — that gating is
    what creates the latency races of §6.3. [poison] optionally rewrites
    one memory location first (stale-value forwarding). Every episode
-   step takes the per-instruction path. *)
+   step takes the per-instruction path, and a dead step (see
+   [Compiled.t]'s [dead_len]) only its timing: liveness at a pc depends
+   only on the code after it, so it holds at the episode's start too. *)
 let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
     ~start_pc ~squash_time ~poison =
   let code_len = Compiled.length prog in
   if start_pc >= 0 && start_pc <= code_len then begin
     let tm = t.tm and ab = t.ab and descs = prog.Compiled.descs in
+    let dead_len = prog.Compiled.dead_len in
     (* Episode rollback buffers are reused across episodes and runs;
        episodes never nest, so one of each suffices. Architectural
        rollback is the state's save/undo: a register blit plus the
@@ -390,7 +394,11 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
          let start = Int.max ft (src_ready tm d) in
          if start < squash_time then count_ports t d;
          let lat = exec_latency t state d in
-         exec t prog state spc;
+         if dead_len.(spc) > 0 then begin
+           Compiled.abuf_clear ab;
+           state.State.pc <- spc + 1
+         end
+         else exec t prog state spc;
          let mem_lat = ref 0 in
          for k = 0 to ab.Compiled.ab_len - 1 do
            if start < squash_time then begin
@@ -617,15 +625,12 @@ let step t (prog : Compiled.t) (state : State.t) pc =
      timing-plain run issues every µop it contains (nothing is squashed
      on the architectural path), so the run adds the plan's suffix-sum
      difference between [pc] and [pc + n] to each port.
-   - Dead-flag elision is exact on the architectural path: every flag
-     write a [plain_steps] action elides is overwritten by a killer,
-     before any observer, inside the same timing-plain run. A run
-     executed whole therefore leaves the flag word {!Compiled.raws}
-     would, so every step outside this loop (memory, branch, DIV,
-     serializing and episode steps, including those that raise or
-     start an episode) sees exact flags. A run cut short by [max_steps]
-     may stop between an elided write and its killer, so it runs
-     [raws].
+   - Timing reads no value: a timing-plain step's latency is fixed by
+     its class, so a dead step (see [Compiled.t]'s [dead_len]) keeps its
+     timing and skips only its semantic action, and a live one runs
+     [fused]. Every value an observation reads stays exact, whether the
+     run is executed whole or cut short by [max_steps], and the loop
+     sets pc itself.
    - The fetch time advances as a quotient and remainder of [fetch_pos]
      by the fetch width: one division per run instead of one per step.
    A timing-plain step touches no memory, predictor or store-buffer
@@ -634,10 +639,7 @@ let step t (prog : Compiled.t) (state : State.t) pc =
 let run_plain t (prog : Compiled.t) (state : State.t) pc n =
   let plan = prog.Compiled.plan in
   let descs = prog.Compiled.descs in
-  let actions =
-    if n = plan.Compiled.plain_len.(pc) then plan.Compiled.plain_steps
-    else prog.Compiled.raws
-  in
+  let fused = prog.Compiled.fused and dead_len = prog.Compiled.dead_len in
   let tm = t.tm and ab = t.ab in
   let ready = tm.reg_ready in
   let fw = t.cfg.Uarch_config.fetch_width in
@@ -664,7 +666,7 @@ let run_plain t (prog : Compiled.t) (state : State.t) pc n =
           exec_latency t state d
     in
     let completion = !start + lat in
-    actions.(q) state ab;
+    if dead_len.(q) = 0 then fused.(q) state ab;
     let dsts = d.Compiled.d_dsts in
     for k = 0 to Array.length dsts - 1 do
       ready.(dsts.(k)) <- completion
@@ -676,6 +678,7 @@ let run_plain t (prog : Compiled.t) (state : State.t) pc n =
     end
     else incr slot
   done;
+  state.State.pc <- pc + n;
   tm.fetch_pos <- tm.fetch_pos + n;
   tm.flags_ready <- !flags_ready;
   let ports = plan.Compiled.plain_ports and sums = plan.Compiled.port_sums in

@@ -63,22 +63,28 @@ val set_fill_buffer : t -> int64 -> unit
 
 val run : ?max_steps:int -> t -> Compiled.t -> State.t -> unit
 (** Execute the compiled program to completion, or for [max_steps]
-    architectural steps (default 20000). On return the architectural
-    state is exactly what {!Semantics.run} would produce; the
-    microarchitectural state (cache, predictors, fill buffer)
-    additionally reflects both the committed and the transient behaviour.
-    All per-instruction metadata (register indices, ports, latency class,
+    architectural steps (default 20000), on [state]. On return, memory,
+    pc and every value an observation reads are exactly what
+    {!Semantics.run} would produce; the microarchitectural state (cache,
+    predictors, fill buffer) additionally reflects both the committed
+    and the transient behaviour. A register or the flag word that no
+    address, branch, division or store reads may hold anything: steps
+    {!Compiled.t}'s [dead_len] marks dead run only their timing, and the
+    others run {!Compiled.t}'s [fused] actions. A program whose
+    [dead_len] is all 0 and whose [fused] is its [raws], such as an
+    {!Compiled.interpreted} one, leaves the whole state exact. (The
+    executor, the only caller in the library, undoes every run.) All
+    per-instruction metadata (register indices, ports, latency class,
     memory accessor) comes from the precomputed {!Compiled.desc}s.
 
     Each timing-plain run of the program's {!Compiled.plan} (no memory
     operand, no control flow, not serializing, not DIV/IDIV) executes in
-    one loop: port counts are added from the plan's suffix sums, and the
-    semantic steps are the plan's [plain_steps]. Every other step —
-    memory, branch, DIV, serializing, every transient-episode step, and
-    every step of an {!Compiled.interpreted} program, whose plan is empty
-    — takes the per-instruction path, the reference the loop is tested
-    against. Both give bit-identical traces, events, port counts and
-    states.
+    one loop: port counts are added from the plan's suffix sums. Every
+    other step — memory, branch, DIV, serializing, every transient-episode
+    step, and every step of an {!Compiled.interpreted} program, whose
+    plan is empty — takes the per-instruction path, the reference the
+    loop is tested against. Both give bit-identical traces, events, port
+    counts, fill buffer, memory and pc.
 
     @raise Semantics.Division_fault, Memory.Fault as the emulator does. *)
 

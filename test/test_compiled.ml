@@ -631,9 +631,12 @@ let session ?max_steps target prog templates =
   let cpu = Cpu.create target.Target.uarch in
   Array.map (observe_run ?max_steps cpu target prog) templates
 
+(* Registers and flags no observation reads may differ at the end of a
+   compiled run ([Compiled.t]'s [dead_len] and [fused]); memory and pc
+   may not. *)
 let same_run ~here (s_c, ev_c, pc_c, h_c, fb_c) (s_i, ev_i, pc_i, h_i, fb_i) =
-  check bool (here "arch state") true
-    (State.equal_arch s_c s_i && s_c.State.pc = s_i.State.pc);
+  check bool (here "memory and pc") true
+    (Memory.equal s_c.State.mem s_i.State.mem && s_c.State.pc = s_i.State.pc);
   check bool (here "speculation events") true (Stdlib.compare ev_c ev_i = 0);
   check (Alcotest.array int) (here "port counts") pc_i pc_c;
   check bool (here "htrace") true
@@ -698,10 +701,11 @@ let cpu_identical () =
    primed session and a [max_steps] sweep:
    - a store-bypass (Targets 1-3), an assisted-load (Targets 7, 8) and an
      assisted-store (Target 8) episode, each starting at a load right
-     after a timing-plain run in which the plan elides a flag write, and
-     right after a flag write that [fused] elides but the plan does not
-     (its killer lies past the load);
-   - a timing-plain run entered mid-way by a taken Jcc. *)
+     after a timing-plain run that holds a dead instruction, and right
+     after a flag write that [fused] elides whose killer lies past the
+     load;
+   - a timing-plain run entered mid-way by a taken Jcc, at a stretch of
+     dead instructions. *)
 let mask x = Instruction.binop Opcode.And (Operand.reg x) (Operand.imm64 Layout.line_mask_one_page)
 let alu op x n = Instruction.binop op (Operand.reg x) (Operand.imm n)
 let load x m = Instruction.mov (Operand.reg x) m
@@ -711,14 +715,14 @@ let fixed disp = Operand.mem ~base:Reg.sandbox_base ~disp ()
 let bypass_program =
   Program.of_insts
     [
-      alu Opcode.Add Reg.RBX 1 (* 0: elided by the plan: 1 kills it *);
-      mask Reg.RAX (* 1: elided by [fused] only: 3 kills it *);
+      alu Opcode.Add Reg.RBX 1 (* 0: dead *);
+      mask Reg.RAX (* 1: its flag write is elided: 3 kills it *);
       load Reg.RDI (fixed 128) (* 2: first page-0 access: assisted load *);
       alu Opcode.And Reg.RDI 0;
       Instruction.binop Opcode.Add (Operand.reg Reg.RDI) (Operand.reg Reg.RAX);
       Instruction.mov (at Reg.RDI) (Operand.reg Reg.RCX) (* 5: late address *);
-      alu Opcode.Add Reg.RDX 1 (* 6: elided by the plan: 7 kills it *);
-      alu Opcode.Sub Reg.RSI 2 (* 7: elided by [fused] only: 9 kills it *);
+      alu Opcode.Add Reg.RDX 1 (* 6: dead *);
+      alu Opcode.Sub Reg.RSI 2 (* 7: dead: only 9, itself dead, reads RSI *);
       load Reg.RCX (at Reg.RAX) (* 8: bypasses the store at 5 *);
       Instruction.binop Opcode.Xor (Operand.reg Reg.RSI) (Operand.reg Reg.RSI);
       mask Reg.RCX;
@@ -729,11 +733,11 @@ let bypass_program =
 let assisted_store_program =
   Program.of_insts
     [
-      alu Opcode.Add Reg.RBX 1 (* elided by the plan *);
-      mask Reg.RAX (* elided by [fused] only *);
+      alu Opcode.Add Reg.RBX 1 (* dead *);
+      mask Reg.RAX (* its flag write is elided *);
       Instruction.mov (at Reg.RAX) (Operand.reg Reg.RCX) (* assisted store *);
-      alu Opcode.Add Reg.RDX 1 (* elided by the plan *);
-      alu Opcode.Sub Reg.RSI 2 (* elided by [fused] only *);
+      alu Opcode.Add Reg.RDX 1 (* dead *);
+      alu Opcode.Sub Reg.RSI 2 (* dead *);
       load Reg.RCX (at Reg.RAX) (* forwarding fails on Coffee Lake *);
       Instruction.binop Opcode.Xor (Operand.reg Reg.RSI) (Operand.reg Reg.RSI);
       mask Reg.RCX;
@@ -757,7 +761,7 @@ let mid_entry_program =
         ];
       Program.block "mid"
         [
-          alu Opcode.Add Reg.RDX 1 (* elided by the plan *);
+          alu Opcode.Add Reg.RDX 1 (* dead, like the next three *);
           alu Opcode.Sub Reg.RSI 2;
           Instruction.binop Opcode.Xor (Operand.reg Reg.RDI) (Operand.reg Reg.RDI);
           Instruction.setcc Cond.Z (Operand.reg ~w:Width.W8 Reg.RAX);
@@ -796,8 +800,7 @@ let timing_edge_cases () =
 
 (* The plan itself: timing-plain runs stop at memory operands, Jcc/Jmp,
    LFENCE and DIV; the port suffix sums count every instruction's µops on
-   each tracked port, and every µop of a timing-plain step is tracked;
-   the plan elides a flag write only inside its own timing-plain run; an
+   each tracked port, and every µop of a timing-plain step is tracked; an
    interpreted program's plan is empty. *)
 let check_plan ~label (prog : Compiled.t) =
   let plan = prog.Compiled.plan in
@@ -833,17 +836,7 @@ let check_plan ~label (prog : Compiled.t) =
               (sum a b j) !expected)
         ports
     done
-  done;
-  Array.iteri
-    (fun pc step ->
-      let raw = prog.Compiled.raws.(pc) and fused = prog.Compiled.fused.(pc) in
-      if step != raw then begin
-        check bool (Printf.sprintf "%s pc %d: elided step is fused" label pc) true
-          (step == fused);
-        check bool (Printf.sprintf "%s pc %d: elided step is timing-plain" label pc)
-          true (plan.Compiled.plain_len.(pc) > 0)
-      end)
-    plan.Compiled.plain_steps
+  done
 
 let plan_shape () =
   let open Instruction in
@@ -879,21 +872,370 @@ let plan_shape () =
   check (Alcotest.array int) "tracked ports: ALU and multiply" [| 0; 1 |]
     prog.Compiled.plan.Compiled.plain_ports;
   check_plan ~label:"hand-written" prog;
-  let steps = prog.Compiled.plan.Compiled.plain_steps in
-  (* ADD at 0 dies at the IMUL in its own run; the IMUL's flags die only
-     past the load, at the SUB, so only [fused] elides them. *)
-  check bool "pc 0 elided" true (steps.(0) != prog.Compiled.raws.(0));
+  (* The IMUL's flags die only past the load, at the SUB. *)
   check bool "pc 1 elided by fused" true
     (prog.Compiled.fused.(1) != prog.Compiled.raws.(1));
-  check bool "pc 1 kept by the plan" true (steps.(1) == prog.Compiled.raws.(1));
   each_case (fun ~label ~flat:_ ~compiled ~interp ->
       check_plan ~label compiled;
       let plan = interp.Compiled.plan in
       check bool (label ^ ": interpreted plan is empty") true
         (Array.length plan.Compiled.plain_len = 0
         && Array.length plan.Compiled.plain_ports = 0
-        && Array.length plan.Compiled.port_sums = 0
-        && Array.length plan.Compiled.plain_steps = 0))
+        && Array.length plan.Compiled.port_sums = 0))
+
+(* --- observation liveness ---------------------------------------------- *)
+
+(* One vector per rule of [Compiled.of_flat]'s liveness analysis: the pcs
+   it marks dead ([dead_len] positive) and the pcs whose flag write
+   [fused] elides. [use x] is a load whose address reads [x]; its own
+   result goes nowhere. *)
+let use x = load Reg.RDI (at x)
+let reg ?w r = Operand.reg ?w r
+let mov_i ?w r n = Instruction.mov (reg ?w r) (Operand.imm n)
+
+let liveness_of program =
+  let c = Compiled.of_program_exn program in
+  let pcs p = List.filter p (List.init (Compiled.length c) Fun.id) in
+  ( pcs (fun pc -> c.Compiled.dead_len.(pc) > 0),
+    pcs (fun pc -> c.Compiled.fused.(pc) != c.Compiled.raws.(pc)) )
+
+let expect ?elided what program ~dead =
+  let dead', elided' = liveness_of program in
+  check (Alcotest.list int) (what ^ ": dead pcs") dead dead';
+  Option.iter (fun e -> check (Alcotest.list int) (what ^ ": elided flag writes") e elided') elided
+
+(* Blocks "main" then "l". *)
+let two main l = Program.make [ Program.block "main" main; Program.block "l" l ]
+
+let never_elided () =
+  let open Instruction in
+  let raising =
+    [
+      binop Opcode.Xchg (reg Reg.RAX) (Operand.imm 5);
+      mov (Operand.imm 1) (reg Reg.RAX);
+      make Opcode.Add;
+      cmov Cond.Z (at Reg.RAX) (reg Reg.RBX);
+    ]
+  in
+  expect "memory operands, fences, a division, raising shapes"
+    (Program.of_insts
+       ([
+          load Reg.RAX (at Reg.RBX) (* 0: a load whose result is dead *);
+          binop Opcode.Add (at Reg.RBX) (reg Reg.RCX);
+          lfence;
+          mfence;
+          div (reg Reg.RBX) (* 4: its RAX and RDX are dead *);
+          binop Opcode.Cmp (at Reg.RBX) (Operand.imm 1);
+        ]
+       @ raising))
+    ~dead:[];
+  expect "control flow"
+    (two [ mov_i Reg.RSP 64; call "l"; jmp "l" ] [ jmp_ind Reg.RAX; ret ])
+    ~dead:[];
+  (* every other register-only result nobody reads, NOP included *)
+  let c =
+    Compiled.of_program_exn
+      (Program.of_insts
+         [
+           mov_i Reg.RAX 1;
+           binop Opcode.Add (reg Reg.RBX) (reg Reg.RAX);
+           binop Opcode.Imul (reg Reg.RCX) (reg Reg.RBX);
+           nop;
+           use Reg.RDX;
+           setcc Cond.Z (reg ~w:Width.W8 Reg.RCX);
+           binop Opcode.Xchg (reg Reg.RAX) (reg Reg.RBX);
+         ])
+  in
+  check (Alcotest.array int) "stretch lengths" [| 4; 3; 2; 1; 0; 2; 1 |]
+    c.Compiled.dead_len
+
+(* The vectors whose values flow into an address; the analysis-apart
+   test below also runs them. *)
+let merge_8 =
+  Program.of_insts [ mov_i Reg.RAX 1; mov_i ~w:Width.W8 Reg.RAX 2; use Reg.RAX ]
+
+let merge_16 =
+  Program.of_insts
+    [
+      mov_i Reg.RAX 1;
+      Instruction.binop Opcode.Movzx (reg ~w:Width.W16 Reg.RAX) (reg ~w:Width.W8 Reg.RBX);
+      use Reg.RAX;
+    ]
+
+let merge_cmov =
+  Program.of_insts
+    [
+      mov_i Reg.RAX 1;
+      alu Opcode.Cmp Reg.RBX 0;
+      Instruction.cmov Cond.Z (reg Reg.RAX) (reg Reg.RCX);
+      use Reg.RAX;
+    ]
+
+let merge_setcc =
+  Program.of_insts
+    [
+      mov_i Reg.RAX 1;
+      alu Opcode.Cmp Reg.RBX 0;
+      Instruction.setcc Cond.Z (reg ~w:Width.W8 Reg.RAX);
+      use Reg.RAX;
+    ]
+
+let kill_rax = mov_i ~w:Width.W32 Reg.RAX 0
+
+let taken_edge_only =
+  two
+    [ mov_i Reg.RAX 1; alu Opcode.Cmp Reg.RBX 0; Instruction.jcc Cond.Z "l"; kill_rax ]
+    [ use Reg.RAX ]
+
+let fall_through_only =
+  two
+    [ mov_i Reg.RAX 1; alu Opcode.Cmp Reg.RBX 0; Instruction.jcc Cond.Z "l"; use Reg.RAX ]
+    [ kill_rax; use Reg.RAX ]
+
+let flowing_vectors =
+  [ merge_8; merge_16; merge_cmov; merge_setcc; taken_edge_only; fall_through_only ]
+
+let liveness_uses () =
+  let open Instruction in
+  expect "a source" (Program.of_insts [ mov_i Reg.RAX 1; mov (reg Reg.RBX) (reg Reg.RAX); use Reg.RBX ]) ~dead:[];
+  expect "an 8-bit write merges" merge_8 ~dead:[];
+  expect "a 16-bit write merges" merge_16 ~dead:[];
+  expect "a 32-bit write does not"
+    (Program.of_insts [ mov_i Reg.RAX 1; kill_rax; use Reg.RAX ])
+    ~dead:[ 0 ];
+  expect "CMOV reads its destination" merge_cmov ~dead:[];
+  expect "SETcc reads its destination" merge_setcc ~dead:[]
+
+(* [ADD RBX, 1] at pc 0 writes only flags anyone could read; [reader]
+   at pc 1 decides whether they are. *)
+let flags_reach what reader tail ~dead =
+  expect what (two ([ alu Opcode.Add Reg.RBX 1 ] @ reader) tail) ~dead
+
+let liveness_flag_uses () =
+  let open Instruction in
+  flags_reach "ADC" [ alu Opcode.Adc Reg.RCX 0; use Reg.RCX ] [] ~dead:[];
+  flags_reach "SBB" [ alu Opcode.Sbb Reg.RCX 0; use Reg.RCX ] [] ~dead:[];
+  flags_reach "CMOV" [ cmov Cond.Z (reg Reg.RCX) (reg Reg.RDX); use Reg.RCX ] [] ~dead:[];
+  flags_reach "SETcc" [ setcc Cond.B (reg ~w:Width.W8 Reg.RCX); use Reg.RCX ] [] ~dead:[];
+  flags_reach "Jcc" [ jcc Cond.Z "l" ] [ use Reg.RDX ] ~dead:[];
+  (* CF of pc 0 reaches the JC through the partial writers *)
+  List.iter
+    (fun (name, partial) -> flags_reach name [ partial; jcc Cond.B "l" ] [ use Reg.RDX ] ~dead:[])
+    [
+      ("INC", unop Opcode.Inc (reg Reg.RCX));
+      ("DEC", unop Opcode.Dec (reg Reg.RCX));
+      ("SHL by CL", binop Opcode.Shl (reg Reg.RDX) (Operand.Reg (Reg.RCX, Width.W8)));
+      ("SAR", alu Opcode.Sar Reg.RDX 3);
+      ("ROR", alu Opcode.Ror Reg.RDX 1);
+    ];
+  (* a flag write nothing reads is elided, whole instruction or not *)
+  expect "flag word dead at the end" ~elided:[ 0; 1 ]
+    (Program.of_insts [ alu Opcode.Add Reg.RAX 1; alu Opcode.Sub Reg.RBX 1; use Reg.RAX ])
+    ~dead:[ 1 ]
+
+let liveness_kills () =
+  let open Instruction in
+  expect "32/64-bit destinations; XCHG writes both registers"
+    (Program.of_insts
+       [
+         mov_i Reg.RAX 1;
+         mov_i Reg.RBX 2;
+         binop Opcode.Xchg (reg Reg.RAX) (reg Reg.RBX);
+         mov_i ~w:Width.W32 Reg.RAX 3;
+         mov_i Reg.RBX 4;
+         use Reg.RAX;
+         use Reg.RBX;
+       ])
+    ~dead:[ 0; 1; 2 ];
+  (* pc 0's flags die at a full overwrite before the Jcc reads them *)
+  List.iter
+    (fun (name, killer) ->
+      flags_reach name [ killer; jcc Cond.Z "l" ] [ use Reg.RCX ] ~dead:[ 0 ])
+    [
+      ("ADD", alu Opcode.Add Reg.RCX 1);
+      ("SUB", alu Opcode.Sub Reg.RCX 1);
+      ("AND", alu Opcode.And Reg.RCX 1);
+      ("OR", alu Opcode.Or Reg.RCX 1);
+      ("XOR", alu Opcode.Xor Reg.RCX 1);
+      ("CMP", alu Opcode.Cmp Reg.RCX 1);
+      ("TEST", alu Opcode.Test Reg.RCX 1);
+      ("IMUL", binop Opcode.Imul (reg Reg.RCX) (reg Reg.RDX));
+      ("NEG", unop Opcode.Neg (reg Reg.RCX));
+    ]
+
+let liveness_observed () =
+  let open Instruction in
+  expect "a memory operand's base and index"
+    (Program.of_insts
+       [
+         mov_i Reg.RAX 1;
+         mov_i Reg.RBX 2;
+         load Reg.RCX (Operand.mem ~base:Reg.RAX ~index:Reg.RBX ~scale:8 ());
+       ])
+    ~dead:[];
+  expect "a Jcc's flags" (two [ alu Opcode.Cmp Reg.RAX 0; jcc Cond.Z "l" ] [ mov_i Reg.RCX 1 ])
+    ~dead:[ 2 ];
+  expect "JmpInd's register" (Program.of_insts [ mov_i Reg.RAX 2; jmp_ind Reg.RAX ]) ~dead:[];
+  expect "CALL's RSP" (two [ alu Opcode.Sub Reg.RSP 8; call "l" ] [ mov_i Reg.RCX 1 ]) ~dead:[ 2 ];
+  expect "RET's RSP" (Program.of_insts [ alu Opcode.Add Reg.RSP 8; ret ]) ~dead:[];
+  expect "a division's divisor, RAX and RDX"
+    (Program.of_insts [ mov_i Reg.RAX 7; mov_i Reg.RDX 0; mov_i Reg.RBX 3; div (reg Reg.RBX) ])
+    ~dead:[]
+
+let liveness_successors () =
+  let open Instruction in
+  expect "live on the taken edge only" taken_edge_only ~dead:[];
+  expect "live on the fall-through only" fall_through_only ~dead:[];
+  expect "JMP: its target, not the next pc"
+    (two [ mov_i Reg.RAX 1; jmp "l"; use Reg.RAX ] [ kill_rax; use Reg.RAX ])
+    ~dead:[ 0 ];
+  expect "JMP: its target"
+    (two [ mov_i Reg.RAX 1; jmp "l"; kill_rax ] [ use Reg.RAX ])
+    ~dead:[];
+  expect "CALL: its target" (two [ mov_i Reg.RAX 1; call "l" ] [ use Reg.RAX ]) ~dead:[];
+  (* RCX is read only at pc 2, which only a RET can reach; the callee
+     overwrites RCX first, yet the CALL keeps it live *)
+  expect "CALL: every pc, through its RET"
+    (Program.make
+       [
+         Program.block "main" [ mov_i Reg.RCX 1; call "f"; use Reg.RCX ];
+         Program.block "f" [ mov_i ~w:Width.W32 Reg.RCX 0; ret ];
+       ])
+    ~dead:[];
+  expect "RET: every pc" (Program.of_insts [ mov_i Reg.RAX 1; ret; use Reg.RAX ]) ~dead:[];
+  expect "JmpInd: every pc"
+    (Program.of_insts [ mov_i Reg.RBX 1; jmp_ind Reg.RCX; use Reg.RBX ])
+    ~dead:[];
+  expect "nothing after the last pc" ~elided:[ 1 ]
+    (Program.of_insts [ use Reg.RBX; alu Opcode.Add Reg.RAX 1 ])
+    ~dead:[ 1 ]
+
+(* The analysis apart from the engines' skipping: [interpreted flat],
+   which computes every value, with each value [of_flat flat] calls dead
+   overwritten right after it is computed — every register a dead pc
+   writes, and the flag word where the pc writes it; at a pc whose flag
+   write [fused] elides, the flag word only. Registers get their
+   complement; the flag word loses every flag at odd pcs and every flag
+   but OF at even ones (complementing all six would leave SF <> OF, and
+   so L/GE, unchanged). If the analysis called a value dead that an
+   address, a branch, a division or a store reads, some contract trace
+   or measurement would change. Generated programs rarely kill a
+   register on one path only or merge into a narrow one, so the test
+   also runs the vectors that do. *)
+let flip pc f =
+  Flags.make ~cf:(not (Flags.cf f)) ~pf:(not (Flags.pf f)) ~af:(not (Flags.af f))
+    ~zf:(not (Flags.zf f)) ~sf:(not (Flags.sf f))
+    ~o_f:(if pc land 1 = 1 then not (Flags.o_f f) else Flags.o_f f)
+
+let regs = Array.of_list Reg.all
+
+let scramble ~pc ~dsts ~flags (step : Compiled.raw) : Compiled.raw =
+ fun st ab ->
+  step st ab;
+  Array.iter
+    (fun r ->
+      let r = regs.(r) in
+      State.set_reg st r Width.W64 (Int64.lognot (State.get_reg st r Width.W64)))
+    dsts;
+  if flags then st.State.flags <- flip pc st.State.flags
+
+(* [everything]: also overwrite the values of live pcs, for the check
+   that the comparison can fail. *)
+let perturbed ?(everything = false) flat =
+  let c = Compiled.of_flat flat and interp = Compiled.interpreted flat in
+  Compiled.of_actions flat
+    (Array.mapi
+       (fun pc step ->
+         let d = c.Compiled.descs.(pc) in
+         if everything || c.Compiled.dead_len.(pc) > 0 then
+           scramble ~pc ~dsts:d.Compiled.d_dsts ~flags:d.Compiled.d_writes_flags step
+         else if c.Compiled.fused.(pc) != c.Compiled.raws.(pc) then
+           scramble ~pc ~dsts:[||] ~flags:true step
+         else step)
+       interp.Compiled.raws)
+
+let perturb_contracts =
+  List.concat_map
+    (fun c -> [ c; Contract.with_nesting c ])
+    Contract.[ ct_seq; ct_bpas; ct_cond; ct_cond_bpas ]
+  @ [ Contract.arch_seq ]
+
+(* Every contract's traces, faults and streams, and every threat's
+   measurements, or the exception a measurement raised. *)
+let observations (target : Target.t) prog inputs =
+  let traces =
+    List.map
+      (fun contract ->
+        List.map
+          (fun (r : Model.result) ->
+            (Ctrace.to_string r.Model.ctrace, r.Model.faulted, r.Model.stream))
+          (Model.ctraces contract prog inputs))
+      perturb_contracts
+  in
+  let threats =
+    [ target.Target.threat; Attack.flush_reload; Attack.evict_reload; Attack.port_contention ]
+  in
+  let measurements =
+    List.map
+      (fun threat ->
+        let cpu = Cpu.create target.Target.uarch in
+        let executor = Executor.create cpu (Executor.default_config ~threat ()) in
+        match Executor.measure executor prog inputs with
+        | ms ->
+            Ok
+              (Array.map
+                 (fun (m : Executor.measurement) ->
+                   (Htrace.elements m.Executor.htrace, m.Executor.kinds, m.Executor.events))
+                 ms)
+        | exception e -> Error (Printexc.to_string e))
+      threats
+  in
+  (traces, measurements)
+
+let dead_values_unobservable () =
+  let dead = ref 0 and elided = ref 0 and detected = ref 0 in
+  List.iter
+    (fun (target : Target.t) ->
+      let grown = (Target.fuzzer_config Contract.ct_seq target).Fuzzer.gen_cfg in
+      List.iter
+        (fun (growth, gen) ->
+          List.iter
+            (fun seed ->
+              let flat = Program.flatten_exn (Generator.generate (Prng.create ~seed) gen) in
+              let c = Compiled.of_flat flat in
+              Array.iteri
+                (fun pc k ->
+                  if k > 0 then incr dead
+                  else if c.Compiled.fused.(pc) != c.Compiled.raws.(pc) then incr elided)
+                c.Compiled.dead_len;
+              let inputs = batch_inputs 8 (Int64.add seed 41L) in
+              let reference = observations target (Compiled.interpreted flat) inputs in
+              if Stdlib.compare reference (observations target (perturbed flat) inputs) <> 0
+              then
+                Alcotest.failf "%s, growth %s, seed %Ld: a dead value was observed"
+                  target.Target.name growth seed;
+              if
+                Stdlib.compare reference
+                  (observations target (perturbed ~everything:true flat) inputs)
+                <> 0
+              then incr detected)
+            [ 1L; 2L ])
+        [ ("0", grown); ("cap", capped_gen target) ])
+    Target.all;
+  List.iteri
+    (fun k program ->
+      let flat = Program.flatten_exn program in
+      let inputs = batch_inputs 8 (Int64.of_int (k + 61)) in
+      if
+        Stdlib.compare
+          (observations Target.target5 (Compiled.interpreted flat) inputs)
+          (observations Target.target5 (perturbed flat) inputs)
+        <> 0
+      then Alcotest.failf "vector %d: a dead value was observed" k)
+    flowing_vectors;
+  check bool "some pcs dead" true (!dead > 100);
+  check bool "some flag writes elided" true (!elided > 100);
+  check bool "overwriting live values too changes observations" true (!detected > 16)
 
 (* --- executor ---------------------------------------------------------- *)
 
@@ -1407,22 +1749,28 @@ let journal_closed (s : State.t) =
    fall-through, so each one opens an exploration, nested up to the
    contract's depth, and every block stores; almost all of the walk's
    steps are at depth 2 or more. The sweep trips the budget at every
-   step of the walk. *)
-let pathological_unwinds () =
+   step of the walk. [dead] puts a stretch of three dead instructions in
+   every block, which the walk passes over in one step. *)
+let nested_stores ~dead =
   let open Instruction in
   let mask = binop Opcode.And (Operand.reg Reg.RAX) (Operand.imm64 Layout.line_mask_one_page) in
+  let stretch =
+    [
+      binop Opcode.Xor (Operand.reg Reg.RCX) (Operand.reg Reg.RDX);
+      binop Opcode.Add (Operand.reg Reg.RDX) (Operand.imm 3);
+      binop Opcode.Imul (Operand.reg Reg.RCX) (Operand.reg Reg.RCX);
+    ]
+  in
   let block k =
     Program.block (Printf.sprintf "b%d" k)
-      ([
-         mov (Operand.sandbox ~disp:(8 * k) Reg.RAX) (Operand.imm (k + 1));
-         binop Opcode.Add (Operand.reg Reg.RBX) (Operand.imm 1);
-       ]
+      ([ mov (Operand.sandbox ~disp:(8 * k) Reg.RAX) (Operand.imm (k + 1)) ]
+      @ (if dead then stretch else [])
+      @ [ binop Opcode.Add (Operand.reg Reg.RBX) (Operand.imm 1) ]
       @ if k < 10 then [ jcc Cond.Z (Printf.sprintf "b%d" (k + 1)) ] else [])
   in
-  let program =
-    Program.make
-      (Program.block "entry" [ mask ] :: List.init 11 block)
-  in
+  Program.make (Program.block "entry" [ mask ] :: List.init 11 block)
+
+let trip_sweep program =
   let prog = Compiled.of_program_exn program in
   let contract = Contract.with_nesting Contract.ct_cond in
   let inputs = batch_inputs 1 7L in
@@ -1455,7 +1803,40 @@ let pathological_unwinds () =
   check bool "next run traces like a fresh state" true
     (List.for_all2
        (fun (a : Model.result) (b : Model.result) -> Ctrace.equal a.Model.ctrace b.Model.ctrace)
-       fresh again)
+       fresh again);
+  total
+
+let pathological_unwinds () = ignore (trip_sweep (nested_stores ~dead:false))
+
+(* The same sweep with a dead stretch in every block: a skipped stretch
+   counts its length against the budget, so the walk's length is the
+   interpreter's, which skips nothing, and a trip inside a stretch
+   unwinds as exactly as one anywhere else. *)
+let trip_in_dead_stretch () =
+  let program = nested_stores ~dead:true in
+  let prog = Compiled.of_program_exn program in
+  check int "a stretch of three in every block" 11
+    (Array.fold_left (fun n k -> if k = 3 then n + 1 else n) 0 prog.Compiled.dead_len);
+  let per_step =
+    let interp = Compiled.interpreted (Program.flatten_exn program) in
+    let contract = Contract.with_nesting Contract.ct_cond in
+    let inputs = batch_inputs 1 7L in
+    let trips n =
+      match
+        Model.ctraces ~watchdog:{ Watchdog.max_model_steps = n } contract interp inputs
+      with
+      | _ -> false
+      | exception Watchdog.Pathological _ -> true
+    in
+    let rec steps lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if trips mid then steps (mid + 1) hi else steps lo mid
+    in
+    steps 1 1_000_000
+  in
+  check int "the walk's length is the interpreter's" per_step (trip_sweep program)
 
 (* A fault escaping a measurement (a division by zero after a store, on
    the architectural path) still hands the template back exactly. *)
@@ -1572,6 +1953,21 @@ let () =
             on_demand_observations;
           tc "arena templates allocate nothing per input" `Quick
             arena_allocates_nothing;
+        ] );
+      ( "liveness",
+        [
+          tc "never elided: memory, control flow, fences, division, raises" `Quick
+            never_elided;
+          tc "uses: sources and the old value of a merging write" `Quick liveness_uses;
+          tc "flag uses: readers and partial writers" `Quick liveness_flag_uses;
+          tc "kills: whole registers and the whole flag word" `Quick liveness_kills;
+          tc "observed inputs stay live whatever the results" `Quick liveness_observed;
+          tc "successors: Jcc, JMP, CALL, computed targets, the end" `Quick
+            liveness_successors;
+          tc "values called dead change no trace or measurement" `Quick
+            dead_values_unobservable;
+          tc "a watchdog trip inside a skipped stretch unwinds" `Quick
+            trip_in_dead_stretch;
         ] );
       ( "edges",
         [ tc "every action matches the interpreter on edge values" `Quick edge_steps ] );

@@ -375,6 +375,13 @@ let generator_props =
 
 (* --- The central soundness property ---------------------------------------------- *)
 
+(* The interpreted engine leaves every register and flag as the pure
+   emulator does. The compiled one skips values no observation reads
+   ([Compiled.t]'s [dead_len] and [fused]), so memory and pc are what it
+   keeps exact. *)
+let same_memory_and_pc (a : State.t) (b : State.t) =
+  Memory.equal a.State.mem b.State.mem && a.State.pc = b.State.pc
+
 let cpu_props =
   [
     test ~count:60
@@ -383,34 +390,44 @@ let cpu_props =
       (fun (pseed, iseed, v4_patch) ->
         let p = gen_program pseed [ Catalog.AR; Catalog.MEM; Catalog.CB; Catalog.VAR ] in
         let flat = Program.flatten_exn p in
-        let prog = Compiled.of_flat flat in
         let input = { Input.seed = iseed; entropy = 3 } in
-        let s_cpu = Input.to_state input in
         let s_emu = Input.to_state input in
-        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch) in
+        ignore (Semantics.run flat s_emu);
         (* train predictors with a couple of other inputs first, to give
            the run real speculation to roll back *)
-        let prng = Prng.create ~seed:(Int64.add iseed 7L) in
-        List.iter
-          (fun i -> Cpu.run cpu prog (Input.to_state i))
-          (Input.generate_many prng ~entropy:3 ~n:3);
-        Cpu.run cpu prog s_cpu;
-        ignore (Semantics.run flat s_emu);
-        State.equal_arch s_cpu s_emu);
+        let run prog =
+          let cpu = Cpu.create (Uarch_config.skylake ~v4_patch) in
+          let prng = Prng.create ~seed:(Int64.add iseed 7L) in
+          List.iter
+            (fun i -> Cpu.run cpu prog (Input.to_state i))
+            (Input.generate_many prng ~entropy:3 ~n:3);
+          let s = Input.to_state input in
+          Cpu.run cpu prog s;
+          s
+        in
+        let s_cpu = run (Compiled.interpreted flat) in
+        let s_compiled = run (Compiled.of_flat flat) in
+        State.equal_arch s_cpu s_emu
+        && same_memory_and_pc s_compiled s_emu);
     test ~count:40 "assists never change architectural results"
       QCheck.(pair seed_gen seed_gen)
       (fun (pseed, iseed) ->
         let p = gen_program pseed [ Catalog.AR; Catalog.MEM ] in
         let flat = Program.flatten_exn p in
-        let prog = Compiled.of_flat flat in
         let input = { Input.seed = iseed; entropy = 3 } in
-        let s_cpu = Input.to_state input in
         let s_emu = Input.to_state input in
-        let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
-        Page_table.clear_accessed (Cpu.pages cpu) ~page:0;
-        Cpu.run cpu prog s_cpu;
         ignore (Semantics.run flat s_emu);
-        State.equal_arch s_cpu s_emu);
+        let run prog =
+          let cpu = Cpu.create (Uarch_config.skylake ~v4_patch:true) in
+          Page_table.clear_accessed (Cpu.pages cpu) ~page:0;
+          let s = Input.to_state input in
+          Cpu.run cpu prog s;
+          s
+        in
+        let s_cpu = run (Compiled.interpreted flat) in
+        let s_compiled = run (Compiled.of_flat flat) in
+        State.equal_arch s_cpu s_emu
+        && same_memory_and_pc s_compiled s_emu);
     test ~count:40 "ret target masking stays in range"
       QCheck.(pair full_int64_gen (int_range 1 50))
       (fun (v, len) ->

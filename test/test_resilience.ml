@@ -312,6 +312,22 @@ let test_watchdog_fuel () =
   | () -> Alcotest.fail "expected Pathological on exhausted fuel"
   | exception Watchdog.Pathological _ -> ()
 
+(* The count form trips exactly when one of its ticks would. *)
+let test_watchdog_fuel_counts () =
+  let w = { Watchdog.max_model_steps = 5 } in
+  let fuel = Watchdog.start w in
+  Watchdog.tick_n fuel 2;
+  Watchdog.tick fuel;
+  Watchdog.tick_n fuel 2;
+  (match Watchdog.tick_n fuel 1 with
+  | () -> Alcotest.fail "expected Pathological past 5 steps"
+  | exception Watchdog.Pathological _ -> ());
+  let fuel = Watchdog.start w in
+  Watchdog.tick_n fuel 0;
+  match Watchdog.tick_n fuel 6 with
+  | () -> Alcotest.fail "expected Pathological for 6 steps at once"
+  | exception Watchdog.Pathological _ -> ()
+
 let test_watchdog_skips_pathological () =
   (* A starvation-level step budget trips on every test case; the
      campaign must absorb the skips and still complete its budget. *)
@@ -669,6 +685,7 @@ let () =
       ( "watchdog",
         [
           tc "fuel exhaustion raises" `Quick test_watchdog_fuel;
+          tc "counted fuel trips like single ticks" `Quick test_watchdog_fuel_counts;
           tc "pathological test cases skipped" `Quick
             test_watchdog_skips_pathological;
           tc "default ceiling transparent" `Slow
