@@ -131,9 +131,8 @@ type t = private {
           that skips it (pc advancing by one) computes every value an
           observation reads exactly. Liveness after a pc depends only on
           the code after it, so this holds wherever execution enters the
-          program: a speculative exploration, a transient episode. Both
-          arrays are the same for every entry, and {!fused} and skipping
-          compose. *)
+          program: a speculative exploration, a transient episode. An
+          engine may skip dead pcs and run {!fused} at the others. *)
   run_len : int array;
       (** length of the maximal straight-line run starting at each pc
           (no control flow, no serializing instruction) *)
@@ -157,7 +156,8 @@ val abuf_accesses : abuf -> Semantics.access list
     order. Cold-path only (contract stream recording). *)
 
 val of_flat : Program.flat -> t
-(** Compile every instruction to a specialised closure. *)
+(** Compile every instruction to a specialised closure, and run the
+    straight-line, liveness and timing analyses. *)
 
 val interpreted : Program.flat -> t
 (** Same descriptors, but every action defers to {!Semantics.step}:
