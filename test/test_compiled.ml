@@ -1770,73 +1770,65 @@ let nested_stores ~dead =
   in
   Program.make (Program.block "entry" [ mask ] :: List.init 11 block)
 
-let trip_sweep program =
-  let prog = Compiled.of_program_exn program in
-  let contract = Contract.with_nesting Contract.ct_cond in
-  let inputs = batch_inputs 1 7L in
-  let fresh = Model.ctraces ~templates:(Input.templates inputs) contract prog inputs in
-  let watchdog n = { Watchdog.max_model_steps = n } in
-  let trips n templates =
-    match Model.ctraces ~watchdog:(watchdog n) ~templates contract prog inputs with
-    | _ -> false
-    | exception Watchdog.Pathological _ -> true
-  in
-  (* The walk's length: the smallest budget that does not trip. *)
+let trip_contract = Contract.with_nesting Contract.ct_cond
+let trip_inputs = batch_inputs 1 7L
+
+let trips prog n templates =
+  match
+    Model.ctraces ~watchdog:{ Watchdog.max_model_steps = n } ~templates trip_contract prog
+      trip_inputs
+  with
+  | _ -> false
+  | exception Watchdog.Pathological _ -> true
+
+(* The walk's length: the smallest budget that does not trip. *)
+let walk_length prog =
   let rec steps lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if trips mid (Input.templates inputs) then steps (mid + 1) hi else steps lo mid
+      if trips prog mid (Input.templates trip_inputs) then steps (mid + 1) hi
+      else steps lo mid
   in
-  let total = steps 1 1_000_000 in
+  steps 1 1_000_000
+
+let trip_sweep prog =
+  let fresh =
+    Model.ctraces ~templates:(Input.templates trip_inputs) trip_contract prog trip_inputs
+  in
+  let total = walk_length prog in
   check bool "the walk nests deeply" true (total > 2000);
-  let templates = Input.templates inputs in
+  let templates = Input.templates trip_inputs in
   let copy = State.copy templates.(0) in
   for n = 1 to total - 1 do
-    check bool (Printf.sprintf "budget %d trips" n) true (trips n templates);
+    check bool (Printf.sprintf "budget %d trips" n) true (trips prog n templates);
     if not (State.equal_arch copy templates.(0) && templates.(0).State.pc = copy.State.pc)
     then Alcotest.failf "budget %d: template not restored" n;
     if not (journal_closed templates.(0)) then
       Alcotest.failf "budget %d: a journal level stayed open" n
   done;
-  let again = Model.ctraces ~templates contract prog inputs in
+  let again = Model.ctraces ~templates trip_contract prog trip_inputs in
   check bool "next run traces like a fresh state" true
     (List.for_all2
        (fun (a : Model.result) (b : Model.result) -> Ctrace.equal a.Model.ctrace b.Model.ctrace)
        fresh again);
   total
 
-let pathological_unwinds () = ignore (trip_sweep (nested_stores ~dead:false))
+let pathological_unwinds () =
+  ignore (trip_sweep (Compiled.of_program_exn (nested_stores ~dead:false)))
 
 (* The same sweep with a dead stretch in every block: a skipped stretch
    counts its length against the budget, so the walk's length is the
    interpreter's, which skips nothing, and a trip inside a stretch
    unwinds as exactly as one anywhere else. *)
 let trip_in_dead_stretch () =
-  let program = nested_stores ~dead:true in
-  let prog = Compiled.of_program_exn program in
+  let flat = Program.flatten_exn (nested_stores ~dead:true) in
+  let prog = Compiled.of_flat flat in
   check int "a stretch of three in every block" 11
     (Array.fold_left (fun n k -> if k = 3 then n + 1 else n) 0 prog.Compiled.dead_len);
-  let per_step =
-    let interp = Compiled.interpreted (Program.flatten_exn program) in
-    let contract = Contract.with_nesting Contract.ct_cond in
-    let inputs = batch_inputs 1 7L in
-    let trips n =
-      match
-        Model.ctraces ~watchdog:{ Watchdog.max_model_steps = n } contract interp inputs
-      with
-      | _ -> false
-      | exception Watchdog.Pathological _ -> true
-    in
-    let rec steps lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if trips mid then steps (mid + 1) hi else steps lo mid
-    in
-    steps 1 1_000_000
-  in
-  check int "the walk's length is the interpreter's" per_step (trip_sweep program)
+  check int "the walk's length is the interpreter's"
+    (walk_length (Compiled.interpreted flat))
+    (trip_sweep prog)
 
 (* A fault escaping a measurement (a division by zero after a store, on
    the architectural path) still hands the template back exactly. *)
