@@ -40,10 +40,11 @@ open Revizor_isa
      loaded values, and a hardware trace only the cache lines a run
      touched, so a value no later address, branch, division or store
      reads cannot change either. [dead_len] marks the register-only
-     instructions none of whose results is read, and [fused] elides
-     every flag write no observer reads. Liveness at a pc depends only
-     on the code after it, so it holds wherever execution enters: at a
-     speculative exploration's start, or at a transient episode's.
+     instructions none of whose results is read, and [fused] elides, at
+     the other pcs, every flag write no observer reads. Liveness at a pc
+     depends only on the code after it, so it holds wherever execution
+     enters: at a speculative exploration's start, or at a transient
+     episode's.
 
    - the CPU simulator's timing plan ({!plan}): for every pc, the length
      of the maximal timing-plain run starting there (no memory operand,
@@ -907,9 +908,10 @@ let uses_of (d : desc) ~defs ~kills =
    only on the code after it.
 
    Returns [dead_len], the length of the stretch of dead pcs starting at
-   each pc (0 at a live pc), and whether each pc writes a flag word that
-   is dead after it, both from the last pass. The per-pc sets live in
-   three int arrays; nothing is allocated per pc. *)
+   each pc (0 at a live pc), and whether each live pc writes a flag word
+   that is dead after it, both from the last pass (a dead pc's flag
+   write needs no variant: no engine runs its action). The per-pc sets
+   live in three int arrays; nothing is allocated per pc. *)
 let liveness (flat : Program.flat) (descs : desc array) =
   let n = Array.length descs in
   let target = flat.Program.target in
@@ -955,7 +957,8 @@ let liveness (flat : Program.flat) (descs : desc array) =
       union := !union lor li;
       dead_len.(pc) <-
         (if not dead then 0 else if pc + 1 < n then 1 + dead_len.(pc + 1) else 1);
-      dead_flags.(pc) <- defs.(pc) land flag_bit <> 0 && out land flag_bit = 0
+      dead_flags.(pc) <-
+        (not dead) && defs.(pc) land flag_bit <> 0 && out land flag_bit = 0
     done;
     if !union <> !anywhere then begin
       anywhere := !union;

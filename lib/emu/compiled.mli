@@ -118,11 +118,12 @@ type t = private {
       (** allocation-free semantic actions, one per pc; each leaves the
           whole state as {!Semantics.step} does *)
   fused : raw array;
-      (** at each pc, {!raws}, or its variant that does not compute the
-          flag word where no observer reads the flag word the pc writes
-          (on any path from it: a flag reader, or an INC/DEC, shift or
-          rotate, which merge into it, before a full overwrite). The
-          variant's registers, memory, accesses and faults are {!raws}'s. *)
+      (** at each pc, {!raws}, or, at a live pc (see [dead_len]) where no
+          observer reads the flag word the pc writes (on any path from
+          it: a flag reader, or an INC/DEC, shift or rotate, which merge
+          into it, before a full overwrite), its variant that does not
+          compute the flag word. The variant's registers, memory,
+          accesses and faults are {!raws}'s. *)
   dead_len : int array;
       (** the length of the stretch of dead pcs starting at each pc, 0
           at a live one. A dead pc is register-only and cannot fault,

@@ -58,6 +58,4 @@ let of_suffix s =
   | "G" | "NLE" -> Some G
   | _ -> None
 
-let pp fmt c = Format.pp_print_string fmt (suffix c)
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b

@@ -31,6 +31,4 @@ val of_suffix : string -> t option
 (** Parse a mnemonic suffix, accepting the common aliases
     (C/NC, NAE/NB, E/NE, NA/NBE, PE/PO, NGE/NL, NG/NLE). *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int

@@ -122,10 +122,6 @@ let of_mnemonic s =
           | Some _ as r -> r
           | None -> try_cond "J" (fun c -> Jcc c)))
 
-let pp fmt op = Format.pp_print_string fmt (mnemonic op)
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
-
 let writes_flags = function
   | Add | Adc | Sub | Sbb | And | Or | Xor | Cmp | Test | Imul | Inc | Dec | Neg
   | Shl | Shr | Sar | Rol | Ror | Div | Idiv ->

@@ -55,9 +55,6 @@ type t =
 
 val mnemonic : t -> string
 val of_mnemonic : string -> t option
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val writes_flags : t -> bool
 (** Whether the opcode (fully or partially) overwrites RFLAGS. *)

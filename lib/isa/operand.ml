@@ -54,5 +54,3 @@ let pp fmt = function
       if i >= 0L && i < 0x1_0000_0000L then Format.fprintf fmt "%Ld" i
       else Format.fprintf fmt "0x%Lx" i
   | Mem (m, w) -> pp_mem fmt m w
-
-let equal (a : t) (b : t) = a = b

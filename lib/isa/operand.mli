@@ -43,5 +43,3 @@ val regs_read : t -> Reg.t list
 
 val pp : Format.formatter -> t -> unit
 (** Intel syntax, e.g. [qword ptr \[R14 + RAX*2 + 8\]]. *)
-
-val equal : t -> t -> bool

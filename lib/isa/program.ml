@@ -93,4 +93,3 @@ let pp fmt t =
 
 let pp fmt t = Format.fprintf fmt "@[<v>%a@]" pp t
 let to_string t = Format.asprintf "%a" pp t
-let equal (a : t) (b : t) = a = b

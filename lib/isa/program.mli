@@ -52,4 +52,3 @@ val pp : Format.formatter -> t -> unit
 (** Assembly listing with [.label:] markers. *)
 
 val to_string : t -> string
-val equal : t -> t -> bool

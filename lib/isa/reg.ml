@@ -92,6 +92,5 @@ let name_table =
      tbl)
 
 let of_name s = Hashtbl.find_opt (Lazy.force name_table) (String.uppercase_ascii s)
-let pp fmt r = Format.pp_print_string fmt (name r Width.W64)
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b

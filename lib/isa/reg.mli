@@ -49,8 +49,5 @@ val name : t -> Width.t -> string
 val of_name : string -> (t * Width.t) option
 (** Parse an assembly register name (any case); inverse of {!name}. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints the 64-bit name. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -24,6 +24,4 @@ let to_string = function
   | W32 -> "dword"
   | W64 -> "qword"
 
-let pp fmt w = Format.pp_print_string fmt (to_string w)
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b

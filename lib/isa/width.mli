@@ -20,7 +20,4 @@ val all : t list
 val to_string : t -> string
 (** ["byte"], ["word"], ["dword"] or ["qword"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool
-val compare : t -> t -> int

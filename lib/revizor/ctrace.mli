@@ -33,5 +33,4 @@ val add_value : Buffer.t -> int64 -> unit
 val of_buffer : Buffer.t -> t
 (** The observations appended to the buffer since it was last cleared. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,13 +1,13 @@
 open Revizor_emu
 
 type mode = Prime_probe | Flush_reload | Evict_reload | Port_contention
-type threat = { mode : mode; assist_page : int option }
+type threat = { mode : mode; assist : bool }
 
-let prime_probe = { mode = Prime_probe; assist_page = None }
-let prime_probe_assist = { mode = Prime_probe; assist_page = Some 0 }
-let flush_reload = { mode = Flush_reload; assist_page = None }
-let evict_reload = { mode = Evict_reload; assist_page = None }
-let port_contention = { mode = Port_contention; assist_page = None }
+let prime_probe = { mode = Prime_probe; assist = false }
+let prime_probe_assist = { mode = Prime_probe; assist = true }
+let flush_reload = { mode = Flush_reload; assist = false }
+let evict_reload = { mode = Evict_reload; assist = false }
+let port_contention = { mode = Port_contention; assist = false }
 
 let mode_to_string = function
   | Prime_probe -> "Prime+Probe"
@@ -16,7 +16,7 @@ let mode_to_string = function
   | Port_contention -> "Port-Contention"
 
 let threat_to_string t =
-  mode_to_string t.mode ^ match t.assist_page with Some _ -> "+Assist" | None -> ""
+  mode_to_string t.mode ^ if t.assist then "+Assist" else ""
 
 let monitored_lines = Layout.data_pages * Layout.page_size / Layout.cache_line
 
@@ -25,9 +25,7 @@ let line_addr line =
 
 let observe cpu threat run =
   let cache = Cpu.cache cpu in
-  (match threat.assist_page with
-  | Some page -> Page_table.clear_accessed (Cpu.pages cpu) ~page
-  | None -> ());
+  if threat.assist then Page_table.clear_accessed (Cpu.pages cpu) ~page:0;
   (match threat.mode with
   | Prime_probe | Evict_reload -> Cache.prime cache
   | Flush_reload ->

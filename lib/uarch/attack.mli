@@ -9,8 +9,8 @@
       lines now present (granularity: 128 lines over two data pages);
     - {b Evict+Reload}: like Flush+Reload but eviction-based preparation.
 
-    The [*+Assist] threat models additionally clear the Accessed bit of a
-    sandbox page before the run, so the first access to it triggers a
+    The [*+Assist] threat models additionally clear the Accessed bit of
+    sandbox page 0 before the run, so the first access to it triggers a
     microcode assist (§5.3). *)
 
 type mode =
@@ -24,12 +24,13 @@ type mode =
 
 type threat = {
   mode : mode;
-  assist_page : int option;  (** page whose Accessed bit is cleared *)
+  assist : bool;
+      (** whether each observation first clears the Accessed bit of page
+          0, where generated single-page test cases access *)
 }
 
 val prime_probe : threat
 val prime_probe_assist : threat
-(** Assist on page 0, where generated single-page test cases access. *)
 
 val flush_reload : threat
 val evict_reload : threat

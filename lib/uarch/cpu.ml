@@ -68,9 +68,9 @@ let create cfg =
   {
     cfg;
     cache;
-    pht = Predictors.Pht.create ~size:cfg.Uarch_config.pht_size ();
-    btb = Predictors.Btb.create ~size:cfg.Uarch_config.btb_size ();
-    rsb = Predictors.Rsb.create ~depth:cfg.Uarch_config.rsb_depth ();
+    pht = Predictors.Pht.create ();
+    btb = Predictors.Btb.create ();
+    rsb = Predictors.Rsb.create ();
     pages = Page_table.create ();
     fill_buffer = Bytes.make 8 '\000';
     events = [];
@@ -207,7 +207,7 @@ let kind_of_string s =
 (* Timing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fetch_time t tm = tm.fetch_pos / t.cfg.Uarch_config.fetch_width
+let fetch_time tm = tm.fetch_pos / Uarch_config.fetch_width
 
 let src_ready tm (d : Compiled.desc) =
   let srcs = d.Compiled.d_srcs in
@@ -218,27 +218,27 @@ let src_ready tm (d : Compiled.desc) =
   done;
   if d.Compiled.d_reads_flags && tm.flags_ready > !r then tm.flags_ready else !r
 
-let addr_regs_ready t tm (mr : Compiled.mem_ref) =
+let addr_regs_ready tm (mr : Compiled.mem_ref) =
   let b = mr.Compiled.mr_base and x = mr.Compiled.mr_index in
   let rb = if b < 0 then 0 else tm.reg_ready.(b)
   and rx = if x < 0 then 0 else tm.reg_ready.(x) in
-  Int.max rb rx + t.cfg.Uarch_config.lat.Uarch_config.agu
+  Int.max rb rx + Uarch_config.agu_latency
 
 (* Base execution latency, including the operand-dependent division time.
    The memory latency is added separately by the caller, which knows
    whether the access hit. *)
 let rax_at = State.reg_offset Reg.RAX
 
-let exec_latency t (state : State.t) (d : Compiled.desc) =
+let exec_latency (state : State.t) (d : Compiled.desc) =
   match d.Compiled.d_lat with
   | Compiled.Lat_div ->
       (* [State.get_at] and [Word.zext] are inline, where
          [State.get_reg] would return the dividend boxed *)
       let dividend = Word.zext d.Compiled.d_div_width (State.get_at state rax_at) in
-      Uarch_config.div_latency t.cfg ~dividend
-  | Compiled.Lat_mul -> t.cfg.Uarch_config.lat.Uarch_config.mul
-  | Compiled.Lat_branch -> t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
-  | Compiled.Lat_alu -> t.cfg.Uarch_config.lat.Uarch_config.alu
+      Uarch_config.div_latency ~dividend
+  | Compiled.Lat_mul -> Uarch_config.mul_latency
+  | Compiled.Lat_branch -> Uarch_config.branch_latency
+  | Compiled.Lat_alu -> Uarch_config.alu_latency
 
 let[@inline] overlaps a1 w1 a2 w2 =
   let open Int64 in
@@ -381,10 +381,10 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
       touched.(w) <- 0
     done;
     let loads = ref 0 in
-    let budget = ref t.cfg.Uarch_config.rob_size in
+    let budget = ref Uarch_config.rob_size in
     (try
        while state.State.pc < code_len && !budget > 0 do
-         let ft = fetch_time t tm in
+         let ft = fetch_time tm in
          if ft >= squash_time then raise Exit;
          let spc = state.State.pc in
          let d = descs.(spc) in
@@ -393,7 +393,7 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
          decr budget;
          let start = Int.max ft (src_ready tm d) in
          if start < squash_time then count_ports t d;
-         let lat = exec_latency t state d in
+         let lat = exec_latency state d in
          if dead_len.(spc) > 0 then begin
            Compiled.abuf_clear ab;
            state.State.pc <- spc + 1
@@ -418,7 +418,7 @@ let run_transient t (prog : Compiled.t) (state : State.t) ~kind ~origin_pc
              end;
              incr loads;
              if not is_store then
-               mem_lat := Int.max !mem_lat (Uarch_config.mem_latency t.cfg ~hit)
+               mem_lat := Int.max !mem_lat (Uarch_config.mem_latency ~hit)
            end
            else
              (* the access never issued: dependents stay unready *)
@@ -461,9 +461,7 @@ let arch_step t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
   | Opcode.Jcc c ->
       let actual = Flags.eval_cond state.State.flags c in
       let predicted = Predictors.Pht.predict t.pht ~pc in
-      let resolve =
-        Int.max ft tm.flags_ready + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
-      in
+      let resolve = Int.max ft tm.flags_ready + Uarch_config.branch_latency in
       exec t prog state pc;
       if predicted <> actual then begin
         let wrong_pc = if actual then pc + 1 else Compiled.target prog pc in
@@ -478,8 +476,7 @@ let arch_step t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
       exec t prog state pc;
       let next = state.State.pc in
       let resolve =
-        start + Uarch_config.mem_latency t.cfg ~hit:stack_hit
-        + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve
+        start + Uarch_config.mem_latency ~hit:stack_hit + Uarch_config.branch_latency
       in
       (match predicted with
       | Some p when p <> next ->
@@ -493,7 +490,7 @@ let arch_step t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
       let predicted = Predictors.Btb.predict t.btb ~pc in
       exec t prog state pc;
       let next = state.State.pc in
-      let resolve = start + t.cfg.Uarch_config.lat.Uarch_config.branch_resolve in
+      let resolve = start + Uarch_config.branch_latency in
       (match predicted with
       | Some p when p <> next ->
           run_transient t prog state ~kind:Indirect_mispredict ~origin_pc:pc
@@ -513,7 +510,7 @@ let arch_step t (prog : Compiled.t) (state : State.t) pc ~ft ~start =
 let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
     (mr : Compiled.mem_ref) ~ft ~start =
   let addr = Compiled.mem_addr state mr and width = mr.Compiled.mr_width in
-  let mem_ready = addr_regs_ready t t.tm mr in
+  let mem_ready = addr_regs_ready t.tm mr in
   (* Microcode assist: first access to a page with a cleared Accessed
      bit. Loads transiently forward stale fill-buffer data (MDS) or
      zeros (MDS patch); stores resolve late and may be bypassed below
@@ -523,7 +520,7 @@ let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
     && Page_table.access t.pages
          ~page:(Layout.page_of_offset (Layout.offset_of_addr addr))
   in
-  let assist_resolve = start + t.cfg.Uarch_config.lat.Uarch_config.assist in
+  let assist_resolve = start + Uarch_config.assist_latency in
   if assist_fired && d.Compiled.d_loads then begin
     let tv = if t.cfg.Uarch_config.mds_patch then 0L else fill_buffer t in
     (* The assist forwards the bogus value quickly — dependents of the
@@ -550,7 +547,7 @@ let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
   (* The pre-store value, for the store buffer. *)
   if d.Compiled.d_stores then
     sb_stage_old t.sb (Memory.read state.State.mem ~addr width);
-  let lat = exec_latency t state d in
+  let lat = exec_latency state d in
   (* One set lookup per access. Every episode of a non-control-flow step
      has run by now, and its architectural step touches no cache line
      (only control flow does, see [arch_step]), so the way found here is
@@ -562,7 +559,7 @@ let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
   arch_step t prog state pc ~ft ~start;
   (* Committed memory effects: cache fills and fill-buffer updates. *)
   let mem_lat =
-    if d.Compiled.d_loads then Uarch_config.mem_latency t.cfg ~hit:(way >= 0) else 0
+    if d.Compiled.d_loads then Uarch_config.mem_latency ~hit:(way >= 0) else 0
   in
   if d.Compiled.d_control_flow then ignore (Cache.touch t.cache addr)
   else Cache.touch_found t.cache ~set a ~way;
@@ -573,8 +570,7 @@ let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
     let ready = if assist then Int.max mem_ready assist_resolve else mem_ready in
     sb_push t.sb ~addr:a ~width ~ready ~assist
   end;
-  start + lat + mem_lat
-  + if assist_fired then t.cfg.Uarch_config.lat.Uarch_config.assist else 0
+  start + lat + mem_lat + if assist_fired then Uarch_config.assist_latency else 0
 
 (* One step of the per-instruction path: the reference timing of every
    instruction, and the only path for memory, branch, DIV and
@@ -582,7 +578,7 @@ let mem_step t (prog : Compiled.t) (state : State.t) pc (d : Compiled.desc)
 let step t (prog : Compiled.t) (state : State.t) pc =
   let tm = t.tm in
   let d = prog.Compiled.descs.(pc) in
-  let ft = fetch_time t tm in
+  let ft = fetch_time tm in
   tm.fetch_pos <- tm.fetch_pos + 1;
   if d.Compiled.d_serializing then begin
     (* Full barrier: every earlier instruction completes, every pending
@@ -596,7 +592,7 @@ let step t (prog : Compiled.t) (state : State.t) pc =
       tm.reg_ready.(r) <- horizon
     done;
     tm.flags_ready <- horizon;
-    tm.fetch_pos <- Int.max tm.fetch_pos (horizon * t.cfg.Uarch_config.fetch_width);
+    tm.fetch_pos <- Int.max tm.fetch_pos (horizon * Uarch_config.fetch_width);
     t.sb.sb_len <- 0;
     state.State.pc <- pc + 1
   end
@@ -607,7 +603,7 @@ let step t (prog : Compiled.t) (state : State.t) pc =
       match d.Compiled.d_mem with
       | Some mr -> mem_step t prog state pc d mr ~ft ~start
       | None ->
-          let lat = exec_latency t state d in
+          let lat = exec_latency state d in
           arch_step t prog state pc ~ft ~start;
           start + lat
     in
@@ -642,9 +638,7 @@ let run_plain t (prog : Compiled.t) (state : State.t) pc n =
   let fused = prog.Compiled.fused and dead_len = prog.Compiled.dead_len in
   let tm = t.tm and ab = t.ab in
   let ready = tm.reg_ready in
-  let fw = t.cfg.Uarch_config.fetch_width in
-  let lat_alu = t.cfg.Uarch_config.lat.Uarch_config.alu
-  and lat_mul = t.cfg.Uarch_config.lat.Uarch_config.mul in
+  let fw = Uarch_config.fetch_width in
   let ft = ref (tm.fetch_pos / fw) in
   let slot = ref (tm.fetch_pos - (!ft * fw)) in
   let flags_ready = ref tm.flags_ready in
@@ -659,11 +653,11 @@ let run_plain t (prog : Compiled.t) (state : State.t) pc n =
     if d.Compiled.d_reads_flags && !flags_ready > !start then start := !flags_ready;
     let lat =
       match d.Compiled.d_lat with
-      | Compiled.Lat_alu -> lat_alu
-      | Compiled.Lat_mul -> lat_mul
+      | Compiled.Lat_alu -> Uarch_config.alu_latency
+      | Compiled.Lat_mul -> Uarch_config.mul_latency
       | Compiled.Lat_div | Compiled.Lat_branch ->
           (* not taken: DIV and control flow end a timing-plain run *)
-          exec_latency t state d
+          exec_latency state d
     in
     let completion = !start + lat in
     if dead_len.(q) = 0 then fused.(q) state ab;

@@ -17,7 +17,6 @@ module Pht = struct
   let get t ~pc = t.counters.(slot t pc)
   let set t ~pc c = t.counters.(slot t pc) <- c
   let reset t = Array.fill t.counters 0 (Array.length t.counters) 1
-  let copy t = { counters = Array.copy t.counters }
 end
 
 module Btb = struct
@@ -38,7 +37,6 @@ module Btb = struct
   let get t ~pc = t.targets.(slot t pc)
   let set t ~pc v = t.targets.(slot t pc) <- v
   let reset t = Array.fill t.targets 0 (Array.length t.targets) (-1)
-  let copy t = { targets = Array.copy t.targets }
 end
 
 module Rsb = struct
@@ -63,5 +61,4 @@ module Rsb = struct
   let entries t = t.entries
   let restore t entries = t.entries <- entries
   let reset t = t.entries <- []
-  let copy t = { t with entries = t.entries }
 end

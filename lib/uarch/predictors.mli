@@ -10,9 +10,9 @@ module Pht : sig
   type t
 
   val create : ?size:int -> unit -> t
-  (** Default size 512 entries; counters start weakly not-taken, matching
-      static forward-branch prediction. A pc's counter is chosen by its
-      low bits.
+  (** Default size 512 entries, the simulated CPU's; counters start
+      weakly not-taken, matching static forward-branch prediction. A
+      pc's counter is chosen by its low bits.
       @raise Invalid_argument naming [size] unless it is a positive power
       of two. *)
 
@@ -27,7 +27,6 @@ module Pht : sig
       {!Cpu.install} restores a recorded run's post-state. *)
 
   val reset : t -> unit
-  val copy : t -> t
 end
 
 (** Branch target buffer for indirect jumps: predicts the last observed
@@ -36,7 +35,8 @@ module Btb : sig
   type t
 
   val create : ?size:int -> unit -> t
-  (** Default size 256 entries, chosen by a pc's low bits.
+  (** Default size 256 entries, the simulated CPU's, chosen by a pc's
+      low bits.
       @raise Invalid_argument naming [size] unless it is a positive power
       of two. *)
 
@@ -50,7 +50,6 @@ module Btb : sig
   (** Overwrite that entry with a value read by {!get}. *)
 
   val reset : t -> unit
-  val copy : t -> t
 end
 
 (** Return stack buffer of bounded depth. On underflow (more returns than
@@ -60,7 +59,7 @@ module Rsb : sig
   type t
 
   val create : ?depth:int -> unit -> t
-  (** Default depth 16, as on Skylake. *)
+  (** Default depth 16, as on Skylake: the simulated CPU's. *)
 
   val push : t -> int -> unit
   (** Push a return target on CALL; on overflow the oldest entry is lost. *)
@@ -78,5 +77,4 @@ module Rsb : sig
   (** Make a list returned by {!entries} the current contents again. *)
 
   val reset : t -> unit
-  val copy : t -> t
 end

@@ -79,8 +79,8 @@ let target_tests =
              (fun t -> t.Target.uarch.Uarch_config.v4_patch)
              [ Target.target4; Target.target5; Target.target6; Target.target7; Target.target8 ]);
         check bool "assist mode on 7 and 8" true
-          (Target.target7.Target.threat.Attack.assist_page <> None
-          && Target.target8.Target.threat.Attack.assist_page <> None);
+          (Target.target7.Target.threat.Attack.assist
+          && Target.target8.Target.threat.Attack.assist);
         check bool "coffee lake only on 8" true
           Target.target8.Target.uarch.Uarch_config.mds_patch);
     tc "find by name" `Quick (fun () ->

@@ -194,17 +194,15 @@ let page_tests =
 let config_tests =
   [
     tc "division latency grows with operand size" `Quick (fun () ->
-        let cfg = Uarch_config.skylake ~v4_patch:false in
-        let l v = Uarch_config.div_latency cfg ~dividend:v in
+        let l v = Uarch_config.div_latency ~dividend:v in
         check bool "zero fastest" true (l 0L < l 0xFFL);
         check bool "monotone" true (l 0xFFL < l 0xFFFF_FFFFL);
         check bool "wide slowest" true (l 0xFFFF_FFFFL < l (-1L));
         (* one step per significant nibble, across the 32-bit halves *)
-        let lat = cfg.Uarch_config.lat in
         List.iter
           (fun (v, nibbles) ->
             check int (Printf.sprintf "0x%Lx" v)
-              (lat.Uarch_config.div_base + (nibbles * lat.Uarch_config.div_per_nibble))
+              Uarch_config.(div_base_latency + (nibbles * div_nibble_latency))
               (l v))
           [
             (0L, 0); (1L, 1); (0xFL, 1); (0x10L, 2); (0xFFFF_FFFFL, 8);
