@@ -39,8 +39,9 @@ let fault_inject_arg =
     & info [ "fault-inject" ] ~docv:"SPEC"
         ~doc:
           "Arm deterministic fault injection: comma-separated \
-           $(i,name:rate) with optional $(i,@after) and $(i,#max), e.g. \
-           $(b,model.ctrace:0.05,writer.io:1.0@10#2). Campaign points \
+           $(i,name:rate) entries, rate in [0,1], e.g. \
+           $(b,model.ctrace:0.05,writer.io:1.0); an unknown name is an \
+           error. Campaign points \
            (armed in fleet workers too): $(b,model.ctrace), \
            $(b,executor.measure), $(b,writer.io). Fleet points: \
            $(b,fleet.spawn), $(b,fleet.heartbeat), $(b,fleet.merge), \
@@ -612,44 +613,42 @@ let check_trace_file path =
            uncovered interval is reported so accounting holes are
            visible at a glance. *)
         let module T = Revizor_obs.Trace_analysis in
-        let checks = T.check_domains (T.spans_of_lines lines) in
-        let orphans =
-          List.concat_map
-            (fun (dom, n, _) -> List.map (fun pair -> (dom, pair)) n.T.nst_orphans)
-            checks
-        in
-        if orphans <> [] then
-          let dom, (outer, inner) = List.hd orphans in
-          Error
-            (Printf.sprintf
-               "%s: %d orphaned span(s) — e.g. dom %d: %S [%d,+%d] \
-                partially overlaps %S [%d,+%d]"
-               path (List.length orphans) dom inner.T.sp_name inner.T.sp_start
-               inner.T.sp_dur outer.T.sp_name outer.T.sp_start outer.T.sp_dur)
-        else
-          let gap =
-            List.fold_left
-              (fun acc (dom, _, gap) ->
-                match (acc, gap) with
-                | Some (_, best), Some g when best.T.g_dur >= g.T.g_dur -> acc
-                | _, Some g -> Some (dom, g)
-                | _, None -> acc)
-              None checks
-          in
-          Ok
-            (Printf.sprintf "%s: OK (%d spans, %d events, nesting valid%s%s)"
-               path sc.Telemetry.sc_spans sc.Telemetry.sc_events
-               (match gap with
-               | Some (dom, g) ->
-                   Printf.sprintf
-                     "; deepest unaccounted gap %.2f ms on dom %d between \
-                      %s and %s"
-                     (float_of_int g.T.g_dur /. 1e6)
-                     dom g.T.g_after g.T.g_before
-               | None -> "")
-               (if sc.Telemetry.sc_truncated_tail then
-                  "; truncated final line tolerated"
-                else ""))
+        let doms = T.domain_stats (T.spans_of_lines lines) in
+        match List.find_opt (fun d -> d.T.d_orphans > 0) doms with
+        | Some d ->
+            let outer, inner = List.hd d.T.d_orphan_pairs in
+            Error
+              (Printf.sprintf
+                 "%s: %d orphaned span(s) — e.g. dom %d: %S [%d,+%d] \
+                  partially overlaps %S [%d,+%d]"
+                 path
+                 (List.fold_left (fun n d -> n + d.T.d_orphans) 0 doms)
+                 d.T.d_dom inner.T.sp_name inner.T.sp_start inner.T.sp_dur
+                 outer.T.sp_name outer.T.sp_start outer.T.sp_dur)
+        | None ->
+            let gap =
+              List.fold_left
+                (fun acc d ->
+                  match (acc, d.T.d_gap) with
+                  | Some (_, best), Some g when best.T.g_dur >= g.T.g_dur -> acc
+                  | _, Some g -> Some (d.T.d_dom, g)
+                  | _, None -> acc)
+                None doms
+            in
+            Ok
+              (Printf.sprintf "%s: OK (%d spans, %d events, nesting valid%s%s)"
+                 path sc.Telemetry.sc_spans sc.Telemetry.sc_events
+                 (match gap with
+                 | Some (dom, g) ->
+                     Printf.sprintf
+                       "; deepest unaccounted gap %.2f ms on dom %d between \
+                        %s and %s"
+                       (float_of_int g.T.g_dur /. 1e6)
+                       dom g.T.g_after g.T.g_before
+                 | None -> "")
+                 (if sc.Telemetry.sc_truncated_tail then
+                    "; truncated final line tolerated"
+                  else ""))
 
 let do_telemetry_check stats_file trace_file =
   let results =
@@ -760,6 +759,7 @@ let do_trace_report file =
     Printf.printf "\nPer-domain utilization:\n";
     Printf.printf "  %-6s %9s %12s %12s %8s  %s\n" "dom" "spans" "busy ms"
       "stall ms" "busy%" "top stage";
+    let doms = TA.domain_stats spans in
     List.iter
       (fun (d : TA.domain_stat) ->
         let wall = d.TA.d_busy_ns + d.TA.d_stall_ns in
@@ -770,23 +770,24 @@ let do_trace_report file =
           (if wall = 0 then 0.
            else 100. *. float_of_int d.TA.d_busy_ns /. float_of_int wall)
           d.TA.d_top_stage)
-      (TA.domain_stats spans);
-    let checks = TA.check_domains spans in
+      doms;
     List.iter
-      (fun (dom, n, gap) ->
-        if n.TA.nst_orphans <> [] then
-          Printf.printf "\ndom %d: %d ORPHANED span pair(s)\n" dom
-            (List.length n.TA.nst_orphans);
-        match gap with
+      (fun (d : TA.domain_stat) ->
+        if d.TA.d_orphans > 0 then
+          Printf.printf "\ndom %d: %d ORPHANED span pair(s)\n" d.TA.d_dom
+            d.TA.d_orphans;
+        match d.TA.d_gap with
         | Some g ->
             Printf.printf
-              "dom %d: max depth %d, deepest gap %.2f ms (%s -> %s)\n" dom
-              n.TA.nst_max_depth
+              "dom %d: max depth %d, deepest gap %.2f ms (%s -> %s)\n" d.TA.d_dom
+              d.TA.d_max_depth
               (float_of_int g.TA.g_dur /. 1e6)
               g.TA.g_after g.TA.g_before
-        | None -> Printf.printf "dom %d: max depth %d, no gaps\n" dom n.TA.nst_max_depth)
-      checks;
-    if List.for_all (fun (_, n, _) -> n.TA.nst_orphans = []) checks then 0 else 1
+        | None ->
+            Printf.printf "dom %d: max depth %d, no gaps\n" d.TA.d_dom
+              d.TA.d_max_depth)
+      doms;
+    if List.for_all (fun d -> d.TA.d_orphans = 0) doms then 0 else 1
   end
 
 let do_trace_export file out =
@@ -1107,8 +1108,7 @@ let fleet_summary dir =
       if q > 0 then 3 else if violations > 0 then 1 else 0
 
 let do_fleet_run dir contract target shards seed budget inputs workers lease
-    max_attempts checkpoint_every fleet_seed fault_inject fault_seed
-    as_reference quiet =
+    max_attempts checkpoint_every fault_inject fault_seed as_reference quiet =
   match arm_faults fault_inject fault_seed with
   | Error e -> fail e
   | Ok () -> (
@@ -1124,7 +1124,6 @@ let do_fleet_run dir contract target shards seed budget inputs workers lease
           sp_lease_s = lease;
           sp_max_attempts = max_attempts;
           sp_checkpoint_every = checkpoint_every;
-          sp_fleet_seed = fleet_seed;
         }
       in
       let log =
@@ -1233,12 +1232,6 @@ let fleet_cmd =
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:"Test cases between a worker's periodic shard checkpoints.")
   in
-  let fleet_seed =
-    Arg.(
-      value & opt int64 42L
-      & info [ "fleet-seed" ] ~docv:"SEED"
-          ~doc:"Seed for the deterministic re-adoption backoff jitter.")
-  in
   let as_reference =
     Arg.(
       value & flag
@@ -1261,8 +1254,8 @@ let fleet_cmd =
       Term.(
         const do_fleet_run $ dir_arg $ contract_arg $ target_arg $ shards
         $ seed_arg $ budget_arg $ inputs_arg $ workers $ lease $ max_attempts
-        $ checkpoint_every $ fleet_seed $ fault_inject_arg $ fault_seed_arg
-        $ as_reference $ quiet)
+        $ checkpoint_every $ fault_inject_arg $ fault_seed_arg $ as_reference
+        $ quiet)
   in
   let resume =
     Cmd.v

@@ -23,6 +23,7 @@ module Faultpoint = Revizor_obs.Faultpoint
 
 let schema = "revizor.merged.v1"
 
+(* [fleet.merge] fires per merged-doc write attempt. *)
 let fp_merge = Faultpoint.point "fleet.merge"
 
 type violation = {

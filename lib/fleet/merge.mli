@@ -12,9 +12,6 @@
 val schema : string
 (** ["revizor.merged.v1"]. *)
 
-val fp_merge : Revizor_obs.Faultpoint.point
-(** [fleet.merge] — fires per merged-doc write attempt. *)
-
 type violation = {
   mv_shard : int;
   mv_seed : int64;

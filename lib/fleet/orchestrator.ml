@@ -24,6 +24,8 @@ module Monitor = Revizor_obs.Monitor
 
 type outcome = Completed | Interrupted
 
+(* [fleet.spawn]: an adoption attempt that never produces a worker.
+   [fleet.heartbeat]: one liveness probe silently lost. *)
 let fp_spawn = Faultpoint.point "fleet.spawn"
 let fp_heartbeat = Faultpoint.point "fleet.heartbeat"
 

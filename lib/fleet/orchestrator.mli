@@ -12,12 +12,6 @@ type outcome =
   | Completed  (** every shard [Done] or [Quarantined] *)
   | Interrupted  (** [should_stop] fired; leases revoked cleanly *)
 
-val fp_spawn : Revizor_obs.Faultpoint.point
-(** [fleet.spawn] — an adoption attempt that never produces a worker. *)
-
-val fp_heartbeat : Revizor_obs.Faultpoint.point
-(** [fleet.heartbeat] — one liveness probe silently lost. *)
-
 val run :
   dir:string ->
   ?log:(string -> unit) ->

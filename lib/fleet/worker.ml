@@ -24,6 +24,10 @@ module Monitor = Revizor_obs.Monitor
 
 let schema = "revizor.shard-result.v1"
 
+(* [fleet.worker_crash]: an abrupt [Unix._exit 70] at a test-case
+   boundary, as if the worker were SIGKILLed. [fleet.worker_hang]: the
+   worker stops polling forever, so its lease expires and the
+   orchestrator kills and re-adopts it. *)
 let fp_crash = Faultpoint.point "fleet.worker_crash"
 let fp_hang = Faultpoint.point "fleet.worker_hang"
 

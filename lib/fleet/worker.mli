@@ -10,14 +10,6 @@
 val schema : string
 (** ["revizor.shard-result.v1"]. *)
 
-val fp_crash : Revizor_obs.Faultpoint.point
-(** [fleet.worker_crash] — abrupt [Unix._exit 70] at a test-case
-    boundary, as if the worker were SIGKILLed. *)
-
-val fp_hang : Revizor_obs.Faultpoint.point
-(** [fleet.worker_hang] — the worker stops polling forever, so its
-    lease expires and the orchestrator kills and re-adopts it. *)
-
 type violation_entry = {
   v_tc : int;  (** [stats.test_cases] at detection *)
   v_label : string;

@@ -18,7 +18,6 @@ exception Injected of string
 
 type cfg = {
   rate : float;  (* firing probability per hit, in [0,1] *)
-  after : int;  (* skip the first [after] hits entirely *)
   max_fires : int;  (* stop firing after this many fires; 0 = unlimited *)
 }
 
@@ -137,8 +136,7 @@ let should_fire p =
             incr r;
             (c.c_salt, k)
       in
-      if k < cfg.after then false
-      else if cfg.max_fires > 0 && Atomic.get p.fires >= cfg.max_fires then false
+      if cfg.max_fires > 0 && Atomic.get p.fires >= cfg.max_fires then false
       else if Hash.uniform (draw p ~salt k) < cfg.rate then begin
         Atomic.incr p.fires;
         Metrics.incr p.fired_total;
@@ -153,37 +151,23 @@ let hits p = Atomic.get p.hits
 
 (* --- spec parsing ----------------------------------------------------- *)
 
-(* "name:rate", "name:rate@after", "name:rate#max", combined
-   "name:rate@after#max"; entries separated by commas. *)
+(* "name:rate" entries separated by commas; [name] must be a registered
+   point, so a misspelled one is refused instead of arming nothing. *)
 let parse_entry s =
   match String.index_opt s ':' with
   | None -> Error (Printf.sprintf "fault spec %S: expected name:rate" s)
   | Some i -> (
       let name = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      let rest, max_fires =
-        match String.index_opt rest '#' with
-        | None -> (rest, Ok 0)
-        | Some j ->
-            ( String.sub rest 0 j,
-              match int_of_string_opt (String.sub rest (j + 1) (String.length rest - j - 1)) with
-              | Some v when v >= 0 -> Ok v
-              | _ -> Error (Printf.sprintf "fault spec %S: bad #max" s) )
-      in
-      let rest, after =
-        match String.index_opt rest '@' with
-        | None -> (rest, Ok 0)
-        | Some j ->
-            ( String.sub rest 0 j,
-              match int_of_string_opt (String.sub rest (j + 1) (String.length rest - j - 1)) with
-              | Some v when v >= 0 -> Ok v
-              | _ -> Error (Printf.sprintf "fault spec %S: bad @after" s) )
-      in
-      match (float_of_string_opt rest, after, max_fires) with
-      | _, Error e, _ | _, _, Error e -> Error e
-      | Some rate, Ok after, Ok max_fires when rate >= 0. && rate <= 1. ->
-          Ok (name, { rate; after; max_fires })
-      | _ -> Error (Printf.sprintf "fault spec %S: rate must be in [0,1]" s))
+      let rate = String.sub s (i + 1) (String.length s - i - 1) in
+      if not (Mutex.protect lock (fun () -> Hashtbl.mem registry name)) then
+        Error (Printf.sprintf "fault spec %S: unknown fault point %S" s name)
+      else
+        match float_of_string_opt rate with
+        | Some rate when rate >= 0. && rate <= 1. ->
+            Ok (name, { rate; max_fires = 0 })
+        | _ ->
+            Error
+              (Printf.sprintf "fault spec %S: rate must be a number in [0,1]" s))
 
 let parse_spec s =
   let entries =

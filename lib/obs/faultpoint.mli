@@ -16,7 +16,6 @@ exception Injected of string
 
 type cfg = {
   rate : float;  (** firing probability per hit, in [0,1] *)
-  after : int;  (** skip the first [after] hits *)
   max_fires : int;  (** stop after this many fires; 0 = unlimited *)
 }
 
@@ -41,8 +40,8 @@ val set_context : salt:int64 -> unit
     index) — independent of what other domains or earlier contexts did.
     The fuzz loop opens one context per test case, salted with the test
     case number, so fault schedules are bit-identical for any executor
-    domain count. [cfg.after] then counts per context; [cfg.max_fires]
-    still caps fires globally (a cross-context property by design).
+    domain count. [cfg.max_fires] still caps fires globally (a
+    cross-context property by design).
     Without a context, scheduling is exactly the historical global-
     counter behavior. *)
 
@@ -58,6 +57,7 @@ val fired : point -> int
 val hits : point -> int
 
 val parse_spec : string -> ((string * cfg) list, string) result
-(** Parse a CLI spec: comma-separated [name:rate], with optional
-    [@after] (skip the first N hits) and [#max] (cap the fire count),
-    e.g. ["model.ctrace:0.05,writer.io:1.0@10#2"]. *)
+(** Parse a CLI spec: comma-separated [name:rate] entries with [rate] in
+    [0,1], e.g. ["model.ctrace:0.05,writer.io:1.0"], each armed with no
+    fire cap. A [name] that no {!point} call has registered is an
+    [Error] naming it. *)

@@ -120,7 +120,7 @@ let parse_command line =
 
 (* The one list of one-shot commands, on parsed commands: the server
    closes after their reply and the client reads them to EOF. *)
-let oneshot = function "prom" | "prometheus" | "metrics.prom" -> true | _ -> false
+let oneshot = function "prom" -> true | _ -> false
 
 let error_line msg =
   Json.to_string (Json.Obj [ ("error", Json.String msg) ]) ^ "\n"

@@ -15,9 +15,9 @@
     [prom]) or a JSON object [{"cmd": "status"}]. The response to a
     line command is exactly one JSON object on one line, whose first
     member is ["schema": "revizor.monitor.v1"] unless it is an error;
-    a connection may issue any number of such requests. [prom] (also [prometheus],
-    [metrics.prom]) is a one-shot Prometheus-style text exposition of
-    the whole metrics registry: the server writes the multi-line text
+    a connection may issue any number of such requests. [prom] is a
+    one-shot Prometheus-style text exposition of the whole metrics
+    registry: the server writes the multi-line text
     and closes the connection (the text format has no line-oriented
     framing of its own). Both request forms name the same command, so
     [{"cmd": "prom"}] is one-shot too. Unknown commands, malformed
@@ -33,7 +33,15 @@
     {!Metrics} registry by the monitor itself; [status] and [health]
     come from the installed {!set_provider} callback (the fuzz loop
     closes over its live campaign state), falling back to a minimal
-    registry-derived answer when no provider is installed. *)
+    registry-derived answer when no provider is installed.
+
+    The endpoint counts in the registry the clients it accepted
+    ([monitor.connections]), the request lines it answered
+    ([monitor.requests]) and the clients that vanished with a reply in
+    flight ([monitor.client_lost]: [EPIPE]/[ECONNRESET] on write, or a
+    hard read error). The first {!create} ignores [SIGPIPE]
+    process-wide, so a client closing mid-reply surfaces as that
+    counter, never as a fatal signal. *)
 
 type t
 
@@ -91,18 +99,3 @@ val prometheus : Metrics.summary -> string
     cumulative [_bucket{le="..."}] series plus [_sum]/[_count]. Metric
     names are prefixed with [revizor_] and sanitized (every character
     outside [[A-Za-z0-9_]] becomes [_]). *)
-
-(** {1 Registry metrics} *)
-
-val m_connections : Metrics.counter
-(** [monitor.connections] — clients accepted over the endpoint's
-    lifetime. *)
-
-val m_requests : Metrics.counter
-(** [monitor.requests] — request lines answered. *)
-
-val m_client_lost : Metrics.counter
-(** [monitor.client_lost] — clients that vanished with a reply in
-    flight ([EPIPE]/[ECONNRESET] on write, or a hard read error). The
-    first {!create} ignores [SIGPIPE] process-wide, so a client closing
-    mid-reply surfaces as this counter, never as a fatal signal. *)

@@ -126,16 +126,17 @@ let scan_lines lines =
     |> snd
   in
   let spans = ref 0 and events = ref 0 and lineno = ref 0 in
-  let truncated = ref false and error = ref None in
+  let truncated = ref false and error = ref None and good = ref [] in
   List.iter
     (fun line ->
       incr lineno;
       if String.trim line <> "" && !error = None then
         match parse_line line with
+        | Ok l when l.l_kind = "span" || l.l_kind = "event" ->
+            incr (if l.l_kind = "span" then spans else events);
+            good := l :: !good
         | Ok l ->
-            if l.l_kind = "span" then incr spans
-            else if l.l_kind = "event" then incr events
-            else if !lineno = last_nonempty then truncated := true
+            if !lineno = last_nonempty then truncated := true
             else
               error :=
                 Some (!lineno, Printf.sprintf "unknown kind %S" l.l_kind)
@@ -143,12 +144,13 @@ let scan_lines lines =
             if !lineno = last_nonempty then truncated := true
             else error := Some (!lineno, e))
     lines;
-  {
-    sc_spans = !spans;
-    sc_events = !events;
-    sc_truncated_tail = !truncated;
-    sc_error = !error;
-  }
+  ( List.rev !good,
+    {
+      sc_spans = !spans;
+      sc_events = !events;
+      sc_truncated_tail = !truncated;
+      sc_error = !error;
+    } )
 
 let span name ~start_ns ~dur_ns =
   match Atomic.get current with

@@ -76,6 +76,7 @@ type scan = {
   sc_error : (int * string) option;  (** (line number, message) *)
 }
 
-val scan_lines : string list -> scan
-(** Scan the lines of a trace file (as split on ['\n']). Used by the
-    [telemetry-check] validator. *)
+val scan_lines : string list -> line list * scan
+(** Parse the lines of a trace file (as split on ['\n']) once: the span
+    and event lines in file order, and the scan. Used by the
+    [telemetry-check] validator and the trace toolkit. *)

@@ -12,59 +12,44 @@ type span = {
 
 let span_end s = s.sp_start + s.sp_dur
 
+let int_field (l : Telemetry.line) k =
+  Option.bind (List.assoc_opt k l.Telemetry.l_fields) Json.to_int
+
+let dom_of l = Option.value ~default:0 (int_field l "dom")
+
+(* A span line's span, or [None] when it lacks [start] or [dur_ns]. *)
+let span_of_line (l : Telemetry.line) =
+  match (int_field l "start", int_field l "dur_ns") with
+  | Some start, Some dur ->
+      Some
+        {
+          sp_name = l.Telemetry.l_name;
+          sp_start = start;
+          sp_dur = dur;
+          sp_dom = dom_of l;
+          sp_tc = int_field l "tc";
+        }
+  | _ -> None
+
 let spans_of_lines lines =
   List.filter_map
     (fun (l : Telemetry.line) ->
-      if l.Telemetry.l_kind <> "span" then None
-      else
-        let field k = List.assoc_opt k l.Telemetry.l_fields in
-        match
-          ( Option.bind (field "start") Json.to_int,
-            Option.bind (field "dur_ns") Json.to_int )
-        with
-        | Some start, Some dur ->
-            Some
-              {
-                sp_name = l.Telemetry.l_name;
-                sp_start = start;
-                sp_dur = dur;
-                sp_dom =
-                  Option.value ~default:0
-                    (Option.bind (field "dom") Json.to_int);
-                sp_tc = Option.bind (field "tc") Json.to_int;
-              }
-        | _ -> None)
+      if l.Telemetry.l_kind = "span" then span_of_line l else None)
     lines
 
 let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> In_channel.input_all ic)
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | data -> (
-      let raw = String.split_on_char '\n' data in
-      let scan = Telemetry.scan_lines raw in
-      match scan.Telemetry.sc_error with
-      | Some (lineno, msg) ->
+      match Telemetry.scan_lines (String.split_on_char '\n' data) with
+      | _, { Telemetry.sc_error = Some (lineno, msg); _ } ->
           Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-      | None ->
-          (* Re-parse keeping only the good lines; the truncated tail (if
-             any) was already classified by the scan and is dropped. *)
-          let lines =
-            List.filter_map
-              (fun s ->
-                if String.trim s = "" then None
-                else Result.to_option (Telemetry.parse_line s))
-              raw
-          in
-          Ok (lines, scan))
+      | loaded -> Ok loaded)
 
-(* --- span trees ----------------------------------------------------- *)
+(* --- one walk per domain --------------------------------------------- *)
 
 type node = { n_span : span; n_children : node list }
+type gap = { g_start : int; g_dur : int; g_after : string; g_before : string }
 
 let by_domain spans =
   let doms =
@@ -75,130 +60,98 @@ let by_domain spans =
 let contains outer inner =
   outer.sp_start <= inner.sp_start && span_end inner <= span_end outer
 
-(* Sort by (start asc, end desc): an enclosing span sorts before
-   everything it contains, so a single stack pass builds the forest. *)
 let tree_order a b =
   match compare a.sp_start b.sp_start with
   | 0 -> compare (span_end b) (span_end a)
   | c -> c
 
-let span_forest spans =
+let max_reported_orphans = 8
+
+type walk = {
+  w_forest : node list;
+  w_max_depth : int;
+  w_orphans : int;
+  w_orphan_pairs : (span * span) list;
+  w_gap : gap option;
+  w_busy_ns : int;
+}
+
+(* Sorted by (start asc, end desc), a span comes after every span that
+   contains it, so one pass with a stack of open spans, each inside the
+   one below it, builds the forest: a span's parent is the top of the
+   stack once every open span that does not contain it is closed. An
+   open span closed by a span that starts inside it is an orphaned pair
+   (the new span ends after it). The furthest end seen so far, the
+   frontier, gives the busy time (the union of the intervals) and the
+   gaps; durations are never negative. *)
+let walk spans =
   let sorted = List.sort tree_order spans in
-  (* Stack of open (span, children-so-far-reversed) frames. *)
-  let roots = ref [] in
-  let stack = ref [] in
-  let close_into child =
-    match !stack with
-    | [] -> roots := child :: !roots
-    | (p, kids) :: rest -> stack := (p, child :: kids) :: rest
-  in
-  let rec pop_until s =
-    match !stack with
-    | (p, kids) :: rest when not (contains p s) ->
-        stack := rest;
-        close_into { n_span = p; n_children = List.rev kids };
-        pop_until s
-    | _ -> ()
-  in
-  List.iter
-    (fun s ->
-      pop_until s;
-      stack := (s, []) :: !stack)
-    sorted;
-  (* Close everything still open. *)
-  let rec drain () =
+  let roots = ref [] and stack = ref [] and height = ref 0 in
+  let max_depth = ref 0 and orphans = ref 0 and pairs = ref [] in
+  let frontier = ref (match sorted with s :: _ -> s.sp_start | [] -> 0) in
+  let frontier_name = ref "" and busy = ref 0 and gap = ref None in
+  (* Close the top open span into the one below it, or into the roots. *)
+  let close () =
     match !stack with
     | [] -> ()
     | (p, kids) :: rest ->
-        stack := rest;
-        close_into { n_span = p; n_children = List.rev kids };
-        drain ()
-  in
-  drain ();
-  List.rev !roots
-
-let rec depth n =
-  1 + List.fold_left (fun acc c -> max acc (depth c)) 0 n.n_children
-
-(* --- nesting validation --------------------------------------------- *)
-
-type nesting = {
-  nst_spans : int;
-  nst_max_depth : int;
-  nst_orphans : (span * span) list;
-}
-
-let max_reported_orphans = 8
-
-let check_nesting spans =
-  let sorted = List.sort tree_order spans in
-  (* Walk with an open-span stack; a span that starts inside the top of
-     stack but ends outside it partially overlaps — an orphan pair. *)
-  let orphans = ref [] in
-  let stack = ref [] in
-  let rec pop_until s =
-    match !stack with
-    | top :: rest when not (contains top s) ->
-        if s.sp_start < span_end top then
-          (* s starts inside [top] but is not contained: overlap. *)
-          if List.length !orphans < max_reported_orphans then
-            orphans := (top, s) :: !orphans;
-        stack := rest;
-        pop_until s
-    | _ -> ()
+        let node = { n_span = p; n_children = List.rev kids } in
+        decr height;
+        stack :=
+          (match rest with
+          | [] ->
+              roots := node :: !roots;
+              []
+          | (q, siblings) :: below -> (q, node :: siblings) :: below)
   in
   List.iter
     (fun s ->
-      pop_until s;
-      stack := s :: !stack)
+      let rec close_outside () =
+        match !stack with
+        | (top, _) :: _ when not (contains top s) ->
+            if s.sp_start < span_end top then begin
+              incr orphans;
+              if !orphans <= max_reported_orphans then
+                pairs := (top, s) :: !pairs
+            end;
+            close ();
+            close_outside ()
+        | _ -> ()
+      in
+      close_outside ();
+      stack := (s, []) :: !stack;
+      incr height;
+      max_depth := max !max_depth !height;
+      (* Only a strictly longer hole replaces the deepest so far. *)
+      let hole = s.sp_start - !frontier in
+      if hole > Option.fold ~none:0 ~some:(fun g -> g.g_dur) !gap then
+        gap :=
+          Some
+            {
+              g_start = !frontier;
+              g_dur = hole;
+              g_after = !frontier_name;
+              g_before = s.sp_name;
+            };
+      busy := !busy + max 0 (span_end s - max s.sp_start !frontier);
+      if span_end s >= !frontier then begin
+        frontier := span_end s;
+        frontier_name := s.sp_name
+      end)
     sorted;
-  let forest = span_forest spans in
-  let max_depth = List.fold_left (fun acc n -> max acc (depth n)) 0 forest in
+  while !height > 0 do
+    close ()
+  done;
   {
-    nst_spans = List.length spans;
-    nst_max_depth = max_depth;
-    nst_orphans = List.rev !orphans;
+    w_forest = List.rev !roots;
+    w_max_depth = !max_depth;
+    w_orphans = !orphans;
+    w_orphan_pairs = List.rev !pairs;
+    w_gap = !gap;
+    w_busy_ns = !busy;
   }
 
-(* --- gap analysis ---------------------------------------------------- *)
-
-type gap = { g_start : int; g_dur : int; g_after : string; g_before : string }
-
-let deepest_gap spans =
-  match List.sort tree_order spans with
-  | [] | [ _ ] -> None
-  | first :: _ as sorted ->
-      (* Sweep the sorted spans keeping the furthest end seen so far; a
-         span starting past it opens a gap. *)
-      let best = ref None in
-      let frontier = ref (span_end first) in
-      let frontier_name = ref first.sp_name in
-      List.iter
-        (fun s ->
-          if s.sp_start > !frontier then begin
-            let g =
-              {
-                g_start = !frontier;
-                g_dur = s.sp_start - !frontier;
-                g_after = !frontier_name;
-                g_before = s.sp_name;
-              }
-            in
-            match !best with
-            | Some b when b.g_dur >= g.g_dur -> ()
-            | _ -> best := Some g
-          end;
-          if span_end s >= !frontier then begin
-            frontier := span_end s;
-            frontier_name := s.sp_name
-          end)
-        sorted;
-      !best
-
-let check_domains spans =
-  List.map
-    (fun (dom, group) -> (dom, check_nesting group, deepest_gap group))
-    (by_domain spans)
+let span_forest spans = (walk spans).w_forest
 
 (* --- per-stage and per-domain summaries ------------------------------ *)
 
@@ -232,57 +185,39 @@ let stage_stats spans =
 type domain_stat = {
   d_dom : int;
   d_spans : int;
+  d_max_depth : int;
+  d_orphans : int;
+  d_orphan_pairs : (span * span) list;
+  d_gap : gap option;
   d_busy_ns : int;
   d_stall_ns : int;
   d_top_stage : string;
 }
 
-(* Length of the union of the span intervals (they nest or are disjoint
-   in a valid trace, but the sweep is correct for arbitrary input). *)
-let busy_ns spans =
-  let sorted = List.sort tree_order spans in
-  let busy = ref 0 and frontier = ref min_int in
-  List.iter
-    (fun s ->
-      let e = span_end s in
-      if s.sp_start >= !frontier then begin
-        busy := !busy + s.sp_dur;
-        frontier := e
-      end
-      else if e > !frontier then begin
-        busy := !busy + (e - !frontier);
-        frontier := e
-      end)
-    sorted;
-  !busy
-
 let domain_stats spans =
-  match spans with
-  | [] -> []
-  | _ ->
-      let wall_start =
-        List.fold_left (fun acc s -> min acc s.sp_start) max_int spans
-      in
-      let wall_end =
-        List.fold_left (fun acc s -> max acc (span_end s)) min_int spans
-      in
-      let wall = wall_end - wall_start in
-      List.map
-        (fun (dom, group) ->
-          let busy = busy_ns group in
-          let top =
-            match stage_stats group with
-            | [] -> ""
-            | top :: _ -> top.st_stage
-          in
-          {
-            d_dom = dom;
-            d_spans = List.length group;
-            d_busy_ns = busy;
-            d_stall_ns = max 0 (wall - busy);
-            d_top_stage = top;
-          })
-        (by_domain spans)
+  let wall_start =
+    List.fold_left (fun acc s -> min acc s.sp_start) max_int spans
+  in
+  let wall_end =
+    List.fold_left (fun acc s -> max acc (span_end s)) min_int spans
+  in
+  let wall = wall_end - wall_start in
+  List.map
+    (fun (dom, group) ->
+      let w = walk group in
+      {
+        d_dom = dom;
+        d_spans = List.length group;
+        d_max_depth = w.w_max_depth;
+        d_orphans = w.w_orphans;
+        d_orphan_pairs = w.w_orphan_pairs;
+        d_gap = w.w_gap;
+        d_busy_ns = w.w_busy_ns;
+        d_stall_ns = max 0 (wall - w.w_busy_ns);
+        d_top_stage =
+          (match stage_stats group with [] -> "" | top :: _ -> top.st_stage);
+      })
+    (by_domain spans)
 
 (* --- Chrome trace-event export --------------------------------------- *)
 
@@ -291,16 +226,12 @@ let to_chrome lines =
   let events =
     List.filter_map
       (fun (l : Telemetry.line) ->
-        let field k = List.assoc_opt k l.Telemetry.l_fields in
-        let dom =
-          Option.value ~default:0 (Option.bind (field "dom") Json.to_int)
-        in
         let args =
           List.filter
             (fun (k, _) -> k <> "start" && k <> "dur_ns" && k <> "dom")
             l.Telemetry.l_fields
         in
-        let base name ph ts =
+        let base name ph ts dom =
           [
             ("name", Json.String name);
             ("ph", Json.String ph);
@@ -310,21 +241,17 @@ let to_chrome lines =
           ]
         in
         match l.Telemetry.l_kind with
-        | "span" -> (
-            match
-              ( Option.bind (field "start") Json.to_int,
-                Option.bind (field "dur_ns") Json.to_int )
-            with
-            | Some start, Some dur ->
-                Some
-                  (Json.Obj
-                     (base l.Telemetry.l_name "X" (us start)
-                     @ [ ("dur", us dur); ("args", Json.Obj args) ]))
-            | _ -> None)
+        | "span" ->
+            Option.map
+              (fun s ->
+                Json.Obj
+                  (base s.sp_name "X" (us s.sp_start) s.sp_dom
+                  @ [ ("dur", us s.sp_dur); ("args", Json.Obj args) ]))
+              (span_of_line l)
         | "event" ->
             Some
               (Json.Obj
-                 (base l.Telemetry.l_name "i" (us l.Telemetry.l_ts)
+                 (base l.Telemetry.l_name "i" (us l.Telemetry.l_ts) (dom_of l)
                  @ [ ("s", Json.String "t"); ("args", Json.Obj args) ]))
         | _ -> None)
       lines

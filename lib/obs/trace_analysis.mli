@@ -42,48 +42,14 @@ val by_domain : span list -> (int * span list) list
 (** Group spans by emitting domain, ascending domain id, file order
     preserved within a group. *)
 
-val depth : node -> int
-(** 1 for a leaf. *)
-
-(** {1 Nesting validation}
-
-    A well-formed trace's spans, per domain, either nest or are
-    disjoint — a pair that {e partially} overlaps means a span ended
-    inside a sibling it did not contain: an orphaned end, the telemetry
-    bug [telemetry-check] hunts for. *)
-
-type nesting = {
-  nst_spans : int;
-  nst_max_depth : int;
-  nst_orphans : (span * span) list;
-      (** partially-overlapping pairs (first few), empty when valid *)
-}
-
-val check_nesting : span list -> nesting
-(** Validate one domain's spans (single-domain input, as
-    {!span_forest}). *)
-
-(** {1 Gap analysis} *)
-
 type gap = {
   g_start : int;  (** ns, sink-relative *)
   g_dur : int;
-  g_after : string;  (** span preceding the gap ("start" at t=0) *)
-  g_before : string;  (** span following it *)
+  g_after : string;  (** span whose end opens the gap *)
+  g_before : string;  (** span whose start closes it *)
 }
-
-val deepest_gap : span list -> gap option
-(** The longest interval between the first span start and the last span
-    end not covered by any span (single-domain input). [None] when
-    there are fewer than two spans or no gap at all. This is the
-    precise version of [accounted_share]: not just how much wall time
-    the stages missed in aggregate, but {e where} the biggest hole
-    is. *)
-
-val check_domains : span list -> (int * nesting * gap option) list
-(** {!check_nesting} and {!deepest_gap} of each emitting domain's spans,
-    by ascending domain id: the one validation pass that
-    [telemetry-check --trace] and [trace report] print from. *)
+(** An interval between a domain's first span start and its last span
+    end that no span covers. *)
 
 (** {1 Per-stage and per-domain summaries} *)
 
@@ -102,18 +68,41 @@ val stage_stats : span list -> stage_stat list
 type domain_stat = {
   d_dom : int;
   d_spans : int;
+  d_max_depth : int;  (** longest chain of nested spans; 1 for a leaf *)
+  d_orphans : int;  (** orphaned pairs, all of them *)
+  d_orphan_pairs : (span * span) list;
+      (** the first 8 orphaned pairs, (open span, span starting inside
+          it); empty when the nesting is valid *)
+  d_gap : gap option;
+      (** the longest uncovered interval, the first on ties; [None]
+          when the spans leave none *)
   d_busy_ns : int;  (** union of the domain's span intervals *)
   d_stall_ns : int;  (** trace wall span minus busy *)
   d_top_stage : string;  (** stage with the most total time *)
 }
 
 val domain_stats : span list -> domain_stat list
-(** Per-domain utilization over the whole trace's wall interval
-    ([min start, max end] across all domains): how busy the campaign
-    loop's domain and each executor-pool domain was, and what it mostly
-    ran. Stall time on a pool domain is time spent waiting for the loop
-    to generate the next test case; stall on the loop's domain is time
-    spent waiting for a pool result. *)
+(** One entry per emitting domain, by ascending domain id: the one
+    result [telemetry-check --trace] and [trace report] print from.
+    Each domain's spans are sorted once and walked once, as
+    {!span_forest} walks them; the same walk validates the nesting,
+    finds the deepest gap and sums the busy time.
+
+    A well-formed trace's spans, per domain, either nest or are
+    disjoint. A span that starts inside an open span (one whose
+    subtree the walk is still building) and ends after it partially
+    overlaps it: an orphaned end, the telemetry bug [telemetry-check]
+    hunts for. The deepest gap is the precise version of
+    [accounted_share]: not just how much wall time the stages missed
+    in aggregate, but {e where} the biggest hole is.
+
+    Utilization is over the whole trace's wall interval ([min start,
+    max end] across all domains): how busy the campaign loop's domain
+    and each executor-pool domain was, and what it mostly ran. Stall
+    time on a pool domain is time spent waiting for the loop to
+    generate the next test case; stall on the loop's domain is time
+    spent waiting for a pool result. Span durations are never negative,
+    as telemetry writes them. *)
 
 (** {1 Chrome trace-event export} *)
 

@@ -8,8 +8,6 @@ module Faultpoint = Revizor_obs.Faultpoint
    absorb). *)
 let m_measures = Metrics.counter "executor.measures"
 let m_reps = Metrics.counter "executor.measurement_reps"
-let m_warmups = Metrics.counter "executor.warmup_rounds"
-let m_sequences = Metrics.counter "executor.sequences"
 let m_input_runs = Metrics.counter "executor.input_runs"
 let m_memo_hits = Metrics.counter "executor.memo_hits"
 let m_swap_measures = Metrics.counter "executor.swap_measurements"
@@ -225,7 +223,6 @@ let rec memo_find cpu fp = function
    hit can replay them. *)
 let run_sequence ?(with_events = true) ?memo t flat
     (templates : Revizor_emu.State.t array) ~record =
-  Metrics.incr m_sequences;
   t.ctx_seq <- t.ctx_seq + 1;
   let hits = ref 0 in
   Array.iteri
@@ -328,7 +325,6 @@ let measure ?templates t flat inputs =
   let templates = templates_of inputs templates in
   let n = Array.length templates in
   Metrics.incr m_measures;
-  Metrics.incr m_warmups;
   Cpu.reset_session t.cpu;
   ensure_buffers t ~n;
   let reps = Int.max 1 t.cfg.measurement_reps in

@@ -85,7 +85,7 @@ let test_atomic_file_backoff () =
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "out.json" in
   Faultpoint.enable ~seed:9L
-    [ ("writer.io", { Faultpoint.rate = 1.; after = 0; max_fires = 2 }) ];
+    [ ("writer.io", { Faultpoint.rate = 1.; max_fires = 2 }) ];
   Fun.protect ~finally:Faultpoint.disable @@ fun () ->
   let fp = Faultpoint.point "writer.io" in
   Revizor_obs.Atomic_file.write path "payload";
@@ -103,7 +103,7 @@ let test_control_plane_write_attempts () =
   List.iter
     (fun (point, save) ->
       Faultpoint.enable ~seed:1L
-        [ (point, { Faultpoint.rate = 1.; after = 0; max_fires = 0 }) ];
+        [ (point, { Faultpoint.rate = 1.; max_fires = 0 }) ];
       Fun.protect ~finally:Faultpoint.disable @@ fun () ->
       (match save () with
       | () -> Alcotest.failf "%s: the write succeeded" point
@@ -349,10 +349,10 @@ let chaos_schedules =
   [
     ( 7L,
       [
-        ("fleet.worker_crash", { Faultpoint.rate = 0.03; after = 0; max_fires = 0 });
-        ("fleet.worker_hang", { Faultpoint.rate = 0.004; after = 0; max_fires = 1 });
-        ("fleet.spawn", { Faultpoint.rate = 0.25; after = 0; max_fires = 1 });
-        ("fleet.ledger_write", { Faultpoint.rate = 0.2; after = 0; max_fires = 2 });
+        ("fleet.worker_crash", { Faultpoint.rate = 0.03; max_fires = 0 });
+        ("fleet.worker_hang", { Faultpoint.rate = 0.004; max_fires = 1 });
+        ("fleet.spawn", { Faultpoint.rate = 0.25; max_fires = 1 });
+        ("fleet.ledger_write", { Faultpoint.rate = 0.2; max_fires = 2 });
       ] );
     ( 1337L,
       [
@@ -360,9 +360,9 @@ let chaos_schedules =
            an adoption advances at least one segment with ~0.9
            probability — monotone progress, quarantine practically
            unreachable at the attempt cap. *)
-        ("fleet.worker_crash", { Faultpoint.rate = 0.02; after = 0; max_fires = 0 });
-        ("fleet.heartbeat", { Faultpoint.rate = 0.5; after = 0; max_fires = 0 });
-        ("fleet.merge", { Faultpoint.rate = 1.0; after = 0; max_fires = 1 });
+        ("fleet.worker_crash", { Faultpoint.rate = 0.02; max_fires = 0 });
+        ("fleet.heartbeat", { Faultpoint.rate = 0.5; max_fires = 0 });
+        ("fleet.merge", { Faultpoint.rate = 1.0; max_fires = 1 });
       ] );
   ]
 
@@ -404,7 +404,7 @@ let test_quarantine_escalation () =
   Unix.mkdir root 0o755;
   let spec = mk_spec ~seeds:[ 5L; 6L ] ~workers:2 ~max_attempts:3 () in
   Faultpoint.enable ~seed:3L
-    [ ("fleet.worker_crash", { Faultpoint.rate = 1.0; after = 0; max_fires = 0 }) ];
+    [ ("fleet.worker_crash", { Faultpoint.rate = 1.0; max_fires = 0 }) ];
   let dir = Filename.concat root "fleet" in
   let outcome =
     Fun.protect ~finally:Faultpoint.disable (fun () ->
@@ -445,7 +445,7 @@ let test_unwritable_ledger () =
   in
   let dir = Filename.concat root "injected" in
   Faultpoint.enable ~seed:1L
-    [ ("fleet.ledger_write", { Faultpoint.rate = 1.; after = 0; max_fires = 0 }) ];
+    [ ("fleet.ledger_write", { Faultpoint.rate = 1.; max_fires = 0 }) ];
   let r =
     Fun.protect ~finally:Faultpoint.disable (fun () ->
         Orchestrator.run ~dir (mk_spec ()))

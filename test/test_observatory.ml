@@ -21,6 +21,12 @@ let string = Alcotest.string
 let sp ?(dom = 0) ?tc name start dur =
   { TA.sp_name = name; sp_start = start; sp_dur = dur; sp_dom = dom; sp_tc = tc }
 
+(* One domain's entry of [TA.domain_stats]: its walk's results. *)
+let walk spans =
+  match TA.domain_stats spans with
+  | [ d ] -> d
+  | _ -> Alcotest.fail "expected one domain"
+
 (* --- span trees ------------------------------------------------------ *)
 
 let test_span_forest () =
@@ -33,13 +39,14 @@ let test_span_forest () =
   let parent = List.hd forest in
   check string "first root is parent" "parent" parent.TA.n_span.TA.sp_name;
   check int "parent has two children" 2 (List.length parent.TA.n_children);
-  check int "depth of parent tree" 2 (TA.depth parent);
-  check int "depth of leaf" 1 (TA.depth (List.nth forest 1));
+  check int "depth of parent tree" 2 (walk spans).TA.d_max_depth;
+  check int "depth of leaf" 1 (walk [ sp "next" 120 50 ]).TA.d_max_depth;
   (* Nested three deep. *)
   let deep = [ sp "a" 0 100; sp "b" 10 50; sp "c" 20 10 ] in
-  match TA.span_forest deep with
-  | [ root ] -> check int "depth 3" 3 (TA.depth root)
-  | _ -> Alcotest.fail "expected a single root"
+  (match TA.span_forest deep with
+  | [ _ ] -> ()
+  | _ -> Alcotest.fail "expected a single root");
+  check int "depth 3" 3 (walk deep).TA.d_max_depth
 
 let test_by_domain () =
   let spans = [ sp ~dom:1 "x" 0 10; sp ~dom:0 "y" 0 10; sp ~dom:1 "z" 20 10 ] in
@@ -52,27 +59,28 @@ let test_by_domain () =
 (* --- nesting validation ---------------------------------------------- *)
 
 let test_nesting_valid () =
-  let n = TA.check_nesting [ sp "a" 0 100; sp "b" 10 20; sp "c" 50 20 ] in
-  check int "spans" 3 n.TA.nst_spans;
-  check int "max depth" 2 n.TA.nst_max_depth;
-  check bool "no orphans" true (n.TA.nst_orphans = [])
+  let n = walk [ sp "a" 0 100; sp "b" 10 20; sp "c" 50 20 ] in
+  check int "spans" 3 n.TA.d_spans;
+  check int "max depth" 2 n.TA.d_max_depth;
+  check int "no orphans" 0 n.TA.d_orphans;
+  check bool "no orphan pairs" true (n.TA.d_orphan_pairs = [])
 
 let test_nesting_orphan () =
   (* b starts inside a but ends outside it: a partial overlap. *)
-  let n = TA.check_nesting [ sp "a" 0 50; sp "b" 30 40 ] in
-  check bool "orphan detected" true (n.TA.nst_orphans <> []);
-  let outer, inner = List.hd n.TA.nst_orphans in
+  let n = walk [ sp "a" 0 50; sp "b" 30 40 ] in
+  check int "orphan detected" 1 n.TA.d_orphans;
+  let outer, inner = List.hd n.TA.d_orphan_pairs in
   check string "outer" "a" outer.TA.sp_name;
   check string "inner" "b" inner.TA.sp_name
 
 (* --- gap analysis ----------------------------------------------------- *)
 
 let test_deepest_gap () =
-  check bool "no gap on empty" true (TA.deepest_gap [] = None);
+  check bool "no gap on empty" true (TA.domain_stats [] = []);
   check bool "no gap on contiguous" true
-    (TA.deepest_gap [ sp "a" 0 10; sp "b" 10 10 ] = None);
+    ((walk [ sp "a" 0 10; sp "b" 10 10 ]).TA.d_gap = None);
   match
-    TA.deepest_gap [ sp "a" 0 10; sp "b" 15 10; sp "c" 100 10; sp "d" 40 10 ]
+    (walk [ sp "a" 0 10; sp "b" 15 10; sp "c" 100 10; sp "d" 40 10 ]).TA.d_gap
   with
   | Some g ->
       (* gaps: 10..15 (5), 25..40 (15), 50..100 (50). *)
@@ -85,7 +93,7 @@ let test_deepest_gap () =
 let test_gap_nested_spans () =
   (* A child ending before its parent must not open a phantom gap. *)
   check bool "nested spans, no gap" true
-    (TA.deepest_gap [ sp "p" 0 100; sp "c" 10 20 ] = None)
+    ((walk [ sp "p" 0 100; sp "c" 10 20 ]).TA.d_gap = None)
 
 (* --- stage and domain summaries --------------------------------------- *)
 
@@ -643,6 +651,201 @@ let test_monitor_cli () =
   check bool "bare prom prints the exposition" true (type_lines bare >= 3);
   check int "JSON prom prints every metric" (type_lines bare) (type_lines json)
 
+(* --- every orphaned pair counted ---------------------------------------- *)
+
+let span_end s = s.TA.sp_start + s.TA.sp_dur
+
+(* Thirteen spans on one domain, each of the last twelve starting inside
+   the previous one and ending after it: twelve orphaned pairs, more
+   than the eight kept as examples. *)
+let test_orphans_counted () =
+  let spans = List.init 13 (fun i -> sp (Printf.sprintf "s%d" i) (10 * i) 15) in
+  let d = walk spans in
+  check int "every pair counted" 12 d.TA.d_orphans;
+  check int "eight kept as examples" 8 (List.length d.TA.d_orphan_pairs);
+  let path =
+    write_tmp
+      (String.concat ""
+         (List.map
+            (fun s ->
+              Telemetry.render_line
+                {
+                  Telemetry.l_ts = span_end s;
+                  l_kind = "span";
+                  l_name = s.TA.sp_name;
+                  l_fields =
+                    [
+                      ("start", Json.Int s.TA.sp_start);
+                      ("dur_ns", Json.Int s.TA.sp_dur);
+                      ("dom", Json.Int 0);
+                    ];
+                }
+              ^ "\n")
+            spans))
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let code, _, err = run_cli [ "telemetry-check"; "--trace"; path ] in
+  check int "telemetry-check fails" 1 code;
+  check bool "telemetry-check gives the true count" true
+    (contains err ": 12 orphaned span(s)");
+  let code, out, _ = run_cli [ "trace"; "report"; path ] in
+  check int "trace report fails" 1 code;
+  check bool "trace report gives the true count" true
+    (contains out "dom 0: 12 ORPHANED span pair(s)")
+
+(* --- the walk against an oracle that shares no code with it ---------- *)
+
+(* Span sets over a small grid on 1-3 domains, so shared and equal
+   endpoints, zero-length spans, nesting, partial overlaps and gaps all
+   occur. Names are unique, so a span's name identifies it. *)
+let random_spans rng =
+  List.init
+    (1 + Random.State.int rng 9)
+    (fun i ->
+      sp ~dom:(Random.State.int rng 3) (Printf.sprintf "s%d" i)
+        (Random.State.int rng 12) (Random.State.int rng 8))
+
+let oracle_contains c s =
+  c.TA.sp_start <= s.TA.sp_start && span_end s <= span_end c
+
+let partial a b =
+  a.TA.sp_start < b.TA.sp_start
+  && b.TA.sp_start < span_end a
+  && span_end a < span_end b
+
+(* Cell [t, t+1] is busy when a span covers it; the point t is covered
+   when it lies in some span's closed interval. A gap is a run of
+   uncovered points and cells: an open interval that meets no span. *)
+let busy_cell group t =
+  List.exists (fun s -> s.TA.sp_start <= t && t + 1 <= span_end s) group
+
+let covered_point group t =
+  List.exists (fun s -> s.TA.sp_start <= t && t <= span_end s) group
+
+let oracle_gap group =
+  let lo = List.fold_left (fun a s -> min a s.TA.sp_start) max_int group in
+  let hi = List.fold_left (fun a s -> max a (span_end s)) min_int group in
+  let best = ref None in
+  let t = ref lo in
+  while !t < hi do
+    if busy_cell group !t then incr t
+    else begin
+      let start = !t in
+      incr t;
+      while !t < hi && not (covered_point group !t || busy_cell group !t) do
+        incr t
+      done;
+      let len = !t - start in
+      match !best with
+      | Some (_, l) when l >= len -> ()
+      | _ -> best := Some (start, len)
+    end
+  done;
+  !best
+
+(* The longest chain s1 ⊋ s2 ⊋ ... of distinct intervals. *)
+let rec longest_chain group s =
+  1
+  + List.fold_left
+      (fun a c ->
+        if c != s && oracle_contains s c then max a (longest_chain group c) else a)
+      0 group
+
+let test_walk_oracle () =
+  let rng = Random.State.make [| 34 |] in
+  let nested_sets = ref 0 in
+  for _ = 1 to 3000 do
+    let spans = random_spans rng in
+    List.iter2
+      (fun (dom, group) (d : TA.domain_stat) ->
+        check int "domain" dom d.TA.d_dom;
+        let orphaned =
+          List.exists (fun a -> List.exists (partial a) group) group
+        in
+        check bool "an orphan iff a partial overlap" orphaned (d.TA.d_orphans > 0);
+        check int "examples kept" (min 8 d.TA.d_orphans)
+          (List.length d.TA.d_orphan_pairs);
+        List.iter
+          (fun (outer, inner) ->
+            check bool "each example overlaps partially" true (partial outer inner))
+          d.TA.d_orphan_pairs;
+        let lo = List.fold_left (fun a s -> min a s.TA.sp_start) max_int group in
+        let hi = List.fold_left (fun a s -> max a (span_end s)) min_int group in
+        let busy = ref 0 in
+        for t = lo to hi - 1 do
+          if busy_cell group t then incr busy
+        done;
+        check int "busy time is the union's length" !busy d.TA.d_busy_ns;
+        (match (oracle_gap group, d.TA.d_gap) with
+        | None, None -> ()
+        | Some (start, len), Some g ->
+            check int "gap start" start g.TA.g_start;
+            check int "gap length" len g.TA.g_dur;
+            check bool "a span ends where the gap starts" true
+              (List.exists
+                 (fun s -> s.TA.sp_name = g.TA.g_after && span_end s = start)
+                 group);
+            check bool "a span starts where the gap ends" true
+              (List.exists
+                 (fun s ->
+                   s.TA.sp_name = g.TA.g_before && s.TA.sp_start = start + len)
+                 group)
+        | _ -> Alcotest.fail "gap found by one side only");
+        let duplicates =
+          List.exists
+            (fun a ->
+              List.exists
+                (fun b ->
+                  a != b && a.TA.sp_start = b.TA.sp_start && a.TA.sp_dur = b.TA.sp_dur)
+                group)
+            group
+        in
+        if not (orphaned || duplicates) then begin
+          incr nested_sets;
+          (* A zero-length span at the end of one span and the start of
+             another lies in both, and neither is innermost, so the
+             parent is checked for spans of positive length, and the
+             depth for sets without zero-length spans. *)
+          let rec visit parent (n : TA.node) =
+            let s = n.TA.n_span in
+            let containing =
+              List.filter (fun c -> c != s && oracle_contains c s) group
+            in
+            (if s.TA.sp_dur > 0 then
+               let shortest =
+                 List.fold_left
+                   (fun a c ->
+                     match a with
+                     | Some b when b.TA.sp_dur <= c.TA.sp_dur -> a
+                     | _ -> Some c)
+                   None containing
+               in
+               check (Alcotest.option string) "parent is the shortest container"
+                 (Option.map (fun c -> c.TA.sp_name) shortest)
+                 (Option.map (fun p -> p.TA.sp_name) parent)
+             else
+               check bool "parent contains the span" true
+                 (match parent with
+                 | Some p -> oracle_contains p s
+                 | None -> containing = []));
+            List.iter (visit (Some s)) n.TA.n_children
+          in
+          let forest = TA.span_forest group in
+          List.iter (visit None) forest;
+          check int "every span in the forest" (List.length group)
+            (let rec size (n : TA.node) =
+               List.fold_left (fun a c -> a + size c) 1 n.TA.n_children
+             in
+             List.fold_left (fun a n -> a + size n) 0 forest);
+          if List.for_all (fun s -> s.TA.sp_dur > 0) group then
+            check int "max depth is the longest chain"
+              (List.fold_left (fun a s -> max a (longest_chain group s)) 0 group)
+              d.TA.d_max_depth
+        end)
+      (TA.by_domain spans) (TA.domain_stats spans)
+  done;
+  check bool "enough orphan-free sets" true (!nested_sets > 500)
+
 (* --- monitor on/off bit-identity --------------------------------------- *)
 
 
@@ -940,6 +1143,8 @@ let () =
           tc "gap with nesting" `Quick test_gap_nested_spans;
           tc "stage stats" `Quick test_stage_stats;
           tc "domain stats" `Quick test_domain_stats;
+          tc "every orphaned pair counted" `Quick test_orphans_counted;
+          tc "walk against an oracle" `Quick test_walk_oracle;
           tc "load file truncated tail" `Quick test_load_file_truncated;
           tc "chrome export" `Quick test_chrome_export;
           tc "diff two runs" `Slow test_trace_diff_runs;

@@ -24,7 +24,7 @@ let with_faults ~seed points f =
   Faultpoint.enable ~seed points;
   Fun.protect ~finally:Faultpoint.disable f
 
-let always = { Faultpoint.rate = 1.0; after = 0; max_fires = 0 }
+let always = { Faultpoint.rate = 1.0; max_fires = 0 }
 
 (* --- PRNG state round-trip ------------------------------------------- *)
 
@@ -371,7 +371,7 @@ let test_model_fault_absorbed () =
      faulted+absorbed; the campaign completes its budget regardless. *)
   Metrics.reset ();
   with_faults ~seed:1L
-    [ ("model.ctrace", { Faultpoint.rate = 1.0; after = 5; max_fires = 3 }) ]
+    [ ("model.ctrace", { Faultpoint.rate = 1.0; max_fires = 3 }) ]
   @@ fun () ->
   let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target1 in
   let _, stats = Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 10) in
@@ -387,7 +387,7 @@ let test_model_fault_absorbed () =
 let test_fault_schedule_deterministic () =
   let pattern () =
     with_faults ~seed:77L
-      [ ("model.ctrace", { Faultpoint.rate = 0.3; after = 2; max_fires = 0 }) ]
+      [ ("model.ctrace", { Faultpoint.rate = 0.3; max_fires = 0 }) ]
     @@ fun () ->
     let p = Faultpoint.point "model.ctrace" in
     List.init 200 (fun _ -> Faultpoint.should_fire p)
@@ -406,6 +406,45 @@ let test_faultpoint_disabled_is_inert () =
   done;
   check int "no fires when disarmed" before (Faultpoint.fired p)
 
+(* The spec holds registered [name:rate] entries only. *)
+let test_fault_spec_parse () =
+  let parsed spec =
+    match Faultpoint.parse_spec spec with
+    | Ok l -> List.map (fun (n, c) -> (n, c.Faultpoint.rate, c.max_fires)) l
+    | Error e -> Alcotest.fail e
+  in
+  let entry = Alcotest.(triple string (float 0.) int) in
+  check (Alcotest.list entry) "one entry"
+    [ ("model.ctrace", 0.05, 0) ]
+    (parsed "model.ctrace:0.05");
+  check (Alcotest.list entry) "a list, in order, rates at both ends"
+    [ ("writer.io", 1., 0); ("executor.measure", 0., 0); ("model.ctrace", 0.5, 0) ]
+    (parsed "writer.io:1.0, executor.measure:0,model.ctrace:.5,");
+  List.iter
+    (fun spec ->
+      check bool (spec ^ " refused") true
+        (Result.is_error (Faultpoint.parse_spec spec)))
+    [
+      "model.ctrce:1.0";
+      "model.ctrace:1.0@10";
+      "model.ctrace:1.0#2";
+      "model.ctrace:1.0@10#2";
+      "model.ctrace:1.5";
+      "model.ctrace:-0.1";
+      "model.ctrace:nan";
+      ":0.5";
+      "model.ctrace";
+      "";
+      " , ";
+    ];
+  match Faultpoint.parse_spec "model.ctrace:0.1,model.ctrce:1.0" with
+  | Error e ->
+      check bool "the error names the unknown point" true
+        (String.starts_with
+           ~prefix:{|fault spec "model.ctrce:1.0": unknown fault point "model.ctrce"|}
+           e)
+  | Ok _ -> Alcotest.fail "a misspelled point must be refused"
+
 (* --- fault injection: artifact writers -------------------------------- *)
 
 let test_atomic_write_retry () =
@@ -418,7 +457,7 @@ let test_atomic_write_retry () =
   @@ fun () ->
   (* Two injected failures, then success on the third attempt. *)
   with_faults ~seed:1L
-    [ ("writer.io", { Faultpoint.rate = 1.0; after = 0; max_fires = 2 }) ]
+    [ ("writer.io", { Faultpoint.rate = 1.0; max_fires = 2 }) ]
     (fun () -> Atomic_file.write path "payload one");
   check string "published after retries" "payload one"
     (In_channel.with_open_bin path In_channel.input_all);
@@ -486,7 +525,7 @@ let test_exec_domains_faults () =
      not on which domain runs it or in what order. (A global [max_fires]
      cap would reintroduce cross-domain ordering, so none is set.) *)
   with_faults ~seed:11L
-    [ ("model.ctrace", { Faultpoint.rate = 0.1; after = 0; max_fires = 0 }) ]
+    [ ("model.ctrace", { Faultpoint.rate = 0.1; max_fires = 0 }) ]
   @@ fun () -> assert_domains_invariant ~label:"faults" Target.target5
 
 let test_exec_domains_writer_faults () =
@@ -509,7 +548,7 @@ let test_exec_domains_writer_faults () =
     in
     let o, s =
       with_faults ~seed:9L
-        [ ("writer.io", { Faultpoint.rate = 0.3; after = 0; max_fires = 0 }) ]
+        [ ("writer.io", { Faultpoint.rate = 0.3; max_fires = 0 }) ]
       @@ fun () ->
       Fuzzer.fuzz ~checkpoint_every:5
         ~on_checkpoint:(fun snap -> Campaign.save ~path cfg snap)
@@ -648,7 +687,7 @@ let test_truncated_tail_tolerated () =
   Telemetry.disable ();
   let good = Buffer.contents buf in
   let truncated = good ^ "{\"ts\":123,\"kind\":\"ev" in
-  let scan s = Telemetry.scan_lines (String.split_on_char '\n' s) in
+  let scan s = snd (Telemetry.scan_lines (String.split_on_char '\n' s)) in
   let sc = scan truncated in
   check bool "no hard error" true (sc.Telemetry.sc_error = None);
   check bool "truncation reported" true sc.Telemetry.sc_truncated_tail;
@@ -696,6 +735,7 @@ let () =
           tc "model fault absorbed" `Quick test_model_fault_absorbed;
           tc "schedule deterministic" `Quick test_fault_schedule_deterministic;
           tc "disabled points inert" `Quick test_faultpoint_disabled_is_inert;
+          tc "spec parsing" `Quick test_fault_spec_parse;
           tc "atomic writes retry injected faults" `Quick
             test_atomic_write_retry;
         ] );
