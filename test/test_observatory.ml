@@ -722,9 +722,12 @@ let busy_cell group t =
 let covered_point group t =
   List.exists (fun s -> s.TA.sp_start <= t && t <= span_end s) group
 
+let bounds group =
+  ( List.fold_left (fun a s -> min a s.TA.sp_start) max_int group,
+    List.fold_left (fun a s -> max a (span_end s)) min_int group )
+
 let oracle_gap group =
-  let lo = List.fold_left (fun a s -> min a s.TA.sp_start) max_int group in
-  let hi = List.fold_left (fun a s -> max a (span_end s)) min_int group in
+  let lo, hi = bounds group in
   let best = ref None in
   let t = ref lo in
   while !t < hi do
@@ -732,7 +735,7 @@ let oracle_gap group =
     else begin
       let start = !t in
       incr t;
-      while !t < hi && not (covered_point group !t || busy_cell group !t) do
+      while !t < hi && not (covered_point group !t) do
         incr t
       done;
       let len = !t - start in
@@ -769,8 +772,7 @@ let test_walk_oracle () =
           (fun (outer, inner) ->
             check bool "each example overlaps partially" true (partial outer inner))
           d.TA.d_orphan_pairs;
-        let lo = List.fold_left (fun a s -> min a s.TA.sp_start) max_int group in
-        let hi = List.fold_left (fun a s -> max a (span_end s)) min_int group in
+        let lo, hi = bounds group in
         let busy = ref 0 in
         for t = lo to hi - 1 do
           if busy_cell group t then incr busy
